@@ -1,14 +1,14 @@
 // Join-graph pass benchmark & gate: the XMark value-join queries
-// (Q8-Q12) plus two literal-filter join shapes, run with the cost-based
-// join pass (PF_JOINOPT) on and off.
+// (Q8-Q12) plus two literal-filter join shapes, run with the join-graph
+// pass (PF_JOINOPT) on and off.
 //
 // Hard gates (exit 1), in both full and --smoke mode:
 //   * byte-identity: every query serializes identically with the pass
 //     on and off, at 1 and 2 threads (the pass must be invisible in the
 //     result bytes);
-//   * counters fire: every query isolates >= 1 join cluster; the
-//     existential distincts of Q8/Q9/Q12 are removed by stats-backed
-//     key inference; the literal shapes push >= 1 select below a join;
+//   * counters fire: the existential distincts of Q8/Q9/Q12 are
+//     removed by stats-backed key inference; the literal shapes push
+//     >= 1 select below a join;
 //   * the pass is off when asked: join_opt=0 keeps all counters at 0;
 //   * the emitted BENCH_joins.json re-reads and parses.
 //
@@ -39,7 +39,6 @@ namespace {
 struct JoinQuery {
   std::string name;
   std::string text;
-  int min_clusters = 1;
   int min_kdr = 0;     // key_distincts_removed lower bound
   int min_pushed = 0;  // selects_pushed lower bound
 };
@@ -65,7 +64,7 @@ std::vector<JoinQuery> Queries() {
        "for $i in /site/regions//item "
        "where $a/buyer/@person = $p/@id and $a/itemref/@item = $i/@id "
        "and $i/quantity > 1 return <r>{$p/name/text()}</r>",
-       1, 1, 1});
+       1, 1});
   qs.push_back(
       {"J2",
        "for $a in /site/closed_auctions/closed_auction "
@@ -74,14 +73,14 @@ std::vector<JoinQuery> Queries() {
        "where $p/@id = $a/buyer/@person and $i/@id = $a/itemref/@item "
        "and $p/profile/@income > 80000 "
        "return <r>{$i/name/text()}</r>",
-       1, 1, 1});
+       1, 1});
   return qs;
 }
 
 struct QueryReport {
   std::string name;
   double on_ms = 0, off_ms = 0;
-  int clusters = 0, reordered = 0, pushed = 0, kdr = 0;
+  int pushed = 0, kdr = 0;
 };
 
 int Main(int argc, char** argv) {
@@ -94,8 +93,8 @@ int Main(int argc, char** argv) {
   std::vector<JoinQuery> queries = Queries();
 
   std::printf("Join-graph pass (PF_JOINOPT) on XMark sf %g\n\n", sf);
-  std::printf("%-5s %10s %10s %8s %9s %6s %7s %5s\n", "query", "on",
-              "off", "off/on", "clusters", "reord", "pushed", "kdr");
+  std::printf("%-5s %10s %10s %8s %7s %5s\n", "query", "on", "off",
+              "off/on", "pushed", "kdr");
 
   int failures = 0;
   std::vector<QueryReport> reports;
@@ -135,29 +134,24 @@ int Main(int argc, char** argv) {
           ++failures;
         }
         if (join_opt == 0 &&
-            (r->opt_stats.join_clusters != 0 ||
-             r->opt_stats.joins_reordered != 0 ||
-             r->opt_stats.selects_pushed != 0 ||
+            (r->opt_stats.selects_pushed != 0 ||
              r->opt_stats.key_distincts_removed != 0)) {
           std::fprintf(stderr, "FAIL %s: counters nonzero with the pass off\n",
                        q.name.c_str());
           ++failures;
         }
         if (join_opt == 1 && threads == 1) {
-          rep.clusters = r->opt_stats.join_clusters;
-          rep.reordered = r->opt_stats.joins_reordered;
           rep.pushed = r->opt_stats.selects_pushed;
           rep.kdr = r->opt_stats.key_distincts_removed;
         }
       }
     }
-    if (rep.clusters < q.min_clusters || rep.kdr < q.min_kdr ||
-        rep.pushed < q.min_pushed) {
+    if (rep.kdr < q.min_kdr || rep.pushed < q.min_pushed) {
       std::fprintf(stderr,
-                   "FAIL %s: counters below floor (clusters %d/%d, kdr "
-                   "%d/%d, pushed %d/%d)\n",
-                   q.name.c_str(), rep.clusters, q.min_clusters, rep.kdr,
-                   q.min_kdr, rep.pushed, q.min_pushed);
+                   "FAIL %s: counters below floor (kdr %d/%d, pushed "
+                   "%d/%d)\n",
+                   q.name.c_str(), rep.kdr, q.min_kdr, rep.pushed,
+                   q.min_pushed);
       ++failures;
     }
     reports.push_back(std::move(rep));
@@ -187,11 +181,10 @@ int Main(int argc, char** argv) {
       });
       (join_opt ? rep.on_ms : rep.off_ms) = ms;
     }
-    std::printf("%-5s %10s %10s %7.2fx %9d %6d %7d %5d\n",
-                rep.name.c_str(), FmtMs(rep.on_ms).c_str(),
-                FmtMs(rep.off_ms).c_str(),
-                rep.on_ms > 0 ? rep.off_ms / rep.on_ms : 0.0, rep.clusters,
-                rep.reordered, rep.pushed, rep.kdr);
+    std::printf("%-5s %10s %10s %7.2fx %7d %5d\n", rep.name.c_str(),
+                FmtMs(rep.on_ms).c_str(), FmtMs(rep.off_ms).c_str(),
+                rep.on_ms > 0 ? rep.off_ms / rep.on_ms : 0.0, rep.pushed,
+                rep.kdr);
     std::fflush(stdout);
   }
 
@@ -228,11 +221,9 @@ int Main(int argc, char** argv) {
     const QueryReport& r = reports[i];
     std::fprintf(f,
                  "%s\n  {\"query\": \"%s\", \"on_ms\": %.3f, \"off_ms\": "
-                 "%.3f, \"ratio\": %.3f, \"clusters\": %d, \"reordered\": "
-                 "%d, \"pushed\": %d, \"kdr\": %d}",
+                 "%.3f, \"ratio\": %.3f, \"pushed\": %d, \"kdr\": %d}",
                  i ? "," : "", r.name.c_str(), r.on_ms, r.off_ms,
-                 r.on_ms > 0 ? r.off_ms / r.on_ms : 0.0, r.clusters,
-                 r.reordered, r.pushed, r.kdr);
+                 r.on_ms > 0 ? r.off_ms / r.on_ms : 0.0, r.pushed, r.kdr);
   }
   std::fprintf(f, "\n]}\n");
   std::fclose(f);

@@ -142,7 +142,7 @@ int Main(int argc, char** argv) {
   // smoke stays past every parallel threshold but finishes in ms.
   const size_t kJoinL = smoke ? 100'000 : 2'000'000;
   const size_t kJoinR = smoke ? 50'000 : 1'000'000;
-  const size_t kSortN = smoke ? 100'000 : 1'000'000;
+  const size_t kRowsToSort = smoke ? 100'000 : 1'000'000;
   const size_t kAggN = smoke ? 100'000 : 2'000'000;
   const unsigned hw = std::thread::hardware_concurrency();
 
@@ -181,8 +181,9 @@ int Main(int argc, char** argv) {
   // --- kernel: parallel merge sort ---------------------------------------
   {
     Table t;
-    t.AddCol("a", RandInts(kSortN, 500, 3));
-    t.AddCol("b", RandInts(kSortN, static_cast<int64_t>(kSortN), 4));
+    t.AddCol("a", RandInts(kRowsToSort, 500, 3));
+    t.AddCol("b",
+             RandInts(kRowsToSort, static_cast<int64_t>(kRowsToSort), 4));
     StringPool pool;
     auto serial = bat::SortPerm(t, {"a", "b"}, pool, {}, nullptr);
     if (!serial.ok()) return 1;

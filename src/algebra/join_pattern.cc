@@ -17,11 +17,6 @@ bool IsSubset(const std::vector<std::string>& a,
   return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
-bool IsClusterInteriorKind(OpKind k) {
-  return k == OpKind::kEquiJoin || k == OpKind::kThetaJoin ||
-         k == OpKind::kSelect || k == OpKind::kProject;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -152,7 +147,6 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
       case OpKind::kFun1:
       case OpKind::kFun2:
       case OpKind::kSelect:
-      case OpKind::kSort:
       case OpKind::kSerialize:
       case OpKind::kDifference:
         carry(0);
@@ -166,10 +160,6 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
           k.push_back(op->out);
           a.AddKey(op, std::move(k));
         }
-        break;
-      case OpKind::kRank:
-        carry(0);
-        a.AddKey(op, {op->out});
         break;
       case OpKind::kDistinct:
         carry(0);
@@ -238,177 +228,6 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
     }
   }
   return a;
-}
-
-// ---------------------------------------------------------------------
-// Cluster collection.
-
-namespace {
-
-struct ClusterBuilder {
-  const std::unordered_map<const Op*, Schema>& schemas;
-  const std::unordered_map<const Op*, int>& consumers;
-  int max_leaves;
-  JoinCluster cluster;
-  bool failed = false;
-
-  using ColMap = std::vector<std::pair<std::string, JoinCluster::ColRef>>;
-
-  const JoinCluster::ColRef* Find(const ColMap& m, const std::string& c) {
-    for (const auto& [n, ref] : m) {
-      if (n == c) return &ref;
-    }
-    return nullptr;
-  }
-
-  /// Returns the visible-column map at `op` and (via *shape) the index
-  /// of the shape node the subtree reduces to.
-  ColMap Decompose(const OpPtr& op, bool is_root, int* shape) {
-    if (failed) return {};
-    bool interior = IsClusterInteriorKind(op->kind) &&
-                    (is_root || consumers.at(op.get()) == 1);
-    if (!interior) {
-      // Leaf occurrence.
-      if (static_cast<int>(cluster.leaves.size()) >= max_leaves) {
-        failed = true;
-        return {};
-      }
-      int idx = static_cast<int>(cluster.leaves.size());
-      cluster.leaves.push_back(op);
-      cluster.nodes.push_back({idx, -1, -1, -1});
-      *shape = static_cast<int>(cluster.nodes.size()) - 1;
-      ColMap m;
-      for (const auto& [n, t] : schemas.at(op.get()).cols) {
-        m.emplace_back(n, JoinCluster::ColRef{idx, n});
-      }
-      return m;
-    }
-    cluster.interior_ops++;
-    switch (op->kind) {
-      case OpKind::kProject: {
-        ColMap m = Decompose(op->children[0], false, shape);
-        if (failed) return {};
-        ColMap out;
-        for (const auto& [nw, old] : op->proj) {
-          const auto* ref = Find(m, old);
-          if (ref == nullptr) {
-            failed = true;
-            return {};
-          }
-          out.emplace_back(nw, *ref);
-        }
-        return out;
-      }
-      case OpKind::kSelect: {
-        ColMap m = Decompose(op->children[0], false, shape);
-        if (failed) return {};
-        const auto* ref = Find(m, op->col);
-        if (ref == nullptr) {
-          failed = true;
-          return {};
-        }
-        cluster.selects.push_back(*ref);
-        return m;
-      }
-      case OpKind::kEquiJoin:
-      case OpKind::kThetaJoin: {
-        int ls = -1, rs = -1;
-        ColMap ml = Decompose(op->children[0], false, &ls);
-        if (failed) return {};
-        ColMap mr = Decompose(op->children[1], false, &rs);
-        if (failed) return {};
-        const auto* lref = Find(ml, op->col);
-        const auto* rref = Find(mr, op->col2);
-        if (lref == nullptr || rref == nullptr) {
-          failed = true;
-          return {};
-        }
-        JoinCluster::Edge e;
-        e.left = *lref;
-        e.right = *rref;
-        e.equi = op->kind == OpKind::kEquiJoin;
-        e.cmp = op->kind == OpKind::kEquiJoin ? bat::CmpOp::kEq : op->cmp;
-        cluster.edges.push_back(e);
-        int eidx = static_cast<int>(cluster.edges.size()) - 1;
-        cluster.nodes.push_back({-1, eidx, ls, rs});
-        *shape = static_cast<int>(cluster.nodes.size()) - 1;
-        cluster.num_joins++;
-        ColMap m = std::move(ml);
-        m.insert(m.end(), mr.begin(), mr.end());
-        return m;
-      }
-      default:
-        failed = true;
-        return {};
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<JoinCluster> CollectJoinClusters(
-    const OpPtr& root,
-    const std::unordered_map<const Op*, Schema>& schemas,
-    int max_leaves) {
-  std::vector<Op*> order = TopoOrder(root);
-  std::unordered_map<const Op*, int> consumers;
-  std::unordered_map<const Op*, const Op*> a_parent;
-  for (Op* op : order) {
-    consumers[op];  // ensure presence (root has 0)
-    for (const auto& c : op->children) {
-      consumers[c.get()]++;
-      a_parent[c.get()] = op;
-    }
-  }
-
-  // Cluster roots: interior-kind ops not absorbed by an interior parent.
-  std::vector<JoinCluster> out;
-  // Need OpPtrs for roots; walk the DAG's edges once more to find a
-  // shared_ptr for each root pointer.
-  std::unordered_map<const Op*, OpPtr> ptr_of;
-  {
-    std::vector<const Op*> stack = {root.get()};
-    ptr_of[root.get()] = root;
-    std::set<const Op*> seen = {root.get()};
-    while (!stack.empty()) {
-      const Op* op = stack.back();
-      stack.pop_back();
-      for (const auto& c : op->children) {
-        if (seen.insert(c.get()).second) {
-          ptr_of[c.get()] = c;
-          stack.push_back(c.get());
-        }
-      }
-    }
-  }
-
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Op* op = *it;
-    if (!IsClusterInteriorKind(op->kind)) continue;
-    auto pit = a_parent.find(op);
-    bool absorbed = consumers.at(op) == 1 && pit != a_parent.end() &&
-                    IsClusterInteriorKind(pit->second->kind);
-    if (absorbed) continue;
-    ClusterBuilder b{schemas, consumers, max_leaves, {}, false};
-    int shape = -1;
-    ClusterBuilder::ColMap m = b.Decompose(ptr_of.at(op), true, &shape);
-    if (b.failed || b.cluster.num_joins == 0) continue;
-    b.cluster.root = op;
-    auto sit = schemas.find(op);
-    if (sit == schemas.end()) continue;
-    bool ok = true;
-    for (const auto& [n, t] : sit->second.cols) {
-      const auto* ref = b.Find(m, n);
-      if (ref == nullptr) {
-        ok = false;
-        break;
-      }
-      b.cluster.output.emplace_back(n, *ref);
-    }
-    if (!ok) continue;
-    out.push_back(std::move(b.cluster));
-  }
-  return out;
 }
 
 }  // namespace pathfinder::algebra

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "algebra/op.h"
-#include "algebra/schema.h"
 
 namespace pathfinder::algebra {
 
@@ -64,62 +63,6 @@ class KeyAnalysis {
 /// Run the inference over the whole DAG (children before parents).
 /// `step_unique` may be null (structural facts only).
 KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique);
-
-// ---------------------------------------------------------------------
-// Join-graph isolation: value-join clusters.
-
-/// A value-join subgraph isolated from the loop-lifting scaffolding: a
-/// maximal region of single-consumer {⋈, θ⋈, σ, π} operators rooted at
-/// `root`, decomposed into its base inputs (leaves), join edges and
-/// pushable select predicates, all expressed in a unified column space
-/// of (leaf occurrence, leaf column) references. Because every join of
-/// a loop-lifted plan connects columns of exactly one leaf per side,
-/// the edges always form a tree over the leaves — the join graph the
-/// cost-based orderer enumerates.
-struct JoinCluster {
-  /// A column in the unified space: column `col` of leaves[leaf].
-  struct ColRef {
-    int leaf = -1;
-    std::string col;
-  };
-
-  /// One join predicate (edge of the leaf tree). `left`/`right` follow
-  /// the original plan's operand sides; a rebuild that swaps them must
-  /// mirror `cmp`.
-  struct Edge {
-    ColRef left, right;
-    bool equi = true;
-    bat::CmpOp cmp = bat::CmpOp::kEq;
-  };
-
-  /// The original join shape over the edges, for cost comparison and
-  /// order-preserving re-stitches. Either `leaf` >= 0 (leaf occurrence)
-  /// or `edge` >= 0 with two children (indices into `nodes`).
-  struct ShapeNode {
-    int leaf = -1;
-    int edge = -1;
-    int left = -1, right = -1;
-  };
-
-  const Op* root = nullptr;          // cluster root inside the plan
-  std::vector<OpPtr> leaves;         // base inputs, left-to-right
-  std::vector<Edge> edges;           // leaves.size() - 1 of them
-  std::vector<ColRef> selects;       // pushable BOOL predicates
-  std::vector<ShapeNode> nodes;      // original shape, root = nodes.back()
-  /// Root output schema: (name, source) pairs in original column order.
-  std::vector<std::pair<std::string, ColRef>> output;
-  int interior_ops = 0;              // σ/π/⋈ ops the region replaces
-  int num_joins = 0;
-};
-
-/// Find every join cluster of the plan. Regions are disjoint; clusters
-/// that violate the tree model (shared columns, non-tree edges, >
-/// `max_leaves` leaves) are skipped rather than returned partially.
-/// `schemas` must cover every op of the plan (see InferSchemas).
-std::vector<JoinCluster> CollectJoinClusters(
-    const OpPtr& root,
-    const std::unordered_map<const Op*, Schema>& schemas,
-    int max_leaves = 10);
 
 }  // namespace pathfinder::algebra
 

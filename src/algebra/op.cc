@@ -61,10 +61,6 @@ const char* OpKindName(OpKind k) {
       return "string-join";
     case OpKind::kAttrConstr:
       return "attribute";
-    case OpKind::kSort:
-      return "sort";
-    case OpKind::kRank:
-      return "rank";
     case OpKind::kPathScan:
       return "pathscan";
     case OpKind::kSerialize:
@@ -330,20 +326,6 @@ OpPtr AttrConstr(OpPtr content, std::string name) {
 
 OpPtr StrJoin(OpPtr content, OpPtr sep) {
   return NewOp(OpKind::kStrJoin, {std::move(content), std::move(sep)});
-}
-
-OpPtr Sort(OpPtr child, std::vector<std::string> order,
-           std::vector<uint8_t> order_desc) {
-  auto op = NewOp(OpKind::kSort, {std::move(child)});
-  op->order = std::move(order);
-  op->order_desc = std::move(order_desc);
-  return op;
-}
-
-OpPtr Rank(OpPtr child, std::string out) {
-  auto op = NewOp(OpKind::kRank, {std::move(child)});
-  op->out = std::move(out);
-  return op;
 }
 
 OpPtr MapFun1(OpPtr child, Fun1 f, std::string in, std::string out) {

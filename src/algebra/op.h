@@ -38,8 +38,6 @@ enum class OpKind : uint8_t {
   kAggr,           // grouped aggregate (count/sum/avg/max/min) per iter
   kStrJoin,        // fn:string-join: content x separator -> one string/iter
   kAttrConstr,     // attribute node construction (static name)
-  kSort,           // re-order rows by key columns (join-order restoration)
-  kRank,           // append the input row position as an INT column
   kPathScan,       // structural step chain answered from the path summary
   kSerialize,      // plan root: materialize the (iter,pos,item) result
 };
@@ -261,17 +259,6 @@ OpPtr AttrConstr(OpPtr content, std::string name);
 /// stringified items with the iter's `sep` singleton (iter,pos,item).
 /// Result: (iter, item).
 OpPtr StrJoin(OpPtr content, OpPtr sep);
-/// Stable re-ordering of the rows by `order` columns (order_desc[i]
-/// marks key i as descending; empty = all ascending). Schema and row
-/// multiset are unchanged. The join optimizer uses it over kRank
-/// columns to restore the original row order after reordering joins.
-OpPtr Sort(OpPtr child, std::vector<std::string> order,
-           std::vector<uint8_t> order_desc = {});
-/// Append the input row position (1-based) as INT column `out`.
-/// Unlike kRowNum with empty partition/order, the rank is the
-/// *physical* input position — a globally unique key independent of
-/// the other columns.
-OpPtr Rank(OpPtr child, std::string out);
 OpPtr MapFun1(OpPtr child, Fun1 f, std::string in, std::string out);
 OpPtr MapFun2(OpPtr child, Fun2 f, std::string in1, std::string in2,
               std::string out);

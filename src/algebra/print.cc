@@ -101,12 +101,6 @@ std::string OpLabel(const Op& op, const StringPool& pool) {
       os << " " << op.out << ":<" << JoinNames(op.part) << ">";
       if (!op.order.empty()) os << "/" << JoinNames(op.order);
       break;
-    case OpKind::kSort:
-      os << " on " << JoinNames(op.order);
-      break;
-    case OpKind::kRank:
-      os << " " << op.out;
-      break;
     case OpKind::kStep:
       os << " " << accel::AxisName(op.axis)
          << "::" << op.test.ToString(pool);

@@ -332,28 +332,6 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       s.cols.emplace_back(op.out, bat::ColType::kItem);
       return s;
     }
-    case OpKind::kSort: {
-      PF_RETURN_NOT_OK(require_children(1));
-      if (op.order.empty()) return Fail(op, "sort needs order columns");
-      if (!op.order_desc.empty() &&
-          op.order_desc.size() != op.order.size()) {
-        return Fail(op, "order_desc size mismatch");
-      }
-      for (const auto& k : op.order) {
-        PF_RETURN_NOT_OK(ColOf(op, *cs[0], k).status());
-      }
-      return *cs[0];
-    }
-    case OpKind::kRank: {
-      PF_RETURN_NOT_OK(require_children(1));
-      if (op.out.empty()) return Fail(op, "rank output column missing");
-      if (cs[0]->Has(op.out)) {
-        return Fail(op, "rank column '" + op.out + "' already exists");
-      }
-      Schema s = *cs[0];
-      s.cols.emplace_back(op.out, bat::ColType::kInt);
-      return s;
-    }
     case OpKind::kSerialize: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/true));

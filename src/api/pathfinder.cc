@@ -88,9 +88,7 @@ std::string QueryResult::ProfileText() const {
   head << "# opt: " << opt_stats.ops_before << "->" << opt_stats.ops_after
        << " ops, " << opt_stats.cse_merges << " cse merges, "
        << opt_stats.rounds << " rounds\n";
-  head << "# joinopt: " << opt_stats.join_clusters << " clusters, "
-       << opt_stats.joins_reordered << " reordered, "
-       << opt_stats.selects_pushed << " selects pushed, "
+  head << "# joinopt: " << opt_stats.selects_pushed << " selects pushed, "
        << opt_stats.key_distincts_removed << " key distincts removed\n";
   head << "# pathsum: " << opt_stats.structural_answers
        << " chains collapsed, " << scj_stats.structural_answers
@@ -146,10 +144,6 @@ std::string QueryResult::ProfileJson() const {
   out += std::to_string(opt_stats.cse_merges);
   out += ", \"rounds\": ";
   out += std::to_string(opt_stats.rounds);
-  out += ", \"join_clusters\": ";
-  out += std::to_string(opt_stats.join_clusters);
-  out += ", \"joins_reordered\": ";
-  out += std::to_string(opt_stats.joins_reordered);
   out += ", \"selects_pushed\": ";
   out += std::to_string(opt_stats.selects_pushed);
   out += ", \"key_distincts_removed\": ";
@@ -232,9 +226,8 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
       opts.optimize &&
       (opts.join_opt < 0 ? opt::JoinOptDefault() : opts.join_opt != 0);
   // Unlike cse/join_opt this is not gated on `optimize`: the staircase
-  // partition pruning and the summary-backed cost model apply to
-  // unoptimized plans too; only the kPathScan rewrite needs the
-  // optimizer.
+  // partition pruning applies to unoptimized plans too; only the
+  // kPathScan rewrite needs the optimizer.
   bool path_summary =
       opts.path_summary < 0 ? opt::PathSumDefault() : opts.path_summary != 0;
   engine::QueryCache* cache = cache_.get();

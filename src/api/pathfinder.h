@@ -50,19 +50,16 @@ struct QueryOptions {
   /// `optimize`. -1 = the process default (PF_CSE env var; on unless
   /// "0"), 0 = off, 1 = on. Results are identical either way.
   int cse = -1;
-  /// Join-graph pass after the peephole passes: stats-backed removal of
-  /// redundant distincts, join-cluster isolation, select pushdown and
-  /// cost-based join reordering driven by shred-time document
-  /// statistics. Only meaningful with `optimize`. -1 = the process
-  /// default (PF_JOINOPT env var; on unless "0"), 0 = off, 1 = on.
-  /// Results are byte-identical either way (reordered clusters restore
-  /// the original row order through rank columns).
+  /// Join-graph pass after the peephole passes: removal of distincts
+  /// that shred-time document statistics prove redundant, and select
+  /// pushdown through mapping joins. Only meaningful with `optimize`.
+  /// -1 = the process default (PF_JOINOPT env var; on unless "0"),
+  /// 0 = off, 1 = on. Results are byte-identical either way.
   int join_opt = -1;
   /// Path-summary consumption: collapse purely structural step chains
-  /// into summary-answered kPathScan operators (with `optimize`),
-  /// prune staircase-join scans to the matching tag partitions, and
-  /// use exact path-level selectivities in the cost model. -1 = the
-  /// process default (PF_PATHSUM env var; on unless "0"), 0 = off,
+  /// into summary-answered kPathScan operators (with `optimize`), and
+  /// prune staircase-join scans to the matching tag partitions. -1 =
+  /// the process default (PF_PATHSUM env var; on unless "0"), 0 = off,
   /// 1 = on. Results are byte-identical either way.
   int path_summary = -1;
   /// Cross-query plan cache: repeated query texts (or texts normalizing

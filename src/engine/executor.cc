@@ -1221,24 +1221,6 @@ class Exec {
       case OpKind::kAggr:
         return bat::GroupAgg(Child(op, 0), op.col, op.col2, op.agg,
                              *ctx_->pool(), op.col, op.out, tp(), kt());
-      case OpKind::kSort: {
-        const Table& in = Child(op, 0);
-        PF_ASSIGN_OR_RETURN(IdxVec perm,
-                            bat::SortPerm(in, op.order, *ctx_->pool(),
-                                          op.order_desc, tp(), kt()));
-        return bat::GatherTable(in, perm, tp());
-      }
-      case OpKind::kRank: {
-        const Table& in = Child(op, 0);
-        size_t n = in.rows();
-        auto col = Column::MakeInt(n);
-        for (size_t i = 0; i < n; ++i) {
-          col->ints().push_back(static_cast<int64_t>(i) + 1);
-        }
-        Table t = in;
-        t.AddCol(op.out, std::move(col));
-        return t;
-      }
       case OpKind::kSerialize: {
         const Table& in = Child(op, 0);
         PF_ASSIGN_OR_RETURN(IdxVec perm,

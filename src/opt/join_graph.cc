@@ -1,10 +1,6 @@
 #include "opt/join_graph.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <bit>
-#include <cmath>
 #include <functional>
 #include <set>
 #include <string>
@@ -12,7 +8,6 @@
 #include <vector>
 
 #include "algebra/schema.h"
-#include "opt/cost.h"
 #include "xml/database.h"
 #include "xml/document.h"
 #include "xml/stats.h"
@@ -20,7 +15,6 @@
 namespace pathfinder::opt {
 
 namespace alg = pathfinder::algebra;
-using alg::JoinCluster;
 using alg::Op;
 using alg::OpKind;
 using alg::OpPtr;
@@ -36,21 +30,17 @@ algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db) {
       switch (axis) {
         case accel::Axis::kChild:
           if (test.kind == accel::NodeTest::Kind::kName) {
-            if (s->MaxChildrenAnyParent(test.name) > 1) return false;
+            if (s->MaxChildren(test.name) > 1) return false;
           } else if (test.kind == accel::NodeTest::Kind::kText) {
-            if (s->MaxTextChildrenAnyTag() > 1) return false;
+            if (s->max_text_children > 1) return false;
           } else {
             return false;
           }
           break;
-        case accel::Axis::kAttribute: {
+        case accel::Axis::kAttribute:
           if (test.kind != accel::NodeTest::Kind::kName) return false;
-          auto it = s->attrs.find(test.name);
-          if (it != s->attrs.end() && it->second.max_per_owner > 1) {
-            return false;
-          }
+          if (s->MaxPerOwner(test.name) > 1) return false;
           break;
-        }
         default:
           return false;
       }
@@ -61,8 +51,34 @@ algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db) {
 
 namespace {
 
+/// Re-stitch the plan, swapping every op in `repl` for its replacement.
+/// Replacement subtrees are traversed too: a replaced select's input may
+/// hold another replaced select.
 OpPtr Stitch(const OpPtr& root,
-             const std::unordered_map<const Op*, OpPtr>& repl);
+             const std::unordered_map<const Op*, OpPtr>& repl) {
+  std::unordered_map<const Op*, OpPtr> memo;
+  std::function<OpPtr(const OpPtr&)> rec = [&](const OpPtr& op) -> OpPtr {
+    auto it = memo.find(op.get());
+    if (it != memo.end()) return it->second;
+    OpPtr target = op;
+    if (auto r = repl.find(op.get()); r != repl.end()) target = r->second;
+    std::vector<OpPtr> kids;
+    bool kid_changed = false;
+    for (const auto& c : target->children) {
+      OpPtr nc = rec(c);
+      kid_changed |= nc.get() != c.get();
+      kids.push_back(std::move(nc));
+    }
+    OpPtr out = target;
+    if (kid_changed) {
+      out = std::make_shared<Op>(*target);
+      out->children = std::move(kids);
+    }
+    memo[op.get()] = out;
+    return out;
+  };
+  return rec(root);
+}
 
 // ---------------------------------------------------------------------
 // Pass 1: key-based distinct removal.
@@ -185,7 +201,6 @@ OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
       return BuildConstCol(op->children[0].get(), col, std::move(base), out,
                            schemas, depth + 1);
     case OpKind::kRowNum:
-    case OpKind::kRank:
       if (op->out == col) return nullptr;  // row-dependent by definition
       return BuildConstCol(op->children[0].get(), col, std::move(base), out,
                            schemas, depth + 1);
@@ -411,7 +426,6 @@ struct SelectPusher {
         for (const auto& c : op->children) consumers[c.get()]++;
       }
       std::unordered_map<const Op*, OpPtr> repl;
-      const bool dbg = std::getenv("PF_JOINOPT_DEBUG") != nullptr;
       for (Op* op : order) {
         if (op->kind != OpKind::kSelect || done.count(op->id) != 0) continue;
         // Walk the predicate-computing chain down to a join.
@@ -424,27 +438,14 @@ struct SelectPusher {
           chain.push_back(d);
           d = d->children[0].get();
         }
-        if (chain.empty()) {
-          if (dbg)
-            fprintf(stderr, "[jp] sel#%d: empty chain (child kind %d)\n",
-                    op->id, static_cast<int>(op->children[0]->kind));
-          continue;
-        }
+        if (chain.empty()) continue;
         if ((d->kind != OpKind::kEquiJoin &&
              d->kind != OpKind::kThetaJoin) ||
             consumers.at(d) != 1) {
-          if (dbg)
-            fprintf(stderr,
-                    "[jp] sel#%d: chain=%zu ends at #%d kind %d cons %d\n",
-                    op->id, chain.size(), d->id, static_cast<int>(d->kind),
-                    consumers.at(d));
           continue;
         }
         PredExprPtr pred = EvalChain(chain, schemas.at(d), op->col);
-        if (pred == nullptr) {
-          if (dbg) fprintf(stderr, "[jp] sel#%d: EvalChain failed\n", op->id);
-          continue;
-        }
+        if (pred == nullptr) continue;
         std::vector<std::string> needed;
         CollectJoinCols(pred, &needed);
         if (needed.empty()) continue;  // constant predicate: leave alone
@@ -489,386 +490,15 @@ struct SelectPusher {
   }
 };
 
-// ---------------------------------------------------------------------
-// Pass 3: cluster costing and reordering.
-
-std::string JgName(int leaf, const std::string& col) {
-  return "jg" + std::to_string(leaf) + "_" + col;
-}
-
-bat::CmpOp FlipCmp(bat::CmpOp c) {
-  switch (c) {
-    case bat::CmpOp::kLt:
-      return bat::CmpOp::kGt;
-    case bat::CmpOp::kLe:
-      return bat::CmpOp::kGe;
-    case bat::CmpOp::kGt:
-      return bat::CmpOp::kLt;
-    case bat::CmpOp::kGe:
-      return bat::CmpOp::kLe;
-    case bat::CmpOp::kEq:
-    case bat::CmpOp::kNe:
-      return c;
-  }
-  return c;
-}
-
-/// Per-cluster cost model: multiplicative cardinalities over the leaf
-/// tree. card(S) = prod(leaf cards in S) * prod(selectivities of edges
-/// inside S) — split-independent, so the DP is well-defined.
-struct ClusterModel {
-  int n = 0;
-  std::vector<double> leaf_card;             // select-reduced
-  std::vector<double> edge_sel;              // per edge, <= 1 (theta 1/3)
-  std::vector<std::vector<std::pair<int, int>>> adj;  // leaf -> (edge, other)
-
-  double SubsetCard(uint32_t mask, const JoinCluster& cl) const {
-    double card = 1.0;
-    for (int i = 0; i < n; ++i) {
-      if (mask >> i & 1) card *= leaf_card[i];
-    }
-    for (size_t e = 0; e < cl.edges.size(); ++e) {
-      if ((mask >> cl.edges[e].left.leaf & 1) &&
-          (mask >> cl.edges[e].right.leaf & 1)) {
-        card *= edge_sel[e];
-      }
-    }
-    return std::max(card, 0.05);
-  }
-
-  double JoinCost(bool equi, double lc, double rc, double out) const {
-    return equi ? lc + rc + out : lc * rc;
-  }
-};
-
-ClusterModel BuildModel(const JoinCluster& cl, CardinalityEstimator& est) {
-  ClusterModel m;
-  m.n = static_cast<int>(cl.leaves.size());
-  m.adj.resize(m.n);
-  std::vector<const OpEstimate*> le(m.n);
-  m.leaf_card.resize(m.n);
-  for (int i = 0; i < m.n; ++i) {
-    le[i] = &est.Estimate(cl.leaves[i].get());
-    m.leaf_card[i] = le[i]->rows;
-  }
-  for (const auto& s : cl.selects) {
-    m.leaf_card[s.leaf] = std::max(m.leaf_card[s.leaf] * 0.5, 0.05);
-  }
-  for (size_t e = 0; e < cl.edges.size(); ++e) {
-    const auto& ed = cl.edges[e];
-    double sel;
-    if (!ed.equi) {
-      sel = 1.0 / 3.0;
-    } else {
-      double ln = -1, rn = -1;
-      if (auto it = le[ed.left.leaf]->ndv.find(ed.left.col);
-          it != le[ed.left.leaf]->ndv.end()) {
-        ln = it->second;
-      }
-      if (auto it = le[ed.right.leaf]->ndv.find(ed.right.col);
-          it != le[ed.right.leaf]->ndv.end()) {
-        rn = it->second;
-      }
-      double denom = std::max(ln, rn);
-      if (denom <= 0) {
-        denom = std::sqrt(std::max(
-            {le[ed.left.leaf]->rows, le[ed.right.leaf]->rows, 1.0}));
-      }
-      sel = 1.0 / std::max(denom, 1.0);
-    }
-    m.edge_sel.push_back(sel);
-    m.adj[ed.left.leaf].emplace_back(static_cast<int>(e), ed.right.leaf);
-    m.adj[ed.right.leaf].emplace_back(static_cast<int>(e), ed.left.leaf);
-  }
-  return m;
-}
-
-/// Cost of a fixed join shape (with selects already pushed): returns
-/// {output card, cumulative cost}.
-struct TreeCost {
-  double card = 0;
-  double cost = 0;
-};
-
-TreeCost CostShape(const JoinCluster& cl, const ClusterModel& m, int ni,
-                   uint32_t* mask_out) {
-  const JoinCluster::ShapeNode& nd = cl.nodes[ni];
-  if (nd.leaf >= 0) {
-    *mask_out = 1u << nd.leaf;
-    return {m.leaf_card[nd.leaf], 0.0};
-  }
-  uint32_t lm = 0, rm = 0;
-  TreeCost l = CostShape(cl, m, nd.left, &lm);
-  TreeCost r = CostShape(cl, m, nd.right, &rm);
-  uint32_t sm = lm | rm;
-  *mask_out = sm;
-  double card = m.SubsetCard(sm, cl);
-  double cost = l.cost + r.cost +
-                m.JoinCost(cl.edges[nd.edge].equi, l.card, r.card, card);
-  return {card, cost};
-}
-
-/// DPsub over connected subsets of the leaf tree. Every connected
-/// bipartition of a connected subset is crossed by exactly one edge,
-/// so enumerating the edges inside each subset enumerates its splits.
-struct DpChoice {
-  int edge = -1;
-  uint32_t lmask = 0;  // build/left side
-};
-
-struct DpResult {
-  double cost = 0;
-  std::vector<DpChoice> choice;  // per mask
-};
-
-uint32_t Component(const ClusterModel& m, uint32_t mask, int start,
-                   int skip_edge) {
-  uint32_t comp = 1u << start;
-  std::vector<int> stack = {start};
-  while (!stack.empty()) {
-    int v = stack.back();
-    stack.pop_back();
-    for (const auto& [e, o] : m.adj[v]) {
-      if (e == skip_edge) continue;
-      if (!(mask >> o & 1) || (comp >> o & 1)) continue;
-      comp |= 1u << o;
-      stack.push_back(o);
-    }
-  }
-  return comp;
-}
-
-DpResult RunDp(const JoinCluster& cl, const ClusterModel& m) {
-  uint32_t full = (1u << m.n) - 1;
-  std::vector<double> cost(full + 1, -1.0);
-  DpResult res;
-  res.choice.assign(full + 1, {});
-  for (int i = 0; i < m.n; ++i) cost[1u << i] = 0.0;
-  for (uint32_t mask = 1; mask <= full; ++mask) {
-    if ((mask & (mask - 1)) == 0) continue;  // singleton
-    int first = std::countr_zero(mask);
-    if (Component(m, mask, first, -1) != mask) continue;  // not connected
-    double best = -1.0;
-    DpChoice bc;
-    for (size_t e = 0; e < cl.edges.size(); ++e) {
-      int a = cl.edges[e].left.leaf, b = cl.edges[e].right.leaf;
-      if (!(mask >> a & 1) || !(mask >> b & 1)) continue;
-      uint32_t la = Component(m, mask, a, static_cast<int>(e));
-      uint32_t lb = mask ^ la;
-      if (!(lb >> b & 1)) continue;  // edge not a cut of this subset
-      if (cost[la] < 0 || cost[lb] < 0) continue;
-      double ca = m.SubsetCard(la, cl);
-      double cb = m.SubsetCard(lb, cl);
-      double out = m.SubsetCard(mask, cl);
-      double c = cost[la] + cost[lb] +
-                 m.JoinCost(cl.edges[e].equi, ca, cb, out);
-      // Deterministic orientation: smaller side builds (left); ties
-      // break toward the side holding the edge's original left leaf.
-      uint32_t lmask = ca < cb ? la : cb < ca ? lb : la;
-      if (best < 0 || c < best - 1e-12 ||
-          (std::abs(c - best) <= 1e-12 &&
-           (static_cast<int>(e) < bc.edge ||
-            (static_cast<int>(e) == bc.edge && lmask < bc.lmask)))) {
-        best = c;
-        bc = {static_cast<int>(e), lmask};
-      }
-    }
-    cost[mask] = best;
-    res.choice[mask] = bc;
-  }
-  res.cost = cost[full];
-  return res;
-}
-
-/// Build the replacement subtree for one cluster.
-class ClusterRebuilder {
- public:
-  ClusterRebuilder(const JoinCluster& cl,
-                   const std::unordered_map<const Op*, alg::Schema>& schemas)
-      : cl_(cl), schemas_(schemas) {
-    used_.resize(cl.leaves.size());
-    for (const auto& [name, ref] : cl.output) Use(ref);
-    for (const auto& e : cl.edges) {
-      Use(e.left);
-      Use(e.right);
-    }
-    for (const auto& s : cl.selects) Use(s);
-  }
-
-  /// Leaf -> rename to the unified jg column space -> pushed selects
-  /// -> optional rank column.
-  OpPtr PrepareLeaf(int i, bool rank) {
-    std::vector<std::pair<std::string, std::string>> proj;
-    for (const auto& col : used_[i]) proj.emplace_back(JgName(i, col), col);
-    OpPtr cur = alg::Project(cl_.leaves[i], std::move(proj));
-    for (const auto& s : cl_.selects) {
-      if (s.leaf == i) cur = alg::Select(cur, JgName(i, s.col));
-    }
-    if (rank) cur = alg::Rank(cur, RankCol(i));
-    return cur;
-  }
-
-  static std::string RankCol(int i) { return JgName(i, "#rank"); }
-
-  OpPtr Join(OpPtr l, OpPtr r, const JoinCluster::Edge& e, bool flipped) {
-    const auto& a = flipped ? e.right : e.left;
-    const auto& b = flipped ? e.left : e.right;
-    std::string ac = JgName(a.leaf, a.col);
-    std::string bc = JgName(b.leaf, b.col);
-    if (e.equi) return alg::EquiJoin(std::move(l), std::move(r), ac, bc);
-    return alg::ThetaJoin(std::move(l), std::move(r), ac, bc,
-                          flipped ? FlipCmp(e.cmp) : e.cmp);
-  }
-
-  /// Original shape, selects pushed (order-preserving: select pushdown
-  /// below a join filters the same rows out of the same left-major
-  /// pair sequence).
-  OpPtr BuildTierA() {
-    std::vector<OpPtr> prepared;
-    for (size_t i = 0; i < cl_.leaves.size(); ++i) {
-      prepared.push_back(PrepareLeaf(static_cast<int>(i), false));
-    }
-    std::function<OpPtr(int)> build = [&](int ni) -> OpPtr {
-      const auto& nd = cl_.nodes[ni];
-      if (nd.leaf >= 0) return prepared[nd.leaf];
-      return Join(build(nd.left), build(nd.right), cl_.edges[nd.edge],
-                  false);
-    };
-    return Finish(build(static_cast<int>(cl_.nodes.size()) - 1));
-  }
-
-  /// DP shape + per-leaf ranks + order-restoring sort.
-  OpPtr BuildTierB(const DpResult& dp) {
-    std::vector<OpPtr> prepared;
-    for (size_t i = 0; i < cl_.leaves.size(); ++i) {
-      prepared.push_back(PrepareLeaf(static_cast<int>(i), true));
-    }
-    std::function<OpPtr(uint32_t)> build = [&](uint32_t mask) -> OpPtr {
-      if ((mask & (mask - 1)) == 0) return prepared[std::countr_zero(mask)];
-      const DpChoice& ch = dp.choice[mask];
-      OpPtr l = build(ch.lmask);
-      OpPtr r = build(mask ^ ch.lmask);
-      const auto& e = cl_.edges[ch.edge];
-      bool flipped = !(ch.lmask >> e.left.leaf & 1);
-      return Join(std::move(l), std::move(r), e, flipped);
-    };
-    uint32_t full = (1u << cl_.leaves.size()) - 1;
-    OpPtr tree = build(full);
-    // Per output row the rank tuple (in original leaf order) is unique,
-    // so this sort totally orders the result — back to the exact
-    // sequence the original left-deep evaluation produces.
-    std::vector<std::string> order;
-    for (size_t i = 0; i < cl_.leaves.size(); ++i) {
-      order.push_back(RankCol(static_cast<int>(i)));
-    }
-    return Finish(alg::Sort(std::move(tree), std::move(order)));
-  }
-
- private:
-  void Use(const JoinCluster::ColRef& ref) {
-    auto& u = used_[ref.leaf];
-    if (std::find(u.begin(), u.end(), ref.col) == u.end()) {
-      u.push_back(ref.col);
-    }
-  }
-
-  /// Restore the cluster root's exact output schema (names and order).
-  OpPtr Finish(OpPtr cur) {
-    std::vector<std::pair<std::string, std::string>> proj;
-    for (const auto& [name, ref] : cl_.output) {
-      proj.emplace_back(name, JgName(ref.leaf, ref.col));
-    }
-    return alg::Project(std::move(cur), std::move(proj));
-  }
-
-  const JoinCluster& cl_;
-  const std::unordered_map<const Op*, alg::Schema>& schemas_;
-  std::vector<std::vector<std::string>> used_;  // per leaf, ordered
-};
-
-/// Re-stitch the plan, swapping every cluster root for its replacement.
-/// Replacement subtrees are traversed too: a cluster's leaf may itself
-/// be another (multi-consumer) cluster's root.
-OpPtr Stitch(const OpPtr& root,
-             const std::unordered_map<const Op*, OpPtr>& repl) {
-  std::unordered_map<const Op*, OpPtr> memo;
-  std::function<OpPtr(const OpPtr&)> rec = [&](const OpPtr& op) -> OpPtr {
-    auto it = memo.find(op.get());
-    if (it != memo.end()) return it->second;
-    OpPtr target = op;
-    if (auto r = repl.find(op.get()); r != repl.end()) target = r->second;
-    std::vector<OpPtr> kids;
-    bool kid_changed = false;
-    for (const auto& c : target->children) {
-      OpPtr nc = rec(c);
-      kid_changed |= nc.get() != c.get();
-      kids.push_back(std::move(nc));
-    }
-    OpPtr out = target;
-    if (kid_changed) {
-      out = std::make_shared<Op>(*target);
-      out->children = std::move(kids);
-    }
-    memo[op.get()] = out;
-    return out;
-  };
-  return rec(root);
-}
-
 }  // namespace
 
-Result<algebra::OpPtr> IsolateAndReorderJoins(const algebra::OpPtr& root,
-                                              const xml::Database* db,
-                                              JoinOptStats* stats,
-                                              int use_path_summary) {
-  // 1. Stats-backed key inference -> distinct removal.
+Result<algebra::OpPtr> RemoveKeyDistinctsAndPushSelects(
+    const algebra::OpPtr& root, const xml::Database* db,
+    JoinOptStats* stats) {
   alg::KeyAnalysis ka = alg::InferKeys(root, MakeStepUniqueness(db));
   OpPtr cur = RemoveKeyDistincts(root, ka, stats);
-
-  // 2. Selection pushdown through mapping joins.
-  {
-    SelectPusher sp{stats, {}};
-    PF_ASSIGN_OR_RETURN(cur, sp.Run(std::move(cur)));
-  }
-
-  // 3. Join clusters.
-  std::unordered_map<const Op*, alg::Schema> schemas;
-  PF_RETURN_NOT_OK(alg::InferSchemas(cur, &schemas).status());
-  std::vector<JoinCluster> clusters = CollectJoinClusters(cur, schemas);
-  if (clusters.empty()) return cur;
-
-  CardinalityEstimator est(db, use_path_summary);
-  std::unordered_map<const Op*, OpPtr> repl;
-  for (const JoinCluster& cl : clusters) {
-    if (stats != nullptr) stats->join_clusters++;
-    ClusterModel model = BuildModel(cl, est);
-    uint32_t mask = 0;
-    TreeCost orig =
-        CostShape(cl, model, static_cast<int>(cl.nodes.size()) - 1, &mask);
-    DpResult dp = RunDp(cl, model);
-    ClusterRebuilder rb(cl, schemas);
-    // The DP optimum includes the original shape, so dp.cost <=
-    // orig.cost always; reorder only when it wins by >30% even after
-    // paying for the order-restoring sort.
-    double sort_cost =
-        2.0 * model.SubsetCard((1u << model.n) - 1, cl) * model.n;
-    bool reorder = dp.cost >= 0 && dp.cost + sort_cost < 0.7 * orig.cost;
-    if (reorder) {
-      repl[cl.root] = rb.BuildTierB(dp);
-      if (stats != nullptr) {
-        stats->joins_reordered++;
-        stats->selects_pushed += static_cast<int>(cl.selects.size());
-      }
-    } else if (!cl.selects.empty()) {
-      repl[cl.root] = rb.BuildTierA();
-      if (stats != nullptr) {
-        stats->selects_pushed += static_cast<int>(cl.selects.size());
-      }
-    }
-  }
-  if (!repl.empty()) cur = Stitch(cur, repl);
-  PF_RETURN_NOT_OK(alg::ValidatePlan(cur));
-  return cur;
+  SelectPusher sp{stats, {}};
+  return sp.Run(std::move(cur));
 }
 
 }  // namespace pathfinder::opt

@@ -13,11 +13,6 @@ namespace pathfinder::opt {
 
 /// Counters of the join-graph pass (folded into OptimizeStats).
 struct JoinOptStats {
-  /// Value-join clusters detected (>= 1 join, tree-shaped).
-  int join_clusters = 0;
-  /// Clusters rebuilt with a cost-based order different from the
-  /// query's syntactic join order.
-  int joins_reordered = 0;
   /// Select predicates pushed below joins onto their source leaf.
   int selects_pushed = 0;
   /// `distinct` operators removed because stats-backed key inference
@@ -32,29 +27,23 @@ struct JoinOptStats {
 /// callback (key inference falls back to structural facts).
 algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db);
 
-/// The join-graph pass:
+/// The join-graph pass, two rewrites over the loop-lifted plan:
 ///  1. stats-backed key inference removes `distinct` operators whose
 ///     input is provably duplicate-free (the existential-semantics
 ///     distincts the loop-lifting compiler must emit, which peephole
 ///     rules can never remove),
-///  2. every value-join cluster (join_pattern.h) is isolated from the
-///     iteration scaffolding, its selects are pushed onto their source
-///     leaves, and a dynamic program over the cluster's join tree picks
-///     the cheapest order under the DocStats cardinality model
-///     (cost.h). A reordered cluster restores the original row order
-///     through per-leaf kRank columns and a final kSort, so results
-///     stay byte-identical; reordering is only chosen when its
-///     estimated cost (including that sort) beats the original order's
-///     by >30%.
+///  2. a select whose predicate reads only one input of the mapping
+///     join below it (plus row-independent constants) gets a copy
+///     planted below that join, so the join sees fewer rows; the
+///     original select stays on top as a no-op.
+/// Both keep the exact row sequence, so results stay byte-identical.
+/// Join order is the compiler's: nothing here reorders joins.
 ///
 /// Returns a fresh DAG wherever something fired; untouched subtrees are
 /// shared with the input.
-/// `use_path_summary` is forwarded to the CardinalityEstimator
-/// (-1 = process default PF_PATHSUM, 0 = off, 1 = on).
-Result<algebra::OpPtr> IsolateAndReorderJoins(const algebra::OpPtr& root,
-                                              const xml::Database* db,
-                                              JoinOptStats* stats = nullptr,
-                                              int use_path_summary = -1);
+Result<algebra::OpPtr> RemoveKeyDistinctsAndPushSelects(
+    const algebra::OpPtr& root, const xml::Database* db,
+    JoinOptStats* stats = nullptr);
 
 }  // namespace pathfinder::opt
 

@@ -168,17 +168,6 @@ Result<Required> AnalyzeRequired(
         r.Add(child(0), op->col);
         if (!op->col2.empty()) r.Add(child(0), op->col2);
         break;
-      case OpKind::kSort: {
-        r.AddAll(child(0), R);
-        for (const auto& k : op->order) r.Add(child(0), k);
-        break;
-      }
-      case OpKind::kRank: {
-        ColSet cs = R;
-        cs.erase(op->out);
-        r.AddAll(child(0), cs);
-        break;
-      }
       case OpKind::kSerialize:
         r.Add(child(0), "iter");
         r.Add(child(0), "pos");
@@ -272,10 +261,8 @@ class Optimizer {
       if (!changed_) break;
     }
     if (opts_.path_summary) {
-      // After the fixpoint (step chains are now in their canonical
-      // scjoin/rownum/project shape) and before the join pass (so the
-      // collapsed chains participate in join costing as single cheap
-      // operators).
+      // After the fixpoint: step chains are now in their canonical
+      // scjoin/rownum/project shape.
       PathRewriteStats ps;
       PF_ASSIGN_OR_RETURN(cur, RewritePathChains(cur, &ps));
       if (stats_) stats_->structural_answers = ps.chains_collapsed;
@@ -292,18 +279,14 @@ class Optimizer {
     if (opts_.join_opt) {
       JoinOptStats js;
       PF_ASSIGN_OR_RETURN(
-          cur, IsolateAndReorderJoins(cur, opts_.db, &js,
-                                      opts_.path_summary ? 1 : 0));
+          cur, RemoveKeyDistinctsAndPushSelects(cur, opts_.db, &js));
       if (stats_) {
-        stats_->join_clusters = js.join_clusters;
-        stats_->joins_reordered = js.joins_reordered;
         stats_->selects_pushed = js.selects_pushed;
         stats_->key_distincts_removed = js.key_distincts_removed;
       }
-      if (js.joins_reordered > 0 || js.selects_pushed > 0 ||
-          js.key_distincts_removed > 0) {
-        // Clean up the rebuilt regions (fresh rename projections fuse,
-        // unused leaf columns die).
+      if (js.selects_pushed > 0 || js.key_distincts_removed > 0) {
+        // Clean up the rewritten regions (fresh rename projections
+        // fuse, unused columns die).
         for (int round = 0; round < 2; ++round) {
           changed_ = false;
           PF_ASSIGN_OR_RETURN(cur, Pass(cur));

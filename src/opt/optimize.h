@@ -24,7 +24,8 @@ struct OptimizeStats {
   int cse_merges = 0;
   int rounds = 0;
   // Join-graph pass (opt/join_graph.h), zero when join_opt is off.
-  int join_clusters = 0;
+  /// Always 0: join order is the compiler's. Kept only for readers that
+  /// still report it.
   int joins_reordered = 0;
   int selects_pushed = 0;
   int key_distincts_removed = 0;
@@ -41,10 +42,9 @@ struct OptimizeOptions {
   /// the subplan-result cache) fires once per distinct computation.
   bool cse = true;
   /// Run the join-graph pass after the peephole fixpoint: stats-backed
-  /// key inference (redundant-distinct removal) plus join-cluster
-  /// isolation and cost-based join reordering. Needs `db` for document
-  /// statistics; with a null db only structural facts apply and
-  /// reordering is effectively inert.
+  /// key inference (redundant-distinct removal) plus select pushdown
+  /// through mapping joins. Needs `db` for document statistics; with a
+  /// null db key inference uses structural facts only.
   bool join_opt = false;
   /// Run the path rewrite after the peephole fixpoint: collapse purely
   /// structural step chains rooted at fn:doc into kPathScan operators
@@ -94,10 +94,9 @@ bool CseDefault();
 /// environment variable, read once. Unset or any value but "0" = on.
 bool JoinOptDefault();
 
-/// Process-wide default for path-summary consumption (the path rewrite,
-/// staircase partition pruning, and summary-backed cardinalities): the
-/// PF_PATHSUM environment variable, read once. Unset or any value but
-/// "0" = on.
+/// Process-wide default for path-summary consumption (the path rewrite
+/// and staircase partition pruning): the PF_PATHSUM environment
+/// variable, read once. Unset or any value but "0" = on.
 bool PathSumDefault();
 
 }  // namespace pathfinder::opt

@@ -59,8 +59,7 @@ bool EligibleFinal(const Op& op) {
 /// preserve the (iter, item) pairs of its input (as a multiset; steps
 /// re-sort their context anyway)? Projections qualify only when they
 /// map iter and item identically (a rename would change what the step
-/// reads); rownum/rank/attach add columns the step ignores; sort only
-/// permutes rows.
+/// reads); rownum/attach add columns the step ignores.
 bool TransparentLayer(const Op& op) {
   switch (op.kind) {
     case OpKind::kProject: {
@@ -77,9 +76,7 @@ bool TransparentLayer(const Op& op) {
       return iter_ok && item_ok;
     }
     case OpKind::kRowNum:
-    case OpKind::kRank:
     case OpKind::kAttach:
-    case OpKind::kSort:
       return true;
     default:
       return false;

@@ -48,7 +48,7 @@ PathSummary BuildPathSummary(const Document& doc) {
   // Stack of open path ids, one per ancestor of the current node; -1
   // frames cover malformed non-element rows that claim a subtree (the
   // encoding never produces them, mirrored from ComputeDocStats'
-  // robustness frames).
+  // inert frames).
   std::vector<int32_t> stack;
   // Pre list per path, flattened into part_ afterwards.
   std::vector<std::vector<Pre>> pres;
@@ -82,8 +82,6 @@ PathSummary BuildPathSummary(const Document& doc) {
         break;
       }
       case NodeKind::kText:
-        if (top > 0) s.nodes_[static_cast<size_t>(top)].text_children++;
-        break;
       case NodeKind::kComment:
       case NodeKind::kPi:
         break;
@@ -188,20 +186,6 @@ void PathSummary::ResolveStep(StepAxis axis, StepTest test, StrId name,
     }
   }
   out->assign(res.begin(), res.end());
-}
-
-uint64_t PathSummary::CountOf(const std::vector<int32_t>& paths) const {
-  uint64_t n = 0;
-  for (int32_t id : paths) n += nodes_[static_cast<size_t>(id)].count;
-  return n;
-}
-
-uint64_t PathSummary::TextCountOf(const std::vector<int32_t>& paths) const {
-  uint64_t n = 0;
-  for (int32_t id : paths) {
-    n += nodes_[static_cast<size_t>(id)].text_children;
-  }
-  return n;
 }
 
 size_t PathSummary::GatherPartitions(const std::vector<int32_t>& paths,

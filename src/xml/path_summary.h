@@ -21,8 +21,7 @@ struct PathNode {
   int32_t parent = -1;  // parent path id, -1 for path 0
   uint16_t level = 0;   // tree level of the nodes on this path
   bool is_attr = false;
-  uint32_t count = 0;          // nodes covered by this path
-  uint32_t text_children = 0;  // text-node children under those nodes
+  uint32_t count = 0;             // nodes covered by this path
   std::vector<int32_t> children;  // child element and attribute paths
   // Path partition: slice [part_begin, part_begin + count) of
   // PathSummary::partitions() holding the covered pres in document
@@ -39,13 +38,11 @@ struct PathNode {
 ///
 /// Built once per document before it is published to the store
 /// (Database::AddDocument) and immutable afterwards, so readers share
-/// it without synchronization. Consumers:
+/// it without synchronization. Two consumers:
 ///  * the structural-path rewrite (opt/path_rewrite.h) answers pure
 ///    step chains by concatenating partition slices,
 ///  * the staircase join (accel/step.cc) prunes name-test scans to the
-///    partitions of the matching tag,
-///  * the cost model (opt/cost.cc) derives exact step cardinalities
-///    from path counts.
+///    partitions of the matching tag.
 class PathSummary {
  public:
   size_t num_paths() const { return nodes_.size(); }
@@ -106,11 +103,6 @@ class PathSummary {
   void ResolveStep(StepAxis axis, StepTest test, StrId name,
                    const std::vector<int32_t>& in,
                    std::vector<int32_t>* out) const;
-
-  /// Sum of `count` over a path set.
-  uint64_t CountOf(const std::vector<int32_t>& paths) const;
-  /// Sum of `text_children` over a path set.
-  uint64_t TextCountOf(const std::vector<int32_t>& paths) const;
 
   /// Gather the union of the paths' partitions into `out` in document
   /// order, restricted to pres in [lo, hi] (partitions are disjoint, so

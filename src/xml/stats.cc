@@ -1,26 +1,38 @@
 #include "xml/stats.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <vector>
 
 #include "xml/document.h"
 
 namespace pathfinder::xml {
 
-uint32_t DocStats::MaxChildrenAnyParent(StrId child_tag) const {
-  uint32_t mx = 0;
-  for (const auto& [key, n] : max_children) {
-    if (static_cast<StrId>(key & 0xFFFFFFFFu) == child_tag) {
-      mx = std::max(mx, n);
-    }
+void ChildCounts::Add(NodeKind kind, StrId prop) {
+  switch (kind) {
+    case NodeKind::kElem:
+      elems[prop]++;
+      break;
+    case NodeKind::kAttr:
+      attrs[prop]++;
+      break;
+    case NodeKind::kText:
+      texts++;
+      break;
+    default:
+      break;
   }
-  return mx;
 }
 
-uint32_t DocStats::MaxTextChildrenAnyTag() const {
-  uint32_t mx = 0;
-  for (const auto& [tag, ts] : tags) mx = std::max(mx, ts.max_text_children);
-  return mx;
+void DocStats::Merge(const ChildCounts& c) {
+  for (const auto& [tag, n] : c.elems) {
+    uint32_t& mx = max_children[tag];
+    mx = std::max(mx, n);
+  }
+  for (const auto& [name, n] : c.attrs) {
+    uint32_t& mx = max_per_owner[name];
+    mx = std::max(mx, n);
+  }
+  max_text_children = std::max(max_text_children, c.texts);
 }
 
 DocStats ComputeDocStats(const Document& doc) {
@@ -29,119 +41,33 @@ DocStats ComputeDocStats(const Document& doc) {
   const auto& kinds = doc.kinds();
   const auto& sizes = doc.sizes();
   const auto& props = doc.props();
-  const auto& values = doc.values();
   const Pre n = doc.num_nodes();
-  s.total_nodes = n;
 
-  // One open frame per ancestor of the current node. Attributes sit at
-  // level(owner)+1 like child nodes do, so the level-driven stack pop
-  // handles them uniformly; they are counted against the owner frame
-  // but (being size 0) never push a frame of their own.
+  // One open frame per ancestor of the current node. The document node
+  // and elements count their direct children; a malformed node of any
+  // other kind that claims a subtree (the encoding never produces one)
+  // gets an inert frame so the level-driven pop stays aligned.
+  // Attributes sit at level(owner)+1 like child nodes do, so they count
+  // against the owner frame but, being size 0, never push one.
   struct Frame {
-    StrId tag = DocStats::kDocParent;  // kDocParent for the document node
-    bool is_elem_or_doc = false;
-    std::unordered_map<StrId, uint32_t> child_elems;
-    std::unordered_map<StrId, uint32_t> own_attrs;
-    uint32_t text_children = 0;
+    bool counts = false;
+    ChildCounts children;
   };
   std::vector<Frame> stack;
-
-  // Distinct-value accumulators (surrogates are pooled, so equal
-  // strings share ids and a set of StrIds counts distinct contents).
-  std::unordered_map<StrId, std::unordered_set<StrId>> attr_values;
-  std::unordered_map<StrId, std::unordered_set<StrId>> text_values;
-
-  auto close_frame = [&s](Frame& f) {
-    if (!f.is_elem_or_doc) return;
-    for (const auto& [ctag, cnt] : f.child_elems) {
-      uint32_t& mx = s.max_children[DocStats::EdgeKey(f.tag, ctag)];
-      mx = std::max(mx, cnt);
-    }
-    for (const auto& [aname, cnt] : f.own_attrs) {
-      DocStats::AttrStats& as = s.attrs[aname];
-      as.max_per_owner = std::max(as.max_per_owner, cnt);
-    }
-    if (f.tag != DocStats::kDocParent) {
-      DocStats::TagStats& ts = s.tags[f.tag];
-      ts.max_text_children = std::max(ts.max_text_children, f.text_children);
-    }
-  };
-
-  for (Pre v = 0; v < n; ++v) {
-    uint16_t level = levels[v];
-    while (stack.size() > level) {
-      close_frame(stack.back());
-      stack.pop_back();
-    }
-    NodeKind kind = static_cast<NodeKind>(kinds[v]);
-    s.kind_counts[static_cast<size_t>(kind)]++;
-    if (s.level_counts.size() <= level) s.level_counts.resize(level + 1, 0);
-    s.level_counts[level]++;
-
-    Frame* parent = stack.empty() ? nullptr : &stack.back();
-    switch (kind) {
-      case NodeKind::kDoc: {
-        Frame f;
-        f.tag = DocStats::kDocParent;
-        f.is_elem_or_doc = true;
-        stack.push_back(std::move(f));
-        continue;
-      }
-      case NodeKind::kElem: {
-        DocStats::TagStats& ts = s.tags[props[v]];
-        ts.count++;
-        ts.subtree_nodes += static_cast<uint64_t>(sizes[v]) + 1;
-        if (parent != nullptr && parent->is_elem_or_doc) {
-          parent->child_elems[props[v]]++;
-        }
-        Frame f;
-        f.tag = props[v];
-        f.is_elem_or_doc = true;
-        stack.push_back(std::move(f));
-        continue;
-      }
-      case NodeKind::kAttr: {
-        DocStats::AttrStats& as = s.attrs[props[v]];
-        as.count++;
-        attr_values[props[v]].insert(values[v]);
-        if (parent != nullptr && parent->is_elem_or_doc) {
-          parent->own_attrs[props[v]]++;
-        }
-        break;
-      }
-      case NodeKind::kText: {
-        if (parent != nullptr && parent->is_elem_or_doc &&
-            parent->tag != DocStats::kDocParent) {
-          parent->text_children++;
-          text_values[parent->tag].insert(values[v]);
-        }
-        break;
-      }
-      case NodeKind::kComment:
-      case NodeKind::kPi:
-        break;
-    }
-    // Non-element nodes with children do not exist; nodes with size > 0
-    // other than elem/doc would need a frame, but the encoding
-    // guarantees size 0 for attr/text/comment/pi. Still, push a dummy
-    // frame for robustness if a malformed node claims a subtree.
-    if (sizes[v] > 0) {
-      Frame f;
-      f.is_elem_or_doc = false;
-      stack.push_back(std::move(f));
-    }
-  }
-  while (!stack.empty()) {
-    close_frame(stack.back());
+  auto pop = [&] {
+    if (stack.back().counts) s.Merge(stack.back().children);
     stack.pop_back();
+  };
+  for (Pre v = 0; v < n; ++v) {
+    while (stack.size() > levels[v]) pop();
+    NodeKind kind = static_cast<NodeKind>(kinds[v]);
+    if (!stack.empty() && stack.back().counts) {
+      stack.back().children.Add(kind, props[v]);
+    }
+    bool counts = kind == NodeKind::kDoc || kind == NodeKind::kElem;
+    if (counts || sizes[v] > 0) stack.push_back({counts, {}});
   }
-
-  for (auto& [name, vals] : attr_values) {
-    s.attrs[name].distinct_values = vals.size();
-  }
-  for (auto& [tag, vals] : text_values) {
-    s.tags[tag].distinct_text_values = vals.size();
-  }
+  while (!stack.empty()) pop();
   return s;
 }
 

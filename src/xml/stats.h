@@ -1,94 +1,65 @@
 #ifndef PATHFINDER_XML_STATS_H_
 #define PATHFINDER_XML_STATS_H_
 
-#include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "base/string_pool.h"
 
 namespace pathfinder::xml {
 
 class Document;
+enum class NodeKind : uint8_t;
 
-/// Shred-time document statistics: tag/level histograms plus the
-/// structural uniqueness facts the cost-based join optimizer needs
-/// (cardinality estimation and key inference over loop-lifted plans).
+/// Direct-child counts of one element or of the document node, as the
+/// shred-time pass and update repair (xml/update.cc) gather them.
+struct ChildCounts {
+  std::unordered_map<StrId, uint32_t> elems;  // per child element tag
+  std::unordered_map<StrId, uint32_t> attrs;  // per attribute name
+  uint32_t texts = 0;
+
+  /// Count one direct child; other node kinds are ignored.
+  void Add(NodeKind kind, StrId prop);
+};
+
+/// Shred-time document statistics: the three fan-out maxima that let
+/// key inference (opt::MakeStepUniqueness) prove a `child::C`,
+/// `child::text()` or `attribute::a` step yields at most one node per
+/// context node — the license to drop the existential distincts the
+/// loop-lifting compiler emits.
 ///
 /// Computed once per document inside Database::AddDocument, before the
 /// document is published, and immutable afterwards — the optimizer
-/// reads them wait-free through Document::stats(). All string-valued
-/// dimensions are keyed by StrId surrogates of the shared StringPool,
-/// so identical tags/values across documents share keys.
+/// reads them wait-free through Document::stats(). Names are keyed by
+/// StrId surrogates of the shared StringPool, so identical tags across
+/// documents share keys. Updates keep every maximum a sound upper bound
+/// (xml/update.h).
 struct DocStats {
-  uint64_t total_nodes = 0;
+  /// Per element tag C: the most C-tagged element children any single
+  /// parent (element or document node) has.
+  std::unordered_map<StrId, uint32_t> max_children;
+  /// The most direct text-node children any single element (or the
+  /// document node) has.
+  uint32_t max_text_children = 0;
+  /// Per attribute name: the most attributes of that name on one owner
+  /// element (1 for well-formed XML; measured, not assumed, so
+  /// `attribute::name` uniqueness never depends on parser leniency).
+  std::unordered_map<StrId, uint32_t> max_per_owner;
 
-  /// Node counts per NodeKind (index by static_cast<size_t>).
-  std::array<uint64_t, 6> kind_counts{};
+  /// Max-merge one parent's direct-child counts.
+  void Merge(const ChildCounts& c);
 
-  /// Nodes per tree level (index = level).
-  std::vector<uint64_t> level_counts;
-
-  struct TagStats {
-    /// Elements carrying this tag.
-    uint64_t count = 0;
-    /// Sum of subtree sizes (size(v) + 1) over those elements — the
-    /// staircase-join selectivity handle from the pre/size encoding.
-    uint64_t subtree_nodes = 0;
-    /// Max direct text-node children over those elements (1 means
-    /// `child::text()` below this tag yields at most one node).
-    uint32_t max_text_children = 0;
-    /// Distinct direct text-child contents (value surrogates).
-    uint64_t distinct_text_values = 0;
-  };
-  /// Per element-tag surrogate.
-  std::unordered_map<StrId, TagStats> tags;
-
-  struct AttrStats {
-    /// Attribute nodes carrying this name.
-    uint64_t count = 0;
-    /// Distinct attribute values (value surrogates).
-    uint64_t distinct_values = 0;
-    /// Max attributes of this name on one owner element (1 for
-    /// well-formed XML; measured, not assumed, so `attribute::name`
-    /// uniqueness never depends on parser leniency).
-    uint32_t max_per_owner = 0;
-  };
-  /// Per attribute-name surrogate.
-  std::unordered_map<StrId, AttrStats> attrs;
-
-  /// Max child-element fan-out per (parent tag, child tag): key
-  /// EdgeKey(P, C) maps to the max number of C-tagged element children
-  /// any single P-tagged parent (or the document node, P = kDocParent)
-  /// has. A value of 1 proves `child::C` preserves per-context
-  /// uniqueness under P.
-  std::unordered_map<uint64_t, uint32_t> max_children;
-
-  /// Pseudo parent-tag for the document node in max_children keys
-  /// (element tags are pool surrogates and never equal this).
-  static constexpr StrId kDocParent = 0xFFFFFFFFu;
-
-  static uint64_t EdgeKey(StrId parent, StrId child) {
-    return (static_cast<uint64_t>(parent) << 32) | child;
+  /// 0 = tag absent, 1 = `child::C` is per-context unique everywhere in
+  /// this document.
+  uint32_t MaxChildren(StrId child_tag) const {
+    auto it = max_children.find(child_tag);
+    return it == max_children.end() ? 0 : it->second;
   }
-
-  uint64_t TagCount(StrId tag) const {
-    auto it = tags.find(tag);
-    return it == tags.end() ? 0 : it->second.count;
+  /// 0 = name absent, 1 = `attribute::name` is per-owner unique.
+  uint32_t MaxPerOwner(StrId attr_name) const {
+    auto it = max_per_owner.find(attr_name);
+    return it == max_per_owner.end() ? 0 : it->second;
   }
-  uint64_t AttrCount(StrId name) const {
-    auto it = attrs.find(name);
-    return it == attrs.end() ? 0 : it->second.count;
-  }
-
-  /// Max C-children per parent over *all* parent tags (including the
-  /// document node). 0 = tag absent, 1 = `child::C` is per-context
-  /// unique everywhere in this document.
-  uint32_t MaxChildrenAnyParent(StrId child_tag) const;
-
-  /// Max direct text children any element of this document has.
-  uint32_t MaxTextChildrenAnyTag() const;
 };
 
 /// One pass over the pre|size|level encoding (O(nodes), stack of open

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "xml/parser.h"
@@ -83,8 +82,8 @@ class DocumentSplicer {
   };
 
   static Document BuildSpliced(const Document& base, const Splice& sp);
-  static void RepairStats(const Document& base, const Document& fresh,
-                          const Splice& sp, DocStats* s);
+  static void RepairStats(const Document& fresh, const Splice& sp,
+                          DocStats* s);
   static PathSummary RepairSummary(const PathSummary& old,
                                    const Document& base,
                                    const Document& fresh, const Splice& sp);
@@ -128,156 +127,42 @@ Document DocumentSplicer::BuildSpliced(const Document& base,
   return d;
 }
 
-void DocumentSplicer::RepairStats(const Document& base, const Document& fresh,
-                                  const Splice& sp, DocStats* s) {
+void DocumentSplicer::RepairStats(const Document& fresh, const Splice& sp,
+                                  DocStats* s) {
+  // The maxima only ever grow: removed rows leave them in place (a
+  // shrink never invalidates an upper bound), and inserted rows
+  // max-merge the recounted fan-outs of every parent they touch.
   const Pre k = static_cast<Pre>(sp.ins_size.size());
-  const int64_t delta =
-      static_cast<int64_t>(k) - static_cast<int64_t>(sp.removed);
+  if (k == 0) return;
 
-  // Removed rows: exact count rollback. Maxima and distinct estimates
-  // deliberately stay put — they remain sound upper bounds.
-  for (Pre v = sp.at; v < sp.at + sp.removed; ++v) {
-    NodeKind kind = base.kind(v);
-    s->total_nodes--;
-    s->kind_counts[static_cast<size_t>(kind)]--;
-    s->level_counts[base.level(v)]--;
-    if (kind == NodeKind::kElem) {
-      DocStats::TagStats& ts = s->tags[base.prop(v)];
-      ts.count--;
-      ts.subtree_nodes -= static_cast<uint64_t>(base.size(v)) + 1;
-    } else if (kind == NodeKind::kAttr) {
-      s->attrs[base.prop(v)].count--;
-    }
-  }
-
-  // Ancestor chain: every element ancestor's subtree grew/shrank by
-  // delta, which its tag's subtree_nodes tracks exactly.
-  if (delta != 0) {
-    Pre a = sp.parent;
-    for (;;) {
-      if (base.kind(a) == NodeKind::kElem) {
-        s->tags[base.prop(a)].subtree_nodes += delta;
-      }
-      if (a == 0) break;
-      Pre up;
-      base.Parent(a, &up);
-      a = up;
-    }
-  }
-
-  // Inserted rows: one frame-driven pass (the ComputeDocStats walk,
-  // confined to the fresh rows) folds exact counts and recomputes the
-  // maxima of every parent that lives *inside* the insertion. Text and
-  // attribute values bump the distinct estimates by one each — an upper
-  // bound on the true distinct growth.
-  struct Frame {
-    StrId tag = 0;
-    std::unordered_map<StrId, uint32_t> child_elems;
-    std::unordered_map<StrId, uint32_t> own_attrs;
-    uint32_t text_children = 0;
-  };
-  std::vector<Frame> stack;
-  auto close_frame = [&s](Frame& f) {
-    for (const auto& [ctag, cnt] : f.child_elems) {
-      uint32_t& mx = s->max_children[DocStats::EdgeKey(f.tag, ctag)];
-      mx = std::max(mx, cnt);
-    }
-    for (const auto& [aname, cnt] : f.own_attrs) {
-      DocStats::AttrStats& as = s->attrs[aname];
-      as.max_per_owner = std::max(as.max_per_owner, cnt);
-    }
-    DocStats::TagStats& ts = s->tags[f.tag];
-    ts.max_text_children = std::max(ts.max_text_children, f.text_children);
-  };
+  // Elements inside the insertion: the ComputeDocStats walk, confined
+  // to the fresh rows.
+  std::vector<ChildCounts> stack;
   const uint16_t parent_level = fresh.level(sp.parent);
-  const StrId parent_tag = fresh.kind(sp.parent) == NodeKind::kDoc
-                               ? DocStats::kDocParent
-                               : fresh.prop(sp.parent);
   for (Pre v = sp.at; v < sp.at + k; ++v) {
-    NodeKind kind = fresh.kind(v);
-    uint16_t level = fresh.level(v);
-    size_t rel = static_cast<size_t>(level - parent_level);  // >= 1
+    // rel >= 1: every inserted row lies below the insertion parent.
+    size_t rel = static_cast<size_t>(fresh.level(v) - parent_level);
     while (stack.size() > rel - 1) {
-      close_frame(stack.back());
+      s->Merge(stack.back());
       stack.pop_back();
     }
-    s->total_nodes++;
-    s->kind_counts[static_cast<size_t>(kind)]++;
-    if (s->level_counts.size() <= level) s->level_counts.resize(level + 1, 0);
-    s->level_counts[level]++;
-    Frame* pf = stack.empty() ? nullptr : &stack.back();
-    switch (kind) {
-      case NodeKind::kElem: {
-        DocStats::TagStats& ts = s->tags[fresh.prop(v)];
-        ts.count++;
-        ts.subtree_nodes += static_cast<uint64_t>(fresh.size(v)) + 1;
-        if (pf != nullptr) pf->child_elems[fresh.prop(v)]++;
-        Frame f;
-        f.tag = fresh.prop(v);
-        stack.push_back(std::move(f));
-        break;
-      }
-      case NodeKind::kAttr: {
-        DocStats::AttrStats& as = s->attrs[fresh.prop(v)];
-        as.count++;
-        as.distinct_values++;  // upper bound
-        if (pf != nullptr) pf->own_attrs[fresh.prop(v)]++;
-        break;
-      }
-      case NodeKind::kText: {
-        StrId owner = pf != nullptr ? pf->tag : parent_tag;
-        if (pf != nullptr) pf->text_children++;
-        if (owner != DocStats::kDocParent) {
-          s->tags[owner].distinct_text_values++;  // upper bound
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    NodeKind kind = fresh.kind(v);
+    if (!stack.empty()) stack.back().Add(kind, fresh.prop(v));
+    if (kind == NodeKind::kElem) stack.emplace_back();
   }
   while (!stack.empty()) {
-    close_frame(stack.back());
+    s->Merge(stack.back());
     stack.pop_back();
   }
 
-  // The insertion parent's own fan-out changed: recount its direct
-  // children in the fresh snapshot and max-merge. (Deletes skip this —
-  // a shrink can never invalidate an upper bound.)
-  if (k > 0) {
-    std::unordered_map<StrId, uint32_t> child_elems, own_attrs;
-    uint32_t text_children = 0;
-    Pre end = sp.parent + fresh.size(sp.parent);
-    Pre v = sp.parent + 1;
-    while (v <= end && fresh.IsAttr(v) &&
-           fresh.level(v) == parent_level + 1) {
-      own_attrs[fresh.prop(v)]++;
-      ++v;
-    }
-    while (v <= end) {
-      if (fresh.kind(v) == NodeKind::kElem) child_elems[fresh.prop(v)]++;
-      if (fresh.kind(v) == NodeKind::kText) text_children++;
-      v += fresh.size(v) + 1;
-    }
-    for (const auto& [ctag, cnt] : child_elems) {
-      uint32_t& mx = s->max_children[DocStats::EdgeKey(parent_tag, ctag)];
-      mx = std::max(mx, cnt);
-    }
-    for (const auto& [aname, cnt] : own_attrs) {
-      DocStats::AttrStats& as = s->attrs[aname];
-      as.max_per_owner = std::max(as.max_per_owner, cnt);
-    }
-    if (parent_tag != DocStats::kDocParent) {
-      DocStats::TagStats& ts = s->tags[parent_tag];
-      ts.max_text_children = std::max(ts.max_text_children, text_children);
-    }
+  // The insertion parent: recount its direct children (attributes
+  // first, each child's subtree skipped) in the fresh snapshot.
+  ChildCounts pc;
+  Pre end = sp.parent + fresh.size(sp.parent);
+  for (Pre v = sp.parent + 1; v <= end; v += fresh.size(v) + 1) {
+    pc.Add(fresh.kind(v), fresh.prop(v));
   }
-
-  // Exactness discipline: a fresh ComputeDocStats never carries
-  // trailing-zero level slots.
-  while (!s->level_counts.empty() && s->level_counts.back() == 0) {
-    s->level_counts.pop_back();
-  }
+  s->Merge(pc);
 }
 
 int32_t DocumentSplicer::PathOf(const std::vector<PathNode>& nodes,
@@ -332,30 +217,7 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
   const int32_t parent_path = PathOf(s.nodes_, base, sp.parent);
   const uint16_t parent_level = base.level(sp.parent);
 
-  // Phase 2: removed rows surrender their text-child counts (their
-  // element/attribute memberships already vanished with their pres).
-  {
-    std::vector<int32_t> pstack;
-    for (Pre v = sp.at; v < sp.at + sp.removed; ++v) {
-      size_t rel = static_cast<size_t>(base.level(v) - parent_level);
-      while (pstack.size() > rel - 1) pstack.pop_back();
-      int32_t top = pstack.empty() ? parent_path : pstack.back();
-      switch (base.kind(v)) {
-        case NodeKind::kElem:
-          pstack.push_back(
-              FindChildPath(s.nodes_, top, base.prop(v), false));
-          assert(pstack.back() >= 0);
-          break;
-        case NodeKind::kText:
-          if (top > 0) s.nodes_[static_cast<size_t>(top)].text_children--;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  // Phase 3: inserted rows join (or create) their paths.
+  // Phase 2: inserted rows join (or create) their paths.
   {
     std::vector<int32_t> pstack;
     auto list_for = [&](int32_t id) -> std::vector<Pre>& {
@@ -383,9 +245,6 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
           list_for(id).push_back(v);
           break;
         }
-        case NodeKind::kText:
-          if (top > 0) s.nodes_[static_cast<size_t>(top)].text_children++;
-          break;
         default:
           break;
       }
@@ -396,7 +255,7 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
     tails.resize(s.nodes_.size());
   }
 
-  // Phase 4: flatten head ++ tail per path back into the contiguous
+  // Phase 3: flatten head ++ tail per path back into the contiguous
   // partition store; counts follow the partitions exactly. Paths whose
   // last node vanished stay in the trie with an empty partition — every
   // consumer treats an empty slice as "tag absent here", so keeping the
@@ -416,7 +275,7 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
     p.count = static_cast<uint32_t>(heads[id].size() + tails[id].size());
   }
 
-  // Phase 5: register paths minted by the insertion. New ids are larger
+  // Phase 4: register paths minted by the insertion. New ids are larger
   // than every existing id, so push_back keeps the by-tag lists sorted.
   for (size_t id = old_paths; id < s.nodes_.size(); ++id) {
     const PathNode& p = s.nodes_[id];
@@ -443,8 +302,8 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
   const NodeKind tkind = base.kind(u.target);
 
   // Content-only fast path: replacing the value of a leaf node touches
-  // one cell of the value column — structure, stats counts and the path
-  // summary are untouched (the summary is *shared* with the base).
+  // one cell of the value column — structure, stats and the path summary
+  // are untouched (both are *shared* with the base).
   if (u.kind == NodeUpdate::Kind::kReplaceValue &&
       tkind != NodeKind::kElem) {
     if (tkind == NodeKind::kDoc) {
@@ -459,18 +318,7 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
     d.prop_ = base.props();
     d.value_ = base.values();
     d.value_[u.target] = pool->Intern(u.value);
-    if (base.stats() != nullptr) {
-      DocStats s = *base.stats();
-      if (tkind == NodeKind::kAttr) {
-        s.attrs[base.prop(u.target)].distinct_values++;  // upper bound
-      } else if (tkind == NodeKind::kText) {
-        Pre p;
-        if (base.Parent(u.target, &p) && base.kind(p) == NodeKind::kElem) {
-          s.tags[base.prop(p)].distinct_text_values++;  // upper bound
-        }
-      }
-      d.set_stats(std::move(s));
-    }
+    d.stats_ = base.stats_;
     d.summary_ = base.shared_summary();
     out.doc = std::move(d);
     out.structural = false;
@@ -586,7 +434,7 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
   Document fresh = BuildSpliced(base, sp);
   if (base.stats() != nullptr) {
     DocStats s = *base.stats();
-    RepairStats(base, fresh, sp, &s);
+    RepairStats(fresh, sp, &s);
     fresh.set_stats(std::move(s));
   }
   if (base.summary() != nullptr) {

@@ -52,15 +52,13 @@ struct NodeUpdate {
 /// A spliced snapshot plus what the splice did — the doc-level update
 /// primitive (no Database involved; the model tests drive it directly).
 /// `doc` carries incrementally repaired stats and path summary:
-///  * counts (total/kind/level, per-tag count + subtree_nodes, per-attr
-///    count) and the path summary's partitions/counts/text counts are
-///    maintained *exactly*;
-///  * the structural maxima (max_children / max_text_children /
-///    max_per_owner) and the distinct-value estimates are maintained as
-///    sound upper bounds: inserts recount the touched parents, deletes
+///  * the path summary's partitions and counts are maintained *exactly*;
+///  * the fan-out maxima of DocStats (max_children / max_text_children
+///    / max_per_owner) are maintained as sound upper bounds: inserts
+///    max-merge the recounted fan-outs of the touched parents, deletes
 ///    keep the old maxima. Key inference only ever needs "max <= 1"
-///    proofs, so an upper bound never breaks correctness, and the
-///    distinct counts feed the cost model only.
+///    proofs, so an upper bound never breaks correctness.
+/// A content-only update shares the base's stats and summary.
 struct SplicedDoc {
   Document doc;
   /// False iff the update changed only the `value` column (pre ranks,

@@ -342,8 +342,8 @@ TEST_P(RandomQueryTest, EnginesAgreeOnGeneratedQueries) {
     // a budget small enough to churn (all masks share this Pathfinder,
     // so 8 is served against a cache warmed by earlier masks), 9 pins
     // both caches off. Masks 10-11 pin the join-graph pass off and on
-    // (overriding the PF_JOINOPT process default): the cost-based join
-    // orderer must be invisible in every serialized byte.
+    // (overriding the PF_JOINOPT process default): its rewrites must be
+    // invisible in every serialized byte.
     for (int mask = 0; mask < 12; ++mask) {
       QueryOptions o;
       o.context_doc = "shop.xml";

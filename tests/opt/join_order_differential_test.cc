@@ -1,10 +1,9 @@
 // Join-optimizer differential harness.
 //
 // The join-graph pass (PF_JOINOPT / QueryOptions::join_opt) — key-based
-// distinct removal, selection pushdown through mapping joins, and
-// cost-based cluster reordering — promises byte-identical serialized
-// results to the untouched plan at every thread count. This suite
-// locks that down three ways:
+// distinct removal and selection pushdown through mapping joins —
+// promises byte-identical serialized results to the untouched plan at
+// every thread count. This suite locks that down three ways:
 //
 //   1. Every XMark query, join_opt on vs. off, at 1/2/7 threads.
 //   2. Join-shape queries (multi-way value joins, literal filters,
@@ -14,6 +13,7 @@
 //      regression that silently disables the pass fails here, not in
 //      the benchmarks.
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -89,6 +89,11 @@ struct JoinCase {
   const char* query;
 };
 
+// Print a case by its name. gtest's default printer dumps the two
+// pointers, whose values change with every run, and the test IDs
+// that gtest_discover_tests records would change with them.
+void PrintTo(const JoinCase& c, std::ostream* os) { *os << c.name; }
+
 const JoinCase kJoinCases[] = {
     {"ThreeWayValueJoinLiteralOnItem",
      "for $p in /site/people/person "
@@ -151,7 +156,6 @@ TEST(JoinOptFires, ClustersDetectedOnValueJoin) {
   opt::OptimizeStats st;
   std::string out = RunConfig(kJoinCases[0].query, 1, 1, &st);
   ASSERT_EQ(out.find("<error"), std::string::npos) << out;
-  EXPECT_GT(st.join_clusters, 0);
   EXPECT_GT(st.key_distincts_removed, 0);
   EXPECT_GT(st.selects_pushed, 0);
 }
@@ -170,7 +174,6 @@ TEST(JoinOptFires, OffMeansAllCountersZero) {
   opt::OptimizeStats st;
   std::string out = RunConfig(kJoinCases[0].query, 0, 1, &st);
   ASSERT_EQ(out.find("<error"), std::string::npos) << out;
-  EXPECT_EQ(st.join_clusters, 0);
   EXPECT_EQ(st.joins_reordered, 0);
   EXPECT_EQ(st.selects_pushed, 0);
   EXPECT_EQ(st.key_distincts_removed, 0);

@@ -3,7 +3,6 @@
 #include "algebra/schema.h"
 #include "api/pathfinder.h"
 #include "engine/executor.h"
-#include "opt/join_graph.h"
 #include "opt/optimize.h"
 #include "runtime/serialize.h"
 
@@ -269,129 +268,54 @@ TEST_F(OptTest, CseFiresOnRepeatedSubexpressions) {
 
 // --- Join-graph pass (opt/join_graph.h) ------------------------------------
 
-/// A skewed three-leaf join chain A -x- B -y- C where the syntactic
-/// order ((A JOIN B) JOIN C) builds a 25000-row intermediate but
-/// ((B JOIN C) JOIN A) builds a 1-row one: the DP must reorder. Data is
-/// arranged so the result is non-empty (B row 250 matches C, and the 50
-/// A rows with ax = 250 % 10 join it).
-OpPtr SkewedJoinChain(OpPtr* a_out = nullptr) {
-  std::vector<std::vector<Item>> ra, rb, rc;
-  for (int i = 0; i < 500; ++i) {
-    ra.push_back({Item::Int(i % 10), Item::Int(i), Item::Bool(true)});
-    rb.push_back({Item::Int(i % 10), Item::Int(i)});
-  }
-  rc.push_back({Item::Int(250)});
-  OpPtr A = a::LitTable(
-      {"ax", "av", "af"},
-      {bat::ColType::kInt, bat::ColType::kInt, bat::ColType::kBool},
-      std::move(ra));
-  OpPtr B = a::LitTable({"bx", "by"},
-                        {bat::ColType::kInt, bat::ColType::kInt},
-                        std::move(rb));
-  OpPtr C = a::LitTable({"cy"}, {bat::ColType::kInt}, std::move(rc));
-  if (a_out != nullptr) *a_out = A;
-  OpPtr ab = a::EquiJoin(std::move(A), std::move(B), "ax", "bx");
-  return a::EquiJoin(std::move(ab), std::move(C), "by", "cy");
-}
-
-std::string Execute(const OpPtr& plan, xml::Database* db) {
-  engine::QueryContext ctx(db);
-  auto t = engine::Execute(plan, &ctx);
-  EXPECT_TRUE(t.ok()) << t.status().ToString();
-  if (!t.ok()) return "<error>";
-  return t->ToString(nullptr, 100000);
-}
-
-TEST_F(OptTest, JoinGraphTierBReordersSkewedChain) {
-  OpPtr plan = SkewedJoinChain();
-  JoinOptStats stats;
-  auto opt = IsolateAndReorderJoins(plan, &db_, &stats);
-  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
-  // Exact counters: one cluster, reordered, nothing else to do.
-  EXPECT_EQ(stats.join_clusters, 1);
-  EXPECT_EQ(stats.joins_reordered, 1);
-  EXPECT_EQ(stats.selects_pushed, 0);
-  EXPECT_EQ(stats.key_distincts_removed, 0);
-  // The order-restoring sort makes the reordered plan byte-identical.
-  EXPECT_EQ(Execute(plan, &db_), Execute(*opt, &db_));
-}
-
-TEST_F(OptTest, JoinGraphPushesSelectIntoReorderedCluster) {
-  OpPtr A;
-  OpPtr join = SkewedJoinChain(&A);
-  OpPtr plan = a::Select(std::move(join), "af");
-  JoinOptStats stats;
-  auto opt = IsolateAndReorderJoins(plan, &db_, &stats);
-  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
-  EXPECT_EQ(stats.join_clusters, 1);
-  EXPECT_EQ(stats.joins_reordered, 1);
-  EXPECT_EQ(stats.selects_pushed, 1);
-  EXPECT_EQ(Execute(plan, &db_), Execute(*opt, &db_));
-}
-
-TEST_F(OptTest, JoinGraphLeavesBalancedChainAlone) {
-  // Symmetric 10x10x10 chain: the DP confirms the original order (no
-  // >30% win is possible), so the plan must come back unreordered.
-  auto mk = [](const std::string& c1, const std::string& c2) {
-    std::vector<std::vector<Item>> rows;
-    for (int i = 0; i < 10; ++i) rows.push_back({Item::Int(i), Item::Int(i)});
-    return a::LitTable({c1, c2}, {bat::ColType::kInt, bat::ColType::kInt},
-                       std::move(rows));
-  };
-  OpPtr ab = a::EquiJoin(mk("ax", "ay"), mk("bx", "by"), "ay", "bx");
-  OpPtr plan = a::EquiJoin(std::move(ab), mk("cx", "cy"), "by", "cx");
-  JoinOptStats stats;
-  auto opt = IsolateAndReorderJoins(plan, &db_, &stats);
-  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
-  EXPECT_EQ(stats.join_clusters, 1);
-  EXPECT_EQ(stats.joins_reordered, 0);
-  EXPECT_EQ(Execute(plan, &db_), Execute(*opt, &db_));
-}
-
-TEST_F(OptTest, StatsBackedKeyInferenceRemovesDistinct) {
-  // d.xml's shred stats prove attribute::k unique per owner, so the
-  // existential distinct the compiler emits for the value join is
-  // provably redundant — only the stats-backed pass can see that.
-  Pathfinder pf(&db_);
+/// The unoptimized plan of a value join whose existential distinct
+/// d.xml's shred stats prove redundant (attribute::k is unique per
+/// owner) — only the stats-backed pass can see that.
+OpPtr KeyDistinctJoinPlan(xml::Database* db) {
+  Pathfinder pf(db);
   QueryOptions o;
   o.context_doc = "d.xml";
   o.optimize = false;
   auto r = pf.Run(
       "for $a in //x, $b in //y where $b/@ref = $a/@k return $a/text()", o);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r->plan : nullptr;
+}
+
+TEST_F(OptTest, StatsBackedKeyInferenceRemovesDistinct) {
+  OpPtr plan = KeyDistinctJoinPlan(&db_);
+  ASSERT_NE(plan, nullptr);
   OptimizeStats on_stats;
   OptimizeOptions on;
   on.join_opt = true;
   on.db = &db_;
-  auto p = Optimize(r->plan, &on_stats, on);
+  auto p = Optimize(plan, &on_stats, on);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   EXPECT_GE(on_stats.key_distincts_removed, 1);
-  EXPECT_GE(on_stats.join_clusters, 1);
 
   // Same plan with the pass off: all join counters stay zero.
   OptimizeStats off_stats;
-  auto p2 = Optimize(r->plan, &off_stats);
+  auto p2 = Optimize(plan, &off_stats);
   ASSERT_TRUE(p2.ok());
   EXPECT_EQ(off_stats.key_distincts_removed, 0);
-  EXPECT_EQ(off_stats.join_clusters, 0);
   EXPECT_EQ(off_stats.joins_reordered, 0);
   EXPECT_EQ(off_stats.selects_pushed, 0);
 }
 
 TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
   // One reused struct must never leak counts from a previous plan.
-  OpPtr plan = SkewedJoinChain();
+  OpPtr plan = KeyDistinctJoinPlan(&db_);
+  ASSERT_NE(plan, nullptr);
   OptimizeStats stats;
   OptimizeOptions on;
   on.join_opt = true;
   on.db = &db_;
   ASSERT_TRUE(Optimize(plan, &stats, on).ok());
-  EXPECT_EQ(stats.joins_reordered, 1);
+  EXPECT_GE(stats.key_distincts_removed, 1);
 
   OpPtr trivial = a::LitTable({"iter"}, {bat::ColType::kInt},
                               {{Item::Int(1)}});
   ASSERT_TRUE(Optimize(trivial, &stats, on).ok());
-  EXPECT_EQ(stats.join_clusters, 0);
   EXPECT_EQ(stats.joins_reordered, 0);
   EXPECT_EQ(stats.selects_pushed, 0);
   EXPECT_EQ(stats.key_distincts_removed, 0);

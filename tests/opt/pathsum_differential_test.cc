@@ -1,10 +1,10 @@
 // Path-summary differential harness.
 //
-// Path summaries (PF_PATHSUM / QueryOptions::path_summary) change three
-// layers — the structural-chain rewrite to kPathScan, partition-pruned
-// staircase joins, and exact path cardinalities in the cost model — and
-// every one of them promises byte-identical serialized results to the
-// summary-free plan at every thread count. This suite locks that down:
+// Path summaries (PF_PATHSUM / QueryOptions::path_summary) change two
+// layers — the structural-chain rewrite to kPathScan and
+// partition-pruned staircase joins — and both promise byte-identical
+// serialized results to the summary-free plan at every thread count.
+// This suite locks that down:
 //
 //   1. Every XMark query, path_summary on vs. off, at 1/2/7 threads.
 //   2. Axis-shape queries covering every staircase-join axis (including
@@ -13,6 +13,7 @@
 //   3. The machinery actually fires: rewrite and pruning counters for
 //      representative queries are pinned nonzero, and off means zero.
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,11 @@ struct AxisCase {
   const char* name;
   const char* query;
 };
+
+// Print a case by its name. gtest's default printer dumps the two
+// pointers, whose values change with every run, and the test IDs
+// that gtest_discover_tests records would change with them.
+void PrintTo(const AxisCase& c, std::ostream* os) { *os << c.name; }
 
 const AxisCase kAxisCases[] = {
     {"ChildChain", "/site/regions/africa/item/name"},
