@@ -1,7 +1,6 @@
 #include "algebra/op.h"
 
 #include <atomic>
-#include <unordered_set>
 
 namespace pathfinder::algebra {
 
@@ -180,12 +179,17 @@ const char* Fun2Name(Fun2 f) {
   return "?";
 }
 
-size_t CountOps(const OpPtr& root) { return TopoOrder(root).size(); }
+size_t CountOps(const OpPtr& root) { return NumberPlan(root).nodes.size(); }
 
 std::vector<Op*> TopoOrder(const OpPtr& root) {
-  std::vector<Op*> order;
-  std::unordered_set<const Op*> seen;
-  // Iterative post-order to survive deep (unoptimized) plans.
+  return NumberPlan(root).nodes;
+}
+
+PlanNumbering NumberPlan(const OpPtr& root) {
+  PlanNumbering plan;
+  // Iterative post-order to survive deep (unoptimized) plans. A node is
+  // pushed only while unnumbered and is numbered before any frame below
+  // it resumes, so in a DAG no node is pushed twice.
   struct Frame {
     Op* op;
     size_t next_child;
@@ -194,20 +198,16 @@ std::vector<Op*> TopoOrder(const OpPtr& root) {
   if (root) stack.push_back({root.get(), 0});
   while (!stack.empty()) {
     Frame& f = stack.back();
-    if (seen.count(f.op)) {
-      stack.pop_back();
-      continue;
-    }
     if (f.next_child < f.op->children.size()) {
       Op* child = f.op->children[f.next_child++].get();
-      if (!seen.count(child)) stack.push_back({child, 0});
+      if (!plan.index.count(child)) stack.push_back({child, 0});
       continue;
     }
-    seen.insert(f.op);
-    order.push_back(f.op);
+    plan.index.emplace(f.op, plan.nodes.size());
+    plan.nodes.push_back(f.op);
     stack.pop_back();
   }
-  return order;
+  return plan;
 }
 
 OpPtr LitTable(std::vector<std::string> names,

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -215,6 +216,17 @@ size_t CountOps(const OpPtr& root);
 
 /// Collect the DAG's nodes bottom-up (children before parents).
 std::vector<Op*> TopoOrder(const OpPtr& root);
+
+/// Dense post-order numbering of a plan DAG, from one walk: `nodes[i]`
+/// is the node numbered i (children before parents, so the root is
+/// last) and `index` maps each node back to its number. A rewrite
+/// round keeps its per-node state in vectors indexed by it.
+struct PlanNumbering {
+  std::vector<Op*> nodes;
+  std::unordered_map<const Op*, size_t> index;
+};
+
+PlanNumbering NumberPlan(const OpPtr& root);
 
 // ---------------------------------------------------------------------
 // Builder functions. These are the only way plans are constructed, so

@@ -343,25 +343,40 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
 
 }  // namespace
 
-Result<Schema> InferSchemas(
-    const OpPtr& root, std::unordered_map<const Op*, Schema>* schemas) {
-  std::unordered_map<const Op*, Schema> local;
-  auto& memo = schemas ? *schemas : local;
-  std::vector<Op*> order = TopoOrder(root);
-  for (Op* op : order) {
-    std::vector<const Schema*> cs;
-    cs.reserve(op->children.size());
-    for (const auto& c : op->children) {
-      auto it = memo.find(c.get());
-      if (it == memo.end()) {
-        return Status::Internal("topo order broken in InferSchemas");
-      }
-      cs.push_back(&it->second);
+Result<Schema> InferSchemas(const OpPtr& root, SchemaMap* schemas) {
+  SchemaMap local;
+  SchemaMap& memo = schemas ? *schemas : local;
+  // Iterative post-order (deep unoptimized plans) that never descends
+  // into a memoized node. A node is pushed only while unmemoized and is
+  // memoized before any frame below it resumes, so none is pushed twice.
+  struct Frame {
+    const Op* op;
+    size_t next_child;
+  };
+  std::vector<Frame> stack;
+  if (!memo.count(root.get())) stack.push_back({root.get(), 0});
+  std::vector<const Schema*> cs;
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    if (f.next_child < f.op->children.size()) {
+      const Op* child = f.op->children[f.next_child++].get();
+      if (!memo.count(child)) stack.push_back({child, 0});
+      continue;
     }
+    const Op* op = f.op;
+    stack.pop_back();
+    cs.clear();
+    for (const auto& c : op->children) cs.push_back(&memo.at(c.get()));
     PF_ASSIGN_OR_RETURN(Schema s, InferOne(*op, cs));
     memo.emplace(op, std::move(s));
   }
   return memo.at(root.get());
+}
+
+void RetainSchemas(const PlanNumbering& plan, SchemaMap* memo) {
+  std::erase_if(*memo, [&](const auto& entry) {
+    return plan.index.count(entry.first) == 0;
+  });
 }
 
 Status ValidatePlan(const OpPtr& root) {

@@ -26,16 +26,30 @@ struct Schema {
   std::string ToString() const;
 };
 
+/// Schema memo: inferred schemas keyed by node address, kept beside
+/// the plan rather than on `Op`.
+using SchemaMap = std::unordered_map<const Op*, Schema>;
+
 /// Infer (and thereby validate) the schema of every node in the DAG.
 ///
 /// Fails with kInternal on any structural plan bug: unknown columns,
 /// type mismatches, name clashes across join inputs, wrong child
 /// arity, etc. The compiler runs this after every compilation and the
-/// optimizer after every rewrite (in tests), so malformed plans are
-/// caught before execution.
-Result<Schema> InferSchemas(
-    const OpPtr& root,
-    std::unordered_map<const Op*, Schema>* schemas = nullptr);
+/// optimizer before handing out a plan, so malformed plans are caught
+/// before execution.
+///
+/// With a memo, nodes already in it are trusted: the walk stops there
+/// and never re-infers them or anything below them, so it infers each
+/// node not yet memoized exactly once and adds exactly those. Entries
+/// are keyed by address, so a memo kept across plan rewrites must
+/// never hold a freed node (see RetainSchemas).
+Result<Schema> InferSchemas(const OpPtr& root, SchemaMap* schemas = nullptr);
+
+/// Cut `memo` down to the nodes of `plan`. A caller that keeps one memo
+/// across rewrites calls this at the start of each round, and keeps
+/// every memoized node alive until then: a freed node's address may be
+/// reused by a new node, which would inherit the stale entry.
+void RetainSchemas(const PlanNumbering& plan, SchemaMap* memo);
 
 /// Convenience: validate the whole plan, discarding schemas.
 Status ValidatePlan(const OpPtr& root);

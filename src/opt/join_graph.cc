@@ -141,8 +141,7 @@ OpPtr RemoveKeyDistincts(const OpPtr& root, const alg::KeyAnalysis& ka,
 /// from attach constants / 1-row literal tables through fun chains).
 /// Returns nullptr when the column is not provably constant.
 OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
-                    const std::string& out,
-                    const std::unordered_map<const Op*, alg::Schema>& schemas,
+                    const std::string& out, const alg::SchemaMap& schemas,
                     int depth) {
   if (depth > 24 || base == nullptr) return nullptr;
   switch (op->kind) {
@@ -377,7 +376,7 @@ struct SelectPusher {
   OpPtr TrySide(const Op* sel, const std::vector<const Op*>& chain,
                 const Op* join, int s, const PredExprPtr& pred,
                 const std::vector<std::string>& other,
-                const std::unordered_map<const Op*, alg::Schema>& schemas) {
+                const alg::SchemaMap& schemas) {
     OpPtr side = join->children[s];
     std::unordered_map<std::string, std::string> ren;
     for (const auto& c : other) {
@@ -415,18 +414,24 @@ struct SelectPusher {
     return top;
   }
 
-  Result<OpPtr> Run(OpPtr cur) {
+  /// `schemas` is the caller's memo: each round cuts it to its input
+  /// plan and infers only the nodes it lacks.
+  Result<OpPtr> Run(OpPtr cur, alg::SchemaMap& schemas) {
+    OpPtr pinned;  // the plan the memo was last cut to
     for (int round = 0; round < 4; ++round) {
-      std::unordered_map<const Op*, alg::Schema> schemas;
+      alg::PlanNumbering plan = alg::NumberPlan(cur);
+      alg::RetainSchemas(plan, &schemas);
+      pinned = cur;
       PF_RETURN_NOT_OK(alg::InferSchemas(cur, &schemas).status());
-      std::vector<Op*> order = alg::TopoOrder(cur);
-      std::unordered_map<const Op*, int> consumers;
-      for (Op* op : order) {
-        consumers[op];
-        for (const auto& c : op->children) consumers[c.get()]++;
+      std::vector<int> consumers(plan.nodes.size(), 0);
+      for (const Op* op : plan.nodes) {
+        for (const auto& c : op->children) consumers[plan.index.at(c.get())]++;
       }
+      auto consumers_of = [&](const Op* op) {
+        return consumers[plan.index.at(op)];
+      };
       std::unordered_map<const Op*, OpPtr> repl;
-      for (Op* op : order) {
+      for (Op* op : plan.nodes) {
         if (op->kind != OpKind::kSelect || done.count(op->id) != 0) continue;
         // Walk the predicate-computing chain down to a join.
         std::vector<const Op*> chain;
@@ -434,14 +439,14 @@ struct SelectPusher {
         while ((d->kind == OpKind::kFun1 || d->kind == OpKind::kFun2 ||
                 d->kind == OpKind::kAttach ||
                 d->kind == OpKind::kProject) &&
-               consumers.at(d) == 1 && chain.size() < 8) {
+               consumers_of(d) == 1 && chain.size() < 8) {
           chain.push_back(d);
           d = d->children[0].get();
         }
         if (chain.empty()) continue;
         if ((d->kind != OpKind::kEquiJoin &&
              d->kind != OpKind::kThetaJoin) ||
-            consumers.at(d) != 1) {
+            consumers_of(d) != 1) {
           continue;
         }
         PredExprPtr pred = EvalChain(chain, schemas.at(d), op->col);
@@ -483,9 +488,12 @@ struct SelectPusher {
         repl[op] = std::move(r);
         if (stats != nullptr) stats->selects_pushed++;
       }
-      if (repl.empty()) break;
+      if (repl.empty()) return cur;
       cur = Stitch(cur, repl);
     }
+    // Out of rounds: cut the memo to the returned plan while the plan it
+    // was last cut to is still pinned.
+    alg::RetainSchemas(alg::NumberPlan(cur), &schemas);
     return cur;
   }
 };
@@ -494,11 +502,11 @@ struct SelectPusher {
 
 Result<algebra::OpPtr> RemoveKeyDistinctsAndPushSelects(
     const algebra::OpPtr& root, const xml::Database* db,
-    JoinOptStats* stats) {
+    algebra::SchemaMap* schemas, JoinOptStats* stats) {
   alg::KeyAnalysis ka = alg::InferKeys(root, MakeStepUniqueness(db));
   OpPtr cur = RemoveKeyDistincts(root, ka, stats);
   SelectPusher sp{stats, {}};
-  return sp.Run(std::move(cur));
+  return sp.Run(std::move(cur), *schemas);
 }
 
 }  // namespace pathfinder::opt

@@ -3,6 +3,7 @@
 
 #include "algebra/join_pattern.h"
 #include "algebra/op.h"
+#include "algebra/schema.h"
 #include "base/result.h"
 
 namespace pathfinder::xml {
@@ -39,11 +40,16 @@ algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db);
 /// Both keep the exact row sequence, so results stay byte-identical.
 /// Join order is the compiler's: nothing here reorders joins.
 ///
+/// `schemas` is the optimizer's schema memo (algebra/schema.h): the
+/// pass reads it, adds the nodes it lacks and cuts it to each of its
+/// rounds' plans. Every node it holds on entry must stay alive until
+/// the call returns; on return it holds only nodes of the result.
+///
 /// Returns a fresh DAG wherever something fired; untouched subtrees are
 /// shared with the input.
 Result<algebra::OpPtr> RemoveKeyDistinctsAndPushSelects(
     const algebra::OpPtr& root, const xml::Database* db,
-    JoinOptStats* stats = nullptr);
+    algebra::SchemaMap* schemas, JoinOptStats* stats = nullptr);
 
 }  // namespace pathfinder::opt
 

@@ -23,159 +23,150 @@ using ColSet = std::set<std::string>;
 
 // ---------------------------------------------------------------------
 // Dead-column analysis: which output columns of each node does any
-// consumer actually read?
+// consumer actually read? One set per node, indexed by the round's plan
+// numbering.
 
-struct Required {
-  std::unordered_map<const Op*, ColSet> req;
+using Required = std::vector<ColSet>;
 
-  void Add(const Op* op, const std::string& c) { req[op].insert(c); }
-  void AddAll(const Op* op, const ColSet& cs) {
-    req[op].insert(cs.begin(), cs.end());
+Required AnalyzeRequired(const alg::PlanNumbering& plan,
+                         const alg::SchemaMap& schemas) {
+  Required req(plan.nodes.size());
+  // Root (numbered last) needs its full schema.
+  for (const auto& [n, t] : schemas.at(plan.nodes.back()).cols) {
+    req.back().insert(n);
   }
-  void AddSchema(const Op* op, const alg::Schema& s) {
-    for (const auto& [n, t] : s.cols) req[op].insert(n);
-  }
-};
-
-Result<Required> AnalyzeRequired(
-    const OpPtr& root,
-    const std::unordered_map<const Op*, alg::Schema>& schemas) {
-  Required r;
-  std::vector<Op*> order = alg::TopoOrder(root);
-  // Root needs its full schema.
-  r.AddSchema(root.get(), schemas.at(root.get()));
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Op* op = *it;
-    const ColSet& R = r.req[op];
-    auto child = [&](size_t i) { return op->children[i].get(); };
+  for (size_t i = plan.nodes.size(); i-- > 0;) {
+    const Op* op = plan.nodes[i];
+    const ColSet& R = req[i];
+    auto kid = [&](size_t k) -> ColSet& {
+      return req[plan.index.at(op->children[k].get())];
+    };
+    auto kid_schema = [&](size_t k) -> const alg::Schema& {
+      return schemas.at(op->children[k].get());
+    };
+    auto add_schema = [&](size_t k) {
+      ColSet& need = kid(k);
+      for (const auto& [n, t] : kid_schema(k).cols) need.insert(n);
+    };
+    // Everything required of op except its own new column `out`.
+    auto add_all_but = [&](size_t k, const std::string& out) {
+      ColSet& need = kid(k);
+      for (const auto& c : R) {
+        if (c != out) need.insert(c);
+      }
+    };
     switch (op->kind) {
       case OpKind::kLitTable:
         break;
-      case OpKind::kProject:
+      case OpKind::kProject: {
+        ColSet& need = kid(0);
         for (const auto& [nw, old] : op->proj) {
-          if (R.count(nw)) r.Add(child(0), old);
+          if (R.count(nw)) need.insert(old);
         }
         break;
-      case OpKind::kAttach: {
-        ColSet cs = R;
-        cs.erase(op->out);
-        r.AddAll(child(0), cs);
-        break;
       }
+      case OpKind::kAttach:
+        add_all_but(0, op->out);
+        break;
       case OpKind::kSelect: {
-        r.AddAll(child(0), R);
-        r.Add(child(0), op->col);
+        ColSet& need = kid(0);
+        need.insert(R.begin(), R.end());
+        need.insert(op->col);
         break;
       }
       case OpKind::kDisjointUnion:
         // Both sides must keep identical schemas; narrowing only one
         // side (whichever happens to be a Project) would desynchronize
         // them, so require the full width from both.
-        r.AddSchema(child(0), schemas.at(child(0)));
-        r.AddSchema(child(1), schemas.at(child(1)));
+        add_schema(0);
+        add_schema(1);
         break;
       case OpKind::kDifference: {
-        r.AddAll(child(0), R);
+        ColSet& need0 = kid(0);
+        ColSet& need1 = kid(1);
+        need0.insert(R.begin(), R.end());
         for (const auto& k : op->keys) {
-          r.Add(child(0), k);
-          r.Add(child(1), k);
+          need0.insert(k);
+          need1.insert(k);
         }
         break;
       }
       case OpKind::kDistinct: {
         if (op->keys.empty()) {
-          r.AddSchema(child(0), schemas.at(child(0)));
+          add_schema(0);
         } else {
-          r.AddAll(child(0), R);
-          for (const auto& k : op->keys) r.Add(child(0), k);
+          ColSet& need = kid(0);
+          need.insert(R.begin(), R.end());
+          need.insert(op->keys.begin(), op->keys.end());
         }
         break;
       }
       case OpKind::kEquiJoin:
       case OpKind::kThetaJoin:
       case OpKind::kCross: {
-        const alg::Schema& sa = schemas.at(child(0));
-        const alg::Schema& sb = schemas.at(child(1));
+        const alg::Schema& sa = kid_schema(0);
+        const alg::Schema& sb = kid_schema(1);
+        ColSet& need0 = kid(0);
+        ColSet& need1 = kid(1);
         for (const auto& c : R) {
-          if (sa.Has(c)) r.Add(child(0), c);
-          if (sb.Has(c)) r.Add(child(1), c);
+          if (sa.Has(c)) need0.insert(c);
+          if (sb.Has(c)) need1.insert(c);
         }
         if (op->kind != OpKind::kCross) {
-          r.Add(child(0), op->col);
-          r.Add(child(1), op->col2);
+          need0.insert(op->col);
+          need1.insert(op->col2);
         } else {
           // A side with nothing required still contributes its row
           // count; keep its first column.
-          if (r.req[child(0)].empty() && !sa.cols.empty()) {
-            r.Add(child(0), sa.cols[0].first);
+          if (need0.empty() && !sa.cols.empty()) {
+            need0.insert(sa.cols[0].first);
           }
-          if (r.req[child(1)].empty() && !sb.cols.empty()) {
-            r.Add(child(1), sb.cols[0].first);
+          if (need1.empty() && !sb.cols.empty()) {
+            need1.insert(sb.cols[0].first);
           }
         }
         break;
       }
       case OpKind::kRowNum: {
-        ColSet cs = R;
-        cs.erase(op->out);
-        r.AddAll(child(0), cs);
-        for (const auto& k : op->part) r.Add(child(0), k);
-        for (const auto& k : op->order) r.Add(child(0), k);
+        add_all_but(0, op->out);
+        ColSet& need = kid(0);
+        need.insert(op->part.begin(), op->part.end());
+        need.insert(op->order.begin(), op->order.end());
         break;
       }
       case OpKind::kStep:
       case OpKind::kDocRoot:
       case OpKind::kPathScan:
-        r.Add(child(0), "iter");
-        r.Add(child(0), "item");
+        kid(0).insert({"iter", "item"});
         break;
       case OpKind::kElemConstr:
-        r.Add(child(0), "iter");
-        r.Add(child(0), "item");
-        r.Add(child(1), "iter");
-        r.Add(child(1), "pos");
-        r.Add(child(1), "item");
+        kid(0).insert({"iter", "item"});
+        kid(1).insert({"iter", "pos", "item"});
         break;
       case OpKind::kTextConstr:
       case OpKind::kAttrConstr:
-        r.Add(child(0), "iter");
-        r.Add(child(0), "pos");
-        r.Add(child(0), "item");
+      case OpKind::kSerialize:
+        kid(0).insert({"iter", "pos", "item"});
         break;
       case OpKind::kStrJoin:
-        r.Add(child(0), "iter");
-        r.Add(child(0), "pos");
-        r.Add(child(0), "item");
-        r.Add(child(1), "iter");
-        r.Add(child(1), "item");
+        kid(0).insert({"iter", "pos", "item"});
+        kid(1).insert({"iter", "item"});
         break;
-      case OpKind::kFun1: {
-        ColSet cs = R;
-        cs.erase(op->out);
-        r.AddAll(child(0), cs);
-        r.Add(child(0), op->col);
+      case OpKind::kFun1:
+        add_all_but(0, op->out);
+        kid(0).insert(op->col);
         break;
-      }
-      case OpKind::kFun2: {
-        ColSet cs = R;
-        cs.erase(op->out);
-        r.AddAll(child(0), cs);
-        r.Add(child(0), op->col);
-        r.Add(child(0), op->col2);
+      case OpKind::kFun2:
+        add_all_but(0, op->out);
+        kid(0).insert({op->col, op->col2});
         break;
-      }
       case OpKind::kAggr:
-        r.Add(child(0), op->col);
-        if (!op->col2.empty()) r.Add(child(0), op->col2);
-        break;
-      case OpKind::kSerialize:
-        r.Add(child(0), "iter");
-        r.Add(child(0), "pos");
-        r.Add(child(0), "item");
+        kid(0).insert(op->col);
+        if (!op->col2.empty()) kid(0).insert(op->col2);
         break;
     }
   }
-  return r;
+  return req;
 }
 
 // ---------------------------------------------------------------------
@@ -252,12 +243,12 @@ class Optimizer {
   Result<OpPtr> Run(OpPtr cur) {
     if (stats_) {
       *stats_ = OptimizeStats{};  // a reused struct must not accumulate
-      stats_->ops_before = alg::CountOps(cur);
     }
     for (int round = 0; round < 8; ++round) {
       if (stats_) stats_->rounds = round + 1;
       changed_ = false;
       PF_ASSIGN_OR_RETURN(cur, Pass(cur));
+      if (stats_ && round == 0) stats_->ops_before = plan_.nodes.size();
       if (!changed_) break;
     }
     if (opts_.path_summary) {
@@ -279,7 +270,7 @@ class Optimizer {
     if (opts_.join_opt) {
       JoinOptStats js;
       PF_ASSIGN_OR_RETURN(
-          cur, RemoveKeyDistinctsAndPushSelects(cur, opts_.db, &js));
+          cur, RemoveKeyDistinctsAndPushSelects(cur, opts_.db, &schemas_, &js));
       if (stats_) {
         stats_->selects_pushed = js.selects_pushed;
         stats_->key_distincts_removed = js.key_distincts_removed;
@@ -299,25 +290,32 @@ class Optimizer {
       cur = cse.Rec(cur);
       if (stats_) stats_->cse_merges = cse.merges();
     }
-    PF_RETURN_NOT_OK(alg::ValidatePlan(cur));
-    if (stats_) stats_->ops_after = alg::CountOps(cur);
+    // Validate the whole plan with a fresh memo: the shared one vouches
+    // only for what it inferred itself.
+    alg::SchemaMap final_schemas;
+    PF_RETURN_NOT_OK(alg::InferSchemas(cur, &final_schemas).status());
+    if (stats_) stats_->ops_after = final_schemas.size();
     return cur;
   }
 
  private:
-  /// One rewrite pass: recompute schemas and requirements, then rebuild
-  /// the DAG bottom-up applying local rules.
+  /// One rewrite pass: number the plan, infer the schemas of the nodes
+  /// the memo lacks and the required columns, then rebuild the DAG
+  /// bottom-up applying local rules.
   Result<OpPtr> Pass(const OpPtr& root) {
-    schemas_.clear();
+    plan_ = alg::NumberPlan(root);
+    alg::RetainSchemas(plan_, &schemas_);
+    // Only now may the previous round's nodes die: none is memoized.
+    pinned_ = root;
+    rebuilt_.assign(plan_.nodes.size(), nullptr);
     PF_RETURN_NOT_OK(alg::InferSchemas(root, &schemas_).status());
-    PF_ASSIGN_OR_RETURN(required_, AnalyzeRequired(root, schemas_));
-    memo_.clear();
+    required_ = AnalyzeRequired(plan_, schemas_);
     return RebuildRec(root);
   }
 
   Result<OpPtr> RebuildRec(const OpPtr& op) {
-    auto it = memo_.find(op.get());
-    if (it != memo_.end()) return it->second;
+    const size_t orig = plan_.index.at(op.get());
+    if (rebuilt_[orig]) return rebuilt_[orig];
     std::vector<OpPtr> kids;
     bool kid_changed = false;
     for (const auto& c : op->children) {
@@ -331,16 +329,17 @@ class Optimizer {
       node->children = kids;
       changed_ = true;
     }
-    PF_ASSIGN_OR_RETURN(OpPtr rewritten, RewriteNode(node, op.get()));
-    memo_[op.get()] = rewritten;
+    PF_ASSIGN_OR_RETURN(OpPtr rewritten, RewriteNode(node, orig));
+    rebuilt_[orig] = rewritten;
     return rewritten;
   }
 
-  /// Local rules; `orig` is the pre-rebuild node (key for required_).
-  Result<OpPtr> RewriteNode(OpPtr op, const Op* orig) {
+  /// Local rules; `orig` is the pre-rebuild node's number (its index
+  /// into required_).
+  Result<OpPtr> RewriteNode(OpPtr op, size_t orig) {
     // Rule: drop dead projection entries.
     if (op->kind == OpKind::kProject) {
-      const ColSet& R = required_.req[orig];
+      const ColSet& R = required_[orig];
       if (!R.empty() && R.size() < op->proj.size()) {
         std::vector<std::pair<std::string, std::string>> kept;
         for (const auto& pr : op->proj) {
@@ -518,7 +517,8 @@ class Optimizer {
   const alg::Schema* FindSchema(const OpPtr& op) {
     auto it = schemas_.find(op.get());
     if (it != schemas_.end()) return &it->second;
-    // Nodes created during this pass: infer on demand.
+    // Nodes created during this pass: infer on demand, down to the
+    // memoized nodes. rebuilt_ keeps them alive until the next cut.
     auto r = alg::InferSchemas(op, &schemas_);
     if (!r.ok()) return nullptr;
     return &schemas_.at(op.get());
@@ -535,9 +535,16 @@ class Optimizer {
   OptimizeStats* stats_;
   OptimizeOptions opts_;
   bool changed_ = false;
-  std::unordered_map<const Op*, alg::Schema> schemas_;
+  // One schema memo for the whole call: every round, the cleanups and
+  // the join-graph pass infer each node once. Pass cuts it to the
+  // round's input plan, which pinned_ keeps alive until the next cut.
+  alg::SchemaMap schemas_;
+  OpPtr pinned_;
+  // This round: the input plan's numbering, the columns each of its
+  // nodes must keep, and what each node was rebuilt into.
+  alg::PlanNumbering plan_;
   Required required_;
-  std::unordered_map<const Op*, OpPtr> memo_;
+  std::vector<OpPtr> rebuilt_;
 };
 
 }  // namespace

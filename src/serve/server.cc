@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -222,6 +223,11 @@ void Server::AcceptLoop() {
       ::close(fd);
       continue;
     }
+    // WriteLine sends an answer in chunks; with Nagle's algorithm on,
+    // each chunk after the first would wait for the client's ACK, which
+    // a client that delays its ACKs holds back for its timer.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto s = std::make_shared<Session>();
     s->id = next_id++;
     s->fd = fd;

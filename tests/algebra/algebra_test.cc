@@ -30,6 +30,20 @@ TEST(OpTest, TopoOrderChildrenFirst) {
   EXPECT_EQ(order[2], prj.get());
 }
 
+TEST(OpTest, NumberPlanIsTopoOrderWithIndex) {
+  OpPtr shared = Loop1();
+  OpPtr a = Attach(shared, "pos", bat::ColType::kInt, Item::Int(1));
+  OpPtr b = Attach(shared, "pos", bat::ColType::kInt, Item::Int(2));
+  OpPtr u = DisjointUnion(a, b);
+  PlanNumbering plan = NumberPlan(u);
+  EXPECT_EQ(plan.nodes, TopoOrder(u));
+  ASSERT_EQ(plan.index.size(), plan.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    EXPECT_EQ(plan.index.at(plan.nodes[i]), i);
+  }
+  EXPECT_EQ(plan.nodes.back(), u.get());
+}
+
 TEST(OpTest, TopoOrderSurvivesDeepChains) {
   OpPtr cur = Loop1();
   for (int i = 0; i < 50000; ++i) {
@@ -45,6 +59,43 @@ TEST(SchemaTest, InferSimplePlan) {
   auto s = InferSchemas(plan);
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   EXPECT_EQ(s->ToString(), "iter:int | pos:int | item:item");
+}
+
+TEST(SchemaTest, MemoizedSubtreesAreNotRewalked) {
+  // The child's own subtree is invalid (π of an unknown column), but a
+  // memoized node is trusted: inference stops there.
+  OpPtr bad = Project(Loop1(), {{"iter", "nope"}});
+  OpPtr child = Attach(bad, "pos", bat::ColType::kInt, Item::Int(1));
+  OpPtr parent = Project(child, {{"iter", "iter"}});
+  SchemaMap memo;
+  memo[child.get()].cols = {{"iter", bat::ColType::kInt},
+                            {"pos", bat::ColType::kInt}};
+  auto s = InferSchemas(parent, &memo);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(s->ToString(), "iter:int");
+  EXPECT_EQ(memo.size(), 2u);  // the seeded child plus the parent
+  EXPECT_TRUE(memo.count(parent.get()));
+
+  // Without the memo the whole plan is checked, as ValidatePlan does.
+  SchemaMap empty;
+  auto full = InferSchemas(parent, &empty);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(ValidatePlan(parent).ok());
+}
+
+TEST(SchemaTest, RetainSchemasKeepsOnlyThePlansNodes) {
+  OpPtr lit = Loop1();
+  OpPtr att = Attach(lit, "pos", bat::ColType::kInt, Item::Int(1));
+  OpPtr other = Project(lit, {{"i", "iter"}});
+  SchemaMap memo;
+  ASSERT_TRUE(InferSchemas(att, &memo).ok());
+  ASSERT_TRUE(InferSchemas(other, &memo).ok());
+  EXPECT_EQ(memo.size(), 3u);
+  RetainSchemas(NumberPlan(att), &memo);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_TRUE(memo.count(lit.get()));
+  EXPECT_TRUE(memo.count(att.get()));
 }
 
 TEST(SchemaTest, RejectsUnknownColumn) {

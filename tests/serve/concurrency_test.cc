@@ -48,6 +48,9 @@ class ServeConcurrencyTest : public ::testing::Test {
 
     Server::Options so;
     so.max_inflight = 4;
+    // The test asserts cross-client plan-cache hits, so it must not
+    // inherit an ambient PF_CACHE_MB=0.
+    so.query_options.cache_budget_bytes = int64_t{64} << 20;
     server_ = std::make_unique<Server>(&db_, so);
     ASSERT_TRUE(server_->Start().ok());
   }
