@@ -9,8 +9,8 @@
 
 #include "accel/step.h"
 #include "baseline/dom.h"
+#include "baseline/node_build.h"
 #include "bat/item_ops.h"
-#include "engine/node_build.h"
 #include "frontend/normalize.h"
 #include "frontend/parser.h"
 #include "runtime/serialize.h"
@@ -106,12 +106,12 @@ class Interp {
         return EvalElem(e);
       case ExprKind::kAttrConstr: {
         PF_ASSIGN_OR_RETURN(std::string v, PartsToString(e->children));
-        return Seq{engine::BuildAttribute(ctx_, e->sval, v)};
+        return Seq{BuildAttribute(ctx_, e->sval, v)};
       }
       case ExprKind::kTextConstr: {
         PF_ASSIGN_OR_RETURN(Seq s, Eval(e->children[0]));
         PF_ASSIGN_OR_RETURN(std::string v, SeqToString(s));
-        return Seq{engine::BuildText(ctx_, v)};
+        return Seq{BuildText(ctx_, v)};
       }
       case ExprKind::kDdo: {
         PF_ASSIGN_OR_RETURN(Seq s, Eval(e->children[0]));
@@ -523,7 +523,7 @@ class Interp {
       content.insert(content.end(), s.begin(), s.end());
     }
     PF_ASSIGN_OR_RETURN(Item node,
-                        engine::BuildElement(ctx_, name, content));
+                        BuildElement(ctx_, name, content));
     return Seq{node};
   }
 

@@ -1,13 +1,11 @@
 #include "bat/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bat/item_ops.h"
 
@@ -26,9 +24,8 @@ constexpr size_t kMorselRows = 4096;
 constexpr size_t kThetaPairsPerMorsel = size_t{1} << 16;
 constexpr size_t kGroupAggParRows = 8192;
 
-// Distinct/difference hash partitions (power of two). PartitionOf
-// remixes the key hash so that e.g. libstdc++'s identity
-// std::hash<int64_t> still spreads consecutive keys across partitions.
+// Distinct/difference hash partitions (power of two), chosen by the
+// top bits of a row's key hash (see HashKeys).
 constexpr size_t kJoinPartitions = 32;
 
 // Fibonacci remix: one multiply spreads entropy into the top bits,
@@ -37,8 +34,8 @@ inline uint64_t MixHash(size_t h) {
   return static_cast<uint64_t>(h) * 0x9E3779B97F4A7C15ull;
 }
 
-inline size_t PartitionOf(size_t h) {
-  return static_cast<size_t>(MixHash(h) >> 59);  // top log2(32) bits
+inline size_t PartitionOf(uint64_t key_hash) {
+  return static_cast<size_t>(key_hash >> 59);  // top log2(32) bits
 }
 
 // Wall-clock for the optional KernelPhases accounting. The kernels
@@ -84,39 +81,108 @@ const KernelTuning& KernelTuning::Default() {
 
 namespace {
 
-// Append a fixed-width, type-tagged encoding of cell (c, row) to `out`.
-// Representation equality of encodings == representation equality of
-// cells, which is what distinct/difference on surrogate columns need.
-void AppendCellKey(std::string* out, const Column& c, size_t row) {
-  char buf[1 + sizeof(uint64_t)];
-  uint64_t v = 0;
+// Distinct/difference keys. A row's key is the tuple of its key cells'
+// fixed-width images: a type tag and the cell's 64 bits. Two images are
+// equal exactly when the cells are representation-equal, which is what
+// distinct/difference on surrogate columns need: doubles compare by bit
+// pattern, items by kind plus raw, and cells of different column types
+// never match.
+struct CellImage {
+  uint8_t tag;
+  uint64_t bits;
+  friend bool operator==(const CellImage&, const CellImage&) = default;
+};
+
+inline CellImage ImageOf(const Column& c, size_t row) {
   switch (c.type()) {
     case ColType::kInt:
-      buf[0] = 'i';
-      v = static_cast<uint64_t>(c.ints()[row]);
-      break;
+      return {'i', static_cast<uint64_t>(c.ints()[row])};
     case ColType::kDbl:
-      buf[0] = 'd';
-      std::memcpy(&v, &c.dbls()[row], sizeof(double));
-      break;
+      return {'d', std::bit_cast<uint64_t>(c.dbls()[row])};
     case ColType::kStr:
-      buf[0] = 's';
-      v = c.strs()[row];
-      break;
+      return {'s', c.strs()[row]};
     case ColType::kBool:
-      buf[0] = 'b';
-      v = c.bools()[row];
-      break;
+      return {'b', c.bools()[row]};
     case ColType::kItem: {
       const Item& it = c.items()[row];
-      buf[0] = static_cast<char>('A' + static_cast<int>(it.kind));
-      v = it.raw;
-      break;
+      return {static_cast<uint8_t>('A' + static_cast<int>(it.kind)), it.raw};
     }
   }
-  std::memcpy(buf + 1, &v, sizeof(v));
-  out->append(buf, sizeof(buf));
+  return {0, 0};
 }
+
+// Row `ra` of columns `a` and row `rb` of columns `b` (same count) carry
+// equal keys.
+bool SameKey(const std::vector<const Column*>& a, size_t ra,
+             const std::vector<const Column*>& b, size_t rb) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!(ImageOf(*a[i], ra) == ImageOf(*b[i], rb))) return false;
+  }
+  return true;
+}
+
+// Key hashes of rows [lo, hi) into h[lo, hi), one column at a time; each
+// cell image is folded in through the splitmix64 finalizer, so the low
+// bits (RowSet slots) and the top bits (PartitionOf) are both mixed.
+void HashKeys(const std::vector<const Column*>& cols, size_t lo, size_t hi,
+              uint64_t* h) {
+  std::fill(h + lo, h + hi, uint64_t{0});
+  for (const Column* c : cols) {
+    for (size_t r = lo; r < hi; ++r) {
+      CellImage img = ImageOf(*c, r);
+      uint64_t x = (h[r] + img.tag * 0x9E3779B97F4A7C15ull) ^ img.bits;
+      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+      x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+      h[r] = x ^ (x >> 31);
+    }
+  }
+}
+
+// Flat open-addressing set of row indices, keyed by the rows' key
+// hashes: linear probing at a load factor of at most 1/2. A slot packs
+// the upper half of the row's hash with its index, so most probes that
+// miss are decided without reading a column. `same(stored_row)` decides
+// key equality for the row being inserted or looked up.
+class RowSet {
+ public:
+  explicit RowSet(size_t rows)
+      : mask_(std::bit_ceil(std::max<size_t>(2 * rows, 8)) - 1),
+        slots_(mask_ + 1, kEmpty) {}
+
+  // Inserts row `r` (hash `h`) unless an equal key is stored; true if
+  // it was inserted.
+  template <typename Same>
+  bool Insert(RowIdx r, uint64_t h, const Same& same) {
+    size_t i = Probe(h, same);
+    if (slots_[i] != kEmpty) return false;
+    slots_[i] = (h & kHashHalf) | r;
+    return true;
+  }
+
+  template <typename Same>
+  bool Contains(uint64_t h, const Same& same) const {
+    return slots_[Probe(h, same)] != kEmpty;
+  }
+
+ private:
+  static constexpr uint64_t kHashHalf = ~uint64_t{0} << 32;
+  // No row reaches index 2^32 - 1, so no stored slot is all ones.
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+
+  // The slot holding an equal key, or the empty slot ending the probe.
+  template <typename Same>
+  size_t Probe(uint64_t h, const Same& same) const {
+    const uint64_t half = h & kHashHalf;
+    for (size_t i = h & mask_;; i = (i + 1) & mask_) {
+      uint64_t s = slots_[i];
+      if (s == kEmpty) return i;
+      if ((s & kHashHalf) == half && same(static_cast<RowIdx>(s))) return i;
+    }
+  }
+
+  size_t mask_;
+  std::vector<uint64_t> slots_;
+};
 
 Result<std::vector<const Column*>> ResolveCols(
     const Table& t, const std::vector<std::string>& names) {
@@ -131,13 +197,6 @@ Result<std::vector<const Column*>> ResolveCols(
     cols.push_back(t.col(static_cast<size_t>(i)).get());
   }
   return cols;
-}
-
-std::string RowKey(const std::vector<const Column*>& cols, size_t row) {
-  std::string key;
-  key.reserve(cols.size() * 9);
-  for (const Column* c : cols) AppendCellKey(&key, *c, row);
-  return key;
 }
 
 // Three-way comparison of two rows under the given key columns; ties at
@@ -1049,12 +1108,14 @@ Result<IdxVec> DistinctIndices(const Table& t,
                                ThreadPool* tp) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
   size_t n = t.rows();
+  std::vector<uint64_t> hashes(n);
   if (tp == nullptr || n < 2 * kMorselRows) {
-    std::unordered_set<std::string> seen;
-    seen.reserve(n * 2);
+    HashKeys(cols, 0, n, hashes.data());
+    RowSet seen(n);
     IdxVec out;
     for (size_t r = 0; r < n; ++r) {
-      if (seen.insert(RowKey(cols, r)).second) {
+      auto same = [&](RowIdx s) { return SameKey(cols, r, cols, s); };
+      if (seen.Insert(static_cast<RowIdx>(r), hashes[r], same)) {
         out.push_back(static_cast<RowIdx>(r));
       }
     }
@@ -1067,23 +1128,24 @@ Result<IdxVec> DistinctIndices(const Table& t,
   // the serial scan would keep. Distinct partitions never share a row,
   // so the byte-per-row marks vector is written race-free.
   size_t chunks = ThreadPool::NumChunks(n, kMorselRows);
-  std::vector<std::string> rowkeys(n);
   std::vector<std::vector<IdxVec>> buckets(
       chunks, std::vector<IdxVec>(kJoinPartitions));
-  std::hash<std::string_view> hasher;
   ParallelFor(tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
+    HashKeys(cols, lo, hi, hashes.data());
     auto& bk = buckets[c];
     for (size_t r = lo; r < hi; ++r) {
-      rowkeys[r] = RowKey(cols, r);
-      bk[PartitionOf(hasher(rowkeys[r]))].push_back(static_cast<RowIdx>(r));
+      bk[PartitionOf(hashes[r])].push_back(static_cast<RowIdx>(r));
     }
   });
   std::vector<uint8_t> first(n, 0);
   ParallelFor(tp, kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
-    std::unordered_set<std::string_view> seen;
+    size_t rows = 0;
+    for (size_t c = 0; c < chunks; ++c) rows += buckets[c][p].size();
+    RowSet seen(rows);
     for (size_t c = 0; c < chunks; ++c) {
       for (RowIdx r : buckets[c][p]) {
-        if (seen.insert(rowkeys[r]).second) first[r] = 1;
+        auto same = [&](RowIdx s) { return SameKey(cols, r, cols, s); };
+        if (seen.Insert(r, hashes[r], same)) first[r] = 1;
       }
     }
   });
@@ -1151,24 +1213,35 @@ Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
                       ResolveCols(a, keys));
   size_t na = a.rows();
   size_t nb = b.rows();
-  if (nb == 0) {
-    // Nothing can be subtracted: a \ ∅ = a. Skip key encoding entirely
-    // and hand back the identity index vector.
+  auto all_of_a = [na] {
     IdxVec out(na);
     for (size_t r = 0; r < na; ++r) out[r] = static_cast<RowIdx>(r);
     return out;
-  }
+  };
+  // Nothing can be subtracted: a \ ∅ = a. Skip hashing entirely and
+  // hand back the identity index vector.
+  if (nb == 0) return all_of_a();
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> bcols,
                       ResolveCols(b, keys));
+  // Key tuples of different widths never match.
+  if (bcols.size() != acols.size()) return all_of_a();
+  std::vector<uint64_t> ahashes(na);
+  std::vector<uint64_t> bhashes(nb);
+  auto in_b = [&](size_t r, const RowSet& set) {
+    auto same = [&](RowIdx s) { return SameKey(acols, r, bcols, s); };
+    return set.Contains(ahashes[r], same);
+  };
   if (tp == nullptr || (na < 2 * kMorselRows && nb < 2 * kMorselRows)) {
-    std::unordered_set<std::string> present;
-    present.reserve(nb * 2);
-    for (size_t r = 0; r < nb; ++r) present.insert(RowKey(bcols, r));
+    HashKeys(bcols, 0, nb, bhashes.data());
+    RowSet present(nb);
+    for (size_t r = 0; r < nb; ++r) {
+      auto same = [&](RowIdx s) { return SameKey(bcols, r, bcols, s); };
+      present.Insert(static_cast<RowIdx>(r), bhashes[r], same);
+    }
+    HashKeys(acols, 0, na, ahashes.data());
     IdxVec out;
     for (size_t r = 0; r < na; ++r) {
-      if (!present.count(RowKey(acols, r))) {
-        out.push_back(static_cast<RowIdx>(r));
-      }
+      if (!in_b(r, present)) out.push_back(static_cast<RowIdx>(r));
     }
     return out;
   }
@@ -1178,34 +1251,35 @@ Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
   // kept rows with the two-pass prefix pattern — output order is a's
   // row order, identical to the serial scan.
   size_t bchunks = ThreadPool::NumChunks(nb, kMorselRows);
-  std::vector<std::string> bkeys(nb);
   std::vector<std::vector<IdxVec>> buckets(
       bchunks, std::vector<IdxVec>(kJoinPartitions));
-  std::hash<std::string_view> hasher;
   ParallelFor(tp, nb, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
+    HashKeys(bcols, lo, hi, bhashes.data());
     auto& bk = buckets[c];
     for (size_t r = lo; r < hi; ++r) {
-      bkeys[r] = RowKey(bcols, r);
-      bk[PartitionOf(hasher(bkeys[r]))].push_back(static_cast<RowIdx>(r));
+      bk[PartitionOf(bhashes[r])].push_back(static_cast<RowIdx>(r));
     }
   });
-  std::vector<std::unordered_set<std::string_view>> parts(kJoinPartitions);
+  std::vector<RowSet> parts(kJoinPartitions, RowSet(0));
   ParallelFor(tp, kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
+    size_t rows = 0;
+    for (size_t c = 0; c < bchunks; ++c) rows += buckets[c][p].size();
+    parts[p] = RowSet(rows);
     for (size_t c = 0; c < bchunks; ++c) {
-      for (RowIdx r : buckets[c][p]) parts[p].insert(bkeys[r]);
+      for (RowIdx r : buckets[c][p]) {
+        auto same = [&](RowIdx s) { return SameKey(bcols, r, bcols, s); };
+        parts[p].Insert(r, bhashes[r], same);
+      }
     }
   });
   size_t achunks = ThreadPool::NumChunks(na, kMorselRows);
   std::vector<uint8_t> keep(na, 0);
   std::vector<size_t> counts(achunks, 0);
   ParallelFor(tp, na, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
+    HashKeys(acols, lo, hi, ahashes.data());
     size_t cnt = 0;
-    std::string key;
     for (size_t r = lo; r < hi; ++r) {
-      key.clear();
-      for (const Column* col : acols) AppendCellKey(&key, *col, r);
-      const auto& ht = parts[PartitionOf(hasher(key))];
-      if (ht.find(std::string_view(key)) == ht.end()) {
+      if (!in_b(r, parts[PartitionOf(ahashes[r])])) {
         keep[r] = 1;
         ++cnt;
       }

@@ -38,8 +38,7 @@ using bat::Table;
 /// string value; atomics pass through.
 Result<Item> AtomizeItem(QueryContext* ctx, const Item& it) {
   if (!it.IsNode()) return it;
-  std::string sv = NodeStringValue(*ctx, it);
-  return Item::Untyped(ctx->pool()->Intern(sv));
+  return Item::Untyped(NodeStringId(ctx, it));
 }
 
 Result<Item> ArithItem(Fun2 f, const Item& a0, const Item& b0,
@@ -90,9 +89,7 @@ Result<int> CompareItems(const Item& a0, const Item& b0,
 }
 
 Result<StrId> ItemAsString(QueryContext* ctx, const Item& it) {
-  if (it.IsNode()) {
-    return ctx->pool()->Intern(NodeStringValue(*ctx, it));
-  }
+  if (it.IsNode()) return NodeStringId(ctx, it);
   return bat::ItemToString(it, ctx->pool());
 }
 
@@ -170,6 +167,7 @@ Result<ColumnPtr> EvalFun1(Fun1 f, const Column& in, QueryContext* ctx) {
     }
     case Fun1::kNameFn: {
       auto out = Column::MakeItem(n);
+      const StrId no_name = ctx->pool()->Intern("");
       for (const Item& it : in.items()) {
         if (!it.IsNode()) {
           return Status::TypeError("fn:name on a non-node");
@@ -180,7 +178,7 @@ Result<ColumnPtr> EvalFun1(Fun1 f, const Column& in, QueryContext* ctx) {
         StrId s = (k == xml::NodeKind::kElem || k == xml::NodeKind::kAttr ||
                    k == xml::NodeKind::kPi)
                       ? d.prop(v)
-                      : ctx->pool()->Intern("");
+                      : no_name;
         out->items().push_back(Item::Str(s));
       }
       return out;
@@ -1615,9 +1613,8 @@ class Exec {
       if (have_prev && iter == prev_iter) continue;  // first row per iter
       prev_iter = iter;
       have_prev = true;
-      PF_ASSIGN_OR_RETURN(StrId name_id,
+      PF_ASSIGN_OR_RETURN(StrId name,
                           ItemAsString(ctx_, item_c->items()[r]));
-      std::string name(ctx_->pool()->Get(name_id));
       auto cg = content_of.find(iter);
       const std::vector<Item>& items =
           cg == content_of.end() ? kNoContent : content_groups[cg->second].second;
@@ -1672,17 +1669,26 @@ class Exec {
     PF_ASSIGN_OR_RETURN(auto groups, GroupContent(content));
     auto out_iter = Column::MakeInt(groups.size());
     auto out_item = Column::MakeItem(groups.size());
+    const StrId name = is_attr ? ctx_->pool()->Intern(op.out) : 0;
     for (const auto& [iter, items] : groups) {
-      std::string joined;
-      for (size_t i = 0; i < items.size(); ++i) {
-        PF_ASSIGN_OR_RETURN(StrId s, ItemAsString(ctx_, items[i]));
-        if (i) joined += ' ';
-        joined += ctx_->pool()->Get(s);
+      // A single item's string value is the content as is; several
+      // join with single spaces.
+      StrId content = 0;
+      if (items.size() == 1) {
+        PF_ASSIGN_OR_RETURN(content, ItemAsString(ctx_, items[0]));
+      } else {
+        std::string joined;
+        for (size_t i = 0; i < items.size(); ++i) {
+          PF_ASSIGN_OR_RETURN(StrId s, ItemAsString(ctx_, items[i]));
+          if (i) joined += ' ';
+          joined += ctx_->pool()->Get(s);
+        }
+        content = ctx_->pool()->Intern(joined);
       }
       out_iter->ints().push_back(iter);
-      out_item->items().push_back(
-          is_attr ? BuildAttribute(ctx_, op.out, joined)
-                  : BuildText(ctx_, joined));
+      out_item->items().push_back(is_attr
+                                      ? BuildAttribute(ctx_, name, content)
+                                      : BuildText(ctx_, content));
     }
     Table t;
     t.AddCol("iter", std::move(out_iter));

@@ -1,6 +1,9 @@
 #include "engine/node_build.h"
 
+#include <string>
+
 #include "bat/item_ops.h"
+#include "xml/tree_builder.h"
 
 namespace pathfinder::engine {
 
@@ -9,60 +12,10 @@ using xml::NodeKind;
 using xml::Pre;
 using xml::TreeBuilder;
 
-namespace {
-
-/// Copy the subtree of `src` rooted at `v` into `builder`, reading
-/// names/contents through `pool` (the shared database pool, so the
-/// Intern calls inside the builder are cheap id lookups).
-void CopyRec(const Document& src, Pre v, const StringPool& pool,
-             TreeBuilder* builder) {
-  switch (src.kind(v)) {
-    case NodeKind::kDoc: {
-      // Document nodes are transparent: copy their children.
-      Pre end = v + src.size(v);
-      Pre w = v + 1;
-      while (w <= end) {
-        CopyRec(src, w, pool, builder);
-        w += src.size(w) + 1;
-      }
-      return;
-    }
-    case NodeKind::kElem: {
-      builder->StartElem(pool.Get(src.prop(v)));
-      Pre end = v + src.size(v);
-      Pre w = v + 1;
-      while (w <= end) {
-        CopyRec(src, w, pool, builder);
-        w += src.size(w) + 1;
-      }
-      builder->EndElem();
-      return;
-    }
-    case NodeKind::kAttr:
-      builder->Attr(pool.Get(src.prop(v)), pool.Get(src.value(v)));
-      return;
-    case NodeKind::kText:
-      builder->Text(pool.Get(src.value(v)));
-      return;
-    case NodeKind::kComment:
-      builder->Comment(pool.Get(src.value(v)));
-      return;
-    case NodeKind::kPi:
-      builder->Pi(pool.Get(src.prop(v)), pool.Get(src.value(v)));
-      return;
-  }
-}
-
-}  // namespace
-
-void CopySubtree(const Document& src, Pre v, TreeBuilder* builder) {
-  CopyRec(src, v, *builder->pool(), builder);
-}
-
-Result<Item> BuildElement(QueryContext* ctx, const std::string& name,
+Result<Item> BuildElement(QueryContext* ctx, StrId name,
                           const std::vector<Item>& items) {
-  const StringPool& pool = *ctx->pool();
-  TreeBuilder b(ctx->pool());
+  StringPool* pool = ctx->pool();
+  TreeBuilder b(pool);
   b.StartElem(name);
 
   // Attributes first (attribute items are hoisted regardless of their
@@ -71,32 +24,37 @@ Result<Item> BuildElement(QueryContext* ctx, const std::string& name,
     if (it.kind != ItemKind::kAttr) continue;
     const Document& d = ctx->doc(it.NodeFrag());
     Pre v = it.NodePre();
-    b.Attr(pool.Get(d.prop(v)), pool.Get(d.value(v)));
+    b.Attr(d.prop(v), d.value(v));
   }
 
-  std::string atomic_run;
-  bool have_atomic = false;
+  // A run of adjacent atomics becomes one text node. A run of one keeps
+  // its surrogate; longer runs are joined with single spaces (XQuery
+  // content construction rules) and interned once.
+  StrId run_first = 0;
+  size_t run_len = 0;
+  std::string joined;
   auto flush_atomics = [&]() {
-    if (have_atomic) {
-      b.Text(atomic_run);
-      atomic_run.clear();
-      have_atomic = false;
-    }
+    if (run_len == 0) return;
+    b.Text(run_len == 1 ? run_first : pool->Intern(joined));
+    run_len = 0;
   };
 
   for (const Item& it : items) {
     if (it.kind == ItemKind::kAttr) continue;
     if (it.kind == ItemKind::kNode) {
       flush_atomics();
-      CopyRec(ctx->doc(it.NodeFrag()), it.NodePre(), pool, &b);
+      b.CopySubtree(ctx->doc(it.NodeFrag()), it.NodePre());
       continue;
     }
-    // Atomic: adjacent atomics join with a single space into one text
-    // node (XQuery content construction rules).
-    PF_ASSIGN_OR_RETURN(StrId s, bat::ItemToString(it, ctx->pool()));
-    if (have_atomic) atomic_run += ' ';
-    atomic_run += ctx->pool()->Get(s);
-    have_atomic = true;
+    PF_ASSIGN_OR_RETURN(StrId s, bat::ItemToString(it, pool));
+    if (run_len == 0) {
+      run_first = s;
+    } else {
+      if (run_len == 1) joined.assign(pool->Get(run_first));
+      joined += ' ';
+      joined += pool->Get(s);
+    }
+    ++run_len;
   }
   flush_atomics();
 
@@ -106,7 +64,7 @@ Result<Item> BuildElement(QueryContext* ctx, const std::string& name,
   return Item::Node(frag, 1);  // the element sits at pre 1
 }
 
-Item BuildText(QueryContext* ctx, const std::string& content) {
+Item BuildText(QueryContext* ctx, StrId content) {
   TreeBuilder b(ctx->pool());
   // A wrapper element keeps the TreeBuilder invariants; the text node
   // itself is at pre 2 and is what the item references.
@@ -118,8 +76,7 @@ Item BuildText(QueryContext* ctx, const std::string& content) {
   return Item::Node(frag, 2);
 }
 
-Item BuildAttribute(QueryContext* ctx, const std::string& name,
-                    const std::string& value) {
+Item BuildAttribute(QueryContext* ctx, StrId name, StrId value) {
   TreeBuilder b(ctx->pool());
   b.StartElem("fs:attr-wrapper");
   b.Attr(name, value);
@@ -129,9 +86,23 @@ Item BuildAttribute(QueryContext* ctx, const std::string& name,
   return Item::Attr(frag, 2);
 }
 
-std::string NodeStringValue(const QueryContext& ctx, const Item& node) {
-  const Document& d = ctx.doc(node.NodeFrag());
-  return d.StringValue(node.NodePre(), ctx.pool());
+StrId NodeStringId(QueryContext* ctx, const Item& node) {
+  const Document& d = ctx->doc(node.NodeFrag());
+  Pre v = node.NodePre();
+  NodeKind k = d.kind(v);
+  if (k != NodeKind::kElem && k != NodeKind::kDoc) return d.value(v);
+  // An element or document whose only text descendant is one stored
+  // text node has that node's content as its string value.
+  const std::vector<uint8_t>& kinds = d.kinds();
+  const auto text = static_cast<uint8_t>(NodeKind::kText);
+  Pre end = v + d.size(v);
+  Pre only = 0;
+  int texts = 0;
+  for (Pre p = v + 1; p <= end && texts < 2; ++p) {
+    if (kinds[p] == text && texts++ == 0) only = p;
+  }
+  if (texts == 1) return d.value(only);
+  return ctx->pool()->Intern(d.StringValue(v, *ctx->pool()));
 }
 
 }  // namespace pathfinder::engine

@@ -1,41 +1,38 @@
 #ifndef PATHFINDER_ENGINE_NODE_BUILD_H_
 #define PATHFINDER_ENGINE_NODE_BUILD_H_
 
-#include <string>
 #include <vector>
 
 #include "base/result.h"
 #include "bat/item.h"
 #include "engine/query_context.h"
-#include "xml/tree_builder.h"
 
 namespace pathfinder::engine {
 
-/// Runtime for the ε/τ constructors (paper Table 1).
-
-/// Deep-copy the subtree rooted at `v` of `src` into `builder`
-/// (document nodes copy their children).
-void CopySubtree(const xml::Document& src, xml::Pre v,
-                 xml::TreeBuilder* builder);
+/// Runtime for the ε/τ constructors (paper Table 1). Names and contents
+/// arrive as surrogates in the context's pool; copied nodes keep theirs
+/// (see DESIGN.md, "Surrogates on the row paths").
 
 /// Construct one element node named `name` whose content is `items`
 /// (in sequence order). XQuery content rules: attribute items become
 /// attributes; nodes are deep-copied; runs of adjacent atomics are
 /// joined with single spaces into one text node.
 /// Returns the new node item.
-Result<Item> BuildElement(QueryContext* ctx, const std::string& name,
+Result<Item> BuildElement(QueryContext* ctx, StrId name,
                           const std::vector<Item>& items);
 
 /// Construct a text node with the given content.
-Item BuildText(QueryContext* ctx, const std::string& content);
+Item BuildText(QueryContext* ctx, StrId content);
 
 /// Construct a standalone attribute node name="value".
-Item BuildAttribute(QueryContext* ctx, const std::string& name,
-                    const std::string& value);
+Item BuildAttribute(QueryContext* ctx, StrId name, StrId value);
 
-/// The string value of a node item (attributes: their value; elements:
-/// concatenated descendant text).
-std::string NodeStringValue(const QueryContext& ctx, const Item& node);
+/// The string value of a node item (attributes, text, comments, PIs:
+/// their value; elements and documents: concatenated descendant text)
+/// as a surrogate. Equal to Intern(Document::StringValue); only an
+/// element or document whose string value is not a single stored text
+/// builds and interns a string.
+StrId NodeStringId(QueryContext* ctx, const Item& node);
 
 }  // namespace pathfinder::engine
 

@@ -110,13 +110,18 @@ struct PipelineExecStats {
 };
 
 /// Per-query runtime state: resolves fragment ids (persistent documents
-/// first, then fragments constructed by ε/τ during this query) and
-/// collects execution statistics.
+/// and fragments constructed by ε/τ during this query) and collects
+/// execution statistics.
 ///
-/// Node items carry (FragId, pre); ids below db->num_documents() are
-/// persistent, the rest index constructed_.
+/// Node items carry (FragId, pre). Constructed fragments number from
+/// kFirstConstructed in creation order; stored documents stay below
+/// 2^20 (xml::Database's directory bound). So a constructed id sorts
+/// after every stored document, and resolving one never reads the live
+/// document count, which registrations racing the query move.
 class QueryContext {
  public:
+  static constexpr xml::FragId kFirstConstructed = xml::FragId{1} << 31;
+
   explicit QueryContext(xml::Database* db) : db_(db) {}
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
@@ -128,19 +133,14 @@ class QueryContext {
   }
 
   const xml::Document& doc(xml::FragId id) const {
-    size_t n = db_->num_documents();
-    if (id < n) return db_->doc(id);
-    return *constructed_[id - n];
-  }
-
-  bool ValidFrag(xml::FragId id) const {
-    return id < db_->num_documents() + constructed_.size();
+    if (id >= kFirstConstructed) return *constructed_[id - kFirstConstructed];
+    return db_->doc(id);
   }
 
   xml::FragId AddFragment(xml::Document d) {
     constructed_.push_back(std::make_unique<xml::Document>(std::move(d)));
-    return static_cast<xml::FragId>(db_->num_documents() +
-                                    constructed_.size() - 1);
+    return kFirstConstructed +
+           static_cast<xml::FragId>(constructed_.size() - 1);
   }
 
   size_t num_constructed() const { return constructed_.size(); }

@@ -17,8 +17,9 @@
 namespace pathfinder::xml {
 
 /// Id of a document fragment. Persistent documents get dense ids
-/// starting at 0; fragments constructed during query evaluation are
-/// appended after them (see engine::FragmentStore).
+/// starting at 0 (below 2^20); fragments constructed during query
+/// evaluation number from 2^31 in creation order (see
+/// engine::QueryContext::kFirstConstructed).
 using FragId = uint32_t;
 
 /// The persistent store: loaded documents plus the shared property

@@ -1,6 +1,8 @@
 #include "xml/tree_builder.h"
 
+#include <bit>
 #include <cassert>
+#include <cstddef>
 
 namespace pathfinder::xml {
 
@@ -23,22 +25,44 @@ Pre TreeBuilder::Emit(NodeKind kind, StrId prop, StrId value) {
   return pre;
 }
 
+void TreeBuilder::Reserve(size_t rows) {
+  if (rows <= doc_.size_.capacity()) return;
+  size_t cap = std::bit_ceil(rows);
+  doc_.size_.reserve(cap);
+  doc_.level_.reserve(cap);
+  doc_.kind_.reserve(cap);
+  doc_.prop_.reserve(cap);
+  doc_.value_.reserve(cap);
+}
+
 void TreeBuilder::StartElem(std::string_view tag) {
-  Pre pre = Emit(NodeKind::kElem, pool_->Intern(tag), 0);
+  StartElem(pool_->Intern(tag));
+}
+
+void TreeBuilder::StartElem(StrId tag) {
+  Pre pre = Emit(NodeKind::kElem, tag, 0);
   stack_.push_back(pre);
   in_start_tag_ = true;
 }
 
 void TreeBuilder::Attr(std::string_view name, std::string_view value) {
+  Attr(pool_->Intern(name), pool_->Intern(value));
+}
+
+void TreeBuilder::Attr(StrId name, StrId value) {
   assert(in_start_tag_ && "Attr outside a start tag");
-  Emit(NodeKind::kAttr, pool_->Intern(name), pool_->Intern(value));
+  Emit(NodeKind::kAttr, name, value);
 }
 
 void TreeBuilder::Text(std::string_view content) {
+  Text(pool_->Intern(content));
+}
+
+void TreeBuilder::Text(StrId content) {
   in_start_tag_ = false;
   // Empty text nodes are legal (XQuery text {} constructors build them);
   // parsers avoid emitting them by not calling Text for empty runs.
-  Emit(NodeKind::kText, 0, pool_->Intern(content));
+  Emit(NodeKind::kText, 0, content);
 }
 
 void TreeBuilder::Comment(std::string_view content) {
@@ -57,6 +81,33 @@ void TreeBuilder::EndElem() {
   stack_.pop_back();
   doc_.size_[open] = static_cast<Pre>(doc_.size_.size()) - open - 1;
   in_start_tag_ = false;
+}
+
+void TreeBuilder::CopySubtree(const Document& src, Pre v) {
+  Pre first = src.kind(v) == NodeKind::kDoc ? v + 1 : v;
+  Pre last = v + src.size(v);  // inclusive
+  if (first > last) return;  // a document node without children
+  assert((src.kind(v) != NodeKind::kAttr || in_start_tag_) &&
+         "attribute copy outside a start tag");
+  if (src.kind(v) != NodeKind::kAttr) in_start_tag_ = false;
+
+  const auto b = static_cast<ptrdiff_t>(first);
+  const auto e = static_cast<ptrdiff_t>(last) + 1;
+  Reserve(doc_.size_.size() + static_cast<size_t>(e - b));
+  doc_.size_.insert(doc_.size_.end(), src.size_.begin() + b,
+                    src.size_.begin() + e);
+  doc_.kind_.insert(doc_.kind_.end(), src.kind_.begin() + b,
+                    src.kind_.begin() + e);
+  doc_.prop_.insert(doc_.prop_.end(), src.prop_.begin() + b,
+                    src.prop_.begin() + e);
+  doc_.value_.insert(doc_.value_.end(), src.value_.begin() + b,
+                     src.value_.begin() + e);
+  // The copied root lands where Emit would put a new node, at level
+  // stack_.size(); every copied level moves by the same offset.
+  const int shift = static_cast<int>(stack_.size()) - src.level(first);
+  for (auto it = src.level_.begin() + b; it != src.level_.begin() + e; ++it) {
+    doc_.level_.push_back(static_cast<uint16_t>(*it + shift));
+  }
 }
 
 Result<Document> TreeBuilder::Finish() && {

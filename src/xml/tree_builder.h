@@ -19,6 +19,10 @@ namespace pathfinder::xml {
 ///   TreeBuilder b(&pool);
 ///   b.StartElem("a"); b.Attr("id", "1"); b.Text("hi"); b.EndElem();
 ///   Document doc = std::move(b).Finish();
+///
+/// The string entry points intern their arguments; the StrId ones take
+/// surrogates that are already in pool() (the element constructors'
+/// path, which never handles the strings themselves).
 class TreeBuilder {
  public:
   explicit TreeBuilder(StringPool* pool);
@@ -27,12 +31,23 @@ class TreeBuilder {
   TreeBuilder& operator=(const TreeBuilder&) = delete;
 
   void StartElem(std::string_view tag);
+  void StartElem(StrId tag);
   /// Only legal directly after StartElem / a previous Attr.
   void Attr(std::string_view name, std::string_view value);
+  void Attr(StrId name, StrId value);
   void Text(std::string_view content);
+  void Text(StrId content);
   void Comment(std::string_view content);
   void Pi(std::string_view target, std::string_view content);
   void EndElem();
+
+  /// Append a deep copy of the subtree of `src` rooted at `v` (for a
+  /// document node: its children) as the next content of the innermost
+  /// open element. `src` must refer into pool(). The copy is one bulk
+  /// append of the subtree's pre range to the five columns, its levels
+  /// re-based by one offset; sizes, kinds and surrogates carry over
+  /// unchanged. An attribute source is only legal where Attr is.
+  void CopySubtree(const Document& src, Pre v);
 
   /// Current nesting depth (open elements).
   size_t depth() const { return stack_.size(); }
@@ -47,6 +62,9 @@ class TreeBuilder {
 
  private:
   Pre Emit(NodeKind kind, StrId prop, StrId value);
+  /// Make room for `rows` nodes in all five columns, growing them to the
+  /// next power of two (see DESIGN.md, "Surrogates on the row paths").
+  void Reserve(size_t rows);
 
   StringPool* pool_;
   Document doc_;

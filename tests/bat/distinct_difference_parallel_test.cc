@@ -1,13 +1,17 @@
 // Byte-identity of the parallel DistinctIndices / DifferenceIndices
 // code paths across thread counts, and semantic agreement with a naive
 // quadratic reference that spells out representation equality (doubles
-// by bit pattern, items by kind+raw). Inputs are sized past the
-// parallel-engagement threshold with heavy duplicate skew so the
-// hash-partitioned first-occurrence merge actually decides winners.
+// by bit pattern, items by kind+raw, cells of different column types
+// never equal). Large inputs are sized past the parallel-engagement
+// threshold with heavy duplicate skew so the hash-partitioned
+// first-occurrence merge actually decides winners; the edge-case
+// tables stay below it, which is the path the serial engine runs.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@ namespace {
 // the same type — the equality DistinctIndices/DifferenceIndices key
 // encodings implement.
 bool CellEq(const Column& ca, size_t ra, const Column& cb, size_t rb) {
+  if (ca.type() != cb.type()) return false;
   switch (ca.type()) {
     case ColType::kInt:
       return ca.ints()[ra] == cb.ints()[rb];
@@ -105,6 +110,39 @@ class DistinctDifferenceParallelTest : public ::testing::Test {
     return {&pool1_, &pool2_, &pool4_, &pool7_};
   }
 
+  // Every pool plus nullptr (the serial path the engine runs at
+  // PF_THREADS=1).
+  std::vector<ThreadPool*> PoolsAndSerial() {
+    return {nullptr, &pool1_, &pool2_, &pool4_, &pool7_};
+  }
+
+  // Rows cycling through values that only representation equality
+  // tells apart: +0.0 and -0.0, NaNs with two payloads, and items of
+  // different kinds over the same raw bits (int 5, string id 5,
+  // untyped id 5, node (0, 5), attribute (0, 5)).
+  Table EdgeTable(size_t n, size_t shift) {
+    const double nan1 = std::bit_cast<double>(0x7FF8000000000001ull);
+    const double nan2 = std::bit_cast<double>(0x7FF8000000000002ull);
+    const double dbls[] = {0.0, -0.0, nan1, nan2, 1.5};
+    const Item items[] = {Item::Int(5), Item::Str(5), Item::Untyped(5),
+                          Item::Node(0, 5), Item::Attr(0, 5), Item::Int(6),
+                          Item::Bool(true), Item::Int(1)};
+    Table t;
+    auto ic = Column::MakeInt(n);
+    auto dc = Column::MakeDbl(n);
+    auto it = Column::MakeItem(n);
+    for (size_t i = 0; i < n; ++i) {
+      size_t j = i + shift;
+      ic->ints().push_back(static_cast<int64_t>(j % 3));
+      dc->dbls().push_back(dbls[j % 5]);
+      it->items().push_back(items[(j / 2) % 8]);
+    }
+    t.AddCol("k", std::move(ic));
+    t.AddCol("d", std::move(dc));
+    t.AddCol("v", std::move(it));
+    return t;
+  }
+
   // Skewed random table: `domain` distinct int keys Zipf-ishly reused,
   // an item column mixing all atomic kinds from a small value set, and
   // a double column where 0.0 / -0.0 exercise bit-pattern equality.
@@ -164,6 +202,68 @@ TEST_F(DistinctDifferenceParallelTest, DistinctMatchesNaiveReference) {
       auto par = DistinctIndices(t, keys, tp);
       ASSERT_TRUE(par.ok());
       EXPECT_EQ(*par, expect);
+    }
+  }
+}
+
+TEST_F(DistinctDifferenceParallelTest, SerialSizeEdgeCasesMatchNaive) {
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"d"}, {"v"}, {"k"}, {"d", "v"}, {"v", "k"}, {"k", "d", "v"}, {}};
+  for (size_t n : {size_t{1}, size_t{7}, size_t{120}, size_t{3000}}) {
+    Table t = EdgeTable(n, 0);
+    Table b = EdgeTable(n / 3, 11);
+    for (const auto& keys : key_sets) {
+      IdxVec distinct = NaiveDistinct(t, keys);
+      IdxVec difference = NaiveDifference(t, b, keys);
+      for (ThreadPool* tp : PoolsAndSerial()) {
+        auto d = DistinctIndices(t, keys, tp);
+        ASSERT_TRUE(d.ok());
+        EXPECT_EQ(*d, distinct) << "n=" << n << " keys=" << keys.size();
+        auto f = DifferenceIndices(t, b, keys, tp);
+        ASSERT_TRUE(f.ok());
+        EXPECT_EQ(*f, difference) << "n=" << n << " keys=" << keys.size();
+      }
+    }
+  }
+  // The edge values really are told apart: 40 rows cycle through all
+  // 5 doubles and all 8 items.
+  Table t = EdgeTable(40, 0);
+  EXPECT_EQ(DistinctIndices(t, {"d"}, nullptr)->size(), 5u);
+  EXPECT_EQ(DistinctIndices(t, {"v"}, nullptr)->size(), 8u);
+}
+
+TEST_F(DistinctDifferenceParallelTest, DifferenceIntColumnAgainstItemColumn) {
+  // Int 5 and item Int(5) have equal payload bits but different column
+  // types, so no row of `a` is subtracted.
+  Table a;
+  auto ai = Column::MakeInt();
+  ai->ints() = {5, 6, 5};
+  a.AddCol("x", std::move(ai));
+  Table b;
+  auto bi = Column::MakeItem();
+  bi->items() = {Item::Int(5), Item::Int(6)};
+  b.AddCol("x", std::move(bi));
+  IdxVec all = {0, 1, 2};
+  EXPECT_EQ(NaiveDifference(a, b, {"x"}), all);
+  for (ThreadPool* tp : PoolsAndSerial()) {
+    auto r = DifferenceIndices(a, b, {"x"}, tp);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, all);
+  }
+}
+
+TEST_F(DistinctDifferenceParallelTest, SerialSizeEmptyInputs) {
+  Table empty = EdgeTable(0, 0);
+  Table some = EdgeTable(30, 0);
+  IdxVec all(some.rows());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<RowIdx>(i);
+  for (ThreadPool* tp : PoolsAndSerial()) {
+    for (const std::vector<std::string>& keys :
+         {std::vector<std::string>{"k"}, {"d", "v"}, {}}) {
+      EXPECT_TRUE(DistinctIndices(empty, keys, tp)->empty());
+      EXPECT_TRUE(DifferenceIndices(empty, some, keys, tp)->empty());
+      EXPECT_TRUE(DifferenceIndices(empty, empty, keys, tp)->empty());
+      EXPECT_EQ(*DifferenceIndices(some, empty, keys, tp), all);
     }
   }
 }

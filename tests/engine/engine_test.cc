@@ -4,6 +4,7 @@
 #include "engine/executor.h"
 #include "engine/node_build.h"
 #include "xml/serializer.h"
+#include "xml/tree_builder.h"
 
 namespace pathfinder::engine {
 namespace {
@@ -33,6 +34,10 @@ class EngineTest : public ::testing::Test {
   }
 
   Item Str(const char* s) { return Item::Str(db_.pool()->Intern(s)); }
+  StrId Id(const char* s) { return db_.pool()->Intern(s); }
+  std::string_view StringOf(const Item& node) {
+    return db_.pool()->Get(NodeStringId(ctx_.get(), node));
+  }
 
   xml::Database db_;
   std::unique_ptr<QueryContext> ctx_;
@@ -151,7 +156,7 @@ TEST_F(EngineTest, TextConstructionJoinsWithSpaces) {
                        {Item::Int(1), Item::Int(2), Str("b")}});
   bat::Table t = Run(alg::TextConstr(content));
   Item node = t.GetCol("item").value()->items()[0];
-  EXPECT_EQ(NodeStringValue(*ctx_, node), "a b");
+  EXPECT_EQ(StringOf(node), "a b");
 }
 
 TEST_F(EngineTest, Fun1DataAtomizesNodes) {
@@ -215,25 +220,66 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
 // --- node_build ----------------------------------------------------------
 
 TEST_F(EngineTest, BuildTextAndAttributeFragments) {
-  Item t = BuildText(ctx_.get(), "hello");
-  EXPECT_EQ(NodeStringValue(*ctx_, t), "hello");
-  Item a = BuildAttribute(ctx_.get(), "k", "v");
+  Item t = BuildText(ctx_.get(), Id("hello"));
+  EXPECT_EQ(StringOf(t), "hello");
+  Item a = BuildAttribute(ctx_.get(), Id("k"), Id("v"));
   EXPECT_EQ(a.kind, ItemKind::kAttr);
-  EXPECT_EQ(NodeStringValue(*ctx_, a), "v");
+  EXPECT_EQ(StringOf(a), "v");
 }
 
 TEST_F(EngineTest, BuildElementDeepCopiesSubtree) {
   std::vector<Item> content = {Item::Node(0, 4)};  // <b x="7">2</b>
-  Item e = BuildElement(ctx_.get(), "wrap", content).value();
+  Item e = BuildElement(ctx_.get(), Id("wrap"), content).value();
   std::string xml = xml::SerializeSubtree(ctx_->doc(e.NodeFrag()),
                                           e.NodePre(), *db_.pool());
   EXPECT_EQ(xml, "<wrap><b x=\"7\">2</b></wrap>");
 }
 
+TEST_F(EngineTest, BuildElementJoinsAtomicRunsAroundNodes) {
+  // A run of one atomic keeps its surrogate; a longer run is joined
+  // with single spaces; a node ends a run.
+  std::vector<Item> content = {Item::Int(1), Item::Int(2), Item::Node(0, 2),
+                               Str("x"), Item::Attr(0, 5)};
+  Item e = BuildElement(ctx_.get(), Id("e"), content).value();
+  const xml::Document& d = ctx_->doc(e.NodeFrag());
+  EXPECT_EQ(xml::SerializeSubtree(d, e.NodePre(), *db_.pool()),
+            "<e x=\"7\">1 2<a>1</a>x</e>");
+  EXPECT_EQ(d.value(d.num_nodes() - 1), Id("x"));
+}
+
+TEST_F(EngineTest, NodeStringIdEqualsInternedStringValue) {
+  // Elements with no, one (direct or nested) and several text
+  // descendants, next to every leaf kind.
+  auto frag = db_.LoadXml(
+      "s.xml",
+      "<r k=\"v\"><e0/><e0b><c/></e0b><e1>one</e1><e1b><i>deep</i></e1b>"
+      "<e2>a<b>b</b>c</e2><!--cm--><?pi val?>tail</r>");
+  ASSERT_TRUE(frag.ok());
+  const xml::Document& d = db_.doc(*frag);
+  StringPool* pool = db_.pool();
+  auto expect_same = [&](const xml::Document& doc, uint32_t f) {
+    for (xml::Pre v = 0; v < doc.num_nodes(); ++v) {
+      Item it = doc.IsAttr(v) ? Item::Attr(f, v) : Item::Node(f, v);
+      EXPECT_EQ(NodeStringId(ctx_.get(), it),
+                pool->Intern(doc.StringValue(v, *pool)))
+          << "pre " << v;
+    }
+  };
+  expect_same(d, *frag);
+  // Constructed fragments: an element holding a copied subtree, a text
+  // node and an attribute node.
+  Item e = BuildElement(ctx_.get(), Id("w"), {Item::Node(*frag, 1)}).value();
+  Item t = BuildText(ctx_.get(), Id("hello"));
+  Item a = BuildAttribute(ctx_.get(), Id("k"), Id("v"));
+  for (const Item& it : {e, t, a}) {
+    expect_same(ctx_->doc(it.NodeFrag()), it.NodeFrag());
+  }
+}
+
 TEST_F(EngineTest, CopySubtreeOfDocumentNodeCopiesChildren) {
   xml::TreeBuilder b(db_.pool());
   b.StartElem("holder");
-  CopySubtree(db_.doc(0), 0, &b);
+  b.CopySubtree(db_.doc(0), 0);
   b.EndElem();
   auto doc = std::move(b).Finish();
   ASSERT_TRUE(doc.ok());

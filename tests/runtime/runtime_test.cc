@@ -45,11 +45,13 @@ TEST_F(SerializeTest, AttributeItemsUseDiagnosticForm) {
 }
 
 TEST_F(SerializeTest, ConstructedFragmentsSerialize) {
-  Item text = engine::BuildText(ctx_.get(), "payload");
-  Item attr = engine::BuildAttribute(ctx_.get(), "n", "1");
-  Item elem =
-      engine::BuildElement(ctx_.get(), "e", {attr, text, Item::Int(7)})
-          .value();
+  StringPool* pool = db_.pool();
+  Item text = engine::BuildText(ctx_.get(), pool->Intern("payload"));
+  Item attr =
+      engine::BuildAttribute(ctx_.get(), pool->Intern("n"), pool->Intern("1"));
+  Item elem = engine::BuildElement(ctx_.get(), pool->Intern("e"),
+                                   {attr, text, Item::Int(7)})
+                  .value();
   EXPECT_EQ(*SerializeItem(*ctx_, elem), "<e n=\"1\">payload7</e>");
 }
 

@@ -64,6 +64,158 @@ TEST(TreeBuilderTest, EmptyDocumentFails) {
   EXPECT_FALSE(std::move(b).Finish().ok());
 }
 
+// --- TreeBuilder::CopySubtree -------------------------------------------
+
+// Node-by-node reference for CopySubtree: re-emit every node of the
+// subtree through the string entry points (document nodes: children).
+void CopyNodeByNode(const Document& src, Pre v, TreeBuilder* b) {
+  const StringPool& pool = *b->pool();
+  switch (src.kind(v)) {
+    case NodeKind::kDoc:
+    case NodeKind::kElem: {
+      bool elem = src.kind(v) == NodeKind::kElem;
+      if (elem) b->StartElem(pool.Get(src.prop(v)));
+      for (Pre w = v + 1; w <= v + src.size(v); w += src.size(w) + 1) {
+        CopyNodeByNode(src, w, b);
+      }
+      if (elem) b->EndElem();
+      return;
+    }
+    case NodeKind::kAttr:
+      b->Attr(pool.Get(src.prop(v)), pool.Get(src.value(v)));
+      return;
+    case NodeKind::kText:
+      b->Text(pool.Get(src.value(v)));
+      return;
+    case NodeKind::kComment:
+      b->Comment(pool.Get(src.value(v)));
+      return;
+    case NodeKind::kPi:
+      b->Pi(pool.Get(src.prop(v)), pool.Get(src.value(v)));
+      return;
+  }
+}
+
+// Builds one document twice, copying the subtree (src, v) wherever
+// `body` calls its copy callback: once with CopySubtree, once node by
+// node. The five columns must agree, and the copy must validate.
+template <typename Body>
+void ExpectBulkCopyMatches(StringPool* pool, const Document& src, Pre v,
+                           const Body& body) {
+  TreeBuilder bulk(pool);
+  TreeBuilder ref(pool);
+  body(bulk, [&] { bulk.CopySubtree(src, v); });
+  body(ref, [&] { CopyNodeByNode(src, v, &ref); });
+  auto a = std::move(bulk).Finish();
+  auto b = std::move(ref).Finish();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(a->sizes(), b->sizes()) << "source pre " << v;
+  EXPECT_EQ(a->levels(), b->levels()) << "source pre " << v;
+  EXPECT_EQ(a->kinds(), b->kinds()) << "source pre " << v;
+  EXPECT_EQ(a->props(), b->props()) << "source pre " << v;
+  EXPECT_EQ(a->values(), b->values()) << "source pre " << v;
+  std::string err;
+  EXPECT_TRUE(a->Validate(&err)) << err;
+}
+
+// Attributes, a comment, a PI, mixed content and nesting; every node
+// is copied in turn, the document node included.
+constexpr const char* kCopySource =
+    "<r a=\"1\" b=\"2\">lead<x k=\"v\">t1<!--note--><?tgt pi body?>t2"
+    "<y z=\"3\"><w/></y></x>tail<e/></r>";
+
+TEST(CopySubtreeTest, EveryNodeMatchesNodeByNodeCopy) {
+  StringPool pool;
+  auto src = ParseXml(kCopySource, &pool);
+  ASSERT_TRUE(src.ok()) << src.status().ToString();
+  for (Pre v = 0; v < src->num_nodes(); ++v) {
+    ExpectBulkCopyMatches(&pool, *src, v, [&](TreeBuilder& b, auto copy) {
+      b.StartElem("holder");
+      if (src->IsAttr(v)) {
+        b.Attr("own", "x");
+        copy();
+      } else {
+        b.Text("before");
+        copy();
+      }
+      b.Text("after");
+      b.EndElem();
+    });
+  }
+}
+
+TEST(CopySubtreeTest, DocumentNodeCopiesItsChildren) {
+  StringPool pool;
+  auto src = ParseXml(kCopySource, &pool);
+  ASSERT_TRUE(src.ok());
+  TreeBuilder b(&pool);
+  b.StartElem("holder");
+  b.CopySubtree(*src, 0);
+  b.EndElem();
+  auto doc = std::move(b).Finish();
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(SerializeSubtree(*doc, 1, pool),
+            std::string("<holder>") + kCopySource + "</holder>");
+}
+
+TEST(CopySubtreeTest, NestedPositionRebasesLevels) {
+  StringPool pool;
+  auto src = ParseXml(kCopySource, &pool);
+  ASSERT_TRUE(src.ok());
+  for (Pre v : {Pre{0}, Pre{1}, Pre{5}}) {  // document, <r>, <x>
+    ExpectBulkCopyMatches(&pool, *src, v, [](TreeBuilder& b, auto copy) {
+      b.StartElem("h");
+      b.Attr("q", "1");
+      b.Text("before");
+      b.StartElem("in1");
+      b.StartElem("in2");
+      copy();
+      b.Text("mid");
+      copy();  // twice in a row: the columns grow past the first reserve
+      b.EndElem();
+      copy();
+      b.EndElem();
+      b.StartElem("after");
+      b.EndElem();
+      b.EndElem();
+    });
+  }
+}
+
+TEST(CopySubtreeTest, CopiesConstructedFragments) {
+  // A fragment shaped like an element constructor's result (document
+  // node, element at pre 1), itself holding a bulk-copied subtree.
+  StringPool pool;
+  auto src = ParseXml(kCopySource, &pool);
+  ASSERT_TRUE(src.ok());
+  TreeBuilder fb(&pool);
+  fb.StartElem(pool.Intern("made"));
+  fb.Attr(pool.Intern("n"), pool.Intern("7"));
+  fb.Text(pool.Intern("payload"));
+  fb.CopySubtree(*src, 5);  // <x>
+  fb.StartElem("tail");
+  fb.EndElem();
+  fb.EndElem();
+  auto frag = std::move(fb).Finish();
+  ASSERT_TRUE(frag.ok());
+  std::string err;
+  ASSERT_TRUE(frag->Validate(&err)) << err;
+  for (Pre v = 0; v < frag->num_nodes(); ++v) {
+    ExpectBulkCopyMatches(&pool, *frag, v, [&](TreeBuilder& b, auto copy) {
+      b.StartElem("holder");
+      if (frag->IsAttr(v)) {
+        copy();
+      } else {
+        b.StartElem("deeper");
+        copy();
+        b.EndElem();
+      }
+      b.EndElem();
+    });
+  }
+}
+
 // --- Parent / StringValue -----------------------------------------------
 
 TEST(DocumentTest, ParentChain) {
