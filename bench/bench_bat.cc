@@ -77,10 +77,11 @@ void BM_MarkPartitioned(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   StringPool pool;
   Table t;
-  t.AddCol("part", RandomInts(n, 64, 7));
-  t.AddCol("key", RandomInts(n, 1 << 20, 8));
+  const std::vector<ColId> part = {InternCol("part")}, key = {InternCol("key")};
+  t.AddCol(part[0], RandomInts(n, 64, 7));
+  t.AddCol(key[0], RandomInts(n, 1 << 20, 8));
   for (auto _ : state) {
-    auto col = Mark(t, {"part"}, {"key"}, pool);
+    auto col = Mark(t, part, key, pool);
     benchmark::DoNotOptimize(col);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
@@ -96,9 +97,10 @@ void BM_MarkPresorted(benchmark::State& state) {
   for (size_t i = 0; i < n; ++i) {
     c->ints().push_back(static_cast<int64_t>(i / 16));
   }
-  t.AddCol("part", std::move(c));
+  const std::vector<ColId> part = {InternCol("part")};
+  t.AddCol(part[0], std::move(c));
   for (auto _ : state) {
-    auto col = Mark(t, {"part"}, {}, pool);
+    auto col = Mark(t, part, {}, pool);
     benchmark::DoNotOptimize(col);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
@@ -108,9 +110,10 @@ BENCHMARK(BM_MarkPresorted)->Range(1 << 10, 1 << 18);
 void BM_DistinctInts(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Table t;
-  t.AddCol("k", RandomInts(n, 256, 9));
+  const std::vector<ColId> k = {InternCol("k")};
+  t.AddCol(k[0], RandomInts(n, 256, 9));
   for (auto _ : state) {
-    auto idx = DistinctIndices(t, {"k"});
+    auto idx = DistinctIndices(t, k);
     benchmark::DoNotOptimize(idx);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
@@ -121,10 +124,11 @@ void BM_GroupAggSum(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   StringPool pool;
   Table t;
-  t.AddCol("g", RandomInts(n, 1024, 10));
-  t.AddCol("v", RandomItems(n, 100, 11));
+  const ColId g = InternCol("g"), v = InternCol("v"), sum = InternCol("s");
+  t.AddCol(g, RandomInts(n, 1024, 10));
+  t.AddCol(v, RandomItems(n, 100, 11));
   for (auto _ : state) {
-    auto r = GroupAgg(t, "g", "v", AggKind::kSum, pool, "g", "s");
+    auto r = GroupAgg(t, g, v, AggKind::kSum, pool, g, sum);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());

@@ -181,20 +181,21 @@ int Main(int argc, char** argv) {
   // --- kernel: parallel merge sort ---------------------------------------
   {
     Table t;
-    t.AddCol("a", RandInts(kRowsToSort, 500, 3));
-    t.AddCol("b",
+    const std::vector<bat::ColId> keys = bat::InternCols({"a", "b"});
+    t.AddCol(keys[0], RandInts(kRowsToSort, 500, 3));
+    t.AddCol(keys[1],
              RandInts(kRowsToSort, static_cast<int64_t>(kRowsToSort), 4));
     StringPool pool;
-    auto serial = bat::SortPerm(t, {"a", "b"}, pool, {}, nullptr);
+    auto serial = bat::SortPerm(t, keys, pool, {}, nullptr);
     if (!serial.ok()) return 1;
     Sweep(
         "sort",
         [&](ThreadPool* tp, KernelPhases* ph) {
-          (void)bat::SortPerm(t, {"a", "b"}, pool, {}, tp,
+          (void)bat::SortPerm(t, keys, pool, {}, tp,
                               bat::KernelTuning::Default(), ph);
         },
         [&](ThreadPool* tp) {
-          auto par = bat::SortPerm(t, {"a", "b"}, pool, {}, tp);
+          auto par = bat::SortPerm(t, keys, pool, {}, tp);
           return par.ok() && *par == *serial;
         });
   }
@@ -202,26 +203,28 @@ int Main(int argc, char** argv) {
   // --- kernel: grouped aggregation ---------------------------------------
   {
     Table t;
-    t.AddCol("g", RandInts(kAggN, 999, 5));
+    const bat::ColId g = bat::InternCol("g"), v = bat::InternCol("v"),
+                     sum = bat::InternCol("s");
+    t.AddCol(g, RandInts(kAggN, 999, 5));
     auto vals = Column::MakeItem(kAggN);
     Rng rng(6);
     for (size_t i = 0; i < kAggN; ++i) {
       vals->items().push_back(Item::Dbl(rng.NextDouble()));
     }
-    t.AddCol("v", vals);
+    t.AddCol(v, vals);
     StringPool pool;
-    auto serial = bat::GroupAgg(t, "g", "v", bat::AggKind::kSum, pool, "g",
-                                "s", nullptr);
+    auto serial =
+        bat::GroupAgg(t, g, v, bat::AggKind::kSum, pool, g, sum, nullptr);
     if (!serial.ok()) return 1;
     Sweep(
         "groupagg",
         [&](ThreadPool* tp, KernelPhases* ph) {
-          (void)bat::GroupAgg(t, "g", "v", bat::AggKind::kSum, pool, "g",
-                              "s", tp, bat::KernelTuning::Default(), ph);
+          (void)bat::GroupAgg(t, g, v, bat::AggKind::kSum, pool, g, sum, tp,
+                              bat::KernelTuning::Default(), ph);
         },
         [&](ThreadPool* tp) {
-          auto par = bat::GroupAgg(t, "g", "v", bat::AggKind::kSum, pool,
-                                   "g", "s", tp);
+          auto par =
+              bat::GroupAgg(t, g, v, bat::AggKind::kSum, pool, g, sum, tp);
           return par.ok() &&
                  par->col(0)->ints() == serial->col(0)->ints() &&
                  par->col(1)->items() == serial->col(1)->items();

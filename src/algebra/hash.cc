@@ -1,8 +1,6 @@
 #include "algebra/hash.h"
 
 #include <algorithm>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,15 +18,7 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t HashStr(std::string_view s) {
-  // FNV-1a 64.
-  uint64_t h = 0xCBF29CE484222325ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
+uint64_t HashCol(ColId c) { return Mix(0x2545F4914F6CDD1Dull, c); }
 
 uint64_t HashItem(const Item& it) {
   return Mix(static_cast<uint64_t>(it.kind), it.raw);
@@ -62,10 +52,24 @@ bool UnorderedKeys(OpKind k) {
   return k == OpKind::kDistinct || k == OpKind::kDifference;
 }
 
-std::vector<std::string> Sorted(const std::vector<std::string>& v) {
-  std::vector<std::string> s = v;
-  std::sort(s.begin(), s.end());
-  return s;
+/// Order-insensitive hash of a column list (a sum of per-id hashes).
+uint64_t HashColSet(const std::vector<ColId>& v) {
+  uint64_t h = 0;
+  for (ColId c : v) h += HashCol(c);
+  return h;
+}
+
+/// Equal as multisets (the lists are a handful of ids long).
+bool SameColMultiset(const std::vector<ColId>& a,
+                     const std::vector<ColId>& b) {
+  if (a.size() != b.size()) return false;
+  for (ColId c : a) {
+    if (std::count(a.begin(), a.end(), c) !=
+        std::count(b.begin(), b.end(), c)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -74,29 +78,30 @@ uint64_t LocalParamsHash(const Op& op) {
   uint64_t h = Mix(kSeed, static_cast<uint64_t>(op.kind));
   h = Mix(h, op.proj.size());
   for (const auto& [nw, old] : op.proj) {
-    h = Mix(h, HashStr(nw));
-    h = Mix(h, HashStr(old));
+    h = Mix(h, nw);
+    h = Mix(h, old);
   }
   if (UnorderedColPair(op)) {
     // Order-insensitive combination of the operand pair.
-    h = Mix(h, HashStr(op.col) + HashStr(op.col2));
+    h = Mix(h, HashCol(op.col) + HashCol(op.col2));
   } else {
-    h = Mix(h, HashStr(op.col));
-    h = Mix(h, HashStr(op.col2));
+    h = Mix(h, op.col);
+    h = Mix(h, op.col2);
   }
-  h = Mix(h, HashStr(op.out));
+  h = Mix(h, op.out);
   if (op.kind == OpKind::kRowNum) {
-    for (const auto& p : Sorted(op.part)) h = Mix(h, HashStr(p));
+    h = Mix(h, HashColSet(op.part));
   } else {
-    for (const auto& p : op.part) h = Mix(h, HashStr(p));
+    for (ColId p : op.part) h = Mix(h, p);
   }
-  for (const auto& o : op.order) h = Mix(h, HashStr(o));
+  for (ColId o : op.order) h = Mix(h, o);
   for (uint8_t d : op.order_desc) h = Mix(h, d);
   if (UnorderedKeys(op.kind)) {
-    for (const auto& k : Sorted(op.keys)) h = Mix(h, HashStr(k));
+    h = Mix(h, HashColSet(op.keys));
   } else {
-    for (const auto& k : op.keys) h = Mix(h, HashStr(k));
+    for (ColId k : op.keys) h = Mix(h, k);
   }
+  h = Mix(h, op.attr_name);
   h = Mix(h, static_cast<uint64_t>(op.axis));
   h = Mix(h, static_cast<uint64_t>(op.test.kind));
   h = Mix(h, op.test.name);
@@ -110,7 +115,7 @@ uint64_t LocalParamsHash(const Op& op) {
   h = Mix(h, static_cast<uint64_t>(op.fun2));
   h = Mix(h, static_cast<uint64_t>(op.cmp));
   h = Mix(h, static_cast<uint64_t>(op.agg));
-  for (const auto& n : op.names) h = Mix(h, HashStr(n));
+  for (ColId n : op.names) h = Mix(h, n);
   for (auto t : op.types) h = Mix(h, static_cast<uint64_t>(t));
   h = Mix(h, op.rows.size());
   for (const auto& row : op.rows) {
@@ -133,16 +138,17 @@ bool LocalParamsEqual(const Op& a, const Op& b) {
   }
   if (a.out != b.out) return false;
   if (a.kind == OpKind::kRowNum) {
-    if (Sorted(a.part) != Sorted(b.part)) return false;
+    if (!SameColMultiset(a.part, b.part)) return false;
   } else {
     if (a.part != b.part) return false;
   }
   if (a.order != b.order || a.order_desc != b.order_desc) return false;
   if (UnorderedKeys(a.kind)) {
-    if (Sorted(a.keys) != Sorted(b.keys)) return false;
+    if (!SameColMultiset(a.keys, b.keys)) return false;
   } else {
     if (a.keys != b.keys) return false;
   }
+  if (a.attr_name != b.attr_name) return false;
   if (a.axis != b.axis || a.test.kind != b.test.kind ||
       a.test.name != b.test.name) {
     return false;
@@ -174,56 +180,98 @@ uint64_t CombineChildHash(uint64_t h, uint64_t child_hash) {
   return Mix(h, child_hash);
 }
 
-void StructuralHashes(const OpPtr& root,
-                      std::unordered_map<const Op*, uint64_t>* out) {
-  for (Op* op : TopoOrder(root)) {
+std::vector<uint64_t> StructuralHashes(const PlanNumbering& plan) {
+  std::vector<uint64_t> hashes(plan.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    const Op* op = plan.nodes[i];
     uint64_t h = LocalParamsHash(*op);
     for (const auto& c : op->children) {
-      h = CombineChildHash(h, out->at(c.get()));
+      h = CombineChildHash(h, hashes[plan.IndexOf(c.get())]);
     }
-    (*out)[op] = h;
+    hashes[i] = h;
   }
+  return hashes;
 }
 
 uint64_t StructuralHash(const OpPtr& root) {
-  std::unordered_map<const Op*, uint64_t> hashes;
-  StructuralHashes(root, &hashes);
-  return hashes.at(root.get());
+  return StructuralHashes(NumberPlan(root)).back();
 }
 
 namespace {
 
-struct PairHash {
-  size_t operator()(const std::pair<const Op*, const Op*>& p) const {
-    return Mix(reinterpret_cast<uintptr_t>(p.first),
-               reinterpret_cast<uintptr_t>(p.second));
+/// Memo of compared node pairs: open addressing over (a, b) keys in
+/// one slot array kept at most half full.
+class PairMemo {
+ public:
+  /// The recorded verdict for (a, b), or null.
+  bool* Find(const Op* a, const Op* b) {
+    if (slots_.empty()) return nullptr;
+    for (size_t i = Home(a, b);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& s = slots_[i];
+      if (s.a == a && s.b == b) return &s.equal;
+      if (s.a == nullptr) return nullptr;
+    }
   }
+
+  /// Record (a, b), absent so far, as `equal`.
+  bool* Insert(const Op* a, const Op* b, bool equal) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    for (size_t i = Home(a, b);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& s = slots_[i];
+      if (s.a == nullptr) {
+        s = {a, b, equal};
+        ++size_;
+        return &s.equal;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    const Op* a = nullptr;
+    const Op* b = nullptr;
+    bool equal = false;
+  };
+
+  size_t Home(const Op* a, const Op* b) const {
+    return static_cast<size_t>(Mix(reinterpret_cast<uintptr_t>(a),
+                                   reinterpret_cast<uintptr_t>(b))) &
+           (slots_.size() - 1);
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    size_ = 0;
+    for (const Slot& s : old) {
+      if (s.a != nullptr) Insert(s.a, s.b, s.equal);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
 };
 
-bool EqualRec(
-    const Op& a, const Op& b,
-    std::unordered_map<std::pair<const Op*, const Op*>, bool, PairHash>*
-        memo) {
+bool EqualRec(const Op& a, const Op& b, PairMemo* memo) {
   if (&a == &b) return true;
-  auto key = std::make_pair(&a, &b);
-  auto it = memo->find(key);
-  if (it != memo->end()) return it->second;
+  if (bool* known = memo->Find(&a, &b)) return *known;
   // Optimistically assume equal while descending: plans are DAGs (no
   // cycles), so the provisional entry is only ever read by sibling
   // paths that reached the same pair through shared nodes.
-  (*memo)[key] = true;
+  memo->Insert(&a, &b, true);
   bool eq = LocalParamsEqual(a, b) && a.children.size() == b.children.size();
   for (size_t i = 0; eq && i < a.children.size(); ++i) {
     eq = EqualRec(*a.children[i], *b.children[i], memo);
   }
-  (*memo)[key] = eq;
+  // Re-find: the inserts below may have moved the slot.
+  *memo->Find(&a, &b) = eq;
   return eq;
 }
 
 }  // namespace
 
 bool StructurallyEqual(const Op& a, const Op& b) {
-  std::unordered_map<std::pair<const Op*, const Op*>, bool, PairHash> memo;
+  PairMemo memo;
   return EqualRec(a, b, &memo);
 }
 
@@ -231,15 +279,11 @@ size_t ApproxPlanBytes(const OpPtr& root) {
   size_t total = 0;
   for (const Op* op : TopoOrder(root)) {
     total += sizeof(Op);
-    for (const auto& [nw, old] : op->proj) {
-      total += nw.capacity() + old.capacity();
-    }
-    total += op->col.capacity() + op->col2.capacity() + op->out.capacity();
-    for (const auto& s : op->part) total += s.capacity() + sizeof(s);
-    for (const auto& s : op->order) total += s.capacity() + sizeof(s);
-    for (const auto& s : op->keys) total += s.capacity() + sizeof(s);
+    total += op->proj.capacity() * sizeof(op->proj[0]);
+    total += (op->part.capacity() + op->order.capacity() +
+              op->keys.capacity() + op->names.capacity()) *
+             sizeof(ColId);
     total += op->order_desc.capacity();
-    for (const auto& s : op->names) total += s.capacity() + sizeof(s);
     total += op->types.capacity() * sizeof(bat::ColType);
     total += op->path.capacity() * sizeof(PathStep);
     for (const auto& row : op->rows) total += row.capacity() * sizeof(Item);

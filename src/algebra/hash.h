@@ -2,7 +2,7 @@
 #define PATHFINDER_ALGEBRA_HASH_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "algebra/op.h"
 
@@ -15,7 +15,8 @@ namespace pathfinder::algebra {
 /// structure. Node identity (`Op::id`, pointers) and execution
 /// annotations (`pipe_frag`, cache marks) never participate, so the
 /// hash of a subtree is stable across plans, queries and rebuilds of
-/// the same query — it can key cross-query caches.
+/// the same query — it can key cross-query caches. Column parameters
+/// hash by ColId, which the process-wide dictionary keeps fixed.
 ///
 /// Canonical ordering folds parameter orderings that provably cannot
 /// change the operator's result:
@@ -37,10 +38,9 @@ bool LocalParamsEqual(const Op& a, const Op& b);
 /// Combine a node's local hash with its children's subtree hashes.
 uint64_t CombineChildHash(uint64_t h, uint64_t child_hash);
 
-/// Subtree hash of every node under `root` (children-before-parents;
-/// shared nodes hashed once).
-void StructuralHashes(const OpPtr& root,
-                      std::unordered_map<const Op*, uint64_t>* out);
+/// Subtree hash of every node of `plan`, indexed by node number
+/// (shared nodes hashed once).
+std::vector<uint64_t> StructuralHashes(const PlanNumbering& plan);
 
 /// Subtree hash of `root` alone.
 uint64_t StructuralHash(const OpPtr& root);
@@ -50,7 +50,7 @@ uint64_t StructuralHash(const OpPtr& root);
 bool StructurallyEqual(const Op& a, const Op& b);
 
 /// Rough retained-bytes estimate of the DAG under `root` (node structs
-/// plus string/vector payloads) for cache budget accounting.
+/// plus their vector payloads) for cache budget accounting.
 size_t ApproxPlanBytes(const OpPtr& root);
 
 }  // namespace pathfinder::algebra

@@ -1,6 +1,7 @@
 #include "algebra/join_pattern.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <utility>
 
@@ -9,12 +10,30 @@ namespace pathfinder::algebra {
 namespace {
 
 constexpr size_t kMaxKeysPerOp = 4;
-constexpr size_t kMaxKeyWidth = 4;
+constexpr int kMaxKeyWidth = 4;
 
-bool IsSubset(const std::vector<std::string>& a,
-              const std::vector<std::string>& b) {
-  // Both sorted.
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+/// a ⊆ b over `words`-wide bitsets.
+bool IsSubset(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if (a[w] & ~b[w]) return false;
+  }
+  return true;
+}
+
+int Width(const uint64_t* key, size_t words) {
+  int n = 0;
+  for (size_t w = 0; w < words; ++w) n += std::popcount(key[w]);
+  return n;
+}
+
+/// Call fn(ColId) for each member of `key`.
+template <typename Fn>
+void ForEachCol(const uint64_t* key, size_t words, Fn&& fn) {
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = key[w]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<ColId>(w * 64 + std::countr_zero(bits)));
+    }
+  }
 }
 
 }  // namespace
@@ -22,31 +41,40 @@ bool IsSubset(const std::vector<std::string>& a,
 // ---------------------------------------------------------------------
 // KeyAnalysis
 
-void KeyAnalysis::AddKey(const Op* op, std::vector<std::string> key) {
-  if (key.size() > kMaxKeyWidth) return;
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
-  auto& ks = keys_[op];
-  for (const auto& k : ks) {
-    if (IsSubset(k, key)) return;  // an existing key is at least as strong
+void KeyAnalysis::AddKey(size_t node, const uint64_t* key) {
+  if (Width(key, words_) > kMaxKeyWidth) return;
+  const size_t first = first_[node];
+  size_t n = count_[node];
+  for (size_t k = first; k < first + n; ++k) {
+    // An existing key is at least as strong.
+    if (IsSubset(Key(k), key, words_)) return;
   }
-  ks.erase(std::remove_if(ks.begin(), ks.end(),
-                          [&](const std::vector<std::string>& k) {
-                            return IsSubset(key, k);
-                          }),
-           ks.end());
-  if (ks.size() < kMaxKeysPerOp) ks.push_back(std::move(key));
+  // Drop the existing keys the new one is contained in, keeping order.
+  size_t kept = first;
+  for (size_t k = first; k < first + n; ++k) {
+    if (IsSubset(key, Key(k), words_)) continue;
+    if (kept != k) {
+      std::copy_n(Key(k), words_, &key_bits_[kept * words_]);
+    }
+    ++kept;
+  }
+  n = kept - first;
+  if (n < kMaxKeysPerOp) {
+    std::copy_n(key, words_, &key_bits_[(first + n) * words_]);
+    ++n;
+  }
+  count_[node] = static_cast<uint8_t>(n);
 }
 
-bool KeyAnalysis::CoversKey(const Op* op,
-                            const std::vector<std::string>& cols) const {
-  auto it = keys_.find(op);
-  if (it == keys_.end()) return false;
-  std::vector<std::string> sorted = cols;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (const auto& k : it->second) {
-    if (IsSubset(k, sorted)) return true;
+bool KeyAnalysis::CoversKey(const Op* op, const ColId* cols, size_t n) const {
+  size_t i = plan_.IndexOf(op);
+  if (i >= count_.size()) return false;
+  for (size_t k = first_[i]; k < first_[i] + count_[i]; ++k) {
+    bool within = true;
+    ForEachCol(Key(k), words_, [&](ColId c) {
+      within = within && std::find(cols, cols + n, c) != cols + n;
+    });
+    if (within) return true;
   }
   return false;
 }
@@ -73,13 +101,32 @@ bool ItemIsNode(const Item& it) {
 
 KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
   KeyAnalysis a;
-  for (Op* op : TopoOrder(root)) {
-    auto child_keys = [&](size_t i) {
-      return a.KeysOf(op->children[i].get());
-    };
-    auto carry = [&](size_t i) {
-      if (const auto* ks = child_keys(i)) {
-        for (const auto& k : *ks) a.AddKey(op, k);
+  a.plan_ = NumberPlan(root);
+  const size_t nodes = a.plan_.nodes.size();
+  const size_t words = bat::ColWords(bat::NumColIds());
+  a.words_ = words;
+  // At most kMaxKeysPerOp keys per node: the array never reallocates,
+  // so pointers to earlier nodes' keys stay valid while one is added.
+  a.key_bits_.resize(nodes * kMaxKeysPerOp * words);
+  a.first_.resize(nodes);
+  a.count_.assign(nodes, 0);
+  a.store_only_.assign(nodes, 0);
+  std::vector<uint64_t> key(words);
+  auto clear = [&] { std::fill(key.begin(), key.end(), 0); };
+  auto add_cols = [&](size_t i, std::initializer_list<ColId> cols) {
+    clear();
+    for (ColId c : cols) bat::SetColBit(key.data(), c);
+    a.AddKey(i, key.data());
+  };
+  size_t next_key = 0;
+  for (size_t i = 0; i < nodes; ++i) {
+    const Op* op = a.plan_.nodes[i];
+    a.first_[i] = static_cast<uint32_t>(next_key);
+    auto kid = [&](size_t k) { return a.plan_.IndexOf(op->children[k].get()); };
+    auto carry = [&](size_t k) {
+      size_t c = kid(k);
+      for (size_t j = a.first_[c]; j < a.first_[c] + a.count_[c]; ++j) {
+        a.AddKey(i, a.Key(j));
       }
     };
 
@@ -103,43 +150,39 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
         store_only = true;  // emits store document roots only
         break;
       default:
-        for (const auto& c : op->children) {
-          store_only = store_only && a.store_only_[c.get()];
+        for (size_t k = 0; k < op->children.size(); ++k) {
+          store_only = store_only && a.store_only_[kid(k)];
         }
         break;
     }
-    a.store_only_[op] = store_only;
+    a.store_only_[i] = store_only;
 
     switch (op->kind) {
       case OpKind::kLitTable: {
         for (size_t c = 0; c < op->names.size(); ++c) {
           if (op->rows.size() <= 1 || ColumnLiterallyDistinct(*op, c)) {
-            a.AddKey(op, {op->names[c]});
+            add_cols(i, {op->names[c]});
           }
         }
         break;
       }
       case OpKind::kProject: {
-        const auto* ks = child_keys(0);
-        if (ks == nullptr) break;
-        for (const auto& k : *ks) {
-          std::vector<std::string> mapped;
+        size_t c = kid(0);
+        for (size_t j = a.first_[c]; j < a.first_[c] + a.count_[c]; ++j) {
+          clear();
           bool ok = true;
-          for (const auto& col : k) {
-            const std::string* nw = nullptr;
-            for (const auto& [n, old] : op->proj) {
-              if (old == col) {
-                nw = &n;
-                break;
-              }
-            }
-            if (nw == nullptr) {
+          ForEachCol(a.Key(j), words, [&](ColId col) {
+            if (!ok) return;
+            auto it = std::find_if(
+                op->proj.begin(), op->proj.end(),
+                [&](const auto& p) { return p.second == col; });
+            if (it == op->proj.end()) {
               ok = false;
-              break;
+            } else {
+              bat::SetColBit(key.data(), it->first);
             }
-            mapped.push_back(*nw);
-          }
-          if (ok) a.AddKey(op, std::move(mapped));
+          });
+          if (ok) a.AddKey(i, key.data());
         }
         break;
       }
@@ -153,79 +196,77 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
         break;
       case OpKind::kRowNum:
         carry(0);
-        if (op->part.empty()) {
-          a.AddKey(op, {op->out});
-        } else {
-          std::vector<std::string> k = op->part;
-          k.push_back(op->out);
-          a.AddKey(op, std::move(k));
-        }
+        clear();
+        for (ColId p : op->part) bat::SetColBit(key.data(), p);
+        bat::SetColBit(key.data(), op->out);
+        a.AddKey(i, key.data());
         break;
       case OpKind::kDistinct:
         carry(0);
-        if (!op->keys.empty()) a.AddKey(op, op->keys);
+        if (!op->keys.empty()) {
+          clear();
+          for (ColId k : op->keys) bat::SetColBit(key.data(), k);
+          a.AddKey(i, key.data());
+        }
         break;
       case OpKind::kStep: {
-        a.AddKey(op, {"iter", "item"});
-        bool iter_unique_in =
-            a.CoversKey(op->children[0].get(), {"iter"});
-        if (iter_unique_in) {
+        add_cols(i, {bat::kIter, bat::kItem});
+        const Op* in = op->children[0].get();
+        if (a.IsUniqueCol(in, bat::kIter)) {
           // Structural single-result axes need no statistics.
           bool one_per_context = op->axis == accel::Axis::kSelf ||
                                  op->axis == accel::Axis::kParent;
-          if (!one_per_context && step_unique &&
-              a.store_only_[op->children[0].get()]) {
+          if (!one_per_context && step_unique && a.store_only_[kid(0)]) {
             one_per_context = step_unique(op->axis, op->test);
           }
-          if (one_per_context) a.AddKey(op, {"iter"});
+          if (one_per_context) add_cols(i, {bat::kIter});
         }
         break;
       }
       case OpKind::kDocRoot:
-        if (a.CoversKey(op->children[0].get(), {"iter"})) {
-          a.AddKey(op, {"iter"});
+        if (a.IsUniqueCol(op->children[0].get(), bat::kIter)) {
+          add_cols(i, {bat::kIter});
         }
         break;
       case OpKind::kEquiJoin:
       case OpKind::kThetaJoin:
       case OpKind::kCross: {
-        const auto* kl = child_keys(0);
-        const auto* kr = child_keys(1);
-        if (kl != nullptr && kr != nullptr) {
-          for (const auto& l : *kl) {
-            for (const auto& r : *kr) {
-              std::vector<std::string> k = l;
-              k.insert(k.end(), r.begin(), r.end());
-              a.AddKey(op, std::move(k));
+        size_t l = kid(0), r = kid(1);
+        for (size_t kl = a.first_[l]; kl < a.first_[l] + a.count_[l]; ++kl) {
+          for (size_t kr = a.first_[r]; kr < a.first_[r] + a.count_[r];
+               ++kr) {
+            for (size_t w = 0; w < words; ++w) {
+              key[w] = a.Key(kl)[w] | a.Key(kr)[w];
             }
+            a.AddKey(i, key.data());
           }
         }
         if (op->kind == OpKind::kEquiJoin) {
           // A join whose key is unique on one side matches each row of
           // the other side at most once: that side's keys survive.
-          const Op* l = op->children[0].get();
-          const Op* r = op->children[1].get();
-          if (a.IsUniqueCol(r, op->col2)) carry(0);
-          if (a.IsUniqueCol(l, op->col)) carry(1);
+          if (a.IsUniqueCol(op->children[1].get(), op->col2)) carry(0);
+          if (a.IsUniqueCol(op->children[0].get(), op->col)) carry(1);
         }
         break;
       }
       case OpKind::kAggr:
-        a.AddKey(op, {op->col});
+        add_cols(i, {op->col});
         break;
       case OpKind::kElemConstr:
       case OpKind::kTextConstr:
       case OpKind::kAttrConstr:
         // One constructed node per iteration; nodes are fresh.
-        a.AddKey(op, {"iter"});
-        a.AddKey(op, {"item"});
+        add_cols(i, {bat::kIter});
+        add_cols(i, {bat::kItem});
         break;
       case OpKind::kStrJoin:
-        a.AddKey(op, {"iter"});
+        add_cols(i, {bat::kIter});
         break;
       case OpKind::kDisjointUnion:
+      case OpKind::kPathScan:
         break;
     }
+    next_key += a.count_[i];
   }
   return a;
 }

@@ -2,8 +2,6 @@
 #define PATHFINDER_ALGEBRA_JOIN_PATTERN_H_
 
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/op.h"
@@ -26,19 +24,19 @@ using StepUniqueness =
 /// node. A key {c1..ck} of op means no two output rows agree on all of
 /// c1..ck — which is exactly the license to drop a `distinct` over a
 /// superset of those columns, and to prove joins non-expanding.
+///
+/// Keys are bitsets over ColIds, kept per node number of the plan the
+/// analysis ran on, all in one array.
 class KeyAnalysis {
  public:
   /// Does `op` have an inferred key that is a subset of `cols`?
-  bool CoversKey(const Op* op, const std::vector<std::string>& cols) const;
-
-  /// Is {col} (alone) a key of `op`?
-  bool IsUniqueCol(const Op* op, const std::string& col) const {
-    return CoversKey(op, {col});
+  bool CoversKey(const Op* op, const std::vector<ColId>& cols) const {
+    return CoversKey(op, cols.data(), cols.size());
   }
 
-  const std::vector<std::vector<std::string>>* KeysOf(const Op* op) const {
-    auto it = keys_.find(op);
-    return it == keys_.end() ? nullptr : &it->second;
+  /// Is {col} (alone) a key of `op`?
+  bool IsUniqueCol(const Op* op, ColId col) const {
+    return CoversKey(op, &col, 1);
   }
 
   /// May the op's output item columns contain *constructed* nodes
@@ -46,18 +44,27 @@ class KeyAnalysis {
   /// step facts only hold for store documents, so they require this to
   /// be false.
   bool StoreNodesOnly(const Op* op) const {
-    auto it = store_only_.find(op);
-    return it != store_only_.end() && it->second;
+    size_t i = plan_.IndexOf(op);
+    return i < store_only_.size() && store_only_[i];
   }
 
  private:
   friend KeyAnalysis InferKeys(const OpPtr&, const StepUniqueness&);
 
-  void AddKey(const Op* op, std::vector<std::string> key);
+  bool CoversKey(const Op* op, const ColId* cols, size_t n) const;
+  const uint64_t* Key(size_t k) const { return &key_bits_[k * words_]; }
+  /// Add `key` (words_ wide) to node `node`, the node being inferred.
+  void AddKey(size_t node, const uint64_t* key);
 
-  // Sorted, minimal (no key contains another), capped per op.
-  std::unordered_map<const Op*, std::vector<std::vector<std::string>>> keys_;
-  std::unordered_map<const Op*, bool> store_only_;
+  PlanNumbering plan_;
+  size_t words_ = 0;
+  // Node i's keys are keys first_[i] .. first_[i] + count_[i] - 1, each
+  // words_ wide in key_bits_: sorted by insertion, minimal (no key
+  // contains another), capped per node.
+  std::vector<uint64_t> key_bits_;
+  std::vector<uint32_t> first_;
+  std::vector<uint8_t> count_;
+  std::vector<uint8_t> store_only_;
 };
 
 /// Run the inference over the whole DAG (children before parents).

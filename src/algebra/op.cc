@@ -187,6 +187,8 @@ std::vector<Op*> TopoOrder(const OpPtr& root) {
 
 PlanNumbering NumberPlan(const OpPtr& root) {
   PlanNumbering plan;
+  plan.nodes.reserve(64);
+  plan.index.Reserve(64);
   // Iterative post-order to survive deep (unoptimized) plans. A node is
   // pushed only while unnumbered and is numbered before any frame below
   // it resumes, so in a DAG no node is pushed twice.
@@ -200,17 +202,39 @@ PlanNumbering NumberPlan(const OpPtr& root) {
     Frame& f = stack.back();
     if (f.next_child < f.op->children.size()) {
       Op* child = f.op->children[f.next_child++].get();
-      if (!plan.index.count(child)) stack.push_back({child, 0});
+      if (!plan.Contains(child)) stack.push_back({child, 0});
       continue;
     }
-    plan.index.emplace(f.op, plan.nodes.size());
+    plan.index.Insert(f.op, static_cast<uint32_t>(plan.nodes.size()));
     plan.nodes.push_back(f.op);
     stack.pop_back();
   }
   return plan;
 }
 
-OpPtr LitTable(std::vector<std::string> names,
+std::vector<const OpPtr*> NodeOwners(const PlanNumbering& plan,
+                                     const OpPtr& root) {
+  std::vector<const OpPtr*> owner(plan.nodes.size(), nullptr);
+  for (const Op* op : plan.nodes) {
+    for (const OpPtr& c : op->children) owner[plan.IndexOf(c.get())] = &c;
+  }
+  if (!owner.empty()) owner.back() = &root;
+  return owner;
+}
+
+OpPtr WithRebuiltChildren(const PlanNumbering& plan, const OpPtr& op,
+                          const std::vector<OpPtr>& rebuilt) {
+  bool kid_changed = false;
+  for (const auto& c : op->children) {
+    kid_changed |= rebuilt[plan.IndexOf(c.get())].get() != c.get();
+  }
+  if (!kid_changed) return op;
+  auto node = std::make_shared<Op>(*op);
+  for (auto& c : node->children) c = rebuilt[plan.IndexOf(c.get())];
+  return node;
+}
+
+OpPtr LitTable(std::vector<ColId> names,
                std::vector<bat::ColType> types,
                std::vector<std::vector<Item>> rows) {
   auto op = NewOp(OpKind::kLitTable, {});
@@ -221,30 +245,29 @@ OpPtr LitTable(std::vector<std::string> names,
 }
 
 OpPtr EmptySeq() {
-  return LitTable({"iter", "pos", "item"},
+  return LitTable({bat::kIter, bat::kPos, bat::kItem},
                   {bat::ColType::kInt, bat::ColType::kInt,
                    bat::ColType::kItem},
                   {});
 }
 
-OpPtr Project(OpPtr child,
-              std::vector<std::pair<std::string, std::string>> proj) {
+OpPtr Project(OpPtr child, std::vector<std::pair<ColId, ColId>> proj) {
   auto op = NewOp(OpKind::kProject, {std::move(child)});
   op->proj = std::move(proj);
   return op;
 }
 
-OpPtr Attach(OpPtr child, std::string name, bat::ColType type, Item value) {
+OpPtr Attach(OpPtr child, ColId name, bat::ColType type, Item value) {
   auto op = NewOp(OpKind::kAttach, {std::move(child)});
-  op->out = std::move(name);
+  op->out = name;
   op->types = {type};
   op->attach_val = value;
   return op;
 }
 
-OpPtr Select(OpPtr child, std::string bool_col) {
+OpPtr Select(OpPtr child, ColId bool_col) {
   auto op = NewOp(OpKind::kSelect, {std::move(child)});
-  op->col = std::move(bool_col);
+  op->col = bool_col;
   return op;
 }
 
@@ -252,30 +275,29 @@ OpPtr DisjointUnion(OpPtr a, OpPtr b) {
   return NewOp(OpKind::kDisjointUnion, {std::move(a), std::move(b)});
 }
 
-OpPtr Difference(OpPtr a, OpPtr b, std::vector<std::string> keys) {
+OpPtr Difference(OpPtr a, OpPtr b, std::vector<ColId> keys) {
   auto op = NewOp(OpKind::kDifference, {std::move(a), std::move(b)});
   op->keys = std::move(keys);
   return op;
 }
 
-OpPtr Distinct(OpPtr child, std::vector<std::string> keys) {
+OpPtr Distinct(OpPtr child, std::vector<ColId> keys) {
   auto op = NewOp(OpKind::kDistinct, {std::move(child)});
   op->keys = std::move(keys);
   return op;
 }
 
-OpPtr EquiJoin(OpPtr a, OpPtr b, std::string acol, std::string bcol) {
+OpPtr EquiJoin(OpPtr a, OpPtr b, ColId acol, ColId bcol) {
   auto op = NewOp(OpKind::kEquiJoin, {std::move(a), std::move(b)});
-  op->col = std::move(acol);
-  op->col2 = std::move(bcol);
+  op->col = acol;
+  op->col2 = bcol;
   return op;
 }
 
-OpPtr ThetaJoin(OpPtr a, OpPtr b, std::string acol, std::string bcol,
-                bat::CmpOp cmp) {
+OpPtr ThetaJoin(OpPtr a, OpPtr b, ColId acol, ColId bcol, bat::CmpOp cmp) {
   auto op = NewOp(OpKind::kThetaJoin, {std::move(a), std::move(b)});
-  op->col = std::move(acol);
-  op->col2 = std::move(bcol);
+  op->col = acol;
+  op->col2 = bcol;
   op->cmp = cmp;
   return op;
 }
@@ -284,11 +306,10 @@ OpPtr Cross(OpPtr a, OpPtr b) {
   return NewOp(OpKind::kCross, {std::move(a), std::move(b)});
 }
 
-OpPtr RowNum(OpPtr child, std::string out, std::vector<std::string> part,
-             std::vector<std::string> order,
-             std::vector<uint8_t> order_desc) {
+OpPtr RowNum(OpPtr child, ColId out, std::vector<ColId> part,
+             std::vector<ColId> order, std::vector<uint8_t> order_desc) {
   auto op = NewOp(OpKind::kRowNum, {std::move(child)});
-  op->out = std::move(out);
+  op->out = out;
   op->part = std::move(part);
   op->order = std::move(order);
   op->order_desc = std::move(order_desc);
@@ -318,9 +339,9 @@ OpPtr TextConstr(OpPtr child) {
   return NewOp(OpKind::kTextConstr, {std::move(child)});
 }
 
-OpPtr AttrConstr(OpPtr content, std::string name) {
+OpPtr AttrConstr(OpPtr content, StrId name) {
   auto op = NewOp(OpKind::kAttrConstr, {std::move(content)});
-  op->out = std::move(name);
+  op->attr_name = name;
   return op;
 }
 
@@ -328,31 +349,30 @@ OpPtr StrJoin(OpPtr content, OpPtr sep) {
   return NewOp(OpKind::kStrJoin, {std::move(content), std::move(sep)});
 }
 
-OpPtr MapFun1(OpPtr child, Fun1 f, std::string in, std::string out) {
+OpPtr MapFun1(OpPtr child, Fun1 f, ColId in, ColId out) {
   auto op = NewOp(OpKind::kFun1, {std::move(child)});
   op->fun1 = f;
-  op->col = std::move(in);
-  op->out = std::move(out);
+  op->col = in;
+  op->out = out;
   return op;
 }
 
-OpPtr MapFun2(OpPtr child, Fun2 f, std::string in1, std::string in2,
-              std::string out) {
+OpPtr MapFun2(OpPtr child, Fun2 f, ColId in1, ColId in2, ColId out) {
   auto op = NewOp(OpKind::kFun2, {std::move(child)});
   op->fun2 = f;
-  op->col = std::move(in1);
-  op->col2 = std::move(in2);
-  op->out = std::move(out);
+  op->col = in1;
+  op->col2 = in2;
+  op->out = out;
   return op;
 }
 
-OpPtr Aggr(OpPtr child, bat::AggKind agg, std::string part_col,
-           std::string val_col, std::string out) {
+OpPtr Aggr(OpPtr child, bat::AggKind agg, ColId part_col, ColId val_col,
+           ColId out) {
   auto op = NewOp(OpKind::kAggr, {std::move(child)});
   op->agg = agg;
-  op->col = std::move(part_col);
-  op->col2 = std::move(val_col);
-  op->out = std::move(out);
+  op->col = part_col;
+  op->col2 = val_col;
+  op->out = out;
   return op;
 }
 

@@ -3,11 +3,12 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "accel/axis.h"
+#include "base/ptr_index.h"
+#include "bat/col_id.h"
 #include "bat/kernel.h"
 
 namespace pathfinder::algebra {
@@ -118,6 +119,7 @@ const char* Fun2Name(Fun2 f);
 
 struct Op;
 using OpPtr = std::shared_ptr<Op>;
+using bat::ColId;
 
 /// One axis step of a kPathScan chain (see the PathScan builder).
 struct PathStep {
@@ -131,21 +133,23 @@ struct PathStep {
 /// (plans are hundreds of nodes at most, so the footprint is
 /// irrelevant), which keeps construction, printing and rewriting simple.
 /// Which fields are meaningful depends on `kind` — see the builder
-/// functions below for the per-operator contracts.
+/// functions below for the per-operator contracts. Columns are named by
+/// ColId (bat/col_id.h); names appear only when a plan is printed.
 struct Op {
   OpKind kind;
   std::vector<OpPtr> children;
 
   // kProject: (new name, source column) pairs.
-  std::vector<std::pair<std::string, std::string>> proj;
+  std::vector<std::pair<ColId, ColId>> proj;
 
   // Column parameters: kSelect (col = predicate), kEquiJoin/kThetaJoin
   // (col ⋈ col2), kRowNum/kAttach/kFun*/kAggr (out = result column).
-  std::string col, col2, out;
+  // bat::kNoCol where unused.
+  ColId col = bat::kNoCol, col2 = bat::kNoCol, out = bat::kNoCol;
 
   // kRowNum: partition keys / order keys (order_desc[i] marks key i as
   // descending). kDistinct, kDifference: keys.
-  std::vector<std::string> part, order, keys;
+  std::vector<ColId> part, order, keys;
   std::vector<uint8_t> order_desc;
 
   // kStep parameters.
@@ -162,9 +166,13 @@ struct Op {
   bat::CmpOp cmp = bat::CmpOp::kEq;
   bat::AggKind agg = bat::AggKind::kCount;
 
+  // kAttrConstr: the attribute's name (query text, interned into the
+  // database's string pool like NodeTest::name — not a column).
+  StrId attr_name = 0;
+
   // kLitTable / kAttach: schema and constant cells. Cells are stored as
   // Items; INT columns hold kInt items, BOOL columns kBool items.
-  std::vector<std::string> names;
+  std::vector<ColId> names;
   std::vector<bat::ColType> types;
   std::vector<std::vector<Item>> rows;  // row-major
   Item attach_val{ItemKind::kInt, 0};
@@ -219,38 +227,55 @@ std::vector<Op*> TopoOrder(const OpPtr& root);
 
 /// Dense post-order numbering of a plan DAG, from one walk: `nodes[i]`
 /// is the node numbered i (children before parents, so the root is
-/// last) and `index` maps each node back to its number. A rewrite
-/// round keeps its per-node state in vectors indexed by it.
+/// last) and `index` maps each node back to its number (one flat
+/// open-addressing table, no per-node allocation). A rewrite round
+/// keeps its per-node state in vectors indexed by it.
 struct PlanNumbering {
   std::vector<Op*> nodes;
-  std::unordered_map<const Op*, size_t> index;
+  PtrIndex index;
+
+  /// Number of `op`; `op` must be in the plan.
+  size_t IndexOf(const Op* op) const { return index.Find(op); }
+  bool Contains(const Op* op) const {
+    return index.Find(op) != PtrIndex::kAbsent;
+  }
 };
 
 PlanNumbering NumberPlan(const OpPtr& root);
+
+/// For each node of `plan` (numbered from `root`), the OpPtr owning it:
+/// `root` itself, or a slot in some parent's children. A rewrite that
+/// loops over the numbering hands out the original shared node through
+/// it when the node stays unchanged.
+std::vector<const OpPtr*> NodeOwners(const PlanNumbering& plan,
+                                     const OpPtr& root);
+
+/// `op` (a node of `plan`) itself if none of its children was rebuilt,
+/// else a copy of it over the rebuilt children; `rebuilt` is indexed by
+/// node number and filled for every child of `op`.
+OpPtr WithRebuiltChildren(const PlanNumbering& plan, const OpPtr& op,
+                          const std::vector<OpPtr>& rebuilt);
 
 // ---------------------------------------------------------------------
 // Builder functions. These are the only way plans are constructed, so
 // invariants (child counts, parameter shapes) are centralized here.
 
-OpPtr LitTable(std::vector<std::string> names,
+OpPtr LitTable(std::vector<ColId> names,
                std::vector<bat::ColType> types,
                std::vector<std::vector<Item>> rows);
 /// Empty table with the standard (iter INT, pos INT, item ITEM) schema.
 OpPtr EmptySeq();
-OpPtr Project(OpPtr child,
-              std::vector<std::pair<std::string, std::string>> proj);
-OpPtr Attach(OpPtr child, std::string name, bat::ColType type, Item value);
-OpPtr Select(OpPtr child, std::string bool_col);
+OpPtr Project(OpPtr child, std::vector<std::pair<ColId, ColId>> proj);
+OpPtr Attach(OpPtr child, ColId name, bat::ColType type, Item value);
+OpPtr Select(OpPtr child, ColId bool_col);
 OpPtr DisjointUnion(OpPtr a, OpPtr b);
-OpPtr Difference(OpPtr a, OpPtr b, std::vector<std::string> keys);
-OpPtr Distinct(OpPtr child, std::vector<std::string> keys);
-OpPtr EquiJoin(OpPtr a, OpPtr b, std::string acol, std::string bcol);
-OpPtr ThetaJoin(OpPtr a, OpPtr b, std::string acol, std::string bcol,
-                bat::CmpOp cmp);
+OpPtr Difference(OpPtr a, OpPtr b, std::vector<ColId> keys);
+OpPtr Distinct(OpPtr child, std::vector<ColId> keys);
+OpPtr EquiJoin(OpPtr a, OpPtr b, ColId acol, ColId bcol);
+OpPtr ThetaJoin(OpPtr a, OpPtr b, ColId acol, ColId bcol, bat::CmpOp cmp);
 OpPtr Cross(OpPtr a, OpPtr b);
-OpPtr RowNum(OpPtr child, std::string out, std::vector<std::string> part,
-             std::vector<std::string> order,
-             std::vector<uint8_t> order_desc = {});
+OpPtr RowNum(OpPtr child, ColId out, std::vector<ColId> part,
+             std::vector<ColId> order, std::vector<uint8_t> order_desc = {});
 OpPtr Step(OpPtr child, accel::Axis axis, accel::NodeTest test);
 OpPtr DocRoot(OpPtr child);
 /// Collapsed chain of purely structural steps over the child's
@@ -264,21 +289,22 @@ OpPtr PathScan(OpPtr child, std::vector<PathStep> path);
 /// item). Result: (iter, item node).
 OpPtr ElemConstr(OpPtr name, OpPtr content);
 OpPtr TextConstr(OpPtr child);
-/// Construct one attribute node named `name` per iter of `content`
-/// (whose atomized items, joined with spaces, form the value).
-OpPtr AttrConstr(OpPtr content, std::string name);
+/// Construct one attribute node named `name` (a database string-pool
+/// id) per iter of `content` (whose atomized items, joined with spaces,
+/// form the value).
+OpPtr AttrConstr(OpPtr content, StrId name);
 /// fn:string-join: per iter of `content` (iter,pos,item), join the
 /// stringified items with the iter's `sep` singleton (iter,pos,item).
 /// Result: (iter, item).
 OpPtr StrJoin(OpPtr content, OpPtr sep);
-OpPtr MapFun1(OpPtr child, Fun1 f, std::string in, std::string out);
-OpPtr MapFun2(OpPtr child, Fun2 f, std::string in1, std::string in2,
-              std::string out);
+OpPtr MapFun1(OpPtr child, Fun1 f, ColId in, ColId out);
+OpPtr MapFun2(OpPtr child, Fun2 f, ColId in1, ColId in2, ColId out);
 /// Aggregate `val_col` of child grouped by `part_col`; result schema
 /// (part_col INT, out ITEM). Groups absent from child are absent from
-/// the result (the compiler patches empty groups explicitly).
-OpPtr Aggr(OpPtr child, bat::AggKind agg, std::string part_col,
-           std::string val_col, std::string out);
+/// the result (the compiler patches empty groups explicitly). A count
+/// may pass bat::kNoCol as `val_col`.
+OpPtr Aggr(OpPtr child, bat::AggKind agg, ColId part_col, ColId val_col,
+           ColId out);
 OpPtr Serialize(OpPtr child);
 
 }  // namespace pathfinder::algebra

@@ -1,8 +1,6 @@
 #include "algebra/print.h"
 
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "bat/item_ops.h"
 
@@ -32,11 +30,11 @@ void RenderItem(std::ostream& os, const Item& it, const StringPool& pool) {
   }
 }
 
-std::string JoinNames(const std::vector<std::string>& v) {
+std::string JoinNames(const std::vector<ColId>& v) {
   std::string s;
   for (size_t i = 0; i < v.size(); ++i) {
     if (i) s += ",";
-    s += v[i];
+    s += bat::ColName(v[i]);
   }
   return s;
 }
@@ -70,35 +68,37 @@ std::string OpLabel(const Op& op, const StringPool& pool) {
       for (size_t i = 0; i < op.proj.size(); ++i) {
         if (i) os << ",";
         if (op.proj[i].first == op.proj[i].second) {
-          os << op.proj[i].first;
+          os << bat::ColName(op.proj[i].first);
         } else {
-          os << op.proj[i].first << ":" << op.proj[i].second;
+          os << bat::ColName(op.proj[i].first) << ":"
+             << bat::ColName(op.proj[i].second);
         }
       }
       break;
     }
     case OpKind::kAttach: {
-      os << " " << op.out << "=";
+      os << " " << bat::ColName(op.out) << "=";
       RenderItem(os, op.attach_val, pool);
       break;
     }
     case OpKind::kSelect:
-      os << " " << op.col;
+      os << " " << bat::ColName(op.col);
       break;
     case OpKind::kDifference:
     case OpKind::kDistinct:
       if (!op.keys.empty()) os << " on " << JoinNames(op.keys);
       break;
     case OpKind::kEquiJoin:
-      os << " " << op.col << "=" << op.col2;
+      os << " " << bat::ColName(op.col) << "=" << bat::ColName(op.col2);
       break;
     case OpKind::kThetaJoin: {
       const char* ops[] = {"=", "!=", "<", "<=", ">", ">="};
-      os << " " << op.col << ops[static_cast<int>(op.cmp)] << op.col2;
+      os << " " << bat::ColName(op.col) << ops[static_cast<int>(op.cmp)]
+         << bat::ColName(op.col2);
       break;
     }
     case OpKind::kRowNum:
-      os << " " << op.out << ":<" << JoinNames(op.part) << ">";
+      os << " " << bat::ColName(op.out) << ":<" << JoinNames(op.part) << ">";
       if (!op.order.empty()) os << "/" << JoinNames(op.order);
       break;
     case OpKind::kStep:
@@ -112,17 +112,18 @@ std::string OpLabel(const Op& op, const StringPool& pool) {
       }
       break;
     case OpKind::kFun1:
-      os << " " << op.out << "=" << Fun1Name(op.fun1) << "(" << op.col
-         << ")";
+      os << " " << bat::ColName(op.out) << "=" << Fun1Name(op.fun1) << "("
+         << bat::ColName(op.col) << ")";
       break;
     case OpKind::kFun2:
-      os << " " << op.out << "=(" << op.col << " " << Fun2Name(op.fun2)
-         << " " << op.col2 << ")";
+      os << " " << bat::ColName(op.out) << "=(" << bat::ColName(op.col)
+         << " " << Fun2Name(op.fun2) << " " << bat::ColName(op.col2) << ")";
       break;
     case OpKind::kAggr: {
       const char* aggs[] = {"count", "sum", "avg", "max", "min"};
-      os << " " << op.out << "=" << aggs[static_cast<int>(op.agg)] << "("
-         << op.col2 << ")/" << op.col;
+      os << " " << bat::ColName(op.out) << "="
+         << aggs[static_cast<int>(op.agg)] << "(" << bat::ColName(op.col2)
+         << ")/" << bat::ColName(op.col);
       break;
     }
     default:
@@ -137,15 +138,13 @@ std::string OpLabel(const Op& op, const StringPool& pool) {
 namespace {
 
 void PrintText(const OpPtr& op, const StringPool& pool, int indent,
-               std::unordered_set<const Op*>* printed, std::ostream& os,
+               PtrIndex* printed, std::ostream& os,
                const OpAnnotator* annot) {
   for (int i = 0; i < indent; ++i) os << "  ";
-  if (printed->count(op.get())) {
+  if (!printed->Insert(op.get(), 0)) {
     os << "^" << op->id << "\n";
     return;
   }
-  // Only mark nodes with multiple possible visits; cheap to mark all.
-  printed->insert(op.get());
   os << "#" << op->id << " " << OpLabel(*op, pool);
   if (annot != nullptr) {
     std::string a = (*annot)(*op);
@@ -170,7 +169,7 @@ std::string DotEscape(const std::string& s) {
 
 std::string PlanToText(const OpPtr& root, const StringPool& pool) {
   std::ostringstream os;
-  std::unordered_set<const Op*> printed;
+  PtrIndex printed;
   PrintText(root, pool, 0, &printed, os, nullptr);
   return os.str();
 }
@@ -178,7 +177,7 @@ std::string PlanToText(const OpPtr& root, const StringPool& pool) {
 std::string PlanToTextAnnotated(const OpPtr& root, const StringPool& pool,
                                 const OpAnnotator& annot) {
   std::ostringstream os;
-  std::unordered_set<const Op*> printed;
+  PtrIndex printed;
   PrintText(root, pool, 0, &printed, os, &annot);
   return os.str();
 }

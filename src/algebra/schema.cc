@@ -8,7 +8,8 @@ std::string Schema::ToString() const {
   std::ostringstream os;
   for (size_t i = 0; i < cols.size(); ++i) {
     if (i) os << " | ";
-    os << cols[i].first << ":" << bat::ColTypeName(cols[i].second);
+    os << bat::ColName(cols[i].first) << ":"
+       << bat::ColTypeName(cols[i].second);
   }
   return os.str();
 }
@@ -20,20 +21,40 @@ Status Fail(const Op& op, const std::string& msg) {
                           std::to_string(op.id) + "): " + msg);
 }
 
-Result<bat::ColType> ColOf(const Op& op, const Schema& s,
-                           const std::string& name) {
+/// `name` quoted for an error message.
+std::string Quote(ColId name) {
+  return "'" + std::string(bat::ColName(name)) + "'";
+}
+
+Result<bat::ColType> ColOf(const Op& op, const Schema& s, ColId name) {
   int i = s.Find(name);
-  if (i < 0) return Fail(op, "unknown column '" + name + "'");
+  if (i < 0) return Fail(op, "unknown column " + Quote(name));
   return s.cols[static_cast<size_t>(i)].second;
 }
 
+/// The (iter INT, item ITEM) schema of steps and constructors.
+Schema IterItem() {
+  Schema s;
+  s.cols = {{bat::kIter, bat::ColType::kInt},
+            {bat::kItem, bat::ColType::kItem}};
+  return s;
+}
+
+/// A copy of `s` with room for `extra` more columns.
+Schema Extend(const Schema& s, size_t extra) {
+  Schema out;
+  out.cols.reserve(s.cols.size() + extra);
+  out.cols = s.cols;
+  return out;
+}
+
 Status RequireSeqCols(const Op& op, const Schema& s, bool need_pos) {
-  PF_ASSIGN_OR_RETURN(bat::ColType it, ColOf(op, s, "iter"));
+  PF_ASSIGN_OR_RETURN(bat::ColType it, ColOf(op, s, bat::kIter));
   if (it != bat::ColType::kInt) return Fail(op, "iter must be int");
-  PF_ASSIGN_OR_RETURN(bat::ColType im, ColOf(op, s, "item"));
+  PF_ASSIGN_OR_RETURN(bat::ColType im, ColOf(op, s, bat::kItem));
   if (im != bat::ColType::kItem) return Fail(op, "item must be item");
   if (need_pos) {
-    PF_ASSIGN_OR_RETURN(bat::ColType p, ColOf(op, s, "pos"));
+    PF_ASSIGN_OR_RETURN(bat::ColType p, ColOf(op, s, bat::kPos));
     if (p != bat::ColType::kInt) return Fail(op, "pos must be int");
   }
   return Status::OK();
@@ -60,9 +81,10 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
         }
       }
       Schema s;
+      s.cols.reserve(op.names.size());
       for (size_t i = 0; i < op.names.size(); ++i) {
         if (s.Has(op.names[i])) {
-          return Fail(op, "duplicate column '" + op.names[i] + "'");
+          return Fail(op, "duplicate column " + Quote(op.names[i]));
         }
         s.cols.emplace_back(op.names[i], op.types[i]);
       }
@@ -71,9 +93,10 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
     case OpKind::kProject: {
       PF_RETURN_NOT_OK(require_children(1));
       Schema s;
+      s.cols.reserve(op.proj.size());
       for (const auto& [nw, old] : op.proj) {
         PF_ASSIGN_OR_RETURN(bat::ColType t, ColOf(op, *cs[0], old));
-        if (s.Has(nw)) return Fail(op, "duplicate output column '" + nw + "'");
+        if (s.Has(nw)) return Fail(op, "duplicate output column " + Quote(nw));
         s.cols.emplace_back(nw, t);
       }
       return s;
@@ -81,9 +104,10 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
     case OpKind::kAttach: {
       PF_RETURN_NOT_OK(require_children(1));
       if (cs[0]->Has(op.out)) {
-        return Fail(op, "attached column '" + op.out + "' already exists");
+        return Fail(op, "attached column " + Quote(op.out) +
+                            " already exists");
       }
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], 1);
       s.cols.emplace_back(op.out, op.types.at(0));
       return s;
     }
@@ -103,7 +127,7 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       for (const auto& [name, type] : cs[0]->cols) {
         PF_ASSIGN_OR_RETURN(bat::ColType t2, ColOf(op, *cs[1], name));
         if (t2 != type) {
-          return Fail(op, "column '" + name + "' type mismatch");
+          return Fail(op, "column " + Quote(name) + " type mismatch");
         }
       }
       return *cs[0];
@@ -112,16 +136,16 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       PF_RETURN_NOT_OK(require_children(2));
       const auto& keys = op.keys;
       if (keys.empty()) return Fail(op, "difference needs key columns");
-      for (const auto& k : keys) {
+      for (ColId k : keys) {
         PF_ASSIGN_OR_RETURN(bat::ColType ta, ColOf(op, *cs[0], k));
         PF_ASSIGN_OR_RETURN(bat::ColType tb, ColOf(op, *cs[1], k));
-        if (ta != tb) return Fail(op, "key '" + k + "' type mismatch");
+        if (ta != tb) return Fail(op, "key " + Quote(k) + " type mismatch");
       }
       return *cs[0];
     }
     case OpKind::kDistinct: {
       PF_RETURN_NOT_OK(require_children(1));
-      for (const auto& k : op.keys) {
+      for (ColId k : op.keys) {
         PF_RETURN_NOT_OK(ColOf(op, *cs[0], k).status());
       }
       return *cs[0];
@@ -134,10 +158,10 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       if (op.kind == OpKind::kEquiJoin && ta != tb) {
         return Fail(op, "join key type mismatch");
       }
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], cs[1]->cols.size());
       for (const auto& [name, type] : cs[1]->cols) {
         if (s.Has(name)) {
-          return Fail(op, "join sides share column '" + name + "'");
+          return Fail(op, "join sides share column " + Quote(name));
         }
         s.cols.emplace_back(name, type);
       }
@@ -145,10 +169,10 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
     }
     case OpKind::kCross: {
       PF_RETURN_NOT_OK(require_children(2));
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], cs[1]->cols.size());
       for (const auto& [name, type] : cs[1]->cols) {
         if (s.Has(name)) {
-          return Fail(op, "cross sides share column '" + name + "'");
+          return Fail(op, "cross sides share column " + Quote(name));
         }
         s.cols.emplace_back(name, type);
       }
@@ -160,78 +184,56 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
           op.order_desc.size() != op.order.size()) {
         return Fail(op, "order_desc size mismatch");
       }
-      for (const auto& k : op.part) {
+      for (ColId k : op.part) {
         PF_RETURN_NOT_OK(ColOf(op, *cs[0], k).status());
       }
-      for (const auto& k : op.order) {
+      for (ColId k : op.order) {
         PF_RETURN_NOT_OK(ColOf(op, *cs[0], k).status());
       }
       if (cs[0]->Has(op.out)) {
-        return Fail(op, "rownum column '" + op.out + "' already exists");
+        return Fail(op, "rownum column " + Quote(op.out) + " already exists");
       }
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], 1);
       s.cols.emplace_back(op.out, bat::ColType::kInt);
       return s;
     }
     case OpKind::kStep: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/false));
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kPathScan: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/false));
       if (op.path.empty()) return Fail(op, "pathscan with empty chain");
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kDocRoot: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/false));
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kElemConstr: {
       PF_RETURN_NOT_OK(require_children(2));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/false));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[1], /*need_pos=*/true));
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kTextConstr: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/false));
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kStrJoin: {
       PF_RETURN_NOT_OK(require_children(2));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/true));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[1], /*need_pos=*/false));
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kAttrConstr: {
       PF_RETURN_NOT_OK(require_children(1));
       PF_RETURN_NOT_OK(RequireSeqCols(op, *cs[0], /*need_pos=*/true));
-      if (op.out.empty()) return Fail(op, "attribute name missing");
-      Schema s;
-      s.cols.emplace_back("iter", bat::ColType::kInt);
-      s.cols.emplace_back("item", bat::ColType::kItem);
-      return s;
+      return IterItem();
     }
     case OpKind::kFun1: {
       PF_RETURN_NOT_OK(require_children(1));
@@ -269,9 +271,9 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       }
       if (tin != expect_in) return Fail(op, "fun1 input type mismatch");
       if (cs[0]->Has(op.out)) {
-        return Fail(op, "fun1 output '" + op.out + "' already exists");
+        return Fail(op, "fun1 output " + Quote(op.out) + " already exists");
       }
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], 1);
       s.cols.emplace_back(op.out, tout);
       return s;
     }
@@ -307,9 +309,9 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
         return Fail(op, "fun2 input type mismatch");
       }
       if (cs[0]->Has(op.out)) {
-        return Fail(op, "fun2 output '" + op.out + "' already exists");
+        return Fail(op, "fun2 output " + Quote(op.out) + " already exists");
       }
-      Schema s = *cs[0];
+      Schema s = Extend(*cs[0], 1);
       s.cols.emplace_back(op.out, tout);
       return s;
     }
@@ -319,7 +321,7 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
       if (tp != bat::ColType::kInt) {
         return Fail(op, "aggregate partition column must be int");
       }
-      if (!op.col2.empty()) {
+      if (op.col2 != bat::kNoCol) {
         PF_ASSIGN_OR_RETURN(bat::ColType tv, ColOf(op, *cs[0], op.col2));
         if (tv != bat::ColType::kItem) {
           return Fail(op, "aggregate value column must be item");
@@ -328,8 +330,7 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
         return Fail(op, "only count may omit the value column");
       }
       Schema s;
-      s.cols.emplace_back(op.col, bat::ColType::kInt);
-      s.cols.emplace_back(op.out, bat::ColType::kItem);
+      s.cols = {{op.col, bat::ColType::kInt}, {op.out, bat::ColType::kItem}};
       return s;
     }
     case OpKind::kSerialize: {
@@ -343,6 +344,13 @@ Result<Schema> InferOne(const Op& op, const std::vector<const Schema*>& cs) {
 
 }  // namespace
 
+void SchemaMap::Insert(const Op* op, Schema s) {
+  if (index_.Insert(op, static_cast<uint32_t>(schemas_.size()))) {
+    ops_.push_back(op);
+    schemas_.push_back(std::move(s));
+  }
+}
+
 Result<Schema> InferSchemas(const OpPtr& root, SchemaMap* schemas) {
   SchemaMap local;
   SchemaMap& memo = schemas ? *schemas : local;
@@ -354,13 +362,13 @@ Result<Schema> InferSchemas(const OpPtr& root, SchemaMap* schemas) {
     size_t next_child;
   };
   std::vector<Frame> stack;
-  if (!memo.count(root.get())) stack.push_back({root.get(), 0});
+  if (!memo.Contains(root.get())) stack.push_back({root.get(), 0});
   std::vector<const Schema*> cs;
   while (!stack.empty()) {
     Frame& f = stack.back();
     if (f.next_child < f.op->children.size()) {
       const Op* child = f.op->children[f.next_child++].get();
-      if (!memo.count(child)) stack.push_back({child, 0});
+      if (!memo.Contains(child)) stack.push_back({child, 0});
       continue;
     }
     const Op* op = f.op;
@@ -368,15 +376,27 @@ Result<Schema> InferSchemas(const OpPtr& root, SchemaMap* schemas) {
     cs.clear();
     for (const auto& c : op->children) cs.push_back(&memo.at(c.get()));
     PF_ASSIGN_OR_RETURN(Schema s, InferOne(*op, cs));
-    memo.emplace(op, std::move(s));
+    memo.Insert(op, std::move(s));
   }
   return memo.at(root.get());
 }
 
 void RetainSchemas(const PlanNumbering& plan, SchemaMap* memo) {
-  std::erase_if(*memo, [&](const auto& entry) {
-    return plan.index.count(entry.first) == 0;
-  });
+  size_t kept = 0;
+  for (size_t i = 0; i < memo->ops_.size(); ++i) {
+    if (!plan.Contains(memo->ops_[i])) continue;
+    if (kept != i) {
+      memo->ops_[kept] = memo->ops_[i];
+      memo->schemas_[kept] = std::move(memo->schemas_[i]);
+    }
+    ++kept;
+  }
+  memo->ops_.resize(kept);
+  memo->schemas_.resize(kept);
+  memo->index_.Clear();
+  for (size_t i = 0; i < kept; ++i) {
+    memo->index_.Insert(memo->ops_[i], static_cast<uint32_t>(i));
+  }
 }
 
 Status ValidatePlan(const OpPtr& root) {

@@ -2,7 +2,6 @@
 #define PATHFINDER_ALGEBRA_SCHEMA_H_
 
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -13,22 +12,43 @@ namespace pathfinder::algebra {
 
 /// Inferred relational schema of an operator's output.
 struct Schema {
-  std::vector<std::pair<std::string, bat::ColType>> cols;
+  std::vector<std::pair<ColId, bat::ColType>> cols;
 
-  int Find(const std::string& name) const {
+  int Find(ColId name) const {
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i].first == name) return static_cast<int>(i);
     }
     return -1;
   }
-  bool Has(const std::string& name) const { return Find(name) >= 0; }
+  bool Has(ColId name) const { return Find(name) >= 0; }
 
   std::string ToString() const;
 };
 
 /// Schema memo: inferred schemas keyed by node address, kept beside
-/// the plan rather than on `Op`.
-using SchemaMap = std::unordered_map<const Op*, Schema>;
+/// the plan rather than on `Op`. The schemas live in one vector and a
+/// flat open-addressing table maps each node to its slot, so the memo
+/// allocates per growth, not per node.
+class SchemaMap {
+ public:
+  /// The memoized schema of `op`, or null.
+  const Schema* Find(const Op* op) const {
+    uint32_t i = index_.Find(op);
+    return i == PtrIndex::kAbsent ? nullptr : &schemas_[i];
+  }
+  bool Contains(const Op* op) const { return Find(op) != nullptr; }
+  /// The memoized schema of `op`, which must be present.
+  const Schema& at(const Op* op) const { return schemas_[index_.Find(op)]; }
+  void Insert(const Op* op, Schema s);
+  size_t size() const { return schemas_.size(); }
+
+ private:
+  friend void RetainSchemas(const PlanNumbering& plan, SchemaMap* memo);
+
+  PtrIndex index_;
+  std::vector<const Op*> ops_;  // parallel to schemas_
+  std::vector<Schema> schemas_;
+};
 
 /// Infer (and thereby validate) the schema of every node in the DAG.
 ///

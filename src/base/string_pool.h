@@ -27,10 +27,13 @@ using StrId = uint32_t;
 /// internal mutex. Storage is a two-level directory of fixed-size string
 /// blocks: a published id's block pointer and slot are written before the
 /// id escapes the mutex, and neither ever moves afterwards, so readers
-/// never observe a slot under construction. Note that the *numbering* of
-/// ids depends on interning order (and hence on morsel scheduling); ids
-/// must therefore only be used for equality and resolved to content
-/// before any ordering or serialization decision.
+/// never observe a slot under construction. Directory entries and slots
+/// are constructed only when first used, so the untouched part of the
+/// directory and of the last block costs no resident memory: a small
+/// pool (the column dictionary, bat/col_id.h) stays small. Note that
+/// the *numbering* of ids depends on interning order (and hence on
+/// morsel scheduling); ids must therefore only be used for equality and
+/// resolved to content before any ordering or serialization decision.
 class StringPool {
  public:
   StringPool();
@@ -63,9 +66,14 @@ class StringPool {
   static constexpr size_t kBlockMask = kBlockSize - 1;
   static constexpr size_t kMaxBlocks = size_t{1} << 15;  // 2^28 strings
 
+  using BlockPtr = std::atomic<const std::string*>;
+
   // Directory of lazily-allocated blocks. Fixed-size so readers index it
-  // without synchronizing on growth.
-  std::unique_ptr<std::atomic<const std::string*>[]> blocks_;
+  // without synchronizing on growth. Raw storage: entry b is constructed
+  // when block b is allocated, before any of its ids is published, and
+  // only such entries are read. Blocks are raw storage too; Intern
+  // constructs each slot.
+  BlockPtr* blocks_;
   std::atomic<size_t> size_{0};
 
   mutable std::mutex mu_;

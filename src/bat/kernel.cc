@@ -185,15 +185,18 @@ class RowSet {
 };
 
 Result<std::vector<const Column*>> ResolveCols(
-    const Table& t, const std::vector<std::string>& names) {
+    const Table& t, const std::vector<ColId>& names) {
   std::vector<const Column*> cols;
   if (names.empty()) {
     for (size_t i = 0; i < t.num_cols(); ++i) cols.push_back(t.col(i).get());
     return cols;
   }
-  for (const auto& n : names) {
+  for (ColId n : names) {
     int i = t.FindCol(n);
-    if (i < 0) return Status::Internal("kernel: no column '" + n + "'");
+    if (i < 0) {
+      return Status::Internal("kernel: no column '" +
+                              std::string(ColName(n)) + "'");
+    }
     cols.push_back(t.col(static_cast<size_t>(i)).get());
   }
   return cols;
@@ -977,7 +980,7 @@ size_t MergeSplit(const RowIdx* a, size_t na, const RowIdx* b, size_t nb,
 
 }  // namespace
 
-Result<IdxVec> SortPerm(const Table& t, const std::vector<std::string>& keys,
+Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc, ThreadPool* tp,
                         const KernelTuning& kt, KernelPhases* phases) {
@@ -1103,8 +1106,7 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<std::string>& keys,
   return perm;
 }
 
-Result<IdxVec> DistinctIndices(const Table& t,
-                               const std::vector<std::string>& keys,
+Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
                                ThreadPool* tp) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
   size_t n = t.rows();
@@ -1169,12 +1171,12 @@ Result<IdxVec> DistinctIndices(const Table& t,
   return out;
 }
 
-Result<ColumnPtr> Mark(const Table& t, const std::vector<std::string>& part,
-                       const std::vector<std::string>& order,
+Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
+                       const std::vector<ColId>& order,
                        const StringPool& pool,
                        const std::vector<uint8_t>& order_desc,
                        ThreadPool* tp, const KernelTuning& kt) {
-  std::vector<std::string> sort_keys = part;
+  std::vector<ColId> sort_keys = part;
   sort_keys.insert(sort_keys.end(), order.begin(), order.end());
   std::vector<uint8_t> desc(part.size(), 0);
   if (!order_desc.empty()) {
@@ -1207,7 +1209,7 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<std::string>& part,
 }
 
 Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
-                                 const std::vector<std::string>& keys,
+                                 const std::vector<ColId>& keys,
                                  ThreadPool* tp) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> acols,
                       ResolveCols(a, keys));
@@ -1304,13 +1306,13 @@ Result<Table> UnionAll(const Table& a, const Table& b) {
     int bi = b.FindCol(a.name(i));
     if (bi < 0) {
       return Status::Internal("union: right side lacks column '" +
-                              a.name(i) + "'");
+                              std::string(ColName(a.name(i))) + "'");
     }
     const Column& ca = *a.col(i);
     const Column& cb = *b.col(static_cast<size_t>(bi));
     if (ca.type() != cb.type()) {
       return Status::Internal("union: column type mismatch on '" +
-                              a.name(i) + "'");
+                              std::string(ColName(a.name(i))) + "'");
     }
     auto merged = std::make_shared<Column>(ca.type());
     switch (ca.type()) {
@@ -1345,17 +1347,16 @@ Result<Table> UnionAll(const Table& a, const Table& b) {
   return out;
 }
 
-Result<Table> GroupAgg(const Table& t, const std::string& group_col,
-                       const std::string& val_col, AggKind kind,
-                       const StringPool& pool, const std::string& out_group,
-                       const std::string& out_val, ThreadPool* tp,
+Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
+                       AggKind kind, const StringPool& pool, ColId out_group,
+                       ColId out_val, ThreadPool* tp,
                        const KernelTuning& kt, KernelPhases* phases) {
   PF_ASSIGN_OR_RETURN(ColumnPtr gcol, t.GetCol(group_col));
   if (gcol->type() != ColType::kInt) {
     return Status::Internal("group column must be int");
   }
   const Column* vcol = nullptr;
-  if (kind != AggKind::kCount || !val_col.empty()) {
+  if (kind != AggKind::kCount || val_col != kNoCol) {
     PF_ASSIGN_OR_RETURN(ColumnPtr v, t.GetCol(val_col));
     if (v->type() != ColType::kItem) {
       return Status::Internal("aggregate value column must be item");

@@ -2,7 +2,6 @@
 #define PATHFINDER_BAT_KERNEL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/result.h"
@@ -160,7 +159,7 @@ Status ThetaJoinIndices(const Column& l, const Column& r, CmpOp op,
 /// the final level parallelizes too, leaving no serial merge phase.
 /// Ties take the lower-run element, which reproduces the serial
 /// stable sort permutation exactly.
-Result<IdxVec> SortPerm(const Table& t, const std::vector<std::string>& keys,
+Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc = {},
                         ThreadPool* tp = nullptr,
@@ -171,15 +170,14 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<std::string>& keys,
 /// Empty `keys` means all columns. Parallel evaluation hash-partitions
 /// the rows per morsel; each partition keeps its rows in ascending row
 /// order, so first-occurrence winners match the serial scan exactly.
-Result<IdxVec> DistinctIndices(const Table& t,
-                               const std::vector<std::string>& keys,
+Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
                                ThreadPool* tp = nullptr);
 
 /// Row numbering (the paper's % operator / MonetDB mark): a new INT
 /// column counting 1,2,... per `part` partition in `order`-key order
 /// (stable w.r.t. existing row order). Result is aligned with t's rows.
-Result<ColumnPtr> Mark(const Table& t, const std::vector<std::string>& part,
-                       const std::vector<std::string>& order,
+Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
+                       const std::vector<ColId>& order,
                        const StringPool& pool,
                        const std::vector<uint8_t>& order_desc = {},
                        ThreadPool* tp = nullptr,
@@ -190,7 +188,7 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<std::string>& part,
 /// evaluation builds the probe sets hash-partitioned from b and probes
 /// a's morsels independently; the kept-row order is a's row order.
 Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
-                                 const std::vector<std::string>& keys,
+                                 const std::vector<ColId>& keys,
                                  ThreadPool* tp = nullptr);
 
 /// Append b's rows under a's schema (paper's disjoint union; the caller
@@ -203,7 +201,7 @@ enum class AggKind { kCount, kSum, kAvg, kMax, kMin };
 
 /// Returns a table (group INT, value ITEM) with one row per group present
 /// in `t`, groups in first-appearance order. For kCount, `val_col` may be
-/// empty. Numeric aggregation promotes via ItemToDouble; a sum over only
+/// kNoCol. Numeric aggregation promotes via ItemToDouble; a sum over only
 /// kInt items stays integer.
 /// Above a fixed row threshold the aggregation runs morsel-wise
 /// (thread-local partials over a FIXED internal grain, so
@@ -213,10 +211,9 @@ enum class AggKind { kCount, kSum, kAvg, kMax, kMin };
 /// each partition folds its groups' partials in chunk order, and the
 /// global first-appearance group order is rebuilt from recorded
 /// (chunk, position) keys — no shared map is ever built.
-Result<Table> GroupAgg(const Table& t, const std::string& group_col,
-                       const std::string& val_col, AggKind kind,
-                       const StringPool& pool, const std::string& out_group,
-                       const std::string& out_val,
+Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
+                       AggKind kind, const StringPool& pool, ColId out_group,
+                       ColId out_val,
                        ThreadPool* tp = nullptr,
                        const KernelTuning& kt = KernelTuning::Default(),
                        KernelPhases* phases = nullptr);

@@ -5,23 +5,16 @@
 
 namespace pathfinder::bat {
 
-int Table::FindCol(std::string_view name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-Result<ColumnPtr> Table::GetCol(std::string_view name) const {
+Result<ColumnPtr> Table::GetCol(ColId name) const {
   int i = FindCol(name);
   if (i < 0) {
-    return Status::Internal("table has no column '" + std::string(name) +
-                            "'");
+    return Status::Internal("table has no column '" +
+                            std::string(ColName(name)) + "'");
   }
   return cols_[static_cast<size_t>(i)];
 }
 
-void Table::AddCol(std::string name, ColumnPtr col) {
+void Table::AddCol(ColId name, ColumnPtr col) {
   assert(col != nullptr);
   if (!has_rows_set_) {
     rows_ = col->size();
@@ -29,7 +22,7 @@ void Table::AddCol(std::string name, ColumnPtr col) {
   } else {
     assert(col->size() == rows_ && "column length mismatch");
   }
-  names_.push_back(std::move(name));
+  names_.push_back(name);
   cols_.push_back(std::move(col));
 }
 
@@ -42,7 +35,8 @@ size_t Table::ByteSize() const {
 size_t Table::AllocBytes() const {
   size_t total = sizeof(Table);
   for (const auto& c : cols_) total += c->AllocBytes();
-  for (const auto& n : names_) total += n.capacity() + sizeof(n);
+  total += names_.capacity() * sizeof(ColId) +
+           cols_.capacity() * sizeof(ColumnPtr);
   return total;
 }
 
@@ -105,7 +99,7 @@ std::string Table::ToString(const StringPool* pool, size_t max_rows) const {
   std::ostringstream os;
   for (size_t i = 0; i < names_.size(); ++i) {
     if (i) os << " | ";
-    os << names_[i];
+    os << ColName(names_[i]);
   }
   os << "\n";
   size_t n = std::min(rows_, max_rows);

@@ -2,15 +2,16 @@
 #define PATHFINDER_BAT_TABLE_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/result.h"
+#include "bat/col_id.h"
 #include "bat/column.h"
 
 namespace pathfinder::bat {
 
-/// An in-memory relation: named columns of equal length.
+/// An in-memory relation: named columns of equal length. Columns are
+/// named by ColId (bat/col_id.h).
 ///
 /// All algebra operators consume and produce Tables. Columns are shared
 /// (copy-on-write by convention: a column reachable from a Table is never
@@ -23,21 +24,26 @@ class Table {
   size_t rows() const { return rows_; }
   size_t num_cols() const { return cols_.size(); }
 
-  const std::vector<std::string>& names() const { return names_; }
-  const std::string& name(size_t i) const { return names_[i]; }
+  const std::vector<ColId>& names() const { return names_; }
+  ColId name(size_t i) const { return names_[i]; }
   const ColumnPtr& col(size_t i) const { return cols_[i]; }
 
   /// Index of column `name`, or -1.
-  int FindCol(std::string_view name) const;
-  bool HasCol(std::string_view name) const { return FindCol(name) >= 0; }
+  int FindCol(ColId name) const {
+    for (size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return static_cast<int>(i);
+    }
+    return -1;
+  }
+  bool HasCol(ColId name) const { return FindCol(name) >= 0; }
 
   /// Column by name; Status error if absent (kInternal — schema mismatch
   /// is a plan bug, not user input).
-  Result<ColumnPtr> GetCol(std::string_view name) const;
+  Result<ColumnPtr> GetCol(ColId name) const;
 
   /// Append a column. The first column fixes the row count; subsequent
   /// columns must match it (checked by assert).
-  void AddCol(std::string name, ColumnPtr col);
+  void AddCol(ColId name, ColumnPtr col);
 
   /// Replace the column at index i (same length).
   void SetCol(size_t i, ColumnPtr col) { cols_[i] = std::move(col); }
@@ -49,13 +55,14 @@ class Table {
   /// Sum of column payload bytes.
   size_t ByteSize() const;
 
-  /// Allocated bytes (column capacities + name strings) — resident
-  /// footprint of a cached result. Shared columns are counted once per
-  /// Table; the cache accepts the overestimate for shared ColumnPtrs.
+  /// Allocated bytes (column capacities + the name and column vectors)
+  /// — resident footprint of a cached result. Shared columns are
+  /// counted once per Table; the cache accepts the overestimate for
+  /// shared ColumnPtrs.
   size_t AllocBytes() const;
 
  private:
-  std::vector<std::string> names_;
+  std::vector<ColId> names_;
   std::vector<ColumnPtr> cols_;
   size_t rows_ = 0;
   bool has_rows_set_ = false;

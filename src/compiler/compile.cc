@@ -14,6 +14,12 @@ namespace {
 
 namespace alg = pathfinder::algebra;
 using alg::Fun1;
+using bat::ColId;
+using bat::kInner;
+using bat::kItem;
+using bat::kIter;
+using bat::kOuter;
+using bat::kPos;
 using alg::Fun2;
 using alg::OpPtr;
 using frontend::BinOp;
@@ -78,7 +84,7 @@ class Impl {
 
   Result<OpPtr> Run(const ExprPtr& core) {
     // The top-level scope s0 has a single iteration (paper Fig. 3(a)).
-    OpPtr loop0 = alg::LitTable({"iter"}, {bat::ColType::kInt},
+    OpPtr loop0 = alg::LitTable({kIter}, {bat::ColType::kInt},
                                 {{Item::Int(1)}});
     scope_loops_ = {loop0};
     maps_.clear();
@@ -96,8 +102,9 @@ class Impl {
   };
   using Env = std::map<std::string, VarEntry>;
 
-  std::string Col(const char* base) {
-    return std::string(base) + std::to_string(colc_++);
+  /// A fresh column, interned once, here, when it is minted.
+  ColId Col(const char* base) {
+    return bat::InternCol(std::string(base) + std::to_string(colc_++));
   }
 
   Item StrItem(const std::string& s) {
@@ -114,35 +121,35 @@ class Impl {
   /// Constant singleton sequence: one (iter, 1, item) row per loop iter.
   OpPtr ConstSeq(OpPtr loop, Item item) {
     return alg::Attach(
-        alg::Attach(std::move(loop), "pos", bat::ColType::kInt,
+        alg::Attach(std::move(loop), kPos, bat::ColType::kInt,
                     Item::Int(1)),
-        "item", bat::ColType::kItem, item);
+        kItem, bat::ColType::kItem, item);
   }
 
   /// Distinct iters of a sequence plan: schema (iter).
   OpPtr IterSet(OpPtr q) {
     return alg::Distinct(
-        alg::Project(std::move(q), {{"iter", "iter"}}), {"iter"});
+        alg::Project(std::move(q), {{kIter, kIter}}), {kIter});
   }
 
   /// Keep only rows whose iter appears in `loop`.
   OpPtr RestrictToLoop(OpPtr q, OpPtr loop) {
-    std::string lc = Col("l");
-    OpPtr lr = alg::Project(std::move(loop), {{lc, "iter"}});
-    OpPtr j = alg::EquiJoin(std::move(q), std::move(lr), "iter", lc);
+    ColId lc = Col("l");
+    OpPtr lr = alg::Project(std::move(loop), {{lc, kIter}});
+    OpPtr j = alg::EquiJoin(std::move(q), std::move(lr), kIter, lc);
     return alg::Project(std::move(j),
-                        {{"iter", "iter"}, {"pos", "pos"}, {"item", "item"}});
+                        {{kIter, kIter}, {kPos, kPos}, {kItem, kItem}});
   }
 
   /// Reshape any plan with iter/pos/item columns to exactly that schema.
   OpPtr ProjIPI(OpPtr q) {
     return alg::Project(std::move(q),
-                        {{"iter", "iter"}, {"pos", "pos"}, {"item", "item"}});
+                        {{kIter, kIter}, {kPos, kPos}, {kItem, kItem}});
   }
 
   /// (iter, item) plan -> (iter, pos=1, item).
   OpPtr AddPos1(OpPtr q) {
-    return ProjIPI(alg::Attach(std::move(q), "pos", bat::ColType::kInt,
+    return ProjIPI(alg::Attach(std::move(q), kPos, bat::ColType::kInt,
                                Item::Int(1)));
   }
 
@@ -151,11 +158,11 @@ class Impl {
   OpPtr ComposeMaps(int from, int to) {
     OpPtr m = maps_[static_cast<size_t>(from) - 1];
     for (int d = from - 2; d >= to; --d) {
-      std::string in2 = Col("mi"), out2 = Col("mo");
+      ColId in2 = Col("mi"), out2 = Col("mo");
       OpPtr mr = alg::Project(maps_[static_cast<size_t>(d)],
-                              {{in2, "inner"}, {out2, "outer"}});
-      OpPtr j = alg::EquiJoin(m, std::move(mr), "outer", in2);
-      m = alg::Project(std::move(j), {{"inner", "inner"}, {"outer", out2}});
+                              {{in2, kInner}, {out2, kOuter}});
+      OpPtr j = alg::EquiJoin(m, std::move(mr), kOuter, in2);
+      m = alg::Project(std::move(j), {{kInner, kInner}, {kOuter, out2}});
     }
     return m;
   }
@@ -167,11 +174,11 @@ class Impl {
     OpPtr p = ve.plan;
     if (ve.depth < depth) {
       OpPtr m = ComposeMaps(depth, ve.depth);
-      std::string in = Col("mi"), out = Col("mo");
-      OpPtr mr = alg::Project(std::move(m), {{in, "inner"}, {out, "outer"}});
-      OpPtr j = alg::EquiJoin(std::move(p), std::move(mr), "iter", out);
+      ColId in = Col("mi"), out = Col("mo");
+      OpPtr mr = alg::Project(std::move(m), {{in, kInner}, {out, kOuter}});
+      OpPtr j = alg::EquiJoin(std::move(p), std::move(mr), kIter, out);
       p = alg::Project(std::move(j),
-                       {{"iter", in}, {"pos", "pos"}, {"item", "item"}});
+                       {{kIter, in}, {kPos, kPos}, {kItem, kItem}});
     }
     if (loop.get() == scope_loops_[static_cast<size_t>(depth)].get()) {
       return p;  // unfiltered scope loop: every iter is valid
@@ -184,7 +191,7 @@ class Impl {
   OpPtr BoolItems(OpPtr true_iters, OpPtr loop) {
     OpPtr t = ConstSeq(true_iters, Item::Bool(true));
     OpPtr f = ConstSeq(
-        alg::Difference(std::move(loop), std::move(true_iters), {"iter"}),
+        alg::Difference(std::move(loop), std::move(true_iters), {kIter}),
         Item::Bool(false));
     return alg::DisjointUnion(std::move(t), std::move(f));
   }
@@ -192,7 +199,7 @@ class Impl {
   /// Add a (iter, 1, item) row for every loop iter missing from q.
   OpPtr PatchMissing(OpPtr q, OpPtr loop, Item item) {
     OpPtr missing =
-        alg::Difference(std::move(loop), q, {"iter"});
+        alg::Difference(std::move(loop), q, {kIter});
     return alg::DisjointUnion(std::move(q),
                               ConstSeq(std::move(missing), item));
   }
@@ -200,30 +207,30 @@ class Impl {
   /// First item per iter (rows with pos == 1): schema (iter, item).
   /// pos is an INT column, so the comparison goes through kIntToItem.
   OpPtr FirstItems(OpPtr q) {
-    std::string pi = Col("pi"), one = Col("one"), b = Col("b");
-    OpPtr x = alg::MapFun1(std::move(q), Fun1::kIntToItem, "pos", pi);
+    ColId pi = Col("pi"), one = Col("one"), b = Col("b");
+    OpPtr x = alg::MapFun1(std::move(q), Fun1::kIntToItem, kPos, pi);
     x = alg::Attach(std::move(x), one, bat::ColType::kItem, Item::Int(1));
     x = alg::MapFun2(std::move(x), Fun2::kCmpEq, pi, one, b);
     x = alg::Select(std::move(x), b);
-    return alg::Project(std::move(x), {{"iter", "iter"}, {"item", "item"}});
+    return alg::Project(std::move(x), {{kIter, kIter}, {kItem, kItem}});
   }
 
   /// Atomize the item column (fn:data), keeping the (iter,pos,item)
   /// shape.
   OpPtr Atomize(OpPtr q) {
-    std::string d = Col("d");
-    OpPtr x = alg::MapFun1(std::move(q), Fun1::kData, "item", d);
+    ColId d = Col("d");
+    OpPtr x = alg::MapFun1(std::move(q), Fun1::kData, kItem, d);
     return alg::Project(std::move(x),
-                        {{"iter", "iter"}, {"pos", "pos"}, {"item", d}});
+                        {{kIter, kIter}, {kPos, kPos}, {kItem, d}});
   }
 
   /// Join two singleton-per-iter sequence plans on iter; result columns:
   /// iter, pos, item (left), `right_item` (right's item).
-  OpPtr JoinOnIter(OpPtr a, OpPtr b, const std::string& right_item) {
-    std::string i2 = Col("i");
+  OpPtr JoinOnIter(OpPtr a, OpPtr b, ColId right_item) {
+    ColId i2 = Col("i");
     OpPtr br =
-        alg::Project(std::move(b), {{i2, "iter"}, {right_item, "item"}});
-    return alg::EquiJoin(std::move(a), std::move(br), "iter", i2);
+        alg::Project(std::move(b), {{i2, kIter}, {right_item, kItem}});
+    return alg::EquiJoin(std::move(a), std::move(br), kIter, i2);
   }
 
   // --- effective boolean value ------------------------------------------
@@ -236,17 +243,17 @@ class Impl {
         case BinOp::kAnd: {
           PF_ASSIGN_OR_RETURN(OpPtr a, EBV(e->children[0], loop, env, depth));
           PF_ASSIGN_OR_RETURN(OpPtr b, EBV(e->children[1], loop, env, depth));
-          std::string i2 = Col("i");
-          OpPtr br = alg::Project(std::move(b), {{i2, "iter"}});
+          ColId i2 = Col("i");
+          OpPtr br = alg::Project(std::move(b), {{i2, kIter}});
           return alg::Project(
-              alg::EquiJoin(std::move(a), std::move(br), "iter", i2),
-              {{"iter", "iter"}});
+              alg::EquiJoin(std::move(a), std::move(br), kIter, i2),
+              {{kIter, kIter}});
         }
         case BinOp::kOr: {
           PF_ASSIGN_OR_RETURN(OpPtr a, EBV(e->children[0], loop, env, depth));
           PF_ASSIGN_OR_RETURN(OpPtr b, EBV(e->children[1], loop, env, depth));
           // Disjoint union via difference keeps the union disjoint.
-          OpPtr bonly = alg::Difference(std::move(b), a, {"iter"});
+          OpPtr bonly = alg::Difference(std::move(b), a, {kIter});
           return alg::DisjointUnion(std::move(a), std::move(bonly));
         }
         case BinOp::kGenEq:
@@ -264,7 +271,7 @@ class Impl {
       const std::string& f = e->sval;
       if (f == "not") {
         PF_ASSIGN_OR_RETURN(OpPtr t, EBV(e->children[0], loop, env, depth));
-        return alg::Difference(std::move(loop), std::move(t), {"iter"});
+        return alg::Difference(std::move(loop), std::move(t), {kIter});
       }
       if (f == "boolean") return EBV(e->children[0], loop, env, depth);
       if (f == "exists") {
@@ -276,17 +283,17 @@ class Impl {
         PF_ASSIGN_OR_RETURN(OpPtr q,
                             Comp(e->children[0], loop, env, depth));
         return alg::Difference(std::move(loop), IterSet(std::move(q)),
-                               {"iter"});
+                               {kIter});
       }
       if (f == "true") return loop;
       if (f == "false") {
-        return alg::LitTable({"iter"}, {bat::ColType::kInt}, {});
+        return alg::LitTable({kIter}, {bat::ColType::kInt}, {});
       }
     }
     // Generic: iters having at least one truthy item (nodes are truthy).
     PF_ASSIGN_OR_RETURN(OpPtr q, Comp(e, std::move(loop), env, depth));
-    std::string b = Col("b");
-    OpPtr x = alg::MapFun1(std::move(q), Fun1::kItemToBool, "item", b);
+    ColId b = Col("b");
+    OpPtr x = alg::MapFun1(std::move(q), Fun1::kItemToBool, kItem, b);
     x = alg::Select(std::move(x), b);
     return IterSet(std::move(x));
   }
@@ -299,7 +306,7 @@ class Impl {
     PF_ASSIGN_OR_RETURN(OpPtr b, Comp(e->children[1], loop, env, depth));
     a = Atomize(std::move(a));
     b = Atomize(std::move(b));
-    std::string rc = Col("r"), bc = Col("b");
+    ColId rc = Col("r"), bc = Col("b");
     OpPtr j = JoinOnIter(std::move(a), std::move(b), rc);
     Fun2 f;
     switch (e->op) {
@@ -322,7 +329,7 @@ class Impl {
         f = Fun2::kCmpGe;
         break;
     }
-    j = alg::MapFun2(std::move(j), f, "item", rc, bc);
+    j = alg::MapFun2(std::move(j), f, kItem, rc, bc);
     j = alg::Select(std::move(j), bc);
     return IterSet(std::move(j));
   }
@@ -353,7 +360,7 @@ class Impl {
       case ExprKind::kIf: {
         PF_ASSIGN_OR_RETURN(OpPtr t_iters,
                             EBV(e->children[0], loop, env, depth));
-        OpPtr f_iters = alg::Difference(loop, t_iters, {"iter"});
+        OpPtr f_iters = alg::Difference(loop, t_iters, {kIter});
         PF_ASSIGN_OR_RETURN(OpPtr qt,
                             Comp(e->children[1], t_iters, env, depth));
         PF_ASSIGN_OR_RETURN(OpPtr qf,
@@ -367,11 +374,11 @@ class Impl {
       case ExprKind::kUnaryMinus: {
         PF_ASSIGN_OR_RETURN(OpPtr q,
                             Comp(e->children[0], loop, env, depth));
-        std::string n = Col("n");
-        q = alg::MapFun1(Atomize(std::move(q)), Fun1::kNeg, "item", n);
-        return alg::Project(std::move(q), {{"iter", "iter"},
-                                           {"pos", "pos"},
-                                           {"item", n}});
+        ColId n = Col("n");
+        q = alg::MapFun1(Atomize(std::move(q)), Fun1::kNeg, kItem, n);
+        return alg::Project(std::move(q), {{kIter, kIter},
+                                           {kPos, kPos},
+                                           {kItem, n}});
       }
       case ExprKind::kAxisStep: {
         if (e->children[0]->kind != ExprKind::kVar) {
@@ -381,12 +388,12 @@ class Impl {
                             Comp(e->children[0], loop, env, depth));
         accel::NodeTest test = MakeNodeTest(e->test);
         OpPtr s = alg::Step(
-            alg::Project(std::move(ctx), {{"iter", "iter"}, {"item", "item"}}),
+            alg::Project(std::move(ctx), {{kIter, kIter}, {kItem, kItem}}),
             e->axis, test);
-        std::string p = Col("p");
-        s = alg::RowNum(std::move(s), p, {"iter"}, {"item"});
+        ColId p = Col("p");
+        s = alg::RowNum(std::move(s), p, {kIter}, {kItem});
         return alg::Project(std::move(s),
-                            {{"iter", "iter"}, {"pos", p}, {"item", "item"}});
+                            {{kIter, kIter}, {kPos, p}, {kItem, kItem}});
       }
       case ExprKind::kFunCall:
         return CompCall(e, std::move(loop), env, depth);
@@ -418,23 +425,23 @@ class Impl {
           const ExprPtr& st = ch->children[0];
           OpPtr s = alg::Step(
               alg::Project(std::move(q),
-                           {{"iter", "iter"}, {"item", "item"}}),
+                           {{kIter, kIter}, {kItem, kItem}}),
               st->axis, MakeNodeTest(st->test));
-          std::string p = Col("p");
-          s = alg::RowNum(std::move(s), p, {"iter"}, {"item"});
+          ColId p = Col("p");
+          s = alg::RowNum(std::move(s), p, {kIter}, {kItem});
           return alg::Project(
               std::move(s),
-              {{"iter", "iter"}, {"pos", p}, {"item", "item"}});
+              {{kIter, kIter}, {kPos, p}, {kItem, kItem}});
         }
         PF_ASSIGN_OR_RETURN(OpPtr q,
                             Comp(e->children[0], loop, env, depth));
         OpPtr d = alg::Distinct(
-            alg::Project(std::move(q), {{"iter", "iter"}, {"item", "item"}}),
-            {"iter", "item"});
-        std::string p = Col("p");
-        d = alg::RowNum(std::move(d), p, {"iter"}, {"item"});
+            alg::Project(std::move(q), {{kIter, kIter}, {kItem, kItem}}),
+            {kIter, kItem});
+        ColId p = Col("p");
+        d = alg::RowNum(std::move(d), p, {kIter}, {kItem});
         return alg::Project(std::move(d),
-                            {{"iter", "iter"}, {"pos", p}, {"item", "item"}});
+                            {{kIter, kIter}, {kPos, p}, {kItem, kItem}});
       }
       default:
         return Err(e, std::string("unexpected core expression '") +
@@ -464,7 +471,7 @@ class Impl {
   Result<OpPtr> CompSequence(const ExprPtr& e, OpPtr loop, Env& env,
                              int depth) {
     if (e->children.empty()) return alg::EmptySeq();
-    std::string ord = Col("ord");
+    ColId ord = Col("ord");
     OpPtr u;
     for (size_t i = 0; i < e->children.size(); ++i) {
       PF_ASSIGN_OR_RETURN(OpPtr q, Comp(e->children[i], loop, env, depth));
@@ -472,10 +479,10 @@ class Impl {
                       Item::Int(static_cast<int64_t>(i)));
       u = u ? alg::DisjointUnion(std::move(u), std::move(q)) : q;
     }
-    std::string p = Col("p");
-    u = alg::RowNum(std::move(u), p, {"iter"}, {ord, "pos"});
+    ColId p = Col("p");
+    u = alg::RowNum(std::move(u), p, {kIter}, {ord, kPos});
     return alg::Project(std::move(u),
-                        {{"iter", "iter"}, {"pos", p}, {"item", "item"}});
+                        {{kIter, kIter}, {kPos, p}, {kItem, kItem}});
   }
 
   // --- FLWOR -------------------------------------------------------------
@@ -583,25 +590,25 @@ class Impl {
 
       // Standard loop-lifted for (paper Fig. 3(b)/(f)).
       PF_ASSIGN_OR_RETURN(OpPtr q, Comp(c.expr, cur_loop, env, depth));
-      OpPtr qv = alg::RowNum(ProjIPI(std::move(q)), "inner", {},
-                             {"iter", "pos"});
+      OpPtr qv = alg::RowNum(ProjIPI(std::move(q)), kInner, {},
+                             {kIter, kPos});
       OpPtr map =
-          alg::Project(qv, {{"inner", "inner"}, {"outer", "iter"}});
+          alg::Project(qv, {{kInner, kInner}, {kOuter, kIter}});
       maps_.push_back(map);
       ++depth;
-      cur_loop = alg::Project(qv, {{"iter", "inner"}});
+      cur_loop = alg::Project(qv, {{kIter, kInner}});
       scope_loops_.push_back(cur_loop);
       OpPtr vplan = AddPos1(
-          alg::Project(qv, {{"iter", "inner"}, {"item", "item"}}));
+          alg::Project(qv, {{kIter, kInner}, {kItem, kItem}}));
       env[c.var] = {vplan, depth};
       if (!c.pos_var.empty()) {
-        std::string pc = Col("pv");
+        ColId pc = Col("pv");
         OpPtr pp =
-            alg::Project(qv, {{"iter", "inner"}, {pc, "pos"}});
-        pp = alg::MapFun1(std::move(pp), Fun1::kIntToItem, pc, "item");
+            alg::Project(qv, {{kIter, kInner}, {pc, kPos}});
+        pp = alg::MapFun1(std::move(pp), Fun1::kIntToItem, pc, kItem);
         env[c.pos_var] = {
             AddPos1(alg::Project(std::move(pp),
-                                 {{"iter", "iter"}, {"item", "item"}})),
+                                 {{kIter, kIter}, {kItem, kItem}})),
             depth};
       }
     }
@@ -624,11 +631,11 @@ class Impl {
       // Back-map to the original scope, re-numbering positions by
       // (order keys, binding order, inner position) — paper Fig. 3(g).
       OpPtr m = ComposeMaps(depth, depth0);
-      std::string in = Col("mi"), out = Col("mo");
-      OpPtr mr = alg::Project(std::move(m), {{in, "inner"}, {out, "outer"}});
+      ColId in = Col("mi"), out = Col("mo");
+      OpPtr mr = alg::Project(std::move(m), {{in, kInner}, {out, kOuter}});
       OpPtr j = alg::EquiJoin(ProjIPI(std::move(ret)), std::move(mr),
-                              "iter", in);
-      std::vector<std::string> order;
+                              kIter, in);
+      std::vector<ColId> order;
       std::vector<uint8_t> desc;
       for (const auto& k : e->order_keys) {
         PF_ASSIGN_OR_RETURN(OpPtr kq, Comp(k.key, cur_loop, env, depth));
@@ -636,21 +643,21 @@ class Impl {
         // Missing keys sort first (ascending): patch with the minimal
         // item kind (bool), cf. "empty least".
         kq = PatchMissing(std::move(kq), cur_loop, Item::Bool(false));
-        std::string ki = Col("ki"), kv = Col("kv");
+        ColId ki = Col("ki"), kv = Col("kv");
         OpPtr kr =
-            alg::Project(std::move(kq), {{ki, "iter"}, {kv, "item"}});
-        j = alg::EquiJoin(std::move(j), std::move(kr), "iter", ki);
+            alg::Project(std::move(kq), {{ki, kIter}, {kv, kItem}});
+        j = alg::EquiJoin(std::move(j), std::move(kr), kIter, ki);
         order.push_back(kv);
         desc.push_back(k.ascending ? 0 : 1);
       }
-      order.push_back("iter");
-      order.push_back("pos");
+      order.push_back(kIter);
+      order.push_back(kPos);
       desc.push_back(0);
       desc.push_back(0);
-      std::string p = Col("p");
+      ColId p = Col("p");
       j = alg::RowNum(std::move(j), p, {out}, order, desc);
       result = alg::Project(std::move(j),
-                            {{"iter", out}, {"pos", p}, {"item", "item"}});
+                            {{kIter, out}, {kPos, p}, {kItem, kItem}});
     }
 
     maps_.resize(maps0);
@@ -712,8 +719,8 @@ class Impl {
       PF_ASSIGN_OR_RETURN(
           OpPtr qD,
           Comp(c.expr, scope_loops_[static_cast<size_t>(dD)], *env, dD));
-      OpPtr qvD = alg::RowNum(ProjIPI(std::move(qD)), "inner", {},
-                              {"iter", "pos"});
+      OpPtr qvD = alg::RowNum(ProjIPI(std::move(qD)), kInner, {},
+                              {kIter, kPos});
 
       // f($v) over the D-scope (depth dD+1), with a temporarily
       // truncated scope chain.
@@ -722,13 +729,13 @@ class Impl {
       maps_.resize(static_cast<size_t>(dD));
       scope_loops_.resize(static_cast<size_t>(dD) + 1);
       OpPtr mapD =
-          alg::Project(qvD, {{"inner", "inner"}, {"outer", "iter"}});
+          alg::Project(qvD, {{kInner, kInner}, {kOuter, kIter}});
       maps_.push_back(mapD);
-      OpPtr loopV = alg::Project(qvD, {{"iter", "inner"}});
+      OpPtr loopV = alg::Project(qvD, {{kIter, kInner}});
       scope_loops_.push_back(loopV);
       Env envD = *env;
       envD[c.var] = {
-          AddPos1(alg::Project(qvD, {{"iter", "inner"}, {"item", "item"}})),
+          AddPos1(alg::Project(qvD, {{kIter, kInner}, {kItem, kItem}})),
           dD + 1};
       Result<OpPtr> q1r = Comp(vside, loopV, envD, dD + 1);
       maps_ = std::move(saved_maps);
@@ -740,12 +747,12 @@ class Impl {
       PF_ASSIGN_OR_RETURN(OpPtr q2, Comp(oside, *cur_loop, *env, *depth));
       q2 = Atomize(ProjIPI(std::move(q2)));
 
-      std::string vin = Col("vin"), vkey = Col("vk");
-      std::string oit = Col("oit"), okey = Col("ok");
+      ColId vin = Col("vin"), vkey = Col("vk");
+      ColId oit = Col("oit"), okey = Col("ok");
       OpPtr q1p =
-          alg::Project(std::move(q1), {{vin, "iter"}, {vkey, "item"}});
+          alg::Project(std::move(q1), {{vin, kIter}, {vkey, kItem}});
       OpPtr q2p =
-          alg::Project(std::move(q2), {{oit, "iter"}, {okey, "item"}});
+          alg::Project(std::move(q2), {{oit, kIter}, {okey, kItem}});
       OpPtr pairs =
           eq_like
               ? alg::EquiJoin(std::move(q2p), std::move(q1p), okey, vkey)
@@ -756,21 +763,21 @@ class Impl {
       // Consistency: the D-iteration the binding came from must be the
       // dD-ancestor of the outer iter.
       if (dD > 0) {
-        std::string anc = Col("anc"), dout = Col("dout");
+        ColId anc = Col("anc"), dout = Col("dout");
         if (*depth > dD) {
           OpPtr m = ComposeMaps(*depth, dD);
-          std::string mi = Col("mi");
+          ColId mi = Col("mi");
           OpPtr mr =
-              alg::Project(std::move(m), {{mi, "inner"}, {anc, "outer"}});
+              alg::Project(std::move(m), {{mi, kInner}, {anc, kOuter}});
           pairs = alg::EquiJoin(std::move(pairs), std::move(mr), oit, mi);
         }
         // (when *depth == dD the ancestor is the outer iter itself)
-        std::string di = Col("di");
-        OpPtr mDr = alg::Project(mapD, {{di, "inner"}, {dout, "outer"}});
+        ColId di = Col("di");
+        OpPtr mDr = alg::Project(mapD, {{di, kInner}, {dout, kOuter}});
         pairs = alg::EquiJoin(std::move(pairs), std::move(mDr), vin, di);
         // Filter anc == dout (or oit == dout when same depth).
-        std::string lhs = (*depth > dD) ? anc : oit;
-        std::string li = Col("li"), ri = Col("ri"), bb = Col("b");
+        ColId lhs = (*depth > dD) ? anc : oit;
+        ColId li = Col("li"), ri = Col("ri"), bb = Col("b");
         pairs = alg::MapFun1(std::move(pairs), Fun1::kIntToItem, lhs, li);
         pairs = alg::MapFun1(std::move(pairs), Fun1::kIntToItem, dout, ri);
         pairs = alg::MapFun2(std::move(pairs), Fun2::kCmpEq, li, ri, bb);
@@ -785,20 +792,20 @@ class Impl {
 
       // New scope: one iteration per surviving (outer, binding) pair,
       // ordered by (outer iter, domain order).
-      OpPtr qn = alg::RowNum(std::move(pd), "inner", {}, {oit, vin});
+      OpPtr qn = alg::RowNum(std::move(pd), kInner, {}, {oit, vin});
       OpPtr map_new =
-          alg::Project(qn, {{"inner", "inner"}, {"outer", oit}});
+          alg::Project(qn, {{kInner, kInner}, {kOuter, oit}});
       maps_.push_back(map_new);
       ++*depth;
-      *cur_loop = alg::Project(qn, {{"iter", "inner"}});
+      *cur_loop = alg::Project(qn, {{kIter, kInner}});
       scope_loops_.push_back(*cur_loop);
 
-      std::string di2 = Col("di"), ditem = Col("dv");
+      ColId di2 = Col("di"), ditem = Col("dv");
       OpPtr qvDr =
-          alg::Project(qvD, {{di2, "inner"}, {ditem, "item"}});
+          alg::Project(qvD, {{di2, kInner}, {ditem, kItem}});
       OpPtr vj = alg::EquiJoin(qn, std::move(qvDr), vin, di2);
       OpPtr vplan = AddPos1(
-          alg::Project(std::move(vj), {{"iter", "inner"}, {"item", ditem}}));
+          alg::Project(std::move(vj), {{kIter, kInner}, {kItem, ditem}}));
       (*env)[c.var] = {vplan, *depth};
 
       cj.consumed = true;
@@ -842,13 +849,13 @@ class Impl {
             f = Fun2::kMod;
             break;
         }
-        std::string rc = Col("r"), res = Col("v");
+        ColId rc = Col("r"), res = Col("v");
         OpPtr j = JoinOnIter(Atomize(std::move(a)), Atomize(std::move(b)),
                              rc);
-        j = alg::MapFun2(std::move(j), f, "item", rc, res);
-        return alg::Project(std::move(j), {{"iter", "iter"},
-                                           {"pos", "pos"},
-                                           {"item", res}});
+        j = alg::MapFun2(std::move(j), f, kItem, rc, res);
+        return alg::Project(std::move(j), {{kIter, kIter},
+                                           {kPos, kPos},
+                                           {kItem, res}});
       }
       case BinOp::kValEq:
       case BinOp::kValNe:
@@ -879,14 +886,14 @@ class Impl {
             f = Fun2::kCmpGe;
             break;
         }
-        std::string rc = Col("r"), bc = Col("b"), res = Col("v");
+        ColId rc = Col("r"), bc = Col("b"), res = Col("v");
         OpPtr j = JoinOnIter(Atomize(std::move(a)), Atomize(std::move(b)),
                              rc);
-        j = alg::MapFun2(std::move(j), f, "item", rc, bc);
+        j = alg::MapFun2(std::move(j), f, kItem, rc, bc);
         j = alg::MapFun1(std::move(j), Fun1::kBoolToItem, bc, res);
-        return alg::Project(std::move(j), {{"iter", "iter"},
-                                           {"pos", "pos"},
-                                           {"item", res}});
+        return alg::Project(std::move(j), {{kIter, kIter},
+                                           {kPos, kPos},
+                                           {kItem, res}});
       }
       case BinOp::kIs:
       case BinOp::kBefore:
@@ -897,14 +904,14 @@ class Impl {
                      ? Fun2::kIs
                      : (e->op == BinOp::kBefore ? Fun2::kBefore
                                                 : Fun2::kAfter);
-        std::string rc = Col("r"), bc = Col("b"), res = Col("v");
+        ColId rc = Col("r"), bc = Col("b"), res = Col("v");
         OpPtr j = JoinOnIter(ProjIPI(std::move(a)), ProjIPI(std::move(b)),
                              rc);
-        j = alg::MapFun2(std::move(j), f, "item", rc, bc);
+        j = alg::MapFun2(std::move(j), f, kItem, rc, bc);
         j = alg::MapFun1(std::move(j), Fun1::kBoolToItem, bc, res);
-        return alg::Project(std::move(j), {{"iter", "iter"},
-                                           {"pos", "pos"},
-                                           {"item", res}});
+        return alg::Project(std::move(j), {{kIter, kIter},
+                                           {kPos, kPos},
+                                           {kItem, res}});
       }
       case BinOp::kGenEq:
       case BinOp::kGenNe:
@@ -943,14 +950,14 @@ class Impl {
     if (f == "doc") {
       PF_ASSIGN_OR_RETURN(OpPtr q, arg(0));
       return AddPos1(alg::DocRoot(
-          alg::Project(std::move(q), {{"iter", "iter"}, {"item", "item"}})));
+          alg::Project(std::move(q), {{kIter, kIter}, {kItem, kItem}})));
     }
     if (f == "root") {
       PF_ASSIGN_OR_RETURN(OpPtr q, arg(0));
-      std::string r = Col("r");
-      q = alg::MapFun1(ProjIPI(std::move(q)), Fun1::kRootNode, "item", r);
+      ColId r = Col("r");
+      q = alg::MapFun1(ProjIPI(std::move(q)), Fun1::kRootNode, kItem, r);
       return alg::Project(std::move(q),
-                          {{"iter", "iter"}, {"pos", "pos"}, {"item", r}});
+                          {{kIter, kIter}, {kPos, kPos}, {kItem, r}});
     }
     if (f == "data") {
       PF_ASSIGN_OR_RETURN(OpPtr q, arg(0));
@@ -962,10 +969,10 @@ class Impl {
       Fun1 fn = f == "number"
                     ? Fun1::kNumberFn
                     : (f == "string" ? Fun1::kStringFn : Fun1::kNameFn);
-      std::string r = Col("r");
-      q = alg::MapFun1(ProjIPI(std::move(q)), fn, "item", r);
+      ColId r = Col("r");
+      q = alg::MapFun1(ProjIPI(std::move(q)), fn, kItem, r);
       q = alg::Project(std::move(q),
-                       {{"iter", "iter"}, {"pos", "pos"}, {"item", r}});
+                       {{kIter, kIter}, {kPos, kPos}, {kItem, r}});
       Item patch = f == "number"
                        ? Item::Dbl(std::numeric_limits<double>::quiet_NaN())
                        : StrItem("");
@@ -973,14 +980,14 @@ class Impl {
     }
     if (f == "string-length") {
       PF_ASSIGN_OR_RETURN(OpPtr q, arg(0));
-      std::string s = Col("s"), r = Col("r");
-      q = alg::MapFun1(ProjIPI(std::move(q)), Fun1::kStringFn, "item", s);
+      ColId s = Col("s"), r = Col("r");
+      q = alg::MapFun1(ProjIPI(std::move(q)), Fun1::kStringFn, kItem, s);
       q = alg::Project(std::move(q),
-                       {{"iter", "iter"}, {"pos", "pos"}, {"item", s}});
+                       {{kIter, kIter}, {kPos, kPos}, {kItem, s}});
       q = PatchMissing(std::move(q), loop, StrItem(""));
-      q = alg::MapFun1(std::move(q), Fun1::kStrLen, "item", r);
+      q = alg::MapFun1(std::move(q), Fun1::kStrLen, kItem, r);
       return alg::Project(std::move(q),
-                          {{"iter", "iter"}, {"pos", "pos"}, {"item", r}});
+                          {{kIter, kIter}, {kPos, kPos}, {kItem, r}});
     }
     if (f == "count" || f == "sum" || f == "avg" || f == "max" ||
         f == "min") {
@@ -999,8 +1006,8 @@ class Impl {
       }
       q = ProjIPI(std::move(q));
       if (f != "count") q = Atomize(std::move(q));
-      OpPtr a = alg::Aggr(std::move(q), k, "iter",
-                          f == "count" ? "" : "item", "item");
+      OpPtr a = alg::Aggr(std::move(q), k, kIter,
+                          f == "count" ? bat::kNoCol : kItem, kItem);
       a = AddPos1(std::move(a));
       if (f == "count" || f == "sum") {
         // count/sum of an empty sequence is 0.
@@ -1017,16 +1024,16 @@ class Impl {
       PF_ASSIGN_OR_RETURN(OpPtr b, arg(1));
       a = PatchMissing(Atomize(ProjIPI(std::move(a))), loop, StrItem(""));
       b = PatchMissing(Atomize(ProjIPI(std::move(b))), loop, StrItem(""));
-      std::string rc = Col("r"), bc = Col("b"), res = Col("v");
+      ColId rc = Col("r"), bc = Col("b"), res = Col("v");
       OpPtr j = JoinOnIter(std::move(a), std::move(b), rc);
       j = alg::MapFun2(std::move(j),
                        f == "contains" ? Fun2::kContains
                                        : Fun2::kStartsWith,
-                       "item", rc, bc);
+                       kItem, rc, bc);
       j = alg::MapFun1(std::move(j), Fun1::kBoolToItem, bc, res);
-      return alg::Project(std::move(j), {{"iter", "iter"},
-                                         {"pos", "pos"},
-                                         {"item", res}});
+      return alg::Project(std::move(j), {{kIter, kIter},
+                                         {kPos, kPos},
+                                         {kItem, res}});
     }
     if (f == "concat") {
       PF_ASSIGN_OR_RETURN(OpPtr acc, arg(0));
@@ -1035,12 +1042,12 @@ class Impl {
       for (size_t i = 1; i < e->children.size(); ++i) {
         PF_ASSIGN_OR_RETURN(OpPtr b, arg(i));
         b = PatchMissing(Atomize(ProjIPI(std::move(b))), loop, StrItem(""));
-        std::string rc = Col("r"), res = Col("v");
+        ColId rc = Col("r"), res = Col("v");
         OpPtr j = JoinOnIter(std::move(acc), std::move(b), rc);
-        j = alg::MapFun2(std::move(j), Fun2::kConcat, "item", rc, res);
-        acc = alg::Project(std::move(j), {{"iter", "iter"},
-                                          {"pos", "pos"},
-                                          {"item", res}});
+        j = alg::MapFun2(std::move(j), Fun2::kConcat, kItem, rc, res);
+        acc = alg::Project(std::move(j), {{kIter, kIter},
+                                          {kPos, kPos},
+                                          {kItem, res}});
       }
       return acc;
     }
@@ -1051,23 +1058,23 @@ class Impl {
                          StrItem(""));
       start = PatchMissing(Atomize(ProjIPI(std::move(start))), loop,
                            Item::Dbl(1));
-      std::string rc = Col("r"), res = Col("v");
+      ColId rc = Col("r"), res = Col("v");
       OpPtr j = JoinOnIter(std::move(str), std::move(start), rc);
-      j = alg::MapFun2(std::move(j), Fun2::kSubstrFrom, "item", rc, res);
-      OpPtr cur = alg::Project(std::move(j), {{"iter", "iter"},
-                                              {"pos", "pos"},
-                                              {"item", res}});
+      j = alg::MapFun2(std::move(j), Fun2::kSubstrFrom, kItem, rc, res);
+      OpPtr cur = alg::Project(std::move(j), {{kIter, kIter},
+                                              {kPos, kPos},
+                                              {kItem, res}});
       if (e->children.size() == 3) {
         PF_ASSIGN_OR_RETURN(OpPtr len, arg(2));
         len = PatchMissing(Atomize(ProjIPI(std::move(len))), loop,
                            Item::Dbl(0));
-        std::string rc2 = Col("r"), res2 = Col("v");
+        ColId rc2 = Col("r"), res2 = Col("v");
         OpPtr j2 = JoinOnIter(std::move(cur), std::move(len), rc2);
-        j2 = alg::MapFun2(std::move(j2), Fun2::kSubstrLen, "item", rc2,
+        j2 = alg::MapFun2(std::move(j2), Fun2::kSubstrLen, kItem, rc2,
                           res2);
-        cur = alg::Project(std::move(j2), {{"iter", "iter"},
-                                           {"pos", "pos"},
-                                           {"item", res2}});
+        cur = alg::Project(std::move(j2), {{kIter, kIter},
+                                           {kPos, kPos},
+                                           {kItem, res2}});
       }
       return cur;
     }
@@ -1084,12 +1091,12 @@ class Impl {
       PF_ASSIGN_OR_RETURN(OpPtr q, arg(0));
       q = Atomize(ProjIPI(std::move(q)));
       OpPtr d = alg::Distinct(
-          alg::Project(std::move(q), {{"iter", "iter"}, {"item", "item"}}),
-          {"iter", "item"});
-      std::string p = Col("p");
-      d = alg::RowNum(std::move(d), p, {"iter"}, {});
+          alg::Project(std::move(q), {{kIter, kIter}, {kItem, kItem}}),
+          {kIter, kItem});
+      ColId p = Col("p");
+      d = alg::RowNum(std::move(d), p, {kIter}, {});
       return alg::Project(std::move(d),
-                          {{"iter", "iter"}, {"pos", p}, {"item", "item"}});
+                          {{kIter, kIter}, {kPos, p}, {kItem, kItem}});
     }
     if (f == "zero-or-one" || f == "exactly-one") {
       // Cardinality is not checked (dynamically typed engine).
@@ -1106,7 +1113,7 @@ class Impl {
     name_q = ProjIPI(std::move(name_q));
 
     // Assemble content: attributes and ordinary content in order.
-    std::string ord = Col("ord");
+    ColId ord = Col("ord");
     OpPtr u;
     int64_t ordv = 0;
     for (size_t i = 1; i < e->children.size(); ++i) {
@@ -1124,11 +1131,11 @@ class Impl {
     }
     OpPtr content;
     if (u) {
-      std::string p = Col("p");
-      u = alg::RowNum(std::move(u), p, {"iter"}, {ord, "pos"});
-      content = alg::Project(std::move(u), {{"iter", "iter"},
-                                            {"pos", p},
-                                            {"item", "item"}});
+      ColId p = Col("p");
+      u = alg::RowNum(std::move(u), p, {kIter}, {ord, kPos});
+      content = alg::Project(std::move(u), {{kIter, kIter},
+                                            {kPos, p},
+                                            {kItem, kItem}});
     } else {
       content = alg::EmptySeq();
     }
@@ -1151,25 +1158,26 @@ class Impl {
         PF_ASSIGN_OR_RETURN(OpPtr q, Comp(part, loop, env, depth));
         q = PatchMissing(Atomize(ProjIPI(std::move(q))), loop,
                          StrItem(""));
-        std::string sc = Col("s");
+        ColId sc = Col("s");
         OpPtr t = alg::TextConstr(std::move(q));
-        t = alg::MapFun1(std::move(t), Fun1::kStringFn, "item", sc);
+        t = alg::MapFun1(std::move(t), Fun1::kStringFn, kItem, sc);
         pv = AddPos1(alg::Project(std::move(t),
-                                  {{"iter", "iter"}, {"item", sc}}));
+                                  {{kIter, kIter}, {kItem, sc}}));
       }
       if (!value) {
         value = std::move(pv);
         continue;
       }
-      std::string rc = Col("r"), res = Col("v");
+      ColId rc = Col("r"), res = Col("v");
       OpPtr j = JoinOnIter(std::move(value), std::move(pv), rc);
-      j = alg::MapFun2(std::move(j), Fun2::kConcat, "item", rc, res);
-      value = alg::Project(std::move(j), {{"iter", "iter"},
-                                          {"pos", "pos"},
-                                          {"item", res}});
+      j = alg::MapFun2(std::move(j), Fun2::kConcat, kItem, rc, res);
+      value = alg::Project(std::move(j), {{kIter, kIter},
+                                          {kPos, kPos},
+                                          {kItem, res}});
     }
     if (!value) value = ConstSeq(loop, StrItem(""));
-    return AddPos1(alg::AttrConstr(std::move(value), e->sval));
+    return AddPos1(
+        alg::AttrConstr(std::move(value), db_->pool()->Intern(e->sval)));
   }
 
   Result<OpPtr> CompTypeswitch(const ExprPtr& e, OpPtr loop, Env& env,
@@ -1186,12 +1194,12 @@ class Impl {
         case_loop = remaining;
       } else {
         PF_ASSIGN_OR_RETURN(OpPtr matched, KindTestIters(first, c));
-        std::string r2 = Col("r");
-        OpPtr rr = alg::Project(remaining, {{r2, "iter"}});
+        ColId r2 = Col("r");
+        OpPtr rr = alg::Project(remaining, {{r2, kIter}});
         case_loop = alg::Project(
-            alg::EquiJoin(std::move(matched), std::move(rr), "iter", r2),
-            {{"iter", "iter"}});
-        remaining = alg::Difference(remaining, case_loop, {"iter"});
+            alg::EquiJoin(std::move(matched), std::move(rr), kIter, r2),
+            {{kIter, kIter}});
+        remaining = alg::Difference(remaining, case_loop, {kIter});
       }
       Env env2 = env;
       if (!c.var.empty()) env2[c.var] = {q, depth};
@@ -1236,18 +1244,18 @@ class Impl {
       default:
         return Status::Internal("default case has no kind test");
     }
-    std::string b = Col("b");
-    OpPtr x = alg::MapFun1(first, fn, "item", b);
+    ColId b = Col("b");
+    OpPtr x = alg::MapFun1(first, fn, kItem, b);
     x = alg::Select(std::move(x), b);
     if (c.type == T::kElement && !c.elem_name.empty()) {
-      std::string nm = Col("nm"), cn = Col("cn"), b2 = Col("b");
-      x = alg::MapFun1(std::move(x), Fun1::kNameFn, "item", nm);
+      ColId nm = Col("nm"), cn = Col("cn"), b2 = Col("b");
+      x = alg::MapFun1(std::move(x), Fun1::kNameFn, kItem, nm);
       x = alg::Attach(std::move(x), cn, bat::ColType::kItem,
                       StrItem(c.elem_name));
       x = alg::MapFun2(std::move(x), Fun2::kCmpEq, nm, cn, b2);
       x = alg::Select(std::move(x), b2);
     }
-    return alg::Project(std::move(x), {{"iter", "iter"}});
+    return alg::Project(std::move(x), {{kIter, kIter}});
   }
 
   xml::Database* db_;

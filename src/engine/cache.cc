@@ -444,77 +444,96 @@ bool ReadsNodeValues(alg::OpKind k) {
          k == alg::OpKind::kThetaJoin || k == alg::OpKind::kSerialize;
 }
 
-struct DepSet {
-  std::vector<std::string> names;  // sorted, unique
+/// The fn:doc names a DocRoot may resolve, appended to `names`: every
+/// string constant in its name-input subtree (Attach values and
+/// LitTable cells). Those are the only string sources among the
+/// remaining operators — π/σ/joins/etc. route items but never mint
+/// them — so the collection is exhaustive unless a string-computing
+/// operator appears (or no constant exists at all), which degrades to
+/// unknown (the return value). `seen` (by node number) must hold no
+/// `stamp` on entry.
+bool DocRootNames(const alg::Op& docroot, const alg::PlanNumbering& plan,
+                  const StringPool& pool, uint32_t stamp,
+                  std::vector<uint32_t>* seen,
+                  std::vector<std::string>* names) {
   bool unknown = false;
-};
-
-void AddName(DepSet* d, std::string name) {
-  auto it = std::lower_bound(d->names.begin(), d->names.end(), name);
-  if (it != d->names.end() && *it == name) return;
-  d->names.insert(it, std::move(name));
-}
-
-void MergeDeps(DepSet* into, const DepSet& from) {
-  into->unknown = into->unknown || from.unknown;
-  for (const auto& n : from.names) AddName(into, n);
-}
-
-/// The fn:doc names a DocRoot may resolve: every string constant in its
-/// name-input subtree (Attach values and LitTable cells). Those are the
-/// only string sources among the remaining operators — π/σ/joins/etc.
-/// route items but never mint them — so the collection is exhaustive
-/// unless a string-computing operator appears (or no constant exists at
-/// all), which degrades to `unknown`.
-DepSet DocRootNames(const alg::Op& docroot, const StringPool& pool) {
-  DepSet d;
+  const size_t before = names->size();
   std::vector<const alg::Op*> stack = {docroot.children[0].get()};
-  std::unordered_set<const alg::Op*> seen;
   auto add_item = [&](const Item& it) {
-    if (it.IsStringLike()) AddName(&d, std::string(pool.Get(it.AsStr())));
+    if (it.IsStringLike()) names->emplace_back(pool.Get(it.AsStr()));
   };
   while (!stack.empty()) {
     const alg::Op* op = stack.back();
     stack.pop_back();
-    if (!seen.insert(op).second) continue;
-    if (ComputesStrings(op->kind)) d.unknown = true;
+    uint32_t& mark = (*seen)[plan.IndexOf(op)];
+    if (mark == stamp) continue;
+    mark = stamp;
+    if (ComputesStrings(op->kind)) unknown = true;
     if (op->kind == alg::OpKind::kAttach) add_item(op->attach_val);
     for (const auto& row : op->rows) {
       for (const Item& cell : row) add_item(cell);
     }
     for (const auto& c : op->children) stack.push_back(c.get());
   }
-  if (d.names.empty()) d.unknown = true;
-  return d;
+  return unknown || names->size() == before;
 }
 
 }  // namespace
 
 void AnnotateCacheCandidates(const algebra::OpPtr& root,
                              const StringPool& pool) {
-  std::vector<alg::Op*> order = alg::TopoOrder(root);
-  std::unordered_map<const alg::Op*, bool> pure, has_doc, value_free;
-  std::unordered_map<const alg::Op*, DepSet> deps;
-  for (alg::Op* op : order) {
+  const alg::PlanNumbering plan = alg::NumberPlan(root);
+  const std::vector<alg::Op*>& order = plan.nodes;
+  const size_t n = order.size();
+
+  // Document dependencies: the names every DocRoot may read, sorted and
+  // de-duplicated into one list, and each node's set of them as a
+  // bitset over that list (all rows in one array).
+  std::vector<std::string> doc_names;
+  std::vector<uint32_t> seen(n, 0);
+  std::vector<std::pair<size_t, size_t>> root_names(n);  // DocRoot's span
+  std::vector<uint8_t> unknown(n, 0);
+  uint32_t stamp = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (order[i]->kind != alg::OpKind::kDocRoot) continue;
+    const size_t first = doc_names.size();
+    unknown[i] =
+        DocRootNames(*order[i], plan, pool, ++stamp, &seen, &doc_names);
+    root_names[i] = {first, doc_names.size()};
+  }
+  std::vector<std::string> sorted = doc_names;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const size_t words = (sorted.size() + 63) / 64;
+  std::vector<uint64_t> deps(n * words, 0);
+  auto dep_row = [&](size_t i) { return deps.data() + i * words; };
+
+  std::vector<uint8_t> pure(n), has_doc(n), value_free(n);
+  for (size_t i = 0; i < n; ++i) {
+    alg::Op* op = order[i];
     bool p = !IsImpure(op->kind);
     bool d = op->kind == alg::OpKind::kStep ||
              op->kind == alg::OpKind::kDocRoot ||
              op->kind == alg::OpKind::kPathScan;
     bool vf = !ReadsNodeValues(op->kind);
-    DepSet ds;
+    uint64_t* row = dep_row(i);
     for (const auto& c : op->children) {
-      p = p && pure.at(c.get());
-      d = d || has_doc.at(c.get());
-      vf = vf && value_free.at(c.get());
-      MergeDeps(&ds, deps.at(c.get()));
+      const size_t k = plan.IndexOf(c.get());
+      p = p && pure[k];
+      d = d || has_doc[k];
+      vf = vf && value_free[k];
+      unknown[i] = unknown[i] || unknown[k];
+      for (size_t w = 0; w < words; ++w) row[w] |= dep_row(k)[w];
     }
-    if (op->kind == alg::OpKind::kDocRoot) {
-      MergeDeps(&ds, DocRootNames(*op, pool));
+    for (size_t j = root_names[i].first; j < root_names[i].second; ++j) {
+      size_t b = static_cast<size_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), doc_names[j]) -
+          sorted.begin());
+      row[b >> 6] |= uint64_t{1} << (b & 63);
     }
-    pure[op] = p;
-    has_doc[op] = d;
-    value_free[op] = vf;
-    deps[op] = std::move(ds);
+    pure[i] = p;
+    has_doc[i] = d;
+    value_free[i] = vf;
     op->cache_cand = false;
     op->cache_hash = 0;
     op->cache_docs.clear();
@@ -526,30 +545,35 @@ void AnnotateCacheCandidates(const algebra::OpPtr& root,
   // steps are the expensive, highly reusable unit, worth a cache entry
   // even in the middle of a larger pure region.
   auto mark = [&](alg::Op* op) {
-    op->cache_cand = pure.at(op) && has_doc.at(op);
+    const size_t i = plan.IndexOf(op);
+    op->cache_cand = pure[i] && has_doc[i];
   };
-  for (alg::Op* op : order) {
+  for (size_t i = 0; i < n; ++i) {
+    alg::Op* op = order[i];
     if (op->kind == alg::OpKind::kStep ||
         op->kind == alg::OpKind::kPathScan) {
       mark(op);
     }
-    if (!pure.at(op)) {
+    if (!pure[i]) {
       for (const auto& c : op->children) mark(c.get());
     }
   }
   mark(root.get());
-  std::unordered_map<const alg::Op*, uint64_t> hashes;
-  alg::StructuralHashes(root, &hashes);
-  for (alg::Op* op : order) {
-    if (op->cache_cand) op->cache_hash = hashes.at(op);
+  const std::vector<uint64_t> hashes = alg::StructuralHashes(plan);
+  for (size_t i = 0; i < n; ++i) {
+    alg::Op* op = order[i];
+    if (op->cache_cand) op->cache_hash = hashes[i];
     // Dependency annotations go on candidates (the subplan cache reads
     // them at insert) and on the root (the plan cache's entry-level
     // dependency set).
     if (op->cache_cand || op == root.get()) {
-      const DepSet& ds = deps.at(op);
-      op->cache_docs = ds.names;
-      op->cache_docs_unknown = ds.unknown;
-      op->cache_value_free = value_free.at(op);
+      for (size_t b = 0; b < sorted.size(); ++b) {
+        if ((dep_row(i)[b >> 6] >> (b & 63)) & 1) {
+          op->cache_docs.push_back(sorted[b]);
+        }
+      }
+      op->cache_docs_unknown = unknown[i];
+      op->cache_value_free = value_free[i];
     }
   }
 }

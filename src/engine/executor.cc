@@ -25,6 +25,7 @@ using alg::Fun1;
 using alg::Fun2;
 using alg::Op;
 using alg::OpKind;
+using bat::ColId;
 using bat::ColType;
 using bat::Column;
 using bat::ColumnPtr;
@@ -439,7 +440,7 @@ struct PipeStep {
 struct PipeProgram {
   std::vector<PipeStep> steps;
   // Output schema of the fragment tail, in legacy column order.
-  std::vector<std::string> out_names;
+  std::vector<ColId> out_names;
   std::vector<PipeRef> out_refs;
   std::vector<ColType> out_types;
   // Types of the computed slots (for typed empty outputs).
@@ -490,7 +491,7 @@ Result<PipeProgram> CompileFragment(const std::vector<const Op*>& chain,
                                     const Table& left, const Table* right) {
   PipeProgram prog;
   struct EnvCol {
-    std::string name;
+    ColId name;
     PipeRef ref;
     ColType type;
   };
@@ -505,11 +506,12 @@ Result<PipeProgram> CompileFragment(const std::vector<const Op*>& chain,
           {right->name(i), {PipeRef::kRightCol, i}, right->col(i)->type()});
     }
   }
-  auto lookup = [&env](const std::string& n) -> Result<EnvCol> {
+  auto lookup = [&env](ColId n) -> Result<EnvCol> {
     for (const EnvCol& c : env) {
       if (c.name == n) return c;
     }
-    return Status::Internal("pipeline: no column '" + n + "'");
+    return Status::Internal("pipeline: no column '" +
+                            std::string(bat::ColName(n)) + "'");
   };
   for (const Op* op : chain) {
     switch (op->kind) {
@@ -1170,8 +1172,8 @@ class Exec {
         return EvalPathScan(op);
       case OpKind::kDocRoot: {
         const Table& in = Child(op, 0);
-        PF_ASSIGN_OR_RETURN(ColumnPtr iter, in.GetCol("iter"));
-        PF_ASSIGN_OR_RETURN(ColumnPtr item, in.GetCol("item"));
+        PF_ASSIGN_OR_RETURN(ColumnPtr iter, in.GetCol(bat::kIter));
+        PF_ASSIGN_OR_RETURN(ColumnPtr item, in.GetCol(bat::kItem));
         auto out_iter = Column::MakeInt(in.rows());
         auto out_item = Column::MakeItem(in.rows());
         for (size_t i = 0; i < in.rows(); ++i) {
@@ -1187,8 +1189,8 @@ class Exec {
           out_item->items().push_back(Item::Node(frag, 0));
         }
         Table t;
-        t.AddCol("iter", std::move(out_iter));
-        t.AddCol("item", std::move(out_item));
+        t.AddCol(bat::kIter, std::move(out_iter));
+        t.AddCol(bat::kItem, std::move(out_item));
         return t;
       }
       case OpKind::kElemConstr:
@@ -1221,9 +1223,9 @@ class Exec {
                              *ctx_->pool(), op.col, op.out, tp(), kt());
       case OpKind::kSerialize: {
         const Table& in = Child(op, 0);
-        PF_ASSIGN_OR_RETURN(IdxVec perm,
-                            bat::SortPerm(in, {"iter", "pos"}, *ctx_->pool(),
-                                          {}, tp(), kt()));
+        PF_ASSIGN_OR_RETURN(
+            IdxVec perm, bat::SortPerm(in, {bat::kIter, bat::kPos},
+                                       *ctx_->pool(), {}, tp(), kt()));
         return bat::GatherTable(in, perm, tp());
       }
     }
@@ -1240,8 +1242,8 @@ class Exec {
 
   Result<Table> EvalStep(const Op& op) {
     const Table& in = Child(op, 0);
-    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol("iter"));
-    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol("item"));
+    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
+    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
     const auto& items = item_c->items();
     size_t n = in.rows();
@@ -1420,8 +1422,8 @@ class Exec {
       }
     });
     Table t;
-    t.AddCol("iter", std::move(out_iter));
-    t.AddCol("item", std::move(out_item));
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
     return t;
   }
 
@@ -1461,8 +1463,8 @@ class Exec {
   /// join per chain step: same results, same order.
   Result<Table> EvalPathScan(const Op& op) {
     const Table& in = Child(op, 0);
-    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol("iter"));
-    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol("item"));
+    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
+    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
     const auto& items = item_c->items();
     size_t n = in.rows();
@@ -1562,8 +1564,8 @@ class Exec {
       }
     }
     Table t;
-    t.AddCol("iter", std::move(out_iter));
-    t.AddCol("item", std::move(out_item));
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
     return t;
   }
 
@@ -1572,10 +1574,10 @@ class Exec {
   Result<std::vector<std::pair<int64_t, std::vector<Item>>>> GroupContent(
       const Table& in) {
     PF_ASSIGN_OR_RETURN(IdxVec perm,
-                        bat::SortPerm(in, {"iter", "pos"}, *ctx_->pool(), {},
-                                      tp(), kt()));
-    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol("iter"));
-    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol("item"));
+                        bat::SortPerm(in, {bat::kIter, bat::kPos},
+                                      *ctx_->pool(), {}, tp(), kt()));
+    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
+    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     std::vector<std::pair<int64_t, std::vector<Item>>> groups;
     for (bat::RowIdx r : perm) {
       int64_t it = iter_c->ints()[r];
@@ -1599,9 +1601,9 @@ class Exec {
     // One element per iter of the name relation (first name row wins).
     PF_ASSIGN_OR_RETURN(
         IdxVec perm,
-        bat::SortPerm(names, {"iter"}, *ctx_->pool(), {}, tp(), kt()));
-    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, names.GetCol("iter"));
-    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, names.GetCol("item"));
+        bat::SortPerm(names, {bat::kIter}, *ctx_->pool(), {}, tp(), kt()));
+    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, names.GetCol(bat::kIter));
+    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, names.GetCol(bat::kItem));
 
     auto out_iter = Column::MakeInt();
     auto out_item = Column::MakeItem();
@@ -1623,8 +1625,8 @@ class Exec {
       out_item->items().push_back(node);
     }
     Table t;
-    t.AddCol("iter", std::move(out_iter));
-    t.AddCol("item", std::move(out_item));
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
     return t;
   }
 
@@ -1633,8 +1635,8 @@ class Exec {
     const Table& seps = Child(op, 1);
     PF_ASSIGN_OR_RETURN(auto groups, GroupContent(content));
     // Separator per iter (singleton; defaults to "" when absent).
-    PF_ASSIGN_OR_RETURN(ColumnPtr sep_iter, seps.GetCol("iter"));
-    PF_ASSIGN_OR_RETURN(ColumnPtr sep_item, seps.GetCol("item"));
+    PF_ASSIGN_OR_RETURN(ColumnPtr sep_iter, seps.GetCol(bat::kIter));
+    PF_ASSIGN_OR_RETURN(ColumnPtr sep_item, seps.GetCol(bat::kItem));
     std::unordered_map<int64_t, StrId> sep_of;
     for (size_t i = 0; i < seps.rows(); ++i) {
       PF_ASSIGN_OR_RETURN(StrId s,
@@ -1659,8 +1661,8 @@ class Exec {
           Item::Str(ctx_->pool()->Intern(joined)));
     }
     Table t;
-    t.AddCol("iter", std::move(out_iter));
-    t.AddCol("item", std::move(out_item));
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
     return t;
   }
 
@@ -1669,7 +1671,7 @@ class Exec {
     PF_ASSIGN_OR_RETURN(auto groups, GroupContent(content));
     auto out_iter = Column::MakeInt(groups.size());
     auto out_item = Column::MakeItem(groups.size());
-    const StrId name = is_attr ? ctx_->pool()->Intern(op.out) : 0;
+    const StrId name = op.attr_name;
     for (const auto& [iter, items] : groups) {
       // A single item's string value is the content as is; several
       // join with single spaces.
@@ -1691,8 +1693,8 @@ class Exec {
                                       : BuildText(ctx_, content));
     }
     Table t;
-    t.AddCol("iter", std::move(out_iter));
-    t.AddCol("item", std::move(out_item));
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
     return t;
   }
 

@@ -16,6 +16,14 @@ std::string CanonicalFunName(const std::string& name) {
   return name;
 }
 
+/// Deepest nesting the parser accepts: the number of enclosing
+/// ParseExprSingle / signed ParseUnary / ParseDirectElemAt frames open
+/// when one of them is entered. Each recursion level costs a few stack
+/// frames, so an unbounded query (a few KB of '(') would overflow the
+/// stack; 1,000 levels stay far below the default 8 MiB stack, also
+/// in sanitizer builds.
+constexpr int kMaxNestingDepth = 1000;
+
 class Parser {
  public:
   explicit Parser(std::string_view query) : lex_(query) {}
@@ -150,7 +158,29 @@ class Parser {
     return seq;
   }
 
+  /// Counts one level of a self-recursive entry point for as long as
+  /// the frame is open; `ok()` is false past kMaxNestingDepth.
+  class DepthGuard {
+   public:
+    explicit DepthGuard(int* depth) : depth_(depth) { ++*depth_; }
+    ~DepthGuard() { --*depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+    bool ok() const { return *depth_ <= kMaxNestingDepth + 1; }
+
+   private:
+    int* depth_;
+  };
+
+  Status TooDeep() const {
+    return Status::NotSupported("query nesting deeper than " +
+                                std::to_string(kMaxNestingDepth) +
+                                " levels");
+  }
+
   Result<ExprPtr> ParseExprSingle() {
+    DepthGuard guard(&depth_);
+    if (!guard.ok()) return TooDeep();
     if ((IsKw("for") || IsKw("let")) && NextIs(Tok::kDollar)) {
       return ParseFlwor();
     }
@@ -478,16 +508,18 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
-    if (Is(Tok::kMinus)) {
-      PF_RETURN_NOT_OK(lex_.Advance());
-      PF_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return New(ExprKind::kUnaryMinus, {operand});
-    }
+    // Only a sign nests: the plain path to ParseUnionExpr is one level
+    // of the enclosing ParseExprSingle.
+    if (!Is(Tok::kMinus) && !Is(Tok::kPlus)) return ParseUnionExpr();
+    DepthGuard guard(&depth_);
+    if (!guard.ok()) return TooDeep();
     if (Is(Tok::kPlus)) {
       PF_RETURN_NOT_OK(lex_.Advance());
       return ParseUnary();
     }
-    return ParseUnionExpr();
+    PF_RETURN_NOT_OK(lex_.Advance());  // '-'
+    PF_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    return New(ExprKind::kUnaryMinus, {operand});
   }
 
   Result<ExprPtr> ParseUnionExpr() {
@@ -856,6 +888,8 @@ class Parser {
   }
 
   Result<ExprPtr> ParseDirectElemAt(size_t* p) {
+    DepthGuard guard(&depth_);
+    if (!guard.ok()) return TooDeep();
     PF_ASSIGN_OR_RETURN(std::string tag, RawReadName(p));
     ExprPtr name_expr = MakeExpr(ExprKind::kStrLit);
     name_expr->sval = tag;
@@ -1026,6 +1060,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;  // guarded frames open (see DepthGuard)
 };
 
 }  // namespace

@@ -1,10 +1,9 @@
 #include "opt/join_graph.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "algebra/schema.h"
@@ -15,6 +14,7 @@
 namespace pathfinder::opt {
 
 namespace alg = pathfinder::algebra;
+using alg::ColId;
 using alg::Op;
 using alg::OpKind;
 using alg::OpPtr;
@@ -51,33 +51,52 @@ algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db) {
 
 namespace {
 
-/// Re-stitch the plan, swapping every op in `repl` for its replacement.
-/// Replacement subtrees are traversed too: a replaced select's input may
-/// hold another replaced select.
-OpPtr Stitch(const OpPtr& root,
-             const std::unordered_map<const Op*, OpPtr>& repl) {
-  std::unordered_map<const Op*, OpPtr> memo;
-  std::function<OpPtr(const OpPtr&)> rec = [&](const OpPtr& op) -> OpPtr {
-    auto it = memo.find(op.get());
-    if (it != memo.end()) return it->second;
-    OpPtr target = op;
-    if (auto r = repl.find(op.get()); r != repl.end()) target = r->second;
-    std::vector<OpPtr> kids;
+/// Re-stitch the plan, swapping every node of `plan` with a non-null
+/// `repl[number]` for that replacement. Replacement subtrees are
+/// traversed too: a replaced select's input may hold another replaced
+/// select. Iterative, with a flat memo keyed by node address.
+OpPtr Stitch(const OpPtr& root, const alg::PlanNumbering& plan,
+             const std::vector<OpPtr>& repl) {
+  PtrIndex memo;  // original node -> slot in `out`
+  std::vector<OpPtr> out;
+  auto target_of = [&](const OpPtr& op) -> const OpPtr& {
+    uint32_t i = plan.index.Find(op.get());
+    return i != PtrIndex::kAbsent && repl[i] ? repl[i] : op;
+  };
+  auto done = [&](const OpPtr& op) -> const OpPtr* {
+    uint32_t i = memo.Find(op.get());
+    return i == PtrIndex::kAbsent ? nullptr : &out[i];
+  };
+  struct Frame {
+    const OpPtr* op;
+    size_t next_child;
+  };
+  std::vector<Frame> stack = {{&root, 0}};
+  std::vector<OpPtr> kids;
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const OpPtr& target = target_of(*f.op);
+    if (f.next_child < target->children.size()) {
+      const OpPtr& c = target->children[f.next_child++];
+      if (done(c) == nullptr) stack.push_back({&c, 0});
+      continue;
+    }
+    kids.clear();
     bool kid_changed = false;
     for (const auto& c : target->children) {
-      OpPtr nc = rec(c);
-      kid_changed |= nc.get() != c.get();
-      kids.push_back(std::move(nc));
+      kids.push_back(*done(c));
+      kid_changed |= kids.back().get() != c.get();
     }
-    OpPtr out = target;
+    OpPtr result = target;
     if (kid_changed) {
-      out = std::make_shared<Op>(*target);
-      out->children = std::move(kids);
+      result = std::make_shared<Op>(*target);
+      result->children = kids;
     }
-    memo[op.get()] = out;
-    return out;
-  };
-  return rec(root);
+    memo.Insert(f.op->get(), static_cast<uint32_t>(out.size()));
+    out.push_back(std::move(result));
+    stack.pop_back();
+  }
+  return out.back();
 }
 
 // ---------------------------------------------------------------------
@@ -85,33 +104,23 @@ OpPtr Stitch(const OpPtr& root,
 
 OpPtr RemoveKeyDistincts(const OpPtr& root, const alg::KeyAnalysis& ka,
                          JoinOptStats* stats) {
-  std::unordered_map<const Op*, OpPtr> memo;
-  std::function<OpPtr(const OpPtr&)> rec = [&](const OpPtr& op) -> OpPtr {
-    auto it = memo.find(op.get());
-    if (it != memo.end()) return it->second;
-    std::vector<OpPtr> kids;
-    bool changed = false;
-    for (const auto& c : op->children) {
-      OpPtr nc = rec(c);
-      changed |= nc.get() != c.get();
-      kids.push_back(std::move(nc));
-    }
-    OpPtr node = op;
+  const alg::PlanNumbering plan = alg::NumberPlan(root);
+  const std::vector<const OpPtr*> owner = alg::NodeOwners(plan, root);
+  std::vector<OpPtr> rebuilt(plan.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    const Op* op = plan.nodes[i];
     if (op->kind == OpKind::kDistinct && !op->keys.empty() &&
         ka.CoversKey(op->children[0].get(), op->keys)) {
       // The input provably carries no duplicate keys-tuples, and
       // DistinctIndices keeps first occurrences, so dropping the
       // operator preserves the exact row sequence.
-      node = kids[0];
+      rebuilt[i] = rebuilt[plan.IndexOf(op->children[0].get())];
       if (stats != nullptr) stats->key_distincts_removed++;
-    } else if (changed) {
-      node = std::make_shared<Op>(*op);
-      node->children = std::move(kids);
+    } else {
+      rebuilt[i] = alg::WithRebuiltChildren(plan, *owner[i], rebuilt);
     }
-    memo[op.get()] = node;
-    return node;
-  };
-  return rec(root);
+  }
+  return rebuilt.back();
 }
 
 // ---------------------------------------------------------------------
@@ -136,13 +145,42 @@ OpPtr RemoveKeyDistincts(const OpPtr& root, const alg::KeyAnalysis& ka,
 // and surviving pairs keep their relative order, so results stay
 // byte-identical.
 
+/// `col`'s name with `suffix` appended, interned.
+ColId Suffixed(ColId col, const char* suffix) {
+  return bat::InternCol(std::string(bat::ColName(col)) + suffix);
+}
+
+/// A small column -> value map (a join's schema, a chain's columns):
+/// a vector searched linearly.
+template <typename V>
+class ColEnv {
+ public:
+  const V* Find(ColId c) const {
+    for (const auto& [k, v] : entries_) {
+      if (k == c) return &v;
+    }
+    return nullptr;
+  }
+  void Set(ColId c, V v) {
+    for (auto& [k, old] : entries_) {
+      if (k == c) {
+        old = std::move(v);
+        return;
+      }
+    }
+    entries_.emplace_back(c, std::move(v));
+  }
+
+ private:
+  std::vector<std::pair<ColId, V>> entries_;
+};
+
 /// Rebuild column `col` of `op`'s output on top of `base` under the
 /// name `out`, provided its value is row-independent (derived only
 /// from attach constants / 1-row literal tables through fun chains).
 /// Returns nullptr when the column is not provably constant.
-OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
-                    const std::string& out, const alg::SchemaMap& schemas,
-                    int depth) {
+OpPtr BuildConstCol(const Op* op, ColId col, OpPtr base, ColId out,
+                    const alg::SchemaMap& schemas, int depth) {
   if (depth > 24 || base == nullptr) return nullptr;
   switch (op->kind) {
     case OpKind::kAttach:
@@ -175,24 +213,24 @@ OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
         return BuildConstCol(op->children[0].get(), col, std::move(base),
                              out, schemas, depth + 1);
       }
+      const ColId in_col = Suffixed(out, "i");
       OpPtr in = BuildConstCol(op->children[0].get(), op->col,
-                               std::move(base), out + "i", schemas,
-                               depth + 1);
+                               std::move(base), in_col, schemas, depth + 1);
       if (in == nullptr) return nullptr;
-      return alg::MapFun1(std::move(in), op->fun1, out + "i", out);
+      return alg::MapFun1(std::move(in), op->fun1, in_col, out);
     }
     case OpKind::kFun2: {
       if (op->out != col) {
         return BuildConstCol(op->children[0].get(), col, std::move(base),
                              out, schemas, depth + 1);
       }
+      const ColId a_col = Suffixed(out, "a"), b_col = Suffixed(out, "b");
       OpPtr a = BuildConstCol(op->children[0].get(), op->col,
-                              std::move(base), out + "a", schemas,
-                              depth + 1);
+                              std::move(base), a_col, schemas, depth + 1);
       OpPtr b = BuildConstCol(op->children[0].get(), op->col2, std::move(a),
-                              out + "b", schemas, depth + 1);
+                              b_col, schemas, depth + 1);
       if (b == nullptr) return nullptr;
-      return alg::MapFun2(std::move(b), op->fun2, out + "a", out + "b", out);
+      return alg::MapFun2(std::move(b), op->fun2, a_col, b_col, out);
     }
     case OpKind::kSelect:
     case OpKind::kDistinct:
@@ -206,13 +244,10 @@ OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
     case OpKind::kEquiJoin:
     case OpKind::kThetaJoin: {
       for (int s = 0; s < 2; ++s) {
-        auto it = schemas.find(op->children[s].get());
-        if (it == schemas.end()) continue;
-        for (const auto& [n, t] : it->second.cols) {
-          if (n == col) {
-            return BuildConstCol(op->children[s].get(), col, std::move(base),
-                                 out, schemas, depth + 1);
-          }
+        const alg::Schema* cs = schemas.Find(op->children[s].get());
+        if (cs != nullptr && cs->Has(col)) {
+          return BuildConstCol(op->children[s].get(), col, std::move(base),
+                               out, schemas, depth + 1);
         }
       }
       return nullptr;
@@ -227,7 +262,7 @@ OpPtr BuildConstCol(const Op* op, const std::string& col, OpPtr base,
 /// columns or attach constants.
 struct PredExpr {
   enum class Kind { kJoinCol, kConst, kFun1, kFun2 } kind;
-  std::string col;                          // kJoinCol
+  ColId col = bat::kNoCol;                   // kJoinCol
   bat::ColType ctype = bat::ColType::kItem;  // kConst
   Item cval{ItemKind::kInt, 0};              // kConst
   alg::Fun1 f1 = alg::Fun1::kNot;
@@ -236,7 +271,7 @@ struct PredExpr {
 };
 using PredExprPtr = std::shared_ptr<PredExpr>;
 
-void CollectJoinCols(const PredExprPtr& e, std::vector<std::string>* out) {
+void CollectJoinCols(const PredExprPtr& e, std::vector<ColId>* out) {
   if (e->kind == PredExpr::Kind::kJoinCol) {
     if (std::find(out->begin(), out->end(), e->col) == out->end()) {
       out->push_back(e->col);
@@ -251,28 +286,31 @@ void CollectJoinCols(const PredExprPtr& e, std::vector<std::string>* out) {
 struct SelectPusher {
   JoinOptStats* stats;
   std::set<int> done;  // select ids already handled (clones keep the id)
+  // Names the columns of the next pushed select ("jp<n>_..."). Counted
+  // per call, not taken from Op::id, so recompiling a query yields the
+  // same column names, hence the same structural hashes.
+  int next_tag = 0;
 
   /// Symbolically evaluate the chain (bottom-up) to express the
   /// select's predicate column over the join's output columns.
   PredExprPtr EvalChain(const std::vector<const Op*>& chain,
-                        const alg::Schema& join_schema,
-                        const std::string& pred_col) {
-    std::unordered_map<std::string, PredExprPtr> env;
+                        const alg::Schema& join_schema, ColId pred_col) {
+    ColEnv<PredExprPtr> env;
     for (const auto& [n, t] : join_schema.cols) {
       auto e = std::make_shared<PredExpr>();
       e->kind = PredExpr::Kind::kJoinCol;
       e->col = n;
-      env[n] = e;
+      env.Set(n, e);
     }
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       const Op* c = *it;
       switch (c->kind) {
         case OpKind::kProject: {
-          std::unordered_map<std::string, PredExprPtr> next;
+          ColEnv<PredExprPtr> next;
           for (const auto& [nw, old] : c->proj) {
-            auto oit = env.find(old);
-            if (oit == env.end()) return nullptr;
-            next[nw] = oit->second;
+            const PredExprPtr* o = env.Find(old);
+            if (o == nullptr) return nullptr;
+            next.Set(nw, *o);
           }
           env = std::move(next);
           break;
@@ -282,74 +320,74 @@ struct SelectPusher {
           e->kind = PredExpr::Kind::kConst;
           e->ctype = c->types[0];
           e->cval = c->attach_val;
-          env[c->out] = e;
+          env.Set(c->out, e);
           break;
         }
         case OpKind::kFun1: {
-          auto ait = env.find(c->col);
-          if (ait == env.end()) return nullptr;
+          const PredExprPtr* a = env.Find(c->col);
+          if (a == nullptr) return nullptr;
           auto e = std::make_shared<PredExpr>();
           e->kind = PredExpr::Kind::kFun1;
           e->f1 = c->fun1;
-          e->a = ait->second;
-          env[c->out] = e;
+          e->a = *a;
+          env.Set(c->out, e);
           break;
         }
         case OpKind::kFun2: {
-          auto ait = env.find(c->col);
-          auto bit = env.find(c->col2);
-          if (ait == env.end() || bit == env.end()) return nullptr;
+          const PredExprPtr* a = env.Find(c->col);
+          const PredExprPtr* b = env.Find(c->col2);
+          if (a == nullptr || b == nullptr) return nullptr;
           auto e = std::make_shared<PredExpr>();
           e->kind = PredExpr::Kind::kFun2;
           e->f2 = c->fun2;
-          e->a = ait->second;
-          e->b = bit->second;
-          env[c->out] = e;
+          e->a = *a;
+          e->b = *b;
+          env.Set(c->out, e);
           break;
         }
         default:
           return nullptr;
       }
     }
-    auto pit = env.find(pred_col);
-    return pit == env.end() ? nullptr : pit->second;
+    const PredExprPtr* p = env.Find(pred_col);
+    return p == nullptr ? nullptr : *p;
   }
 
-  /// Emit ops computing `e` on top of `*base`; returns the column name
-  /// holding the result (empty string = failure).
-  std::string Emit(const PredExprPtr& e, OpPtr* base, int sel_id,
-                   int* fresh,
-                   const std::unordered_map<std::string, std::string>& ren) {
+  /// Emit ops computing `e` on top of `*base`; returns the column
+  /// holding the result (kNoCol = failure).
+  ColId Emit(const PredExprPtr& e, OpPtr* base, int tag, int* fresh,
+             const ColEnv<ColId>& ren) {
     auto name = [&] {
-      return "jp" + std::to_string(sel_id) + "_" + std::to_string((*fresh)++);
+      return bat::InternCol("jp" + std::to_string(tag) + "_" +
+                            std::to_string((*fresh)++));
     };
     switch (e->kind) {
       case PredExpr::Kind::kJoinCol: {
-        auto it = ren.find(e->col);
-        return it == ren.end() ? e->col : it->second;
+        const ColId* r = ren.Find(e->col);
+        return r == nullptr ? e->col : *r;
       }
       case PredExpr::Kind::kConst: {
-        std::string n = name();
+        ColId n = name();
         *base = alg::Attach(std::move(*base), n, e->ctype, e->cval);
         return n;
       }
       case PredExpr::Kind::kFun1: {
-        std::string in = Emit(e->a, base, sel_id, fresh, ren);
-        if (in.empty()) return "";
-        std::string n = name();
+        ColId in = Emit(e->a, base, tag, fresh, ren);
+        if (in == bat::kNoCol) return bat::kNoCol;
+        ColId n = name();
         *base = alg::MapFun1(std::move(*base), e->f1, in, n);
         return n;
       }
       case PredExpr::Kind::kFun2: {
-        std::string in1 = Emit(e->a, base, sel_id, fresh, ren);
-        std::string in2 = Emit(e->b, base, sel_id, fresh, ren);
-        if (in1.empty() || in2.empty()) return "";
-        std::string n = name();
+        ColId in1 = Emit(e->a, base, tag, fresh, ren);
+        ColId in2 = Emit(e->b, base, tag, fresh, ren);
+        if (in1 == bat::kNoCol || in2 == bat::kNoCol) return bat::kNoCol;
+        ColId n = name();
         *base = alg::MapFun2(std::move(*base), e->f2, in1, in2, n);
         return n;
       }
     }
-    return "";
+    return bat::kNoCol;
   }
 
   /// Re-emit one original chain op verbatim on top of `base`.
@@ -375,25 +413,26 @@ struct SelectPusher {
   /// constants. Returns the replacement for `sel`, or nullptr.
   OpPtr TrySide(const Op* sel, const std::vector<const Op*>& chain,
                 const Op* join, int s, const PredExprPtr& pred,
-                const std::vector<std::string>& other,
+                const std::vector<ColId>& other,
                 const alg::SchemaMap& schemas) {
     OpPtr side = join->children[s];
-    std::unordered_map<std::string, std::string> ren;
-    for (const auto& c : other) {
-      std::string fresh_name = "jp" + std::to_string(sel->id) + "_" + c;
+    ColEnv<ColId> ren;
+    for (ColId c : other) {
+      const ColId fresh_name = bat::InternCol(
+          "jp" + std::to_string(next_tag) + "_" + std::string(bat::ColName(c)));
       side = BuildConstCol(join->children[1 - s].get(), c, std::move(side),
                            fresh_name, schemas, 0);
       if (side == nullptr) return nullptr;
-      ren[c] = fresh_name;
+      ren.Set(c, fresh_name);
     }
     int fresh = 0;
-    std::string pcol = Emit(pred, &side, sel->id, &fresh, ren);
-    if (pcol.empty()) return nullptr;
+    ColId pcol = Emit(pred, &side, next_tag, &fresh, ren);
+    if (pcol == bat::kNoCol) return nullptr;
     side = alg::Select(std::move(side), pcol);  // fresh id: can cascade
-    std::vector<std::pair<std::string, std::string>> proj;
-    for (const auto& [n, t] : schemas.at(join->children[s].get()).cols) {
-      proj.emplace_back(n, n);
-    }
+    const alg::Schema& side_schema = schemas.at(join->children[s].get());
+    std::vector<std::pair<ColId, ColId>> proj;
+    proj.reserve(side_schema.cols.size());
+    for (const auto& [n, t] : side_schema.cols) proj.emplace_back(n, n);
     side = alg::Project(std::move(side), std::move(proj));
     OpPtr l = s == 0 ? side : join->children[0];
     OpPtr r = s == 0 ? join->children[1] : side;
@@ -425,12 +464,13 @@ struct SelectPusher {
       PF_RETURN_NOT_OK(alg::InferSchemas(cur, &schemas).status());
       std::vector<int> consumers(plan.nodes.size(), 0);
       for (const Op* op : plan.nodes) {
-        for (const auto& c : op->children) consumers[plan.index.at(c.get())]++;
+        for (const auto& c : op->children) consumers[plan.IndexOf(c.get())]++;
       }
       auto consumers_of = [&](const Op* op) {
-        return consumers[plan.index.at(op)];
+        return consumers[plan.IndexOf(op)];
       };
-      std::unordered_map<const Op*, OpPtr> repl;
+      std::vector<OpPtr> repl(plan.nodes.size());
+      bool replaced = false;
       for (Op* op : plan.nodes) {
         if (op->kind != OpKind::kSelect || done.count(op->id) != 0) continue;
         // Walk the predicate-computing chain down to a join.
@@ -451,22 +491,15 @@ struct SelectPusher {
         }
         PredExprPtr pred = EvalChain(chain, schemas.at(d), op->col);
         if (pred == nullptr) continue;
-        std::vector<std::string> needed;
+        std::vector<ColId> needed;
         CollectJoinCols(pred, &needed);
         if (needed.empty()) continue;  // constant predicate: leave alone
-        std::vector<std::string> froml, fromr;
+        std::vector<ColId> froml, fromr;
         bool known = true;
-        for (const auto& n : needed) {
-          bool inl = false, inr = false;
-          for (const auto& [cn, t] : schemas.at(d->children[0].get()).cols) {
-            if (cn == n) inl = true;
-          }
-          for (const auto& [cn, t] : schemas.at(d->children[1].get()).cols) {
-            if (cn == n) inr = true;
-          }
-          if (inl) {
+        for (ColId n : needed) {
+          if (schemas.at(d->children[0].get()).Has(n)) {
             froml.push_back(n);
-          } else if (inr) {
+          } else if (schemas.at(d->children[1].get()).Has(n)) {
             fromr.push_back(n);
           } else {
             known = false;
@@ -484,12 +517,14 @@ struct SelectPusher {
           if (r == nullptr) r = TrySide(op, chain, d, 1, pred, froml, schemas);
         }
         if (r == nullptr) continue;
+        ++next_tag;
         done.insert(op->id);
-        repl[op] = std::move(r);
+        repl[plan.IndexOf(op)] = std::move(r);
+        replaced = true;
         if (stats != nullptr) stats->selects_pushed++;
       }
-      if (repl.empty()) return cur;
-      cur = Stitch(cur, repl);
+      if (!replaced) return cur;
+      cur = Stitch(cur, plan, repl);
     }
     // Out of rounds: cut the memo to the returned plan while the plan it
     // was last cut to is still pinned.

@@ -1,9 +1,9 @@
 #include "opt/optimize.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
-#include <set>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/hash.h"
@@ -16,88 +16,94 @@ namespace pathfinder::opt {
 namespace {
 
 namespace alg = pathfinder::algebra;
+using alg::ColId;
 using alg::Op;
 using alg::OpKind;
 using alg::OpPtr;
-using ColSet = std::set<std::string>;
+using bat::SetColBit;
+using bat::TestColBit;
 
 // ---------------------------------------------------------------------
 // Dead-column analysis: which output columns of each node does any
-// consumer actually read? One set per node, indexed by the round's plan
-// numbering.
+// consumer actually read? One bitset per node over ColIds, indexed by
+// the round's plan numbering.
 
-using Required = std::vector<ColSet>;
-
-Required AnalyzeRequired(const alg::PlanNumbering& plan,
-                         const alg::SchemaMap& schemas) {
-  Required req(plan.nodes.size());
+void AnalyzeRequired(const alg::PlanNumbering& plan,
+                     const alg::SchemaMap& schemas, bat::ColBitRows* req) {
+  req->Reset(plan.nodes.size());
+  const size_t words = req->words();
+  auto add_schema_to = [](uint64_t* need, const alg::Schema& s) {
+    for (const auto& [n, t] : s.cols) SetColBit(need, n);
+  };
   // Root (numbered last) needs its full schema.
-  for (const auto& [n, t] : schemas.at(plan.nodes.back()).cols) {
-    req.back().insert(n);
-  }
+  add_schema_to(req->Row(plan.nodes.size() - 1),
+                schemas.at(plan.nodes.back()));
   for (size_t i = plan.nodes.size(); i-- > 0;) {
     const Op* op = plan.nodes[i];
-    const ColSet& R = req[i];
-    auto kid = [&](size_t k) -> ColSet& {
-      return req[plan.index.at(op->children[k].get())];
+    const uint64_t* R = req->Row(i);
+    auto kid = [&](size_t k) {
+      return req->Row(plan.IndexOf(op->children[k].get()));
     };
     auto kid_schema = [&](size_t k) -> const alg::Schema& {
       return schemas.at(op->children[k].get());
     };
-    auto add_schema = [&](size_t k) {
-      ColSet& need = kid(k);
-      for (const auto& [n, t] : kid_schema(k).cols) need.insert(n);
+    auto add_required = [&](uint64_t* need) {
+      for (size_t w = 0; w < words; ++w) need[w] |= R[w];
     };
     // Everything required of op except its own new column `out`.
-    auto add_all_but = [&](size_t k, const std::string& out) {
-      ColSet& need = kid(k);
-      for (const auto& c : R) {
-        if (c != out) need.insert(c);
+    auto add_all_but = [&](size_t k, ColId out) {
+      uint64_t* need = kid(k);
+      for (size_t w = 0; w < words; ++w) {
+        uint64_t r = R[w];
+        if (w == out >> 6) r &= ~(uint64_t{1} << (out & 63));
+        need[w] |= r;
       }
+    };
+    auto add_cols = [&](size_t k, std::initializer_list<ColId> cols) {
+      uint64_t* need = kid(k);
+      for (ColId c : cols) SetColBit(need, c);
     };
     switch (op->kind) {
       case OpKind::kLitTable:
         break;
       case OpKind::kProject: {
-        ColSet& need = kid(0);
+        uint64_t* need = kid(0);
         for (const auto& [nw, old] : op->proj) {
-          if (R.count(nw)) need.insert(old);
+          if (TestColBit(R, nw)) SetColBit(need, old);
         }
         break;
       }
       case OpKind::kAttach:
         add_all_but(0, op->out);
         break;
-      case OpKind::kSelect: {
-        ColSet& need = kid(0);
-        need.insert(R.begin(), R.end());
-        need.insert(op->col);
+      case OpKind::kSelect:
+        add_required(kid(0));
+        add_cols(0, {op->col});
         break;
-      }
       case OpKind::kDisjointUnion:
         // Both sides must keep identical schemas; narrowing only one
         // side (whichever happens to be a Project) would desynchronize
         // them, so require the full width from both.
-        add_schema(0);
-        add_schema(1);
+        add_schema_to(kid(0), kid_schema(0));
+        add_schema_to(kid(1), kid_schema(1));
         break;
       case OpKind::kDifference: {
-        ColSet& need0 = kid(0);
-        ColSet& need1 = kid(1);
-        need0.insert(R.begin(), R.end());
-        for (const auto& k : op->keys) {
-          need0.insert(k);
-          need1.insert(k);
+        uint64_t* need0 = kid(0);
+        uint64_t* need1 = kid(1);
+        add_required(need0);
+        for (ColId k : op->keys) {
+          SetColBit(need0, k);
+          SetColBit(need1, k);
         }
         break;
       }
       case OpKind::kDistinct: {
         if (op->keys.empty()) {
-          add_schema(0);
+          add_schema_to(kid(0), kid_schema(0));
         } else {
-          ColSet& need = kid(0);
-          need.insert(R.begin(), R.end());
-          need.insert(op->keys.begin(), op->keys.end());
+          uint64_t* need = kid(0);
+          add_required(need);
+          for (ColId k : op->keys) SetColBit(need, k);
         }
         break;
       }
@@ -106,70 +112,83 @@ Required AnalyzeRequired(const alg::PlanNumbering& plan,
       case OpKind::kCross: {
         const alg::Schema& sa = kid_schema(0);
         const alg::Schema& sb = kid_schema(1);
-        ColSet& need0 = kid(0);
-        ColSet& need1 = kid(1);
-        for (const auto& c : R) {
-          if (sa.Has(c)) need0.insert(c);
-          if (sb.Has(c)) need1.insert(c);
+        uint64_t* need0 = kid(0);
+        uint64_t* need1 = kid(1);
+        // Each side keeps the required columns it provides.
+        bool any0 = false, any1 = false;
+        for (const auto& [n, t] : sa.cols) {
+          if (TestColBit(R, n)) {
+            SetColBit(need0, n);
+            any0 = true;
+          }
+        }
+        for (const auto& [n, t] : sb.cols) {
+          if (TestColBit(R, n)) {
+            SetColBit(need1, n);
+            any1 = true;
+          }
         }
         if (op->kind != OpKind::kCross) {
-          need0.insert(op->col);
-          need1.insert(op->col2);
+          SetColBit(need0, op->col);
+          SetColBit(need1, op->col2);
         } else {
           // A side with nothing required still contributes its row
           // count; keep its first column.
-          if (need0.empty() && !sa.cols.empty()) {
-            need0.insert(sa.cols[0].first);
+          auto empty = [&](const uint64_t* need) {
+            for (size_t w = 0; w < words; ++w) {
+              if (need[w] != 0) return false;
+            }
+            return true;
+          };
+          if (!any0 && empty(need0) && !sa.cols.empty()) {
+            SetColBit(need0, sa.cols[0].first);
           }
-          if (need1.empty() && !sb.cols.empty()) {
-            need1.insert(sb.cols[0].first);
+          if (!any1 && empty(need1) && !sb.cols.empty()) {
+            SetColBit(need1, sb.cols[0].first);
           }
         }
         break;
       }
       case OpKind::kRowNum: {
         add_all_but(0, op->out);
-        ColSet& need = kid(0);
-        need.insert(op->part.begin(), op->part.end());
-        need.insert(op->order.begin(), op->order.end());
+        uint64_t* need = kid(0);
+        for (ColId c : op->part) SetColBit(need, c);
+        for (ColId c : op->order) SetColBit(need, c);
         break;
       }
       case OpKind::kStep:
       case OpKind::kDocRoot:
       case OpKind::kPathScan:
-        kid(0).insert({"iter", "item"});
+        add_cols(0, {bat::kIter, bat::kItem});
         break;
       case OpKind::kElemConstr:
-        kid(0).insert({"iter", "item"});
-        kid(1).insert({"iter", "pos", "item"});
+        add_cols(0, {bat::kIter, bat::kItem});
+        add_cols(1, {bat::kIter, bat::kPos, bat::kItem});
         break;
       case OpKind::kTextConstr:
       case OpKind::kAttrConstr:
       case OpKind::kSerialize:
-        kid(0).insert({"iter", "pos", "item"});
+        add_cols(0, {bat::kIter, bat::kPos, bat::kItem});
         break;
       case OpKind::kStrJoin:
-        kid(0).insert({"iter", "pos", "item"});
-        kid(1).insert({"iter", "item"});
+        add_cols(0, {bat::kIter, bat::kPos, bat::kItem});
+        add_cols(1, {bat::kIter, bat::kItem});
         break;
       case OpKind::kFun1:
         add_all_but(0, op->out);
-        kid(0).insert(op->col);
+        add_cols(0, {op->col});
         break;
       case OpKind::kFun2:
         add_all_but(0, op->out);
-        kid(0).insert({op->col, op->col2});
+        add_cols(0, {op->col, op->col2});
         break;
       case OpKind::kAggr:
-        kid(0).insert(op->col);
-        if (!op->col2.empty()) kid(0).insert(op->col2);
+        add_cols(0, {op->col});
+        if (op->col2 != bat::kNoCol) add_cols(0, {op->col2});
         break;
     }
   }
-  return req;
 }
-
-// ---------------------------------------------------------------------
 
 // ---------------------------------------------------------------------
 // CSE / DAG-ification: hash-consing over the plan.
@@ -178,58 +197,59 @@ Required AnalyzeRequired(const alg::PlanNumbering& plan,
 // representative: children are canonicalized first, so two subtrees are
 // structurally equal exactly when their local parameters match (under
 // the canonical orderings of algebra/hash.h) and their canonical
-// children are the *same nodes*. Buckets are keyed by the combined
-// hash; collisions fall back to LocalParamsEqual.
+// children are the *same nodes*. Representatives sit in one flat
+// open-addressing table keyed by the combined hash; collisions fall
+// back to LocalParamsEqual.
 
 class CseMerger {
  public:
-  OpPtr Rec(const OpPtr& op) {
-    auto it = memo_.find(op.get());
-    if (it != memo_.end()) return it->second;
-    std::vector<OpPtr> kids;
-    kids.reserve(op->children.size());
-    bool kid_changed = false;
-    for (const auto& c : op->children) {
-      OpPtr nc = Rec(c);
-      kid_changed |= nc.get() != c.get();
-      kids.push_back(std::move(nc));
-    }
-    OpPtr node = op;
-    if (kid_changed) {
-      node = std::make_shared<Op>(*op);
-      node->children = std::move(kids);
-    }
-    uint64_t h = alg::LocalParamsHash(*node);
-    for (const auto& c : node->children) {
-      h = alg::CombineChildHash(h, rep_hash_.at(c.get()));
-    }
-    for (const OpPtr& cand : buckets_[h]) {
-      if (cand.get() == node.get()) continue;
-      if (cand->children.size() != node->children.size()) continue;
-      bool same_kids = true;
-      for (size_t i = 0; i < cand->children.size(); ++i) {
-        if (cand->children[i].get() != node->children[i].get()) {
-          same_kids = false;
-          break;
-        }
+  OpPtr Run(const OpPtr& root) {
+    const alg::PlanNumbering plan = alg::NumberPlan(root);
+    const size_t n = plan.nodes.size();
+    const std::vector<const OpPtr*> owner = alg::NodeOwners(plan, root);
+    std::vector<OpPtr> rep(n);       // node number -> representative
+    std::vector<uint64_t> hash(n);   // node number -> its rep's hash
+    size_t cap = 16;
+    while (cap < 2 * n) cap <<= 1;
+    // Slots hold 1 + the number of the node whose rep is stored there.
+    std::vector<uint32_t> slots(cap, 0);
+    for (size_t i = 0; i < n; ++i) {
+      OpPtr node = alg::WithRebuiltChildren(plan, *owner[i], rep);
+      uint64_t h = alg::LocalParamsHash(*node);
+      for (const auto& c : plan.nodes[i]->children) {
+        h = alg::CombineChildHash(h, hash[plan.IndexOf(c.get())]);
       }
-      if (!same_kids || !alg::LocalParamsEqual(*cand, *node)) continue;
-      ++merges_;
-      memo_[op.get()] = cand;
-      return cand;
+      hash[i] = h;
+      size_t s = (h * 0x9E3779B97F4A7C15ull >> 20) & (cap - 1);
+      for (; slots[s] != 0; s = (s + 1) & (cap - 1)) {
+        const size_t j = slots[s] - 1;
+        const OpPtr& cand = rep[j];
+        if (hash[j] != h || cand.get() == node.get()) continue;
+        if (cand->children.size() != node->children.size()) continue;
+        bool same_kids = true;
+        for (size_t k = 0; k < cand->children.size(); ++k) {
+          if (cand->children[k].get() != node->children[k].get()) {
+            same_kids = false;
+            break;
+          }
+        }
+        if (!same_kids || !alg::LocalParamsEqual(*cand, *node)) continue;
+        node = cand;
+        break;
+      }
+      if (slots[s] == 0) {
+        slots[s] = static_cast<uint32_t>(i + 1);
+      } else {
+        ++merges_;
+      }
+      rep[i] = std::move(node);
     }
-    buckets_[h].push_back(node);
-    rep_hash_[node.get()] = h;
-    memo_[op.get()] = node;
-    return node;
+    return rep.back();
   }
 
   int merges() const { return merges_; }
 
  private:
-  std::unordered_map<const Op*, OpPtr> memo_;       // orig -> representative
-  std::unordered_map<const Op*, uint64_t> rep_hash_;
-  std::unordered_map<uint64_t, std::vector<OpPtr>> buckets_;
   int merges_ = 0;
 };
 
@@ -287,7 +307,7 @@ class Optimizer {
     }
     if (opts_.cse) {
       CseMerger cse;
-      cur = cse.Rec(cur);
+      cur = cse.Run(cur);
       if (stats_) stats_->cse_merges = cse.merges();
     }
     // Validate the whole plan with a fresh memo: the shared one vouches
@@ -301,7 +321,7 @@ class Optimizer {
  private:
   /// One rewrite pass: number the plan, infer the schemas of the nodes
   /// the memo lacks and the required columns, then rebuild the DAG
-  /// bottom-up applying local rules.
+  /// bottom-up (children before parents) applying local rules.
   Result<OpPtr> Pass(const OpPtr& root) {
     plan_ = alg::NumberPlan(root);
     alg::RetainSchemas(plan_, &schemas_);
@@ -309,29 +329,14 @@ class Optimizer {
     pinned_ = root;
     rebuilt_.assign(plan_.nodes.size(), nullptr);
     PF_RETURN_NOT_OK(alg::InferSchemas(root, &schemas_).status());
-    required_ = AnalyzeRequired(plan_, schemas_);
-    return RebuildRec(root);
-  }
-
-  Result<OpPtr> RebuildRec(const OpPtr& op) {
-    const size_t orig = plan_.index.at(op.get());
-    if (rebuilt_[orig]) return rebuilt_[orig];
-    std::vector<OpPtr> kids;
-    bool kid_changed = false;
-    for (const auto& c : op->children) {
-      PF_ASSIGN_OR_RETURN(OpPtr nc, RebuildRec(c));
-      kid_changed |= nc.get() != c.get();
-      kids.push_back(std::move(nc));
+    AnalyzeRequired(plan_, schemas_, &required_);
+    const std::vector<const OpPtr*> owner = alg::NodeOwners(plan_, root);
+    for (size_t i = 0; i < plan_.nodes.size(); ++i) {
+      OpPtr node = alg::WithRebuiltChildren(plan_, *owner[i], rebuilt_);
+      if (node.get() != plan_.nodes[i]) changed_ = true;
+      PF_ASSIGN_OR_RETURN(rebuilt_[i], RewriteNode(std::move(node), i));
     }
-    OpPtr node = op;
-    if (kid_changed) {
-      node = std::make_shared<Op>(*op);
-      node->children = kids;
-      changed_ = true;
-    }
-    PF_ASSIGN_OR_RETURN(OpPtr rewritten, RewriteNode(node, orig));
-    rebuilt_[orig] = rewritten;
-    return rewritten;
+    return rebuilt_.back();
   }
 
   /// Local rules; `orig` is the pre-rebuild node's number (its index
@@ -339,11 +344,15 @@ class Optimizer {
   Result<OpPtr> RewriteNode(OpPtr op, size_t orig) {
     // Rule: drop dead projection entries.
     if (op->kind == OpKind::kProject) {
-      const ColSet& R = required_[orig];
-      if (!R.empty() && R.size() < op->proj.size()) {
-        std::vector<std::pair<std::string, std::string>> kept;
+      const uint64_t* R = required_.Row(orig);
+      size_t nreq = 0;
+      for (size_t w = 0; w < required_.words(); ++w) {
+        nreq += static_cast<size_t>(std::popcount(R[w]));
+      }
+      if (nreq != 0 && nreq < op->proj.size()) {
+        std::vector<std::pair<ColId, ColId>> kept;
         for (const auto& pr : op->proj) {
-          if (R.count(pr.first)) kept.push_back(pr);
+          if (TestColBit(R, pr.first)) kept.push_back(pr);
         }
         if (!kept.empty() && kept.size() < op->proj.size()) {
           // Count the entries dropped, before the clone narrows proj.
@@ -360,10 +369,11 @@ class Optimizer {
     if (op->kind == OpKind::kProject &&
         op->children[0]->kind == OpKind::kProject) {
       const Op& inner = *op->children[0];
-      std::vector<std::pair<std::string, std::string>> fused;
+      std::vector<std::pair<ColId, ColId>> fused;
+      fused.reserve(op->proj.size());
       bool ok = true;
       for (const auto& [nw, mid] : op->proj) {
-        const std::string* src = nullptr;
+        const ColId* src = nullptr;
         for (const auto& [m, old] : inner.proj) {
           if (m == mid) {
             src = &old;
@@ -445,7 +455,8 @@ class Optimizer {
         // Keep the left schema's column order.
         const alg::Schema* sl = FindSchema(op->children[0]);
         if (sl) {
-          std::vector<std::pair<std::string, std::string>> proj;
+          std::vector<std::pair<ColId, ColId>> proj;
+          proj.reserve(sl->cols.size());
           for (const auto& [n, t] : sl->cols) proj.emplace_back(n, n);
           changed_ = true;
           if (stats_) stats_->unions_simplified++;
@@ -462,26 +473,55 @@ class Optimizer {
   /// columns intact, looking for a Step (whose (iter, item) output is a
   /// set) or an equal-keyed Distinct.
   bool IsDistinctFree(const OpPtr& dist) {
-    // Track where each key column came from while descending.
-    std::vector<std::string> keys = dist->keys;
-    if (keys.empty()) return false;
+    if (dist->keys.empty()) return false;
+    // The key set, as a bitset, renamed to each operator's input while
+    // descending. Keys are a handful of columns; `keys` lists them.
+    const size_t words = bat::ColWords(bat::NumColIds());
+    key_bits_.assign(words, 0);
+    std::vector<ColId>& keys = key_list_;
+    keys.clear();
+    for (ColId k : dist->keys) {
+      if (!TestColBit(key_bits_.data(), k)) {
+        SetColBit(key_bits_.data(), k);
+        keys.push_back(k);
+      }
+    }
+    // Is the current key set exactly the set of `cols`?
+    auto keys_are = [&](const std::vector<ColId>& cols) {
+      for (ColId c : cols) {
+        if (!TestColBit(key_bits_.data(), c)) return false;
+      }
+      for (ColId k : keys) {
+        if (std::find(cols.begin(), cols.end(), k) == cols.end()) return false;
+      }
+      return true;
+    };
+    static const std::vector<ColId> kIterItem = {bat::kIter, bat::kItem};
     const Op* cur = dist->children[0].get();
     for (int guard = 0; guard < 64; ++guard) {
       switch (cur->kind) {
         case OpKind::kProject: {
-          std::vector<std::string> mapped;
-          for (const auto& k : keys) {
-            const std::string* src = nullptr;
-            for (const auto& [nw, old] : cur->proj) {
-              if (nw == k) {
-                src = &old;
-                break;
+          std::fill(key_bits_.begin(), key_bits_.end(), 0);
+          size_t distinct = 0;
+          for (ColId& k : keys) {
+            auto it = std::find_if(
+                cur->proj.begin(), cur->proj.end(),
+                [&](const auto& p) { return p.first == k; });
+            if (it == cur->proj.end()) return false;
+            k = it->second;
+            if (!TestColBit(key_bits_.data(), k)) ++distinct;
+            SetColBit(key_bits_.data(), k);
+          }
+          // Two keys renamed from one source column: keep the list a set.
+          if (distinct != keys.size()) {
+            keys.clear();
+            for (size_t w = 0; w < words; ++w) {
+              for (uint64_t b = key_bits_[w]; b != 0; b &= b - 1) {
+                keys.push_back(
+                    static_cast<ColId>(w * 64 + std::countr_zero(b)));
               }
             }
-            if (!src) return false;
-            mapped.push_back(*src);
           }
-          keys = mapped;
           cur = cur->children[0].get();
           break;
         }
@@ -490,23 +530,16 @@ class Optimizer {
         case OpKind::kFun1:
         case OpKind::kFun2: {
           // Row-preserving; key columns must not be the new column.
-          for (const auto& k : keys) {
-            if (k == cur->out) return false;
-          }
+          if (TestColBit(key_bits_.data(), cur->out)) return false;
           cur = cur->children[0].get();
           break;
         }
         case OpKind::kStep:
-        case OpKind::kPathScan: {
+        case OpKind::kPathScan:
           // Both emit the duplicate-free set {(iter, item)}.
-          std::set<std::string> ks(keys.begin(), keys.end());
-          return ks == std::set<std::string>{"iter", "item"};
-        }
-        case OpKind::kDistinct: {
-          std::set<std::string> ks(keys.begin(), keys.end());
-          std::set<std::string> ds(cur->keys.begin(), cur->keys.end());
-          return !ds.empty() && ds == ks;
-        }
+          return keys_are(kIterItem);
+        case OpKind::kDistinct:
+          return !cur->keys.empty() && keys_are(cur->keys);
         default:
           return false;
       }
@@ -515,13 +548,12 @@ class Optimizer {
   }
 
   const alg::Schema* FindSchema(const OpPtr& op) {
-    auto it = schemas_.find(op.get());
-    if (it != schemas_.end()) return &it->second;
+    if (const alg::Schema* s = schemas_.Find(op.get())) return s;
     // Nodes created during this pass: infer on demand, down to the
     // memoized nodes. rebuilt_ keeps them alive until the next cut.
     auto r = alg::InferSchemas(op, &schemas_);
     if (!r.ok()) return nullptr;
-    return &schemas_.at(op.get());
+    return schemas_.Find(op.get());
   }
 
   template <typename Fn>
@@ -543,8 +575,11 @@ class Optimizer {
   // This round: the input plan's numbering, the columns each of its
   // nodes must keep, and what each node was rebuilt into.
   alg::PlanNumbering plan_;
-  Required required_;
+  bat::ColBitRows required_;
   std::vector<OpPtr> rebuilt_;
+  // IsDistinctFree's scratch key set (bitset and member list).
+  std::vector<uint64_t> key_bits_;
+  std::vector<ColId> key_list_;
 };
 
 }  // namespace
@@ -558,7 +593,7 @@ Result<algebra::OpPtr> Optimize(const algebra::OpPtr& root,
 
 Result<algebra::OpPtr> CseMerge(const algebra::OpPtr& root, int* merges) {
   CseMerger cse;
-  OpPtr merged = cse.Rec(root);
+  OpPtr merged = cse.Run(root);
   if (merges) *merges += cse.merges();
   PF_RETURN_NOT_OK(alg::ValidatePlan(merged));
   return merged;

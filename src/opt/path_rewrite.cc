@@ -1,6 +1,5 @@
 #include "opt/path_rewrite.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace pathfinder::opt {
@@ -65,11 +64,11 @@ bool TransparentLayer(const Op& op) {
     case OpKind::kProject: {
       bool iter_ok = false, item_ok = false;
       for (const auto& [nw, old] : op.proj) {
-        if (nw == "iter") {
-          if (old != "iter") return false;
+        if (nw == bat::kIter) {
+          if (old != bat::kIter) return false;
           iter_ok = true;
-        } else if (nw == "item") {
-          if (old != "item") return false;
+        } else if (nw == bat::kItem) {
+          if (old != bat::kItem) return false;
           item_ok = true;
         }
       }
@@ -87,35 +86,45 @@ class Rewriter {
  public:
   explicit Rewriter(PathRewriteStats* stats) : stats_(stats) {}
 
-  OpPtr Rec(const OpPtr& op) {
-    auto it = memo_.find(op.get());
-    if (it != memo_.end()) return it->second;
-    OpPtr result;
-    const Op* doc = nullptr;
+  /// Rewrite every chain reachable from `root` without passing through
+  /// a collapsed chain's interior (whose nodes the result drops).
+  OpPtr Run(const OpPtr& root) {
+    const alg::PlanNumbering plan = alg::NumberPlan(root);
+    const size_t n = plan.nodes.size();
+    // Top-down (parents before children): which nodes does the result
+    // reach, and which of them head a collapsible chain (ending at the
+    // kDocRoot numbered doc[i])?
+    constexpr uint32_t kNone = UINT32_MAX;
+    std::vector<uint8_t> reached(n, 0);
+    std::vector<uint32_t> doc(n, kNone);
     std::vector<PathStep> steps;
-    if (op->kind == OpKind::kStep && MatchChain(*op, &steps, &doc)) {
-      // Find the shared_ptr of the matched doc node by walking down
-      // again (MatchChain only identified it).
-      OpPtr doc_ptr = FindNode(op, doc);
-      result = alg::PathScan(Rec(doc_ptr), std::move(steps));
-      if (stats_) stats_->chains_collapsed++;
-    } else {
-      std::vector<OpPtr> kids;
-      bool changed = false;
-      for (const auto& c : op->children) {
-        OpPtr nc = Rec(c);
-        changed |= nc.get() != c.get();
-        kids.push_back(std::move(nc));
-      }
-      if (changed) {
-        result = std::make_shared<Op>(*op);
-        result->children = std::move(kids);
+    reached.back() = 1;
+    for (size_t i = n; i-- > 0;) {
+      if (!reached[i]) continue;
+      const Op* op = plan.nodes[i];
+      const Op* d = nullptr;
+      if (op->kind == OpKind::kStep && MatchChain(*op, &steps, &d)) {
+        doc[i] = static_cast<uint32_t>(plan.IndexOf(d));
+        reached[doc[i]] = 1;
       } else {
-        result = op;
+        for (const auto& c : op->children) reached[plan.IndexOf(c.get())] = 1;
       }
     }
-    memo_[op.get()] = result;
-    return result;
+    // Bottom-up: rebuild the reached nodes.
+    const std::vector<const OpPtr*> owner = alg::NodeOwners(plan, root);
+    std::vector<OpPtr> result(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (!reached[i]) continue;
+      if (doc[i] != kNone) {
+        const Op* d = nullptr;
+        MatchChain(*plan.nodes[i], &steps, &d);
+        result[i] = alg::PathScan(result[doc[i]], steps);
+        if (stats_) stats_->chains_collapsed++;
+        continue;
+      }
+      result[i] = alg::WithRebuiltChildren(plan, *owner[i], result);
+    }
+    return result.back();
   }
 
  private:
@@ -149,16 +158,6 @@ class Rewriter {
     return true;
   }
 
-  /// Re-walk the chain from `top` to recover the shared_ptr of the
-  /// node MatchChain identified (children are stored as OpPtr, but the
-  /// matcher walked raw pointers).
-  OpPtr FindNode(const OpPtr& top, const Op* target) {
-    OpPtr cur = top;
-    while (cur.get() != target) cur = cur->children[0];
-    return cur;
-  }
-
-  std::unordered_map<const Op*, OpPtr> memo_;
   PathRewriteStats* stats_;
 };
 
@@ -167,7 +166,7 @@ class Rewriter {
 Result<algebra::OpPtr> RewritePathChains(const algebra::OpPtr& root,
                                          PathRewriteStats* stats) {
   Rewriter rw(stats);
-  return rw.Rec(root);
+  return rw.Run(root);
 }
 
 }  // namespace pathfinder::opt

@@ -1,7 +1,6 @@
 #include "opt/pipeline.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 namespace pathfinder::opt {
@@ -11,16 +10,17 @@ using alg::Op;
 using alg::OpKind;
 
 Status AnnotatePipelines(const algebra::OpPtr& root, PipelineStats* stats) {
-  std::vector<Op*> order = alg::TopoOrder(root);
+  const alg::PlanNumbering plan = alg::NumberPlan(root);
+  const std::vector<Op*>& order = plan.nodes;
 
-  // Consumer edge counts. An op consumed by more than one parent (or
-  // twice by the same parent) must materialize: its other consumers
-  // read the BAT.
-  std::unordered_map<const Op*, int> consumers;
+  // Consumer edge counts, by node number. An op consumed by more than
+  // one parent (or twice by the same parent) must materialize: its
+  // other consumers read the BAT.
+  std::vector<int> consumers(order.size(), 0);
   for (Op* op : order) {
     op->pipe_frag = -1;
     op->pipe_tail = false;
-    for (const auto& c : op->children) consumers[c.get()]++;
+    for (const auto& c : op->children) consumers[plan.IndexOf(c.get())]++;
   }
 
   // Bottom-up (TopoOrder is children-before-parents): each fusable op
@@ -38,7 +38,7 @@ Status AnnotatePipelines(const algebra::OpPtr& root, PipelineStats* stats) {
     if (!alg::IsPipelineMapOp(op->kind)) continue;
     Op* child = op->children[0].get();
     if (child->pipe_frag >= 0 && child->pipe_tail &&
-        consumers[child] == 1) {
+        consumers[plan.IndexOf(child)] == 1) {
       // Extend: the child's intermediate result is never materialized.
       op->pipe_frag = child->pipe_frag;
       child->pipe_tail = false;
@@ -48,8 +48,8 @@ Status AnnotatePipelines(const algebra::OpPtr& root, PipelineStats* stats) {
     op->pipe_tail = true;
   }
 
-  // Fragment sizes.
-  std::unordered_map<int, int> frag_len;
+  // Fragment sizes, by fragment id.
+  std::vector<int> frag_len(static_cast<size_t>(next_id), 0);
   for (Op* op : order) {
     if (op->pipe_frag >= 0) frag_len[op->pipe_frag]++;
   }
@@ -62,15 +62,16 @@ Status AnnotatePipelines(const algebra::OpPtr& root, PipelineStats* stats) {
     if (op->kind == OpKind::kSelect || alg::IsPipelineJoinOp(op->kind)) {
       continue;
     }
-    frag_len.erase(op->pipe_frag);
+    frag_len[op->pipe_frag] = 0;
     op->pipe_frag = -1;
     op->pipe_tail = false;
   }
 
   if (stats != nullptr) {
     *stats = PipelineStats{};
-    stats->fragments = static_cast<int>(frag_len.size());
-    for (const auto& [id, len] : frag_len) {
+    for (int len : frag_len) {
+      if (len == 0) continue;
+      stats->fragments++;
       stats->fused_ops += len;
       stats->longest_chain = std::max(stats->longest_chain, len);
     }

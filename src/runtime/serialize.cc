@@ -6,7 +6,7 @@
 namespace pathfinder::runtime {
 
 Result<std::vector<Item>> TableToSequence(const bat::Table& t) {
-  PF_ASSIGN_OR_RETURN(bat::ColumnPtr item, t.GetCol("item"));
+  PF_ASSIGN_OR_RETURN(bat::ColumnPtr item, t.GetCol(bat::kItem));
   return std::vector<Item>(item->items());
 }
 

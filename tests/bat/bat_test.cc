@@ -7,6 +7,9 @@
 namespace pathfinder::bat {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+ColId C(std::string_view name) { return InternCol(name); }
+
 ColumnPtr IntCol(std::vector<int64_t> v) {
   auto c = Column::MakeInt();
   c->ints() = std::move(v);
@@ -127,8 +130,8 @@ class KernelTest : public ::testing::Test {
 
 TEST_F(KernelTest, FilterAndGather) {
   Table t;
-  t.AddCol("a", IntCol({10, 20, 30, 40}));
-  t.AddCol("p", BoolCol({1, 0, 1, 0}));
+  t.AddCol(C("a"), IntCol({10, 20, 30, 40}));
+  t.AddCol(C("p"), BoolCol({1, 0, 1, 0}));
   IdxVec idx = FilterIndices(*t.col(1));
   ASSERT_EQ(idx, (IdxVec{0, 2}));
   Table f = GatherTable(t, idx);
@@ -188,41 +191,41 @@ TEST_F(KernelTest, ThetaJoinStringFallback) {
 
 TEST_F(KernelTest, SortPermStableAndOrdered) {
   Table t;
-  t.AddCol("k", IntCol({3, 1, 3, 2}));
-  t.AddCol("v", IntCol({0, 1, 2, 3}));
-  auto perm = SortPerm(t, {"k"}, pool_);
+  t.AddCol(C("k"), IntCol({3, 1, 3, 2}));
+  t.AddCol(C("v"), IntCol({0, 1, 2, 3}));
+  auto perm = SortPerm(t, InternCols({"k"}), pool_);
   ASSERT_TRUE(perm.ok());
   EXPECT_EQ(*perm, (IdxVec{1, 3, 0, 2}));  // stable: row 0 before row 2
 }
 
 TEST_F(KernelTest, SortPermDescending) {
   Table t;
-  t.AddCol("k", IntCol({1, 3, 2}));
-  auto perm = SortPerm(t, {"k"}, pool_, {1});
+  t.AddCol(C("k"), IntCol({1, 3, 2}));
+  auto perm = SortPerm(t, InternCols({"k"}), pool_, {1});
   ASSERT_TRUE(perm.ok());
   EXPECT_EQ(*perm, (IdxVec{1, 2, 0}));
 }
 
 TEST_F(KernelTest, SortPermAlreadySortedFastPathIsCorrect) {
   Table t;
-  t.AddCol("k", IntCol({1, 1, 2, 5}));
-  auto perm = SortPerm(t, {"k"}, pool_);
+  t.AddCol(C("k"), IntCol({1, 1, 2, 5}));
+  auto perm = SortPerm(t, InternCols({"k"}), pool_);
   ASSERT_TRUE(perm.ok());
   EXPECT_EQ(*perm, (IdxVec{0, 1, 2, 3}));
 }
 
 TEST_F(KernelTest, DistinctKeepsFirstOccurrence) {
   Table t;
-  t.AddCol("k", IntCol({1, 2, 1, 3, 2}));
-  auto idx = DistinctIndices(t, {"k"});
+  t.AddCol(C("k"), IntCol({1, 2, 1, 3, 2}));
+  auto idx = DistinctIndices(t, InternCols({"k"}));
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(*idx, (IdxVec{0, 1, 3}));
 }
 
 TEST_F(KernelTest, DistinctOnAllColumns) {
   Table t;
-  t.AddCol("a", IntCol({1, 1, 1}));
-  t.AddCol("b", IntCol({1, 2, 1}));
+  t.AddCol(C("a"), IntCol({1, 1, 1}));
+  t.AddCol(C("b"), IntCol({1, 2, 1}));
   auto idx = DistinctIndices(t, {});
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(*idx, (IdxVec{0, 1}));
@@ -230,7 +233,7 @@ TEST_F(KernelTest, DistinctOnAllColumns) {
 
 TEST_F(KernelTest, MarkGlobalNumbering) {
   Table t;
-  t.AddCol("k", IntCol({5, 5, 7}));
+  t.AddCol(C("k"), IntCol({5, 5, 7}));
   auto col = Mark(t, {}, {}, pool_);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ((*col)->ints(), (std::vector<int64_t>{1, 2, 3}));
@@ -238,111 +241,112 @@ TEST_F(KernelTest, MarkGlobalNumbering) {
 
 TEST_F(KernelTest, MarkPartitionedNumbering) {
   Table t;
-  t.AddCol("part", IntCol({1, 2, 1, 2, 1}));
-  auto col = Mark(t, {"part"}, {}, pool_);
+  t.AddCol(C("part"), IntCol({1, 2, 1, 2, 1}));
+  auto col = Mark(t, InternCols({"part"}), {}, pool_);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ((*col)->ints(), (std::vector<int64_t>{1, 1, 2, 2, 3}));
 }
 
 TEST_F(KernelTest, MarkOrderedWithinPartition) {
   Table t;
-  t.AddCol("part", IntCol({1, 1, 1}));
-  t.AddCol("key", IntCol({30, 10, 20}));
-  auto col = Mark(t, {"part"}, {"key"}, pool_);
+  t.AddCol(C("part"), IntCol({1, 1, 1}));
+  t.AddCol(C("key"), IntCol({30, 10, 20}));
+  auto col = Mark(t, InternCols({"part"}), InternCols({"key"}), pool_);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ((*col)->ints(), (std::vector<int64_t>{3, 1, 2}));
 }
 
 TEST_F(KernelTest, MarkDescendingOrder) {
   Table t;
-  t.AddCol("part", IntCol({1, 1, 1}));
-  t.AddCol("key", IntCol({30, 10, 20}));
-  auto col = Mark(t, {"part"}, {"key"}, pool_, {1});
+  t.AddCol(C("part"), IntCol({1, 1, 1}));
+  t.AddCol(C("key"), IntCol({30, 10, 20}));
+  auto col = Mark(t, InternCols({"part"}), InternCols({"key"}), pool_, {1});
   ASSERT_TRUE(col.ok());
   EXPECT_EQ((*col)->ints(), (std::vector<int64_t>{1, 3, 2}));
 }
 
 TEST_F(KernelTest, DifferenceAntiJoin) {
   Table a, b;
-  a.AddCol("k", IntCol({1, 2, 3, 4}));
-  b.AddCol("k", IntCol({2, 4, 9}));
-  auto idx = DifferenceIndices(a, b, {"k"});
+  a.AddCol(C("k"), IntCol({1, 2, 3, 4}));
+  b.AddCol(C("k"), IntCol({2, 4, 9}));
+  auto idx = DifferenceIndices(a, b, InternCols({"k"}));
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ(*idx, (IdxVec{0, 2}));
 }
 
 TEST_F(KernelTest, UnionAllMatchesByName) {
   Table a, b;
-  a.AddCol("x", IntCol({1}));
-  a.AddCol("y", IntCol({2}));
-  b.AddCol("y", IntCol({4}));  // different order
-  b.AddCol("x", IntCol({3}));
+  a.AddCol(C("x"), IntCol({1}));
+  a.AddCol(C("y"), IntCol({2}));
+  b.AddCol(C("y"), IntCol({4}));  // different order
+  b.AddCol(C("x"), IntCol({3}));
   auto u = UnionAll(a, b);
   ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->GetCol("x").value()->ints(), (std::vector<int64_t>{1, 3}));
-  EXPECT_EQ(u->GetCol("y").value()->ints(), (std::vector<int64_t>{2, 4}));
+  EXPECT_EQ(u->GetCol(C("x")).value()->ints(), (std::vector<int64_t>{1, 3}));
+  EXPECT_EQ(u->GetCol(C("y")).value()->ints(), (std::vector<int64_t>{2, 4}));
 }
 
 TEST_F(KernelTest, UnionAllRejectsMissingColumn) {
   Table a, b;
-  a.AddCol("x", IntCol({1}));
-  b.AddCol("z", IntCol({2}));
+  a.AddCol(C("x"), IntCol({1}));
+  b.AddCol(C("z"), IntCol({2}));
   EXPECT_FALSE(UnionAll(a, b).ok());
 }
 
 TEST_F(KernelTest, GroupAggCount) {
   Table t;
-  t.AddCol("g", IntCol({1, 2, 1, 1}));
-  auto r = GroupAgg(t, "g", "", AggKind::kCount, pool_, "g", "n");
+  t.AddCol(C("g"), IntCol({1, 2, 1, 1}));
+  auto r =
+      GroupAgg(t, C("g"), kNoCol, AggKind::kCount, pool_, C("g"), C("n"));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->GetCol("g").value()->ints(), (std::vector<int64_t>{1, 2}));
-  auto items = r->GetCol("n").value()->items();
+  EXPECT_EQ(r->GetCol(C("g")).value()->ints(), (std::vector<int64_t>{1, 2}));
+  auto items = r->GetCol(C("n")).value()->items();
   EXPECT_EQ(items[0].AsInt(), 3);
   EXPECT_EQ(items[1].AsInt(), 1);
 }
 
 TEST_F(KernelTest, GroupAggSumStaysIntegerWhenAllInt) {
   Table t;
-  t.AddCol("g", IntCol({1, 1}));
-  t.AddCol("v", ItemCol({Item::Int(2), Item::Int(3)}));
-  auto r = GroupAgg(t, "g", "v", AggKind::kSum, pool_, "g", "s");
+  t.AddCol(C("g"), IntCol({1, 1}));
+  t.AddCol(C("v"), ItemCol({Item::Int(2), Item::Int(3)}));
+  auto r = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"), C("s"));
   ASSERT_TRUE(r.ok());
-  Item s = r->GetCol("s").value()->items()[0];
+  Item s = r->GetCol(C("s")).value()->items()[0];
   EXPECT_EQ(s.kind, ItemKind::kInt);
   EXPECT_EQ(s.AsInt(), 5);
 }
 
 TEST_F(KernelTest, GroupAggSumPromotesOnDouble) {
   Table t;
-  t.AddCol("g", IntCol({1, 1}));
-  t.AddCol("v", ItemCol({Item::Int(2), Item::Dbl(0.5)}));
-  auto r = GroupAgg(t, "g", "v", AggKind::kSum, pool_, "g", "s");
+  t.AddCol(C("g"), IntCol({1, 1}));
+  t.AddCol(C("v"), ItemCol({Item::Int(2), Item::Dbl(0.5)}));
+  auto r = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"), C("s"));
   ASSERT_TRUE(r.ok());
-  Item s = r->GetCol("s").value()->items()[0];
+  Item s = r->GetCol(C("s")).value()->items()[0];
   EXPECT_EQ(s.kind, ItemKind::kDbl);
   EXPECT_EQ(s.AsDbl(), 2.5);
 }
 
 TEST_F(KernelTest, GroupAggMaxMinAvg) {
   Table t;
-  t.AddCol("g", IntCol({7, 7, 7}));
-  t.AddCol("v",
+  t.AddCol(C("g"), IntCol({7, 7, 7}));
+  t.AddCol(C("v"),
            ItemCol({Item::Int(3), Item::Int(9), Item::Int(6)}));
-  auto mx = GroupAgg(t, "g", "v", AggKind::kMax, pool_, "g", "m");
-  EXPECT_EQ(mx->GetCol("m").value()->items()[0].AsInt(), 9);
-  auto mn = GroupAgg(t, "g", "v", AggKind::kMin, pool_, "g", "m");
-  EXPECT_EQ(mn->GetCol("m").value()->items()[0].AsInt(), 3);
-  auto av = GroupAgg(t, "g", "v", AggKind::kAvg, pool_, "g", "m");
-  EXPECT_EQ(av->GetCol("m").value()->items()[0].AsDbl(), 6.0);
+  auto mx = GroupAgg(t, C("g"), C("v"), AggKind::kMax, pool_, C("g"), C("m"));
+  EXPECT_EQ(mx->GetCol(C("m")).value()->items()[0].AsInt(), 9);
+  auto mn = GroupAgg(t, C("g"), C("v"), AggKind::kMin, pool_, C("g"), C("m"));
+  EXPECT_EQ(mn->GetCol(C("m")).value()->items()[0].AsInt(), 3);
+  auto av = GroupAgg(t, C("g"), C("v"), AggKind::kAvg, pool_, C("g"), C("m"));
+  EXPECT_EQ(av->GetCol(C("m")).value()->items()[0].AsDbl(), 6.0);
 }
 
 TEST_F(KernelTest, GroupAggStringsViaUntypedPromotion) {
   Table t;
-  t.AddCol("g", IntCol({1}));
-  t.AddCol("v", ItemCol({Item::Untyped(pool_.Intern("2.5"))}));
-  auto r = GroupAgg(t, "g", "v", AggKind::kSum, pool_, "g", "s");
+  t.AddCol(C("g"), IntCol({1}));
+  t.AddCol(C("v"), ItemCol({Item::Untyped(pool_.Intern("2.5"))}));
+  auto r = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"), C("s"));
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->GetCol("s").value()->items()[0].AsDbl(), 2.5);
+  EXPECT_EQ(r->GetCol(C("s")).value()->items()[0].AsDbl(), 2.5);
 }
 
 // Parameterized sweep: Mark is dense 1..n per partition for any mix.
@@ -354,8 +358,8 @@ TEST_P(MarkDensityTest, DenseRanks) {
   Table t;
   std::vector<int64_t> parts;
   for (int i = 0; i < n; ++i) parts.push_back(i % 3);
-  t.AddCol("p", IntCol(parts));
-  auto col = Mark(t, {"p"}, {}, pool);
+  t.AddCol(C("p"), IntCol(parts));
+  auto col = Mark(t, InternCols({"p"}), {}, pool);
   ASSERT_TRUE(col.ok());
   std::map<int64_t, std::vector<int64_t>> per_part;
   for (int i = 0; i < n; ++i) {

@@ -22,6 +22,9 @@
 namespace pathfinder::bat {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+ColId C(std::string_view name) { return InternCol(name); }
+
 // Representation equality of two cells, possibly across two columns of
 // the same type — the equality DistinctIndices/DifferenceIndices key
 // encodings implement.
@@ -56,7 +59,7 @@ bool RowEq(const std::vector<const Column*>& as, size_t ra,
 }
 
 std::vector<const Column*> Cols(const Table& t,
-                                const std::vector<std::string>& keys) {
+                                const std::vector<ColId>& keys) {
   std::vector<const Column*> cols;
   if (keys.empty()) {
     for (size_t i = 0; i < t.num_cols(); ++i) cols.push_back(t.col(i).get());
@@ -69,7 +72,7 @@ std::vector<const Column*> Cols(const Table& t,
 }
 
 // O(n^2) first-occurrence reference.
-IdxVec NaiveDistinct(const Table& t, const std::vector<std::string>& keys) {
+IdxVec NaiveDistinct(const Table& t, const std::vector<ColId>& keys) {
   std::vector<const Column*> cols = Cols(t, keys);
   IdxVec out;
   for (size_t r = 0; r < t.rows(); ++r) {
@@ -87,7 +90,7 @@ IdxVec NaiveDistinct(const Table& t, const std::vector<std::string>& keys) {
 
 // O(na*nb) anti-semijoin reference.
 IdxVec NaiveDifference(const Table& a, const Table& b,
-                       const std::vector<std::string>& keys) {
+                       const std::vector<ColId>& keys) {
   std::vector<const Column*> acols = Cols(a, keys);
   std::vector<const Column*> bcols = Cols(b, keys);
   IdxVec out;
@@ -137,9 +140,9 @@ class DistinctDifferenceParallelTest : public ::testing::Test {
       dc->dbls().push_back(dbls[j % 5]);
       it->items().push_back(items[(j / 2) % 8]);
     }
-    t.AddCol("k", std::move(ic));
-    t.AddCol("d", std::move(dc));
-    t.AddCol("v", std::move(it));
+    t.AddCol(C("k"), std::move(ic));
+    t.AddCol(C("d"), std::move(dc));
+    t.AddCol(C("v"), std::move(it));
     return t;
   }
 
@@ -175,9 +178,9 @@ class DistinctDifferenceParallelTest : public ::testing::Test {
       if (rng.Chance(0.5)) d = -d;  // -0.0 != 0.0 representationally
       dc->dbls().push_back(d);
     }
-    t.AddCol("k", std::move(ic));
-    t.AddCol("v", std::move(it));
-    t.AddCol("d", std::move(dc));
+    t.AddCol(C("k"), std::move(ic));
+    t.AddCol(C("v"), std::move(it));
+    t.AddCol(C("d"), std::move(dc));
     return t;
   }
 
@@ -192,8 +195,9 @@ TEST_F(DistinctDifferenceParallelTest, DistinctMatchesNaiveReference) {
   // Small enough for the quadratic oracle, duplicate-heavy enough that
   // most rows are dropped.
   Table t = RandTable(2500, 40, 101);
-  for (const std::vector<std::string>& keys :
-       {std::vector<std::string>{}, {"k"}, {"k", "v"}, {"d"}}) {
+  for (const std::vector<ColId>& keys :
+       {std::vector<ColId>{}, InternCols({"k"}), InternCols({"k", "v"}),
+        InternCols({"d"})}) {
     IdxVec expect = NaiveDistinct(t, keys);
     auto serial = DistinctIndices(t, keys, nullptr);
     ASSERT_TRUE(serial.ok());
@@ -207,8 +211,11 @@ TEST_F(DistinctDifferenceParallelTest, DistinctMatchesNaiveReference) {
 }
 
 TEST_F(DistinctDifferenceParallelTest, SerialSizeEdgeCasesMatchNaive) {
-  const std::vector<std::vector<std::string>> key_sets = {
-      {"d"}, {"v"}, {"k"}, {"d", "v"}, {"v", "k"}, {"k", "d", "v"}, {}};
+  const std::vector<std::vector<ColId>> key_sets = {
+      InternCols({"d"}),      InternCols({"v"}),
+      InternCols({"k"}),      InternCols({"d", "v"}),
+      InternCols({"v", "k"}), InternCols({"k", "d", "v"}),
+      {}};
   for (size_t n : {size_t{1}, size_t{7}, size_t{120}, size_t{3000}}) {
     Table t = EdgeTable(n, 0);
     Table b = EdgeTable(n / 3, 11);
@@ -228,8 +235,8 @@ TEST_F(DistinctDifferenceParallelTest, SerialSizeEdgeCasesMatchNaive) {
   // The edge values really are told apart: 40 rows cycle through all
   // 5 doubles and all 8 items.
   Table t = EdgeTable(40, 0);
-  EXPECT_EQ(DistinctIndices(t, {"d"}, nullptr)->size(), 5u);
-  EXPECT_EQ(DistinctIndices(t, {"v"}, nullptr)->size(), 8u);
+  EXPECT_EQ(DistinctIndices(t, InternCols({"d"}), nullptr)->size(), 5u);
+  EXPECT_EQ(DistinctIndices(t, InternCols({"v"}), nullptr)->size(), 8u);
 }
 
 TEST_F(DistinctDifferenceParallelTest, DifferenceIntColumnAgainstItemColumn) {
@@ -238,15 +245,15 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceIntColumnAgainstItemColumn) {
   Table a;
   auto ai = Column::MakeInt();
   ai->ints() = {5, 6, 5};
-  a.AddCol("x", std::move(ai));
+  a.AddCol(C("x"), std::move(ai));
   Table b;
   auto bi = Column::MakeItem();
   bi->items() = {Item::Int(5), Item::Int(6)};
-  b.AddCol("x", std::move(bi));
+  b.AddCol(C("x"), std::move(bi));
   IdxVec all = {0, 1, 2};
-  EXPECT_EQ(NaiveDifference(a, b, {"x"}), all);
+  EXPECT_EQ(NaiveDifference(a, b, InternCols({"x"})), all);
   for (ThreadPool* tp : PoolsAndSerial()) {
-    auto r = DifferenceIndices(a, b, {"x"}, tp);
+    auto r = DifferenceIndices(a, b, InternCols({"x"}), tp);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(*r, all);
   }
@@ -258,8 +265,8 @@ TEST_F(DistinctDifferenceParallelTest, SerialSizeEmptyInputs) {
   IdxVec all(some.rows());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<RowIdx>(i);
   for (ThreadPool* tp : PoolsAndSerial()) {
-    for (const std::vector<std::string>& keys :
-         {std::vector<std::string>{"k"}, {"d", "v"}, {}}) {
+    for (const std::vector<ColId>& keys :
+         {InternCols({"k"}), InternCols({"d", "v"}), {}}) {
       EXPECT_TRUE(DistinctIndices(empty, keys, tp)->empty());
       EXPECT_TRUE(DifferenceIndices(empty, some, keys, tp)->empty());
       EXPECT_TRUE(DifferenceIndices(empty, empty, keys, tp)->empty());
@@ -272,8 +279,8 @@ TEST_F(DistinctDifferenceParallelTest, DistinctParallelMatchesSerialLarge) {
   // Past the 2*kMorselRows engagement threshold; dense duplicates mean
   // the partition-ordered first-occurrence merge decides every winner.
   Table t = RandTable(50000, 3000, 202);
-  for (const std::vector<std::string>& keys :
-       {std::vector<std::string>{}, {"k"}, {"v", "d"}}) {
+  for (const std::vector<ColId>& keys :
+       {std::vector<ColId>{}, InternCols({"k"}), InternCols({"v", "d"})}) {
     auto serial = DistinctIndices(t, keys, nullptr);
     ASSERT_TRUE(serial.ok());
     // First-occurrence sanity: strictly ascending row indices.
@@ -291,7 +298,7 @@ TEST_F(DistinctDifferenceParallelTest, DistinctParallelMatchesSerialLarge) {
 TEST_F(DistinctDifferenceParallelTest, DistinctEmptyInput) {
   Table t = RandTable(0, 10, 7);
   for (ThreadPool* tp : Pools()) {
-    auto r = DistinctIndices(t, {"k"}, tp);
+    auto r = DistinctIndices(t, InternCols({"k"}), tp);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->empty());
   }
@@ -300,8 +307,8 @@ TEST_F(DistinctDifferenceParallelTest, DistinctEmptyInput) {
 TEST_F(DistinctDifferenceParallelTest, DifferenceMatchesNaiveReference) {
   Table a = RandTable(2000, 60, 303);
   Table b = RandTable(1500, 60, 304);
-  for (const std::vector<std::string>& keys :
-       {std::vector<std::string>{}, {"k"}, {"k", "v"}}) {
+  for (const std::vector<ColId>& keys :
+       {std::vector<ColId>{}, InternCols({"k"}), InternCols({"k", "v"})}) {
     IdxVec expect = NaiveDifference(a, b, keys);
     auto serial = DifferenceIndices(a, b, keys, nullptr);
     ASSERT_TRUE(serial.ok());
@@ -317,8 +324,8 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceMatchesNaiveReference) {
 TEST_F(DistinctDifferenceParallelTest, DifferenceParallelMatchesSerialLarge) {
   Table a = RandTable(50000, 4000, 405);
   Table b = RandTable(30000, 4000, 406);
-  for (const std::vector<std::string>& keys :
-       {std::vector<std::string>{}, {"k"}, {"v", "d"}}) {
+  for (const std::vector<ColId>& keys :
+       {std::vector<ColId>{}, InternCols({"k"}), InternCols({"v", "d"})}) {
     auto serial = DifferenceIndices(a, b, keys, nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
@@ -333,7 +340,7 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceEmptyA) {
   Table a = RandTable(0, 10, 1);
   Table b = RandTable(100, 10, 2);
   for (ThreadPool* tp : Pools()) {
-    auto r = DifferenceIndices(a, b, {"k"}, tp);
+    auto r = DifferenceIndices(a, b, InternCols({"k"}), tp);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r->empty());
   }
@@ -349,7 +356,7 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceEmptyBIsIdentity) {
   for (size_t i = 0; i < expect.size(); ++i) {
     expect[i] = static_cast<RowIdx>(i);
   }
-  auto serial = DifferenceIndices(a, b, {"k"}, nullptr);
+  auto serial = DifferenceIndices(a, b, InternCols({"k"}), nullptr);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(*serial, expect);
   for (ThreadPool* tp : Pools()) {

@@ -18,6 +18,9 @@
 namespace pathfinder::bat {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+ColId C(std::string_view name) { return InternCol(name); }
+
 constexpr size_t kRows = 30000;
 
 class ParallelDeterminismTest : public ::testing::Test {
@@ -79,8 +82,8 @@ TEST_F(ParallelDeterminismTest, GatherAllColumnTypes) {
     idx[i] = static_cast<RowIdx>(rng.Below(kRows));
   }
   Table t;
-  t.AddCol("i", RandInts(kRows, -1000, 1000, 13));
-  t.AddCol("it", RandItems(kRows, 14));
+  t.AddCol(C("i"), RandInts(kRows, -1000, 1000, 13));
+  t.AddCol(C("it"), RandItems(kRows, 14));
   auto d = Column::MakeDbl(kRows);
   auto s = Column::MakeStr(kRows);
   auto b = Column::MakeBool(kRows);
@@ -89,9 +92,9 @@ TEST_F(ParallelDeterminismTest, GatherAllColumnTypes) {
     s->strs().push_back(static_cast<StrId>(rng.Below(100)));
     b->bools().push_back(rng.Chance(0.5) ? 1 : 0);
   }
-  t.AddCol("d", d);
-  t.AddCol("s", s);
-  t.AddCol("b", b);
+  t.AddCol(C("d"), d);
+  t.AddCol(C("s"), s);
+  t.AddCol(C("b"), b);
 
   Table serial = GatherTable(t, idx, nullptr);
   for (ThreadPool* tp : Pools()) {
@@ -195,10 +198,10 @@ TEST_F(ParallelDeterminismTest, SortPermStability) {
   // Few distinct keys => long runs of ties; the parallel merge must
   // reproduce the serial stable permutation, not just *a* sorted one.
   Table t;
-  t.AddCol("k", RandInts(kRows, 0, 20, 51));
-  t.AddCol("k2", RandItems(kRows, 52));
-  for (auto keys : std::vector<std::vector<std::string>>{
-           {"k"}, {"k", "k2"}}) {
+  t.AddCol(C("k"), RandInts(kRows, 0, 20, 51));
+  t.AddCol(C("k2"), RandItems(kRows, 52));
+  for (auto keys : std::vector<std::vector<ColId>>{
+           InternCols({"k"}), InternCols({"k", "k2"})}) {
     auto serial = SortPerm(t, keys, pool_, {}, nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
@@ -208,10 +211,10 @@ TEST_F(ParallelDeterminismTest, SortPermStability) {
     }
   }
   // Descending keys too (exercises the desc flip through the merges).
-  auto serial = SortPerm(t, {"k"}, pool_, {1}, nullptr);
+  auto serial = SortPerm(t, InternCols({"k"}), pool_, {1}, nullptr);
   ASSERT_TRUE(serial.ok());
   for (ThreadPool* tp : Pools()) {
-    auto par = SortPerm(t, {"k"}, pool_, {1}, tp);
+    auto par = SortPerm(t, InternCols({"k"}), pool_, {1}, tp);
     ASSERT_TRUE(par.ok());
     EXPECT_EQ(*par, *serial);
   }
@@ -219,12 +222,13 @@ TEST_F(ParallelDeterminismTest, SortPermStability) {
 
 TEST_F(ParallelDeterminismTest, MarkStability) {
   Table t;
-  t.AddCol("p", RandInts(kRows, 0, 15, 61));
-  t.AddCol("o", RandInts(kRows, 0, 8, 62));
-  auto serial = Mark(t, {"p"}, {"o"}, pool_, {}, nullptr);
+  t.AddCol(C("p"), RandInts(kRows, 0, 15, 61));
+  t.AddCol(C("o"), RandInts(kRows, 0, 8, 62));
+  auto serial =
+      Mark(t, InternCols({"p"}), InternCols({"o"}), pool_, {}, nullptr);
   ASSERT_TRUE(serial.ok());
   for (ThreadPool* tp : Pools()) {
-    auto par = Mark(t, {"p"}, {"o"}, pool_, {}, tp);
+    auto par = Mark(t, InternCols({"p"}), InternCols({"o"}), pool_, {}, tp);
     ASSERT_TRUE(par.ok());
     EXPECT_EQ((*par)->ints(), (*serial)->ints());
   }
@@ -235,7 +239,7 @@ TEST_F(ParallelDeterminismTest, GroupAggAllKindsBitExact) {
   // at EVERY thread count (including serial), so double sums associate
   // identically — compare Items by representation, not by value.
   Table t;
-  t.AddCol("g", RandInts(20000, 0, 99, 71));
+  t.AddCol(C("g"), RandInts(20000, 0, 99, 71));
   auto vals = Column::MakeItem(20000);
   Rng rng(72);
   for (size_t i = 0; i < 20000; ++i) {
@@ -245,13 +249,14 @@ TEST_F(ParallelDeterminismTest, GroupAggAllKindsBitExact) {
       vals->items().push_back(Item::Dbl(rng.NextDouble() * 100.0));
     }
   }
-  t.AddCol("v", vals);
+  t.AddCol(C("v"), vals);
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
                        AggKind::kMax, AggKind::kMin}) {
-    auto serial = GroupAgg(t, "g", "v", kind, pool_, "g", "out", nullptr);
+    auto serial =
+        GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
-      auto par = GroupAgg(t, "g", "v", kind, pool_, "g", "out", tp);
+      auto par = GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), tp);
       ASSERT_TRUE(par.ok());
       // First-appearance group order and bit-exact aggregate values.
       EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());

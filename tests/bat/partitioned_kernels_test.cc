@@ -21,6 +21,9 @@
 namespace pathfinder::bat {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+ColId C(std::string_view name) { return InternCol(name); }
+
 class PartitionedKernelsTest : public ::testing::Test {
  protected:
   // 1/2/4/7 worker threads; nullptr (the serial inline path) is the
@@ -238,13 +241,15 @@ TEST_F(PartitionedKernelsTest, MergeSortMatchesSerialStableSort) {
   // take ties from the lower run exactly like std::merge, or the
   // stable permutation breaks.
   Table t;
-  t.AddCol("k", RandInts(60000, 0, 25, 61));
-  t.AddCol("k2", RandItems(60000, 62));
+  t.AddCol(C("k"), RandInts(60000, 0, 25, 61));
+  t.AddCol(C("k2"), RandItems(60000, 62));
   for (auto [keys, desc] :
-       std::vector<std::pair<std::vector<std::string>,
+       std::vector<std::pair<std::vector<ColId>,
                              std::vector<uint8_t>>>{
-           {{"k"}, {}}, {{"k", "k2"}, {}}, {{"k"}, {1}}, {{"k", "k2"},
-                                                          {1, 0}}}) {
+           {InternCols({"k"}), {}},
+           {InternCols({"k", "k2"}), {}},
+           {InternCols({"k"}), {1}},
+           {InternCols({"k", "k2"}), {1, 0}}}) {
     auto serial = SortPerm(t, keys, pool_, desc, nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
@@ -265,13 +270,13 @@ TEST_F(PartitionedKernelsTest, MergeSortSkewAndPhases) {
   for (size_t i = 0; i < 50000; ++i) {
     c->ints().push_back(static_cast<int64_t>((50000 - i) / 100));
   }
-  t.AddCol("k", c);
-  auto serial = SortPerm(t, {"k"}, pool_, {}, nullptr);
+  t.AddCol(C("k"), c);
+  auto serial = SortPerm(t, InternCols({"k"}), pool_, {}, nullptr);
   ASSERT_TRUE(serial.ok());
   KernelTuning kt;
   kt.sort_chunk_rows = 256;  // many merge levels
   KernelPhases ph;
-  auto par = SortPerm(t, {"k"}, pool_, {}, &pool4_, kt, &ph);
+  auto par = SortPerm(t, InternCols({"k"}), pool_, {}, &pool4_, kt, &ph);
   ASSERT_TRUE(par.ok());
   EXPECT_EQ(*par, *serial);
   EXPECT_GT(ph.partition_ns + ph.merge_ns, 0);
@@ -283,7 +288,7 @@ TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
   // association: values must match by representation at every thread
   // count and tuning.
   Table t;
-  t.AddCol("g", ZipfInts(40000, 500, 1.2, 71));
+  t.AddCol(C("g"), ZipfInts(40000, 500, 1.2, 71));
   auto vals = Column::MakeItem(40000);
   Rng rng(72);
   for (size_t i = 0; i < 40000; ++i) {
@@ -293,14 +298,16 @@ TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
       vals->items().push_back(Item::Dbl(rng.NextDouble() * 100.0));
     }
   }
-  t.AddCol("v", vals);
+  t.AddCol(C("v"), vals);
   for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg,
                        AggKind::kMax, AggKind::kMin}) {
-    auto serial = GroupAgg(t, "g", "v", kind, pool_, "g", "out", nullptr);
+    auto serial =
+        GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
       for (const KernelTuning& kt : Tunings()) {
-        auto par = GroupAgg(t, "g", "v", kind, pool_, "g", "out", tp, kt);
+        auto par =
+            GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), tp, kt);
         ASSERT_TRUE(par.ok());
         EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
         EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
@@ -312,21 +319,21 @@ TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
 TEST_F(PartitionedKernelsTest, GroupAggSingleGroupAndPhases) {
   // Every row in one group = one partition does all combine work.
   Table t;
-  t.AddCol("g", IntCol(std::vector<int64_t>(30000, 42)));
+  t.AddCol(C("g"), IntCol(std::vector<int64_t>(30000, 42)));
   auto vals = Column::MakeItem(30000);
   Rng rng(81);
   for (size_t i = 0; i < 30000; ++i) {
     vals->items().push_back(Item::Dbl(rng.NextDouble()));
   }
-  t.AddCol("v", vals);
-  auto serial = GroupAgg(t, "g", "v", AggKind::kSum, pool_, "g", "s",
-                         nullptr);
+  t.AddCol(C("v"), vals);
+  auto serial = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"),
+                         C("s"), nullptr);
   ASSERT_TRUE(serial.ok());
   ASSERT_EQ(serial->col(0)->ints().size(), 1u);
   KernelPhases ph;
   for (ThreadPool* tp : Pools()) {
-    auto par = GroupAgg(t, "g", "v", AggKind::kSum, pool_, "g", "s", tp,
-                        KernelTuning::Default(), &ph);
+    auto par = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"),
+                        C("s"), tp, KernelTuning::Default(), &ph);
     ASSERT_TRUE(par.ok());
     EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
     EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
@@ -353,8 +360,8 @@ TEST_F(PartitionedKernelsTest, FilterBranchFreeScatter) {
     }
     // FilterGather scatters values with the same loop.
     Table t;
-    t.AddCol("i", RandInts(30000, -1000, 1000, 92));
-    t.AddCol("it", RandItems(30000, 93));
+    t.AddCol(C("i"), RandInts(30000, -1000, 1000, 92));
+    t.AddCol(C("it"), RandItems(30000, 93));
     Table sref = FilterGather(t, *pred, nullptr);
     for (ThreadPool* tp : Pools()) {
       KernelTuning kt;

@@ -11,6 +11,9 @@
 namespace pathfinder::compiler {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+bat::ColId C(std::string_view name) { return bat::InternCol(name); }
+
 class CompilerTest : public ::testing::Test {
  protected:
   frontend::ExprPtr Core(const std::string& q) {
@@ -45,9 +48,9 @@ TEST_F(CompilerTest, PaperFigure3ResultEncoding) {
   bat::Table t =
       Exec("for $v in (10,20), $w in (100,200) return $v + $w");
   ASSERT_EQ(t.rows(), 4u);
-  auto iter = t.GetCol("iter").value()->ints();
-  auto pos = t.GetCol("pos").value()->ints();
-  auto item = t.GetCol("item").value()->items();
+  auto iter = t.GetCol(C("iter")).value()->ints();
+  auto pos = t.GetCol(C("pos")).value()->ints();
+  auto item = t.GetCol(C("item")).value()->items();
   EXPECT_EQ(iter, (std::vector<int64_t>{1, 1, 1, 1}));
   EXPECT_EQ(pos, (std::vector<int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(item[0].AsInt(), 110);
@@ -61,17 +64,17 @@ TEST_F(CompilerTest, PaperFigure3ResultEncoding) {
 TEST_F(CompilerTest, TopLevelSequenceEncoding) {
   bat::Table t = Exec("(10, 20)");
   ASSERT_EQ(t.rows(), 2u);
-  EXPECT_EQ(t.GetCol("iter").value()->ints(),
+  EXPECT_EQ(t.GetCol(C("iter")).value()->ints(),
             (std::vector<int64_t>{1, 1}));
-  EXPECT_EQ(t.GetCol("pos").value()->ints(), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(t.GetCol(C("pos")).value()->ints(), (std::vector<int64_t>{1, 2}));
 }
 
 // Paper Figure 5 is for $v in (10,20) return $v + 100.
 TEST_F(CompilerTest, PaperFigure5Result) {
   bat::Table t = Exec("for $v in (10,20) return $v + 100");
   ASSERT_EQ(t.rows(), 2u);
-  EXPECT_EQ(t.GetCol("item").value()->items()[0].AsInt(), 110);
-  EXPECT_EQ(t.GetCol("item").value()->items()[1].AsInt(), 120);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[0].AsInt(), 110);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[1].AsInt(), 120);
 }
 
 TEST_F(CompilerTest, CompiledPlansValidate) {
@@ -104,28 +107,28 @@ TEST_F(CompilerTest, EmptyForProducesEmptyResult) {
 TEST_F(CompilerTest, LetOfEmptyStillEvaluatesReturn) {
   bat::Table t = Exec("let $v := () return count($v)");
   ASSERT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.GetCol("item").value()->items()[0].AsInt(), 0);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[0].AsInt(), 0);
 }
 
 TEST_F(CompilerTest, WhereFiltersIterations) {
   bat::Table t = Exec("for $v in (1,2,3,4) where $v > 2 return $v");
   ASSERT_EQ(t.rows(), 2u);
-  EXPECT_EQ(t.GetCol("item").value()->items()[0].AsInt(), 3);
-  EXPECT_EQ(t.GetCol("item").value()->items()[1].AsInt(), 4);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[0].AsInt(), 3);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[1].AsInt(), 4);
 }
 
 TEST_F(CompilerTest, PositionalVariable) {
   bat::Table t = Exec("for $v at $i in (7,8,9) return $i * 10 + $v");
   ASSERT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.GetCol("item").value()->items()[0].AsInt(), 17);
-  EXPECT_EQ(t.GetCol("item").value()->items()[2].AsInt(), 39);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[0].AsInt(), 17);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[2].AsInt(), 39);
 }
 
 TEST_F(CompilerTest, NestedFlworScopesMapBack) {
   bat::Table t = Exec(
       "for $a in (1,2) return (for $b in (10,20) return $a * $b)");
   ASSERT_EQ(t.rows(), 4u);
-  auto items = t.GetCol("item").value()->items();
+  auto items = t.GetCol(C("item")).value()->items();
   EXPECT_EQ(items[0].AsInt(), 10);
   EXPECT_EQ(items[1].AsInt(), 20);
   EXPECT_EQ(items[2].AsInt(), 20);
@@ -157,8 +160,8 @@ TEST_F(CompilerTest, JoinRecognitionOffCompilesSamePlanResult) {
   EXPECT_EQ(off_stats.joins_recognized, 0);
   ASSERT_EQ(on.rows(), off.rows());
   for (size_t i = 0; i < on.rows(); ++i) {
-    EXPECT_EQ(on.GetCol("item").value()->items()[i],
-              off.GetCol("item").value()->items()[i]);
+    EXPECT_EQ(on.GetCol(C("item")).value()->items()[i],
+              off.GetCol(C("item")).value()->items()[i]);
   }
 }
 
@@ -170,7 +173,7 @@ TEST_F(CompilerTest, ThetaJoinRecognition) {
       "return count($smaller)",
       &stats);
   EXPECT_EQ(stats.joins_recognized, 1);
-  auto items = t.GetCol("item").value()->items();
+  auto items = t.GetCol(C("item")).value()->items();
   EXPECT_EQ(items[0].AsInt(), 1);  // {5}
   EXPECT_EQ(items[1].AsInt(), 2);  // {5,15}
   EXPECT_EQ(items[2].AsInt(), 3);  // {5,15,25}
@@ -179,7 +182,7 @@ TEST_F(CompilerTest, ThetaJoinRecognition) {
 TEST_F(CompilerTest, OrderByReordersWithinIteration) {
   bat::Table t = Exec(
       "for $v in (3,1,2) order by $v descending return $v * 10");
-  auto items = t.GetCol("item").value()->items();
+  auto items = t.GetCol(C("item")).value()->items();
   EXPECT_EQ(items[0].AsInt(), 30);
   EXPECT_EQ(items[1].AsInt(), 20);
   EXPECT_EQ(items[2].AsInt(), 10);

@@ -38,6 +38,9 @@
 namespace pathfinder {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+bat::ColId C(std::string_view name) { return bat::InternCol(name); }
+
 namespace alg = pathfinder::algebra;
 using engine::CacheStats;
 using engine::PlanCacheEntry;
@@ -350,8 +353,8 @@ struct Universe {
 
   Universe() {
     for (int i = 0; i < kNumSubs; ++i) {
-      alg::OpPtr op =
-          alg::Attach(alg::EmptySeq(), "c", bat::ColType::kInt, Item::Int(i));
+      alg::OpPtr op = alg::Attach(alg::EmptySeq(), C("c"),
+                                  bat::ColType::kInt, Item::Int(i));
       op->cache_cand = true;
       op->cache_hash = alg::StructuralHash(op);
       op->cache_docs = SubDocs(i);
@@ -415,8 +418,8 @@ bat::Table MakeSubTable(int i, const std::map<std::string, DriverDoc>& store) {
                                         : Item::Node(frag, pre));
   }
   bat::Table t;
-  t.AddCol("x", std::move(ints));
-  t.AddCol("it", std::move(items));
+  t.AddCol(C("x"), std::move(ints));
+  t.AddCol(C("it"), std::move(items));
   return t;
 }
 
@@ -539,7 +542,7 @@ void RunSeed(uint64_t seed, const Universe& u) {
         ASSERT_EQ(hit, me != nullptr);
         if (hit) {
           ASSERT_EQ(out.rows(), me->items.size());
-          int ci = out.FindCol("it");
+          int ci = out.FindCol(C("it"));
           ASSERT_GE(ci, 0);
           // Deep equality: a surviving (possibly repaired) entry must
           // serve exactly the items the model predicts — repaired node

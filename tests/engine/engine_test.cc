@@ -9,6 +9,9 @@
 namespace pathfinder::engine {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+bat::ColId C(std::string_view name) { return bat::InternCol(name); }
+
 namespace alg = pathfinder::algebra;
 using alg::OpPtr;
 using bat::ColType;
@@ -28,7 +31,7 @@ class EngineTest : public ::testing::Test {
   }
 
   OpPtr Lit(std::vector<std::vector<Item>> rows) {
-    return alg::LitTable({"iter", "pos", "item"},
+    return alg::LitTable({C("iter"), C("pos"), C("item")},
                          {ColType::kInt, ColType::kInt, ColType::kItem},
                          std::move(rows));
   }
@@ -45,38 +48,39 @@ class EngineTest : public ::testing::Test {
 
 TEST_F(EngineTest, LitTableAndAttach) {
   OpPtr plan = alg::Attach(Lit({{Item::Int(1), Item::Int(1), Item::Int(5)}}),
-                           "extra", ColType::kBool, Item::Bool(true));
+                           C("extra"), ColType::kBool, Item::Bool(true));
   bat::Table t = Run(plan);
   ASSERT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.GetCol("extra").value()->bools()[0], 1);
+  EXPECT_EQ(t.GetCol(C("extra")).value()->bools()[0], 1);
 }
 
 TEST_F(EngineTest, SelectFun2) {
   OpPtr lit = Lit({{Item::Int(1), Item::Int(1), Item::Int(5)},
                    {Item::Int(1), Item::Int(2), Item::Int(9)}});
   OpPtr threshold =
-      alg::Attach(lit, "lim", ColType::kItem, Item::Int(6));
-  OpPtr cmp = alg::MapFun2(threshold, alg::Fun2::kCmpGt, "item", "lim", "b");
-  bat::Table t = Run(alg::Select(cmp, "b"));
+      alg::Attach(lit, C("lim"), ColType::kItem, Item::Int(6));
+  OpPtr cmp = alg::MapFun2(threshold, alg::Fun2::kCmpGt, C("item"),
+                           C("lim"), C("b"));
+  bat::Table t = Run(alg::Select(cmp, C("b")));
   ASSERT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.GetCol("item").value()->items()[0].AsInt(), 9);
+  EXPECT_EQ(t.GetCol(C("item")).value()->items()[0].AsInt(), 9);
 }
 
 TEST_F(EngineTest, StepDescendantFromRoot) {
   OpPtr ctxt = alg::LitTable(
-      {"iter", "item"}, {ColType::kInt, ColType::kItem},
+      {C("iter"), C("item")}, {ColType::kInt, ColType::kItem},
       {{Item::Int(1), Item::Node(0, 0)}});
   OpPtr step = alg::Step(ctxt, accel::Axis::kDescendant,
                          accel::NodeTest::Name(db_.pool()->Intern("a")));
   bat::Table t = Run(step);
   ASSERT_EQ(t.rows(), 2u);
   // scj output is iter-grouped in document order.
-  EXPECT_LT(t.GetCol("item").value()->items()[0].NodePre(),
-            t.GetCol("item").value()->items()[1].NodePre());
+  EXPECT_LT(t.GetCol(C("item")).value()->items()[0].NodePre(),
+            t.GetCol(C("item")).value()->items()[1].NodePre());
 }
 
 TEST_F(EngineTest, StepOnAtomicIsTypeError) {
-  OpPtr ctxt = alg::LitTable({"iter", "item"},
+  OpPtr ctxt = alg::LitTable({C("iter"), C("item")},
                              {ColType::kInt, ColType::kItem},
                              {{Item::Int(1), Item::Int(42)}});
   OpPtr step =
@@ -88,7 +92,7 @@ TEST_F(EngineTest, StepOnAtomicIsTypeError) {
 
 TEST_F(EngineTest, StepStaircaseVsNaiveAgree) {
   OpPtr ctxt = alg::LitTable(
-      {"iter", "item"}, {ColType::kInt, ColType::kItem},
+      {C("iter"), C("item")}, {ColType::kInt, ColType::kItem},
       {{Item::Int(1), Item::Node(0, 1)},
        {Item::Int(2), Item::Node(0, 0)}});
   OpPtr step = alg::Step(ctxt, accel::Axis::kDescendant,
@@ -100,8 +104,8 @@ TEST_F(EngineTest, StepStaircaseVsNaiveAgree) {
   ASSERT_TRUE(t1.ok() && t2.ok());
   ASSERT_EQ(t1->rows(), t2->rows());
   for (size_t i = 0; i < t1->rows(); ++i) {
-    EXPECT_EQ(t1->GetCol("item").value()->items()[i],
-              t2->GetCol("item").value()->items()[i]);
+    EXPECT_EQ(t1->GetCol(C("item")).value()->items()[i],
+              t2->GetCol(C("item")).value()->items()[i]);
   }
   EXPECT_GT(c1.scj_stats.results, 0u);
   EXPECT_EQ(c2.scj_stats.results, 0u);  // naive path records no scj stats
@@ -111,7 +115,7 @@ TEST_F(EngineTest, DocRootResolvesByName) {
   OpPtr names = Lit({{Item::Int(1), Item::Int(1), Str("t.xml")}});
   bat::Table t = Run(alg::DocRoot(names));
   ASSERT_EQ(t.rows(), 1u);
-  Item root = t.GetCol("item").value()->items()[0];
+  Item root = t.GetCol(C("item")).value()->items()[0];
   EXPECT_EQ(root.NodeFrag(), 0u);
   EXPECT_EQ(root.NodePre(), 0u);
 }
@@ -129,7 +133,7 @@ TEST_F(EngineTest, ElementConstructionCopiesAndMerges) {
                        {Item::Int(1), Item::Int(3), Item::Node(0, 2)}});
   bat::Table t = Run(alg::ElemConstr(name, content));
   ASSERT_EQ(t.rows(), 1u);
-  Item node = t.GetCol("item").value()->items()[0];
+  Item node = t.GetCol(C("item")).value()->items()[0];
   EXPECT_TRUE(node.IsNode());
   std::string xml = xml::SerializeSubtree(ctx_->doc(node.NodeFrag()),
                                           node.NodePre(), *db_.pool());
@@ -140,12 +144,12 @@ TEST_F(EngineTest, ElementConstructionHoistsAttributes) {
   OpPtr name = Lit({{Item::Int(1), Item::Int(1), Str("e")}});
   // Attribute built by an AttrConstr subplan.
   OpPtr attr_content = Lit({{Item::Int(1), Item::Int(1), Str("v")}});
-  OpPtr attr = alg::AttrConstr(attr_content, "k");
+  OpPtr attr = alg::AttrConstr(attr_content, db_.pool()->Intern("k"));
   OpPtr attr_ipi = alg::Project(
-      alg::Attach(attr, "pos", ColType::kInt, Item::Int(1)),
-      {{"iter", "iter"}, {"pos", "pos"}, {"item", "item"}});
+      alg::Attach(attr, C("pos"), ColType::kInt, Item::Int(1)),
+      {{C("iter"), C("iter")}, {C("pos"), C("pos")}, {C("item"), C("item")}});
   bat::Table t = Run(alg::ElemConstr(name, attr_ipi));
-  Item node = t.GetCol("item").value()->items()[0];
+  Item node = t.GetCol(C("item")).value()->items()[0];
   std::string xml = xml::SerializeSubtree(ctx_->doc(node.NodeFrag()),
                                           node.NodePre(), *db_.pool());
   EXPECT_EQ(xml, "<e k=\"v\"/>");
@@ -155,41 +159,42 @@ TEST_F(EngineTest, TextConstructionJoinsWithSpaces) {
   OpPtr content = Lit({{Item::Int(1), Item::Int(1), Str("a")},
                        {Item::Int(1), Item::Int(2), Str("b")}});
   bat::Table t = Run(alg::TextConstr(content));
-  Item node = t.GetCol("item").value()->items()[0];
+  Item node = t.GetCol(C("item")).value()->items()[0];
   EXPECT_EQ(StringOf(node), "a b");
 }
 
 TEST_F(EngineTest, Fun1DataAtomizesNodes) {
   OpPtr nodes = Lit({{Item::Int(1), Item::Int(1), Item::Node(0, 2)}});
-  bat::Table t = Run(alg::MapFun1(nodes, alg::Fun1::kData, "item", "d"));
-  Item d = t.GetCol("d").value()->items()[0];
+  bat::Table t = Run(alg::MapFun1(nodes, alg::Fun1::kData, C("item"), C("d")));
+  Item d = t.GetCol(C("d")).value()->items()[0];
   EXPECT_EQ(d.kind, ItemKind::kUntyped);
   EXPECT_EQ(db_.pool()->Get(d.AsStr()), "1");
 }
 
 TEST_F(EngineTest, Fun2DivByZeroIsError) {
   OpPtr lit = Lit({{Item::Int(1), Item::Int(1), Item::Int(1)}});
-  OpPtr z = alg::Attach(lit, "zero", ColType::kItem, Item::Int(0));
-  auto r = Execute(alg::MapFun2(z, alg::Fun2::kDiv, "item", "zero", "q"),
-                   ctx_.get());
+  OpPtr z = alg::Attach(lit, C("zero"), ColType::kItem, Item::Int(0));
+  auto r = Execute(
+      alg::MapFun2(z, alg::Fun2::kDiv, C("item"), C("zero"), C("q")),
+      ctx_.get());
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(EngineTest, ArithmeticIntPreservation) {
   OpPtr lit = Lit({{Item::Int(1), Item::Int(1), Item::Int(7)}});
-  OpPtr v = alg::Attach(lit, "three", ColType::kItem, Item::Int(3));
+  OpPtr v = alg::Attach(lit, C("three"), ColType::kItem, Item::Int(3));
   bat::Table mul =
-      Run(alg::MapFun2(v, alg::Fun2::kMul, "item", "three", "p"));
-  EXPECT_EQ(mul.GetCol("p").value()->items()[0].kind, ItemKind::kInt);
+      Run(alg::MapFun2(v, alg::Fun2::kMul, C("item"), C("three"), C("p")));
+  EXPECT_EQ(mul.GetCol(C("p")).value()->items()[0].kind, ItemKind::kInt);
   bat::Table div =
-      Run(alg::MapFun2(v, alg::Fun2::kDiv, "item", "three", "q"));
-  EXPECT_EQ(div.GetCol("q").value()->items()[0].kind, ItemKind::kDbl);
+      Run(alg::MapFun2(v, alg::Fun2::kDiv, C("item"), C("three"), C("q")));
+  EXPECT_EQ(div.GetCol(C("q")).value()->items()[0].kind, ItemKind::kDbl);
   bat::Table idiv =
-      Run(alg::MapFun2(v, alg::Fun2::kIdiv, "item", "three", "r"));
-  EXPECT_EQ(idiv.GetCol("r").value()->items()[0].AsInt(), 2);
+      Run(alg::MapFun2(v, alg::Fun2::kIdiv, C("item"), C("three"), C("r")));
+  EXPECT_EQ(idiv.GetCol(C("r")).value()->items()[0].AsInt(), 2);
   bat::Table mod =
-      Run(alg::MapFun2(v, alg::Fun2::kMod, "item", "three", "s"));
-  EXPECT_EQ(mod.GetCol("s").value()->items()[0].AsInt(), 1);
+      Run(alg::MapFun2(v, alg::Fun2::kMod, C("item"), C("three"), C("s")));
+  EXPECT_EQ(mod.GetCol(C("s")).value()->items()[0].AsInt(), 1);
 }
 
 TEST_F(EngineTest, SerializeSortsByIterPos) {
@@ -197,7 +202,7 @@ TEST_F(EngineTest, SerializeSortsByIterPos) {
                    {Item::Int(1), Item::Int(2), Item::Int(20)},
                    {Item::Int(1), Item::Int(1), Item::Int(10)}});
   bat::Table t = Run(alg::Serialize(lit));
-  auto items = t.GetCol("item").value()->items();
+  auto items = t.GetCol(C("item")).value()->items();
   EXPECT_EQ(items[0].AsInt(), 10);
   EXPECT_EQ(items[1].AsInt(), 20);
   EXPECT_EQ(items[2].AsInt(), 30);
@@ -208,11 +213,12 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
   // otherwise two fragments appear.
   OpPtr name = Lit({{Item::Int(1), Item::Int(1), Str("n")}});
   OpPtr elem = alg::ElemConstr(name, alg::EmptySeq());
-  OpPtr with_pos = alg::Attach(elem, "pos", ColType::kInt, Item::Int(1));
-  OpPtr ipi = alg::Project(
-      with_pos, {{"iter", "iter"}, {"pos", "pos"}, {"item", "item"}});
-  OpPtr ord0 = alg::Attach(ipi, "ord", ColType::kInt, Item::Int(0));
-  OpPtr ord1 = alg::Attach(ipi, "ord", ColType::kInt, Item::Int(1));
+  OpPtr with_pos = alg::Attach(elem, C("pos"), ColType::kInt, Item::Int(1));
+  OpPtr ipi = alg::Project(with_pos, {{C("iter"), C("iter")},
+                                     {C("pos"), C("pos")},
+                                     {C("item"), C("item")}});
+  OpPtr ord0 = alg::Attach(ipi, C("ord"), ColType::kInt, Item::Int(0));
+  OpPtr ord1 = alg::Attach(ipi, C("ord"), ColType::kInt, Item::Int(1));
   Run(alg::DisjointUnion(ord0, ord1));
   EXPECT_EQ(ctx_->num_constructed(), 1u);
 }

@@ -364,5 +364,45 @@ TEST(NormalizeTest, IsBuiltinFunction) {
   EXPECT_FALSE(IsBuiltinFunction("no-such-fn", 1));
 }
 
+// --- Nesting bound -----------------------------------------------------
+
+std::string Nested(const std::string& open, const std::string& inner,
+                   const std::string& close, int levels) {
+  std::string q;
+  q.reserve((open.size() + close.size()) * levels + inner.size());
+  for (int i = 0; i < levels; ++i) q += open;
+  q += inner;
+  for (int i = 0; i < levels; ++i) q += close;
+  return q;
+}
+
+TEST(ParserDepthTest, ThousandLevelsParseOneMoreIsRejected) {
+  struct Shape {
+    const char *open, *inner, *close;
+  };
+  for (const Shape& s : {Shape{"(", "1", ")"}, Shape{"-", "1", ""},
+                         Shape{"<a>", "", "</a>"}}) {
+    SCOPED_TRACE(s.open);
+    EXPECT_TRUE(ParseQuery(Nested(s.open, s.inner, s.close, 1000)).ok());
+    auto deep = ParseQuery(Nested(s.open, s.inner, s.close, 1001));
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kNotSupported);
+  }
+}
+
+TEST(ParserDepthTest, HundredThousandLevelsGetTypedError) {
+  struct Shape {
+    const char *open, *inner, *close;
+  };
+  for (const Shape& s : {Shape{"(", "1", ")"}, Shape{"-", "1", ""},
+                         Shape{"<a>", "", "</a>"}}) {
+    SCOPED_TRACE(s.open);
+    auto deep = ParseQuery(Nested(s.open, s.inner, s.close, 100000));
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kNotSupported);
+    EXPECT_STREQ(ErrorClassName(deep.status().error_class()), "invalid_query");
+  }
+}
+
 }  // namespace
 }  // namespace pathfinder::frontend

@@ -1,8 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "algebra/hash.h"
+#include "algebra/print.h"
 #include "algebra/schema.h"
 #include "api/pathfinder.h"
+#include "compiler/compile.h"
 #include "engine/executor.h"
+#include "frontend/normalize.h"
+#include "frontend/parser.h"
 #include "opt/optimize.h"
 #include "runtime/serialize.h"
 #include "xmark/generator.h"
@@ -10,6 +22,9 @@
 
 namespace pathfinder::opt {
 namespace {
+
+/// Column id of `name` (tests name columns by string).
+bat::ColId C(std::string_view name) { return bat::InternCol(name); }
 
 namespace alg = pathfinder::algebra;
 using alg::OpPtr;
@@ -75,14 +90,14 @@ TEST_F(OptTest, RemovesDistinctAfterStaircaseJoin) {
   // staircase join output (the compiler emits Step without the Distinct
   // nowadays, but hand-written or older plans still carry it).
   namespace a = alg;
-  OpPtr ctxt = a::LitTable({"iter", "item"},
+  OpPtr ctxt = a::LitTable({C("iter"), C("item")},
                            {bat::ColType::kInt, bat::ColType::kItem},
                            {{Item::Int(1), Item::Node(0, 0)}});
   OpPtr step = a::Step(ctxt, accel::Axis::kDescendant,
                        accel::NodeTest::AnyKind());
-  OpPtr rn = a::RowNum(step, "pos", {"iter"}, {"item"});
-  OpPtr prj = a::Project(rn, {{"iter", "iter"}, {"item", "item"}});
-  OpPtr dist = a::Distinct(prj, {"iter", "item"});
+  OpPtr rn = a::RowNum(step, C("pos"), {C("iter")}, {C("item")});
+  OpPtr prj = a::Project(rn, {{C("iter"), C("iter")}, {C("item"), C("item")}});
+  OpPtr dist = a::Distinct(prj, {C("iter"), C("item")});
   OptimizeStats stats;
   auto opt = Optimize(dist, &stats);
   ASSERT_TRUE(opt.ok()) << opt.status().ToString();
@@ -149,17 +164,17 @@ namespace a = alg;
 /// only structural hashing (never pointer identity) can discover the
 /// duplication.
 OpPtr FreshScanSubtree() {
-  OpPtr lit = a::LitTable({"iter", "item"},
+  OpPtr lit = a::LitTable({C("iter"), C("item")},
                           {bat::ColType::kInt, bat::ColType::kItem},
                           {{Item::Int(1), Item::Node(0, 0)}});
   OpPtr step = a::Step(lit, accel::Axis::kDescendant,
                        accel::NodeTest::AnyKind());
-  return a::RowNum(step, "pos", {"iter"}, {"item"});
+  return a::RowNum(step, C("pos"), {C("iter")}, {C("item")});
 }
 
 OpPtr FreshItemPair() {
   return a::LitTable(
-      {"iter", "x", "y"},
+      {C("iter"), C("x"), C("y")},
       {bat::ColType::kInt, bat::ColType::kItem, bat::ColType::kItem},
       {{Item::Int(1), Item::Int(2), Item::Int(3)}});
 }
@@ -179,16 +194,20 @@ TEST_F(OptTest, CseMergesHashEqualSubtrees) {
 
 TEST_F(OptTest, CseFoldsCommutativeOperandOrder) {
   // x + y and y + x denote the same column; sub does not commute.
-  OpPtr add1 = a::MapFun2(FreshItemPair(), a::Fun2::kAdd, "x", "y", "s");
-  OpPtr add2 = a::MapFun2(FreshItemPair(), a::Fun2::kAdd, "y", "x", "s");
+  OpPtr add1 =
+      a::MapFun2(FreshItemPair(), a::Fun2::kAdd, C("x"), C("y"), C("s"));
+  OpPtr add2 =
+      a::MapFun2(FreshItemPair(), a::Fun2::kAdd, C("y"), C("x"), C("s"));
   OpPtr u = a::DisjointUnion(add1, add2);
   int merges = 0;
   auto merged = CseMerge(u, &merges);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ((*merged)->children[0].get(), (*merged)->children[1].get());
 
-  OpPtr sub1 = a::MapFun2(FreshItemPair(), a::Fun2::kSub, "x", "y", "s");
-  OpPtr sub2 = a::MapFun2(FreshItemPair(), a::Fun2::kSub, "y", "x", "s");
+  OpPtr sub1 =
+      a::MapFun2(FreshItemPair(), a::Fun2::kSub, C("x"), C("y"), C("s"));
+  OpPtr sub2 =
+      a::MapFun2(FreshItemPair(), a::Fun2::kSub, C("y"), C("x"), C("s"));
   OpPtr u2 = a::DisjointUnion(sub1, sub2);
   merges = 0;
   auto merged2 = CseMerge(u2, &merges);
@@ -200,17 +219,17 @@ TEST_F(OptTest, CseFoldsCommutativeOperandOrder) {
 }
 
 TEST_F(OptTest, CseComparesAttachValues) {
-  OpPtr at1 = a::Attach(FreshItemPair(), "c", bat::ColType::kInt,
+  OpPtr at1 = a::Attach(FreshItemPair(), C("c"), bat::ColType::kInt,
                         Item::Int(7));
-  OpPtr at2 = a::Attach(FreshItemPair(), "c", bat::ColType::kInt,
+  OpPtr at2 = a::Attach(FreshItemPair(), C("c"), bat::ColType::kInt,
                         Item::Int(7));
   auto same = CseMerge(a::DisjointUnion(at1, at2));
   ASSERT_TRUE(same.ok());
   EXPECT_EQ((*same)->children[0].get(), (*same)->children[1].get());
 
-  OpPtr at3 = a::Attach(FreshItemPair(), "c", bat::ColType::kInt,
+  OpPtr at3 = a::Attach(FreshItemPair(), C("c"), bat::ColType::kInt,
                         Item::Int(7));
-  OpPtr at4 = a::Attach(FreshItemPair(), "c", bat::ColType::kInt,
+  OpPtr at4 = a::Attach(FreshItemPair(), C("c"), bat::ColType::kInt,
                         Item::Int(8));
   auto diff = CseMerge(a::DisjointUnion(at3, at4));
   ASSERT_TRUE(diff.ok());
@@ -220,14 +239,18 @@ TEST_F(OptTest, CseComparesAttachValues) {
 TEST_F(OptTest, CseDistinguishesColumnRenamings) {
   // π with the same output name from different sources stays distinct;
   // the same renaming merges.
-  OpPtr pa = a::Project(FreshItemPair(), {{"iter", "iter"}, {"v", "x"}});
-  OpPtr pb = a::Project(FreshItemPair(), {{"iter", "iter"}, {"v", "y"}});
+  OpPtr pa = a::Project(FreshItemPair(),
+                        {{C("iter"), C("iter")}, {C("v"), C("x")}});
+  OpPtr pb = a::Project(FreshItemPair(),
+                        {{C("iter"), C("iter")}, {C("v"), C("y")}});
   auto diff = CseMerge(a::DisjointUnion(pa, pb));
   ASSERT_TRUE(diff.ok());
   EXPECT_NE((*diff)->children[0].get(), (*diff)->children[1].get());
 
-  OpPtr pc = a::Project(FreshItemPair(), {{"iter", "iter"}, {"v", "x"}});
-  OpPtr pd = a::Project(FreshItemPair(), {{"iter", "iter"}, {"v", "x"}});
+  OpPtr pc = a::Project(FreshItemPair(),
+                        {{C("iter"), C("iter")}, {C("v"), C("x")}});
+  OpPtr pd = a::Project(FreshItemPair(),
+                        {{C("iter"), C("iter")}, {C("v"), C("x")}});
   auto same = CseMerge(a::DisjointUnion(pc, pd));
   ASSERT_TRUE(same.ok());
   EXPECT_EQ((*same)->children[0].get(), (*same)->children[1].get());
@@ -315,7 +338,7 @@ TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
   ASSERT_TRUE(Optimize(plan, &stats, on).ok());
   EXPECT_GE(stats.key_distincts_removed, 1);
 
-  OpPtr trivial = a::LitTable({"iter"}, {bat::ColType::kInt},
+  OpPtr trivial = a::LitTable({C("iter")}, {bat::ColType::kInt},
                               {{Item::Int(1)}});
   ASSERT_TRUE(Optimize(trivial, &stats, on).ok());
   EXPECT_EQ(stats.joins_reordered, 0);
@@ -324,41 +347,101 @@ TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
   EXPECT_EQ(stats.ops_before, 1u);
 }
 
-// Per-query optimizer counts for XMark Q1–Q20 on one fixed document
-// (sf 0.002, seed 1) with every pass on. Plan text cannot be pinned (op
-// ids come from a global counter), so these counts stand in for "the
-// same plans": a rewrite that changes what the optimizer emits moves at
-// least one of them. Fixpoint rounds may only fall.
+// Per-query optimizer counts and plan digests for XMark Q1–Q20 on one
+// fixed document (sf 0.002, seed 1) with every pass on. The digest is
+// PlanDigest of the optimized plan: op ids come from a global counter,
+// so they are renumbered by first appearance before hashing. Counts
+// alone can match two different plans; the digest pins the plan text
+// itself. Fixpoint rounds may only fall.
 struct PinnedStats {
   int query;
   size_t ops_before, ops_after;
   int cse_merges, distincts_removed, key_distincts_removed, selects_pushed,
       structural_answers, max_rounds;
+  const char* digest;
 };
+
+/// FNV-1a of PlanToText(plan) with every "#<id>" / "^<id>" renumbered
+/// in order of first appearance, as 16 hex digits.
+std::string PlanDigest(const OpPtr& plan, const StringPool& pool) {
+  const std::string text = alg::PlanToText(plan, pool);
+  std::string canon;
+  std::unordered_map<std::string, int> ids;
+  for (size_t i = 0; i < text.size();) {
+    char c = text[i];
+    bool marker = (c == '#' || c == '^') &&
+                  (i == 0 || text[i - 1] == ' ' || text[i - 1] == '\n');
+    size_t j = i + 1;
+    while (marker && j < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[j]))) {
+      ++j;
+    }
+    if (!marker || j == i + 1) {
+      canon += c;
+      ++i;
+      continue;
+    }
+    auto [it, fresh] = ids.emplace(text.substr(i + 1, j - i - 1),
+                                   static_cast<int>(ids.size()));
+    (void)fresh;
+    canon += c;
+    canon += std::to_string(it->second);
+    i = j;
+  }
+  uint64_t h = 0xCBF29CE484222325ull;
+  for (char ch : canon) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 0x100000001B3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// Parse, normalize, compile and optimize XMark query `q` over
+/// "auction.xml" with every optimizer pass on, as Pathfinder::Run does
+/// by default (but independent of the PF_* variables).
+Result<OpPtr> OptimizedXMarkPlan(xml::Database* db, int q,
+                                 OptimizeStats* stats = nullptr) {
+  PF_ASSIGN_OR_RETURN(frontend::Module mod,
+                      frontend::ParseQuery(xmark::GetXMarkQuery(q).text));
+  frontend::NormalizeOptions no;
+  no.context_doc = "auction.xml";
+  PF_ASSIGN_OR_RETURN(frontend::ExprPtr core, frontend::Normalize(mod, no));
+  PF_ASSIGN_OR_RETURN(OpPtr plan,
+                      compiler::Compile(core, db, compiler::CompileOptions{}));
+  OptimizeOptions oo;
+  oo.cse = true;
+  oo.join_opt = true;
+  oo.path_summary = true;
+  oo.db = db;
+  return Optimize(plan, stats, oo);
+}
 
 constexpr PinnedStats kXMarkStats[] = {
     // Q, ops_before, ops_after, cse, distincts, key_distincts, pushed,
-    // structural, rounds
-    {1, 85, 62, 0, 0, 1, 1, 1, 2},
-    {2, 104, 79, 0, 0, 1, 1, 1, 2},
-    {3, 366, 294, 5, 0, 2, 2, 1, 3},
-    {4, 207, 150, 1, 0, 3, 2, 1, 2},
-    {5, 70, 44, 1, 0, 0, 0, 1, 2},
-    {6, 40, 26, 0, 0, 0, 0, 1, 2},
-    {7, 76, 60, 2, 0, 0, 0, 0, 2},
-    {8, 133, 83, 5, 0, 1, 0, 2, 2},
-    {9, 206, 119, 9, 0, 2, 0, 3, 2},
-    {10, 330, 221, 23, 0, 0, 0, 2, 2},
-    {11, 148, 94, 5, 0, 0, 0, 2, 2},
-    {12, 175, 112, 6, 0, 1, 0, 2, 2},
-    {13, 75, 50, 1, 0, 0, 0, 1, 2},
-    {14, 75, 57, 1, 0, 0, 0, 1, 2},
-    {15, 82, 30, 0, 0, 0, 0, 1, 2},
-    {16, 111, 81, 1, 0, 0, 0, 1, 2},
-    {17, 78, 56, 1, 0, 0, 0, 1, 2},
-    {18, 52, 31, 0, 0, 0, 0, 1, 2},
-    {19, 93, 66, 3, 0, 0, 0, 1, 2},
-    {20, 360, 252, 20, 0, 5, 4, 4, 3},
+    // structural, rounds, plan digest
+    {1, 85, 62, 0, 0, 1, 1, 1, 2, "e0d437f04ec861b8"},
+    {2, 104, 79, 0, 0, 1, 1, 1, 2, "d384b37db177aee8"},
+    {3, 366, 294, 5, 0, 2, 2, 1, 3, "3b8600e6a6e2efc0"},
+    {4, 207, 150, 1, 0, 3, 2, 1, 2, "5fe35f3494563cb2"},
+    {5, 70, 44, 1, 0, 0, 0, 1, 2, "4d85fa763640cbf7"},
+    {6, 40, 26, 0, 0, 0, 0, 1, 2, "7f1d62c840104315"},
+    {7, 76, 60, 2, 0, 0, 0, 0, 2, "6e56d19431c6c013"},
+    {8, 133, 83, 5, 0, 1, 0, 2, 2, "c7ab6af86534afd2"},
+    {9, 206, 119, 9, 0, 2, 0, 3, 2, "6afae796110ed96b"},
+    {10, 330, 221, 23, 0, 0, 0, 2, 2, "0177c7d48d17daa1"},
+    {11, 148, 94, 5, 0, 0, 0, 2, 2, "218c7d0d6f83c050"},
+    {12, 175, 112, 6, 0, 1, 0, 2, 2, "056edbeda7d6f56d"},
+    {13, 75, 50, 1, 0, 0, 0, 1, 2, "92f858b5eca21b56"},
+    {14, 75, 57, 1, 0, 0, 0, 1, 2, "da01a87af26ec60f"},
+    {15, 82, 30, 0, 0, 0, 0, 1, 2, "f6fab9b786bfd823"},
+    {16, 111, 81, 1, 0, 0, 0, 1, 2, "e4cad3167dd05b40"},
+    {17, 78, 56, 1, 0, 0, 0, 1, 2, "35f08414b0131436"},
+    {18, 52, 31, 0, 0, 0, 0, 1, 2, "24e4c753da22892e"},
+    {19, 93, 66, 3, 0, 0, 0, 1, 2, "3f93fb20b567809d"},
+    {20, 360, 252, 20, 0, 5, 4, 4, 3, "5185188f0496fa58"},
 };
 
 TEST(OptXMarkTest, SamePlansAsPinned) {
@@ -389,6 +472,70 @@ TEST(OptXMarkTest, SamePlansAsPinned) {
     EXPECT_EQ(s.selects_pushed, want.selects_pushed);
     EXPECT_EQ(s.structural_answers, want.structural_answers);
     EXPECT_LE(s.rounds, want.max_rounds);
+    OptimizeStats direct;
+    auto plan = OptimizedXMarkPlan(&db, want.query, &direct);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(direct.ops_after, want.ops_after);
+    EXPECT_EQ(PlanDigest(*plan, *db.pool()), want.digest);
+  }
+}
+
+// Compiling and optimizing one query twice yields structurally equal
+// plans: nothing the optimizer names depends on process-global state
+// such as op ids, so a recompiled plan finds the subplan results
+// cached under the first compilation's hashes.
+TEST(OptXMarkTest, RecompiledPlansHashAlike) {
+  xml::Database db;
+  auto doc = xmark::GenerateXMark(0.002, 1, db.pool());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  db.AddDocument("auction.xml", std::move(*doc));
+  for (int q = 1; q <= 20; ++q) {
+    SCOPED_TRACE("Q" + std::to_string(q));
+    auto a = OptimizedXMarkPlan(&db, q);
+    auto b = OptimizedXMarkPlan(&db, q);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(alg::StructuralHash(*a), alg::StructuralHash(*b));
+  }
+}
+
+// Eight threads compile and optimize Q1–Q20 at once; each plan is the
+// one a serial compilation yields. Every compiling thread interns
+// column names into one process-wide dictionary (the CI TSan job runs
+// this test).
+TEST(OptXMarkTest, ConcurrentCompilesMatchSerial) {
+  xml::Database db;
+  auto doc = xmark::GenerateXMark(0.002, 1, db.pool());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  db.AddDocument("auction.xml", std::move(*doc));
+  std::vector<std::string> serial;
+  for (int q = 1; q <= 20; ++q) {
+    auto plan = OptimizedXMarkPlan(&db, q);
+    ASSERT_TRUE(plan.ok()) << "Q" << q << ": " << plan.status().ToString();
+    serial.push_back(PlanDigest(*plan, *db.pool()));
+  }
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 20; ++i) {
+        int q = 1 + (i + 3 * t) % 20;  // each thread starts elsewhere
+        auto plan = OptimizedXMarkPlan(&db, q);
+        got[t].push_back(plan.ok() ? std::to_string(q) + ":" +
+                                         PlanDigest(*plan, *db.pool())
+                                   : plan.status().ToString());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), 20u);
+    for (int i = 0; i < 20; ++i) {
+      int q = 1 + (i + 3 * t) % 20;
+      EXPECT_EQ(got[t][i], std::to_string(q) + ":" + serial[q - 1])
+          << "thread " << t;
+    }
   }
 }
 

@@ -8,6 +8,9 @@
 namespace pathfinder::runtime {
 namespace {
 
+/// Column id of `name` (tests name columns by string).
+bat::ColId C(std::string_view name) { return bat::InternCol(name); }
+
 class SerializeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,9 +70,9 @@ TEST_F(SerializeTest, TableToSequenceExtractsItems) {
   pos->ints() = {1, 2};
   auto item = bat::Column::MakeItem();
   item->items() = {Item::Int(10), Item::Int(20)};
-  t.AddCol("iter", iter);
-  t.AddCol("pos", pos);
-  t.AddCol("item", item);
+  t.AddCol(C("iter"), iter);
+  t.AddCol(C("pos"), pos);
+  t.AddCol(C("item"), item);
   auto seq = TableToSequence(t);
   ASSERT_TRUE(seq.ok());
   ASSERT_EQ(seq->size(), 2u);

@@ -145,5 +145,39 @@ TEST_F(ServeConcurrencyTest, RegistrationIsVisibleAcrossClients) {
   EXPECT_EQ(q->Find("result")->str, "1");
 }
 
+// A query nested 100,000 levels deep (a 200 KB frame) gets a typed
+// error reply; it neither crashes the server nor disturbs a second
+// client, which keeps getting correct answers meanwhile.
+TEST_F(ServeConcurrencyTest, DeeplyNestedQueryIsRejectedOthersUnharmed) {
+  Client deep, other;
+  ASSERT_TRUE(deep.Connect(server_->port()).ok());
+  ASSERT_TRUE(other.Connect(server_->port()).ok());
+  std::string q(100000, '(');
+  q += "1";
+  q.append(100000, ')');
+  std::thread sender([&] {
+    for (int i = 0; i < 3; ++i) {
+      auto r = deep.Call(Client::QueryFrame("deep" + std::to_string(i), q,
+                                            "auction.xml"));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_FALSE(r->Find("ok")->AsBool());
+      EXPECT_EQ(r->Find("error")->str, "invalid_query");
+    }
+  });
+  const auto& queries = xmark::XMarkQueries();
+  for (size_t qi = 0; qi < 4; ++qi) {
+    auto r = other.Call(Client::QueryFrame("q" + std::to_string(qi),
+                                           queries[qi].text, "auction.xml"),
+                        /*timeout_ms=*/120000);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r->Find("ok")->AsBool());
+    EXPECT_EQ(r->Find("result")->str, expected_[qi]);
+  }
+  sender.join();
+  auto pong = other.Call(Client::PingFrame());
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->Find("op")->str, "pong");
+}
+
 }  // namespace
 }  // namespace pathfinder::serve
