@@ -26,12 +26,12 @@ int Width(const uint64_t* key, size_t words) {
   return n;
 }
 
-/// Call fn(ColId) for each member of `key`.
+/// Call fn(local column number) for each member of `key`.
 template <typename Fn>
 void ForEachCol(const uint64_t* key, size_t words, Fn&& fn) {
   for (size_t w = 0; w < words; ++w) {
     for (uint64_t bits = key[w]; bits != 0; bits &= bits - 1) {
-      fn(static_cast<ColId>(w * 64 + std::countr_zero(bits)));
+      fn(static_cast<uint32_t>(w * 64 + std::countr_zero(bits)));
     }
   }
 }
@@ -71,8 +71,8 @@ bool KeyAnalysis::CoversKey(const Op* op, const ColId* cols, size_t n) const {
   if (i >= count_.size()) return false;
   for (size_t k = first_[i]; k < first_[i] + count_[i]; ++k) {
     bool within = true;
-    ForEachCol(Key(k), words_, [&](ColId c) {
-      within = within && std::find(cols, cols + n, c) != cols + n;
+    ForEachCol(Key(k), words_, [&](uint32_t c) {
+      within = within && std::find(cols, cols + n, cols_.Global(c)) != cols + n;
     });
     if (within) return true;
   }
@@ -102,8 +102,10 @@ bool ItemIsNode(const Item& it) {
 KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
   KeyAnalysis a;
   a.plan_ = NumberPlan(root);
+  AddPlanColumns(a.plan_, &a.cols_);
+  auto L = [&a](ColId c) { return a.cols_.Local(c); };
   const size_t nodes = a.plan_.nodes.size();
-  const size_t words = bat::ColWords(bat::NumColIds());
+  const size_t words = bat::ColWords(a.cols_.size());
   a.words_ = words;
   // At most kMaxKeysPerOp keys per node: the array never reallocates,
   // so pointers to earlier nodes' keys stay valid while one is added.
@@ -115,7 +117,7 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
   auto clear = [&] { std::fill(key.begin(), key.end(), 0); };
   auto add_cols = [&](size_t i, std::initializer_list<ColId> cols) {
     clear();
-    for (ColId c : cols) bat::SetColBit(key.data(), c);
+    for (ColId c : cols) bat::SetColBit(key.data(), L(c));
     a.AddKey(i, key.data());
   };
   size_t next_key = 0;
@@ -171,15 +173,16 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
         for (size_t j = a.first_[c]; j < a.first_[c] + a.count_[c]; ++j) {
           clear();
           bool ok = true;
-          ForEachCol(a.Key(j), words, [&](ColId col) {
+          ForEachCol(a.Key(j), words, [&](uint32_t c) {
             if (!ok) return;
+            const ColId col = a.cols_.Global(c);
             auto it = std::find_if(
                 op->proj.begin(), op->proj.end(),
                 [&](const auto& p) { return p.second == col; });
             if (it == op->proj.end()) {
               ok = false;
             } else {
-              bat::SetColBit(key.data(), it->first);
+              bat::SetColBit(key.data(), L(it->first));
             }
           });
           if (ok) a.AddKey(i, key.data());
@@ -197,15 +200,15 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
       case OpKind::kRowNum:
         carry(0);
         clear();
-        for (ColId p : op->part) bat::SetColBit(key.data(), p);
-        bat::SetColBit(key.data(), op->out);
+        for (ColId p : op->part) bat::SetColBit(key.data(), L(p));
+        bat::SetColBit(key.data(), L(op->out));
         a.AddKey(i, key.data());
         break;
       case OpKind::kDistinct:
         carry(0);
         if (!op->keys.empty()) {
           clear();
-          for (ColId k : op->keys) bat::SetColBit(key.data(), k);
+          for (ColId k : op->keys) bat::SetColBit(key.data(), L(k));
           a.AddKey(i, key.data());
         }
         break;

@@ -25,8 +25,9 @@ using StepUniqueness =
 /// c1..ck — which is exactly the license to drop a `distinct` over a
 /// superset of those columns, and to prove joins non-expanding.
 ///
-/// Keys are bitsets over ColIds, kept per node number of the plan the
-/// analysis ran on, all in one array.
+/// Keys are bitsets over the plan's local column numbers
+/// (bat::PlanColumns), kept per node number of the plan the analysis
+/// ran on, all in one array.
 class KeyAnalysis {
  public:
   /// Does `op` have an inferred key that is a subset of `cols`?
@@ -57,6 +58,7 @@ class KeyAnalysis {
   void AddKey(size_t node, const uint64_t* key);
 
   PlanNumbering plan_;
+  bat::PlanColumns cols_;
   size_t words_ = 0;
   // Node i's keys are keys first_[i] .. first_[i] + count_[i] - 1, each
   // words_ wide in key_bits_: sorted by insertion, minimal (no key

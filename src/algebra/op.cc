@@ -222,6 +222,26 @@ std::vector<const OpPtr*> NodeOwners(const PlanNumbering& plan,
   return owner;
 }
 
+void AddPlanColumns(const PlanNumbering& plan, bat::PlanColumns* cols) {
+  for (ColId c : {bat::kIter, bat::kPos, bat::kItem}) cols->Add(c);
+  auto add = [cols](ColId c) {
+    if (c != bat::kNoCol) cols->Add(c);
+  };
+  for (const Op* op : plan.nodes) {
+    for (const auto& [nw, old] : op->proj) {
+      add(nw);
+      add(old);
+    }
+    add(op->col);
+    add(op->col2);
+    add(op->out);
+    for (ColId c : op->part) add(c);
+    for (ColId c : op->order) add(c);
+    for (ColId c : op->keys) add(c);
+    for (ColId c : op->names) add(c);
+  }
+}
+
 OpPtr WithRebuiltChildren(const PlanNumbering& plan, const OpPtr& op,
                           const std::vector<OpPtr>& rebuilt) {
   bool kid_changed = false;

@@ -250,6 +250,11 @@ PlanNumbering NumberPlan(const OpPtr& root);
 std::vector<const OpPtr*> NodeOwners(const PlanNumbering& plan,
                                      const OpPtr& root);
 
+/// Number, in `cols`, every column `plan` names: iter, pos and item,
+/// then each node's column parameters. Every column of every node's
+/// schema is among them.
+void AddPlanColumns(const PlanNumbering& plan, bat::PlanColumns* cols);
+
 /// `op` (a node of `plan`) itself if none of its children was rebuilt,
 /// else a copy of it over the rebuilt children; `rebuilt` is indexed by
 /// node number and filled for every child of `op`.

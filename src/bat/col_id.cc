@@ -34,6 +34,4 @@ std::string_view ColName(ColId id) {
   return Dictionary().Get(id);
 }
 
-size_t NumColIds() { return Dictionary().size(); }
-
 }  // namespace pathfinder::bat

@@ -1,6 +1,7 @@
 #ifndef PATHFINDER_BAT_COL_ID_H_
 #define PATHFINDER_BAT_COL_ID_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <string_view>
@@ -41,29 +42,84 @@ std::vector<ColId> InternCols(std::initializer_list<std::string_view> names);
 /// The name of `id` ("" for kNoCol). Wait-free.
 std::string_view ColName(ColId id);
 
-/// Number of names interned so far: every id handed out is below it.
-size_t NumColIds();
-
 // ---------------------------------------------------------------------
-// Bitsets over ColIds: rows of equal width in one allocation, one row
-// per plan node.
+// Column sets of one plan as bitsets. The dictionary only grows, and one
+// large query can add tens of thousands of names, so bits are not
+// indexed by ColId but by a dense number local to the plan (PlanColumns):
+// a set is as wide as its plan needs.
 
-/// Words a bitset over the first `n` ids needs.
+/// The columns one plan uses, numbered 0, 1, ... in order of first Add.
+/// A flat open-addressing table maps ColId -> local number.
+class PlanColumns {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  /// Number `c` unless it is numbered already.
+  void Add(ColId c) {
+    if (2 * (cols_.size() + 1) > slots_.size()) Grow();
+    for (size_t i = Home(c);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == 0) {
+        cols_.push_back(c);
+        slots_[i] = static_cast<uint32_t>(cols_.size());
+        return;
+      }
+      if (cols_[slots_[i] - 1] == c) return;
+    }
+  }
+
+  /// The local number of `c`, or kAbsent.
+  uint32_t Local(ColId c) const {
+    if (slots_.empty()) return kAbsent;
+    for (size_t i = Home(c);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == 0) return kAbsent;
+      if (cols_[slots_[i] - 1] == c) return slots_[i] - 1;
+    }
+  }
+
+  ColId Global(uint32_t local) const { return cols_[local]; }
+  size_t size() const { return cols_.size(); }
+
+  void Clear() {
+    cols_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+ private:
+  size_t Home(ColId c) const {
+    return static_cast<size_t>((uint64_t{c} * 0x9E3779B97F4A7C15ull) >> 32) &
+           (slots_.size() - 1);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.empty() ? 64 : 2 * slots_.size(), 0);
+    for (uint32_t n = 0; n < cols_.size(); ++n) {
+      size_t i = Home(cols_[n]);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = n + 1;
+    }
+  }
+
+  std::vector<ColId> cols_;      // local number -> ColId
+  std::vector<uint32_t> slots_;  // 1 + local number; 0 = empty
+};
+
+/// Words a bitset over `n` local column numbers needs.
 inline size_t ColWords(size_t n) { return (n + 63) / 64; }
 
-inline void SetColBit(uint64_t* row, ColId c) {
-  row[c >> 6] |= uint64_t{1} << (c & 63);
+inline void SetColBit(uint64_t* row, uint32_t bit) {
+  row[bit >> 6] |= uint64_t{1} << (bit & 63);
 }
 
-inline bool TestColBit(const uint64_t* row, ColId c) {
-  return (row[c >> 6] >> (c & 63)) & 1;
+inline bool TestColBit(const uint64_t* row, uint32_t bit) {
+  return (row[bit >> 6] >> (bit & 63)) & 1;
 }
 
+/// Bitsets of equal width in one allocation, one row per plan node.
 class ColBitRows {
  public:
-  /// `rows` empty bitsets, each wide enough for every id interned so far.
-  void Reset(size_t rows) {
-    words_ = ColWords(NumColIds());
+  /// `rows` empty bitsets over `ncols` local column numbers.
+  void Reset(size_t rows, size_t ncols) {
+    words_ = ColWords(ncols);
     bits_.assign(rows * words_, 0);
   }
 

@@ -25,15 +25,18 @@ using bat::TestColBit;
 
 // ---------------------------------------------------------------------
 // Dead-column analysis: which output columns of each node does any
-// consumer actually read? One bitset per node over ColIds, indexed by
-// the round's plan numbering.
+// consumer actually read? One bitset per node over the round's local
+// column numbers (bat::PlanColumns), indexed by the round's plan
+// numbering.
 
 void AnalyzeRequired(const alg::PlanNumbering& plan,
-                     const alg::SchemaMap& schemas, bat::ColBitRows* req) {
-  req->Reset(plan.nodes.size());
+                     const alg::SchemaMap& schemas,
+                     const bat::PlanColumns& cols, bat::ColBitRows* req) {
+  req->Reset(plan.nodes.size(), cols.size());
   const size_t words = req->words();
-  auto add_schema_to = [](uint64_t* need, const alg::Schema& s) {
-    for (const auto& [n, t] : s.cols) SetColBit(need, n);
+  auto L = [&cols](ColId c) { return cols.Local(c); };
+  auto add_schema_to = [&](uint64_t* need, const alg::Schema& s) {
+    for (const auto& [n, t] : s.cols) SetColBit(need, L(n));
   };
   // Root (numbered last) needs its full schema.
   add_schema_to(req->Row(plan.nodes.size() - 1),
@@ -53,15 +56,16 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
     // Everything required of op except its own new column `out`.
     auto add_all_but = [&](size_t k, ColId out) {
       uint64_t* need = kid(k);
+      const uint32_t o = L(out);
       for (size_t w = 0; w < words; ++w) {
         uint64_t r = R[w];
-        if (w == out >> 6) r &= ~(uint64_t{1} << (out & 63));
+        if (w == o >> 6) r &= ~(uint64_t{1} << (o & 63));
         need[w] |= r;
       }
     };
-    auto add_cols = [&](size_t k, std::initializer_list<ColId> cols) {
+    auto add_cols = [&](size_t k, std::initializer_list<ColId> cs) {
       uint64_t* need = kid(k);
-      for (ColId c : cols) SetColBit(need, c);
+      for (ColId c : cs) SetColBit(need, L(c));
     };
     switch (op->kind) {
       case OpKind::kLitTable:
@@ -69,7 +73,7 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
       case OpKind::kProject: {
         uint64_t* need = kid(0);
         for (const auto& [nw, old] : op->proj) {
-          if (TestColBit(R, nw)) SetColBit(need, old);
+          if (TestColBit(R, L(nw))) SetColBit(need, L(old));
         }
         break;
       }
@@ -92,8 +96,8 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
         uint64_t* need1 = kid(1);
         add_required(need0);
         for (ColId k : op->keys) {
-          SetColBit(need0, k);
-          SetColBit(need1, k);
+          SetColBit(need0, L(k));
+          SetColBit(need1, L(k));
         }
         break;
       }
@@ -103,7 +107,7 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
         } else {
           uint64_t* need = kid(0);
           add_required(need);
-          for (ColId k : op->keys) SetColBit(need, k);
+          for (ColId k : op->keys) SetColBit(need, L(k));
         }
         break;
       }
@@ -117,20 +121,20 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
         // Each side keeps the required columns it provides.
         bool any0 = false, any1 = false;
         for (const auto& [n, t] : sa.cols) {
-          if (TestColBit(R, n)) {
-            SetColBit(need0, n);
+          if (TestColBit(R, L(n))) {
+            SetColBit(need0, L(n));
             any0 = true;
           }
         }
         for (const auto& [n, t] : sb.cols) {
-          if (TestColBit(R, n)) {
-            SetColBit(need1, n);
+          if (TestColBit(R, L(n))) {
+            SetColBit(need1, L(n));
             any1 = true;
           }
         }
         if (op->kind != OpKind::kCross) {
-          SetColBit(need0, op->col);
-          SetColBit(need1, op->col2);
+          SetColBit(need0, L(op->col));
+          SetColBit(need1, L(op->col2));
         } else {
           // A side with nothing required still contributes its row
           // count; keep its first column.
@@ -141,10 +145,10 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
             return true;
           };
           if (!any0 && empty(need0) && !sa.cols.empty()) {
-            SetColBit(need0, sa.cols[0].first);
+            SetColBit(need0, L(sa.cols[0].first));
           }
           if (!any1 && empty(need1) && !sb.cols.empty()) {
-            SetColBit(need1, sb.cols[0].first);
+            SetColBit(need1, L(sb.cols[0].first));
           }
         }
         break;
@@ -152,8 +156,8 @@ void AnalyzeRequired(const alg::PlanNumbering& plan,
       case OpKind::kRowNum: {
         add_all_but(0, op->out);
         uint64_t* need = kid(0);
-        for (ColId c : op->part) SetColBit(need, c);
-        for (ColId c : op->order) SetColBit(need, c);
+        for (ColId c : op->part) SetColBit(need, L(c));
+        for (ColId c : op->order) SetColBit(need, L(c));
         break;
       }
       case OpKind::kStep:
@@ -329,7 +333,9 @@ class Optimizer {
     pinned_ = root;
     rebuilt_.assign(plan_.nodes.size(), nullptr);
     PF_RETURN_NOT_OK(alg::InferSchemas(root, &schemas_).status());
-    AnalyzeRequired(plan_, schemas_, &required_);
+    cols_.Clear();
+    alg::AddPlanColumns(plan_, &cols_);
+    AnalyzeRequired(plan_, schemas_, cols_, &required_);
     const std::vector<const OpPtr*> owner = alg::NodeOwners(plan_, root);
     for (size_t i = 0; i < plan_.nodes.size(); ++i) {
       OpPtr node = alg::WithRebuiltChildren(plan_, *owner[i], rebuilt_);
@@ -352,7 +358,7 @@ class Optimizer {
       if (nreq != 0 && nreq < op->proj.size()) {
         std::vector<std::pair<ColId, ColId>> kept;
         for (const auto& pr : op->proj) {
-          if (TestColBit(R, pr.first)) kept.push_back(pr);
+          if (TestColBit(R, cols_.Local(pr.first))) kept.push_back(pr);
         }
         if (!kept.empty() && kept.size() < op->proj.size()) {
           // Count the entries dropped, before the clone narrows proj.
@@ -474,22 +480,34 @@ class Optimizer {
   /// set) or an equal-keyed Distinct.
   bool IsDistinctFree(const OpPtr& dist) {
     if (dist->keys.empty()) return false;
-    // The key set, as a bitset, renamed to each operator's input while
-    // descending. Keys are a handful of columns; `keys` lists them.
-    const size_t words = bat::ColWords(bat::NumColIds());
-    key_bits_.assign(words, 0);
+    // The key set, as a bitset over the round's local column numbers,
+    // renamed to each operator's input while descending. Keys are a
+    // handful of columns; `keys` lists them. Every column a node of
+    // this round names is numbered (nodes rebuilt by the round only
+    // reuse its columns); an unnumbered one just ends the proof.
+    key_bits_.assign(bat::ColWords(cols_.size()), 0);
     std::vector<ColId>& keys = key_list_;
     keys.clear();
+    auto in_set = [&](ColId c) {
+      uint32_t b = cols_.Local(c);
+      return b != bat::PlanColumns::kAbsent && TestColBit(key_bits_.data(), b);
+    };
+    // Adds `c` to the set; false if it is not numbered.
+    auto add = [&](ColId c) {
+      uint32_t b = cols_.Local(c);
+      if (b == bat::PlanColumns::kAbsent) return false;
+      SetColBit(key_bits_.data(), b);
+      return true;
+    };
     for (ColId k : dist->keys) {
-      if (!TestColBit(key_bits_.data(), k)) {
-        SetColBit(key_bits_.data(), k);
-        keys.push_back(k);
-      }
+      if (in_set(k)) continue;
+      if (!add(k)) return false;
+      keys.push_back(k);
     }
     // Is the current key set exactly the set of `cols`?
     auto keys_are = [&](const std::vector<ColId>& cols) {
       for (ColId c : cols) {
-        if (!TestColBit(key_bits_.data(), c)) return false;
+        if (!in_set(c)) return false;
       }
       for (ColId k : keys) {
         if (std::find(cols.begin(), cols.end(), k) == cols.end()) return false;
@@ -509,18 +527,13 @@ class Optimizer {
                 [&](const auto& p) { return p.first == k; });
             if (it == cur->proj.end()) return false;
             k = it->second;
-            if (!TestColBit(key_bits_.data(), k)) ++distinct;
-            SetColBit(key_bits_.data(), k);
+            if (!in_set(k)) ++distinct;
+            if (!add(k)) return false;
           }
           // Two keys renamed from one source column: keep the list a set.
           if (distinct != keys.size()) {
-            keys.clear();
-            for (size_t w = 0; w < words; ++w) {
-              for (uint64_t b = key_bits_[w]; b != 0; b &= b - 1) {
-                keys.push_back(
-                    static_cast<ColId>(w * 64 + std::countr_zero(b)));
-              }
-            }
+            std::sort(keys.begin(), keys.end());
+            keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
           }
           cur = cur->children[0].get();
           break;
@@ -530,7 +543,7 @@ class Optimizer {
         case OpKind::kFun1:
         case OpKind::kFun2: {
           // Row-preserving; key columns must not be the new column.
-          if (TestColBit(key_bits_.data(), cur->out)) return false;
+          if (in_set(cur->out)) return false;
           cur = cur->children[0].get();
           break;
         }
@@ -575,6 +588,7 @@ class Optimizer {
   // This round: the input plan's numbering, the columns each of its
   // nodes must keep, and what each node was rebuilt into.
   alg::PlanNumbering plan_;
+  bat::PlanColumns cols_;  // numbers the columns of plan_
   bat::ColBitRows required_;
   std::vector<OpPtr> rebuilt_;
   // IsDistinctFree's scratch key set (bitset and member list).
