@@ -1,30 +1,21 @@
-// Cross-query cache benchmark: cold-vs-warm sweep over every XMark
-// query under three configurations — caching off, plan cache only, and
-// plan + subplan-result cache.
+// Cross-query cache under churn: every XMark query runs cold against a
+// fresh cache, then warm with an unrelated small document
+// (re-)registered before every warm repeat. With per-document
+// invalidation the auction entries stay warm across those
+// registrations, so the warm runs must beat the cold ones: the gate is
+// a >= 2x total speedup (whole-cache clearing would flatten it to ~1x).
+// The first warm run's serialization must match the cold run's bytes.
 //
-// For each query the cold time is the first run against a fresh
-// Pathfinder (empty cache) and the warm time is the best of the
-// subsequent repeats against the same instance; a warm run's
-// serialization is checked byte-identical to the cold run's before any
-// timing is reported. Emits BENCH_cache.json with per-query cold/warm
-// timings, speedups, and the cache counters after the sweep.
+// Prints one result line; exits 1 when a gate fails.
 //
-// A second phase sweeps the same queries under *churn*: an unrelated
-// small document is (re-)registered before every warm repeat. With
-// per-document invalidation the auction entries stay warm across those
-// registrations, so the warm speedup must survive — the phase gates a
-// >= 2x total speedup (whole-cache clearing would flatten it to ~1x).
-//
-//   --smoke   tiny scale factor, 1 rep, then re-read the emitted JSON
-//             and fail unless it parses, every warm run matched the
-//             cold bytes, and the churn speedup gate held — the CI
-//             gate.
+//   --smoke   sf 0.002 and one warm repeat per query (the CI gate);
+//             the full run uses the largest PF_XMARK_SF_LIST scale
+//             factor and the best of three warm repeats.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "api/pathfinder.h"
 #include "bench/bench_util.h"
@@ -32,32 +23,6 @@
 
 namespace pathfinder::bench {
 namespace {
-
-struct Config {
-  const char* name;
-  int plan_cache;
-  int subplan_cache;
-};
-
-constexpr Config kConfigs[] = {
-    {"off", 0, 0},
-    {"plan", 1, 0},
-    {"plan+subplan", 1, 1},
-};
-
-struct QueryReport {
-  int query = 0;
-  double cold_ms = 0;
-  double warm_ms = 0;
-};
-
-struct ConfigReport {
-  const Config* config = nullptr;
-  std::vector<QueryReport> queries;
-  double total_cold = 0;
-  double total_warm = 0;
-  engine::CacheStats stats;
-};
 
 int Main(int argc, char** argv) {
   bool smoke = false;
@@ -68,303 +33,82 @@ int Main(int argc, char** argv) {
   int warm_reps = smoke ? 1 : 3;
 
   xml::Database* db = XMarkDb(sf);
-  std::printf("Cross-query cache: cold vs warm (XMark, sf=%g)\n", sf);
+  Pathfinder pf(db);
+  int version = 0;
+  int registrations = 0;
+  auto register_churn = [&] {
+    char doc[96];
+    std::snprintf(doc, sizeof(doc), "<churn v=\"%d\"/>", ++version);
+    auto r = db->LoadXml("churn.xml", doc);
+    if (r.ok()) ++registrations;
+    return r.ok();
+  };
+  auto run = [&](const char* text) {
+    QueryOptions opts;
+    opts.context_doc = "auction.xml";
+    opts.plan_cache = 1;
+    opts.subplan_cache = 1;
+    // Pin the budget so an ambient PF_CACHE_MB=0 cannot turn the warm
+    // runs into cold ones, and admit every candidate so the smoke scale
+    // factor (whose subtrees evaluate under the default floor) still
+    // exercises warmth.
+    opts.cache_budget_bytes = int64_t{64} << 20;
+    opts.cache_min_cost_us = 0;
+    return pf.Run(text, opts);
+  };
+  auto run_bytes = [&](const char* text) -> Result<std::string> {
+    PF_ASSIGN_OR_RETURN(QueryResult r, run(text));
+    return r.Serialize();
+  };
 
-  std::vector<ConfigReport> reports;
-  for (const Config& cfg : kConfigs) {
-    ConfigReport rep;
-    rep.config = &cfg;
-    // One Pathfinder (one cache) per configuration: the sweep measures
-    // how much the *second and later* runs of each query benefit.
-    Pathfinder pf(db);
-    auto run = [&](const char* text) {
-      QueryOptions opts;
-      opts.context_doc = "auction.xml";
-      opts.plan_cache = cfg.plan_cache;
-      opts.subplan_cache = cfg.subplan_cache;
-      // Pin the budget so an ambient PF_CACHE_MB=0 cannot silently turn
-      // the cached configurations into replays of the "off" one.
-      opts.cache_budget_bytes = int64_t{64} << 20;
-      return pf.Run(text, opts);
-    };
-
-    std::printf("\n[%s]\n%-10s %10s %10s %9s\n", cfg.name, "query", "cold",
-                "warm", "speedup");
-    for (const auto& q : xmark::XMarkQueries()) {
-      std::string cold_bytes;
-      QueryReport qr;
-      qr.query = q.number;
-      bool failed = false;
-      qr.cold_ms = TimeMs([&] {
-        auto r = run(q.text);
-        if (!r.ok()) {
-          std::fprintf(stderr, "Q%d (cold): %s\n", q.number,
-                       r.status().ToString().c_str());
-          failed = true;
-          return;
-        }
-        auto s = r->Serialize();
-        if (!s.ok()) {
-          failed = true;
-          return;
-        }
-        cold_bytes = *s;
-      });
-      if (failed) return 1;
-      // Warm correctness gate: cached results must be byte-identical.
-      {
-        auto r = run(q.text);
-        if (!r.ok()) {
-          std::fprintf(stderr, "Q%d (warm): %s\n", q.number,
-                       r.status().ToString().c_str());
-          return 1;
-        }
-        auto s = r->Serialize();
-        if (!s.ok() || *s != cold_bytes) {
-          std::fprintf(stderr, "Q%d: warm result diverges from cold\n",
-                       q.number);
-          return 1;
-        }
-      }
-      qr.warm_ms = BestOfMs(warm_reps, [&] { (void)run(q.text); });
-      std::printf("xmark-q%-3d %10s %10s %8sx\n", q.number,
-                  FmtMs(qr.cold_ms).c_str(), FmtMs(qr.warm_ms).c_str(),
-                  FmtFactor(qr.warm_ms > 0 ? qr.cold_ms / qr.warm_ms : 0)
-                      .c_str());
-      std::fflush(stdout);
-      rep.total_cold += qr.cold_ms;
-      rep.total_warm += qr.warm_ms;
-      rep.queries.push_back(qr);
-    }
-    rep.stats = pf.cache()->Stats();
-    std::printf("%-10s %10s %10s %8sx\n", "total",
-                FmtMs(rep.total_cold).c_str(), FmtMs(rep.total_warm).c_str(),
-                FmtFactor(rep.total_warm > 0
-                              ? rep.total_cold / rep.total_warm
-                              : 0)
-                    .c_str());
-    reports.push_back(std::move(rep));
-  }
-
-  // --- churn sweep: warm repeats under unrelated registrations --------
-  ConfigReport churn;
-  int churn_regs = 0;
-  {
-    Pathfinder pf(db);
-    int version = 0;
-    auto register_churn = [&] {
-      char doc[96];
-      std::snprintf(doc, sizeof(doc), "<churn v=\"%d\"/>", ++version);
-      auto r = db->LoadXml("churn.xml", doc);
-      if (r.ok()) ++churn_regs;
-      return r.ok();
-    };
-    auto run = [&](const char* text) {
-      QueryOptions opts;
-      opts.context_doc = "auction.xml";
-      opts.plan_cache = 1;
-      opts.subplan_cache = 1;
-      opts.cache_budget_bytes = int64_t{64} << 20;
-      // Admit every candidate so the smoke scale factor (whose subtrees
-      // evaluate in under the default floor) still exercises warmth.
-      opts.cache_min_cost_us = 0;
-      return pf.Run(text, opts);
-    };
-
-    std::printf("\n[churn: unrelated registration before every warm run]\n"
-                "%-10s %10s %10s %9s\n",
-                "query", "cold", "warm", "speedup");
-    for (const auto& q : xmark::XMarkQueries()) {
-      std::string cold_bytes;
-      QueryReport qr;
-      qr.query = q.number;
-      bool failed = false;
-      qr.cold_ms = TimeMs([&] {
-        auto r = run(q.text);
-        if (!r.ok()) {
-          std::fprintf(stderr, "Q%d (churn cold): %s\n", q.number,
-                       r.status().ToString().c_str());
-          failed = true;
-          return;
-        }
-        auto s = r->Serialize();
-        if (!s.ok()) {
-          failed = true;
-          return;
-        }
-        cold_bytes = *s;
-      });
-      if (failed || !register_churn()) return 1;
-      // Correctness gate under churn: warm bytes must be identical
-      // even though the store's generation moved between the runs.
-      {
-        auto r = run(q.text);
-        if (!r.ok()) return 1;
-        auto s = r->Serialize();
-        if (!s.ok() || *s != cold_bytes) {
-          std::fprintf(stderr,
-                       "Q%d: warm-under-churn result diverges from cold\n",
-                       q.number);
-          return 1;
-        }
-      }
-      qr.warm_ms = 1e99;
-      for (int rep = 0; rep < warm_reps; ++rep) {
-        if (!register_churn()) return 1;
-        qr.warm_ms =
-            std::min(qr.warm_ms, TimeMs([&] { (void)run(q.text); }));
-      }
-      std::printf("xmark-q%-3d %10s %10s %8sx\n", q.number,
-                  FmtMs(qr.cold_ms).c_str(), FmtMs(qr.warm_ms).c_str(),
-                  FmtFactor(qr.warm_ms > 0 ? qr.cold_ms / qr.warm_ms : 0)
-                      .c_str());
-      std::fflush(stdout);
-      churn.total_cold += qr.cold_ms;
-      churn.total_warm += qr.warm_ms;
-      churn.queries.push_back(qr);
-    }
-    churn.stats = pf.cache()->Stats();
-    std::printf("%-10s %10s %10s %8sx   (%d registrations interleaved)\n",
-                "total", FmtMs(churn.total_cold).c_str(),
-                FmtMs(churn.total_warm).c_str(),
-                FmtFactor(churn.total_warm > 0
-                              ? churn.total_cold / churn.total_warm
-                              : 0)
-                    .c_str(),
-                churn_regs);
-  }
-
-  const char* path = "BENCH_cache.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(f, "{\"sf\": %g, \"configs\": [\n", sf);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const ConfigReport& r = reports[i];
-    std::fprintf(f,
-                 "  {\"name\": \"%s\", \"plan_cache\": %d, "
-                 "\"subplan_cache\": %d,\n   \"queries\": [",
-                 r.config->name, r.config->plan_cache,
-                 r.config->subplan_cache);
-    for (size_t qi = 0; qi < r.queries.size(); ++qi) {
-      const QueryReport& qr = r.queries[qi];
-      std::fprintf(f,
-                   "%s\n    {\"query\": %d, \"cold_ms\": %.3f, "
-                   "\"warm_ms\": %.3f, \"speedup\": %.2f}",
-                   qi ? "," : "", qr.query, qr.cold_ms, qr.warm_ms,
-                   qr.warm_ms > 0 ? qr.cold_ms / qr.warm_ms : 0.0);
-    }
-    std::fprintf(
-        f,
-        "],\n   \"total_cold_ms\": %.3f, \"total_warm_ms\": %.3f, "
-        "\"total_speedup\": %.2f,\n   \"cache\": {\"plan\": {\"hits\": "
-        "%lld, \"misses\": %lld, \"evictions\": %lld, \"entries\": %lld, "
-        "\"bytes\": %lld}, \"subplan\": {\"hits\": %lld, \"misses\": "
-        "%lld, \"evictions\": %lld, \"entries\": %lld, \"bytes\": %lld}, "
-        "\"invalidations\": %lld, \"per_doc_invalidations\": %lld, "
-        "\"admission_rejects\": %lld, \"min_cost_us\": %lld, "
-        "\"budget_bytes\": %lld}}%s\n",
-        r.total_cold, r.total_warm,
-        r.total_warm > 0 ? r.total_cold / r.total_warm : 0.0,
-        static_cast<long long>(r.stats.plan.hits),
-        static_cast<long long>(r.stats.plan.misses),
-        static_cast<long long>(r.stats.plan.evictions),
-        static_cast<long long>(r.stats.plan.entries),
-        static_cast<long long>(r.stats.plan.bytes),
-        static_cast<long long>(r.stats.subplan.hits),
-        static_cast<long long>(r.stats.subplan.misses),
-        static_cast<long long>(r.stats.subplan.evictions),
-        static_cast<long long>(r.stats.subplan.entries),
-        static_cast<long long>(r.stats.subplan.bytes),
-        static_cast<long long>(r.stats.invalidations),
-        static_cast<long long>(r.stats.per_doc_invalidations),
-        static_cast<long long>(r.stats.admission_rejects),
-        static_cast<long long>(r.stats.min_cost_us),
-        static_cast<long long>(r.stats.budget_bytes),
-        i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "],\n \"churn\": {\"registrations\": %d, \"queries\": [",
-               churn_regs);
-  for (size_t qi = 0; qi < churn.queries.size(); ++qi) {
-    const QueryReport& qr = churn.queries[qi];
-    std::fprintf(f,
-                 "%s\n    {\"query\": %d, \"cold_ms\": %.3f, "
-                 "\"warm_ms\": %.3f, \"speedup\": %.2f}",
-                 qi ? "," : "", qr.query, qr.cold_ms, qr.warm_ms,
-                 qr.warm_ms > 0 ? qr.cold_ms / qr.warm_ms : 0.0);
-  }
-  std::fprintf(
-      f,
-      "],\n  \"total_cold_ms\": %.3f, \"total_warm_ms\": %.3f, "
-      "\"total_speedup\": %.2f, \"invalidations\": %lld, "
-      "\"per_doc_invalidations\": %lld, \"plan_hits\": %lld, "
-      "\"subplan_hits\": %lld}}\n",
-      churn.total_cold, churn.total_warm,
-      churn.total_warm > 0 ? churn.total_cold / churn.total_warm : 0.0,
-      static_cast<long long>(churn.stats.invalidations),
-      static_cast<long long>(churn.stats.per_doc_invalidations),
-      static_cast<long long>(churn.stats.plan.hits),
-      static_cast<long long>(churn.stats.subplan.hits));
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
-
-  // Re-read and validate — the smoke gate.
-  f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot re-read %s\n", path);
-    return 1;
-  }
-  std::string contents;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, got);
-  }
-  std::fclose(f);
-  if (!ValidJsonDocument(contents)) {
-    std::fprintf(stderr, "%s: emitted JSON does not parse\n", path);
-    return 1;
-  }
-  std::printf("%s parses as valid JSON (%zu bytes)\n", path,
-              contents.size());
-
-  // Churn gate (runs in smoke too): with per-document invalidation the
-  // interleaved churn.xml registrations must leave the auction-document
-  // entries warm. Whole-cache clearing would make every "warm" run a
-  // cold run and flatten this ratio to ~1x.
-  double churn_speedup =
-      churn.total_warm > 0 ? churn.total_cold / churn.total_warm : 0.0;
-  std::printf("churn warm speedup over cold: %.2fx (gate >= 2x, %d "
-              "registrations, %lld per-doc invalidations)\n",
-              churn_speedup, churn_regs,
-              static_cast<long long>(churn.stats.per_doc_invalidations));
-  if (churn_regs == 0 || churn.stats.invalidations == 0) {
-    std::fprintf(stderr,
-                 "churn phase ran without observed registrations\n");
-    return 1;
-  }
-  if (churn.stats.plan.hits == 0 || churn.stats.subplan.hits == 0) {
-    std::fprintf(stderr, "churn phase saw no cache hits\n");
-    return 1;
-  }
-  if (churn_speedup < 2.0) {
-    std::fprintf(stderr, "churn warm speedup below 2x gate\n");
-    return 1;
-  }
-
-  if (!smoke) {
-    const ConfigReport& full = reports.back();
-    double speedup =
-        full.total_warm > 0 ? full.total_cold / full.total_warm : 0.0;
-    std::printf("\nplan+subplan warm speedup over cold: %.2fx "
-                "(acceptance target >= 3x)\n",
-                speedup);
-    if (speedup < 3.0) {
-      std::fprintf(stderr, "warm speedup below 3x target\n");
+  double total_cold = 0;
+  double total_warm = 0;
+  for (const auto& q : xmark::XMarkQueries()) {
+    Result<std::string> cold = Status::Internal("unset");
+    total_cold += TimeMs([&] { cold = run_bytes(q.text); });
+    if (!cold.ok()) {
+      std::fprintf(stderr, "Q%d (cold): %s\n", q.number,
+                   cold.status().ToString().c_str());
       return 1;
     }
+    // The store's generation moves between the runs; the bytes must
+    // not.
+    if (!register_churn()) return 1;
+    Result<std::string> warm = run_bytes(q.text);
+    if (!warm.ok() || *warm != *cold) {
+      std::fprintf(stderr, "Q%d: warm-under-churn result diverges from "
+                   "cold\n", q.number);
+      return 1;
+    }
+    double warm_ms = 1e99;
+    for (int rep = 0; rep < warm_reps; ++rep) {
+      if (!register_churn()) return 1;
+      warm_ms = std::min(warm_ms, TimeMs([&] { (void)run(q.text); }));
+    }
+    total_warm += warm_ms;
+  }
+
+  engine::CacheStats stats = pf.cache()->Stats();
+  double speedup = total_warm > 0 ? total_cold / total_warm : 0.0;
+  std::printf("cache churn: sf %g, cold %s ms, warm %s ms, speedup %sx "
+              "(gate >= 2x), %d registrations, %lld per-doc "
+              "invalidations, %lld plan hits, %lld subplan hits\n",
+              sf, FmtMs(total_cold).c_str(), FmtMs(total_warm).c_str(),
+              FmtFactor(speedup).c_str(), registrations,
+              static_cast<long long>(stats.per_doc_invalidations),
+              static_cast<long long>(stats.plan.hits),
+              static_cast<long long>(stats.subplan.hits));
+  if (registrations == 0 || stats.invalidations == 0) {
+    std::fprintf(stderr, "churn ran without observed registrations\n");
+    return 1;
+  }
+  if (stats.plan.hits == 0 || stats.subplan.hits == 0) {
+    std::fprintf(stderr, "churn saw no cache hits\n");
+    return 1;
+  }
+  if (speedup < 2.0) {
+    std::fprintf(stderr, "churn warm speedup below 2x gate\n");
+    return 1;
   }
   return 0;
 }

@@ -15,8 +15,8 @@
 // The re-shredded snapshot is the oracle: its serialization must be
 // byte-identical to the incremental snapshot's, and a panel of
 // structural queries (answered through the maintained path summary)
-// must serialize byte-identically on both databases. Emits
-// BENCH_update.json and gates the maintenance-path speedup.
+// must serialize byte-identically on both databases. Prints one result
+// line and gates the maintenance-path speedup (exit 1 below the gate).
 //
 //   --smoke   tiny scale factor and a short op stream, gate >= 2x —
 //             the CI gate. The full run uses sf 0.05 and gates >= 10x
@@ -26,7 +26,6 @@
 #include <cstring>
 #include <iterator>
 #include <string>
-#include <vector>
 
 #include "api/pathfinder.h"
 #include "base/rng.h"
@@ -117,12 +116,6 @@ int Main(int argc, char** argv) {
     }
     db.AddDocument(kDocName, std::move(doc.value()));
   }
-  {
-    auto frag = db.FindDocument(kDocName);
-    std::printf("Update churn: incremental vs re-shred (XMark, sf=%g, "
-                "%u nodes, %d ops)\n",
-                sf, db.doc(*frag).num_nodes(), rounds);
-  }
 
   Rng rng(7);
   OpCounts counts;
@@ -196,51 +189,12 @@ int Main(int argc, char** argv) {
   }
 
   double speedup = incremental_ms > 0 ? reshred_ms / incremental_ms : 0;
-  std::printf("%-14s %10s   per-op %s\n", "incremental",
-              FmtMs(incremental_ms).c_str(),
-              FmtMs(incremental_ms / rounds).c_str());
-  std::printf("%-14s %10s   per-op %s\n", "re-shred",
-              FmtMs(reshred_ms).c_str(), FmtMs(reshred_ms / rounds).c_str());
-  std::printf("maintenance-path speedup: %sx (gate >= %gx)\n",
-              FmtFactor(speedup).c_str(), gate);
-  std::printf("%d inserts, %d deletes, %d replaces; %d oracle checks, "
-              "all byte-identical\n",
-              counts.inserts, counts.deletes, counts.replaces, checks);
-
-  const char* path = "BENCH_update.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return 1;
-  }
-  std::fprintf(
-      f,
-      "{\"sf\": %g, \"ops\": %d, \"inserts\": %d, \"deletes\": %d,\n"
-      " \"replaces\": %d, \"oracle_checks\": %d,\n"
-      " \"incremental_ms\": %.3f, \"reshred_ms\": %.3f,\n"
-      " \"speedup\": %.2f, \"gate\": %g}\n",
-      sf, rounds, counts.inserts, counts.deletes, counts.replaces, checks,
-      incremental_ms, reshred_ms, speedup, gate);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
-
-  f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot re-read %s\n", path);
-    return 1;
-  }
-  std::string contents;
-  char buf[1 << 12];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, got);
-  }
-  std::fclose(f);
-  if (!ValidJsonDocument(contents)) {
-    std::fprintf(stderr, "%s: emitted JSON does not parse\n", path);
-    return 1;
-  }
-
+  std::printf("update churn: sf %g, %d ops (%d inserts, %d deletes, %d "
+              "replaces), incremental %s ms, re-shred %s ms, speedup %sx "
+              "(gate >= %gx), %d oracle checks byte-identical\n",
+              sf, rounds, counts.inserts, counts.deletes, counts.replaces,
+              FmtMs(incremental_ms).c_str(), FmtMs(reshred_ms).c_str(),
+              FmtFactor(speedup).c_str(), gate, checks);
   if (speedup < gate) {
     std::fprintf(stderr, "maintenance-path speedup below %gx gate\n", gate);
     return 1;

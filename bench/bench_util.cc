@@ -1,9 +1,7 @@
 #include "bench/bench_util.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 
@@ -96,163 +94,6 @@ std::string FmtFactor(double f) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", f);
   return buf;
-}
-
-// --- minimal recursive-descent JSON validator ---------------------------
-// Just enough to prove an emitted report is well-formed JSON; no DOM.
-
-namespace {
-
-struct JsonCursor {
-  const char* p;
-  const char* end;
-};
-
-void SkipWs(JsonCursor* c) {
-  while (c->p < c->end && std::isspace(static_cast<unsigned char>(*c->p))) {
-    ++c->p;
-  }
-}
-
-bool ValidValue(JsonCursor* c);
-
-bool ValidString(JsonCursor* c) {
-  if (c->p >= c->end || *c->p != '"') return false;
-  ++c->p;
-  while (c->p < c->end && *c->p != '"') {
-    if (*c->p == '\\') {
-      ++c->p;
-      if (c->p >= c->end) return false;
-      if (*c->p == 'u') {
-        for (int i = 0; i < 4; ++i) {
-          ++c->p;
-          if (c->p >= c->end ||
-              !std::isxdigit(static_cast<unsigned char>(*c->p))) {
-            return false;
-          }
-        }
-      }
-    }
-    ++c->p;
-  }
-  if (c->p >= c->end) return false;
-  ++c->p;  // closing quote
-  return true;
-}
-
-bool ValidNumber(JsonCursor* c) {
-  const char* start = c->p;
-  if (c->p < c->end && *c->p == '-') ++c->p;
-  while (c->p < c->end && std::isdigit(static_cast<unsigned char>(*c->p))) {
-    ++c->p;
-  }
-  if (c->p < c->end && *c->p == '.') {
-    ++c->p;
-    while (c->p < c->end &&
-           std::isdigit(static_cast<unsigned char>(*c->p))) {
-      ++c->p;
-    }
-  }
-  if (c->p < c->end && (*c->p == 'e' || *c->p == 'E')) {
-    ++c->p;
-    if (c->p < c->end && (*c->p == '+' || *c->p == '-')) ++c->p;
-    while (c->p < c->end &&
-           std::isdigit(static_cast<unsigned char>(*c->p))) {
-      ++c->p;
-    }
-  }
-  return c->p > start;
-}
-
-bool ValidLiteral(JsonCursor* c, const char* lit) {
-  size_t n = std::strlen(lit);
-  if (static_cast<size_t>(c->end - c->p) < n ||
-      std::strncmp(c->p, lit, n) != 0) {
-    return false;
-  }
-  c->p += n;
-  return true;
-}
-
-bool ValidObject(JsonCursor* c) {
-  ++c->p;  // '{'
-  SkipWs(c);
-  if (c->p < c->end && *c->p == '}') {
-    ++c->p;
-    return true;
-  }
-  for (;;) {
-    SkipWs(c);
-    if (!ValidString(c)) return false;
-    SkipWs(c);
-    if (c->p >= c->end || *c->p != ':') return false;
-    ++c->p;
-    if (!ValidValue(c)) return false;
-    SkipWs(c);
-    if (c->p >= c->end) return false;
-    if (*c->p == ',') {
-      ++c->p;
-      continue;
-    }
-    if (*c->p == '}') {
-      ++c->p;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool ValidArray(JsonCursor* c) {
-  ++c->p;  // '['
-  SkipWs(c);
-  if (c->p < c->end && *c->p == ']') {
-    ++c->p;
-    return true;
-  }
-  for (;;) {
-    if (!ValidValue(c)) return false;
-    SkipWs(c);
-    if (c->p >= c->end) return false;
-    if (*c->p == ',') {
-      ++c->p;
-      continue;
-    }
-    if (*c->p == ']') {
-      ++c->p;
-      return true;
-    }
-    return false;
-  }
-}
-
-bool ValidValue(JsonCursor* c) {
-  SkipWs(c);
-  if (c->p >= c->end) return false;
-  switch (*c->p) {
-    case '{':
-      return ValidObject(c);
-    case '[':
-      return ValidArray(c);
-    case '"':
-      return ValidString(c);
-    case 't':
-      return ValidLiteral(c, "true");
-    case 'f':
-      return ValidLiteral(c, "false");
-    case 'n':
-      return ValidLiteral(c, "null");
-    default:
-      return ValidNumber(c);
-  }
-}
-
-}  // namespace
-
-bool ValidJsonDocument(const std::string& s) {
-  JsonCursor c{s.data(), s.data() + s.size()};
-  if (!ValidValue(&c)) return false;
-  SkipWs(&c);
-  return c.p == c.end;
 }
 
 }  // namespace pathfinder::bench

@@ -35,10 +35,6 @@ size_t XMarkXmlBytes(double sf);
 std::string FmtMs(double ms);
 std::string FmtFactor(double f);
 
-/// Minimal recursive-descent JSON well-formedness check (no DOM) — the
-/// smoke gate every BENCH_*.json emitter runs on its own output.
-bool ValidJsonDocument(const std::string& s);
-
 }  // namespace pathfinder::bench
 
 #endif  // PATHFINDER_BENCH_BENCH_UTIL_H_

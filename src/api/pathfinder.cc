@@ -340,8 +340,8 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
       opts.profile < 0 ? engine::ProfileDefault() : opts.profile != 0;
   res.ctx->SetNumThreads(opts.num_threads);
   {
-    // Kernel tuning: -1 keeps the env-derived process default per
-    // field; overrides are clamped once here so the kernels and the
+    // Kernel tuning: -1 keeps the process default per field;
+    // overrides are clamped once here so the kernels and the
     // fused-fragment morsel sizing see consistent values. All three
     // are result-neutral (and execution-only: they are deliberately
     // NOT part of the plan-cache key).

@@ -93,9 +93,8 @@ struct QueryOptions {
   /// Partitioned-kernel tuning. All three are RESULT-NEUTRAL speed
   /// knobs: partition counts and morsel grains only shift work between
   /// chunks whose merges are order-exact, so result bytes never depend
-  /// on them. -1 = the process default (PF_RADIX_BITS /
-  /// PF_MORSEL_ROWS / PF_SORT_CHUNK_ROWS env vars, see
-  /// bat::KernelTuning).
+  /// on them. -1 = the process default (bat::KernelTuning's member
+  /// defaults).
   /// log2 of the radix-join / group-agg partition count, clamped to
   /// [1, 12].
   int radix_bits = -1;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "bat/item_ops.h"
@@ -38,20 +36,6 @@ inline size_t PartitionOf(uint64_t key_hash) {
   return static_cast<size_t>(key_hash >> 59);  // top log2(32) bits
 }
 
-// Wall-clock for the optional KernelPhases accounting. The kernels
-// only call this when a phases pointer was passed.
-inline int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  return std::strtoll(s, nullptr, 10);
-}
-
 }  // namespace
 
 KernelTuning KernelTuning::Clamped() const {
@@ -61,21 +45,6 @@ KernelTuning KernelTuning::Clamped() const {
       std::clamp<uint32_t>(kt.morsel_rows, 64, uint32_t{1} << 20);
   kt.sort_chunk_rows =
       std::clamp<uint32_t>(kt.sort_chunk_rows, 256, uint32_t{1} << 22);
-  return kt;
-}
-
-const KernelTuning& KernelTuning::Default() {
-  static const KernelTuning kt = [] {
-    KernelTuning t;
-    t.radix_bits =
-        static_cast<int>(EnvInt64("PF_RADIX_BITS", t.radix_bits));
-    t.morsel_rows = static_cast<uint32_t>(std::clamp<int64_t>(
-        EnvInt64("PF_MORSEL_ROWS", t.morsel_rows), 1, int64_t{1} << 30));
-    t.sort_chunk_rows = static_cast<uint32_t>(std::clamp<int64_t>(
-        EnvInt64("PF_SORT_CHUNK_ROWS", t.sort_chunk_rows), 1,
-        int64_t{1} << 30));
-    return t.Clamped();
-  }();
   return kt;
 }
 
@@ -475,7 +444,7 @@ constexpr uint32_t kChainEnd = 0xffffffffu;
 template <typename Key, typename Hash, typename LKeyFn, typename RKeyFn>
 void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
                    const RKeyFn& rkey, JoinPairChunks* out, ThreadPool* tp,
-                   const KernelTuning& kt, KernelPhases* phases) {
+                   const KernelTuning& kt) {
   Hash hasher;
   const size_t morsel = kt.morsel_rows;
   if (nl < morsel && nr < morsel) {
@@ -502,7 +471,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
   }
   const int bits = kt.radix_bits;
   const size_t nparts = size_t{1} << bits;
-  int64_t t0 = phases != nullptr ? NowNs() : 0;
 
   // Partition phase. The remixed hash is computed once per build row:
   // the top `bits` select the partition, bits 32..63 (disjoint from
@@ -542,11 +510,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
       part_rows[cur[pid[j]]++] = static_cast<RowIdx>(j);
     }
   });
-  if (phases != nullptr) {
-    int64_t t1 = NowNs();
-    phases->partition_ns += t1 - t0;
-    t0 = t1;
-  }
 
   // Build phase: per-partition private tables, flat arrays only.
   struct PartTable {
@@ -586,11 +549,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
       }
     }
   });
-  if (phases != nullptr) {
-    int64_t t1 = NowNs();
-    phases->build_ns += t1 - t0;
-    t0 = t1;
-  }
 
   // Probe phase.
   size_t pchunks = ThreadPool::NumChunks(nl, morsel);
@@ -622,7 +580,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
     }
   });
   for (const IdxVec& lv : out->li) out->total += lv.size();
-  if (phases != nullptr) phases->probe_ns += NowNs() - t0;
 }
 
 // Exclusive prefix offsets of a chunked pair list.
@@ -657,8 +614,7 @@ void FlattenPairs(JoinPairChunks&& pc, IdxVec* li, IdxVec* ri,
 
 Status HashJoinPairsChunked(const Column& l, const Column& r,
                             const StringPool& pool, JoinPairChunks* out,
-                            ThreadPool* tp, const KernelTuning& kt,
-                            KernelPhases* phases) {
+                            ThreadPool* tp, const KernelTuning& kt) {
   if (l.type() != r.type()) {
     return Status::Internal("hash join key type mismatch");
   }
@@ -670,7 +626,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
       const auto& rv = r.ints();
       HashJoinTyped<int64_t, std::hash<int64_t>>(
           lv.size(), rv.size(), [&](size_t i) { return lv[i]; },
-          [&](size_t j) { return rv[j]; }, out, tp, ktc, phases);
+          [&](size_t j) { return rv[j]; }, out, tp, ktc);
       return Status::OK();
     }
     case ColType::kStr: {
@@ -678,7 +634,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
       const auto& rv = r.strs();
       HashJoinTyped<StrId, std::hash<StrId>>(
           lv.size(), rv.size(), [&](size_t i) { return lv[i]; },
-          [&](size_t j) { return rv[j]; }, out, tp, ktc, phases);
+          [&](size_t j) { return rv[j]; }, out, tp, ktc);
       return Status::OK();
     }
     case ColType::kItem: {
@@ -703,7 +659,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
                   });
       HashJoinTyped<Item, ItemHash>(
           lc.size(), rc.size(), [&](size_t i) { return lc[i]; },
-          [&](size_t j) { return rc[j]; }, out, tp, ktc, phases);
+          [&](size_t j) { return rc[j]; }, out, tp, ktc);
       return Status::OK();
     }
     default:
@@ -713,12 +669,11 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
 
 Status HashJoinIndices(const Column& l, const Column& r,
                        const StringPool& pool, IdxVec* li, IdxVec* ri,
-                       ThreadPool* tp, const KernelTuning& kt,
-                       KernelPhases* phases) {
+                       ThreadPool* tp, const KernelTuning& kt) {
   li->clear();
   ri->clear();
   JoinPairChunks pc;
-  PF_RETURN_NOT_OK(HashJoinPairsChunked(l, r, pool, &pc, tp, kt, phases));
+  PF_RETURN_NOT_OK(HashJoinPairsChunked(l, r, pool, &pc, tp, kt));
   FlattenPairs(std::move(pc), li, ri, tp);
   return Status::OK();
 }
@@ -983,7 +938,7 @@ size_t MergeSplit(const RowIdx* a, size_t na, const RowIdx* b, size_t nb,
 Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc, ThreadPool* tp,
-                        const KernelTuning& kt, KernelPhases* phases) {
+                        const KernelTuning& kt) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
   const size_t run = kt.Clamped().sort_chunk_rows;
   IdxVec perm(t.rows());
@@ -1025,7 +980,6 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
   }
   // Parallel merge sort. Phase 1: stable-sort fixed-size runs
   // concurrently.
-  int64_t t0 = phases != nullptr ? NowNs() : 0;
   PF_RETURN_NOT_OK(ParallelForStatus(
       tp, n, run, [&](size_t, size_t lo, size_t hi) -> Status {
         Status st = Status::OK();
@@ -1041,11 +995,6 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                          });
         return st;
       }));
-  if (phases != nullptr) {
-    int64_t t1 = NowNs();
-    phases->partition_ns += t1 - t0;
-    t0 = t1;
-  }
   // Phase 2: merge adjacent runs level by level, but split every
   // pairwise merge into independent output segments of `run` rows via
   // merge-path binary search — the top levels (including the final
@@ -1102,7 +1051,6 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
     std::swap(src, dst);
   }
   if (src != &perm) perm = std::move(*src);
-  if (phases != nullptr) phases->merge_ns += NowNs() - t0;
   return perm;
 }
 
@@ -1350,7 +1298,7 @@ Result<Table> UnionAll(const Table& a, const Table& b) {
 Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
                        AggKind kind, const StringPool& pool, ColId out_group,
                        ColId out_val, ThreadPool* tp,
-                       const KernelTuning& kt, KernelPhases* phases) {
+                       const KernelTuning& kt) {
   PF_ASSIGN_OR_RETURN(ColumnPtr gcol, t.GetCol(group_col));
   if (gcol->type() != ColType::kInt) {
     return Status::Internal("group column must be int");
@@ -1436,7 +1384,6 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
     };
     size_t chunks = ThreadPool::NumChunks(n, kMorselRows);
     std::vector<Partial> parts(chunks);
-    int64_t t0 = phases != nullptr ? NowNs() : 0;
     PF_RETURN_NOT_OK(ParallelForStatus(
         tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) -> Status {
           Partial& p = parts[c];
@@ -1447,11 +1394,6 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
           }
           return Status::OK();
         }));
-    if (phases != nullptr) {
-      int64_t t1 = NowNs();
-      phases->partition_ns += t1 - t0;
-      t0 = t1;
-    }
     // Partitioned combine: groups are radix-partitioned across
     // 2^radix_bits private merge maps, so no shared map is built.
     // Each chunk's group list is bucketed by partition first (storing
@@ -1539,7 +1481,6 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
     // output map never collides.
     accs.reserve(ngroups * 2);
     for (auto& m : pmerged) accs.merge(m);
-    if (phases != nullptr) phases->merge_ns += NowNs() - t0;
   }
 
   auto out_g = Column::MakeInt(group_order.size());

@@ -17,9 +17,8 @@ using IdxVec = std::vector<RowIdx>;
 /// Comparison operators used by selections and theta joins.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// Tuning for the partitioned parallel kernels. The process default is
-/// read from the environment once (PF_RADIX_BITS, PF_MORSEL_ROWS,
-/// PF_SORT_CHUNK_ROWS); QueryOptions can override per query. Every
+/// Tuning for the partitioned parallel kernels. The member defaults are
+/// the process default; QueryOptions can override per query. Every
 /// setting is RESULT-NEUTRAL: the radix join emits the exact serial
 /// pair order at any partition count, the merge sort reproduces
 /// std::stable_sort at any run length, and GroupAgg's floating-point
@@ -38,26 +37,6 @@ struct KernelTuning {
 
   /// Clamped copy of *this (what the kernels actually use).
   KernelTuning Clamped() const;
-
-  /// Env-derived process default (PF_RADIX_BITS, PF_MORSEL_ROWS,
-  /// PF_SORT_CHUNK_ROWS), computed once.
-  static const KernelTuning& Default();
-};
-
-/// Per-phase wall times of one partitioned-kernel invocation, filled
-/// only when a caller passes a non-null pointer (the hot path performs
-/// no timer calls otherwise). Which slots a kernel fills:
-///   hash join:  partition_ns (radix scatter), build_ns (per-partition
-///               tables), probe_ns (probe + pair emission)
-///   sort:       partition_ns (parallel run sorts), merge_ns
-///               (merge-path levels)
-///   group agg:  partition_ns (morsel partials), merge_ns
-///               (partitioned combine + ordered rebuild)
-struct KernelPhases {
-  int64_t partition_ns = 0;
-  int64_t build_ns = 0;
-  int64_t probe_ns = 0;
-  int64_t merge_ns = 0;
 };
 
 // Every bulk operator takes an optional ThreadPool. nullptr (the
@@ -68,7 +47,7 @@ struct KernelPhases {
 
 /// Indices of rows whose BOOL predicate cell is true, in row order.
 IdxVec FilterIndices(const Column& pred, ThreadPool* tp = nullptr,
-                     const KernelTuning& kt = KernelTuning::Default());
+                     const KernelTuning& kt = KernelTuning());
 
 /// Positional fetch: result[i] = c[idx[i]]  (MonetDB leftfetchjoin).
 ColumnPtr Gather(const Column& c, const IdxVec& idx,
@@ -85,7 +64,7 @@ Table GatherTable(const Table& t, const IdxVec& idx,
 /// fragments.
 Table FilterGather(const Table& t, const Column& pred,
                    ThreadPool* tp = nullptr,
-                   const KernelTuning& kt = KernelTuning::Default());
+                   const KernelTuning& kt = KernelTuning());
 
 /// Matching join row pairs grouped by probe-side chunk, in chunk order:
 /// concatenating (li[c], ri[c]) over all c yields exactly the pair list
@@ -102,8 +81,7 @@ struct JoinPairChunks {
 Status HashJoinPairsChunked(const Column& l, const Column& r,
                             const StringPool& pool, JoinPairChunks* out,
                             ThreadPool* tp = nullptr,
-                            const KernelTuning& kt = KernelTuning::Default(),
-                            KernelPhases* phases = nullptr);
+                            const KernelTuning& kt = KernelTuning());
 
 /// Chunked-pair form of ThetaJoinIndices.
 Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
@@ -116,7 +94,7 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
 Status HashJoinGather(const Table& l, const Table& r, const Column& lk,
                       const Column& rk, const StringPool& pool, Table* out,
                       ThreadPool* tp = nullptr,
-                      const KernelTuning& kt = KernelTuning::Default());
+                      const KernelTuning& kt = KernelTuning());
 
 /// Fused probe+gather theta join (see ThetaJoinIndices for semantics).
 Status ThetaJoinGather(const Table& l, const Table& r, const Column& lk,
@@ -140,8 +118,7 @@ Status ThetaJoinGather(const Table& l, const Table& r, const Column& lk,
 Status HashJoinIndices(const Column& l, const Column& r,
                        const StringPool& pool, IdxVec* li, IdxVec* ri,
                        ThreadPool* tp = nullptr,
-                       const KernelTuning& kt = KernelTuning::Default(),
-                       KernelPhases* phases = nullptr);
+                       const KernelTuning& kt = KernelTuning());
 
 /// Theta join on a comparison predicate with numeric promotion
 /// (used for the paper's Q11/Q12-style `>` joins whose output is
@@ -163,8 +140,7 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc = {},
                         ThreadPool* tp = nullptr,
-                        const KernelTuning& kt = KernelTuning::Default(),
-                        KernelPhases* phases = nullptr);
+                        const KernelTuning& kt = KernelTuning());
 
 /// First-occurrence row indices per distinct key tuple, in row order.
 /// Empty `keys` means all columns. Parallel evaluation hash-partitions
@@ -181,7 +157,7 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
                        const StringPool& pool,
                        const std::vector<uint8_t>& order_desc = {},
                        ThreadPool* tp = nullptr,
-                       const KernelTuning& kt = KernelTuning::Default());
+                       const KernelTuning& kt = KernelTuning());
 
 /// Rows of `a` whose key tuple does not appear in `b` (paper's \).
 /// An empty `b` short-circuits to the identity index vector. Parallel
@@ -215,8 +191,7 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
                        AggKind kind, const StringPool& pool, ColId out_group,
                        ColId out_val,
                        ThreadPool* tp = nullptr,
-                       const KernelTuning& kt = KernelTuning::Default(),
-                       KernelPhases* phases = nullptr);
+                       const KernelTuning& kt = KernelTuning());
 
 }  // namespace pathfinder::bat
 

@@ -170,9 +170,9 @@ class QueryContext {
   /// length) used for every kernel call and for sizing fused pipeline
   /// morsels. Every setting is result-neutral — it shifts work between
   /// partitions/chunks whose merges are order-exact — so overriding it
-  /// per query can never change result bytes. Defaults to the
-  /// env-derived process default; stored pre-clamped.
-  bat::KernelTuning tuning = bat::KernelTuning::Default();
+  /// per query can never change result bytes. Defaults to the process
+  /// default; stored pre-clamped.
+  bat::KernelTuning tuning;
 
   /// Ablation switch (bench E6): evaluate Step operators with per-node
   /// naive region selection instead of the staircase join.

@@ -18,11 +18,59 @@ std::string CanonicalFunName(const std::string& name) {
 
 /// Deepest nesting the parser accepts: the number of enclosing
 /// ParseExprSingle / signed ParseUnary / ParseDirectElemAt frames open
-/// when one of them is entered. Each recursion level costs a few stack
-/// frames, so an unbounded query (a few KB of '(') would overflow the
-/// stack; 1,000 levels stay far below the default 8 MiB stack, also
-/// in sanitizer builds.
+/// when one of them is entered. Each level costs a few stack frames (a
+/// parenthesized one six: ParseExprSingle, ParseBinary, ParsePath,
+/// ParseStepExpr, ParsePrimary, ParseExpr), so an unbounded query (a
+/// few KB of '(') would overflow the stack. With GCC 12, 1,000 levels
+/// of the deepest-framed shape take under 2 MiB in a Release build and
+/// 5.3 MiB in a Debug+TSan build, so they fit the default 8 MiB thread
+/// stack.
 constexpr int kMaxNestingDepth = 1000;
+
+/// Binary operator precedence, loosest first.
+enum Prec : uint8_t {
+  kOrPrec = 1,
+  kAndPrec,
+  kCmpPrec,
+  kAddPrec,
+  kMulPrec,
+  kUnionPrec,
+};
+
+struct BinOpEntry {
+  Tok tok;
+  std::string_view kw;  // the name's text, for Tok::kName operators
+  BinOp op;
+  uint8_t prec;
+};
+
+constexpr BinOpEntry kBinOps[] = {
+    {Tok::kName, "or", BinOp::kOr, kOrPrec},
+    {Tok::kName, "and", BinOp::kAnd, kAndPrec},
+    {Tok::kEq, {}, BinOp::kGenEq, kCmpPrec},
+    {Tok::kNe, {}, BinOp::kGenNe, kCmpPrec},
+    {Tok::kLt, {}, BinOp::kGenLt, kCmpPrec},
+    {Tok::kLe, {}, BinOp::kGenLe, kCmpPrec},
+    {Tok::kGt, {}, BinOp::kGenGt, kCmpPrec},
+    {Tok::kGe, {}, BinOp::kGenGe, kCmpPrec},
+    {Tok::kLtLt, {}, BinOp::kBefore, kCmpPrec},
+    {Tok::kGtGt, {}, BinOp::kAfter, kCmpPrec},
+    {Tok::kName, "eq", BinOp::kValEq, kCmpPrec},
+    {Tok::kName, "ne", BinOp::kValNe, kCmpPrec},
+    {Tok::kName, "lt", BinOp::kValLt, kCmpPrec},
+    {Tok::kName, "le", BinOp::kValLe, kCmpPrec},
+    {Tok::kName, "gt", BinOp::kValGt, kCmpPrec},
+    {Tok::kName, "ge", BinOp::kValGe, kCmpPrec},
+    {Tok::kName, "is", BinOp::kIs, kCmpPrec},
+    {Tok::kPlus, {}, BinOp::kAdd, kAddPrec},
+    {Tok::kMinus, {}, BinOp::kSub, kAddPrec},
+    {Tok::kStar, {}, BinOp::kMul, kMulPrec},
+    {Tok::kName, "div", BinOp::kDiv, kMulPrec},
+    {Tok::kName, "idiv", BinOp::kIdiv, kMulPrec},
+    {Tok::kName, "mod", BinOp::kMod, kMulPrec},
+    {Tok::kPipe, {}, BinOp::kUnion, kUnionPrec},
+    {Tok::kName, "union", BinOp::kUnion, kUnionPrec},
+};
 
 class Parser {
  public:
@@ -189,7 +237,7 @@ class Parser {
     if ((IsKw("some") || IsKw("every")) && NextIs(Tok::kDollar)) {
       return ParseQuantified(IsKw("some"));
     }
-    return ParseOr();
+    return ParseBinary(kOrPrec);
   }
 
   bool NextIs(Tok t) {
@@ -377,161 +425,75 @@ class Parser {
     return q;
   }
 
-  Result<ExprPtr> ParseBinOpChain(
-      Result<ExprPtr> (Parser::*next)(),
-      const std::vector<std::pair<std::string, BinOp>>& kws) {
-    PF_ASSIGN_OR_RETURN(ExprPtr lhs, (this->*next)());
+  /// The binary operator at the current token, or nullptr.
+  const BinOpEntry* CurBinOp() const {
+    const Token& t = lex_.Cur();
+    for (const BinOpEntry& e : kBinOps) {
+      if (e.tok == t.kind && (e.tok != Tok::kName || t.text == e.kw)) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+
+  bool IsSign() const { return Is(Tok::kMinus) || Is(Tok::kPlus); }
+
+  /// Binary operators by precedence climbing, as one loop: operands
+  /// whose operator still waits for its right-hand side stay on an
+  /// explicit stack of rising precedence, so an operand's nesting costs
+  /// no frame here. All operators associate to the left except
+  /// comparison, which does not associate: a second comparison ends the
+  /// expression and the caller rejects the stray operator. Union's
+  /// operands are paths, every other operand is a path or a signed
+  /// operand; `min_prec` = kUnionPrec parses just a union expression (a
+  /// sign's operand).
+  Result<ExprPtr> ParseBinary(uint8_t min_prec) {
+    struct Pending {
+      ExprPtr lhs;
+      const BinOpEntry* op;
+    };
+    Pending stack[kUnionPrec];
+    size_t n = 0;
+    bool comparing = false;  // a comparison waits on the stack
+    ExprPtr rhs;
+    PF_ASSIGN_OR_RETURN(
+        rhs, min_prec < kUnionPrec && IsSign() ? ParseUnary() : ParsePath());
     for (;;) {
-      bool matched = false;
-      for (const auto& [kw, op] : kws) {
-        if (IsKw(kw)) {
-          PF_RETURN_NOT_OK(lex_.Advance());
-          PF_ASSIGN_OR_RETURN(ExprPtr rhs, (this->*next)());
-          ExprPtr e = New(ExprKind::kBinOp, {lhs, rhs});
-          e->op = op;
-          lhs = e;
-          matched = true;
-          break;
-        }
+      const BinOpEntry* op = CurBinOp();
+      if (op != nullptr &&
+          (op->prec < min_prec || (op->prec == kCmpPrec && comparing))) {
+        op = nullptr;
       }
-      if (!matched) return lhs;
-    }
-  }
-
-  Result<ExprPtr> ParseOr() {
-    return ParseBinOpChain(&Parser::ParseAnd, {{"or", BinOp::kOr}});
-  }
-
-  Result<ExprPtr> ParseAnd() {
-    return ParseBinOpChain(&Parser::ParseComparison,
-                           {{"and", BinOp::kAnd}});
-  }
-
-  Result<ExprPtr> ParseComparison() {
-    PF_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
-    BinOp op;
-    bool found = true;
-    switch (lex_.Cur().kind) {
-      case Tok::kEq:
-        op = BinOp::kGenEq;
-        break;
-      case Tok::kNe:
-        op = BinOp::kGenNe;
-        break;
-      case Tok::kLt:
-        op = BinOp::kGenLt;
-        break;
-      case Tok::kLe:
-        op = BinOp::kGenLe;
-        break;
-      case Tok::kGt:
-        op = BinOp::kGenGt;
-        break;
-      case Tok::kGe:
-        op = BinOp::kGenGe;
-        break;
-      case Tok::kLtLt:
-        op = BinOp::kBefore;
-        break;
-      case Tok::kGtGt:
-        op = BinOp::kAfter;
-        break;
-      case Tok::kName: {
-        const std::string& t = lex_.Cur().text;
-        if (t == "eq") {
-          op = BinOp::kValEq;
-        } else if (t == "ne") {
-          op = BinOp::kValNe;
-        } else if (t == "lt") {
-          op = BinOp::kValLt;
-        } else if (t == "le") {
-          op = BinOp::kValLe;
-        } else if (t == "gt") {
-          op = BinOp::kValGt;
-        } else if (t == "ge") {
-          op = BinOp::kValGe;
-        } else if (t == "is") {
-          op = BinOp::kIs;
-        } else {
-          found = false;
-          op = BinOp::kOr;
-        }
-        break;
+      const uint8_t prec = op != nullptr ? op->prec : 0;
+      while (n > 0 && stack[n - 1].op->prec >= prec) {
+        Pending& p = stack[--n];
+        if (p.op->prec == kCmpPrec) comparing = false;
+        ExprPtr e = New(ExprKind::kBinOp, {std::move(p.lhs), rhs});
+        e->op = p.op->op;
+        rhs = std::move(e);
       }
-      default:
-        found = false;
-        op = BinOp::kOr;
-        break;
-    }
-    if (!found) return lhs;
-    PF_RETURN_NOT_OK(lex_.Advance());
-    PF_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-    ExprPtr e = New(ExprKind::kBinOp, {lhs, rhs});
-    e->op = op;
-    return e;
-  }
-
-  Result<ExprPtr> ParseAdditive() {
-    PF_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
-    while (Is(Tok::kPlus) || Is(Tok::kMinus)) {
-      BinOp op = Is(Tok::kPlus) ? BinOp::kAdd : BinOp::kSub;
+      if (op == nullptr) return rhs;
+      if (prec == kCmpPrec) comparing = true;
+      stack[n++] = {std::move(rhs), op};
       PF_RETURN_NOT_OK(lex_.Advance());
-      PF_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      ExprPtr e = New(ExprKind::kBinOp, {lhs, rhs});
-      e->op = op;
-      lhs = e;
-    }
-    return lhs;
-  }
-
-  Result<ExprPtr> ParseMultiplicative() {
-    PF_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
-    for (;;) {
-      BinOp op;
-      if (Is(Tok::kStar)) {
-        op = BinOp::kMul;
-      } else if (IsKw("div")) {
-        op = BinOp::kDiv;
-      } else if (IsKw("idiv")) {
-        op = BinOp::kIdiv;
-      } else if (IsKw("mod")) {
-        op = BinOp::kMod;
-      } else {
-        return lhs;
-      }
-      PF_RETURN_NOT_OK(lex_.Advance());
-      PF_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      ExprPtr e = New(ExprKind::kBinOp, {lhs, rhs});
-      e->op = op;
-      lhs = e;
+      PF_ASSIGN_OR_RETURN(
+          rhs, prec < kUnionPrec && IsSign() ? ParseUnary() : ParsePath());
     }
   }
 
+  /// A signed operand; the current token is '-' or '+'. Each sign is
+  /// one guarded level (a plain path is one level of the enclosing
+  /// ParseExprSingle). The operand after the signs is a union
+  /// expression: -a|b is -(a|b).
   Result<ExprPtr> ParseUnary() {
-    // Only a sign nests: the plain path to ParseUnionExpr is one level
-    // of the enclosing ParseExprSingle.
-    if (!Is(Tok::kMinus) && !Is(Tok::kPlus)) return ParseUnionExpr();
     DepthGuard guard(&depth_);
     if (!guard.ok()) return TooDeep();
-    if (Is(Tok::kPlus)) {
-      PF_RETURN_NOT_OK(lex_.Advance());
-      return ParseUnary();
-    }
-    PF_RETURN_NOT_OK(lex_.Advance());  // '-'
-    PF_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    const bool minus = Is(Tok::kMinus);
+    PF_RETURN_NOT_OK(lex_.Advance());
+    PF_ASSIGN_OR_RETURN(ExprPtr operand,
+                        IsSign() ? ParseUnary() : ParseBinary(kUnionPrec));
+    if (!minus) return operand;
     return New(ExprKind::kUnaryMinus, {operand});
-  }
-
-  Result<ExprPtr> ParseUnionExpr() {
-    PF_ASSIGN_OR_RETURN(ExprPtr lhs, ParsePath());
-    while (Is(Tok::kPipe) || IsKw("union")) {
-      PF_RETURN_NOT_OK(lex_.Advance());
-      PF_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePath());
-      ExprPtr e = New(ExprKind::kBinOp, {lhs, rhs});
-      e->op = BinOp::kUnion;
-      lhs = e;
-    }
-    return lhs;
   }
 
   // --- paths -----------------------------------------------------------
@@ -728,7 +690,44 @@ class Parser {
 
   // --- primaries -------------------------------------------------------
 
+  /// The primaries that nest: parentheses, constructors and function
+  /// calls. Everything else is ParseAtom's, whose locals therefore stay
+  /// off the stack of a deeply nested query.
   Result<ExprPtr> ParsePrimary() {
+    switch (lex_.Cur().kind) {
+      case Tok::kLParen: {
+        PF_RETURN_NOT_OK(lex_.Advance());
+        if (Is(Tok::kRParen)) {
+          PF_RETURN_NOT_OK(lex_.Advance());
+          return New(ExprKind::kEmpty);
+        }
+        PF_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+        PF_RETURN_NOT_OK(Expect(Tok::kRParen, "')'"));
+        return e;
+      }
+      case Tok::kDirectElemStart:
+        return ParseDirectElem();
+      case Tok::kName: {
+        const std::string& name = lex_.Cur().text;
+        // Computed constructors.
+        if (name == "element" &&
+            (NextIs(Tok::kLBrace) || NextIs(Tok::kName))) {
+          return ParseComputedElem();
+        }
+        if (name == "text" && NextIs(Tok::kLBrace)) {
+          return ParseComputedText();
+        }
+        if (NextIs(Tok::kLParen)) return ParseFunctionCall();
+        break;
+      }
+      default:
+        break;
+    }
+    return ParseAtom();
+  }
+
+  /// Literals, variables and '.'; any other token is an error here.
+  Result<ExprPtr> ParseAtom() {
     switch (lex_.Cur().kind) {
       case Tok::kInt: {
         ExprPtr e = New(ExprKind::kIntLit);
@@ -753,41 +752,12 @@ class Parser {
         PF_ASSIGN_OR_RETURN(e->sval, ParseVarName());
         return e;
       }
-      case Tok::kLParen: {
-        PF_RETURN_NOT_OK(lex_.Advance());
-        if (Is(Tok::kRParen)) {
-          PF_RETURN_NOT_OK(lex_.Advance());
-          return New(ExprKind::kEmpty);
-        }
-        PF_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-        PF_RETURN_NOT_OK(Expect(Tok::kRParen, "')'"));
-        return e;
-      }
       case Tok::kDot: {
         PF_RETURN_NOT_OK(lex_.Advance());
         return New(ExprKind::kContextItem);
       }
-      case Tok::kDirectElemStart:
-        return ParseDirectElem();
-      case Tok::kName: {
-        const std::string& name = lex_.Cur().text;
-        // Computed constructors.
-        if (name == "element") {
-          auto nt = PeekNext();
-          if (nt.ok() && (nt->kind == Tok::kLBrace ||
-                          nt->kind == Tok::kName)) {
-            return ParseComputedElem();
-          }
-        }
-        if (name == "text") {
-          auto nt = PeekNext();
-          if (nt.ok() && nt->kind == Tok::kLBrace) {
-            return ParseComputedText();
-          }
-        }
-        if (NextIs(Tok::kLParen)) return ParseFunctionCall();
-        return lex_.Error("unexpected name '" + name + "'");
-      }
+      case Tok::kName:
+        return lex_.Error("unexpected name '" + lex_.Cur().text + "'");
       default:
         return lex_.Error("unexpected token '" +
                           std::string(TokName(lex_.Cur().kind)) + "'");

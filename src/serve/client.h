@@ -10,9 +10,9 @@
 namespace pathfinder::serve {
 
 /// Minimal blocking client for the pf_serve line protocol, used by the
-/// serve tests and bench_serve. Reads are poll()-timed so a server bug
-/// (or an injected fault) fails a test with a Timeout status instead of
-/// hanging it.
+/// serve tests and perfbench's serve-read workload. Reads are
+/// poll()-timed so a server bug (or an injected fault) fails a test
+/// with a Timeout status instead of hanging it.
 class Client {
  public:
   Client() = default;

@@ -1,10 +1,7 @@
 #include "xml/update.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "xml/parser.h"
@@ -14,8 +11,6 @@
 namespace pathfinder::xml {
 
 namespace {
-
-std::atomic<int> g_updates_override{-1};
 
 /// Find the child path of `parent` with the given label; -1 if absent.
 int32_t FindChildPath(const std::vector<PathNode>& nodes, int32_t parent,
@@ -44,20 +39,6 @@ int32_t FindOrAddChildPath(std::vector<PathNode>* nodes, int32_t parent,
 }
 
 }  // namespace
-
-bool UpdatesEnabled() {
-  int o = g_updates_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  static const bool kOn = [] {
-    const char* e = std::getenv("PF_UPDATES");
-    return e == nullptr || *e == '\0' || std::string_view(e) != "0";
-  }();
-  return kOn;
-}
-
-void SetUpdatesEnabledForTest(int enabled) {
-  g_updates_override.store(enabled, std::memory_order_relaxed);
-}
 
 /// All splice internals; friend of Document and PathSummary.
 class DocumentSplicer {
@@ -451,10 +432,6 @@ Result<SplicedDoc> ApplyNodeUpdate(const Document& base, StringPool* pool,
 
 Result<UpdateResult> ApplyUpdate(Database* db, const std::string& name,
                                  const NodeUpdate& u) {
-  if (!UpdatesEnabled()) {
-    return Status::NotSupported(
-        "document updates are disabled (PF_UPDATES=0)");
-  }
   // Updaters serialize on the store's update lock for the whole
   // read-splice-publish cycle, so two concurrent updates never splice
   // off the same base snapshot (one would silently undo the other).

@@ -97,18 +97,8 @@ struct UpdateResult {
 /// and content versions, a content-only update bumps just the content
 /// version — the query cache repairs (instead of evicts) value-free
 /// entries across content-only bumps (see engine::QueryCache).
-///
-/// Fails with NotSupported when updates are disabled (PF_UPDATES=0).
 Result<UpdateResult> ApplyUpdate(Database* db, const std::string& name,
                                  const NodeUpdate& u);
-
-/// Process default for the update path: PF_UPDATES env var, on unless
-/// set to "0" (read once).
-bool UpdatesEnabled();
-
-/// Test seam overriding UpdatesEnabled(): 0 = disabled, 1 = enabled,
-/// -1 = back to the process default.
-void SetUpdatesEnabledForTest(int enabled);
 
 }  // namespace pathfinder::xml
 

@@ -505,13 +505,7 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
 // across rounds so its plan and subplan caches live through every
 // mutation — a stale entry surviving an epoch bump, or a bad repair of
 // a value-free entry, shows up as a serialization diff.
-class UpdateChurnTest : public ::testing::TestWithParam<uint64_t> {
- protected:
-  // Pin the update path on through the test seam, so the suite holds
-  // under an ambient PF_UPDATES=0 CI lane too.
-  void SetUp() override { xml::SetUpdatesEnabledForTest(1); }
-  void TearDown() override { xml::SetUpdatesEnabledForTest(-1); }
-};
+class UpdateChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(UpdateChurnTest, EnginesAgreeAcrossChurn) {
   xml::Database db;  // private: churn must not leak into other tests

@@ -217,25 +217,6 @@ TEST_F(PartitionedKernelsTest, RadixJoinStrAndItemKeys) {
   ExpectJoinMatchesSerial(*li, *ri);
 }
 
-TEST_F(PartitionedKernelsTest, JoinPhaseTimingsFill) {
-  ColumnPtr l = RandInts(60000, 0, 3000, 51);
-  ColumnPtr r = RandInts(40000, 0, 3000, 52);
-  KernelPhases ph;
-  IdxVec li, ri;
-  ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &li, &ri, &pool2_,
-                              KernelTuning::Default(), &ph)
-                  .ok());
-  EXPECT_GT(ph.partition_ns + ph.build_ns + ph.probe_ns, 0);
-  EXPECT_GE(ph.partition_ns, 0);
-  EXPECT_GE(ph.build_ns, 0);
-  EXPECT_GE(ph.probe_ns, 0);
-  // Passing a phases sink must not change the result.
-  IdxVec li2, ri2;
-  ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &li2, &ri2, &pool2_).ok());
-  EXPECT_EQ(li, li2);
-  EXPECT_EQ(ri, ri2);
-}
-
 TEST_F(PartitionedKernelsTest, MergeSortMatchesSerialStableSort) {
   // Few distinct keys => long tie runs; the merge-path splits must
   // take ties from the lower run exactly like std::merge, or the
@@ -275,11 +256,9 @@ TEST_F(PartitionedKernelsTest, MergeSortSkewAndPhases) {
   ASSERT_TRUE(serial.ok());
   KernelTuning kt;
   kt.sort_chunk_rows = 256;  // many merge levels
-  KernelPhases ph;
-  auto par = SortPerm(t, InternCols({"k"}), pool_, {}, &pool4_, kt, &ph);
+  auto par = SortPerm(t, InternCols({"k"}), pool_, {}, &pool4_, kt);
   ASSERT_TRUE(par.ok());
   EXPECT_EQ(*par, *serial);
-  EXPECT_GT(ph.partition_ns + ph.merge_ns, 0);
 }
 
 TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
@@ -330,15 +309,13 @@ TEST_F(PartitionedKernelsTest, GroupAggSingleGroupAndPhases) {
                          C("s"), nullptr);
   ASSERT_TRUE(serial.ok());
   ASSERT_EQ(serial->col(0)->ints().size(), 1u);
-  KernelPhases ph;
   for (ThreadPool* tp : Pools()) {
     auto par = GroupAgg(t, C("g"), C("v"), AggKind::kSum, pool_, C("g"),
-                        C("s"), tp, KernelTuning::Default(), &ph);
+                        C("s"), tp);
     ASSERT_TRUE(par.ok());
     EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
     EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
   }
-  EXPECT_GT(ph.partition_ns + ph.merge_ns, 0);
 }
 
 TEST_F(PartitionedKernelsTest, FilterBranchFreeScatter) {

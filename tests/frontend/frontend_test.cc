@@ -111,6 +111,53 @@ TEST(ParserTest, OperatorPrecedence) {
   EXPECT_EQ(b->children[1]->op, BinOp::kAnd);
 }
 
+// Each query parses to the same tree as its fully parenthesized form
+// (parentheses add no node).
+TEST(ParserTest, PrecedenceAndAssociativity) {
+  const std::pair<const char*, const char*> cases[] = {
+      // Every level associates to the left.
+      {"1 - 2 - 3", "(1 - 2) - 3"},
+      {"8 div 4 idiv 2 mod 3 * 5", "(((8 div 4) idiv 2) mod 3) * 5"},
+      {"$a | $b union $c", "($a | $b) union $c"},
+      {"1 or 2 or 3", "(1 or 2) or 3"},
+      {"1 and 2 and 3", "(1 and 2) and 3"},
+      // One operator per level, loosest first.
+      {"1 or 2 and 3 = 4 + 5 * $a | $b",
+       "1 or (2 and (3 = (4 + (5 * ($a | $b)))))"},
+      {"$a | $b * 5 + 4 = 3 and 2 or 1",
+       "((((($a | $b) * 5) + 4) = 3) and 2) or 1"},
+      {"1 * 2 + 3 * 4", "(1 * 2) + (3 * 4)"},
+      {"1 + 2 eq 3 - 4", "(1 + 2) eq (3 - 4)"},
+      {"1 = 2 and 3 = 4", "(1 = 2) and (3 = 4)"},
+      {"1 + (2 + 3)", "1 + (2 + 3)"},
+      // A sign binds tighter than arithmetic, looser than union.
+      {"-$a | $b", "-($a | $b)"},
+      {"-$a * $b", "(-$a) * $b"},
+      {"1 - -1", "1 - (-1)"},
+      {"- -1", "-(-1)"},
+      {"+-1", "-1"},
+      {"-+1", "-1"},
+  };
+  for (const auto& [q, want] : cases) {
+    SCOPED_TRACE(q);
+    ExprPtr got = Parse(q);
+    ExprPtr ref = Parse(want);
+    ASSERT_TRUE(got != nullptr && ref != nullptr);
+    EXPECT_EQ(ExprToString(got), ExprToString(ref));
+  }
+}
+
+TEST(ParserTest, ComparisonDoesNotAssociate) {
+  for (const char* q : {"1 = 2 = 3", "1 < 2 < 3", "1 eq 2 ne 3",
+                        "$a is $b is $c", "$a << $b >> $c",
+                        "1 = 2 + 3 = 4"}) {
+    EXPECT_FALSE(ParseQuery(q).ok()) << q;
+  }
+  // A union's operands are paths: no sign after '|'.
+  EXPECT_FALSE(ParseQuery("$a | -$b").ok());
+  EXPECT_FALSE(ParseQuery("$a union +$b").ok());
+}
+
 TEST(ParserTest, ValueVsGeneralComparison) {
   EXPECT_EQ(Parse("1 eq 2")->op, BinOp::kValEq);
   EXPECT_EQ(Parse("1 = 2")->op, BinOp::kGenEq);

@@ -13,6 +13,7 @@
 //      regression that silently disables the pass fails here, not in
 //      the benchmarks.
 
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -134,6 +135,12 @@ const JoinCase kJoinCases[] = {
      "for $b in /site/closed_auctions/closed_auction "
      "where $a/buyer/@person = $b/seller/@person "
      "return <r>{$a/price/text()}</r>"},
+    {"ThreeWayValueJoinNumericOnItem",
+     "for $p in /site/people/person "
+     "for $a in /site/closed_auctions/closed_auction "
+     "for $i in /site/regions//item "
+     "where $a/buyer/@person = $p/@id and $a/itemref/@item = $i/@id "
+     "and $i/quantity > 1 return <r>{$p/name/text()}</r>"},
 };
 
 class JoinShapeTest : public ::testing::TestWithParam<JoinCase> {};
@@ -168,6 +175,21 @@ TEST(JoinOptFires, SelectPushdownOnLiteralFilter) {
   std::string out = RunConfig(kJoinCases[1].query, 1, 1, &st);
   ASSERT_EQ(out.find("<error"), std::string::npos) << out;
   EXPECT_GT(st.selects_pushed, 0);
+}
+
+TEST(JoinOptFires, ThreeWayJoinsRemoveDistinctAndPushSelect) {
+  // Whichever side the secondary comparison filters, it becomes a
+  // select pushed below the mapping join, and key inference removes a
+  // distinct.
+  for (const JoinCase* c :
+       {&kJoinCases[1], &kJoinCases[std::size(kJoinCases) - 1]}) {
+    SCOPED_TRACE(c->name);
+    opt::OptimizeStats st;
+    std::string out = RunConfig(c->query, 1, 1, &st);
+    ASSERT_EQ(out.find("<error"), std::string::npos) << out;
+    EXPECT_GE(st.key_distincts_removed, 1);
+    EXPECT_GE(st.selects_pushed, 1);
+  }
 }
 
 TEST(JoinOptFires, OffMeansAllCountersZero) {

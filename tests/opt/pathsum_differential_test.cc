@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "api/pathfinder.h"
+#include "baseline/interp.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
@@ -160,6 +161,113 @@ TEST(PathSumFires, PartitionPruningOnDescendantScan) {
       &res);
   ASSERT_EQ(out.find("<error"), std::string::npos) << out;
   EXPECT_GT(res.scj_stats.path_partitions_pruned, 0u);
+}
+
+// Per-query floors: structure, not scale, sets them. Q1-Q6 open with a
+// pure root-anchored chain of >= 2 steps that collapses to a path scan;
+// Q7's only chain is the single step /site (not collapsible), but its
+// three descendant scans prune to tag partitions.
+struct FloorCase {
+  const char* name;
+  const char* query;
+  int min_chains;         // opt_stats.structural_answers
+  size_t min_structural;  // scj_stats.structural_answers
+  size_t min_pruned;      // scj_stats.path_partitions_pruned
+};
+
+void PrintTo(const FloorCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<FloorCase> FloorCases() {
+  using xmark::GetXMarkQuery;
+  return {
+      {"Q1", GetXMarkQuery(1).text, 1, 1, 0},
+      {"Q2", GetXMarkQuery(2).text, 1, 1, 0},
+      {"Q3", GetXMarkQuery(3).text, 1, 1, 0},
+      {"Q4", GetXMarkQuery(4).text, 1, 1, 0},
+      {"Q5", GetXMarkQuery(5).text, 1, 1, 0},
+      {"Q6", GetXMarkQuery(6).text, 1, 1, 0},
+      {"Q7", GetXMarkQuery(7).text, 0, 0, 1},
+      // Pure chains: answered from partitions alone.
+      {"C1", "count(/site/regions/africa/item)", 1, 1, 0},
+      {"C2", "/site/open_auctions/open_auction/bidder/increase", 1, 1, 0},
+      // A chain plus a descendant scan from non-root contexts, which is
+      // not rewritable but prunes.
+      {"P1",
+       "for $a in /site/open_auctions/open_auction "
+       "return count($a//keyword)",
+       1, 1, 1},
+  };
+}
+
+class PathSumFloors : public ::testing::TestWithParam<FloorCase> {};
+
+TEST_P(PathSumFloors, CountersReachFloors) {
+  const FloorCase& c = GetParam();
+  ExpectAllConfigsIdentical(c.query);
+  QueryResult on;
+  ASSERT_EQ(RunConfig(c.query, 1, 1, &on).find("<error"), std::string::npos);
+  EXPECT_GE(on.opt_stats.structural_answers, c.min_chains);
+  EXPECT_GE(on.scj_stats.structural_answers, c.min_structural);
+  EXPECT_GE(on.scj_stats.path_partitions_pruned, c.min_pruned);
+  QueryResult off;
+  ASSERT_EQ(RunConfig(c.query, 0, 1, &off).find("<error"), std::string::npos);
+  EXPECT_EQ(off.opt_stats.structural_answers, 0);
+  EXPECT_EQ(off.scj_stats.structural_answers, 0u);
+  EXPECT_EQ(off.scj_stats.path_partitions_pruned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(PathSumFires, PathSumFloors,
+                         ::testing::ValuesIn(FloorCases()),
+                         [](const ::testing::TestParamInfo<FloorCase>& i) {
+                           return std::string(i.param.name);
+                         });
+
+// Three XMark instances under distinct names, one summary each: a
+// single plan crossing all three must consume every summary and stay
+// byte-identical to the summary-free plan and to the navigational
+// baseline.
+TEST(PathSumFires, ThreeDocumentCorpusUsesEverySummary) {
+  static xml::Database* db = [] {
+    auto* d = new xml::Database();
+    for (int i = 0; i < 3; ++i) {
+      auto doc = xmark::GenerateXMark(0.001, 100 + i, d->pool());
+      if (!doc.ok()) {
+        ADD_FAILURE() << doc.status().ToString();
+        return d;
+      }
+      d->AddDocument("corpus" + std::to_string(i) + ".xml",
+                     std::move(*doc));
+    }
+    return d;
+  }();
+  const std::string query =
+      "count(doc(\"corpus0.xml\")/site/regions/africa/item) + "
+      "count(doc(\"corpus1.xml\")/site/regions/asia/item) + "
+      "count(doc(\"corpus2.xml\")//keyword)";
+  auto bl = baseline::Baseline(db).Run(query);
+  ASSERT_TRUE(bl.ok()) << bl.status().ToString();
+  auto want = bl->Serialize();
+  ASSERT_TRUE(want.ok());
+  for (int on : {0, 1}) {
+    for (int threads : {1, 2, 7}) {
+      SCOPED_TRACE("path_summary=" + std::to_string(on) +
+                   " threads=" + std::to_string(threads));
+      Pathfinder pf(db);
+      QueryOptions o;
+      o.path_summary = on;
+      o.num_threads = threads;
+      o.plan_cache = 0;
+      o.subplan_cache = 0;
+      auto r = pf.Run(query, o);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      auto got = r->Serialize();
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *want);
+      if (on == 1) {
+        EXPECT_GE(r->opt_stats.structural_answers, 2);
+      }
+    }
+  }
 }
 
 TEST(PathSumFires, OffMeansAllCountersZero) {

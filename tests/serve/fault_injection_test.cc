@@ -20,7 +20,6 @@
 #include "serve/hooks.h"
 #include "serve/server.h"
 #include "xml/database.h"
-#include "xml/update.h"
 
 namespace pathfinder::serve {
 namespace {
@@ -427,16 +426,7 @@ TEST_F(FaultServerTest, GracefulShutdownDrainsInflightQueries) {
 // kDocXml pre ranks: 0=doc 1=<a> 2=<b> 3=@id 4=text ... 11=<c> 12=text;
 // 13 nodes, 5 elements.
 
-// Pins the update path on for a test's lifetime, so these suites hold
-// under an ambient PF_UPDATES=0 CI lane too (the kill-switch test
-// flips the same seam the other way).
-struct ForceUpdatesOn {
-  ForceUpdatesOn() { xml::SetUpdatesEnabledForTest(1); }
-  ~ForceUpdatesOn() { xml::SetUpdatesEnabledForTest(-1); }
-};
-
 TEST_F(FaultServerTest, UpdateVerbAppliesAndNewQueriesSeeIt) {
-  ForceUpdatesOn enabled;
   StartServer();
   Client c;
   ASSERT_TRUE(c.Connect(server_->port()).ok());
@@ -486,7 +476,6 @@ TEST_F(FaultServerTest, UpdateVerbAppliesAndNewQueriesSeeIt) {
 // before the step's checkpoint fired). An update racing past it must
 // neither block on the reader nor leak into its result.
 TEST_F(FaultServerTest, UpdateRacingQueryReadsItsOwnSnapshot) {
-  ForceUpdatesOn enabled;
   StartServer();
   std::mutex mu;
   std::condition_variable cv;
@@ -543,7 +532,6 @@ TEST_F(FaultServerTest, UpdateRacingQueryReadsItsOwnSnapshot) {
 }
 
 TEST_F(FaultServerTest, DisconnectCancelsQueuedUpdateBeforeItApplies) {
-  ForceUpdatesOn enabled;
   StartServer(/*max_inflight=*/1, /*queue_depth=*/8);
   Client blocker;
   ASSERT_TRUE(blocker.Connect(server_->port()).ok());
@@ -576,7 +564,6 @@ TEST_F(FaultServerTest, DisconnectCancelsQueuedUpdateBeforeItApplies) {
 }
 
 TEST_F(FaultServerTest, LostUpdateResponseStillPublishesTheSnapshot) {
-  ForceUpdatesOn enabled;
   StartServer();
   Client c;
   ASSERT_TRUE(c.Connect(server_->port()).ok());
@@ -600,15 +587,13 @@ TEST_F(FaultServerTest, LostUpdateResponseStillPublishesTheSnapshot) {
   ExpectServiceable();
 }
 
-TEST_F(FaultServerTest, UpdatesDisabledAnswerTypedInvalidQuery) {
-  ForceUpdatesOn enabled;  // restores the seam even on early exit
+TEST_F(FaultServerTest, UpdatePastDocumentEndAnswersTypedInvalidQuery) {
   StartServer();
   Client c;
   ASSERT_TRUE(c.Connect(server_->port()).ok());
-  xml::SetUpdatesEnabledForTest(0);
+  // The frame parses; the splice rejects the target (13 nodes).
   auto r = c.Call(Client::UpdateFrame("u1", "d.xml", "delete",
-                                      /*target=*/11));
-  xml::SetUpdatesEnabledForTest(1);
+                                      /*target=*/99));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->Find("ok")->AsBool());
   EXPECT_EQ(r->Find("error")->str, "invalid_query");
@@ -616,12 +601,13 @@ TEST_F(FaultServerTest, UpdatesDisabledAnswerTypedInvalidQuery) {
   EXPECT_EQ(st.updates, 1);
   EXPECT_EQ(st.updates_applied, 0);
   EXPECT_EQ(st.failed, 1);
-  // The very same frame succeeds once the kill switch lifts.
+  // Nothing was published, and a valid update still applies.
   auto ok2 = c.Call(Client::UpdateFrame("u2", "d.xml", "delete",
                                         /*target=*/11));
   ASSERT_TRUE(ok2.ok());
   EXPECT_TRUE(ok2->Find("ok")->AsBool());
   EXPECT_TRUE(ok2->Find("structural")->AsBool());
+  EXPECT_EQ(ok2->Find("nodes_before")->AsInt(), 13);
   ExpectServiceable();  // deleting <c> leaves count(//b) at 3
 }
 

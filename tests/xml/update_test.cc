@@ -577,21 +577,5 @@ TEST(UpdateTest, ApplyUpdateVersionBookkeeping) {
             StatusCode::kNotFound);
 }
 
-TEST(UpdateTest, UpdatesDisabledGate) {
-  Database db;
-  ASSERT_TRUE(db.LoadXml("d.xml", "<a>x</a>").ok());
-  NodeUpdate u;
-  u.kind = NodeUpdate::Kind::kReplaceValue;
-  u.target = 2;
-  u.value = "y";
-  SetUpdatesEnabledForTest(0);
-  auto r = ApplyUpdate(&db, "d.xml", u);
-  SetUpdatesEnabledForTest(-1);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotSupported);
-  // Default (no override, no env in tests): enabled.
-  EXPECT_TRUE(ApplyUpdate(&db, "d.xml", u).ok());
-}
-
 }  // namespace
 }  // namespace pathfinder::xml
