@@ -5,12 +5,12 @@
 // update runs twice:
 //
 //   * incremental — xml::ApplyUpdate splices the pre|size|level
-//     columns and repairs the shred-time stats and path summary in
-//     place (the engine's maintenance path);
+//     columns and repairs the path summary in place (the engine's
+//     maintenance path);
 //   * re-shred    — the post-update serialization is parsed and
 //     shredded from scratch into a fresh database (parse + encode +
-//     full stats + full path summary), the way a store without
-//     incremental maintenance would have to refresh the document.
+//     full path summary), the way a store without incremental
+//     maintenance would have to refresh the document.
 //
 // The re-shredded snapshot is the oracle: its serialization must be
 // byte-identical to the incremental snapshot's, and a panel of

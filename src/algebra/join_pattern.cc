@@ -132,7 +132,7 @@ KeyAnalysis InferKeys(const OpPtr& root, const StepUniqueness& step_unique) {
       }
     };
 
-    // Constructed-node taint: stats-backed step facts only apply to
+    // Constructed-node taint: path-summary step facts only apply to
     // nodes of registered store documents.
     bool store_only = true;
     switch (op->kind) {

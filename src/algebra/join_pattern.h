@@ -13,10 +13,10 @@ namespace pathfinder::algebra {
 
 /// Callback: does a staircase step with (axis, test) yield at most one
 /// result node per *context node*, for every document the plan could
-/// read? Supplied by the opt layer from shred-time DocStats (e.g.
-/// `child::profile` when no element in any registered document has two
-/// profile children; `attribute::income` when no owner carries the
-/// name twice). Null = unknown, conservative.
+/// read? Supplied by the opt layer from the fan-outs of the documents'
+/// path summaries (e.g. `child::profile` when no element in any
+/// registered document has two profile children; `attribute::income`
+/// when no owner carries the name twice). Null = unknown, conservative.
 using StepUniqueness =
     std::function<bool(accel::Axis, const accel::NodeTest&)>;
 
@@ -41,9 +41,9 @@ class KeyAnalysis {
   }
 
   /// May the op's output item columns contain *constructed* nodes
-  /// (element/text/attribute constructors anywhere below)? Stats-backed
-  /// step facts only hold for store documents, so they require this to
-  /// be false.
+  /// (element/text/attribute constructors anywhere below)? Step facts
+  /// from the path summaries only hold for store documents, so they
+  /// require this to be false.
   bool StoreNodesOnly(const Op* op) const {
     size_t i = plan_.IndexOf(op);
     return i < store_only_.size() && store_only_[i];

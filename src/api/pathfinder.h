@@ -51,8 +51,9 @@ struct QueryOptions {
   /// "0"), 0 = off, 1 = on. Results are identical either way.
   int cse = -1;
   /// Join-graph pass after the peephole passes: removal of distincts
-  /// that shred-time document statistics prove redundant, and select
-  /// pushdown through mapping joins. Only meaningful with `optimize`.
+  /// that the documents' shred-time path-summary fan-outs prove
+  /// redundant, and select pushdown through mapping joins. Only
+  /// meaningful with `optimize`.
   /// -1 = the process default (PF_JOINOPT env var; on unless "0"),
   /// 0 = off, 1 = on. Results are byte-identical either way.
   int join_opt = -1;

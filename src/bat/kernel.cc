@@ -223,29 +223,14 @@ IdxVec FilterIndices(const Column& pred, ThreadPool* tp,
   const auto& b = pred.bools();
   const size_t morsel = kt.Clamped().morsel_rows;
   IdxVec out;
-  if (tp == nullptr || b.size() < 2 * morsel) {
-    // One counting pass sizes the output exactly; the scatter loop is
-    // branch-free (the write is unconditional, the cursor advances by
-    // the predicate byte) and terminates by hit count, so both passes
-    // vectorize.
-    size_t hits = 0;
-    for (uint8_t v : b) hits += v ? 1 : 0;
-    out.resize(hits);
-    size_t w = 0;
-    for (size_t i = 0; w < hits; ++i) {
-      out[w] = static_cast<RowIdx>(i);
-      w += b[i] ? 1 : 0;
-    }
-    return out;
-  }
-  // Two-pass parallel filter: per-morsel popcount, exclusive prefix to
-  // output offsets, then each morsel scatters its hits into its own
-  // slice — row order preserved, no inter-chunk contention. The
-  // scatter writes every candidate row id at the cursor and advances
-  // only on a hit (misses are overwritten by the next candidate): no
-  // per-element branch, contiguous writes, and the hit count bound
-  // from the popcount pass stops the loop exactly at the slice end, so
-  // no write ever crosses into the next chunk's slice.
+  // Two-pass filter: per-morsel popcount, exclusive prefix to output
+  // offsets, then each morsel scatters its hits into its own slice —
+  // row order preserved, no inter-chunk contention. The scatter writes
+  // every candidate row id at the cursor and advances only on a hit
+  // (misses are overwritten by the next candidate): no per-element
+  // branch, contiguous writes, so both passes vectorize, and the hit
+  // count bound from the popcount pass stops the loop exactly at the
+  // slice end, so no write ever crosses into the next chunk's slice.
   size_t chunks = ThreadPool::NumChunks(b.size(), morsel);
   std::vector<size_t> offs(chunks + 1, 0);
   ParallelFor(tp, b.size(), morsel,
@@ -737,20 +722,6 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
       }
       return false;
     };
-    if (tp == nullptr || la.size() * ra.size() < 2 * kThetaPairsPerMorsel) {
-      out->li.resize(1);
-      out->ri.resize(1);
-      for (size_t i = 0; i < la.size(); ++i) {
-        for (size_t j = 0; j < ra.size(); ++j) {
-          PF_ASSIGN_OR_RETURN(int c, ItemCompareValue(la[i], ra[j], pool));
-          if (keep_of(c)) {
-            out->li[0].push_back(static_cast<RowIdx>(i));
-            out->ri[0].push_back(static_cast<RowIdx>(j));
-          }
-        }
-      }
-      return finish();
-    }
     // Left-row morsels sized to a fixed pair budget (a function of the
     // input sizes only, never the thread count).
     size_t grain = std::max<size_t>(
@@ -794,19 +765,6 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
     }
     return false;
   };
-  if (tp == nullptr || lv.size() * rv.size() < 2 * kThetaPairsPerMorsel) {
-    out->li.resize(1);
-    out->ri.resize(1);
-    for (size_t i = 0; i < lv.size(); ++i) {
-      for (size_t j = 0; j < rv.size(); ++j) {
-        if (test(lv[i], rv[j])) {
-          out->li[0].push_back(static_cast<RowIdx>(i));
-          out->ri[0].push_back(static_cast<RowIdx>(j));
-        }
-      }
-    }
-    return finish();
-  }
   size_t grain = std::max<size_t>(
       1, kThetaPairsPerMorsel / std::max<size_t>(1, rv.size()));
   size_t chunks = ThreadPool::NumChunks(lv.size(), grain);

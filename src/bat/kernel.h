@@ -40,7 +40,9 @@ struct KernelTuning {
 };
 
 // Every bulk operator takes an optional ThreadPool. nullptr (the
-// default) runs the serial code path; a pool evaluates row morsels in
+// default) runs the same morsels inline on the calling thread; only
+// SortPerm, DistinctIndices and DifferenceIndices switch to a cheaper
+// serial algorithm without a pool. A pool evaluates row morsels in
 // parallel with deterministic, ordered merges — the result is
 // byte-identical at every thread count (see DESIGN.md "Parallel
 // execution" for the invariants each operator maintains).

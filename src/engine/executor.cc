@@ -7,7 +7,6 @@
 #include <map>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "accel/step.h"
 #include "bat/item_ops.h"
@@ -750,26 +749,35 @@ class Exec {
   Result<Table> Run(const alg::OpPtr& root) {
     bool pipe = ctx_->pipeline;
     // Profiling is a single predictable branch per operator when off:
-    // no timer calls, no map writes, no allocation on the hot path.
+    // no timer calls, no record writes, no allocation on the hot path.
     bool prof = ctx_->profile;
     QueryCache* cache = ctx_->result_cache;
+    // Per-node state lives in vectors indexed by the plan's post-order
+    // numbering (the root is numbered last).
+    plan_ = alg::NumberPlan(root);
+    const size_t n = plan_.nodes.size();
+    memo_.resize(n);
+    if (prof) recs_.resize(n);
     // Evaluation order: iterative post-order over the DAG (children
     // before parents, each node once), pruned at subplan-cache hits —
     // a served subtree is never descended into, so its operators cost
     // nothing. Nodes it shares with the rest of the plan are still
     // reached through their other parents. Misses are remembered and
     // published after evaluation, outside any timed region.
-    std::vector<const alg::OpPtr*> order;
+    std::vector<uint32_t> order;  // node numbers
     std::vector<const alg::OpPtr*> publish;
     {
       struct Frame {
         const alg::OpPtr* op;
+        uint32_t num;
         size_t child = 0;
       };
-      std::unordered_set<const Op*> visited;
+      std::vector<bool> visited(n, false);
       std::vector<Frame> stack;
       auto enter = [&](const alg::OpPtr& p) {
-        if (!visited.insert(p.get()).second) return;
+        uint32_t i = static_cast<uint32_t>(plan_.IndexOf(p.get()));
+        if (visited[i]) return;
+        visited[i] = true;
         // Consult the cache at candidates only when the node owns a
         // materialized result: fused fragment interiors never do (the
         // tail evaluates the whole chain), so a hit there would leave
@@ -781,19 +789,19 @@ class Exec {
           if (cache->LookupSubplan(*p, &t)) {
             ctx_->subplan_cache_hits++;
             if (prof) {
-              OpProfileRec& rec = recs_[p.get()];
+              OpProfileRec& rec = recs_[i];
               rec.cached = true;
               rec.wall_ns = ProfileNowNs() - t0;
               rec.out_rows = static_cast<int64_t>(t.rows());
               rec.out_bytes = static_cast<int64_t>(t.ByteSize());
             }
-            memo_.emplace(p.get(), std::move(t));
+            memo_[i] = std::move(t);
             return;  // subtree served; no descent
           }
           ctx_->subplan_cache_misses++;
           publish.push_back(&p);
         }
-        stack.push_back(Frame{&p});
+        stack.push_back(Frame{&p, i});
       };
       enter(root);
       while (!stack.empty()) {
@@ -802,7 +810,7 @@ class Exec {
           stack.back().child++;
           enter((*f.op)->children[f.child]);  // may grow the stack
         } else {
-          order.push_back(f.op);
+          order.push_back(f.num);
           stack.pop_back();
         }
       }
@@ -812,19 +820,21 @@ class Exec {
     // timed even when profiling is off — candidate nodes only, so a
     // query with no publishable candidates still runs a timer-free hot
     // path.
-    std::unordered_set<const Op*> costed_ops;
+    std::vector<bool> costed(publish.empty() ? 0 : n, false);
     for (const alg::OpPtr* opp : publish) {
       std::vector<const Op*> dfs = {opp->get()};
       while (!dfs.empty()) {
         const Op* op = dfs.back();
         dfs.pop_back();
-        if (!costed_ops.insert(op).second) continue;
+        size_t i = plan_.IndexOf(op);
+        if (costed[i]) continue;
+        costed[i] = true;
         for (const auto& c : op->children) dfs.push_back(c.get());
       }
     }
-    std::unordered_map<const Op*, int64_t> eval_ns;
-    for (const alg::OpPtr* opp : order) {
-      Op* op = opp->get();
+    std::vector<int64_t> eval_ns(costed.size(), 0);
+    for (uint32_t i : order) {
+      Op* op = plan_.nodes[i];
       bool fragment = pipe && op->pipe_frag >= 0;
       // Checkpoint: probe first (it may fire the token), then the
       // cancellation/limit checks. The probe sees every operator —
@@ -834,12 +844,13 @@ class Exec {
       if (fragment && !op->pipe_tail) {
         // Interior fragment members never materialize: the tail
         // evaluates the whole chain in one fused pass.
-        if (prof) recs_[op].fused = true;
+        if (prof) recs_[i].fused = true;
         continue;
       }
       PF_RETURN_NOT_OK(Checkpoint());
-      bool costed = !costed_ops.empty() && costed_ops.count(op) > 0;
-      int64_t t0 = (prof || costed) ? ProfileNowNs() : 0;
+      bool costed_op = !costed.empty() && costed[i];
+      bool timed = prof || costed_op;
+      int64_t t0 = timed ? ProfileNowNs() : 0;
       Table t;
       if (fragment) {
         frag_morsels_ = 0;
@@ -847,10 +858,10 @@ class Exec {
       } else {
         PF_ASSIGN_OR_RETURN(t, EvalOne(*op));
       }
-      int64_t wall = (prof || costed) ? ProfileNowNs() - t0 : 0;
-      if (costed) eval_ns.emplace(op, wall);
+      int64_t wall = timed ? ProfileNowNs() - t0 : 0;
+      if (costed_op) eval_ns[i] = wall;
       if (prof) {
-        OpProfileRec& rec = recs_[op];
+        OpProfileRec& rec = recs_[i];
         rec.wall_ns = wall;
         rec.out_rows = static_cast<int64_t>(t.rows());
         rec.out_bytes = static_cast<int64_t>(t.ByteSize());
@@ -865,27 +876,31 @@ class Exec {
               std::to_string(ctx_->mem_limit_bytes) + " bytes materialized)");
         }
       }
-      memo_.emplace(op, std::move(t));
+      memo_[i] = std::move(t);
     }
     if (cache) {
-      for (const alg::OpPtr* opp : publish) {
+      // Nodes already summed for candidate k carry seen == k + 1.
+      std::vector<uint32_t> seen(publish.empty() ? 0 : n, 0);
+      for (size_t k = 0; k < publish.size(); ++k) {
+        const alg::OpPtr* opp = publish[k];
+        const uint32_t stamp = static_cast<uint32_t>(k + 1);
         // The candidate's cost: summed eval wall time over its subtree.
         // Fragment interiors carry 0 (the tail's time covers the whole
         // chain) and subtrees pruned by nested cache hits carry 0 (a
         // conservative under-count — cheaper than re-evaluating).
         int64_t cost_ns = 0;
         std::vector<const Op*> dfs = {opp->get()};
-        std::unordered_set<const Op*> seen;
         while (!dfs.empty()) {
           const Op* op = dfs.back();
           dfs.pop_back();
-          if (!seen.insert(op).second) continue;
-          auto it = eval_ns.find(op);
-          if (it != eval_ns.end()) cost_ns += it->second;
+          size_t i = plan_.IndexOf(op);
+          if (seen[i] == stamp) continue;
+          seen[i] = stamp;
+          cost_ns += eval_ns[i];
           for (const auto& c : op->children) dfs.push_back(c.get());
         }
-        if (cache->InsertSubplan(*opp, memo_.at(opp->get()), cost_ns,
-                                 ctx_->cache_generation)) {
+        if (cache->InsertSubplan(*opp, memo_[plan_.IndexOf(opp->get())],
+                                 cost_ns, ctx_->cache_generation)) {
           ctx_->subplan_cache_admitted++;
         } else {
           ctx_->subplan_cache_rejects++;
@@ -893,14 +908,14 @@ class Exec {
       }
     }
     if (prof) {
-      ctx_->profile_result = BuildProfileTree(root, recs_, *ctx_->pool());
+      ctx_->profile_result = BuildProfileTree(plan_, recs_, *ctx_->pool());
     }
-    return memo_.at(root.get());
+    return std::move(memo_.back());
   }
 
  private:
   const Table& Child(const Op& op, size_t i) {
-    return memo_.at(op.children[i].get());
+    return memo_[plan_.IndexOf(op.children[i].get())];
   }
 
   /// Cooperative cancellation checkpoint: OK while the query may keep
@@ -925,8 +940,7 @@ class Exec {
   int64_t MorselCount(const Op& op, const Table& out) const {
     size_t basis = out.rows();
     for (const auto& c : op.children) {
-      auto it = memo_.find(c.get());
-      if (it != memo_.end()) basis = std::max(basis, it->second.rows());
+      basis = std::max(basis, memo_[plan_.IndexOf(c.get())].rows());
     }
     return static_cast<int64_t>(ThreadPool::NumChunks(basis, morsel()));
   }
@@ -1703,8 +1717,9 @@ class Exec {
   size_t morsel() const { return ctx_->tuning.morsel_rows; }
 
   QueryContext* ctx_;
-  std::unordered_map<const Op*, Table> memo_;
-  std::unordered_map<const Op*, OpProfileRec> recs_;  // profiling only
+  alg::PlanNumbering plan_;
+  std::vector<Table> memo_;          // by node number
+  std::vector<OpProfileRec> recs_;   // by node number; profiling only
   int64_t frag_morsels_ = 0;  // morsels of the last fused fragment
   int64_t mem_charged_ = 0;   // materialized bytes vs ctx mem budget
 };

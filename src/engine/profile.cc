@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
-#include <unordered_set>
 
 #include "algebra/print.h"
 
@@ -42,47 +41,44 @@ void JsonEscape(std::string_view s, std::string* out) {
   }
 }
 
-void Build(const algebra::OpPtr& op,
-           const std::unordered_map<const algebra::Op*, OpProfileRec>& recs,
-           const StringPool& pool,
-           std::unordered_set<const algebra::Op*>* seen,
-           OperatorProfile* out) {
+void Build(const algebra::PlanNumbering& plan, const algebra::Op* op,
+           const std::vector<OpProfileRec>& recs, const StringPool& pool,
+           std::vector<bool>* seen, OperatorProfile* out) {
+  size_t i = plan.IndexOf(op);
   out->op_id = op->id;
   out->kind = op->kind;
   out->label = algebra::OpLabel(*op, pool);
   out->pipe_frag = op->pipe_frag;
-  auto it = recs.find(op.get());
-  if (it != recs.end()) {
-    const OpProfileRec& r = it->second;
-    out->fused = r.fused;
-    out->cached = r.cached;
-    out->wall_ns = r.wall_ns;
-    out->out_rows = r.out_rows;
-    out->out_bytes = r.out_bytes;
-    out->morsels = r.morsels;
-  }
+  const OpProfileRec& r = recs[i];
+  out->fused = r.fused;
+  out->cached = r.cached;
+  out->wall_ns = r.wall_ns;
+  out->out_rows = r.out_rows;
+  out->out_bytes = r.out_bytes;
+  out->morsels = r.morsels;
   // Input rows = sum of child output rows; unknown (-1) as soon as one
   // child never materialized (fused interior of a fragment).
   out->in_rows = 0;
   for (const auto& c : op->children) {
-    auto cit = recs.find(c.get());
-    if (cit == recs.end() || cit->second.out_rows < 0) {
+    int64_t rows = recs[plan.IndexOf(c.get())].out_rows;
+    if (rows < 0) {
       out->in_rows = -1;
       break;
     }
-    out->in_rows += cit->second.out_rows;
+    out->in_rows += rows;
   }
-  if (!seen->insert(op.get()).second) {
+  if ((*seen)[i]) {
     out->shared_ref = true;
     return;  // shared subplan: children rendered at the first visit
   }
+  (*seen)[i] = true;
   if (out->cached) {
     // The subtree below a cache hit never ran; render the hit as a leaf.
     return;
   }
   out->children.resize(op->children.size());
-  for (size_t i = 0; i < op->children.size(); ++i) {
-    Build(op->children[i], recs, pool, seen, &out->children[i]);
+  for (size_t k = 0; k < op->children.size(); ++k) {
+    Build(plan, op->children[k].get(), recs, pool, seen, &out->children[k]);
   }
 }
 
@@ -121,13 +117,12 @@ void ToJson(const OperatorProfile& p, std::string* out) {
 
 }  // namespace
 
-OperatorProfilePtr BuildProfileTree(
-    const algebra::OpPtr& root,
-    const std::unordered_map<const algebra::Op*, OpProfileRec>& recs,
-    const StringPool& pool) {
+OperatorProfilePtr BuildProfileTree(const algebra::PlanNumbering& plan,
+                                    const std::vector<OpProfileRec>& recs,
+                                    const StringPool& pool) {
   auto tree = std::make_unique<OperatorProfile>();
-  std::unordered_set<const algebra::Op*> seen;
-  Build(root, recs, pool, &seen, tree.get());
+  std::vector<bool> seen(plan.nodes.size(), false);
+  Build(plan, plan.nodes.back(), recs, pool, &seen, tree.get());
   return tree;
 }
 

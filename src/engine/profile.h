@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/op.h"
@@ -45,8 +44,10 @@ struct OperatorProfile {
 
 using OperatorProfilePtr = std::unique_ptr<OperatorProfile>;
 
-/// Raw per-Op measurements the executor records while a query runs;
-/// BuildProfileTree folds them into the plan-shaped tree above.
+/// Raw per-Op measurements the executor records while a query runs,
+/// one per node number of the executed plan (a node it never reached
+/// keeps the defaults); BuildProfileTree folds them into the
+/// plan-shaped tree above.
 struct OpProfileRec {
   int64_t wall_ns = 0;
   int64_t out_rows = -1;
@@ -56,12 +57,13 @@ struct OpProfileRec {
   bool cached = false;  ///< served from the subplan-result cache
 };
 
-/// Fold the recorded measurements into a profile tree shaped like the
-/// plan under `root` (children before parents exactly as executed).
-OperatorProfilePtr BuildProfileTree(
-    const algebra::OpPtr& root,
-    const std::unordered_map<const algebra::Op*, OpProfileRec>& recs,
-    const StringPool& pool);
+/// Fold the recorded measurements (`recs[i]` for node number i of
+/// `plan`) into a profile tree shaped like the plan under its root, the
+/// last node of the numbering (children before parents exactly as
+/// executed).
+OperatorProfilePtr BuildProfileTree(const algebra::PlanNumbering& plan,
+                                    const std::vector<OpProfileRec>& recs,
+                                    const StringPool& pool);
 
 /// Machine-readable rendering of a profile tree: one JSON object per
 /// operator with "children" nested arrays (schema documented in

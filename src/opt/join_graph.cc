@@ -9,7 +9,7 @@
 #include "algebra/schema.h"
 #include "xml/database.h"
 #include "xml/document.h"
-#include "xml/stats.h"
+#include "xml/path_summary.h"
 
 namespace pathfinder::opt {
 
@@ -19,27 +19,45 @@ using alg::Op;
 using alg::OpKind;
 using alg::OpPtr;
 
+namespace {
+
+/// The most nodes on any of `paths` under one parent node: a tag's (or
+/// attribute name's) fan-out, since one parent's children of one tag
+/// all lie on one path. 0 when the tag does not occur.
+uint32_t MaxFanOut(const xml::PathSummary& s,
+                   const std::vector<int32_t>* paths) {
+  uint32_t m = 0;
+  if (paths == nullptr) return m;
+  for (int32_t id : *paths) m = std::max<uint32_t>(m, s.path(id).fan_out);
+  return m;
+}
+
+}  // namespace
+
 algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db) {
   if (db == nullptr) return nullptr;
   return [db](accel::Axis axis, const accel::NodeTest& test) -> bool {
     size_t n = db->num_documents();
     if (n == 0) return false;
     for (size_t i = 0; i < n; ++i) {
-      const xml::DocStats* s = db->doc(static_cast<xml::FragId>(i)).stats();
+      const xml::PathSummary* s =
+          db->doc(static_cast<xml::FragId>(i)).summary();
       if (s == nullptr) return false;
       switch (axis) {
         case accel::Axis::kChild:
           if (test.kind == accel::NodeTest::Kind::kName) {
-            if (s->MaxChildren(test.name) > 1) return false;
+            if (MaxFanOut(*s, s->ElementPathsByTag(test.name)) > 1) {
+              return false;
+            }
           } else if (test.kind == accel::NodeTest::Kind::kText) {
-            if (s->max_text_children > 1) return false;
+            if (s->max_text_children() > 1) return false;
           } else {
             return false;
           }
           break;
         case accel::Axis::kAttribute:
           if (test.kind != accel::NodeTest::Kind::kName) return false;
-          if (s->MaxPerOwner(test.name) > 1) return false;
+          if (MaxFanOut(*s, s->AttrPathsByName(test.name)) > 1) return false;
           break;
         default:
           return false;

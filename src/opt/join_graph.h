@@ -16,23 +16,25 @@ namespace pathfinder::opt {
 struct JoinOptStats {
   /// Select predicates pushed below joins onto their source leaf.
   int selects_pushed = 0;
-  /// `distinct` operators removed because stats-backed key inference
-  /// proved their input duplicate-free.
+  /// `distinct` operators removed because key inference proved their
+  /// input duplicate-free.
   int key_distincts_removed = 0;
 };
 
 /// Build the step-uniqueness oracle over every document currently
 /// registered in `db` (see algebra::StepUniqueness): true only when the
-/// shred-time statistics of *all* documents prove the (axis, test) step
-/// yields at most one node per context node. Null database → null
-/// callback (key inference falls back to structural facts).
+/// path-summary fan-outs of *all* documents prove the (axis, test) step
+/// yields at most one node per context node (false for a document
+/// without a summary). Read whatever `path_summary` is set to. Null
+/// database → null callback (key inference falls back to structural
+/// facts).
 algebra::StepUniqueness MakeStepUniqueness(const xml::Database* db);
 
 /// The join-graph pass, two rewrites over the loop-lifted plan:
-///  1. stats-backed key inference removes `distinct` operators whose
-///     input is provably duplicate-free (the existential-semantics
-///     distincts the loop-lifting compiler must emit, which peephole
-///     rules can never remove),
+///  1. key inference over shred-time fan-outs removes `distinct`
+///     operators whose input is provably duplicate-free (the
+///     existential-semantics distincts the loop-lifting compiler must
+///     emit, which peephole rules can never remove),
 ///  2. a select whose predicate reads only one input of the mapping
 ///     join below it (plus row-independent constants) gets a copy
 ///     planted below that join, so the join sees fewer rows; the

@@ -41,10 +41,11 @@ struct OptimizeOptions {
   /// shared nodes, so the executor's shared-subplan memoization (and
   /// the subplan-result cache) fires once per distinct computation.
   bool cse = true;
-  /// Run the join-graph pass after the peephole fixpoint: stats-backed
-  /// key inference (redundant-distinct removal) plus select pushdown
-  /// through mapping joins. Needs `db` for document statistics; with a
-  /// null db key inference uses structural facts only.
+  /// Run the join-graph pass after the peephole fixpoint: key inference
+  /// over the documents' path-summary fan-outs (redundant-distinct
+  /// removal) plus select pushdown through mapping joins. Needs `db`
+  /// for the summaries; with a null db key inference uses structural
+  /// facts only.
   bool join_opt = false;
   /// Run the path rewrite after the peephole fixpoint: collapse purely
   /// structural step chains rooted at fn:doc into kPathScan operators

@@ -4,7 +4,6 @@
 
 #include "xml/parser.h"
 #include "xml/path_summary.h"
-#include "xml/stats.h"
 
 namespace pathfinder::xml {
 
@@ -22,14 +21,12 @@ Database::~Database() {
 }
 
 FragId Database::AddDocument(const std::string& name, Document doc) {
-  // Shred-time statistics: computed before the slot is published, so
-  // every reader that can see the document sees its stats (the cost
-  // model and key inference rely on their immutability).
-  if (doc.stats() == nullptr) doc.set_stats(ComputeDocStats(doc));
-  // Path summary + partitioned node index: built unconditionally (it is
-  // a few percent of the encoding) so per-query PF_PATHSUM gating only
-  // switches *consumption*, never storage — on/off runs read the same
-  // immutable document.
+  // Path summary + partitioned node index: built before the slot is
+  // published, so every reader that can see the document sees it (key
+  // inference relies on its immutability). Built unconditionally (it
+  // is a few percent of the encoding): per-query PF_PATHSUM gating
+  // only switches the structural rewrite and staircase pruning, never
+  // storage — on/off runs read the same immutable document.
   if (doc.summary() == nullptr) doc.set_summary(BuildPathSummary(doc));
   std::lock_guard<std::mutex> lock(mu_);
   return PublishLocked(name, std::move(doc), /*bump_structure=*/true);
@@ -37,10 +34,9 @@ FragId Database::AddDocument(const std::string& name, Document doc) {
 
 FragId Database::PublishUpdate(const std::string& name, Document doc,
                                bool structural) {
-  // The updater repaired stats/summary incrementally; compute from
-  // scratch only if it didn't attach them (defensive — never the
+  // The updater repaired the summary incrementally; build it from
+  // scratch only if it didn't attach one (defensive — never the
   // ApplyUpdate path).
-  if (doc.stats() == nullptr) doc.set_stats(ComputeDocStats(doc));
   if (doc.summary() == nullptr) doc.set_summary(BuildPathSummary(doc));
   std::lock_guard<std::mutex> lock(mu_);
   return PublishLocked(name, std::move(doc), structural);

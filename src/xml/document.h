@@ -8,7 +8,6 @@
 
 #include "base/string_pool.h"
 #include "xml/path_summary.h"
-#include "xml/stats.h"
 
 namespace pathfinder::xml {
 
@@ -78,19 +77,11 @@ class Document {
   /// attributes have size 0. Used by tests and the shredder.
   bool Validate(std::string* error) const;
 
-  /// Shred-time statistics (see xml/stats.h). Null until the document
-  /// is registered: Database::AddDocument computes them before
-  /// publishing the slot, so any document obtained from the store has
-  /// them; immutable afterwards.
-  const DocStats* stats() const { return stats_.get(); }
-  void set_stats(DocStats s) {
-    stats_ = std::make_shared<const DocStats>(std::move(s));
-  }
-
   /// Path summary + path-partitioned node index (xml/path_summary.h).
-  /// Like stats(): null until registration — Database::AddDocument
-  /// builds it before publishing the slot — and immutable afterwards.
-  /// Constructed fragments (ε/τ results) never have one.
+  /// Null until the document is registered: Database::AddDocument
+  /// builds it before publishing the slot, so any document obtained
+  /// from the store has one; immutable afterwards. Constructed
+  /// fragments (ε/τ results) never have one.
   const PathSummary* summary() const { return summary_.get(); }
   std::shared_ptr<const PathSummary> shared_summary() const {
     return summary_;
@@ -108,7 +99,6 @@ class Document {
   std::vector<uint8_t> kind_;
   std::vector<StrId> prop_;
   std::vector<StrId> value_;
-  std::shared_ptr<const DocStats> stats_;
   std::shared_ptr<const PathSummary> summary_;
 };
 

@@ -9,89 +9,138 @@ namespace pathfinder::xml {
 
 namespace {
 
-// Find-or-create the child path of `parent` with the given label. Fan-out
-// per path node is small (distinct child labels of one parent label), so
-// a linear probe over the children vector beats a side map.
-int32_t ChildPath(std::vector<PathNode>* nodes, int32_t parent, StrId tag,
-                  bool is_attr) {
-  PathNode& p = (*nodes)[static_cast<size_t>(parent)];
-  for (int32_t c : p.children) {
-    const PathNode& cn = (*nodes)[static_cast<size_t>(c)];
-    if (cn.tag == tag && cn.is_attr == is_attr) return c;
-  }
-  int32_t id = static_cast<int32_t>(nodes->size());
-  PathNode n;
-  n.tag = tag;
-  n.parent = parent;
-  n.level = static_cast<uint16_t>(p.level + 1);
-  n.is_attr = is_attr;
-  nodes->push_back(std::move(n));
-  (*nodes)[static_cast<size_t>(parent)].children.push_back(id);
-  return id;
-}
+// One open node of the walk: its path (-1 for a malformed non-element
+// row that claims a subtree — the encoding never produces one — so
+// rows below it count toward no fan-out), its pre, and its text
+// children so far.
+struct Frame {
+  int32_t path;
+  Pre pre;
+  uint32_t texts = 0;
+};
 
 }  // namespace
 
-PathSummary BuildPathSummary(const Document& doc) {
-  PathSummary s;
-  const auto& levels = doc.levels();
-  const auto& kinds = doc.kinds();
-  const auto& props = doc.props();
-  const Pre n = doc.num_nodes();
+int32_t PathSummary::FindChildPath(int32_t parent, StrId tag,
+                                   bool is_attr) const {
+  // Fan-out per path node is small (distinct child labels of one parent
+  // label), so a linear probe over the children vector beats a side map.
+  for (int32_t c : nodes_[static_cast<size_t>(parent)].children) {
+    const PathNode& cn = nodes_[static_cast<size_t>(c)];
+    if (cn.tag == tag && cn.is_attr == is_attr) return c;
+  }
+  return -1;
+}
 
-  // Path 0 = the document node. Shredded documents always start with
-  // the kDoc row; synthesize the root path up front so a (malformed)
-  // headless fragment still yields a well-formed trie.
-  s.nodes_.push_back(PathNode{});
-  s.nodes_[0].count = 0;
+void PathSummary::RaiseFanOut(int32_t id, uint32_t n) {
+  uint8_t& f = nodes_[static_cast<size_t>(id)].fan_out;
+  f = static_cast<uint8_t>(std::max<uint32_t>(f, std::min<uint32_t>(n, 255)));
+}
 
-  // Stack of open path ids, one per ancestor of the current node; -1
-  // frames cover malformed non-element rows that claim a subtree (the
-  // encoding never produces them, mirrored from ComputeDocStats'
-  // inert frames).
-  std::vector<int32_t> stack;
-  // Pre list per path, flattened into part_ afterwards.
-  std::vector<std::vector<Pre>> pres;
-  pres.emplace_back();  // path 0 slot, stays empty
+void PathSummary::AddRows(const Document& doc, Pre begin, Pre end,
+                          int32_t under_path, Pre under_pre,
+                          std::vector<std::vector<Pre>>* pres) {
+  auto child_path = [&](int32_t parent, StrId tag, bool is_attr) {
+    int32_t id = FindChildPath(parent, tag, is_attr);
+    if (id >= 0) return id;
+    id = static_cast<int32_t>(nodes_.size());
+    PathNode n;
+    n.tag = tag;
+    n.parent = parent;
+    n.level = static_cast<uint16_t>(
+        nodes_[static_cast<size_t>(parent)].level + 1);
+    n.is_attr = is_attr;
+    nodes_.push_back(std::move(n));
+    nodes_[static_cast<size_t>(parent)].children.push_back(id);
+    return id;
+  };
+  // The children of one parent on one path are consecutive among that
+  // path's nodes in document order, so one run per path — the parent
+  // of its latest node and how many nodes it has under that parent so
+  // far — counts every parent's children exactly.
+  struct Run {
+    Pre parent = 0;
+    uint32_t n = 0;
+  };
+  std::vector<Run> runs;
+  auto add = [&](int32_t id, Pre v, const Frame* parent) {
+    size_t i = static_cast<size_t>(id);
+    if (i >= pres->size()) pres->resize(i + 1);
+    (*pres)[i].push_back(v);
+    nodes_[i].count++;
+    if (parent == nullptr) return;
+    if (i >= runs.size()) runs.resize(i + 1);
+    Run& r = runs[i];
+    if (r.n == 0 || r.parent != parent->pre) r = {parent->pre, 0};
+    RaiseFanOut(id, ++r.n);
+  };
 
-  for (Pre v = 0; v < n; ++v) {
-    uint16_t level = levels[v];
-    while (stack.size() > level) stack.pop_back();
-    int32_t top = stack.empty() ? -1 : stack.back();
-    NodeKind kind = static_cast<NodeKind>(kinds[v]);
-    switch (kind) {
+  // One open frame per ancestor of the current row, popped by level.
+  std::vector<Frame> stack;
+  uint16_t base_level = 0;
+  if (under_path >= 0) {
+    stack.push_back({under_path, under_pre});
+    base_level = doc.level(under_pre);
+  }
+  for (Pre v = begin; v < end; ++v) {
+    size_t depth = static_cast<size_t>(doc.level(v) - base_level);
+    while (stack.size() > depth) stack.pop_back();
+    Frame* top =
+        stack.empty() || stack.back().path < 0 ? nullptr : &stack.back();
+    switch (doc.kind(v)) {
       case NodeKind::kDoc:
-        s.nodes_[0].count++;
-        stack.push_back(0);
+        nodes_[0].count++;
+        stack.push_back({0, v});
         continue;
       case NodeKind::kElem: {
-        int32_t id = top < 0 ? ChildPath(&s.nodes_, 0, props[v], false)
-                             : ChildPath(&s.nodes_, top, props[v], false);
-        if (static_cast<size_t>(id) >= pres.size()) pres.resize(id + 1);
-        s.nodes_[static_cast<size_t>(id)].count++;
-        pres[static_cast<size_t>(id)].push_back(v);
-        stack.push_back(id);
+        // An element outside any element frame hangs off path 0.
+        int32_t id = child_path(top ? top->path : 0, doc.prop(v), false);
+        add(id, v, top);
+        stack.push_back({id, v});
         continue;
       }
-      case NodeKind::kAttr: {
-        if (top < 0) break;
-        int32_t id = ChildPath(&s.nodes_, top, props[v], true);
-        if (static_cast<size_t>(id) >= pres.size()) pres.resize(id + 1);
-        s.nodes_[static_cast<size_t>(id)].count++;
-        pres[static_cast<size_t>(id)].push_back(v);
+      case NodeKind::kAttr:
+        if (top == nullptr) break;
+        add(child_path(top->path, doc.prop(v), true), v, top);
         break;
-      }
       case NodeKind::kText:
+        if (top != nullptr) {
+          max_text_children_ = std::max(max_text_children_, ++top->texts);
+        }
+        break;
       case NodeKind::kComment:
       case NodeKind::kPi:
         break;
     }
-    if (doc.size(v) > 0) stack.push_back(-1);  // robustness frame
+    if (doc.size(v) > 0) stack.push_back({-1, v});  // robustness frame
   }
+}
 
-  // Flatten the per-path pre lists into the contiguous partition store
-  // (each list is already in document order — one ascending shred pass).
-  if (pres.size() < s.nodes_.size()) pres.resize(s.nodes_.size());
+void PathSummary::IndexPaths(size_t from) {
+  // Ids only grow, so push_back keeps the by-tag lists sorted.
+  for (size_t id = from; id < nodes_.size(); ++id) {
+    const PathNode& p = nodes_[id];
+    if (p.is_attr) {
+      attr_by_name_[p.tag].push_back(static_cast<int32_t>(id));
+    } else {
+      elem_by_tag_[p.tag].push_back(static_cast<int32_t>(id));
+      num_element_paths_++;
+    }
+  }
+}
+
+PathSummary BuildPathSummary(const Document& doc) {
+  PathSummary s;
+  // Path 0 = the document node. Shredded documents always start with
+  // the kDoc row; synthesize the root path up front so a (malformed)
+  // headless fragment still yields a well-formed trie.
+  s.nodes_.push_back(PathNode{});
+  // Pre list per path (path 0's stays empty), flattened into part_.
+  std::vector<std::vector<Pre>> pres(1);
+  s.AddRows(doc, 0, doc.num_nodes(), -1, 0, &pres);
+
+  // Each list is already in document order (one ascending pass).
+  pres.resize(s.nodes_.size());
   size_t total = 0;
   for (const auto& p : pres) total += p.size();
   s.part_.reserve(total);
@@ -99,17 +148,7 @@ PathSummary BuildPathSummary(const Document& doc) {
     s.nodes_[id].part_begin = s.part_.size();
     s.part_.insert(s.part_.end(), pres[id].begin(), pres[id].end());
   }
-
-  // Tag / attribute-name indexes for the staircase pruning path.
-  for (size_t id = 1; id < s.nodes_.size(); ++id) {
-    const PathNode& p = s.nodes_[id];
-    if (p.is_attr) {
-      s.attr_by_name_[p.tag].push_back(static_cast<int32_t>(id));
-    } else {
-      s.elem_by_tag_[p.tag].push_back(static_cast<int32_t>(id));
-      s.num_element_paths_++;
-    }
-  }
+  s.IndexPaths(1);
   return s;
 }
 

@@ -6,39 +6,8 @@
 
 #include "xml/parser.h"
 #include "xml/path_summary.h"
-#include "xml/stats.h"
 
 namespace pathfinder::xml {
-
-namespace {
-
-/// Find the child path of `parent` with the given label; -1 if absent.
-int32_t FindChildPath(const std::vector<PathNode>& nodes, int32_t parent,
-                      StrId tag, bool is_attr) {
-  for (int32_t c : nodes[static_cast<size_t>(parent)].children) {
-    const PathNode& cn = nodes[static_cast<size_t>(c)];
-    if (cn.tag == tag && cn.is_attr == is_attr) return c;
-  }
-  return -1;
-}
-
-int32_t FindOrAddChildPath(std::vector<PathNode>* nodes, int32_t parent,
-                           StrId tag, bool is_attr) {
-  int32_t found = FindChildPath(*nodes, parent, tag, is_attr);
-  if (found >= 0) return found;
-  int32_t id = static_cast<int32_t>(nodes->size());
-  PathNode n;
-  n.tag = tag;
-  n.parent = parent;
-  n.level = static_cast<uint16_t>(
-      (*nodes)[static_cast<size_t>(parent)].level + 1);
-  n.is_attr = is_attr;
-  nodes->push_back(std::move(n));
-  (*nodes)[static_cast<size_t>(parent)].children.push_back(id);
-  return id;
-}
-
-}  // namespace
 
 /// All splice internals; friend of Document and PathSummary.
 class DocumentSplicer {
@@ -63,13 +32,10 @@ class DocumentSplicer {
   };
 
   static Document BuildSpliced(const Document& base, const Splice& sp);
-  static void RepairStats(const Document& fresh, const Splice& sp,
-                          DocStats* s);
   static PathSummary RepairSummary(const PathSummary& old,
                                    const Document& base,
                                    const Document& fresh, const Splice& sp);
-  static int32_t PathOf(const std::vector<PathNode>& nodes,
-                        const Document& base, Pre v);
+  static int32_t PathOf(const PathSummary& s, const Document& base, Pre v);
 };
 
 Document DocumentSplicer::BuildSpliced(const Document& base,
@@ -108,46 +74,8 @@ Document DocumentSplicer::BuildSpliced(const Document& base,
   return d;
 }
 
-void DocumentSplicer::RepairStats(const Document& fresh, const Splice& sp,
-                                  DocStats* s) {
-  // The maxima only ever grow: removed rows leave them in place (a
-  // shrink never invalidates an upper bound), and inserted rows
-  // max-merge the recounted fan-outs of every parent they touch.
-  const Pre k = static_cast<Pre>(sp.ins_size.size());
-  if (k == 0) return;
-
-  // Elements inside the insertion: the ComputeDocStats walk, confined
-  // to the fresh rows.
-  std::vector<ChildCounts> stack;
-  const uint16_t parent_level = fresh.level(sp.parent);
-  for (Pre v = sp.at; v < sp.at + k; ++v) {
-    // rel >= 1: every inserted row lies below the insertion parent.
-    size_t rel = static_cast<size_t>(fresh.level(v) - parent_level);
-    while (stack.size() > rel - 1) {
-      s->Merge(stack.back());
-      stack.pop_back();
-    }
-    NodeKind kind = fresh.kind(v);
-    if (!stack.empty()) stack.back().Add(kind, fresh.prop(v));
-    if (kind == NodeKind::kElem) stack.emplace_back();
-  }
-  while (!stack.empty()) {
-    s->Merge(stack.back());
-    stack.pop_back();
-  }
-
-  // The insertion parent: recount its direct children (attributes
-  // first, each child's subtree skipped) in the fresh snapshot.
-  ChildCounts pc;
-  Pre end = sp.parent + fresh.size(sp.parent);
-  for (Pre v = sp.parent + 1; v <= end; v += fresh.size(v) + 1) {
-    pc.Add(fresh.kind(v), fresh.prop(v));
-  }
-  s->Merge(pc);
-}
-
-int32_t DocumentSplicer::PathOf(const std::vector<PathNode>& nodes,
-                                const Document& base, Pre v) {
+int32_t DocumentSplicer::PathOf(const PathSummary& s, const Document& base,
+                                Pre v) {
   std::vector<StrId> chain;
   Pre cur = v;
   while (cur != 0) {
@@ -160,7 +88,7 @@ int32_t DocumentSplicer::PathOf(const std::vector<PathNode>& nodes,
   }
   int32_t id = 0;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    id = FindChildPath(nodes, id, *it, false);
+    id = s.FindChildPath(id, *it, false);
     assert(id >= 0 && "node path missing from summary");
   }
   return id;
@@ -170,7 +98,12 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
                                            const Document& base,
                                            const Document& fresh,
                                            const Splice& sp) {
-  PathSummary s = old;  // trie nodes, indexes; partitions rebuilt below
+  // Trie nodes, fan-outs, text maximum and indexes; partitions are
+  // rebuilt below. The fan-outs and the text maximum only ever grow:
+  // removed rows leave them in place (a shrink never invalidates an
+  // upper bound), and inserted rows max-merge the counts of every
+  // parent they touch.
+  PathSummary s = old;
   const Pre k = static_cast<Pre>(sp.ins_size.size());
   const int64_t delta =
       static_cast<int64_t>(k) - static_cast<int64_t>(sp.removed);
@@ -195,46 +128,30 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
     }
   }
 
-  const int32_t parent_path = PathOf(s.nodes_, base, sp.parent);
-  const uint16_t parent_level = base.level(sp.parent);
+  const int32_t parent_path = PathOf(s, base, sp.parent);
 
-  // Phase 2: inserted rows join (or create) their paths.
-  {
-    std::vector<int32_t> pstack;
-    auto list_for = [&](int32_t id) -> std::vector<Pre>& {
-      if (static_cast<size_t>(id) >= heads.size()) {
-        heads.resize(id + 1);
-        tails.resize(id + 1);
-      }
-      return heads[static_cast<size_t>(id)];
-    };
-    for (Pre v = sp.at; v < sp.at + k; ++v) {
-      size_t rel = static_cast<size_t>(fresh.level(v) - parent_level);
-      while (pstack.size() > rel - 1) pstack.pop_back();
-      int32_t top = pstack.empty() ? parent_path : pstack.back();
-      switch (fresh.kind(v)) {
-        case NodeKind::kElem: {
-          int32_t id = FindOrAddChildPath(&s.nodes_, top, fresh.prop(v),
-                                          false);
-          list_for(id).push_back(v);
-          pstack.push_back(id);
-          break;
-        }
-        case NodeKind::kAttr: {
-          int32_t id = FindOrAddChildPath(&s.nodes_, top, fresh.prop(v),
-                                          true);
-          list_for(id).push_back(v);
-          break;
-        }
-        default:
-          break;
-      }
+  // Phase 2: inserted rows join (or create) their paths, and the counts
+  // within the insertion max-merge into the fan-outs.
+  s.AddRows(fresh, sp.at, sp.at + k, parent_path, sp.parent, &heads);
+  if (k > 0) {
+    // The insertion parent: recount its direct children (attributes
+    // first, each child's subtree skipped) in the fresh snapshot.
+    std::vector<uint32_t> per_path(s.nodes_.size(), 0);
+    uint32_t texts = 0;
+    Pre end = sp.parent + fresh.size(sp.parent);
+    for (Pre v = sp.parent + 1; v <= end; v += fresh.size(v) + 1) {
+      NodeKind kind = fresh.kind(v);
+      if (kind == NodeKind::kText) ++texts;
+      if (kind != NodeKind::kElem && kind != NodeKind::kAttr) continue;
+      int32_t id = s.FindChildPath(parent_path, fresh.prop(v),
+                                   kind == NodeKind::kAttr);
+      assert(id >= 0 && "child path missing from summary");
+      s.RaiseFanOut(id, ++per_path[static_cast<size_t>(id)]);
     }
+    s.max_text_children_ = std::max(s.max_text_children_, texts);
   }
-  if (heads.size() < s.nodes_.size()) {
-    heads.resize(s.nodes_.size());
-    tails.resize(s.nodes_.size());
-  }
+  heads.resize(s.nodes_.size());
+  tails.resize(s.nodes_.size());
 
   // Phase 3: flatten head ++ tail per path back into the contiguous
   // partition store; counts follow the partitions exactly. Paths whose
@@ -256,17 +173,8 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
     p.count = static_cast<uint32_t>(heads[id].size() + tails[id].size());
   }
 
-  // Phase 4: register paths minted by the insertion. New ids are larger
-  // than every existing id, so push_back keeps the by-tag lists sorted.
-  for (size_t id = old_paths; id < s.nodes_.size(); ++id) {
-    const PathNode& p = s.nodes_[id];
-    if (p.is_attr) {
-      s.attr_by_name_[p.tag].push_back(static_cast<int32_t>(id));
-    } else {
-      s.elem_by_tag_[p.tag].push_back(static_cast<int32_t>(id));
-      s.num_element_paths_++;
-    }
-  }
+  // Phase 4: register paths minted by the insertion.
+  s.IndexPaths(old_paths);
   return s;
 }
 
@@ -283,8 +191,8 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
   const NodeKind tkind = base.kind(u.target);
 
   // Content-only fast path: replacing the value of a leaf node touches
-  // one cell of the value column — structure, stats and the path summary
-  // are untouched (both are *shared* with the base).
+  // one cell of the value column — structure and the path summary are
+  // untouched (the summary is *shared* with the base).
   if (u.kind == NodeUpdate::Kind::kReplaceValue &&
       tkind != NodeKind::kElem) {
     if (tkind == NodeKind::kDoc) {
@@ -299,7 +207,6 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
     d.prop_ = base.props();
     d.value_ = base.values();
     d.value_[u.target] = pool->Intern(u.value);
-    d.stats_ = base.stats_;
     d.summary_ = base.shared_summary();
     out.doc = std::move(d);
     out.structural = false;
@@ -413,11 +320,6 @@ Result<SplicedDoc> DocumentSplicer::Apply(const Document& base,
   out.removed = sp.removed;
   out.inserted = static_cast<Pre>(sp.ins_size.size());
   Document fresh = BuildSpliced(base, sp);
-  if (base.stats() != nullptr) {
-    DocStats s = *base.stats();
-    RepairStats(fresh, sp, &s);
-    fresh.set_stats(std::move(s));
-  }
   if (base.summary() != nullptr) {
     fresh.set_summary(RepairSummary(*base.summary(), base, fresh, sp));
   }

@@ -498,8 +498,8 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
 // ------------------------------------------------------- update churn --
 
 // Interleave random node updates with generated queries on a private
-// database: the incrementally-maintained structures (shred-time stats,
-// path summary partitions, repaired query cache) must stay
+// database: the incrementally-maintained structures (path summary
+// partitions and fan-outs, repaired query cache) must stay
 // byte-identical to the navigational baseline, which recomputes from
 // the raw columns on every run. The Pathfinder instance persists
 // across rounds so its plan and subplan caches live through every

@@ -294,8 +294,8 @@ TEST_F(OptTest, CseFiresOnRepeatedSubexpressions) {
 // --- Join-graph pass (opt/join_graph.h) ------------------------------------
 
 /// The unoptimized plan of a value join whose existential distinct
-/// d.xml's shred stats prove redundant (attribute::k is unique per
-/// owner) — only the stats-backed pass can see that.
+/// d.xml's path-summary fan-outs prove redundant (attribute::k is
+/// unique per owner) — only the join-graph pass can see that.
 OpPtr KeyDistinctJoinPlan(xml::Database* db) {
   Pathfinder pf(db);
   QueryOptions o;

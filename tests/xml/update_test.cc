@@ -5,10 +5,10 @@
 // through TreeBuilder with the update applied during the walk — an
 // independent code path sharing nothing with the splice. The spliced
 // snapshot must match the oracle column for column (pre|size|level|
-// kind|prop|value, bit-identical), every repaired statistic (each one
-// an upper bound) must dominate a from-scratch ComputeDocStats, and its
-// repaired path summary must be semantically identical to a
-// from-scratch BuildPathSummary.
+// kind|prop|value, bit-identical), and its repaired path summary must
+// match a from-scratch BuildPathSummary of the oracle: partitions and
+// counts exactly, fan-outs and the text maximum as upper bounds (exact
+// for an insert into a freshly shredded base).
 
 #include <algorithm>
 #include <map>
@@ -23,7 +23,6 @@
 #include "xml/parser.h"
 #include "xml/path_summary.h"
 #include "xml/serializer.h"
-#include "xml/stats.h"
 #include "xml/tree_builder.h"
 #include "xml/update.h"
 
@@ -175,15 +174,17 @@ void ExpectSameColumns(const Document& got, const Document& want) {
   EXPECT_EQ(got.values(), want.values());
 }
 
-// Every repaired maximum must be at least its from-scratch value.
-void ExpectStatsRepaired(const DocStats& got, const DocStats& exact) {
-  for (const auto& [tag, mx] : exact.max_children) {
-    EXPECT_GE(got.MaxChildren(tag), mx) << "child fan-out below exact";
+// Label path of every path of `s` ("/site/regions/item/@id"); index 0
+// (the document node) is empty.
+std::vector<std::string> PathLabels(const PathSummary& s,
+                                    const StringPool& pool) {
+  std::vector<std::string> labels(s.num_paths());
+  for (size_t id = 1; id < s.num_paths(); ++id) {
+    const PathNode& p = s.path(static_cast<int32_t>(id));
+    labels[id] = labels[static_cast<size_t>(p.parent)] + "/" +
+                 (p.is_attr ? "@" : "") + std::string(pool.Get(p.tag));
   }
-  EXPECT_GE(got.max_text_children, exact.max_text_children);
-  for (const auto& [name, mx] : exact.max_per_owner) {
-    EXPECT_GE(got.MaxPerOwner(name), mx) << "attribute fan-out below exact";
-  }
+  return labels;
 }
 
 // Canonical semantic form of a path summary: label path -> (node count,
@@ -193,12 +194,10 @@ using CanonSummary =
     std::map<std::string, std::pair<uint32_t, std::vector<Pre>>>;
 
 CanonSummary Canonicalize(const PathSummary& s, const StringPool& pool) {
-  std::vector<std::string> labels(s.num_paths());
+  std::vector<std::string> labels = PathLabels(s, pool);
   CanonSummary out;
   for (size_t id = 1; id < s.num_paths(); ++id) {
     const PathNode& p = s.path(static_cast<int32_t>(id));
-    labels[id] = labels[static_cast<size_t>(p.parent)] + "/" +
-                 (p.is_attr ? "@" : "") + std::string(pool.Get(p.tag));
     if (p.count == 0) continue;
     size_t len;
     const Pre* part = s.partition(static_cast<int32_t>(id), &len);
@@ -212,10 +211,40 @@ void ExpectSummaryRepaired(const PathSummary& got, const PathSummary& want,
   EXPECT_EQ(Canonicalize(got, pool), Canonicalize(want, pool));
 }
 
-// Run `u` against `base` both ways and check everything. Returns the
+// Label path -> fan-out, over the paths that cover nodes.
+std::map<std::string, uint32_t> FanOuts(const PathSummary& s,
+                                        const StringPool& pool) {
+  std::vector<std::string> labels = PathLabels(s, pool);
+  std::map<std::string, uint32_t> out;
+  for (size_t id = 1; id < s.num_paths(); ++id) {
+    const PathNode& p = s.path(static_cast<int32_t>(id));
+    if (p.count > 0) out[labels[id]] = p.fan_out;
+  }
+  return out;
+}
+
+// Repaired fan-outs and text maximum must be at least their from-scratch
+// values (they are upper bounds); `exact` demands equality.
+void ExpectFanOutsRepaired(const PathSummary& got, const PathSummary& want,
+                           const StringPool& pool, bool exact) {
+  std::map<std::string, uint32_t> g = FanOuts(got, pool);
+  std::map<std::string, uint32_t> w = FanOuts(want, pool);
+  if (exact) {
+    EXPECT_EQ(g, w);
+    EXPECT_EQ(got.max_text_children(), want.max_text_children());
+    return;
+  }
+  for (const auto& [label, mx] : w) {
+    EXPECT_GE(g[label], mx) << "fan-out of " << label << " below exact";
+  }
+  EXPECT_GE(got.max_text_children(), want.max_text_children());
+}
+
+// Run `u` against `base` both ways and check everything; the repaired
+// fan-outs must equal the oracle's when `exact_fan_outs`. Returns the
 // spliced doc for follow-up assertions.
 SplicedDoc CheckUpdate(const Document& base, StringPool* pool,
-                       const NodeUpdate& u) {
+                       const NodeUpdate& u, bool exact_fan_outs = false) {
   auto spliced = ApplyNodeUpdate(base, pool, u);
   EXPECT_TRUE(spliced.ok()) << spliced.status().message();
   if (!spliced.ok()) return {};
@@ -228,17 +257,13 @@ SplicedDoc CheckUpdate(const Document& base, StringPool* pool,
   ExpectSameColumns(spliced->doc, *oracle);
   EXPECT_EQ(SerializeDocument(spliced->doc, *pool),
             SerializeDocument(*oracle, *pool));
-  if (base.stats() != nullptr) {
-    EXPECT_NE(spliced->doc.stats(), nullptr);
-    if (spliced->doc.stats() != nullptr) {
-      ExpectStatsRepaired(*spliced->doc.stats(), ComputeDocStats(*oracle));
-    }
-  }
   if (base.summary() != nullptr) {
     EXPECT_NE(spliced->doc.summary(), nullptr);
     if (spliced->doc.summary() != nullptr) {
-      ExpectSummaryRepaired(*spliced->doc.summary(),
-                            BuildPathSummary(*oracle), *pool);
+      PathSummary want = BuildPathSummary(*oracle);
+      ExpectSummaryRepaired(*spliced->doc.summary(), want, *pool);
+      ExpectFanOutsRepaired(*spliced->doc.summary(), want, *pool,
+                            exact_fan_outs);
     }
   }
   return std::move(*spliced);
@@ -246,7 +271,7 @@ SplicedDoc CheckUpdate(const Document& base, StringPool* pool,
 
 // A small document exercising every node kind, repeated tags, mixed
 // content and multi-attribute elements. Registered through a Database
-// so stats and summary are attached.
+// so the summary is attached.
 Document MakeBase(StringPool* pool) {
   TreeBuilder b(pool);
   b.StartElem("site");
@@ -284,7 +309,7 @@ Document MakeBase(StringPool* pool) {
 }
 
 Document MakeRegisteredBase(Database* db) {
-  // Registration attaches stats and path summary; copy the published
+  // Registration attaches the path summary; copy the published
   // snapshot so updates run off a fully annotated document.
   FragId id = db->AddDocument("base.xml", MakeBase(db->pool()));
   return db->doc(id);
@@ -310,7 +335,7 @@ TEST(UpdateTest, InsertChildAppend) {
   u.kind = NodeUpdate::Kind::kInsertChild;
   u.target = FindFirst(base, NodeKind::kElem, *db.pool(), "regions");
   u.xml = "<item id=\"i3\"><name>lamp</name><price>4</price></item>";
-  SplicedDoc sp = CheckUpdate(base, db.pool(), u);
+  SplicedDoc sp = CheckUpdate(base, db.pool(), u, /*exact_fan_outs=*/true);
   EXPECT_TRUE(sp.structural);
   EXPECT_EQ(sp.removed, 0u);
   EXPECT_GT(sp.inserted, 0u);
@@ -324,7 +349,7 @@ TEST(UpdateTest, InsertChildAtPositionZero) {
   u.target = FindFirst(base, NodeKind::kElem, *db.pool(), "site");
   u.position = 0;
   u.xml = "<header>v2</header>";
-  CheckUpdate(base, db.pool(), u);
+  CheckUpdate(base, db.pool(), u, /*exact_fan_outs=*/true);
 }
 
 TEST(UpdateTest, InsertChildMidPosition) {
@@ -335,7 +360,7 @@ TEST(UpdateTest, InsertChildMidPosition) {
   u.target = FindFirst(base, NodeKind::kElem, *db.pool(), "item");
   u.position = 1;
   u.xml = "<desc>solid <b>oak</b> legs</desc>";
-  CheckUpdate(base, db.pool(), u);
+  CheckUpdate(base, db.pool(), u, /*exact_fan_outs=*/true);
 }
 
 TEST(UpdateTest, InsertNewTagMintsSummaryPath) {
@@ -345,7 +370,7 @@ TEST(UpdateTest, InsertNewTagMintsSummaryPath) {
   u.kind = NodeUpdate::Kind::kInsertChild;
   u.target = FindFirst(base, NodeKind::kElem, *db.pool(), "person");
   u.xml = "<watchlist kind=\"open\"><watch/></watchlist>";
-  SplicedDoc sp = CheckUpdate(base, db.pool(), u);
+  SplicedDoc sp = CheckUpdate(base, db.pool(), u, /*exact_fan_outs=*/true);
   // The minted paths must be resolvable by tag.
   const PathSummary* s = sp.doc.summary();
   ASSERT_NE(s, nullptr);
@@ -400,22 +425,6 @@ TEST(UpdateTest, ReplaceLeafValueIsContentOnly) {
     EXPECT_EQ(sp.doc.summary(), base.summary())
         << "content-only update must share the base summary object";
   }
-}
-
-TEST(UpdateTest, ReplaceLeafValueSharesBaseStats) {
-  // The stats describe structure only, so a content-only update
-  // publishes the base's stats object itself.
-  Database db;
-  Document base = MakeRegisteredBase(&db);
-  ASSERT_NE(base.stats(), nullptr);
-  NodeUpdate u;
-  u.kind = NodeUpdate::Kind::kReplaceValue;
-  u.target = FindFirst(base, NodeKind::kText, *db.pool());
-  u.value = "updated-value";
-  SplicedDoc sp = CheckUpdate(base, db.pool(), u);
-  EXPECT_FALSE(sp.structural);
-  EXPECT_EQ(sp.doc.stats(), base.stats())
-      << "content-only update must share the base stats object";
 }
 
 TEST(UpdateTest, ReplaceElementValueIsStructural) {
@@ -520,11 +529,11 @@ TEST(UpdateTest, RandomizedAgainstOracle) {
       std::string err;
       ASSERT_TRUE(spliced->doc.Validate(&err)) << err;
       ExpectSameColumns(spliced->doc, *oracle);
-      ASSERT_NE(spliced->doc.stats(), nullptr);
-      ExpectStatsRepaired(*spliced->doc.stats(), ComputeDocStats(*oracle));
       ASSERT_NE(spliced->doc.summary(), nullptr);
-      ExpectSummaryRepaired(*spliced->doc.summary(),
-                            BuildPathSummary(*oracle), *pool);
+      PathSummary want = BuildPathSummary(*oracle);
+      ExpectSummaryRepaired(*spliced->doc.summary(), want, *pool);
+      ExpectFanOutsRepaired(*spliced->doc.summary(), want, *pool,
+                            /*exact=*/false);
       cur = std::move(spliced->doc);
       if (::testing::Test::HasFailure()) return;
     }
