@@ -40,15 +40,6 @@ class KeyAnalysis {
     return CoversKey(op, &col, 1);
   }
 
-  /// May the op's output item columns contain *constructed* nodes
-  /// (element/text/attribute constructors anywhere below)? Step facts
-  /// from the path summaries only hold for store documents, so they
-  /// require this to be false.
-  bool StoreNodesOnly(const Op* op) const {
-    size_t i = plan_.IndexOf(op);
-    return i < store_only_.size() && store_only_[i];
-  }
-
  private:
   friend KeyAnalysis InferKeys(const OpPtr&, const StepUniqueness&);
 
@@ -66,6 +57,8 @@ class KeyAnalysis {
   std::vector<uint64_t> key_bits_;
   std::vector<uint32_t> first_;
   std::vector<uint8_t> count_;
+  // Per node: its item columns hold store nodes only (no constructor
+  // below). Step facts from the path summaries require it.
   std::vector<uint8_t> store_only_;
 };
 

@@ -44,52 +44,22 @@ std::shared_ptr<Column> Column::MakeItem(size_t reserve) {
   return c;
 }
 
-std::shared_ptr<Column> Column::ConstInt(size_t n, int64_t v) {
-  auto c = MakeInt(n);
-  c->ints_.assign(n, v);
-  return c;
-}
-std::shared_ptr<Column> Column::ConstItem(size_t n, Item v) {
-  auto c = MakeItem(n);
-  c->items_.assign(n, v);
-  return c;
-}
-std::shared_ptr<Column> Column::ConstBool(size_t n, bool v) {
-  auto c = MakeBool(n);
-  c->bools_.assign(n, v ? 1 : 0);
-  return c;
+void Column::Append(const Column& src) {
+  Visit(
+      type_,
+      [](auto& dst, const auto& from) {
+        dst.insert(dst.end(), from.begin(), from.end());
+      },
+      *this, src);
 }
 
 size_t Column::size() const {
-  switch (type_) {
-    case ColType::kInt:
-      return ints_.size();
-    case ColType::kDbl:
-      return dbls_.size();
-    case ColType::kStr:
-      return strs_.size();
-    case ColType::kBool:
-      return bools_.size();
-    case ColType::kItem:
-      return items_.size();
-  }
-  return 0;
+  return Visit(type_, [](const auto& v) { return v.size(); }, *this);
 }
 
 size_t Column::ByteSize() const {
-  switch (type_) {
-    case ColType::kInt:
-      return ints_.size() * sizeof(int64_t);
-    case ColType::kDbl:
-      return dbls_.size() * sizeof(double);
-    case ColType::kStr:
-      return strs_.size() * sizeof(StrId);
-    case ColType::kBool:
-      return bools_.size() * sizeof(uint8_t);
-    case ColType::kItem:
-      return items_.size() * sizeof(Item);
-  }
-  return 0;
+  return Visit(
+      type_, [](const auto& v) { return v.size() * sizeof(v[0]); }, *this);
 }
 
 size_t Column::AllocBytes() const {

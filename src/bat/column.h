@@ -37,10 +37,28 @@ class Column {
   static std::shared_ptr<Column> MakeBool(size_t reserve = 0);
   static std::shared_ptr<Column> MakeItem(size_t reserve = 0);
 
-  /// Constant column of `n` copies of a value.
-  static std::shared_ptr<Column> ConstInt(size_t n, int64_t v);
-  static std::shared_ptr<Column> ConstItem(size_t n, Item v);
-  static std::shared_ptr<Column> ConstBool(size_t n, bool v);
+  /// Calls fn with the payload vectors of `cols` (every one of type
+  /// `t`): fn(std::vector<T>&...) with T the element type of `t`, so one
+  /// generic lambda serves every column type.
+  template <typename Fn, typename... Cols>
+  static decltype(auto) Visit(ColType t, Fn&& fn, Cols&... cols) {
+    switch (t) {
+      case ColType::kInt:
+        return fn(cols.ints()...);
+      case ColType::kDbl:
+        return fn(cols.dbls()...);
+      case ColType::kStr:
+        return fn(cols.strs()...);
+      case ColType::kBool:
+        return fn(cols.bools()...);
+      case ColType::kItem:
+        break;
+    }
+    return fn(cols.items()...);
+  }
+
+  /// Append src's values (src has this column's type).
+  void Append(const Column& src);
 
   ColType type() const { return type_; }
   size_t size() const;

@@ -215,89 +215,77 @@ Result<int> CompareRows(const std::vector<const Column*>& cols, size_t ra,
   return 0;
 }
 
+// Row-order compaction by a 0/1 mark per row — the one filter loop
+// behind σ, distinct and difference. MarkOffsets counts each morsel's
+// marks and turns the counts into exclusive output offsets;
+// ScatterMarked then lets every morsel write its marked rows into its
+// own output slice: row order preserved, no inter-chunk contention.
+// The scatter writes every candidate at the cursor and advances only on
+// a mark (misses are overwritten by the next candidate): no per-element
+// branch, contiguous writes, so both passes vectorize, and the mark
+// count bound stops the loop exactly at the slice end, so no write ever
+// crosses into the next chunk's slice.
+std::vector<size_t> MarkOffsets(const std::vector<uint8_t>& marks,
+                                size_t morsel, ThreadPool* tp) {
+  size_t chunks = ThreadPool::NumChunks(marks.size(), morsel);
+  std::vector<size_t> offs(chunks + 1, 0);
+  ParallelFor(tp, marks.size(), morsel, [&](size_t c, size_t lo, size_t hi) {
+    size_t n = 0;
+    for (size_t i = lo; i < hi; ++i) n += marks[i] ? 1 : 0;
+    offs[c + 1] = n;
+  });
+  for (size_t c = 0; c < chunks; ++c) offs[c + 1] += offs[c];
+  return offs;
+}
+
+// Writes value(i) of every marked row i, in row order, into *dst.
+template <typename T, typename Value>
+void ScatterMarked(const std::vector<uint8_t>& marks,
+                   const std::vector<size_t>& offs, size_t morsel,
+                   ThreadPool* tp, std::vector<T>* dst, const Value& value) {
+  dst->resize(offs.back());
+  ParallelFor(tp, marks.size(), morsel, [&](size_t c, size_t lo, size_t) {
+    size_t w = offs[c];
+    const size_t wend = offs[c + 1];
+    for (size_t i = lo; w < wend; ++i) {
+      (*dst)[w] = value(i);
+      w += marks[i] ? 1 : 0;
+    }
+  });
+}
+
+// Indices of the marked rows, in row order.
+IdxVec MarkedRows(const std::vector<uint8_t>& marks, size_t morsel,
+                  ThreadPool* tp) {
+  IdxVec out;
+  ScatterMarked(marks, MarkOffsets(marks, morsel, tp), morsel, tp, &out,
+                [](size_t i) { return static_cast<RowIdx>(i); });
+  return out;
+}
+
 }  // namespace
 
 IdxVec FilterIndices(const Column& pred, ThreadPool* tp,
                      const KernelTuning& kt) {
   assert(pred.type() == ColType::kBool);
-  const auto& b = pred.bools();
-  const size_t morsel = kt.Clamped().morsel_rows;
-  IdxVec out;
-  // Two-pass filter: per-morsel popcount, exclusive prefix to output
-  // offsets, then each morsel scatters its hits into its own slice —
-  // row order preserved, no inter-chunk contention. The scatter writes
-  // every candidate row id at the cursor and advances only on a hit
-  // (misses are overwritten by the next candidate): no per-element
-  // branch, contiguous writes, so both passes vectorize, and the hit
-  // count bound from the popcount pass stops the loop exactly at the
-  // slice end, so no write ever crosses into the next chunk's slice.
-  size_t chunks = ThreadPool::NumChunks(b.size(), morsel);
-  std::vector<size_t> offs(chunks + 1, 0);
-  ParallelFor(tp, b.size(), morsel,
-              [&](size_t c, size_t lo, size_t hi) {
-                size_t n = 0;
-                for (size_t i = lo; i < hi; ++i) n += b[i] ? 1 : 0;
-                offs[c + 1] = n;
-              });
-  for (size_t c = 0; c < chunks; ++c) offs[c + 1] += offs[c];
-  out.resize(offs[chunks]);
-  ParallelFor(tp, b.size(), morsel,
-              [&](size_t c, size_t lo, size_t) {
-                size_t w = offs[c];
-                const size_t wend = offs[c + 1];
-                for (size_t i = lo; w < wend; ++i) {
-                  out[w] = static_cast<RowIdx>(i);
-                  w += b[i] ? 1 : 0;
-                }
-              });
-  return out;
+  return MarkedRows(pred.bools(), kt.Clamped().morsel_rows, tp);
 }
-
-namespace {
-
-template <typename T>
-void GatherInto(const std::vector<T>& src, const IdxVec& idx,
-                std::vector<T>* dst, ThreadPool* tp) {
-  // Exact-size allocation + positional writes: each morsel fills its
-  // own disjoint slice of the result.
-  dst->resize(idx.size());
-  ParallelFor(tp, idx.size(), kMorselRows,
-              [&](size_t, size_t lo, size_t hi) {
-                for (size_t k = lo; k < hi; ++k) (*dst)[k] = src[idx[k]];
-              });
-}
-
-}  // namespace
 
 ColumnPtr Gather(const Column& c, const IdxVec& idx, ThreadPool* tp) {
-  switch (c.type()) {
-    case ColType::kInt: {
-      auto out = Column::MakeInt();
-      GatherInto(c.ints(), idx, &out->ints(), tp);
-      return out;
-    }
-    case ColType::kDbl: {
-      auto out = Column::MakeDbl();
-      GatherInto(c.dbls(), idx, &out->dbls(), tp);
-      return out;
-    }
-    case ColType::kStr: {
-      auto out = Column::MakeStr();
-      GatherInto(c.strs(), idx, &out->strs(), tp);
-      return out;
-    }
-    case ColType::kBool: {
-      auto out = Column::MakeBool();
-      GatherInto(c.bools(), idx, &out->bools(), tp);
-      return out;
-    }
-    case ColType::kItem: {
-      auto out = Column::MakeItem();
-      GatherInto(c.items(), idx, &out->items(), tp);
-      return out;
-    }
-  }
-  return nullptr;
+  // Exact-size allocation + positional writes: each morsel fills its
+  // own disjoint slice of the result.
+  auto out = std::make_shared<Column>(c.type());
+  Column::Visit(
+      c.type(),
+      [&](const auto& src, auto& dst) {
+        dst.resize(idx.size());
+        ParallelFor(tp, idx.size(), kMorselRows,
+                    [&](size_t, size_t lo, size_t hi) {
+                      for (size_t k = lo; k < hi; ++k) dst[k] = src[idx[k]];
+                    });
+      },
+      c, *out);
+  return out;
 }
 
 Table GatherTable(const Table& t, const IdxVec& idx, ThreadPool* tp) {
@@ -308,80 +296,35 @@ Table GatherTable(const Table& t, const IdxVec& idx, ThreadPool* tp) {
   return out;
 }
 
-namespace {
-
-// Fused filter scatter: each morsel writes its surviving rows straight
-// into its pre-computed slice of the output column. Same branch-free
-// cursor loop as FilterIndices — unconditional write, conditional
-// advance, hit-count bound.
-template <typename T>
-void FilterInto(const std::vector<T>& src, const std::vector<uint8_t>& b,
-                const std::vector<size_t>& offs, size_t morsel,
-                std::vector<T>* dst, ThreadPool* tp) {
-  dst->resize(offs.back());
-  ParallelFor(tp, b.size(), morsel, [&](size_t c, size_t lo, size_t) {
-    size_t w = offs[c];
-    const size_t wend = offs[c + 1];
-    for (size_t i = lo; w < wend; ++i) {
-      (*dst)[w] = src[i];
-      w += b[i] ? 1 : 0;
-    }
-  });
-}
-
-ColumnPtr FilterColumn(const Column& c, const std::vector<uint8_t>& b,
-                       const std::vector<size_t>& offs, size_t morsel,
-                       ThreadPool* tp) {
-  auto out = std::make_shared<Column>(c.type());
-  switch (c.type()) {
-    case ColType::kInt:
-      FilterInto(c.ints(), b, offs, morsel, &out->ints(), tp);
-      break;
-    case ColType::kDbl:
-      FilterInto(c.dbls(), b, offs, morsel, &out->dbls(), tp);
-      break;
-    case ColType::kStr:
-      FilterInto(c.strs(), b, offs, morsel, &out->strs(), tp);
-      break;
-    case ColType::kBool:
-      FilterInto(c.bools(), b, offs, morsel, &out->bools(), tp);
-      break;
-    case ColType::kItem:
-      FilterInto(c.items(), b, offs, morsel, &out->items(), tp);
-      break;
-  }
-  return out;
-}
-
-}  // namespace
-
 Table FilterGather(const Table& t, const Column& pred, ThreadPool* tp,
                    const KernelTuning& kt) {
   assert(pred.type() == ColType::kBool);
   const auto& b = pred.bools();
   const size_t morsel = kt.Clamped().morsel_rows;
-  // Per-morsel popcount + exclusive prefix sizes every column's output
-  // exactly; the surviving-row positions are recomputed per column
-  // instead of being staged in an index vector (cheap: the predicate
-  // scan is branch-free and stays in cache per morsel).
-  size_t chunks = ThreadPool::NumChunks(b.size(), morsel);
-  std::vector<size_t> offs(chunks + 1, 0);
-  ParallelFor(tp, b.size(), morsel, [&](size_t c, size_t lo, size_t hi) {
-    size_t n = 0;
-    for (size_t i = lo; i < hi; ++i) n += b[i] ? 1 : 0;
-    offs[c + 1] = n;
-  });
-  for (size_t c = 0; c < chunks; ++c) offs[c + 1] += offs[c];
+  // The offsets size every column's output exactly; the surviving-row
+  // positions are recomputed per column instead of being staged in an
+  // index vector (cheap: the predicate scan is branch-free and stays
+  // in cache per morsel).
+  const std::vector<size_t> offs = MarkOffsets(b, morsel, tp);
   Table out;
   for (size_t i = 0; i < t.num_cols(); ++i) {
-    out.AddCol(t.name(i), FilterColumn(*t.col(i), b, offs, morsel, tp));
+    const Column& c = *t.col(i);
+    auto col = std::make_shared<Column>(c.type());
+    Column::Visit(
+        c.type(),
+        [&](const auto& src, auto& dst) {
+          ScatterMarked(b, offs, morsel, tp, &dst,
+                        [&src](size_t r) { return src[r]; });
+        },
+        c, *col);
+    out.AddCol(t.name(i), std::move(col));
   }
   return out;
 }
 
 namespace {
 
-// See HashJoinIndices: canonical representation for item join keys,
+// See HashJoinPairsChunked: canonical representation for item join keys,
 // mirroring ItemCompareValue's equality: numbers (and numeric-looking
 // strings/untyped atomics) compare by double value, everything else by
 // string identity.
@@ -451,7 +394,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
         rv.push_back(j);
       }
     }
-    out->total = lv.size();
     return;
   }
   const int bits = kt.radix_bits;
@@ -564,7 +506,6 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
       }
     }
   });
-  for (const IdxVec& lv : out->li) out->total += lv.size();
 }
 
 // Exclusive prefix offsets of a chunked pair list.
@@ -574,25 +515,6 @@ std::vector<size_t> ChunkOffsets(const std::vector<IdxVec>& chunks) {
     offs[c + 1] = offs[c] + chunks[c].size();
   }
   return offs;
-}
-
-// Flatten pair chunks into global index vectors (the legacy *Indices
-// result). A single chunk is moved, not copied, so the serial paths
-// cost what they did before the chunked refactor.
-void FlattenPairs(JoinPairChunks&& pc, IdxVec* li, IdxVec* ri,
-                  ThreadPool* tp) {
-  if (pc.li.size() == 1) {
-    *li = std::move(pc.li[0]);
-    *ri = std::move(pc.ri[0]);
-    return;
-  }
-  std::vector<size_t> offs = ChunkOffsets(pc.li);
-  li->resize(offs.back());
-  ri->resize(offs.back());
-  ParallelFor(tp, pc.li.size(), 1, [&](size_t c, size_t, size_t) {
-    std::copy(pc.li[c].begin(), pc.li[c].end(), li->begin() + offs[c]);
-    std::copy(pc.ri[c].begin(), pc.ri[c].end(), ri->begin() + offs[c]);
-  });
 }
 
 }  // namespace
@@ -652,17 +574,6 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
   }
 }
 
-Status HashJoinIndices(const Column& l, const Column& r,
-                       const StringPool& pool, IdxVec* li, IdxVec* ri,
-                       ThreadPool* tp, const KernelTuning& kt) {
-  li->clear();
-  ri->clear();
-  JoinPairChunks pc;
-  PF_RETURN_NOT_OK(HashJoinPairsChunked(l, r, pool, &pc, tp, kt));
-  FlattenPairs(std::move(pc), li, ri, tp);
-  return Status::OK();
-}
-
 Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
                              const StringPool& pool, JoinPairChunks* out,
                              ThreadPool* tp) {
@@ -691,10 +602,6 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
     }
   };
   *out = JoinPairChunks{};
-  auto finish = [out] {
-    for (const IdxVec& lv : out->li) out->total += lv.size();
-    return Status::OK();
-  };
   auto lm = materialize(l);
   auto rm = materialize(r);
   if (!lm.ok() || !rm.ok()) {
@@ -744,7 +651,7 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
           }
           return Status::OK();
         }));
-    return finish();
+    return Status::OK();
   }
   std::vector<double> lv = std::move(lm).value();
   std::vector<double> rv = std::move(rm).value();
@@ -780,236 +687,47 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
       }
     }
   });
-  return finish();
-}
-
-Status ThetaJoinIndices(const Column& l, const Column& r, CmpOp op,
-                        const StringPool& pool, IdxVec* li, IdxVec* ri,
-                        ThreadPool* tp) {
-  li->clear();
-  ri->clear();
-  JoinPairChunks pc;
-  PF_RETURN_NOT_OK(ThetaJoinPairsChunked(l, r, op, pool, &pc, tp));
-  FlattenPairs(std::move(pc), li, ri, tp);
   return Status::OK();
 }
 
-namespace {
-
-// Gather src rows named by chunked pair indices straight into each
-// chunk's output slice (one task per chunk: chunk pair counts vary, so
-// row-range chunking would misalign with `offs`).
-template <typename T>
-void GatherChunksInto(const std::vector<T>& src,
-                      const std::vector<IdxVec>& idx,
-                      const std::vector<size_t>& offs, std::vector<T>* dst,
-                      ThreadPool* tp) {
-  dst->resize(offs.back());
-  ParallelFor(tp, idx.size(), 1, [&](size_t c, size_t, size_t) {
-    size_t w = offs[c];
-    for (RowIdx k : idx[c]) (*dst)[w++] = src[k];
-  });
-}
-
-ColumnPtr GatherChunks(const Column& c, const std::vector<IdxVec>& idx,
-                       const std::vector<size_t>& offs, ThreadPool* tp) {
-  auto out = std::make_shared<Column>(c.type());
-  switch (c.type()) {
-    case ColType::kInt:
-      GatherChunksInto(c.ints(), idx, offs, &out->ints(), tp);
-      break;
-    case ColType::kDbl:
-      GatherChunksInto(c.dbls(), idx, offs, &out->dbls(), tp);
-      break;
-    case ColType::kStr:
-      GatherChunksInto(c.strs(), idx, offs, &out->strs(), tp);
-      break;
-    case ColType::kBool:
-      GatherChunksInto(c.bools(), idx, offs, &out->bools(), tp);
-      break;
-    case ColType::kItem:
-      GatherChunksInto(c.items(), idx, offs, &out->items(), tp);
-      break;
-  }
-  return out;
-}
-
-Table JoinGatherTables(const Table& l, const Table& r,
-                       const JoinPairChunks& pc, ThreadPool* tp) {
-  std::vector<size_t> offs = ChunkOffsets(pc.li);
+Table GatherPairs(const Table& l, const Table& r, const JoinPairChunks& pc,
+                  ThreadPool* tp) {
+  const std::vector<size_t> offs = ChunkOffsets(pc.li);
+  // One task per chunk: chunk pair counts vary, so row-range chunking
+  // would misalign with `offs`.
+  auto gather = [&](const Column& c, const std::vector<IdxVec>& idx) {
+    auto out = std::make_shared<Column>(c.type());
+    Column::Visit(
+        c.type(),
+        [&](const auto& src, auto& dst) {
+          dst.resize(offs.back());
+          ParallelFor(tp, idx.size(), 1, [&](size_t k, size_t, size_t) {
+            size_t w = offs[k];
+            for (RowIdx row : idx[k]) dst[w++] = src[row];
+          });
+        },
+        c, *out);
+    return out;
+  };
   Table out;
   for (size_t i = 0; i < l.num_cols(); ++i) {
-    out.AddCol(l.name(i), GatherChunks(*l.col(i), pc.li, offs, tp));
+    out.AddCol(l.name(i), gather(*l.col(i), pc.li));
   }
   for (size_t i = 0; i < r.num_cols(); ++i) {
-    out.AddCol(r.name(i), GatherChunks(*r.col(i), pc.ri, offs, tp));
+    out.AddCol(r.name(i), gather(*r.col(i), pc.ri));
   }
   return out;
 }
-
-}  // namespace
-
-Status HashJoinGather(const Table& l, const Table& r, const Column& lk,
-                      const Column& rk, const StringPool& pool, Table* out,
-                      ThreadPool* tp, const KernelTuning& kt) {
-  JoinPairChunks pc;
-  PF_RETURN_NOT_OK(HashJoinPairsChunked(lk, rk, pool, &pc, tp, kt));
-  *out = JoinGatherTables(l, r, pc, tp);
-  return Status::OK();
-}
-
-Status ThetaJoinGather(const Table& l, const Table& r, const Column& lk,
-                       const Column& rk, CmpOp op, const StringPool& pool,
-                       Table* out, ThreadPool* tp) {
-  JoinPairChunks pc;
-  PF_RETURN_NOT_OK(ThetaJoinPairsChunked(lk, rk, op, pool, &pc, tp));
-  *out = JoinGatherTables(l, r, pc, tp);
-  return Status::OK();
-}
-
-namespace {
-
-// Merge-path split: the number of A elements among the first `diag`
-// outputs of a stable merge of A (na elements) and B (nb elements)
-// under `less`, with ties taken from A — exactly std::merge's rule.
-// Splitting one merge at several diagonals and merging the pieces
-// therefore reproduces the full std::merge output piecewise.
-template <typename Less>
-size_t MergeSplit(const RowIdx* a, size_t na, const RowIdx* b, size_t nb,
-                  size_t diag, const Less& less) {
-  size_t lo = diag > nb ? diag - nb : 0;
-  size_t hi = std::min(diag, na);
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    // a[mid] precedes b[diag-1-mid] in the merge iff !(b < a).
-    if (!less(b[diag - 1 - mid], a[mid])) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
 
 Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc, ThreadPool* tp,
                         const KernelTuning& kt) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
-  const size_t run = kt.Clamped().sort_chunk_rows;
-  IdxVec perm(t.rows());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<RowIdx>(i);
-  size_t n = perm.size();
-  // Fast path: operator outputs are frequently already key-ordered
-  // (staircase join emits document order, unions of ordered inputs stay
-  // grouped), so one linear pre-check saves the O(n log n) sort. The
-  // check itself is chunked: each morsel tests its adjacent pairs
-  // (including the pair straddling the next chunk's boundary).
-  std::atomic<bool> sorted{true};
-  PF_RETURN_NOT_OK(ParallelForStatus(
-      tp, n > 0 ? n - 1 : 0, run,
-      [&](size_t, size_t lo, size_t hi) -> Status {
-        if (!sorted.load(std::memory_order_relaxed)) return Status::OK();
-        for (size_t i = lo; i < hi; ++i) {
-          PF_ASSIGN_OR_RETURN(int cmp,
-                              CompareRows(cols, i, i + 1, pool, desc));
-          if (cmp > 0) {
-            sorted.store(false, std::memory_order_relaxed);
-            break;
-          }
-        }
-        return Status::OK();
-      }));
-  if (sorted.load(std::memory_order_relaxed)) return perm;
-  if (tp == nullptr || n < 2 * run) {
-    Status st = Status::OK();
-    std::stable_sort(perm.begin(), perm.end(), [&](RowIdx a, RowIdx b) {
-      auto cmp = CompareRows(cols, a, b, pool, desc);
-      if (!cmp.ok()) {
-        if (st.ok()) st = cmp.status();
-        return false;
-      }
-      return *cmp < 0;
-    });
-    if (!st.ok()) return st;
-    return perm;
-  }
-  // Parallel merge sort. Phase 1: stable-sort fixed-size runs
-  // concurrently.
-  PF_RETURN_NOT_OK(ParallelForStatus(
-      tp, n, run, [&](size_t, size_t lo, size_t hi) -> Status {
-        Status st = Status::OK();
-        std::stable_sort(perm.begin() + static_cast<ptrdiff_t>(lo),
-                         perm.begin() + static_cast<ptrdiff_t>(hi),
-                         [&](RowIdx a, RowIdx b) {
-                           auto cmp = CompareRows(cols, a, b, pool, desc);
-                           if (!cmp.ok()) {
-                             if (st.ok()) st = cmp.status();
-                             return false;
-                           }
-                           return *cmp < 0;
-                         });
-        return st;
-      }));
-  // Phase 2: merge adjacent runs level by level, but split every
-  // pairwise merge into independent output segments of `run` rows via
-  // merge-path binary search — the top levels (including the final
-  // whole-array merge) parallelize as well as the bottom ones, leaving
-  // no serial merge phase. std::merge takes the left (= lower-run)
-  // element on ties and MergeSplit uses the same rule, so the final
-  // permutation is exactly the serial stable sort's.
-  IdxVec buf(n);
-  IdxVec* src = &perm;
-  IdxVec* dst = &buf;
-  struct Seg {
-    size_t a, mid, b;       // merge input: [a, mid) with [mid, b)
-    size_t out_lo, out_hi;  // output segment within [a, b)
-  };
-  std::vector<Seg> segs;
-  for (size_t width = run; width < n; width *= 2) {
-    segs.clear();
-    for (size_t a = 0; a < n; a += 2 * width) {
-      size_t mid = std::min(n, a + width);
-      size_t b = std::min(n, a + 2 * width);
-      for (size_t lo = a; lo < b; lo += run) {
-        segs.push_back({a, mid, b, lo, std::min(b, lo + run)});
-      }
-    }
-    PF_RETURN_NOT_OK(ParallelForStatus(
-        tp, segs.size(), 1, [&](size_t si, size_t, size_t) -> Status {
-          const Seg& sg = segs[si];
-          Status st = Status::OK();
-          auto less = [&](RowIdx x, RowIdx y) {
-            auto cmp = CompareRows(cols, x, y, pool, desc);
-            if (!cmp.ok()) {
-              if (st.ok()) st = cmp.status();
-              return false;
-            }
-            return *cmp < 0;
-          };
-          const RowIdx* av = src->data() + sg.a;
-          size_t na = sg.mid - sg.a;
-          const RowIdx* bv = src->data() + sg.mid;
-          size_t nb = sg.b - sg.mid;
-          size_t i0 = MergeSplit(av, na, bv, nb, sg.out_lo - sg.a, less);
-          size_t i1 = MergeSplit(av, na, bv, nb, sg.out_hi - sg.a, less);
-          // A comparator error makes the split diagonals meaningless
-          // (and possibly inverted) — stop before handing them to
-          // std::merge.
-          if (!st.ok()) return st;
-          size_t j0 = (sg.out_lo - sg.a) - i0;
-          size_t j1 = (sg.out_hi - sg.a) - i1;
-          std::merge(av + i0, av + i1, bv + j0, bv + j1,
-                     dst->begin() + static_cast<ptrdiff_t>(sg.out_lo),
-                     less);
-          return st;
-        }));
-    std::swap(src, dst);
-  }
-  if (src != &perm) perm = std::move(*src);
-  return perm;
+  return StableSortRows(
+      t.rows(),
+      [&](RowIdx a, RowIdx b) { return CompareRows(cols, a, b, pool, desc); },
+      tp, kt);
 }
 
 Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
@@ -1057,24 +775,7 @@ Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
       }
     }
   });
-  // Two-pass collect: per-morsel counts, exclusive prefix, scatter into
-  // exact output slices — kept rows stay in row order.
-  std::vector<size_t> counts(chunks, 0);
-  ParallelFor(tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
-    size_t cnt = 0;
-    for (size_t r = lo; r < hi; ++r) cnt += first[r];
-    counts[c] = cnt;
-  });
-  std::vector<size_t> offs(chunks + 1, 0);
-  for (size_t c = 0; c < chunks; ++c) offs[c + 1] = offs[c] + counts[c];
-  IdxVec out(offs.back());
-  ParallelFor(tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
-    size_t o = offs[c];
-    for (size_t r = lo; r < hi; ++r) {
-      if (first[r]) out[o++] = static_cast<RowIdx>(r);
-    }
-  });
-  return out;
+  return MarkedRows(first, kMorselRows, tp);
 }
 
 Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
@@ -1180,30 +881,14 @@ Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
       }
     }
   });
-  size_t achunks = ThreadPool::NumChunks(na, kMorselRows);
   std::vector<uint8_t> keep(na, 0);
-  std::vector<size_t> counts(achunks, 0);
-  ParallelFor(tp, na, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
+  ParallelFor(tp, na, kMorselRows, [&](size_t, size_t lo, size_t hi) {
     HashKeys(acols, lo, hi, ahashes.data());
-    size_t cnt = 0;
     for (size_t r = lo; r < hi; ++r) {
-      if (!in_b(r, parts[PartitionOf(ahashes[r])])) {
-        keep[r] = 1;
-        ++cnt;
-      }
-    }
-    counts[c] = cnt;
-  });
-  std::vector<size_t> offs(achunks + 1, 0);
-  for (size_t c = 0; c < achunks; ++c) offs[c + 1] = offs[c] + counts[c];
-  IdxVec out(offs.back());
-  ParallelFor(tp, na, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
-    size_t o = offs[c];
-    for (size_t r = lo; r < hi; ++r) {
-      if (keep[r]) out[o++] = static_cast<RowIdx>(r);
+      keep[r] = in_b(r, parts[PartitionOf(ahashes[r])]) ? 0 : 1;
     }
   });
-  return out;
+  return MarkedRows(keep, kMorselRows, tp);
 }
 
 Result<Table> UnionAll(const Table& a, const Table& b) {
@@ -1221,33 +906,8 @@ Result<Table> UnionAll(const Table& a, const Table& b) {
                               std::string(ColName(a.name(i))) + "'");
     }
     auto merged = std::make_shared<Column>(ca.type());
-    switch (ca.type()) {
-      case ColType::kInt:
-        merged->ints() = ca.ints();
-        merged->ints().insert(merged->ints().end(), cb.ints().begin(),
-                              cb.ints().end());
-        break;
-      case ColType::kDbl:
-        merged->dbls() = ca.dbls();
-        merged->dbls().insert(merged->dbls().end(), cb.dbls().begin(),
-                              cb.dbls().end());
-        break;
-      case ColType::kStr:
-        merged->strs() = ca.strs();
-        merged->strs().insert(merged->strs().end(), cb.strs().begin(),
-                              cb.strs().end());
-        break;
-      case ColType::kBool:
-        merged->bools() = ca.bools();
-        merged->bools().insert(merged->bools().end(), cb.bools().begin(),
-                               cb.bools().end());
-        break;
-      case ColType::kItem:
-        merged->items() = ca.items();
-        merged->items().insert(merged->items().end(), cb.items().begin(),
-                               cb.items().end());
-        break;
-    }
+    merged->Append(ca);
+    merged->Append(cb);
     out.AddCol(a.name(i), std::move(merged));
   }
   return out;

@@ -35,7 +35,6 @@ class Table {
     }
     return -1;
   }
-  bool HasCol(ColId name) const { return FindCol(name) >= 0; }
 
   /// Column by name; Status error if absent (kInternal — schema mismatch
   /// is a plan bug, not user input).

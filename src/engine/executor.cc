@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "accel/step.h"
@@ -593,25 +594,31 @@ struct PipeMorsel {
   std::vector<ColumnPtr> computed;
 };
 
+// A cell of element type T (a Column payload type) from an Item of the
+// matching kind.
+template <typename T>
+T CellOf(const Item& v) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return v.AsInt();
+  } else if constexpr (std::is_same_v<T, double>) {
+    return v.AsDbl();
+  } else if constexpr (std::is_same_v<T, StrId>) {
+    return v.AsStr();
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    return v.AsBool() ? 1 : 0;
+  } else {
+    return v;
+  }
+}
+
+template <typename Vec>
+using ElemOf = typename std::decay_t<Vec>::value_type;
+
 ColumnPtr ConstColumn(ColType t, const Item& v, size_t n) {
   auto col = std::make_shared<Column>(t);
-  switch (t) {
-    case ColType::kInt:
-      col->ints().assign(n, v.AsInt());
-      break;
-    case ColType::kDbl:
-      col->dbls().assign(n, v.AsDbl());
-      break;
-    case ColType::kStr:
-      col->strs().assign(n, v.AsStr());
-      break;
-    case ColType::kBool:
-      col->bools().assign(n, v.AsBool() ? 1 : 0);
-      break;
-    case ColType::kItem:
-      col->items().assign(n, v);
-      break;
-  }
+  Column::Visit(
+      t, [&](auto& dst) { dst.assign(n, CellOf<ElemOf<decltype(dst)>>(v)); },
+      *col);
   return col;
 }
 
@@ -650,12 +657,7 @@ Status RunMorsel(const PipeProgram& prog, const Table& left,
       case OpKind::kSelect: {
         PF_ASSIGN_OR_RETURN(ColumnPtr pred,
                             MorselColumn(*m, left, right, s.a));
-        const auto& bits = pred->bools();
-        IdxVec keep;
-        keep.reserve(n);
-        for (size_t k = 0; k < n; ++k) {
-          if (bits[k]) keep.push_back(static_cast<RowIdx>(k));
-        }
+        IdxVec keep = bat::FilterIndices(*pred);
         if (keep.size() == n) break;
         CompressIdx(&m->li, keep);
         if (!m->ri.empty()) CompressIdx(&m->ri, keep);
@@ -700,31 +702,6 @@ Result<std::vector<ColumnPtr>> MorselOutput(const PipeProgram& prog,
   return cols;
 }
 
-void AppendColumn(Column* dst, const Column& src) {
-  switch (dst->type()) {
-    case ColType::kInt:
-      dst->ints().insert(dst->ints().end(), src.ints().begin(),
-                         src.ints().end());
-      break;
-    case ColType::kDbl:
-      dst->dbls().insert(dst->dbls().end(), src.dbls().begin(),
-                         src.dbls().end());
-      break;
-    case ColType::kStr:
-      dst->strs().insert(dst->strs().end(), src.strs().begin(),
-                         src.strs().end());
-      break;
-    case ColType::kBool:
-      dst->bools().insert(dst->bools().end(), src.bools().begin(),
-                          src.bools().end());
-      break;
-    case ColType::kItem:
-      dst->items().insert(dst->items().end(), src.items().begin(),
-                          src.items().end());
-      break;
-  }
-}
-
 // Materialize the fragment's output BAT: per-morsel output columns
 // concatenated in chunk order.
 Table ConcatChunks(const PipeProgram& prog,
@@ -733,7 +710,7 @@ Table ConcatChunks(const PipeProgram& prog,
   for (size_t c = 0; c < prog.out_refs.size(); ++c) {
     auto col = std::make_shared<Column>(prog.out_types[c]);
     for (const auto& chunk : outs) {
-      AppendColumn(col.get(), *chunk[c]);
+      col->Append(*chunk[c]);
     }
     t.AddCol(prog.out_names[c], std::move(col));
   }
@@ -945,6 +922,19 @@ class Exec {
     return static_cast<int64_t>(ThreadPool::NumChunks(basis, morsel()));
   }
 
+  // The matching row pairs of a ⋈ or θ-join op over its inputs.
+  Status JoinPairs(const Op& op, const Table& l, const Table& r,
+                   bat::JoinPairChunks* pc) {
+    PF_ASSIGN_OR_RETURN(ColumnPtr lk, l.GetCol(op.col));
+    PF_ASSIGN_OR_RETURN(ColumnPtr rk, r.GetCol(op.col2));
+    if (op.kind == OpKind::kEquiJoin) {
+      return bat::HashJoinPairsChunked(*lk, *rk, *ctx_->pool(), pc, tp(),
+                                       kt());
+    }
+    return bat::ThetaJoinPairsChunked(*lk, *rk, op.cmp, *ctx_->pool(), pc,
+                                      tp());
+  }
+
   // Evaluate the fragment ending at `tail` as one fused morsel pass.
   Result<Table> EvalFragment(const Op& tail) {
     // Reconstruct the chain head-first. Interior members are exactly
@@ -969,34 +959,17 @@ class Exec {
     }
 
     const Op& head = *chain.front();
+    frag_morsels_ = static_cast<int64_t>(
+        ThreadPool::NumChunks(Child(head, 0).rows(), morsel()));
+    // A lone σ or join (the only singleton fragments): its op-at-a-time
+    // kernel already writes every column straight into its output slice.
+    if (chain.size() == 1) return EvalOne(head);
     if (alg::IsPipelineJoinOp(head.kind)) {
+      // Join-headed chain: each probe chunk's pair list is one morsel.
       const Table& l = Child(head, 0);
       const Table& r = Child(head, 1);
-      PF_ASSIGN_OR_RETURN(ColumnPtr lk, l.GetCol(head.col));
-      PF_ASSIGN_OR_RETURN(ColumnPtr rk, r.GetCol(head.col2));
-      if (chain.size() == 1) {
-        // Bare join: fused probe+gather kernel, no pair vectors.
-        frag_morsels_ = static_cast<int64_t>(
-            ThreadPool::NumChunks(l.rows(), morsel()));
-        Table out;
-        if (head.kind == OpKind::kEquiJoin) {
-          PF_RETURN_NOT_OK(bat::HashJoinGather(
-              l, r, *lk, *rk, *ctx_->pool(), &out, tp(), kt()));
-        } else {
-          PF_RETURN_NOT_OK(bat::ThetaJoinGather(
-              l, r, *lk, *rk, head.cmp, *ctx_->pool(), &out, tp()));
-        }
-        return out;
-      }
-      // Join-headed chain: each probe chunk's pair list is one morsel.
       bat::JoinPairChunks pc;
-      if (head.kind == OpKind::kEquiJoin) {
-        PF_RETURN_NOT_OK(bat::HashJoinPairsChunked(*lk, *rk, *ctx_->pool(),
-                                                   &pc, tp(), kt()));
-      } else {
-        PF_RETURN_NOT_OK(bat::ThetaJoinPairsChunked(
-            *lk, *rk, head.cmp, *ctx_->pool(), &pc, tp()));
-      }
+      PF_RETURN_NOT_OK(JoinPairs(head, l, r, &pc));
       std::vector<const Op*> body(chain.begin() + 1, chain.end());
       PF_ASSIGN_OR_RETURN(PipeProgram prog, CompileFragment(body, l, &r));
       frag_morsels_ = static_cast<int64_t>(pc.li.size());
@@ -1017,12 +990,6 @@ class Exec {
 
     // Map-headed fragment over a single input.
     const Table& in = Child(head, 0);
-    frag_morsels_ = static_cast<int64_t>(
-        ThreadPool::NumChunks(in.rows(), morsel()));
-    if (chain.size() == 1 && head.kind == OpKind::kSelect) {
-      PF_ASSIGN_OR_RETURN(ColumnPtr pred, in.GetCol(head.col));
-      return bat::FilterGather(in, *pred, tp(), kt());
-    }
     PF_ASSIGN_OR_RETURN(PipeProgram prog,
                         CompileFragment(chain, in, nullptr));
     size_t n = in.rows();
@@ -1050,26 +1017,14 @@ class Exec {
         Table t;
         for (size_t c = 0; c < op.names.size(); ++c) {
           auto col = std::make_shared<Column>(op.types[c]);
-          for (const auto& row : op.rows) {
-            const Item& cell = row[c];
-            switch (op.types[c]) {
-              case ColType::kInt:
-                col->ints().push_back(cell.AsInt());
-                break;
-              case ColType::kDbl:
-                col->dbls().push_back(cell.AsDbl());
-                break;
-              case ColType::kStr:
-                col->strs().push_back(cell.AsStr());
-                break;
-              case ColType::kBool:
-                col->bools().push_back(cell.AsBool() ? 1 : 0);
-                break;
-              case ColType::kItem:
-                col->items().push_back(cell);
-                break;
-            }
-          }
+          Column::Visit(
+              op.types[c],
+              [&](auto& dst) {
+                for (const auto& row : op.rows) {
+                  dst.push_back(CellOf<ElemOf<decltype(dst)>>(row[c]));
+                }
+              },
+              *col);
           t.AddCol(op.names[c], std::move(col));
         }
         return t;
@@ -1084,35 +1039,14 @@ class Exec {
         return t;
       }
       case OpKind::kAttach: {
-        const Table& in = Child(op, 0);
-        Table t = in;
-        size_t n = in.rows();
-        auto col = std::make_shared<Column>(op.types[0]);
-        switch (op.types[0]) {
-          case ColType::kInt:
-            col->ints().assign(n, op.attach_val.AsInt());
-            break;
-          case ColType::kDbl:
-            col->dbls().assign(n, op.attach_val.AsDbl());
-            break;
-          case ColType::kStr:
-            col->strs().assign(n, op.attach_val.AsStr());
-            break;
-          case ColType::kBool:
-            col->bools().assign(n, op.attach_val.AsBool() ? 1 : 0);
-            break;
-          case ColType::kItem:
-            col->items().assign(n, op.attach_val);
-            break;
-        }
-        t.AddCol(op.out, std::move(col));
+        Table t = Child(op, 0);
+        t.AddCol(op.out, ConstColumn(op.types[0], op.attach_val, t.rows()));
         return t;
       }
       case OpKind::kSelect: {
         const Table& in = Child(op, 0);
         PF_ASSIGN_OR_RETURN(ColumnPtr pred, in.GetCol(op.col));
-        IdxVec idx = bat::FilterIndices(*pred, tp(), kt());
-        return bat::GatherTable(in, idx, tp());
+        return bat::FilterGather(in, *pred, tp(), kt());
       }
       case OpKind::kDisjointUnion:
         return bat::UnionAll(Child(op, 0), Child(op, 1));
@@ -1129,47 +1063,29 @@ class Exec {
       }
       case OpKind::kEquiJoin:
       case OpKind::kThetaJoin: {
-        const Table& l = Child(op, 0);
-        const Table& r = Child(op, 1);
-        PF_ASSIGN_OR_RETURN(ColumnPtr lk, l.GetCol(op.col));
-        PF_ASSIGN_OR_RETURN(ColumnPtr rk, r.GetCol(op.col2));
-        IdxVec li, ri;
-        if (op.kind == OpKind::kEquiJoin) {
-          PF_RETURN_NOT_OK(bat::HashJoinIndices(*lk, *rk, *ctx_->pool(),
-                                                &li, &ri, tp(), kt()));
-        } else {
-          PF_RETURN_NOT_OK(bat::ThetaJoinIndices(
-              *lk, *rk, op.cmp, *ctx_->pool(), &li, &ri, tp()));
-        }
-        Table t;
-        for (size_t i = 0; i < l.num_cols(); ++i) {
-          t.AddCol(l.name(i), bat::Gather(*l.col(i), li, tp()));
-        }
-        for (size_t i = 0; i < r.num_cols(); ++i) {
-          t.AddCol(r.name(i), bat::Gather(*r.col(i), ri, tp()));
-        }
-        return t;
+        bat::JoinPairChunks pc;
+        PF_RETURN_NOT_OK(JoinPairs(op, Child(op, 0), Child(op, 1), &pc));
+        return bat::GatherPairs(Child(op, 0), Child(op, 1), pc, tp());
       }
       case OpKind::kCross: {
+        // Every (left, right) row pair, left-major, in chunks of about a
+        // morsel of pairs (a function of the input sizes only).
         const Table& l = Child(op, 0);
         const Table& r = Child(op, 1);
-        IdxVec li, ri;
-        li.reserve(l.rows() * r.rows());
-        ri.reserve(l.rows() * r.rows());
-        for (size_t i = 0; i < l.rows(); ++i) {
-          for (size_t j = 0; j < r.rows(); ++j) {
-            li.push_back(static_cast<bat::RowIdx>(i));
-            ri.push_back(static_cast<bat::RowIdx>(j));
+        const size_t grain =
+            std::max<size_t>(1, morsel() / std::max<size_t>(1, r.rows()));
+        bat::JoinPairChunks pc;
+        pc.li.resize(ThreadPool::NumChunks(l.rows(), grain));
+        pc.ri.resize(pc.li.size());
+        ParallelFor(tp(), l.rows(), grain, [&](size_t c, size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) {
+            for (size_t j = 0; j < r.rows(); ++j) {
+              pc.li[c].push_back(static_cast<RowIdx>(i));
+              pc.ri[c].push_back(static_cast<RowIdx>(j));
+            }
           }
-        }
-        Table t;
-        for (size_t i = 0; i < l.num_cols(); ++i) {
-          t.AddCol(l.name(i), bat::Gather(*l.col(i), li, tp()));
-        }
-        for (size_t i = 0; i < r.num_cols(); ++i) {
-          t.AddCol(r.name(i), bat::Gather(*r.col(i), ri, tp()));
-        }
-        return t;
+        });
+        return bat::GatherPairs(l, r, pc, tp());
       }
       case OpKind::kRowNum: {
         const Table& in = Child(op, 0);
@@ -1247,97 +1163,34 @@ class Exec {
   }
 
   // One (iter, fragment) context group of a Step: a slice of the
-  // deduplicated context-pre vector built by the grouping scan.
+  // deduplicated context-pre vector built by GroupContexts.
   struct StepGroup {
     int64_t iter = 0;
     uint32_t frag = 0;
     size_t ctx_begin = 0, ctx_end = 0;
   };
 
-  Result<Table> EvalStep(const Op& op) {
-    const Table& in = Child(op, 0);
+  // Groups a Step's (iter, item) input by context: rows ordered by
+  // (iter, item.raw), one group per (iter, fragment) run, consecutive
+  // duplicate context nodes dropped. Rows that tie under this order are
+  // bit-identical, so any tie order yields the same groups.
+  Status GroupContexts(const Table& in, std::vector<StepGroup>* groups,
+                       std::vector<xml::Pre>* ctxs) {
     PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
     PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
     const auto& items = item_c->items();
-    size_t n = in.rows();
-
-    // Order rows by (iter, item.raw). Parallel evaluation sorts fixed
-    // chunks and merges them; rows that tie are bit-identical under
-    // this key, so any tie order yields the same grouping (contexts are
-    // deduplicated below) and the output stays byte-identical at every
-    // thread count.
-    IdxVec perm(n);
-    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<bat::RowIdx>(i);
-    auto lt = [&](bat::RowIdx a, bat::RowIdx b) {
-      if (iters[a] != iters[b]) return iters[a] < iters[b];
-      return items[a].raw < items[b].raw;
-    };
-    // Run length from the kernel tuning (a function of n and the grain
-    // only, never thread-derived). The merge levels split every
-    // pairwise merge at output diagonals via merge-path binary search
-    // (ties to the lower run, std::merge's rule), so no level — not
-    // even the final whole-array merge — runs serially.
-    const size_t srun = kt().sort_chunk_rows;
-    ThreadPool* pool = tp();
-    if (pool != nullptr && n >= 2 * srun) {
-      ParallelFor(pool, n, srun, [&](size_t, size_t lo, size_t hi) {
-        std::sort(perm.begin() + lo, perm.begin() + hi, lt);
-      });
-      auto split = [&](const bat::RowIdx* a, size_t na, const bat::RowIdx* b,
-                       size_t nb, size_t diag) {
-        size_t lo = diag > nb ? diag - nb : 0;
-        size_t hi = std::min(diag, na);
-        while (lo < hi) {
-          size_t mid = lo + (hi - lo) / 2;
-          if (!lt(b[diag - 1 - mid], a[mid])) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        return lo;
-      };
-      IdxVec buf(n);
-      IdxVec* src = &perm;
-      IdxVec* dst = &buf;
-      struct Seg {
-        size_t a, mid, b, out_lo, out_hi;
-      };
-      std::vector<Seg> segs;
-      for (size_t width = srun; width < n; width *= 2) {
-        segs.clear();
-        for (size_t a = 0; a < n; a += 2 * width) {
-          size_t mid = std::min(n, a + width);
-          size_t b = std::min(n, a + 2 * width);
-          for (size_t lo = a; lo < b; lo += srun) {
-            segs.push_back({a, mid, b, lo, std::min(b, lo + srun)});
-          }
-        }
-        ParallelFor(pool, segs.size(), 1, [&](size_t si, size_t, size_t) {
-          const Seg& sg = segs[si];
-          const bat::RowIdx* av = src->data() + sg.a;
-          size_t na = sg.mid - sg.a;
-          const bat::RowIdx* bv = src->data() + sg.mid;
-          size_t nb = sg.b - sg.mid;
-          size_t i0 = split(av, na, bv, nb, sg.out_lo - sg.a);
-          size_t i1 = split(av, na, bv, nb, sg.out_hi - sg.a);
-          size_t j0 = (sg.out_lo - sg.a) - i0;
-          size_t j1 = (sg.out_hi - sg.a) - i1;
-          std::merge(av + i0, av + i1, bv + j0, bv + j1,
-                     dst->begin() + static_cast<ptrdiff_t>(sg.out_lo), lt);
-        });
-        std::swap(src, dst);
-      }
-      if (src != &perm) perm = std::move(*src);
-    } else {
-      std::sort(perm.begin(), perm.end(), lt);
-    }
-
-    // Serial grouping scan: one group per (iter, fragment) run, with
-    // consecutive duplicate context nodes dropped.
-    std::vector<StepGroup> groups;
-    std::vector<xml::Pre> ctxs;
+    const size_t n = in.rows();
+    PF_ASSIGN_OR_RETURN(
+        IdxVec perm,
+        bat::StableSortRows(
+            n,
+            [&](RowIdx a, RowIdx b) -> Result<int> {
+              if (iters[a] != iters[b]) return iters[a] < iters[b] ? -1 : 1;
+              return (items[a].raw > items[b].raw) -
+                     (items[a].raw < items[b].raw);
+            },
+            tp(), kt()));
     size_t i = 0;
     while (i < n) {
       int64_t iter = iters[perm[i]];
@@ -1351,18 +1204,58 @@ class Exec {
           return Status::TypeError("path step applied to an atomic value");
         }
         uint32_t frag = first.NodeFrag();
-        size_t begin = ctxs.size();
+        size_t begin = ctxs->size();
         size_t m = k;
         while (m < j && items[perm[m]].NodeFrag() == frag) {
           xml::Pre p = items[perm[m]].NodePre();
-          if (ctxs.size() == begin || ctxs.back() != p) ctxs.push_back(p);
+          if (ctxs->size() == begin || ctxs->back() != p) ctxs->push_back(p);
           ++m;
         }
-        groups.push_back({iter, frag, begin, ctxs.size()});
+        groups->push_back({iter, frag, begin, ctxs->size()});
         k = m;
       }
       i = j;
     }
+    return Status::OK();
+  }
+
+  // The (iter, item) output of a Step: each group's result nodes under
+  // its iter, groups in order, every group scattered into its exact
+  // output slice.
+  Table StepOutput(const std::vector<StepGroup>& groups,
+                   const std::vector<std::vector<xml::Pre>>& gres) {
+    std::vector<size_t> off(groups.size() + 1, 0);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      off[g + 1] = off[g] + gres[g].size();
+    }
+    auto out_iter = Column::MakeInt(off.back());
+    auto out_item = Column::MakeItem(off.back());
+    out_iter->ints().resize(off.back());
+    out_item->items().resize(off.back());
+    ParallelFor(tp(), groups.size(), 1, [&](size_t, size_t lo, size_t hi) {
+      for (size_t g = lo; g < hi; ++g) {
+        const xml::Document& doc = ctx_->doc(groups[g].frag);
+        size_t o = off[g];
+        for (xml::Pre r : gres[g]) {
+          out_iter->ints()[o] = groups[g].iter;
+          out_item->items()[o] = doc.kind(r) == xml::NodeKind::kAttr
+                                     ? Item::Attr(groups[g].frag, r)
+                                     : Item::Node(groups[g].frag, r);
+          ++o;
+        }
+      }
+    });
+    Table t;
+    t.AddCol(bat::kIter, std::move(out_iter));
+    t.AddCol(bat::kItem, std::move(out_item));
+    return t;
+  }
+
+  Result<Table> EvalStep(const Op& op) {
+    std::vector<StepGroup> groups;
+    std::vector<xml::Pre> ctxs;
+    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs));
+    ThreadPool* pool = tp();
 
     auto eval_group = [&](const StepGroup& g, std::vector<xml::Pre>* results,
                           accel::StaircaseStats* stats, ThreadPool* inner) {
@@ -1413,32 +1306,7 @@ class Exec {
     }
     PF_RETURN_NOT_OK(TokenCheck());
 
-    // Scatter each group's results into its exact output slice.
-    std::vector<size_t> off(groups.size() + 1, 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      off[g + 1] = off[g] + gres[g].size();
-    }
-    auto out_iter = Column::MakeInt(off.back());
-    auto out_item = Column::MakeItem(off.back());
-    out_iter->ints().resize(off.back());
-    out_item->items().resize(off.back());
-    ParallelFor(pool, groups.size(), 1, [&](size_t, size_t lo, size_t hi) {
-      for (size_t g = lo; g < hi; ++g) {
-        const xml::Document& doc = ctx_->doc(groups[g].frag);
-        size_t o = off[g];
-        for (xml::Pre r : gres[g]) {
-          out_iter->ints()[o] = groups[g].iter;
-          out_item->items()[o] = doc.kind(r) == xml::NodeKind::kAttr
-                                     ? Item::Attr(groups[g].frag, r)
-                                     : Item::Node(groups[g].frag, r);
-          ++o;
-        }
-      }
-    });
-    Table t;
-    t.AddCol(bat::kIter, std::move(out_iter));
-    t.AddCol(bat::kItem, std::move(out_item));
-    return t;
+    return StepOutput(groups, gres);
   }
 
   static xml::PathSummary::StepAxis ToSumAxis(accel::Axis a) {
@@ -1476,51 +1344,12 @@ class Exec {
   /// — or unexpected non-root contexts — fall back to one staircase
   /// join per chain step: same results, same order.
   Result<Table> EvalPathScan(const Op& op) {
-    const Table& in = Child(op, 0);
-    PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
-    PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
-    const auto& iters = iter_c->ints();
-    const auto& items = item_c->items();
-    size_t n = in.rows();
-
     // Inputs are document roots (a handful of rows per query), so the
-    // grouping and the per-group evaluation run serially; stats
-    // accumulate in group order at every thread count. Grouping logic
-    // matches EvalStep: one group per (iter, fragment) run, consecutive
-    // duplicate contexts dropped.
-    IdxVec perm(n);
-    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<bat::RowIdx>(i);
-    std::sort(perm.begin(), perm.end(), [&](bat::RowIdx a, bat::RowIdx b) {
-      if (iters[a] != iters[b]) return iters[a] < iters[b];
-      return items[a].raw < items[b].raw;
-    });
+    // per-group evaluation runs serially; stats accumulate in group
+    // order at every thread count.
     std::vector<StepGroup> groups;
     std::vector<xml::Pre> ctxs;
-    size_t i = 0;
-    while (i < n) {
-      int64_t iter = iters[perm[i]];
-      size_t j = i;
-      while (j < n && iters[perm[j]] == iter) ++j;
-      size_t k = i;
-      while (k < j) {
-        const Item& first = items[perm[k]];
-        if (!first.IsNode()) {
-          return Status::TypeError("path step applied to an atomic value");
-        }
-        uint32_t frag = first.NodeFrag();
-        size_t begin = ctxs.size();
-        size_t m = k;
-        while (m < j && items[perm[m]].NodeFrag() == frag) {
-          xml::Pre p = items[perm[m]].NodePre();
-          if (ctxs.size() == begin || ctxs.back() != p) ctxs.push_back(p);
-          ++m;
-        }
-        groups.push_back({iter, frag, begin, ctxs.size()});
-        k = m;
-      }
-      i = j;
-    }
-
+    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs));
     std::vector<std::vector<xml::Pre>> gres(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
       PF_RETURN_NOT_OK(TokenCheck());
@@ -1558,29 +1387,7 @@ class Exec {
       }
     }
 
-    std::vector<size_t> off(groups.size() + 1, 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      off[g + 1] = off[g] + gres[g].size();
-    }
-    auto out_iter = Column::MakeInt(off.back());
-    auto out_item = Column::MakeItem(off.back());
-    out_iter->ints().resize(off.back());
-    out_item->items().resize(off.back());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const xml::Document& doc = ctx_->doc(groups[g].frag);
-      size_t o = off[g];
-      for (xml::Pre r : gres[g]) {
-        out_iter->ints()[o] = groups[g].iter;
-        out_item->items()[o] = doc.kind(r) == xml::NodeKind::kAttr
-                                   ? Item::Attr(groups[g].frag, r)
-                                   : Item::Node(groups[g].frag, r);
-        ++o;
-      }
-    }
-    Table t;
-    t.AddCol(bat::kIter, std::move(out_iter));
-    t.AddCol(bat::kItem, std::move(out_item));
-    return t;
+    return StepOutput(groups, gres);
   }
 
   /// Group an (iter, pos, item) table: iters in ascending order, items

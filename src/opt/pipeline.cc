@@ -55,8 +55,8 @@ Status AnnotatePipelines(const algebra::OpPtr& root, PipelineStats* stats) {
   }
 
   // Demote singleton map fragments without a fused kernel: a lone
-  // π/attach/~ gains nothing over the legacy path. Lone σ keeps
-  // FilterGather, lone joins keep the probe+gather kernels.
+  // π/attach/~ gains nothing over the per-operator path. Lone σ and
+  // joins stay fragments (their kernels are the op-at-a-time ones).
   for (Op* op : order) {
     if (op->pipe_frag < 0 || frag_len[op->pipe_frag] != 1) continue;
     if (op->kind == OpKind::kSelect || alg::IsPipelineJoinOp(op->kind)) {

@@ -24,9 +24,9 @@ struct PipelineStats {
 /// child's output exclusively (a shared subplan must be materialized
 /// for its other consumers, so it ends the chain). kStep, kRowNum,
 /// kAggr, kDistinct and every other operator kind always break
-/// pipelines. Singleton fragments survive only where a fused kernel
-/// exists (σ → FilterGather, joins → probe+gather); a lone π/attach/~
-/// runs the legacy per-operator path.
+/// pipelines. Singleton fragments survive only for σ and joins, whose
+/// op-at-a-time kernels (FilterGather, pairs + GatherPairs) are fused
+/// already; a lone π/attach/~ runs the per-operator path.
 ///
 /// The executor evaluates each fragment tail as one morsel-driven pass,
 /// materializing only the tail's output BAT.

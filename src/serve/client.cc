@@ -91,10 +91,6 @@ Result<JsonValue> Client::Call(std::string_view line, int timeout_ms) {
   return ParseJson(reply);
 }
 
-void Client::CloseSend() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
-}
-
 void Client::Close() {
   if (fd_ >= 0) {
     ::close(fd_);

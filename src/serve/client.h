@@ -43,9 +43,6 @@ class Client {
   /// SendLine + ReadLine + ParseJson of the response.
   Result<JsonValue> Call(std::string_view line, int timeout_ms = 5000);
 
-  /// Half-close the write side (server sees EOF; responses still flow).
-  void CloseSend();
-
   /// Full close (server sees the disconnect).
   void Close();
 

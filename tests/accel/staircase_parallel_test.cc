@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "accel/step.h"
+#include "algebra/op.h"
+#include "base/rng.h"
+#include "engine/executor.h"
 #include "xmark/generator.h"
 
 namespace pathfinder::accel {
@@ -135,6 +138,94 @@ TEST_F(StaircaseParallelTest, NestedContextsPruneBeforeParallelScan) {
   for (Axis axis : {Axis::kDescendant, Axis::kDescendantOrSelf,
                     Axis::kAncestor, Axis::kChild}) {
     ExpectIdentical(nested, axis, NodeTest::Element());
+  }
+}
+
+// The executor's Step over a shuffled (iter, item) table spanning two
+// documents and many iters: at least two sort runs, so the context
+// grouping sorts through the parallel merge at every level. The
+// result must equal one serial staircase join per (iter, document).
+TEST(StepExecutorTest, ShuffledTwoDocumentInputMatchesPerGroupJoins) {
+  xml::Database db;
+  std::vector<xml::FragId> frags;
+  for (uint64_t seed : {7, 8}) {
+    auto d = xmark::GenerateXMark(0.002, seed, db.pool());
+    ASSERT_TRUE(d.ok());
+    frags.push_back(
+        db.AddDocument("d" + std::to_string(seed) + ".xml", std::move(*d)));
+  }
+  // Rows: iters 1..80, each with contexts drawn from both documents,
+  // duplicates included; then shuffled.
+  Rng rng(17);
+  std::vector<std::vector<Item>> rows;
+  for (int64_t iter = 1; iter <= 80; ++iter) {
+    for (int k = 0; k < 16; ++k) {
+      xml::FragId f = frags[rng.Below(frags.size())];
+      const Document& doc = db.doc(f);
+      Pre v = static_cast<Pre>(rng.Below(doc.num_nodes()));
+      while (doc.IsAttr(v)) --v;
+      rows.push_back({Item::Int(iter), Item::Node(f, v)});
+    }
+  }
+  for (size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.Below(i + 1)]);
+  }
+  const size_t kRun = 256;
+  ASSERT_GE(rows.size(), 2 * kRun);
+
+  const std::pair<Axis, NodeTest> steps[] = {
+      {Axis::kChild, NodeTest::AnyKind()},
+      {Axis::kDescendant, NodeTest::Element()},
+      {Axis::kAncestor, NodeTest::Element()},
+      {Axis::kFollowingSibling, NodeTest::AnyKind()},
+      {Axis::kAttribute, NodeTest::AnyKind()},
+  };
+  for (const auto& [axis, test] : steps) {
+    // Reference: group by (iter, document) in (iter, item) order, one
+    // serial staircase join per group over its sorted unique contexts.
+    std::vector<int64_t> want_iter;
+    std::vector<Item> want_item;
+    std::vector<std::vector<Item>> sorted = rows;
+    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+      return a[0].AsInt() != b[0].AsInt() ? a[0].AsInt() < b[0].AsInt()
+                                          : a[1].raw < b[1].raw;
+    });
+    for (size_t i = 0; i < sorted.size();) {
+      const int64_t iter = sorted[i][0].AsInt();
+      const xml::FragId f = sorted[i][1].NodeFrag();
+      std::vector<Pre> contexts;
+      for (; i < sorted.size() && sorted[i][0].AsInt() == iter &&
+             sorted[i][1].NodeFrag() == f;
+           ++i) {
+        Pre p = sorted[i][1].NodePre();
+        if (contexts.empty() || contexts.back() != p) contexts.push_back(p);
+      }
+      const Document& doc = db.doc(f);
+      std::vector<Pre> out;
+      StaircaseJoin(doc, contexts, axis, test, &out, nullptr, nullptr);
+      for (Pre r : out) {
+        want_iter.push_back(iter);
+        want_item.push_back(doc.IsAttr(r) ? Item::Attr(f, r)
+                                          : Item::Node(f, r));
+      }
+    }
+    ASSERT_FALSE(want_iter.empty()) << AxisName(axis);
+
+    auto plan = algebra::Step(
+        algebra::LitTable({bat::kIter, bat::kItem},
+                          {bat::ColType::kInt, bat::ColType::kItem}, rows),
+        axis, test);
+    for (int threads : {1, 2, 7}) {
+      engine::QueryContext ctx(&db);
+      ctx.SetNumThreads(threads);
+      ctx.tuning.sort_chunk_rows = kRun;
+      auto t = engine::Execute(plan, &ctx);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_EQ(t->GetCol(bat::kIter).value()->ints(), want_iter)
+          << AxisName(axis) << " threads=" << threads;
+      EXPECT_EQ(t->GetCol(bat::kItem).value()->items(), want_item)
+          << AxisName(axis) << " threads=" << threads;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include "bat/item_ops.h"
 #include "bat/kernel.h"
 #include "bat/table.h"
+#include "join_pairs.h"
 
 namespace pathfinder::bat {
 namespace {
@@ -141,7 +142,7 @@ TEST_F(KernelTest, FilterAndGather) {
 
 TEST_F(KernelTest, HashJoinPreservesLeftMajorOrder) {
   IdxVec li, ri;
-  ASSERT_TRUE(HashJoinIndices(*IntCol({1, 2, 1}), *IntCol({1, 3, 1}),
+  ASSERT_TRUE(HashJoinFlat(*IntCol({1, 2, 1}), *IntCol({1, 3, 1}),
                               pool_, &li, &ri)
                   .ok());
   // left row 0 matches right rows 0,2; left row 2 matches 0,2.
@@ -152,7 +153,7 @@ TEST_F(KernelTest, HashJoinPreservesLeftMajorOrder) {
 TEST_F(KernelTest, HashJoinItemsCanonicalizesNumbers) {
   IdxVec li, ri;
   Item u42 = Item::Untyped(pool_.Intern("42"));
-  ASSERT_TRUE(HashJoinIndices(*ItemCol({Item::Int(42)}), *ItemCol({u42}),
+  ASSERT_TRUE(HashJoinFlat(*ItemCol({Item::Int(42)}), *ItemCol({u42}),
                               pool_, &li, &ri)
                   .ok());
   EXPECT_EQ(li.size(), 1u);
@@ -164,7 +165,7 @@ TEST_F(KernelTest, HashJoinItemsStrings) {
   Item b = Item::Untyped(pool_.Intern("person0"));
   Item c = Item::Untyped(pool_.Intern("person1"));
   ASSERT_TRUE(
-      HashJoinIndices(*ItemCol({a}), *ItemCol({c, b}), pool_, &li, &ri)
+      HashJoinFlat(*ItemCol({a}), *ItemCol({c, b}), pool_, &li, &ri)
           .ok());
   EXPECT_EQ(li, (IdxVec{0}));
   EXPECT_EQ(ri, (IdxVec{1}));
@@ -172,7 +173,7 @@ TEST_F(KernelTest, HashJoinItemsStrings) {
 
 TEST_F(KernelTest, ThetaJoinNumeric) {
   IdxVec li, ri;
-  ASSERT_TRUE(ThetaJoinIndices(*ItemCol({Item::Int(5), Item::Int(1)}),
+  ASSERT_TRUE(ThetaJoinFlat(*ItemCol({Item::Int(5), Item::Int(1)}),
                                *ItemCol({Item::Dbl(3.0)}), CmpOp::kGt,
                                pool_, &li, &ri)
                   .ok());
@@ -183,7 +184,7 @@ TEST_F(KernelTest, ThetaJoinStringFallback) {
   IdxVec li, ri;
   Item a = Item::Str(pool_.Intern("abc"));
   Item b = Item::Str(pool_.Intern("abd"));
-  ASSERT_TRUE(ThetaJoinIndices(*ItemCol({a}), *ItemCol({b}), CmpOp::kLt,
+  ASSERT_TRUE(ThetaJoinFlat(*ItemCol({a}), *ItemCol({b}), CmpOp::kLt,
                                pool_, &li, &ri)
                   .ok());
   EXPECT_EQ(li.size(), 1u);

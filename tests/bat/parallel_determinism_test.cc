@@ -14,6 +14,7 @@
 #include "base/rng.h"
 #include "bat/kernel.h"
 #include "bat/table.h"
+#include "join_pairs.h"
 
 namespace pathfinder::bat {
 namespace {
@@ -114,16 +115,18 @@ TEST_F(ParallelDeterminismTest, HashJoinIntKeysLeftMajorOrder) {
   ColumnPtr l = RandInts(20000, 0, 200, 21);
   ColumnPtr r = RandInts(15000, 0, 200, 22);
   IdxVec sl, sr;
-  ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+  ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
   // Left-major order: left indices non-decreasing, right rows ascending
   // within one left row (= serial insertion order of the build).
   for (size_t k = 1; k < sl.size(); ++k) {
     ASSERT_GE(sl[k], sl[k - 1]);
-    if (sl[k] == sl[k - 1]) ASSERT_GT(sr[k], sr[k - 1]);
+    if (sl[k] == sl[k - 1]) {
+      ASSERT_GT(sr[k], sr[k - 1]);
+    }
   }
   for (ThreadPool* tp : Pools()) {
     IdxVec pl, pr;
-    ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &pl, &pr, tp).ok());
+    ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &pl, &pr, tp).ok());
     EXPECT_EQ(pl, sl);
     EXPECT_EQ(pr, sr);
   }
@@ -144,11 +147,11 @@ TEST_F(ParallelDeterminismTest, HashJoinStrAndItemKeys) {
   for (auto [l, r] : {std::pair<Column*, Column*>{ls.get(), rs.get()},
                       {li_c.get(), ri_c.get()}}) {
     IdxVec sl, sr;
-    ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+    ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     EXPECT_GT(sl.size(), 0u);
     for (ThreadPool* tp : Pools()) {
       IdxVec pl, pr;
-      ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &pl, &pr, tp).ok());
+      ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &pl, &pr, tp).ok());
       EXPECT_EQ(pl, sl);
       EXPECT_EQ(pr, sr);
     }
@@ -161,10 +164,10 @@ TEST_F(ParallelDeterminismTest, ThetaJoinNumericAndItemFallback) {
   for (CmpOp op : {CmpOp::kLt, CmpOp::kGe, CmpOp::kNe}) {
     IdxVec sl, sr;
     ASSERT_TRUE(
-        ThetaJoinIndices(*l, *r, op, pool_, &sl, &sr, nullptr).ok());
+        ThetaJoinFlat(*l, *r, op, pool_, &sl, &sr, nullptr).ok());
     for (ThreadPool* tp : Pools()) {
       IdxVec pl, pr;
-      ASSERT_TRUE(ThetaJoinIndices(*l, *r, op, pool_, &pl, &pr, tp).ok());
+      ASSERT_TRUE(ThetaJoinFlat(*l, *r, op, pool_, &pl, &pr, tp).ok());
       EXPECT_EQ(pl, sl);
       EXPECT_EQ(pr, sr);
     }
@@ -183,12 +186,12 @@ TEST_F(ParallelDeterminismTest, ThetaJoinNumericAndItemFallback) {
   ColumnPtr ra = mkstrs(300, 44);
   IdxVec sl, sr;
   ASSERT_TRUE(
-      ThetaJoinIndices(*la, *ra, CmpOp::kLt, pool_, &sl, &sr, nullptr).ok());
+      ThetaJoinFlat(*la, *ra, CmpOp::kLt, pool_, &sl, &sr, nullptr).ok());
   EXPECT_GT(sl.size(), 0u);
   for (ThreadPool* tp : Pools()) {
     IdxVec pl, pr;
     ASSERT_TRUE(
-        ThetaJoinIndices(*la, *ra, CmpOp::kLt, pool_, &pl, &pr, tp).ok());
+        ThetaJoinFlat(*la, *ra, CmpOp::kLt, pool_, &pl, &pr, tp).ok());
     EXPECT_EQ(pl, sl);
     EXPECT_EQ(pr, sr);
   }

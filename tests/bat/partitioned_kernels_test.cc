@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "base/rng.h"
 #include "bat/kernel.h"
 #include "bat/table.h"
+#include "join_pairs.h"
 
 namespace pathfinder::bat {
 namespace {
@@ -107,11 +109,11 @@ class PartitionedKernelsTest : public ::testing::Test {
 
   void ExpectJoinMatchesSerial(const Column& l, const Column& r) {
     IdxVec sl, sr;
-    ASSERT_TRUE(HashJoinIndices(l, r, pool_, &sl, &sr, nullptr).ok());
+    ASSERT_TRUE(HashJoinFlat(l, r, pool_, &sl, &sr, nullptr).ok());
     for (ThreadPool* tp : Pools()) {
       for (const KernelTuning& kt : Tunings()) {
         IdxVec pl, pr;
-        ASSERT_TRUE(HashJoinIndices(l, r, pool_, &pl, &pr, tp, kt).ok());
+        ASSERT_TRUE(HashJoinFlat(l, r, pool_, &pl, &pr, tp, kt).ok());
         EXPECT_EQ(pl, sl);
         EXPECT_EQ(pr, sr);
       }
@@ -135,7 +137,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinMatchesNaiveReference) {
   NaiveIntJoin(*l, *r, &nl_, &nr_);
   ASSERT_GT(nl_.size(), 0u);
   IdxVec sl, sr;
-  ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+  ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
   EXPECT_EQ(sl, nl_);
   EXPECT_EQ(sr, nr_);
   ExpectJoinMatchesSerial(*l, *r);
@@ -148,7 +150,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinEmptyInputs) {
                       {empty.get(), big.get()},
                       {empty.get(), empty.get()}}) {
     IdxVec sl, sr;
-    ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+    ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     EXPECT_TRUE(sl.empty());
     EXPECT_TRUE(sr.empty());
     ExpectJoinMatchesSerial(*l, *r);
@@ -164,7 +166,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
     ColumnPtr l = IntCol(std::vector<int64_t>(8192, 7));
     ColumnPtr r = IntCol(std::vector<int64_t>(64, 7));
     IdxVec sl, sr;
-    ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+    ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     ASSERT_EQ(sl.size(), 8192u * 64u);
     // Left-major, right ascending within each left row.
     for (size_t k = 0; k < sl.size(); ++k) {
@@ -178,7 +180,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
     ColumnPtr l = IntCol(std::vector<int64_t>(64, 7));
     ColumnPtr r = IntCol(std::vector<int64_t>(8192, 7));
     IdxVec sl, sr;
-    ASSERT_TRUE(HashJoinIndices(*l, *r, pool_, &sl, &sr, nullptr).ok());
+    ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     ASSERT_EQ(sl.size(), 64u * 8192u);
     for (size_t k = 0; k < sl.size(); ++k) {
       ASSERT_EQ(sl[k], k / 8192);
@@ -212,7 +214,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinStrAndItemKeys) {
   // Item keys canonicalize before hashing (ints join doubles, untyped
   // atomics their parsed value) — the radix path must preserve that.
   IdxVec sl, sr;
-  ASSERT_TRUE(HashJoinIndices(*li, *ri, pool_, &sl, &sr, nullptr).ok());
+  ASSERT_TRUE(HashJoinFlat(*li, *ri, pool_, &sl, &sr, nullptr).ok());
   EXPECT_GT(sl.size(), 0u);
   ExpectJoinMatchesSerial(*li, *ri);
 }
@@ -259,6 +261,65 @@ TEST_F(PartitionedKernelsTest, MergeSortSkewAndPhases) {
   auto par = SortPerm(t, InternCols({"k"}), pool_, {}, &pool4_, kt);
   ASSERT_TRUE(par.ok());
   EXPECT_EQ(*par, *serial);
+}
+
+TEST_F(PartitionedKernelsTest, SharedSortMatchesStdStableSort) {
+  // The one sort routine under a comparator of its caller's choosing,
+  // against std::stable_sort: random keys with long tie runs (the tie
+  // rule decides the permutation), all-equal, sorted and reverse
+  // inputs, at every pool size and at the shortest and the default run
+  // length. 40,000 rows reach the parallel merge at both.
+  constexpr size_t kN = 40000;
+  Rng rng(101);
+  std::vector<std::pair<const char*, std::vector<int64_t>>> inputs = {
+      {"random", {}}, {"all-equal", {}}, {"sorted", {}}, {"reverse", {}}};
+  for (size_t i = 0; i < kN; ++i) {
+    inputs[0].second.push_back(rng.Range(0, 30));
+    inputs[1].second.push_back(5);
+    inputs[2].second.push_back(static_cast<int64_t>(i / 7));
+    inputs[3].second.push_back(static_cast<int64_t>((kN - i) / 100));
+  }
+  std::vector<KernelTuning> runs(2);
+  runs[0].sort_chunk_rows = 256;
+  for (const auto& [name, k] : inputs) {
+    auto cmp = [&k = k](RowIdx a, RowIdx b) -> Result<int> {
+      return (k[a] > k[b]) - (k[a] < k[b]);
+    };
+    IdxVec want(kN);
+    for (size_t i = 0; i < kN; ++i) want[i] = static_cast<RowIdx>(i);
+    std::stable_sort(want.begin(), want.end(),
+                     [&k = k](RowIdx a, RowIdx b) { return k[a] < k[b]; });
+    std::vector<ThreadPool*> pools = Pools();
+    pools.push_back(nullptr);
+    for (ThreadPool* tp : pools) {
+      for (const KernelTuning& kt : runs) {
+        auto got = StableSortRows(kN, cmp, tp, kt);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, want) << name << " run=" << kt.sort_chunk_rows
+                              << " threads="
+                              << (tp ? tp->num_threads() : 0);
+      }
+    }
+  }
+}
+
+TEST_F(PartitionedKernelsTest, SharedSortReturnsComparatorError) {
+  // Reverse input fails the sorted pre-check at its first pair, so the
+  // error comes from the run sort or the merges.
+  constexpr size_t kN = 20000;
+  auto cmp = [](RowIdx a, RowIdx b) -> Result<int> {
+    if (a == 9000 || b == 9000) return Status::TypeError("incomparable");
+    return (a < b) - (a > b);
+  };
+  KernelTuning kt;
+  kt.sort_chunk_rows = 256;
+  std::vector<ThreadPool*> pools = Pools();
+  pools.push_back(nullptr);
+  for (ThreadPool* tp : pools) {
+    auto got = StableSortRows(kN, cmp, tp, kt);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
+  }
 }
 
 TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {

@@ -144,7 +144,9 @@ TEST(ProfileTest, ExactRowCountsOnHandComputedQuery) {
         if (c.out_rows < 0) known = false;
         sum += c.out_rows;
       }
-      if (known) EXPECT_EQ(n->in_rows, sum) << n->label;
+      if (known) {
+        EXPECT_EQ(n->in_rows, sum) << n->label;
+      }
     }
   }
 }

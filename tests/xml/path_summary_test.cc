@@ -63,7 +63,9 @@ void CheckPartitionInvariants(const Document& doc, const PathSummary& sum) {
     total += len;
     for (size_t i = 0; i < len; ++i) {
       Pre v = part[i];
-      if (i > 0) EXPECT_LT(part[i - 1], v) << "partition not sorted";
+      if (i > 0) {
+        EXPECT_LT(part[i - 1], v) << "partition not sorted";
+      }
       EXPECT_TRUE(seen.insert(v).second) << "pre " << v << " in two partitions";
       EXPECT_EQ(doc.level(v), p.level);
       EXPECT_EQ(doc.prop(v), p.tag);
