@@ -67,14 +67,14 @@ int Main() {
       double scj_ms = BestOfMs(3, [&] {
         out.clear();
         stats.Reset();
-        accel::StaircaseJoin(doc, contexts, c.axis, c.test, &out, &stats);
+        accel::StaircaseJoin(doc, 0, contexts, c.axis, c.test, &out, &stats);
       });
       size_t scj_results = out.size();
 
       double naive_ms = BestOfMs(3, [&] {
         out.clear();
         for (Pre v : contexts) {
-          accel::NaiveStep(doc, v, c.axis, c.test, &out);
+          accel::NaiveStep(doc, 0, v, c.axis, c.test, &out);
         }
         std::sort(out.begin(), out.end());
         out.erase(std::unique(out.begin(), out.end()), out.end());

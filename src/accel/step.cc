@@ -1,6 +1,7 @@
 #include "accel/step.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 
 namespace pathfinder::accel {
@@ -60,8 +61,8 @@ void ConcatChunks(const std::vector<std::vector<Pre>>& chunk_out,
 
 }  // namespace
 
-void NaiveStep(const Document& doc, Pre v, Axis axis, const NodeTest& test,
-               std::vector<Pre>* out) {
+void NaiveStep(const Document& doc, Pre root, Pre v, Axis axis,
+               const NodeTest& test, std::vector<Pre>* out) {
   switch (axis) {
     case Axis::kSelf: {
       // self::node() on an attribute context selects the attribute.
@@ -118,13 +119,14 @@ void NaiveStep(const Document& doc, Pre v, Axis axis, const NodeTest& test,
       return;
     }
     case Axis::kFollowing: {
-      for (Pre w = End(doc, v) + 1; w < doc.num_nodes(); ++w) {
+      const Pre last = End(doc, root);
+      for (Pre w = End(doc, v) + 1; w <= last; ++w) {
         if (MatchesTest(doc, w, axis, test)) out->push_back(w);
       }
       return;
     }
     case Axis::kPreceding: {
-      for (Pre w = 1; w < v; ++w) {
+      for (Pre w = root + 1; w < v; ++w) {
         if (End(doc, w) < v && MatchesTest(doc, w, axis, test)) {
           out->push_back(w);
         }
@@ -152,8 +154,9 @@ void NaiveStep(const Document& doc, Pre v, Axis axis, const NodeTest& test,
   }
 }
 
-void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
-                   Axis axis, const NodeTest& test, std::vector<Pre>* out,
+void StaircaseJoin(const Document& doc, Pre root,
+                   const std::vector<Pre>& contexts, Axis axis,
+                   const NodeTest& test, std::vector<Pre>* out,
                    StaircaseStats* stats, ThreadPool* tp,
                    const xml::PathSummary* summary) {
   StaircaseStats local;
@@ -436,22 +439,23 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
     }
     case Axis::kFollowing: {
       // The union of following sets is the following set of the context
-      // whose subtree ends first: a single scan suffices — and a single
-      // contiguous pre range chunks trivially.
+      // whose subtree ends first: a single scan to the end of the
+      // contexts' tree suffices — and a single contiguous pre range
+      // chunks trivially.
       Pre min_end = End(doc, contexts[0]);
       for (Pre v : contexts) min_end = std::min(min_end, End(doc, v));
       st.contexts_pruned += contexts.size() - 1;
-      Pre first = min_end + 1;
+      const Pre first = min_end + 1;
+      const Pre last = End(doc, root);  // inclusive
+      assert(contexts.front() >= root && contexts.back() <= last);
       if (tag_paths != nullptr) {
-        if (doc.num_nodes() > first) {
-          st.nodes_scanned += summary->GatherPartitions(
-              *tag_paths, first, doc.num_nodes() - 1, out);
+        if (last >= first) {
+          st.nodes_scanned +=
+              summary->GatherPartitions(*tag_paths, first, last, out);
         }
         break;
       }
-      size_t n = doc.num_nodes() > first
-                     ? static_cast<size_t>(doc.num_nodes() - first)
-                     : 0;
+      size_t n = last >= first ? static_cast<size_t>(last - first) + 1 : 0;
       if (tp != nullptr && n >= 2 * kScanGrain) {
         size_t chunks = ThreadPool::NumChunks(n, kScanGrain);
         std::vector<std::vector<Pre>> chunk_out(chunks);
@@ -466,7 +470,7 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
                     });
         ConcatChunks(chunk_out, out);
       } else {
-        for (Pre w = first; w < doc.num_nodes(); ++w) {
+        for (Pre w = first; w <= last; ++w) {
           if (MatchesTest(doc, w, axis, test)) out->push_back(w);
         }
       }
@@ -474,16 +478,19 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
       break;
     }
     case Axis::kPreceding: {
-      // Dually, preceding of the right-most context covers the union.
+      // Dually, preceding of the right-most context covers the union;
+      // the scan starts right after the tree's document node.
       Pre vmax = contexts.back();
       st.contexts_pruned += contexts.size() - 1;
+      assert(contexts.front() >= root && vmax <= End(doc, root));
+      const Pre first = root + 1;
       if (tag_paths != nullptr) {
         // Candidates: tag partitions below vmax; the preceding axis
         // additionally requires the whole subtree to end before vmax
         // (ancestors of vmax are excluded by the End test).
         std::vector<Pre> cand;
-        if (vmax > 1) {
-          summary->GatherPartitions(*tag_paths, 1, vmax - 1, &cand);
+        if (vmax > first) {
+          summary->GatherPartitions(*tag_paths, first, vmax - 1, &cand);
         }
         st.nodes_scanned += cand.size();
         for (Pre w : cand) {
@@ -491,9 +498,9 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
         }
         break;
       }
-      size_t n = vmax > 1 ? static_cast<size_t>(vmax - 1) : 0;
+      size_t n = vmax > first ? static_cast<size_t>(vmax - first) : 0;
       if (tp != nullptr && n >= 2 * kScanGrain) {
-        // Parallel variant: chunk the [1, vmax) pre range and test
+        // Parallel variant: chunk the [first, vmax) pre range and test
         // End(w) < vmax per row. The serial subtree-skip walk below
         // touches the same rows; the per-row predicate form has no
         // cross-row state, so the chunks are independent and the
@@ -503,7 +510,7 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
         ParallelFor(tp, n, kScanGrain,
                     [&](size_t c, size_t lo, size_t hi) {
                       for (size_t k = lo; k < hi; ++k) {
-                        Pre w = static_cast<Pre>(1 + k);
+                        Pre w = first + static_cast<Pre>(k);
                         if (End(doc, w) < vmax &&
                             MatchesTest(doc, w, axis, test)) {
                           chunk_out[c].push_back(w);
@@ -512,7 +519,7 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
                     });
         ConcatChunks(chunk_out, out);
       } else {
-        Pre w = 1;
+        Pre w = first;
         while (w < vmax) {
           if (End(doc, w) < vmax) {
             // Whole subtree precedes vmax: test every node in it, then
@@ -528,7 +535,7 @@ void StaircaseJoin(const Document& doc, const std::vector<Pre>& contexts,
           }
         }
       }
-      // Both variants touch every row in [1, vmax) exactly once.
+      // Both variants touch every row in [first, vmax) exactly once.
       st.nodes_scanned += n;
       break;
     }

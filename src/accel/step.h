@@ -14,10 +14,14 @@ namespace pathfinder::accel {
 /// "tree-unaware RDBMS" strategy the paper improves on). Results are
 /// appended to `out` in document order.
 ///
+/// `root` is the document node of v's tree: 0 for a stored document,
+/// Document::TreeRoot(v) in a constructed forest. Following and
+/// preceding, the only axes that could leave the tree, stay inside it.
+///
 /// This is the correctness oracle for the staircase join and the
 /// ablation baseline of bench_staircase.
-void NaiveStep(const xml::Document& doc, xml::Pre v, Axis axis,
-               const NodeTest& test, std::vector<xml::Pre>* out);
+void NaiveStep(const xml::Document& doc, xml::Pre root, xml::Pre v,
+               Axis axis, const NodeTest& test, std::vector<xml::Pre>* out);
 
 /// Counters reported by the staircase join (ablation bench E6).
 struct StaircaseStats {
@@ -57,6 +61,11 @@ struct StaircaseStats {
 /// operator has the fs:distinct-doc-order postcondition built in, which
 /// is why the compiler can drop explicit sort/dedup steps after it.
 ///
+/// `root` bounds following and preceding to one tree, as in NaiveStep:
+/// for those two axes every context must lie in the tree whose
+/// document node is `root` (0 for a stored document). The other axes
+/// stay inside their contexts' trees on their own and ignore it.
+///
 /// Tree-awareness exploited:
 ///  * pruning: context nodes covered by another context are dropped
 ///    before scanning (descendant/ancestor/self variants),
@@ -81,7 +90,7 @@ struct StaircaseStats {
 /// are identical with and without a summary; only `nodes_scanned`
 /// drops to the candidate count and `path_partitions_pruned` reports
 /// the partitions skipped.
-void StaircaseJoin(const xml::Document& doc,
+void StaircaseJoin(const xml::Document& doc, xml::Pre root,
                    const std::vector<xml::Pre>& contexts, Axis axis,
                    const NodeTest& test, std::vector<xml::Pre>* out,
                    StaircaseStats* stats = nullptr,

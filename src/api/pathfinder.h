@@ -110,8 +110,9 @@ struct QueryOptions {
   /// boundaries, fused morsels) and aborts with StatusCode::kTimeout /
   /// ErrorClass::kTimeout once it expires.
   int64_t timeout_ms = -1;
-  /// Budget for materialized operator outputs in bytes (-1 = none).
-  /// Exceeding it aborts with StatusCode::kResourceExhausted.
+  /// Budget in bytes for materialized operator outputs and constructed
+  /// nodes (-1 = none). Exceeding it aborts with
+  /// StatusCode::kResourceExhausted.
   int64_t mem_limit_bytes = -1;
   /// Externally owned cancellation token (nullptr = none). Fire
   /// token->Cancel() from any thread to abort the running query with

@@ -174,9 +174,8 @@ Result<std::vector<const Column*>> ResolveCols(
 // Three-way comparison of two rows under the given key columns; ties at
 // all keys return 0 (stable sort then preserves input order). `desc`
 // (parallel to cols, optional) flips individual keys.
-Result<int> CompareRows(const std::vector<const Column*>& cols, size_t ra,
-                        size_t rb, const StringPool& pool,
-                        const std::vector<uint8_t>& desc = {}) {
+int CompareRows(const std::vector<const Column*>& cols, size_t ra, size_t rb,
+                const StringPool& pool, const std::vector<uint8_t>& desc = {}) {
   size_t ki = 0;
   for (const Column* c : cols) {
     int flip = (ki < desc.size() && desc[ki]) ? -1 : 1;
@@ -726,7 +725,9 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
   return StableSortRows(
       t.rows(),
-      [&](RowIdx a, RowIdx b) { return CompareRows(cols, a, b, pool, desc); },
+      [&](RowIdx a, RowIdx b) -> Result<int> {
+        return CompareRows(cols, a, b, pool, desc);
+      },
       tp, kt);
 }
 
@@ -803,12 +804,9 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
   out->ints().assign(t.rows(), 0);
   int64_t counter = 0;
   for (size_t k = 0; k < perm.size(); ++k) {
-    bool new_part = (k == 0);
-    if (!new_part && !pcols.empty()) {
-      PF_ASSIGN_OR_RETURN(int cmp,
-                          CompareRows(pcols, perm[k - 1], perm[k], pool));
-      new_part = (cmp != 0);
-    }
+    bool new_part = k == 0 || (!pcols.empty() &&
+                               CompareRows(pcols, perm[k - 1], perm[k],
+                                           pool) != 0);
     if (new_part) counter = 0;
     out->ints()[perm[k]] = ++counter;
   }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <span>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
@@ -194,12 +195,16 @@ Result<ColumnPtr> EvalFun1(Fun1 f, const Column& in, QueryContext* ctx) {
       return out;
     }
     case Fun1::kRootNode: {
+      // The document node of the item's tree: a constructed forest
+      // holds one tree per constructed node.
       auto out = Column::MakeItem(n);
       for (const Item& it : in.items()) {
         if (!it.IsNode()) {
           return Status::TypeError("fn:root on a non-node");
         }
-        out->items().push_back(Item::Node(it.NodeFrag(), 0));
+        const uint32_t frag = it.NodeFrag();
+        out->items().push_back(
+            Item::Node(frag, ctx->doc(frag).TreeRoot(it.NodePre())));
       }
       return out;
     }
@@ -844,15 +849,7 @@ class Exec {
         rec.out_bytes = static_cast<int64_t>(t.ByteSize());
         rec.morsels = fragment ? frag_morsels_ : MorselCount(*op, t);
       }
-      if (ctx_->mem_limit_bytes > 0) {
-        mem_charged_ += static_cast<int64_t>(t.ByteSize());
-        if (mem_charged_ > ctx_->mem_limit_bytes) {
-          return Status::ResourceExhausted(
-              "query memory budget exceeded (" +
-              std::to_string(mem_charged_) + " > " +
-              std::to_string(ctx_->mem_limit_bytes) + " bytes materialized)");
-        }
-      }
+      PF_RETURN_NOT_OK(Charge(static_cast<int64_t>(t.ByteSize())));
       memo_[i] = std::move(t);
     }
     if (cache) {
@@ -1163,19 +1160,25 @@ class Exec {
   }
 
   // One (iter, fragment) context group of a Step: a slice of the
-  // deduplicated context-pre vector built by GroupContexts.
+  // deduplicated context-pre vector built by GroupContexts. `root` is
+  // the document node of the contexts' tree where the group was split
+  // at tree boundaries, else 0.
   struct StepGroup {
     int64_t iter = 0;
     uint32_t frag = 0;
+    xml::Pre root = 0;
     size_t ctx_begin = 0, ctx_end = 0;
   };
 
   // Groups a Step's (iter, item) input by context: rows ordered by
   // (iter, item.raw), one group per (iter, fragment) run, consecutive
   // duplicate context nodes dropped. Rows that tie under this order are
-  // bit-identical, so any tie order yields the same groups.
+  // bit-identical, so any tie order yields the same groups. With
+  // `split_trees`, a run in a constructed forest splits further at tree
+  // boundaries, so following and preceding scan only their own tree;
+  // the groups stay in document order.
   Status GroupContexts(const Table& in, std::vector<StepGroup>* groups,
-                       std::vector<xml::Pre>* ctxs) {
+                       std::vector<xml::Pre>* ctxs, bool split_trees) {
     PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
     PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
@@ -1204,14 +1207,24 @@ class Exec {
           return Status::TypeError("path step applied to an atomic value");
         }
         uint32_t frag = first.NodeFrag();
+        const xml::Document* forest =
+            split_trees && !ctx_->doc(frag).tree_roots().empty()
+                ? &ctx_->doc(frag)
+                : nullptr;
+        xml::Pre root = forest ? forest->TreeRoot(first.NodePre()) : 0;
         size_t begin = ctxs->size();
         size_t m = k;
         while (m < j && items[perm[m]].NodeFrag() == frag) {
           xml::Pre p = items[perm[m]].NodePre();
+          if (forest && forest->TreeRoot(p) != root) {
+            groups->push_back({iter, frag, root, begin, ctxs->size()});
+            root = forest->TreeRoot(p);
+            begin = ctxs->size();
+          }
           if (ctxs->size() == begin || ctxs->back() != p) ctxs->push_back(p);
           ++m;
         }
-        groups->push_back({iter, frag, begin, ctxs->size()});
+        groups->push_back({iter, frag, root, begin, ctxs->size()});
         k = m;
       }
       i = j;
@@ -1254,7 +1267,12 @@ class Exec {
   Result<Table> EvalStep(const Op& op) {
     std::vector<StepGroup> groups;
     std::vector<xml::Pre> ctxs;
-    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs));
+    // Following and preceding are the only axes that could leave a
+    // context's tree.
+    const bool split_trees = op.axis == accel::Axis::kFollowing ||
+                             op.axis == accel::Axis::kPreceding;
+    PF_RETURN_NOT_OK(
+        GroupContexts(Child(op, 0), &groups, &ctxs, split_trees));
     ThreadPool* pool = tp();
 
     auto eval_group = [&](const StepGroup& g, std::vector<xml::Pre>* results,
@@ -1269,14 +1287,14 @@ class Exec {
       std::vector<xml::Pre> contexts(ctxs.begin() + g.ctx_begin,
                                      ctxs.begin() + g.ctx_end);
       if (ctx_->use_staircase) {
-        accel::StaircaseJoin(doc, contexts, op.axis, op.test, results, stats,
-                             inner,
+        accel::StaircaseJoin(doc, g.root, contexts, op.axis, op.test,
+                             results, stats, inner,
                              ctx_->path_summary ? doc.summary() : nullptr);
       } else {
         // Ablation baseline: per-context naive region selection, then
         // an explicit sort + duplicate elimination.
         for (xml::Pre c : contexts) {
-          accel::NaiveStep(doc, c, op.axis, op.test, results);
+          accel::NaiveStep(doc, g.root, c, op.axis, op.test, results);
         }
         std::sort(results->begin(), results->end());
         results->erase(std::unique(results->begin(), results->end()),
@@ -1349,7 +1367,8 @@ class Exec {
     // order at every thread count.
     std::vector<StepGroup> groups;
     std::vector<xml::Pre> ctxs;
-    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs));
+    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs,
+                                   /*split_trees=*/false));
     std::vector<std::vector<xml::Pre>> gres(groups.size());
     for (size_t g = 0; g < groups.size(); ++g) {
       PF_RETURN_NOT_OK(TokenCheck());
@@ -1378,7 +1397,7 @@ class Exec {
         std::vector<xml::Pre> nxt;
         for (const alg::PathStep& s : op.path) {
           nxt.clear();
-          accel::StaircaseJoin(doc, cur, s.axis, s.test, &nxt,
+          accel::StaircaseJoin(doc, grp.root, cur, s.axis, s.test, &nxt,
                                &ctx_->scj_stats, tp(), sum);
           cur.swap(nxt);
           if (cur.empty()) break;
@@ -1390,36 +1409,63 @@ class Exec {
     return StepOutput(groups, gres);
   }
 
-  /// Group an (iter, pos, item) table: iters in ascending order, items
-  /// per iter sorted by pos.
-  Result<std::vector<std::pair<int64_t, std::vector<Item>>>> GroupContent(
-      const Table& in) {
+  // The items of an (iter, pos, item) table sorted by (iter, pos), and
+  // its iters' runs in ascending iter order: run g is the iter iters[g]
+  // with the items items[off[g], off[g + 1]).
+  struct ContentGroups {
+    std::vector<Item> items;
+    std::vector<int64_t> iters;
+    std::vector<size_t> off;  // iters.size() + 1 offsets
+
+    size_t size() const { return iters.size(); }
+    std::span<const Item> operator[](size_t g) const {
+      return std::span<const Item>(items).subspan(off[g],
+                                                  off[g + 1] - off[g]);
+    }
+  };
+
+  Result<ContentGroups> GroupContent(const Table& in) {
     PF_ASSIGN_OR_RETURN(IdxVec perm,
                         bat::SortPerm(in, {bat::kIter, bat::kPos},
                                       *ctx_->pool(), {}, tp(), kt()));
     PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
     PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
-    std::vector<std::pair<int64_t, std::vector<Item>>> groups;
-    for (bat::RowIdx r : perm) {
-      int64_t it = iter_c->ints()[r];
-      if (groups.empty() || groups.back().first != it) {
-        groups.push_back({it, {}});
+    const auto& iters = iter_c->ints();
+    const auto& items = item_c->items();
+    ContentGroups g;
+    g.items.reserve(perm.size());
+    for (size_t k = 0; k < perm.size(); ++k) {
+      const int64_t it = iters[perm[k]];
+      if (k == 0 || g.iters.back() != it) {
+        g.iters.push_back(it);
+        g.off.push_back(k);
       }
-      groups.back().second.push_back(item_c->items()[r]);
+      g.items.push_back(items[perm[k]]);
     }
-    return groups;
+    g.off.push_back(perm.size());
+    return g;
+  }
+
+  // The string value of a content group, as a text or attribute
+  // constructor takes it: one item's string as is, several joined with
+  // single spaces.
+  Result<StrId> ContentString(std::span<const Item> items) {
+    if (items.size() == 1) return ItemAsString(ctx_, items[0]);
+    std::string joined;
+    for (size_t i = 0; i < items.size(); ++i) {
+      PF_ASSIGN_OR_RETURN(StrId s, ItemAsString(ctx_, items[i]));
+      if (i) joined += ' ';
+      joined += ctx_->pool()->Get(s);
+    }
+    return ctx_->pool()->Intern(joined);
   }
 
   Result<Table> EvalElem(const Op& op) {
     const Table& names = Child(op, 0);
-    const Table& content = Child(op, 1);
-    PF_ASSIGN_OR_RETURN(auto content_groups, GroupContent(content));
-    std::unordered_map<int64_t, size_t> content_of;
-    for (size_t g = 0; g < content_groups.size(); ++g) {
-      content_of[content_groups[g].first] = g;
-    }
+    PF_ASSIGN_OR_RETURN(ContentGroups content, GroupContent(Child(op, 1)));
 
-    // One element per iter of the name relation (first name row wins).
+    // One element per iter of the name relation (first name row wins),
+    // in iter order; the content groups are walked alongside.
     PF_ASSIGN_OR_RETURN(
         IdxVec perm,
         bat::SortPerm(names, {bat::kIter}, *ctx_->pool(), {}, tp(), kt()));
@@ -1428,23 +1474,25 @@ class Exec {
 
     auto out_iter = Column::MakeInt();
     auto out_item = Column::MakeItem();
-    static const std::vector<Item> kNoContent;
-    int64_t prev_iter = 0;
-    bool have_prev = false;
-    for (bat::RowIdx r : perm) {
-      int64_t iter = iter_c->ints()[r];
-      if (have_prev && iter == prev_iter) continue;  // first row per iter
-      prev_iter = iter;
-      have_prev = true;
+    ForestBuilder forest(ctx_);
+    int64_t charged = 0;
+    size_t cg = 0;
+    for (size_t k = 0; k < perm.size(); ++k) {
+      const int64_t iter = iter_c->ints()[perm[k]];
+      if (k > 0 && iter == iter_c->ints()[perm[k - 1]]) continue;
       PF_ASSIGN_OR_RETURN(StrId name,
-                          ItemAsString(ctx_, item_c->items()[r]));
-      auto cg = content_of.find(iter);
-      const std::vector<Item>& items =
-          cg == content_of.end() ? kNoContent : content_groups[cg->second].second;
-      PF_ASSIGN_OR_RETURN(Item node, BuildElement(ctx_, name, items));
+                          ItemAsString(ctx_, item_c->items()[perm[k]]));
+      while (cg < content.size() && content.iters[cg] < iter) ++cg;
+      std::span<const Item> items;
+      if (cg < content.size() && content.iters[cg] == iter) {
+        items = content[cg];
+      }
+      PF_ASSIGN_OR_RETURN(Item node, forest.Element(name, items));
+      PF_RETURN_NOT_OK(ChargeTrees(forest, &charged));
       out_iter->ints().push_back(iter);
       out_item->items().push_back(node);
     }
+    forest.Finish();
     Table t;
     t.AddCol(bat::kIter, std::move(out_iter));
     t.AddCol(bat::kItem, std::move(out_item));
@@ -1452,9 +1500,8 @@ class Exec {
   }
 
   Result<Table> EvalStrJoin(const Op& op) {
-    const Table& content = Child(op, 0);
+    PF_ASSIGN_OR_RETURN(ContentGroups groups, GroupContent(Child(op, 0)));
     const Table& seps = Child(op, 1);
-    PF_ASSIGN_OR_RETURN(auto groups, GroupContent(content));
     // Separator per iter (singleton; defaults to "" when absent).
     PF_ASSIGN_OR_RETURN(ColumnPtr sep_iter, seps.GetCol(bat::kIter));
     PF_ASSIGN_OR_RETURN(ColumnPtr sep_item, seps.GetCol(bat::kItem));
@@ -1466,12 +1513,14 @@ class Exec {
     }
     auto out_iter = Column::MakeInt(groups.size());
     auto out_item = Column::MakeItem(groups.size());
-    for (const auto& [iter, items] : groups) {
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const int64_t iter = groups.iters[g];
       auto it = sep_of.find(iter);
       std::string sep(it == sep_of.end()
                           ? ""
                           : std::string(ctx_->pool()->Get(it->second)));
       std::string joined;
+      std::span<const Item> items = groups[g];
       for (size_t i = 0; i < items.size(); ++i) {
         PF_ASSIGN_OR_RETURN(StrId s, ItemAsString(ctx_, items[i]));
         if (i) joined += sep;
@@ -1488,35 +1537,48 @@ class Exec {
   }
 
   Result<Table> EvalTextOrAttr(const Op& op, bool is_attr) {
-    const Table& content = Child(op, 0);
-    PF_ASSIGN_OR_RETURN(auto groups, GroupContent(content));
+    PF_ASSIGN_OR_RETURN(ContentGroups groups, GroupContent(Child(op, 0)));
     auto out_iter = Column::MakeInt(groups.size());
     auto out_item = Column::MakeItem(groups.size());
     const StrId name = op.attr_name;
-    for (const auto& [iter, items] : groups) {
-      // A single item's string value is the content as is; several
-      // join with single spaces.
-      StrId content = 0;
-      if (items.size() == 1) {
-        PF_ASSIGN_OR_RETURN(content, ItemAsString(ctx_, items[0]));
-      } else {
-        std::string joined;
-        for (size_t i = 0; i < items.size(); ++i) {
-          PF_ASSIGN_OR_RETURN(StrId s, ItemAsString(ctx_, items[i]));
-          if (i) joined += ' ';
-          joined += ctx_->pool()->Get(s);
-        }
-        content = ctx_->pool()->Intern(joined);
-      }
-      out_iter->ints().push_back(iter);
-      out_item->items().push_back(is_attr
-                                      ? BuildAttribute(ctx_, name, content)
-                                      : BuildText(ctx_, content));
+    ForestBuilder forest(ctx_);
+    int64_t charged = 0;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      PF_ASSIGN_OR_RETURN(StrId content, ContentString(groups[g]));
+      out_iter->ints().push_back(groups.iters[g]);
+      out_item->items().push_back(is_attr ? forest.Attribute(name, content)
+                                          : forest.Text(content));
+      PF_RETURN_NOT_OK(ChargeTrees(forest, &charged));
     }
+    forest.Finish();
     Table t;
     t.AddCol(bat::kIter, std::move(out_iter));
     t.AddCol(bat::kItem, std::move(out_item));
     return t;
+  }
+
+  // Adds `bytes` to the query's memory charge; ResourceExhausted once
+  // the charge exceeds the budget (when one is set).
+  Status Charge(int64_t bytes) {
+    if (ctx_->mem_limit_bytes <= 0) return Status::OK();
+    mem_charged_ += bytes;
+    if (mem_charged_ > ctx_->mem_limit_bytes) {
+      return Status::ResourceExhausted(
+          "query memory budget exceeded (" + std::to_string(mem_charged_) +
+          " > " + std::to_string(ctx_->mem_limit_bytes) +
+          " bytes materialized)");
+    }
+    return Status::OK();
+  }
+
+  // Charges the encoding bytes `forest` gained since `*charged` (its
+  // size at the last call), so a constructor stops within one tree of
+  // the budget.
+  Status ChargeTrees(const ForestBuilder& forest, int64_t* charged) {
+    const int64_t now = forest.bytes();
+    PF_RETURN_NOT_OK(Charge(now - *charged));
+    *charged = now;
+    return Status::OK();
   }
 
   ThreadPool* tp() const { return ctx_->thread_pool(); }

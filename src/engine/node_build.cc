@@ -12,17 +12,27 @@ using xml::NodeKind;
 using xml::Pre;
 using xml::TreeBuilder;
 
-Result<Item> BuildElement(QueryContext* ctx, StrId name,
-                          const std::vector<Item>& items) {
-  StringPool* pool = ctx->pool();
-  TreeBuilder b(pool);
+Pre ForestBuilder::StartTree() {
+  if (!b_) {
+    // The builder opens the first tree at pre 0.
+    b_.emplace(ctx_->pool());
+    frag_ = ctx_->ReserveFragment();
+    return 0;
+  }
+  return b_->NextTree();
+}
+
+Result<Item> ForestBuilder::Element(StrId name, std::span<const Item> items) {
+  StringPool* pool = ctx_->pool();
+  const Pre elem = StartTree() + 1;
+  TreeBuilder& b = *b_;
   b.StartElem(name);
 
   // Attributes first (attribute items are hoisted regardless of their
   // position in the content sequence).
   for (const Item& it : items) {
     if (it.kind != ItemKind::kAttr) continue;
-    const Document& d = ctx->doc(it.NodeFrag());
+    const Document& d = ctx_->doc(it.NodeFrag());
     Pre v = it.NodePre();
     b.Attr(d.prop(v), d.value(v));
   }
@@ -43,7 +53,7 @@ Result<Item> BuildElement(QueryContext* ctx, StrId name,
     if (it.kind == ItemKind::kAttr) continue;
     if (it.kind == ItemKind::kNode) {
       flush_atomics();
-      b.CopySubtree(ctx->doc(it.NodeFrag()), it.NodePre());
+      b.CopySubtree(ctx_->doc(it.NodeFrag()), it.NodePre());
       continue;
     }
     PF_ASSIGN_OR_RETURN(StrId s, bat::ItemToString(it, pool));
@@ -59,31 +69,43 @@ Result<Item> BuildElement(QueryContext* ctx, StrId name,
   flush_atomics();
 
   b.EndElem();
-  PF_ASSIGN_OR_RETURN(Document doc, std::move(b).Finish());
-  xml::FragId frag = ctx->AddFragment(std::move(doc));
-  return Item::Node(frag, 1);  // the element sits at pre 1
+  return Item::Node(frag_, elem);
 }
 
-Item BuildText(QueryContext* ctx, StrId content) {
-  TreeBuilder b(ctx->pool());
-  // A wrapper element keeps the TreeBuilder invariants; the text node
-  // itself is at pre 2 and is what the item references.
-  b.StartElem("fs:text-wrapper");
-  b.Text(content);
-  b.EndElem();
-  Document doc = std::move(b).Finish().value();
-  xml::FragId frag = ctx->AddFragment(std::move(doc));
-  return Item::Node(frag, 2);
+Item ForestBuilder::Text(StrId content) {
+  if (!text_wrapper_) {
+    text_wrapper_ = ctx_->pool()->Intern("fs:text-wrapper");
+  }
+  // A wrapper element gives the text node a parent, as the tree's only
+  // element; the item references the text node below it.
+  const Pre text = StartTree() + 2;
+  b_->StartElem(*text_wrapper_);
+  b_->Text(content);
+  b_->EndElem();
+  return Item::Node(frag_, text);
 }
 
-Item BuildAttribute(QueryContext* ctx, StrId name, StrId value) {
-  TreeBuilder b(ctx->pool());
-  b.StartElem("fs:attr-wrapper");
-  b.Attr(name, value);
-  b.EndElem();
-  Document doc = std::move(b).Finish().value();
-  xml::FragId frag = ctx->AddFragment(std::move(doc));
-  return Item::Attr(frag, 2);
+Item ForestBuilder::Attribute(StrId name, StrId value) {
+  if (!attr_wrapper_) {
+    attr_wrapper_ = ctx_->pool()->Intern("fs:attr-wrapper");
+  }
+  const Pre attr = StartTree() + 2;
+  b_->StartElem(*attr_wrapper_);
+  b_->Attr(name, value);
+  b_->EndElem();
+  return Item::Attr(frag_, attr);
+}
+
+int64_t ForestBuilder::bytes() const {
+  return b_ ? static_cast<int64_t>(b_->num_nodes() * Document::kNodeBytes)
+            : 0;
+}
+
+void ForestBuilder::Finish() {
+  if (!b_) return;
+  // Every tree holds its element or wrapper, so closing cannot fail.
+  ctx_->FillFragment(frag_, std::move(*b_).Finish().value());
+  b_.reset();
 }
 
 StrId NodeStringId(QueryContext* ctx, const Item& node) {

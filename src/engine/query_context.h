@@ -117,7 +117,9 @@ struct PipelineExecStats {
 /// kFirstConstructed in creation order; stored documents stay below
 /// 2^20 (xml::Database's directory bound). So a constructed id sorts
 /// after every stored document, and resolving one never reads the live
-/// document count, which registrations racing the query move.
+/// document count, which registrations racing the query move. The
+/// engine's constructors build one forest fragment per operator
+/// evaluation (engine::ForestBuilder), its trees in iter order.
 class QueryContext {
  public:
   static constexpr xml::FragId kFirstConstructed = xml::FragId{1} << 31;
@@ -138,9 +140,21 @@ class QueryContext {
   }
 
   xml::FragId AddFragment(xml::Document d) {
-    constructed_.push_back(std::make_unique<xml::Document>(std::move(d)));
+    xml::FragId id = ReserveFragment();
+    FillFragment(id, std::move(d));
+    return id;
+  }
+
+  /// The next constructed fragment id, held for a fragment still being
+  /// built: items can name it before FillFragment stores the document.
+  xml::FragId ReserveFragment() {
+    constructed_.emplace_back();
     return kFirstConstructed +
            static_cast<xml::FragId>(constructed_.size() - 1);
+  }
+  void FillFragment(xml::FragId id, xml::Document d) {
+    constructed_[id - kFirstConstructed] =
+        std::make_unique<xml::Document>(std::move(d));
   }
 
   size_t num_constructed() const { return constructed_.size(); }
@@ -216,11 +230,12 @@ class QueryContext {
   /// token of its own (see api::QueryOptions::timeout_ms).
   CancelToken owned_cancel_token;
 
-  /// Memory budget for materialized operator outputs (bytes; 0 = off).
-  /// The executor charges each materialized table's byte size and
-  /// aborts with ResourceExhausted once the sum exceeds the budget —
-  /// an approximation of peak usage (memoized tables live for the
-  /// query), enforced at the same checkpoints as cancellation.
+  /// Memory budget for materialized operator outputs and constructed
+  /// nodes (bytes; 0 = off). The executor charges each materialized
+  /// table's byte size, and each constructed tree's encoding bytes as
+  /// the tree is appended, and aborts with ResourceExhausted once the
+  /// sum exceeds the budget — an approximation of peak usage (memoized
+  /// tables and fragments live for the query).
   int64_t mem_limit_bytes = 0;
 
   /// Executor checkpoint probe (tests); empty = no calls.

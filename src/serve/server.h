@@ -68,7 +68,8 @@ class Server {
     int queue_depth = 64;
     /// Per-query wall-time budget in ms (0 = unlimited).
     int64_t timeout_ms = 0;
-    /// Per-query materialized-bytes budget in MiB (0 = unlimited).
+    /// Per-query budget in MiB for materialized tables and constructed
+    /// nodes (0 = unlimited).
     int64_t mem_mb = 0;
     /// Frame cap per request/response line.
     size_t max_line_bytes = kDefaultMaxLineBytes;

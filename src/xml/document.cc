@@ -1,12 +1,13 @@
 #include "xml/document.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace pathfinder::xml {
 
 bool Document::Parent(Pre v, Pre* parent) const {
-  if (v == 0) return false;
   uint16_t lv = level_[v];
+  if (lv == 0) return false;
   // The parent is the nearest preceding node with a smaller level.
   for (Pre p = v; p-- > 0;) {
     if (level_[p] < lv) {
@@ -15,6 +16,11 @@ bool Document::Parent(Pre v, Pre* parent) const {
     }
   }
   return false;
+}
+
+Pre Document::TreeRoot(Pre v) const {
+  if (roots_.empty()) return 0;
+  return *(std::upper_bound(roots_.begin(), roots_.end(), v) - 1);
 }
 
 std::string Document::StringValue(Pre v, const StringPool& pool) const {
@@ -31,10 +37,7 @@ std::string Document::StringValue(Pre v, const StringPool& pool) const {
   return out;
 }
 
-size_t Document::EncodingBytes() const {
-  return size_.size() * (sizeof(uint32_t) + sizeof(uint16_t) +
-                         sizeof(uint8_t) + 2 * sizeof(StrId));
-}
+size_t Document::EncodingBytes() const { return size_.size() * kNodeBytes; }
 
 bool Document::Validate(std::string* error) const {
   auto fail = [error](const std::string& m) {
@@ -43,17 +46,32 @@ bool Document::Validate(std::string* error) const {
   };
   Pre n = num_nodes();
   if (n == 0) return fail("empty document");
-  if (kind(0) != NodeKind::kDoc || level_[0] != 0) {
-    return fail("node 0 must be the document root at level 0");
+  const std::vector<Pre> starts =
+      roots_.empty() ? std::vector<Pre>{0} : roots_;
+  if (starts[0] != 0) return fail("the first tree must start at pre 0");
+  for (size_t t = 0; t < starts.size(); ++t) {
+    Pre r = starts[t];
+    Pre next = t + 1 < starts.size() ? starts[t + 1] : n;
+    if (r >= next) return fail("tree roots must ascend within the document");
+    if (kind(r) != NodeKind::kDoc || level_[r] != 0) {
+      return fail("node " + std::to_string(r) +
+                  " must be a document node at level 0");
+    }
+    if (size_[r] != next - r - 1) {
+      return fail("document node " + std::to_string(r) +
+                  " must cover its tree");
+    }
   }
-  if (size_[0] != n - 1) return fail("root size must cover all nodes");
+  size_t tree = 0;  // index into starts of the next tree to begin
   for (Pre v = 0; v < n; ++v) {
-    if (v + size_[v] >= n + (v == 0 ? 1 : 0) && v + size_[v] > n - 1) {
+    if (v + size_[v] > n - 1) {
       return fail("subtree of node " + std::to_string(v) +
                   " exceeds document");
     }
-    if (v > 0 && level_[v] == 0) {
-      return fail("only the root may be at level 0");
+    bool starts_tree = tree < starts.size() && starts[tree] == v;
+    if (starts_tree) ++tree;
+    if (level_[v] == 0 && !starts_tree) {
+      return fail("only a tree's document node may be at level 0");
     }
     if (IsAttr(v) && size_[v] != 0) {
       return fail("attribute " + std::to_string(v) + " has nonzero size");

@@ -1,6 +1,7 @@
 #ifndef PATHFINDER_XML_DOCUMENT_H_
 #define PATHFINDER_XML_DOCUMENT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,8 +42,17 @@ using Pre = uint32_t;
 /// Property surrogates point into a shared StringPool, so identical tags
 /// and identical text contents share one pooled copy (the paper's
 /// surrogate sharing, Sec. 3.1).
+///
+/// A document may also be a forest: several trees one after another,
+/// each laid out like a document of its own under a level-0 document
+/// node (TreeBuilder::NextTree). Constructor results are built this way,
+/// one forest per operator evaluation.
 class Document {
  public:
+  /// Encoding bytes per node (the five columns).
+  static constexpr size_t kNodeBytes = sizeof(uint32_t) + sizeof(uint16_t) +
+                                       sizeof(uint8_t) + 2 * sizeof(StrId);
+
   Pre num_nodes() const { return static_cast<Pre>(size_.size()); }
 
   uint32_t size(Pre v) const { return size_[v]; }
@@ -53,10 +63,17 @@ class Document {
 
   bool IsAttr(Pre v) const { return kind(v) == NodeKind::kAttr; }
 
-  /// Parent of v, or false for the root. O(distance to previous sibling
-  /// chain) backwards scan; the relational engine never calls this on hot
-  /// paths (it uses the ancestor region instead).
+  /// Parent of v, or false for a document node. O(distance to previous
+  /// sibling chain) backwards scan; the relational engine never calls
+  /// this on hot paths (it uses the ancestor region instead).
   bool Parent(Pre v, Pre* parent) const;
+
+  /// The document node of v's tree: 0 unless the document is a forest,
+  /// where it is found by binary search over the trees' roots.
+  Pre TreeRoot(Pre v) const;
+  /// The trees' document nodes in pre order when the document is a
+  /// forest of two or more trees; empty for a single tree at pre 0.
+  const std::vector<Pre>& tree_roots() const { return roots_; }
 
   /// XPath string value: concatenation of all descendant text node
   /// contents (for attributes: the attribute value).
@@ -74,7 +91,8 @@ class Document {
   size_t EncodingBytes() const;
 
   /// Structural sanity: sizes nest properly, levels are consistent,
-  /// attributes have size 0. Used by tests and the shredder.
+  /// attributes have size 0, every tree starts at a document node (for
+  /// a forest: exactly at tree_roots()). Used by tests and the shredder.
   bool Validate(std::string* error) const;
 
   /// Path summary + path-partitioned node index (xml/path_summary.h).
@@ -99,6 +117,7 @@ class Document {
   std::vector<uint8_t> kind_;
   std::vector<StrId> prop_;
   std::vector<StrId> value_;
+  std::vector<Pre> roots_;  // see tree_roots()
   std::shared_ptr<const PathSummary> summary_;
 };
 

@@ -17,7 +17,7 @@ Pre TreeBuilder::Emit(NodeKind kind, StrId prop, StrId value) {
   doc_.size_.push_back(0);
   // stack_ holds the doc node plus all open elements, so the level of a
   // newly emitted node (a child of the innermost open node) is exactly
-  // stack_.size(); the doc node itself is emitted before stack_ is seeded.
+  // stack_.size(); a doc node itself is emitted while stack_ is empty.
   doc_.level_.push_back(static_cast<uint16_t>(stack_.size()));
   doc_.kind_.push_back(static_cast<uint8_t>(kind));
   doc_.prop_.push_back(prop);
@@ -83,6 +83,23 @@ void TreeBuilder::EndElem() {
   in_start_tag_ = false;
 }
 
+void TreeBuilder::CloseTree() {
+  Pre root = stack_[0];
+  doc_.size_[root] = static_cast<Pre>(doc_.size_.size()) - root - 1;
+}
+
+Pre TreeBuilder::NextTree() {
+  assert(stack_.size() == 1 && "NextTree with an open element");
+  CloseTree();
+  if (doc_.roots_.empty()) doc_.roots_.push_back(0);
+  stack_.pop_back();
+  Pre root = Emit(NodeKind::kDoc, 0, 0);
+  stack_.push_back(root);
+  doc_.roots_.push_back(root);
+  in_start_tag_ = false;
+  return root;
+}
+
 void TreeBuilder::CopySubtree(const Document& src, Pre v) {
   Pre first = src.kind(v) == NodeKind::kDoc ? v + 1 : v;
   Pre last = v + src.size(v);  // inclusive
@@ -114,10 +131,10 @@ Result<Document> TreeBuilder::Finish() && {
   if (stack_.size() != 1) {
     return Status::InvalidArgument("unclosed elements at end of document");
   }
-  if (doc_.size_.size() < 2) {
+  if (doc_.size_.size() - stack_[0] < 2) {
     return Status::InvalidArgument("document has no content");
   }
-  doc_.size_[0] = static_cast<Pre>(doc_.size_.size()) - 1;
+  CloseTree();
   return std::move(doc_);
 }
 

@@ -23,6 +23,9 @@ namespace pathfinder::xml {
 /// The string entry points intern their arguments; the StrId ones take
 /// surrogates that are already in pool() (the element constructors'
 /// path, which never handles the strings themselves).
+///
+/// NextTree turns the document into a forest: the open tree closes and
+/// the next one starts at a new level-0 document node.
 class TreeBuilder {
  public:
   explicit TreeBuilder(StringPool* pool);
@@ -49,6 +52,11 @@ class TreeBuilder {
   /// unchanged. An attribute source is only legal where Attr is.
   void CopySubtree(const Document& src, Pre v);
 
+  /// Close the current tree (no element may be open) and start the
+  /// next one at a new document node, whose pre is returned. The
+  /// document records every tree's root (Document::tree_roots()).
+  Pre NextTree();
+
   /// Current nesting depth (open elements).
   size_t depth() const { return stack_.size(); }
   /// The pool names/contents are interned into.
@@ -56,8 +64,8 @@ class TreeBuilder {
   /// Nodes emitted so far.
   Pre num_nodes() const { return static_cast<Pre>(doc_.size_.size()); }
 
-  /// Close the document; fails if elements are still open or the
-  /// document has no root element.
+  /// Close the document; fails if elements are still open or the last
+  /// tree has no content.
   Result<Document> Finish() &&;
 
  private:
@@ -65,10 +73,14 @@ class TreeBuilder {
   /// Make room for `rows` nodes in all five columns, growing them to the
   /// next power of two (see DESIGN.md, "Surrogates on the row paths").
   void Reserve(size_t rows);
+  /// Set the current tree's document node size to cover its nodes.
+  void CloseTree();
 
   StringPool* pool_;
   Document doc_;
-  std::vector<Pre> stack_;  // open element pre ranks (stack_[0] = doc node)
+  // stack_[0] is the current tree's document node, then the pre ranks
+  // of the open elements.
+  std::vector<Pre> stack_;
   bool in_start_tag_ = false;
 };
 

@@ -37,7 +37,7 @@ class FixtureDoc : public ::testing::Test {
 
   std::vector<Pre> Step(Pre v, Axis axis, const NodeTest& test) {
     std::vector<Pre> out;
-    NaiveStep(*doc_, v, axis, test, &out);
+    NaiveStep(*doc_, 0, v, axis, test, &out);
     return out;
   }
 
@@ -112,7 +112,7 @@ TEST_F(FixtureDoc, StaircasePruningCountsDescendant) {
   // Contexts {b(2), c(4)}: c is inside b's subtree and must be pruned.
   StaircaseStats stats;
   std::vector<Pre> out;
-  StaircaseJoin(*doc_, {2, 4}, Axis::kDescendant, NodeTest::AnyKind(),
+  StaircaseJoin(*doc_, 0, {2, 4}, Axis::kDescendant, NodeTest::AnyKind(),
                 &out, &stats);
   EXPECT_EQ(stats.contexts_pruned, 1u);
   // Attributes are not on the descendant axis.
@@ -122,7 +122,7 @@ TEST_F(FixtureDoc, StaircasePruningCountsDescendant) {
 TEST_F(FixtureDoc, StaircaseFollowingSingleScan) {
   StaircaseStats stats;
   std::vector<Pre> out;
-  StaircaseJoin(*doc_, {2, 7}, Axis::kFollowing, NodeTest::Element(),
+  StaircaseJoin(*doc_, 0, {2, 7}, Axis::kFollowing, NodeTest::Element(),
                 &out, &stats);
   // union of following sets == following of the earliest-ending context
   EXPECT_EQ(out, (std::vector<Pre>{7, 9, 10}));
@@ -198,10 +198,10 @@ TEST_P(StepEquivalenceTest, ThreeWayAgreement) {
     if (contexts.empty()) contexts.push_back(0);
 
     std::vector<Pre> staircase;
-    StaircaseJoin(doc, contexts, param.axis, test, &staircase);
+    StaircaseJoin(doc, 0, contexts, param.axis, test, &staircase);
 
     std::vector<Pre> naive;
-    for (Pre c : contexts) NaiveStep(doc, c, param.axis, test, &naive);
+    for (Pre c : contexts) NaiveStep(doc, 0, c, param.axis, test, &naive);
     std::sort(naive.begin(), naive.end());
     naive.erase(std::unique(naive.begin(), naive.end()), naive.end());
 
@@ -249,18 +249,91 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// ---------------------------------------------------------------------
+// Forests: a fragment of several trees, each under its own level-0
+// document node (how constructor results are stored). Every axis from
+// contexts in one tree stays inside that tree, and equals the same step
+// on the tree built as a document of its own, shifted by the tree's root.
+
+TEST(ForestStepTest, StaircaseEqualsPerTreeNaiveStep) {
+  constexpr int kTrees = 3;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    StringPool pool;
+    xml::TreeBuilder forest_b(&pool);
+    std::vector<Document> alone;
+    for (int t = 0; t < kTrees; ++t) {
+      if (t > 0) forest_b.NextTree();
+      xml::TreeBuilder alone_b(&pool);
+      for (xml::TreeBuilder* b : {&forest_b, &alone_b}) {
+        Rng rng(seed * 10 + static_cast<uint64_t>(t));
+        b->StartElem("root");
+        BuildRandom(&rng, b, 0);
+        b->EndElem();
+      }
+      alone.push_back(std::move(alone_b).Finish().value());
+    }
+    Document forest = std::move(forest_b).Finish().value();
+    std::string err;
+    ASSERT_TRUE(forest.Validate(&err)) << err;
+    ASSERT_EQ(forest.tree_roots().size(), static_cast<size_t>(kTrees));
+
+    std::vector<NodeTest> tests = {NodeTest::AnyKind(), NodeTest::Element(),
+                                   NodeTest::Name(pool.Intern("e1"))};
+    Rng pick(seed);
+    for (int t = 0; t < kTrees; ++t) {
+      const Pre root = forest.tree_roots()[static_cast<size_t>(t)];
+      const Pre last = root + forest.size(root);
+      ASSERT_EQ(forest.TreeRoot(last), root);
+      const Document& single = alone[static_cast<size_t>(t)];
+      ASSERT_EQ(single.num_nodes(), last - root + 1);
+      for (Axis axis : kAllAxes) {
+        for (const NodeTest& test : tests) {
+          std::vector<Pre> contexts;
+          for (Pre v = root; v <= last; ++v) {
+            if (!forest.IsAttr(v) && pick.Chance(0.4)) contexts.push_back(v);
+          }
+          if (contexts.empty()) contexts.push_back(root + 1);
+
+          std::vector<Pre> staircase;
+          StaircaseJoin(forest, root, contexts, axis, test, &staircase);
+
+          std::vector<Pre> naive;
+          for (Pre c : contexts) NaiveStep(forest, root, c, axis, test, &naive);
+          std::sort(naive.begin(), naive.end());
+          naive.erase(std::unique(naive.begin(), naive.end()), naive.end());
+
+          std::vector<Pre> shifted;
+          std::vector<Pre> single_ctx;
+          for (Pre c : contexts) single_ctx.push_back(c - root);
+          StaircaseJoin(single, 0, single_ctx, axis, test, &shifted);
+          for (Pre& r : shifted) r += root;
+
+          EXPECT_EQ(staircase, naive)
+              << AxisName(axis) << " tree " << t << " seed " << seed;
+          EXPECT_EQ(staircase, shifted)
+              << AxisName(axis) << " tree " << t << " seed " << seed;
+          for (Pre r : staircase) {
+            EXPECT_TRUE(r >= root && r <= last)
+                << AxisName(axis) << " left tree " << t << ": " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
 // Steps from attribute contexts (parent/ancestor/self).
 TEST(AttributeContextTest, ParentOfAttribute) {
   StringPool pool;
   auto doc = xml::ParseXml(R"(<a><b id="7"/></a>)", &pool).value();
   std::vector<Pre> out;
-  NaiveStep(doc, 3, Axis::kParent, NodeTest::AnyKind(), &out);
+  NaiveStep(doc, 0, 3, Axis::kParent, NodeTest::AnyKind(), &out);
   EXPECT_EQ(out, (std::vector<Pre>{2}));
   out.clear();
-  NaiveStep(doc, 3, Axis::kSelf, NodeTest::AnyKind(), &out);
+  NaiveStep(doc, 0, 3, Axis::kSelf, NodeTest::AnyKind(), &out);
   EXPECT_EQ(out, (std::vector<Pre>{3}));
   out.clear();
-  NaiveStep(doc, 3, Axis::kFollowingSibling, NodeTest::AnyKind(), &out);
+  NaiveStep(doc, 0, 3, Axis::kFollowingSibling, NodeTest::AnyKind(), &out);
   EXPECT_TRUE(out.empty());  // attributes have no siblings
 }
 

@@ -69,13 +69,13 @@ class StaircaseParallelTest : public ::testing::Test {
                               const NodeTest& test) {
     std::vector<Pre> serial_out;
     StaircaseStats serial_st;
-    StaircaseJoin(*doc_, contexts, axis, test, &serial_out, &serial_st,
+    StaircaseJoin(*doc_, 0, contexts, axis, test, &serial_out, &serial_st,
                   nullptr);
     ThreadPool pool2(2), pool7(7);
     for (ThreadPool* tp : {&pool2, &pool7}) {
       std::vector<Pre> out;
       StaircaseStats st;
-      StaircaseJoin(*doc_, contexts, axis, test, &out, &st, tp);
+      StaircaseJoin(*doc_, 0, contexts, axis, test, &out, &st, tp);
       EXPECT_EQ(out, serial_out) << AxisName(axis);
       EXPECT_EQ(st.contexts_in, serial_st.contexts_in) << AxisName(axis);
       EXPECT_EQ(st.contexts_pruned, serial_st.contexts_pruned)
@@ -202,7 +202,7 @@ TEST(StepExecutorTest, ShuffledTwoDocumentInputMatchesPerGroupJoins) {
       }
       const Document& doc = db.doc(f);
       std::vector<Pre> out;
-      StaircaseJoin(doc, contexts, axis, test, &out, nullptr, nullptr);
+      StaircaseJoin(doc, 0, contexts, axis, test, &out, nullptr, nullptr);
       for (Pre r : out) {
         want_iter.push_back(iter);
         want_item.push_back(doc.IsAttr(r) ? Item::Attr(f, r)

@@ -223,6 +223,73 @@ const char* kCorpus[] = {
     "for $d in /shop/dept return max($d/item/@price)",
     "(//item/@price)[. > 5]",
     "for $x in distinct-values(//order/@ref) order by $x return $x",
+    // Several trees from one constructor evaluation (one forest
+    // fragment): every axis stays inside its tree, and fn:root,
+    // node identity and document order match one fragment per node.
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t[2]/b/following::*",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t[2]/c/preceding::*",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t[1]/b/following::node())",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t[3]/c/preceding::node())",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t/b/following::*)",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t/c/preceding::*)",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t[2]/@n/preceding::node())",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t[2]/b/following-sibling::*",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t[2]/c/preceding-sibling::*",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t/b/..",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t/c/ancestor::*",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t/c/ancestor::node())",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count(root($t[1]) | root($t[2]) | root($t[3]))",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return (root($t[2]) is $t[2]/.., root($t[1]) is root($t[2]))",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return ($t[1] is $t[2], $t[2]/b/.. is $t[2])",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return ($t[1] << $t[2], $t[3] >> $t[1], $t[1]/c << $t[2]/b, "
+    "$t[2] >> $t[3]/b)",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return ($t[3]/c | $t[1]/b | $t[2])",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return count($t/b | $t/c | $t)",
+    "let $t := for $i in (1,2,3) return text { $i } "
+    "return count($t[1]/following::node())",
+    "let $t := for $i in (1,2,3) return text { $i } "
+    "return count($t[3]/preceding::node())",
+    "let $t := for $i in (1,2,3) return text { $i } "
+    "return count(root($t[1]) | root($t[2]) | root($t[3]))",
+    "let $t := for $i in (1,2,3) return text { $i } "
+    "return ($t[1] << $t[2], $t[3] is $t[3], $t[2]/.. is $t[3]/..)",
+    "let $t := for $i in (1,2,3) return text { $i } "
+    "return ($t[3] | $t[1])",
+    // Attribute trees, copied into their elements.
+    "for $i in (1,2,3) return <a n=\"{ $i }\" m=\"x\"/>",
+    "count((for $i in (1,2,3) return <a n=\"{ $i }\"/>)"
+    "/@n/following::node())",
+    // Trees holding copies of stored subtrees.
+    "let $t := for $d in /shop/dept return <d>{ $d/item }</d> "
+    "return $t[1]/item[1]/following::item",
+    "let $t := for $d in /shop/dept return <d>{ $d/item }</d> "
+    "return $t[2]/item[1]/preceding::node()",
+    "for $x in (for $i in (1,2,3) return <a><b/><c/></a>) "
+    "return count($x/b/following::node())",
+    // One large forest (3,125 trees): a Step over it is one group, big
+    // enough for the staircase join's morsel-parallel scans.
+    "count((for $a in //item, $b in //item, $c in //item, $d in //item, "
+    "$e in //item return <x><y/><y/><y/><y/><y/><y/></x>)//y)",
+    "count((for $a in //item, $b in //item, $c in //item, $d in //item, "
+    "$e in //item return <x><y/><y/></x>)/y[2]/preceding::y)",
 };
 
 INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialTest,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/op.h"
+#include "api/pathfinder.h"
 #include "engine/executor.h"
 #include "engine/node_build.h"
 #include "xml/serializer.h"
@@ -226,16 +227,20 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
 // --- node_build ----------------------------------------------------------
 
 TEST_F(EngineTest, BuildTextAndAttributeFragments) {
-  Item t = BuildText(ctx_.get(), Id("hello"));
+  ForestBuilder forest(ctx_.get());
+  Item t = forest.Text(Id("hello"));
+  Item a = forest.Attribute(Id("k"), Id("v"));
+  forest.Finish();
   EXPECT_EQ(StringOf(t), "hello");
-  Item a = BuildAttribute(ctx_.get(), Id("k"), Id("v"));
   EXPECT_EQ(a.kind, ItemKind::kAttr);
   EXPECT_EQ(StringOf(a), "v");
 }
 
 TEST_F(EngineTest, BuildElementDeepCopiesSubtree) {
   std::vector<Item> content = {Item::Node(0, 4)};  // <b x="7">2</b>
-  Item e = BuildElement(ctx_.get(), Id("wrap"), content).value();
+  ForestBuilder forest(ctx_.get());
+  Item e = forest.Element(Id("wrap"), content).value();
+  forest.Finish();
   std::string xml = xml::SerializeSubtree(ctx_->doc(e.NodeFrag()),
                                           e.NodePre(), *db_.pool());
   EXPECT_EQ(xml, "<wrap><b x=\"7\">2</b></wrap>");
@@ -246,11 +251,82 @@ TEST_F(EngineTest, BuildElementJoinsAtomicRunsAroundNodes) {
   // with single spaces; a node ends a run.
   std::vector<Item> content = {Item::Int(1), Item::Int(2), Item::Node(0, 2),
                                Str("x"), Item::Attr(0, 5)};
-  Item e = BuildElement(ctx_.get(), Id("e"), content).value();
+  ForestBuilder forest(ctx_.get());
+  Item e = forest.Element(Id("e"), content).value();
+  forest.Finish();
   const xml::Document& d = ctx_->doc(e.NodeFrag());
   EXPECT_EQ(xml::SerializeSubtree(d, e.NodePre(), *db_.pool()),
             "<e x=\"7\">1 2<a>1</a>x</e>");
   EXPECT_EQ(d.value(d.num_nodes() - 1), Id("x"));
+}
+
+TEST_F(EngineTest, ForestLaysOutOneDocumentPerTree) {
+  // Three trees in one fragment: each under its own level-0 document
+  // node, in call order, and the forest validates as a whole.
+  ForestBuilder forest(ctx_.get());
+  std::vector<Item> content = {Item::Node(0, 4)};  // <b x="7">2</b>
+  Item e = forest.Element(Id("wrap"), content).value();
+  Item t = forest.Text(Id("hello"));
+  Item a = forest.Attribute(Id("k"), Id("v"));
+  EXPECT_EQ(ctx_->num_constructed(), 1u);
+  forest.Finish();
+  EXPECT_EQ(ctx_->num_constructed(), 1u);
+  ASSERT_EQ(e.NodeFrag(), QueryContext::kFirstConstructed);
+  ASSERT_EQ(t.NodeFrag(), e.NodeFrag());
+  ASSERT_EQ(a.NodeFrag(), e.NodeFrag());
+  const xml::Document& d = ctx_->doc(e.NodeFrag());
+  std::string err;
+  EXPECT_TRUE(d.Validate(&err)) << err;
+  // wrap tree: doc, wrap, b, @x, "2"; text tree: doc, wrapper, text;
+  // attribute tree: doc, wrapper, @k.
+  EXPECT_EQ(d.tree_roots(), (std::vector<xml::Pre>{0, 5, 8}));
+  EXPECT_EQ(e.NodePre(), 1u);
+  EXPECT_EQ(t.NodePre(), 7u);
+  EXPECT_EQ(a.NodePre(), 10u);
+  EXPECT_EQ(d.TreeRoot(e.NodePre()), 0u);
+  EXPECT_EQ(d.TreeRoot(4), 0u);
+  EXPECT_EQ(d.TreeRoot(t.NodePre()), 5u);
+  EXPECT_EQ(d.TreeRoot(a.NodePre()), 8u);
+  EXPECT_EQ(d.TreeRoot(8), 8u);
+  // A tree's document node has no parent; the element's parent is its
+  // own tree's document node.
+  xml::Pre p = 0;
+  EXPECT_FALSE(d.Parent(5, &p));
+  ASSERT_TRUE(d.Parent(t.NodePre(), &p));
+  EXPECT_EQ(p, 6u);
+  ASSERT_TRUE(d.Parent(6, &p));
+  EXPECT_EQ(p, 5u);
+  EXPECT_EQ(xml::SerializeSubtree(d, 0, *db_.pool()),
+            "<wrap><b x=\"7\">2</b></wrap>");
+  EXPECT_EQ(xml::SerializeSubtree(d, 5, *db_.pool()),
+            "<fs:text-wrapper>hello</fs:text-wrapper>");
+}
+
+TEST_F(EngineTest, ForestBuilderWithoutTreesRegistersNothing) {
+  ForestBuilder forest(ctx_.get());
+  EXPECT_EQ(forest.bytes(), 0);
+  forest.Finish();
+  EXPECT_EQ(ctx_->num_constructed(), 0u);
+}
+
+TEST_F(EngineTest, OneFragmentPerConstructorEvaluation) {
+  // Three iterations of one element constructor build one forest of
+  // three trees, not three fragments; fn:root of each element is its
+  // own tree's document node.
+  Pathfinder pf(&db_);
+  QueryOptions o;
+  o.context_doc = "t.xml";
+  auto r = pf.Run("for $i in (1,2,3) return <a/>", o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r->Serialize(), "<a/><a/><a/>");
+  EXPECT_EQ(r->ctx->num_constructed(), 1u);
+  auto roots = pf.Run(
+      "let $e := for $i in (1,2,3) return <a/> "
+      "return (count(root($e[1]) | root($e[2]) | root($e[3])), "
+      "root($e[2]) is $e[2]/..)",
+      o);
+  ASSERT_TRUE(roots.ok()) << roots.status().ToString();
+  EXPECT_EQ(*roots->Serialize(), "3 true");
 }
 
 TEST_F(EngineTest, NodeStringIdEqualsInternedStringValue) {
@@ -273,10 +349,13 @@ TEST_F(EngineTest, NodeStringIdEqualsInternedStringValue) {
   };
   expect_same(d, *frag);
   // Constructed fragments: an element holding a copied subtree, a text
-  // node and an attribute node.
-  Item e = BuildElement(ctx_.get(), Id("w"), {Item::Node(*frag, 1)}).value();
-  Item t = BuildText(ctx_.get(), Id("hello"));
-  Item a = BuildAttribute(ctx_.get(), Id("k"), Id("v"));
+  // node and an attribute node, as three trees of one forest.
+  ForestBuilder forest(ctx_.get());
+  std::vector<Item> content = {Item::Node(*frag, 1)};
+  Item e = forest.Element(Id("w"), content).value();
+  Item t = forest.Text(Id("hello"));
+  Item a = forest.Attribute(Id("k"), Id("v"));
+  forest.Finish();
   for (const Item& it : {e, t, a}) {
     expect_same(ctx_->doc(it.NodeFrag()), it.NodeFrag());
   }

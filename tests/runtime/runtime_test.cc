@@ -49,12 +49,14 @@ TEST_F(SerializeTest, AttributeItemsUseDiagnosticForm) {
 
 TEST_F(SerializeTest, ConstructedFragmentsSerialize) {
   StringPool* pool = db_.pool();
-  Item text = engine::BuildText(ctx_.get(), pool->Intern("payload"));
-  Item attr =
-      engine::BuildAttribute(ctx_.get(), pool->Intern("n"), pool->Intern("1"));
-  Item elem = engine::BuildElement(ctx_.get(), pool->Intern("e"),
-                                   {attr, text, Item::Int(7)})
-                  .value();
+  engine::ForestBuilder leaves(ctx_.get());
+  Item text = leaves.Text(pool->Intern("payload"));
+  Item attr = leaves.Attribute(pool->Intern("n"), pool->Intern("1"));
+  leaves.Finish();
+  engine::ForestBuilder elems(ctx_.get());
+  std::vector<Item> content = {attr, text, Item::Int(7)};
+  Item elem = elems.Element(pool->Intern("e"), content).value();
+  elems.Finish();
   EXPECT_EQ(*SerializeItem(*ctx_, elem), "<e n=\"1\">payload7</e>");
 }
 

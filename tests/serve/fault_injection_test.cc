@@ -8,6 +8,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <chrono>
+#include <cstdio>
 #include <mutex>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "serve/client.h"
 #include "serve/hooks.h"
 #include "serve/server.h"
+#include "xmark/generator.h"
 #include "xml/database.h"
 
 namespace pathfinder::serve {
@@ -74,6 +76,42 @@ TEST_F(ApiLimitsTest, TinyMemoryBudgetIsResourceExhausted) {
   QueryOptions ok;
   ok.context_doc = "d.xml";
   ASSERT_TRUE(pf.Run("for $v in (1,2,3) return $v + 1", ok).ok());
+}
+
+TEST_F(ApiLimitsTest, ConstructedNodesAreChargedToTheMemoryBudget) {
+  // Every iteration copies the whole document into a new element. The
+  // materialized tables stay small, so only charging each constructed
+  // tree as it is appended can stop the query near its budget.
+  xml::Database db;
+  auto doc = xmark::GenerateXMark(0.01, 1, db.pool());
+  ASSERT_TRUE(doc.ok());
+  const int64_t tree_bytes =
+      (static_cast<int64_t>(doc->num_nodes()) + 1) *
+      static_cast<int64_t>(xml::Document::kNodeBytes);
+  db.AddDocument("x.xml", std::move(*doc));
+  Pathfinder pf(&db);
+  const char* q = "count(for $p in //person return <x>{ /site }</x>)";
+  QueryOptions o;
+  o.context_doc = "x.xml";
+  o.mem_limit_bytes = int64_t{1} << 20;
+  auto r = pf.Run(q, o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().error_class(), ErrorClass::kResourceExhausted);
+  // It stops within one tree of the budget.
+  long long charged = 0;
+  ASSERT_EQ(std::sscanf(r.status().message().c_str(),
+                        "query memory budget exceeded (%lld", &charged),
+            1)
+      << r.status().ToString();
+  EXPECT_LE(charged, o.mem_limit_bytes + tree_bytes);
+  // The same engine still answers the query without the budget.
+  QueryOptions ok;
+  ok.context_doc = "x.xml";
+  auto full = pf.Run(q, ok);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(*full->Serialize(),
+            std::to_string(xmark::XMarkCounts::ForScaleFactor(0.01).people));
 }
 
 // ------------------------------------------------------- server seams --

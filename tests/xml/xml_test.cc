@@ -51,6 +51,47 @@ TEST(TreeBuilderTest, SizesAndLevelsNest) {
   EXPECT_TRUE(doc->Validate(&err)) << err;
 }
 
+TEST(TreeBuilderTest, NextTreeBuildsAForest) {
+  StringPool pool;
+  TreeBuilder b(&pool);
+  b.StartElem("a");        // pre 1
+  b.Attr("id", "1");       // pre 2
+  b.EndElem();
+  EXPECT_EQ(b.NextTree(), 3u);
+  b.StartElem("b");        // pre 4
+  b.Text("hi");            // pre 5
+  b.EndElem();
+  EXPECT_EQ(b.NextTree(), 6u);
+  b.StartElem("c");        // pre 7
+  b.EndElem();
+  auto doc = std::move(b).Finish();
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc->tree_roots(), (std::vector<Pre>{0, 3, 6}));
+  // Every tree is laid out like a document of its own.
+  EXPECT_EQ(doc->size(0), 2u);
+  EXPECT_EQ(doc->size(3), 2u);
+  EXPECT_EQ(doc->size(6), 1u);
+  EXPECT_EQ(doc->level(3), 0);
+  EXPECT_EQ(doc->level(4), 1);
+  EXPECT_EQ(doc->level(5), 2);
+  EXPECT_EQ(doc->TreeRoot(2), 0u);
+  EXPECT_EQ(doc->TreeRoot(3), 3u);
+  EXPECT_EQ(doc->TreeRoot(5), 3u);
+  EXPECT_EQ(doc->TreeRoot(7), 6u);
+  Pre p = 0;
+  EXPECT_FALSE(doc->Parent(3, &p));  // a document node has no parent
+  ASSERT_TRUE(doc->Parent(4, &p));
+  EXPECT_EQ(p, 3u);
+  std::string err;
+  EXPECT_TRUE(doc->Validate(&err)) << err;
+  EXPECT_EQ(SerializeSubtree(*doc, 3, pool), "<b>hi</b>");
+  // A document of one tree records no roots: its root is pre 0.
+  auto single = ParseXml("<a/>", &pool);
+  ASSERT_TRUE(single.ok());
+  EXPECT_TRUE(single->tree_roots().empty());
+  EXPECT_EQ(single->TreeRoot(1), 0u);
+}
+
 TEST(TreeBuilderTest, UnclosedElementFails) {
   StringPool pool;
   TreeBuilder b(&pool);
