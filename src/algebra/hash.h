@@ -13,9 +13,9 @@ namespace pathfinder::algebra {
 /// Two subtrees hash (and compare) equal exactly when they denote the
 /// same computation: same operator kinds, same parameters, same child
 /// structure. Node identity (`Op::id`, pointers) and execution
-/// annotations (`pipe_frag`, cache marks) never participate, so the
-/// hash of a subtree is stable across plans, queries and rebuilds of
-/// the same query — it can key cross-query caches. Column parameters
+/// annotations (cache marks) never participate, so the hash of a
+/// subtree is stable across plans, queries and rebuilds of the same
+/// query — it can key cross-query caches. Column parameters
 /// hash by ColId, which the process-wide dictionary keeps fixed.
 ///
 /// Canonical ordering folds parameter orderings that provably cannot

@@ -68,23 +68,6 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
-bool IsPipelineMapOp(OpKind k) {
-  switch (k) {
-    case OpKind::kProject:
-    case OpKind::kAttach:
-    case OpKind::kSelect:
-    case OpKind::kFun1:
-    case OpKind::kFun2:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsPipelineJoinOp(OpKind k) {
-  return k == OpKind::kEquiJoin || k == OpKind::kThetaJoin;
-}
-
 const char* Fun1Name(Fun1 f) {
   switch (f) {
     case Fun1::kNot:

@@ -46,23 +46,6 @@ enum class OpKind : uint8_t {
 
 const char* OpKindName(OpKind k);
 
-/// Number of OpKind enumerators (bound for per-kind stat arrays).
-inline constexpr size_t kOpKindCount =
-    static_cast<size_t>(OpKind::kSerialize) + 1;
-
-/// Row-local, single-input operators the executor may fuse into a
-/// morsel-driven pipeline fragment: σ, π, constant attach, and the
-/// unary/binary map operators. Everything else (kStep, kRowNum, kAggr,
-/// kDistinct, constructors, set ops, ...) breaks pipelines — it needs
-/// cross-row or cross-iteration context and must see a materialized
-/// input BAT.
-bool IsPipelineMapOp(OpKind k);
-
-/// Join kinds that may *head* a pipeline fragment: the probe produces
-/// (left,right) row pairs that flow into the fused chain without the
-/// join result ever being materialized.
-bool IsPipelineJoinOp(OpKind k);
-
 /// Unary map operators.
 enum class Fun1 : uint8_t {
   kNot,         // BOOL -> BOOL
@@ -179,15 +162,6 @@ struct Op {
 
   /// Stable id for printing/diffing (assigned by the builder).
   int id = 0;
-
-  // Pipeline-fragment annotation, set by opt::AnnotatePipelines and
-  // consumed by the executor when QueryContext::pipeline is on. A
-  // fragment is a maximal chain of fusable operators executed as one
-  // morsel-driven pass; only the tail's output is materialized as a
-  // BAT. -1 = not part of any fused fragment (legacy per-operator
-  // evaluation).
-  int pipe_frag = -1;
-  bool pipe_tail = false;
 
   // Subplan-result cache annotation, set by engine::AnnotateCacheCandidates
   // on freshly built plans. A candidate roots a pure (constructor-free),

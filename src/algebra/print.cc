@@ -129,9 +129,6 @@ std::string OpLabel(const Op& op, const StringPool& pool) {
     default:
       break;
   }
-  if (op.pipe_frag >= 0) {
-    os << " |pipe" << op.pipe_frag << (op.pipe_tail ? "!" : "");
-  }
   return os.str();
 }
 

@@ -37,16 +37,15 @@ void IndexProfile(
 
 /// Plan-cache key fingerprint: exactly the options that change the
 /// built plan (context document, join recognition, optimizer, CSE,
-/// join-graph pass, pipeline annotation). Execution-only knobs —
+/// join-graph pass, path summaries). Execution-only knobs —
 /// threads, staircase, profiling, the cache switches themselves —
 /// produce identical plans and share entries.
-std::string KeyFingerprint(const QueryOptions& o, bool cse, bool pipeline,
-                           bool join_opt, bool path_summary) {
+std::string KeyFingerprint(const QueryOptions& o, bool cse, bool join_opt,
+                           bool path_summary) {
   std::string f;
   f += o.join_recognition ? 'j' : '-';
   f += o.optimize ? 'o' : '-';
   f += cse ? 'c' : '-';
-  f += pipeline ? 'p' : '-';
   f += join_opt ? 'g' : '-';
   f += path_summary ? 's' : '-';
   f += '|';
@@ -114,13 +113,11 @@ std::string QueryResult::ProfileText() const {
                auto it = by_id.find(op.id);
                if (it == by_id.end()) return "";
                const engine::OperatorProfile& p = *it->second;
-               if (p.fused) return "[fused]";
                std::ostringstream os;
                os << "[";
                if (p.cached) os << "cached, ";
-               os << FmtProfileNs(p.wall_ns) << ", ";
-               if (p.in_rows >= 0) os << p.in_rows << "->";
-               os << p.out_rows << " rows, " << p.morsels << " morsels, "
+               os << FmtProfileNs(p.wall_ns) << ", " << p.in_rows << "->"
+                  << p.out_rows << " rows, " << p.morsels << " morsels, "
                   << p.out_bytes << " B]";
                return os.str();
              });
@@ -218,8 +215,6 @@ Result<algebra::OpPtr> Pathfinder::CompilePlan(
 Result<QueryResult> Pathfinder::Run(const std::string& query,
                                     const QueryOptions& opts) const {
   QueryResult res;
-  bool pipeline =
-      opts.pipeline < 0 ? engine::PipelineDefault() : opts.pipeline != 0;
   bool cse =
       opts.optimize && (opts.cse < 0 ? opt::CseDefault() : opts.cse != 0);
   bool join_opt =
@@ -261,9 +256,7 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
   std::string raw_key, core_key;
   engine::PlanEntryPtr entry;
   if (plan_cache) {
-    raw_key = "r:" + KeyFingerprint(opts, cse, pipeline, join_opt,
-                                    path_summary) +
-              query;
+    raw_key = "r:" + KeyFingerprint(opts, cse, join_opt, path_summary) + query;
     entry = cache->LookupPlan(raw_key);
   }
   if (!entry) {
@@ -271,8 +264,7 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
     if (plan_cache) {
       // Tier 2: a differently spelled query with the same Core shares
       // the entry; remember the raw spelling for next time.
-      core_key = "c:" + KeyFingerprint(opts, cse, pipeline, join_opt,
-                                       path_summary) +
+      core_key = "c:" + KeyFingerprint(opts, cse, join_opt, path_summary) +
                  frontend::CanonicalCoreText(res.core);
       entry = cache->LookupPlan(core_key);
       if (entry) cache->AliasPlan(raw_key, entry);
@@ -287,7 +279,6 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
     res.plan_opt = entry->plan_opt;
     res.compile_stats = entry->compile_stats;
     res.opt_stats = entry->opt_stats;
-    res.pipeline_stats = entry->pipeline_stats;
   } else {
     PF_ASSIGN_OR_RETURN(res.plan,
                         CompilePlan(res.core, opts, &res.compile_stats));
@@ -302,10 +293,6 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
     } else {
       res.plan_opt = res.plan;
     }
-    if (pipeline) {
-      PF_RETURN_NOT_OK(
-          opt::AnnotatePipelines(res.plan_opt, &res.pipeline_stats));
-    }
     if (plan_cache || subplan_cache) {
       engine::AnnotateCacheCandidates(res.plan_opt, *db_->pool());
     }
@@ -316,7 +303,6 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
       pe.plan_opt = res.plan_opt;
       pe.compile_stats = res.compile_stats;
       pe.opt_stats = res.opt_stats;
-      pe.pipeline_stats = res.pipeline_stats;
       pe.bytes = algebra::ApproxPlanBytes(res.plan) +
                  algebra::ApproxPlanBytes(res.plan_opt) + core_key.size();
       // The plan's document dependencies (root annotation): the entry
@@ -335,16 +321,14 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
   res.ctx = std::make_unique<engine::QueryContext>(db_);
   res.ctx->use_staircase = opts.use_staircase;
   res.ctx->path_summary = path_summary;
-  res.ctx->pipeline = pipeline;
   res.ctx->profile =
       opts.profile < 0 ? engine::ProfileDefault() : opts.profile != 0;
   res.ctx->SetNumThreads(opts.num_threads);
   {
     // Kernel tuning: -1 keeps the process default per field;
-    // overrides are clamped once here so the kernels and the
-    // fused-fragment morsel sizing see consistent values. All three
-    // are result-neutral (and execution-only: they are deliberately
-    // NOT part of the plan-cache key).
+    // overrides are clamped once here so every kernel sees consistent
+    // values. All three are result-neutral (and execution-only: they
+    // are deliberately NOT part of the plan-cache key).
     bat::KernelTuning kt = res.ctx->tuning;
     if (opts.radix_bits >= 0) kt.radix_bits = opts.radix_bits;
     if (opts.morsel_rows >= 0) {
@@ -381,7 +365,6 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
                       engine::Execute(res.plan_opt, res.ctx.get()));
   PF_ASSIGN_OR_RETURN(res.items, runtime::TableToSequence(t));
   res.scj_stats = res.ctx->scj_stats;
-  res.pipe_stats = res.ctx->pipe_stats;
   res.subplan_cache_hits = res.ctx->subplan_cache_hits;
   res.subplan_cache_misses = res.ctx->subplan_cache_misses;
   res.subplan_cache_admitted = res.ctx->subplan_cache_admitted;

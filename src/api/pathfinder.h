@@ -13,7 +13,6 @@
 #include "engine/query_context.h"
 #include "frontend/ast.h"
 #include "opt/optimize.h"
-#include "opt/pipeline.h"
 #include "xml/database.h"
 
 namespace pathfinder {
@@ -33,13 +32,6 @@ struct QueryOptions {
   /// 1 = the exact serial code paths. Results are identical at every
   /// setting.
   int num_threads = 0;
-  /// Pipelined execution: fuse chains of row-local operators (σ, π,
-  /// attach, ~ maps, join probes) into single morsel-driven passes so
-  /// intermediate BATs are never materialized. -1 = the process
-  /// default (PF_PIPELINE env var; on unless set to "0"), 0 = off
-  /// (materialize every operator), 1 = on. Results are identical
-  /// either way.
-  int pipeline = -1;
   /// Per-operator execution profiling: wall time, row/byte counts and
   /// morsel counts for every plan operator. -1 = the process default
   /// (PF_PROFILE env var; OFF unless set to a value other than "0"),
@@ -99,20 +91,20 @@ struct QueryOptions {
   /// log2 of the radix-join / group-agg partition count, clamped to
   /// [1, 12].
   int radix_bits = -1;
-  /// Morsel grain (rows) for filters, joins and fused pipeline
-  /// fragments, clamped to [64, 2^20].
+  /// Morsel grain (rows) for filters and joins, clamped to
+  /// [64, 2^20].
   int64_t morsel_rows = -1;
   /// Initial sorted-run length and merge-split grain of the parallel
   /// merge sort, clamped to [256, 2^22].
   int64_t sort_chunk_rows = -1;
   /// Wall-time budget for this query in milliseconds (-1 = none). The
   /// executor polls a deadline at its cooperative checkpoints (operator
-  /// boundaries, fused morsels) and aborts with StatusCode::kTimeout /
-  /// ErrorClass::kTimeout once it expires.
+  /// boundaries, Step and path-scan loops) and aborts with
+  /// StatusCode::kTimeout / ErrorClass::kTimeout once it expires.
   int64_t timeout_ms = -1;
   /// Budget in bytes for materialized operator outputs and constructed
-  /// nodes (-1 = none). Exceeding it aborts with
-  /// StatusCode::kResourceExhausted.
+  /// nodes (-1 = none). Every operator's output is charged. Exceeding
+  /// it aborts with StatusCode::kResourceExhausted.
   int64_t mem_limit_bytes = -1;
   /// Externally owned cancellation token (nullptr = none). Fire
   /// token->Cancel() from any thread to abort the running query with
@@ -136,8 +128,6 @@ struct QueryResult {
   compiler::CompileStats compile_stats;
   opt::OptimizeStats opt_stats;
   accel::StaircaseStats scj_stats;
-  opt::PipelineStats pipeline_stats;       // fragment annotation counters
-  engine::PipelineExecStats pipe_stats;    // fused execution counters
 
   /// Per-operator execution profile (QueryOptions::profile / PF_PROFILE);
   /// null when profiling was off.

@@ -150,8 +150,13 @@ void DomStep(DomNode* ctx, Axis axis, const NodeTest& test,
     }
     case Axis::kFollowing: {
       // Everything after this subtree: for each ancestor, the subtrees
-      // of its later siblings.
-      DomNode* cur = ctx->kind == NodeKind::kAttr ? ctx->parent : ctx;
+      // of its later siblings. An element's children follow its
+      // attributes, so an attribute's owner's descendants come first.
+      DomNode* cur = ctx;
+      if (ctx->kind == NodeKind::kAttr) {
+        cur = ctx->parent;
+        if (cur) EmitDescendants(cur, axis, test, out);
+      }
       while (cur && cur->parent) {
         const auto& sibs = cur->parent->children;
         auto it = std::find(sibs.begin(), sibs.end(), cur);

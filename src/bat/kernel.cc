@@ -262,14 +262,7 @@ IdxVec MarkedRows(const std::vector<uint8_t>& marks, size_t morsel,
   return out;
 }
 
-}  // namespace
-
-IdxVec FilterIndices(const Column& pred, ThreadPool* tp,
-                     const KernelTuning& kt) {
-  assert(pred.type() == ColType::kBool);
-  return MarkedRows(pred.bools(), kt.Clamped().morsel_rows, tp);
-}
-
+// Positional fetch: result[i] = c[idx[i]]  (MonetDB leftfetchjoin).
 ColumnPtr Gather(const Column& c, const IdxVec& idx, ThreadPool* tp) {
   // Exact-size allocation + positional writes: each morsel fills its
   // own disjoint slice of the result.
@@ -286,6 +279,8 @@ ColumnPtr Gather(const Column& c, const IdxVec& idx, ThreadPool* tp) {
       c, *out);
   return out;
 }
+
+}  // namespace
 
 Table GatherTable(const Table& t, const IdxVec& idx, ThreadPool* tp) {
   Table out;

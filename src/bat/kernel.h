@@ -30,8 +30,8 @@ struct KernelTuning {
   /// log2 of the join/aggregation partition count (clamped to [1, 12];
   /// 2^bits private hash tables are built per join).
   int radix_bits = 6;
-  /// Morsel grain (rows) for filters, joins and fused pipeline
-  /// fragments (clamped to [64, 1<<20]).
+  /// Morsel grain (rows) for filters and joins (clamped to
+  /// [64, 1<<20]).
   uint32_t morsel_rows = 4096;
   /// Initial sorted-run length and merge-split grain for SortPerm
   /// (clamped to [256, 1<<22]).
@@ -49,30 +49,20 @@ struct KernelTuning {
 // — the result is byte-identical at every thread count (see DESIGN.md
 // "Parallel execution" for the invariants each operator maintains).
 
-/// Indices of rows whose BOOL predicate cell is true, in row order.
-IdxVec FilterIndices(const Column& pred, ThreadPool* tp = nullptr,
-                     const KernelTuning& kt = KernelTuning());
-
-/// Positional fetch: result[i] = c[idx[i]]  (MonetDB leftfetchjoin).
-ColumnPtr Gather(const Column& c, const IdxVec& idx,
-                 ThreadPool* tp = nullptr);
-
 /// Gather every column of `t` — i.e., select the given rows.
 Table GatherTable(const Table& t, const IdxVec& idx,
                   ThreadPool* tp = nullptr);
 
-/// σ: the rows of `t` whose BOOL predicate cell is true, in row order
-/// — the rows FilterIndices names, but each column is scattered
-/// directly into its exact output slice, with no intermediate index
-/// vector. The executor's one selection kernel.
+/// σ: the rows of `t` whose BOOL predicate cell is true, in row order.
+/// Each column is scattered directly into its exact output slice, with
+/// no intermediate index vector. The executor's one selection kernel.
 Table FilterGather(const Table& t, const Column& pred,
                    ThreadPool* tp = nullptr,
                    const KernelTuning& kt = KernelTuning());
 
 /// Matching join row pairs grouped by probe-side chunk, in chunk order:
 /// concatenating (li[c], ri[c]) over all c yields the join's pair list.
-/// GatherPairs builds the joined table from the chunks; fused pipeline
-/// fragments consume them directly, one morsel per chunk.
+/// GatherPairs builds the joined table from the chunks.
 struct JoinPairChunks {
   std::vector<IdxVec> li, ri;
 };

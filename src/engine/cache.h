@@ -16,7 +16,6 @@
 #include "compiler/compile.h"
 #include "frontend/ast.h"
 #include "opt/optimize.h"
-#include "opt/pipeline.h"
 #include "xml/database.h"
 
 namespace pathfinder::engine {
@@ -64,16 +63,19 @@ struct CacheStats {
 };
 
 /// Everything the api layer needs to skip the frontend/compile/optimize
-/// pipeline on a repeated query. `plan_opt` is fully annotated
-/// (pipelines + cache candidates) and is executed as-is — cached plans
+/// phases on a repeated query. `plan_opt` is fully annotated (cache
+/// candidates) and is executed as-is — cached plans
 /// are never re-annotated, so concurrent executions of the same entry
 /// cannot race on plan-node annotation fields.
 struct PlanCacheEntry {
   frontend::ExprPtr core;
   algebra::OpPtr plan;      ///< compiled, pre-optimization
-  algebra::OpPtr plan_opt;  ///< optimized + pipeline/cache annotated
+  algebra::OpPtr plan_opt;  ///< optimized + cache annotated
   compiler::CompileStats compile_stats;
   opt::OptimizeStats opt_stats;
+  /// Compile-only stub: perfbench/src/cold.cc is its only user, and
+  /// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it. Nothing
+  /// reads it.
   opt::PipelineStats pipeline_stats;
   size_t bytes = 0;
   /// Every map key aliasing this entry ("r:"-prefixed raw query texts

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <map>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -26,7 +24,6 @@ using alg::Fun1;
 using alg::Fun2;
 using alg::Op;
 using alg::OpKind;
-using bat::ColId;
 using bat::ColType;
 using bat::Column;
 using bat::ColumnPtr;
@@ -403,201 +400,7 @@ Result<ColumnPtr> EvalFun2(Fun2 f, const Column& a, const Column& b,
   return Status::Internal("unhandled Fun2");
 }
 
-// --- fused pipeline fragments ---------------------------------------------
-//
-// A pipeline fragment (annotated by opt::AnnotatePipelines) is a chain
-// of row-local operators compiled here into a flat step program over
-// symbolic column references. Execution is morsel-driven: each morsel
-// carries row indices into the fragment's input table(s) plus any
-// computed columns, flows through every step — selections compress the
-// morsel in place, maps append computed columns — and only the
-// fragment tail's output is materialized, by concatenating per-morsel
-// outputs in chunk order (which preserves the byte-identical
-// determinism guarantee: morsel boundaries depend on input sizes only,
-// and all order-sensitive consumers compare string *content*, never
-// StrIds, whose numbering may vary with interning order).
-
-// Fused fragments use the same tuning-provided morsel grain as the BAT
-// kernels (ctx->tuning.morsel_rows — never thread-derived), so pipeline
-// morsels and kernel partitions stay aligned.
-
-// A symbolic column: one of the fragment's input columns (left/right
-// by position) or a morsel-local computed slot.
-struct PipeRef {
-  enum Kind : uint8_t { kLeftCol, kRightCol, kComputed };
-  Kind kind = kLeftCol;
-  size_t idx = 0;
-};
-
-// One fused operator application. `op` is restricted to the fusable
-// row-local kinds; kProject never appears (projection is resolved at
-// compile time into the output references).
-struct PipeStep {
-  OpKind op = OpKind::kSelect;
-  PipeRef a, b;        // inputs (kSelect: a = predicate)
-  size_t out_slot = 0; // computed slot written by kAttach/kFun1/kFun2
-  Fun1 fun1 = Fun1::kNot;
-  Fun2 fun2 = Fun2::kAdd;
-  ColType attach_type = ColType::kInt;
-  Item attach_val{ItemKind::kInt, 0};
-};
-
-struct PipeProgram {
-  std::vector<PipeStep> steps;
-  // Output schema of the fragment tail, in legacy column order.
-  std::vector<ColId> out_names;
-  std::vector<PipeRef> out_refs;
-  std::vector<ColType> out_types;
-  // Types of the computed slots (for typed empty outputs).
-  std::vector<ColType> slot_types;
-};
-
-ColType Fun1ResultType(Fun1 f) {
-  switch (f) {
-    case Fun1::kNot:
-    case Fun1::kItemToBool:
-    case Fun1::kIsElement:
-    case Fun1::kIsAttribute:
-    case Fun1::kIsText:
-    case Fun1::kIsNode:
-    case Fun1::kIsInt:
-    case Fun1::kIsDouble:
-    case Fun1::kIsString:
-    case Fun1::kIsBool:
-      return ColType::kBool;
-    default:
-      return ColType::kItem;
-  }
-}
-
-ColType Fun2ResultType(Fun2 f) {
-  switch (f) {
-    case Fun2::kAdd:
-    case Fun2::kSub:
-    case Fun2::kMul:
-    case Fun2::kDiv:
-    case Fun2::kIdiv:
-    case Fun2::kMod:
-    case Fun2::kConcat:
-    case Fun2::kSubstrFrom:
-    case Fun2::kSubstrLen:
-      return ColType::kItem;
-    default:
-      return ColType::kBool;
-  }
-}
-
-// Compile a fragment chain (head first, join head excluded — the
-// caller feeds its pairs in as morsels) against the materialized input
-// table(s). The environment tracks, per visible column name, where its
-// values come from; name resolution is first-match, exactly like
-// Table::FindCol on the legacy path.
-Result<PipeProgram> CompileFragment(const std::vector<const Op*>& chain,
-                                    const Table& left, const Table* right) {
-  PipeProgram prog;
-  struct EnvCol {
-    ColId name;
-    PipeRef ref;
-    ColType type;
-  };
-  std::vector<EnvCol> env;
-  for (size_t i = 0; i < left.num_cols(); ++i) {
-    env.push_back(
-        {left.name(i), {PipeRef::kLeftCol, i}, left.col(i)->type()});
-  }
-  if (right != nullptr) {
-    for (size_t i = 0; i < right->num_cols(); ++i) {
-      env.push_back(
-          {right->name(i), {PipeRef::kRightCol, i}, right->col(i)->type()});
-    }
-  }
-  auto lookup = [&env](ColId n) -> Result<EnvCol> {
-    for (const EnvCol& c : env) {
-      if (c.name == n) return c;
-    }
-    return Status::Internal("pipeline: no column '" +
-                            std::string(bat::ColName(n)) + "'");
-  };
-  for (const Op* op : chain) {
-    switch (op->kind) {
-      case OpKind::kSelect: {
-        PF_ASSIGN_OR_RETURN(EnvCol p, lookup(op->col));
-        PipeStep s;
-        s.op = OpKind::kSelect;
-        s.a = p.ref;
-        prog.steps.push_back(s);
-        break;
-      }
-      case OpKind::kProject: {
-        std::vector<EnvCol> nenv;
-        nenv.reserve(op->proj.size());
-        for (const auto& [nw, old] : op->proj) {
-          PF_ASSIGN_OR_RETURN(EnvCol p, lookup(old));
-          nenv.push_back({nw, p.ref, p.type});
-        }
-        env = std::move(nenv);
-        break;
-      }
-      case OpKind::kAttach: {
-        PipeStep s;
-        s.op = OpKind::kAttach;
-        s.out_slot = prog.slot_types.size();
-        s.attach_type = op->types[0];
-        s.attach_val = op->attach_val;
-        prog.steps.push_back(s);
-        prog.slot_types.push_back(op->types[0]);
-        env.push_back(
-            {op->out, {PipeRef::kComputed, s.out_slot}, op->types[0]});
-        break;
-      }
-      case OpKind::kFun1: {
-        PF_ASSIGN_OR_RETURN(EnvCol p, lookup(op->col));
-        PipeStep s;
-        s.op = OpKind::kFun1;
-        s.fun1 = op->fun1;
-        s.a = p.ref;
-        s.out_slot = prog.slot_types.size();
-        prog.steps.push_back(s);
-        ColType t = Fun1ResultType(op->fun1);
-        prog.slot_types.push_back(t);
-        env.push_back({op->out, {PipeRef::kComputed, s.out_slot}, t});
-        break;
-      }
-      case OpKind::kFun2: {
-        PF_ASSIGN_OR_RETURN(EnvCol pa, lookup(op->col));
-        PF_ASSIGN_OR_RETURN(EnvCol pb, lookup(op->col2));
-        PipeStep s;
-        s.op = OpKind::kFun2;
-        s.fun2 = op->fun2;
-        s.a = pa.ref;
-        s.b = pb.ref;
-        s.out_slot = prog.slot_types.size();
-        prog.steps.push_back(s);
-        ColType t = Fun2ResultType(op->fun2);
-        prog.slot_types.push_back(t);
-        env.push_back({op->out, {PipeRef::kComputed, s.out_slot}, t});
-        break;
-      }
-      default:
-        return Status::Internal("non-fusable operator in pipeline fragment");
-    }
-  }
-  prog.out_names.reserve(env.size());
-  for (const EnvCol& c : env) {
-    prog.out_names.push_back(c.name);
-    prog.out_refs.push_back(c.ref);
-    prog.out_types.push_back(c.type);
-  }
-  return prog;
-}
-
-// One in-flight morsel: parallel row-index vectors into the fragment
-// inputs (ri empty for single-input fragments) plus computed columns,
-// all aligned by position.
-struct PipeMorsel {
-  IdxVec li, ri;
-  std::vector<ColumnPtr> computed;
-};
+// --- constant cells -------------------------------------------------------
 
 // A cell of element type T (a Column payload type) from an Item of the
 // matching kind.
@@ -627,101 +430,6 @@ ColumnPtr ConstColumn(ColType t, const Item& v, size_t n) {
   return col;
 }
 
-void CompressIdx(IdxVec* v, const IdxVec& keep) {
-  IdxVec out;
-  out.reserve(keep.size());
-  for (RowIdx k : keep) out.push_back((*v)[k]);
-  *v = std::move(out);
-}
-
-// Resolve a symbolic column for the morsel's current rows: computed
-// slots pass through; input columns gather the morsel's rows into a
-// dense morsel-sized column (serial — the morsel IS the parallel unit).
-Result<ColumnPtr> MorselColumn(const PipeMorsel& m, const Table& left,
-                               const Table* right, const PipeRef& ref) {
-  switch (ref.kind) {
-    case PipeRef::kComputed:
-      if (m.computed[ref.idx] == nullptr) {
-        return Status::Internal("pipeline: computed slot read before write");
-      }
-      return m.computed[ref.idx];
-    case PipeRef::kLeftCol:
-      return bat::Gather(*left.col(ref.idx), m.li, nullptr);
-    case PipeRef::kRightCol:
-      return bat::Gather(*right->col(ref.idx), m.ri, nullptr);
-  }
-  return Status::Internal("pipeline: bad column reference");
-}
-
-Status RunMorsel(const PipeProgram& prog, const Table& left,
-                 const Table* right, QueryContext* ctx, PipeMorsel* m) {
-  m->computed.assign(prog.slot_types.size(), nullptr);
-  for (const PipeStep& s : prog.steps) {
-    size_t n = m->li.size();
-    switch (s.op) {
-      case OpKind::kSelect: {
-        PF_ASSIGN_OR_RETURN(ColumnPtr pred,
-                            MorselColumn(*m, left, right, s.a));
-        IdxVec keep = bat::FilterIndices(*pred);
-        if (keep.size() == n) break;
-        CompressIdx(&m->li, keep);
-        if (!m->ri.empty()) CompressIdx(&m->ri, keep);
-        for (ColumnPtr& c : m->computed) {
-          if (c != nullptr) c = bat::Gather(*c, keep, nullptr);
-        }
-        break;
-      }
-      case OpKind::kAttach:
-        m->computed[s.out_slot] = ConstColumn(s.attach_type, s.attach_val, n);
-        break;
-      case OpKind::kFun1: {
-        PF_ASSIGN_OR_RETURN(ColumnPtr in, MorselColumn(*m, left, right, s.a));
-        PF_ASSIGN_OR_RETURN(m->computed[s.out_slot],
-                            EvalFun1(s.fun1, *in, ctx));
-        break;
-      }
-      case OpKind::kFun2: {
-        PF_ASSIGN_OR_RETURN(ColumnPtr a, MorselColumn(*m, left, right, s.a));
-        PF_ASSIGN_OR_RETURN(ColumnPtr b, MorselColumn(*m, left, right, s.b));
-        PF_ASSIGN_OR_RETURN(m->computed[s.out_slot],
-                            EvalFun2(s.fun2, *a, *b, ctx));
-        break;
-      }
-      default:
-        return Status::Internal("pipeline: bad step kind");
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<ColumnPtr>> MorselOutput(const PipeProgram& prog,
-                                            const PipeMorsel& m,
-                                            const Table& left,
-                                            const Table* right) {
-  std::vector<ColumnPtr> cols;
-  cols.reserve(prog.out_refs.size());
-  for (const PipeRef& ref : prog.out_refs) {
-    PF_ASSIGN_OR_RETURN(ColumnPtr c, MorselColumn(m, left, right, ref));
-    cols.push_back(std::move(c));
-  }
-  return cols;
-}
-
-// Materialize the fragment's output BAT: per-morsel output columns
-// concatenated in chunk order.
-Table ConcatChunks(const PipeProgram& prog,
-                   const std::vector<std::vector<ColumnPtr>>& outs) {
-  Table t;
-  for (size_t c = 0; c < prog.out_refs.size(); ++c) {
-    auto col = std::make_shared<Column>(prog.out_types[c]);
-    for (const auto& chunk : outs) {
-      col->Append(*chunk[c]);
-    }
-    t.AddCol(prog.out_names[c], std::move(col));
-  }
-  return t;
-}
-
 // --- per-op evaluation ----------------------------------------------------
 
 class Exec {
@@ -729,7 +437,6 @@ class Exec {
   explicit Exec(QueryContext* ctx) : ctx_(ctx) {}
 
   Result<Table> Run(const alg::OpPtr& root) {
-    bool pipe = ctx_->pipeline;
     // Profiling is a single predictable branch per operator when off:
     // no timer calls, no record writes, no allocation on the hot path.
     bool prof = ctx_->profile;
@@ -760,12 +467,7 @@ class Exec {
         uint32_t i = static_cast<uint32_t>(plan_.IndexOf(p.get()));
         if (visited[i]) return;
         visited[i] = true;
-        // Consult the cache at candidates only when the node owns a
-        // materialized result: fused fragment interiors never do (the
-        // tail evaluates the whole chain), so a hit there would leave
-        // the fragment half-pruned.
-        if (cache && p->cache_cand &&
-            !(pipe && p->pipe_frag >= 0 && !p->pipe_tail)) {
+        if (cache && p->cache_cand) {
           int64_t t0 = prof ? ProfileNowNs() : 0;
           Table t;
           if (cache->LookupSubplan(*p, &t)) {
@@ -817,29 +519,14 @@ class Exec {
     std::vector<int64_t> eval_ns(costed.size(), 0);
     for (uint32_t i : order) {
       Op* op = plan_.nodes[i];
-      bool fragment = pipe && op->pipe_frag >= 0;
       // Checkpoint: probe first (it may fire the token), then the
-      // cancellation/limit checks. The probe sees every operator —
-      // fused interiors included — so fault injection targets the same
-      // plan positions whether or not pipelining fused them.
+      // cancellation check.
       if (ctx_->op_probe) ctx_->op_probe(*op, ctx_->cancel_token);
-      if (fragment && !op->pipe_tail) {
-        // Interior fragment members never materialize: the tail
-        // evaluates the whole chain in one fused pass.
-        if (prof) recs_[i].fused = true;
-        continue;
-      }
-      PF_RETURN_NOT_OK(Checkpoint());
+      PF_RETURN_NOT_OK(TokenCheck());
       bool costed_op = !costed.empty() && costed[i];
       bool timed = prof || costed_op;
       int64_t t0 = timed ? ProfileNowNs() : 0;
-      Table t;
-      if (fragment) {
-        frag_morsels_ = 0;
-        PF_ASSIGN_OR_RETURN(t, EvalFragment(*op));
-      } else {
-        PF_ASSIGN_OR_RETURN(t, EvalOne(*op));
-      }
+      PF_ASSIGN_OR_RETURN(Table t, EvalOne(*op));
       int64_t wall = timed ? ProfileNowNs() - t0 : 0;
       if (costed_op) eval_ns[i] = wall;
       if (prof) {
@@ -847,7 +534,7 @@ class Exec {
         rec.wall_ns = wall;
         rec.out_rows = static_cast<int64_t>(t.rows());
         rec.out_bytes = static_cast<int64_t>(t.ByteSize());
-        rec.morsels = fragment ? frag_morsels_ : MorselCount(*op, t);
+        rec.morsels = MorselCount(*op, t);
       }
       PF_RETURN_NOT_OK(Charge(static_cast<int64_t>(t.ByteSize())));
       memo_[i] = std::move(t);
@@ -859,9 +546,8 @@ class Exec {
         const alg::OpPtr* opp = publish[k];
         const uint32_t stamp = static_cast<uint32_t>(k + 1);
         // The candidate's cost: summed eval wall time over its subtree.
-        // Fragment interiors carry 0 (the tail's time covers the whole
-        // chain) and subtrees pruned by nested cache hits carry 0 (a
-        // conservative under-count — cheaper than re-evaluating).
+        // Subtrees pruned by nested cache hits carry 0 (a conservative
+        // under-count — cheaper than re-evaluating).
         int64_t cost_ns = 0;
         std::vector<const Op*> dfs = {opp->get()};
         while (!dfs.empty()) {
@@ -893,13 +579,8 @@ class Exec {
   }
 
   /// Cooperative cancellation checkpoint: OK while the query may keep
-  /// running. Called between operators; morsel loops poll the token
-  /// directly (TokenCheck) so long fused scans abort mid-operator too.
-  Status Checkpoint() {
-    PF_RETURN_NOT_OK(TokenCheck());
-    return Status::OK();
-  }
-
+  /// running. Called between operators, after a Step's scans and per
+  /// path-scan group, so long scans abort mid-operator too.
   Status TokenCheck() {
     if (ctx_->cancel_token != nullptr) {
       PF_RETURN_NOT_OK(ctx_->cancel_token->Check());
@@ -907,105 +588,15 @@ class Exec {
     return Status::OK();
   }
 
-  /// Morsel decomposition of a materialized (non-fragment) operator:
-  /// chunk count of its major input (largest child, or its own output
-  /// for leaves) under the fixed kernel grain. Fragment tails instead
-  /// report the exact number of fused morsels executed.
+  /// Morsel decomposition of an operator: chunk count of its major
+  /// input (largest child, or its own output for leaves) under the
+  /// fixed kernel grain.
   int64_t MorselCount(const Op& op, const Table& out) const {
     size_t basis = out.rows();
     for (const auto& c : op.children) {
       basis = std::max(basis, memo_[plan_.IndexOf(c.get())].rows());
     }
     return static_cast<int64_t>(ThreadPool::NumChunks(basis, morsel()));
-  }
-
-  // The matching row pairs of a ⋈ or θ-join op over its inputs.
-  Status JoinPairs(const Op& op, const Table& l, const Table& r,
-                   bat::JoinPairChunks* pc) {
-    PF_ASSIGN_OR_RETURN(ColumnPtr lk, l.GetCol(op.col));
-    PF_ASSIGN_OR_RETURN(ColumnPtr rk, r.GetCol(op.col2));
-    if (op.kind == OpKind::kEquiJoin) {
-      return bat::HashJoinPairsChunked(*lk, *rk, *ctx_->pool(), pc, tp(),
-                                       kt());
-    }
-    return bat::ThetaJoinPairsChunked(*lk, *rk, op.cmp, *ctx_->pool(), pc,
-                                      tp());
-  }
-
-  // Evaluate the fragment ending at `tail` as one fused morsel pass.
-  Result<Table> EvalFragment(const Op& tail) {
-    // Reconstruct the chain head-first. Interior members are exactly
-    // the ops sharing the tail's fragment id along the unary spine.
-    std::vector<const Op*> chain;
-    for (const Op* cur = &tail;;) {
-      chain.push_back(cur);
-      if (alg::IsPipelineJoinOp(cur->kind)) break;
-      const Op* c = cur->children[0].get();
-      if (c->pipe_frag != tail.pipe_frag) break;
-      cur = c;
-    }
-    std::reverse(chain.begin(), chain.end());
-
-    PipelineExecStats& ps = ctx_->pipe_stats;
-    ps.fragments++;
-    ps.fused_ops += static_cast<int64_t>(chain.size());
-    ps.max_chain =
-        std::max(ps.max_chain, static_cast<int64_t>(chain.size()));
-    for (const Op* op : chain) {
-      ps.by_kind[static_cast<size_t>(op->kind)]++;
-    }
-
-    const Op& head = *chain.front();
-    frag_morsels_ = static_cast<int64_t>(
-        ThreadPool::NumChunks(Child(head, 0).rows(), morsel()));
-    // A lone σ or join (the only singleton fragments): its op-at-a-time
-    // kernel already writes every column straight into its output slice.
-    if (chain.size() == 1) return EvalOne(head);
-    if (alg::IsPipelineJoinOp(head.kind)) {
-      // Join-headed chain: each probe chunk's pair list is one morsel.
-      const Table& l = Child(head, 0);
-      const Table& r = Child(head, 1);
-      bat::JoinPairChunks pc;
-      PF_RETURN_NOT_OK(JoinPairs(head, l, r, &pc));
-      std::vector<const Op*> body(chain.begin() + 1, chain.end());
-      PF_ASSIGN_OR_RETURN(PipeProgram prog, CompileFragment(body, l, &r));
-      frag_morsels_ = static_cast<int64_t>(pc.li.size());
-      std::vector<std::vector<ColumnPtr>> outs(pc.li.size());
-      PF_RETURN_NOT_OK(ParallelForStatus(
-          tp(), pc.li.size(), 1,
-          [&](size_t c, size_t, size_t) -> Status {
-            PF_RETURN_NOT_OK(TokenCheck());
-            PipeMorsel m;
-            m.li = std::move(pc.li[c]);
-            m.ri = std::move(pc.ri[c]);
-            PF_RETURN_NOT_OK(RunMorsel(prog, l, &r, ctx_, &m));
-            PF_ASSIGN_OR_RETURN(outs[c], MorselOutput(prog, m, l, &r));
-            return Status::OK();
-          }));
-      return ConcatChunks(prog, outs);
-    }
-
-    // Map-headed fragment over a single input.
-    const Table& in = Child(head, 0);
-    PF_ASSIGN_OR_RETURN(PipeProgram prog,
-                        CompileFragment(chain, in, nullptr));
-    size_t n = in.rows();
-    std::vector<std::vector<ColumnPtr>> outs(
-        ThreadPool::NumChunks(n, morsel()));
-    PF_RETURN_NOT_OK(ParallelForStatus(
-        tp(), n, morsel(),
-        [&](size_t c, size_t lo, size_t hi) -> Status {
-          PF_RETURN_NOT_OK(TokenCheck());
-          PipeMorsel m;
-          m.li.reserve(hi - lo);
-          for (size_t i = lo; i < hi; ++i) {
-            m.li.push_back(static_cast<RowIdx>(i));
-          }
-          PF_RETURN_NOT_OK(RunMorsel(prog, in, nullptr, ctx_, &m));
-          PF_ASSIGN_OR_RETURN(outs[c], MorselOutput(prog, m, in, nullptr));
-          return Status::OK();
-        }));
-    return ConcatChunks(prog, outs);
   }
 
   Result<Table> EvalOne(const Op& op) {
@@ -1060,9 +651,18 @@ class Exec {
       }
       case OpKind::kEquiJoin:
       case OpKind::kThetaJoin: {
+        const Table& l = Child(op, 0);
+        const Table& r = Child(op, 1);
+        PF_ASSIGN_OR_RETURN(ColumnPtr lk, l.GetCol(op.col));
+        PF_ASSIGN_OR_RETURN(ColumnPtr rk, r.GetCol(op.col2));
         bat::JoinPairChunks pc;
-        PF_RETURN_NOT_OK(JoinPairs(op, Child(op, 0), Child(op, 1), &pc));
-        return bat::GatherPairs(Child(op, 0), Child(op, 1), pc, tp());
+        PF_RETURN_NOT_OK(
+            op.kind == OpKind::kEquiJoin
+                ? bat::HashJoinPairsChunked(*lk, *rk, *ctx_->pool(), &pc,
+                                            tp(), kt())
+                : bat::ThetaJoinPairsChunked(*lk, *rk, op.cmp,
+                                             *ctx_->pool(), &pc, tp()));
+        return bat::GatherPairs(l, r, pc, tp());
       }
       case OpKind::kCross: {
         // Every (left, right) row pair, left-major, in chunks of about a
@@ -1589,7 +1189,6 @@ class Exec {
   alg::PlanNumbering plan_;
   std::vector<Table> memo_;          // by node number
   std::vector<OpProfileRec> recs_;   // by node number; profiling only
-  int64_t frag_morsels_ = 0;  // morsels of the last fused fragment
   int64_t mem_charged_ = 0;   // materialized bytes vs ctx mem budget
 };
 
@@ -1598,14 +1197,6 @@ class Exec {
 Result<Table> Execute(const algebra::OpPtr& root, QueryContext* ctx) {
   Exec exec(ctx);
   return exec.Run(root);
-}
-
-bool PipelineDefault() {
-  static const bool on = [] {
-    const char* e = std::getenv("PF_PIPELINE");
-    return e == nullptr || std::string_view(e) != "0";
-  }();
-  return on;
 }
 
 }  // namespace pathfinder::engine

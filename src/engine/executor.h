@@ -16,9 +16,9 @@ namespace pathfinder::engine {
 /// the runtime serializer.
 Result<bat::Table> Execute(const algebra::OpPtr& root, QueryContext* ctx);
 
-/// Process-wide default for pipelined execution: the PF_PIPELINE
-/// environment variable, read once. Unset or any value but "0" = on.
-bool PipelineDefault();
+/// Compile-only stub: perfbench/src/cold.cc is its only user, and
+/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+inline bool PipelineDefault() { return false; }
 
 }  // namespace pathfinder::engine
 

@@ -48,24 +48,18 @@ void Build(const algebra::PlanNumbering& plan, const algebra::Op* op,
   out->op_id = op->id;
   out->kind = op->kind;
   out->label = algebra::OpLabel(*op, pool);
-  out->pipe_frag = op->pipe_frag;
   const OpProfileRec& r = recs[i];
-  out->fused = r.fused;
   out->cached = r.cached;
   out->wall_ns = r.wall_ns;
   out->out_rows = r.out_rows;
   out->out_bytes = r.out_bytes;
   out->morsels = r.morsels;
-  // Input rows = sum of child output rows; unknown (-1) as soon as one
-  // child never materialized (fused interior of a fragment).
+  // A cache hit read no input: its subtree never ran.
   out->in_rows = 0;
-  for (const auto& c : op->children) {
-    int64_t rows = recs[plan.IndexOf(c.get())].out_rows;
-    if (rows < 0) {
-      out->in_rows = -1;
-      break;
+  if (!out->cached) {
+    for (const auto& c : op->children) {
+      out->in_rows += recs[plan.IndexOf(c.get())].out_rows;
     }
-    out->in_rows += rows;
   }
   if ((*seen)[i]) {
     out->shared_ref = true;
@@ -89,11 +83,7 @@ void ToJson(const OperatorProfile& p, std::string* out) {
   *out += algebra::OpKindName(p.kind);
   *out += "\", \"label\": \"";
   JsonEscape(p.label, out);
-  *out += "\", \"frag\": ";
-  *out += std::to_string(p.pipe_frag);
-  *out += ", \"fused\": ";
-  *out += p.fused ? "true" : "false";
-  *out += ", \"shared_ref\": ";
+  *out += "\", \"shared_ref\": ";
   *out += p.shared_ref ? "true" : "false";
   *out += ", \"cached\": ";
   *out += p.cached ? "true" : "false";

@@ -17,26 +17,20 @@ namespace pathfinder::engine {
 /// repeat visits are emitted as `shared_ref` leaves (cf. the "^id"
 /// references of algebra::PlanToText).
 ///
-/// Row/byte/morsel fields describe the operator's *materialized*
-/// output. Operators evaluated inside a fused pipeline fragment never
-/// materialize: interior members carry `fused = true` and -1 row
-/// counts, and the fragment's whole wall time, morsel count and output
-/// size are attributed to the fragment tail (whose `pipe_frag` ties
-/// the members together).
+/// Row/byte/morsel fields describe the operator's materialized output;
+/// every operator materializes one.
 struct OperatorProfile {
   int op_id = 0;                       ///< algebra::Op::id
   algebra::OpKind kind = algebra::OpKind::kSerialize;
   std::string label;                   ///< algebra::OpLabel rendering
-  int pipe_frag = -1;                  ///< fragment membership (-1 = none)
-  bool fused = false;    ///< interior of a fused fragment (no own BAT)
   bool shared_ref = false;  ///< repeat visit of a shared subplan
   /// Result served from the cross-query subplan cache: the subtree was
   /// not executed, so the node is rendered as a leaf (no children) and
   /// wall_ns only covers the cache lookup.
   bool cached = false;
-  int64_t wall_ns = 0;   ///< evaluation wall time (0 for fused/refs)
-  int64_t in_rows = 0;   ///< sum of child output rows (-1 = unknown)
-  int64_t out_rows = 0;  ///< materialized output rows (-1 = not mat.)
+  int64_t wall_ns = 0;   ///< evaluation wall time
+  int64_t in_rows = 0;   ///< sum of child output rows
+  int64_t out_rows = 0;  ///< materialized output rows
   int64_t out_bytes = 0;  ///< output column payload bytes
   int64_t morsels = 0;   ///< morsel count of the evaluation
   std::vector<OperatorProfile> children;
@@ -50,10 +44,9 @@ using OperatorProfilePtr = std::unique_ptr<OperatorProfile>;
 /// plan-shaped tree above.
 struct OpProfileRec {
   int64_t wall_ns = 0;
-  int64_t out_rows = -1;
+  int64_t out_rows = 0;
   int64_t out_bytes = 0;
   int64_t morsels = 0;
-  bool fused = false;
   bool cached = false;  ///< served from the subplan-result cache
 };
 

@@ -1,7 +1,6 @@
 #ifndef PATHFINDER_ENGINE_QUERY_CONTEXT_H_
 #define PATHFINDER_ENGINE_QUERY_CONTEXT_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -25,9 +24,10 @@ class QueryCache;
 /// query's owner (a server session, a watchdog, a test) and the
 /// executor's checkpoints. The owner fires `Cancel()`/`Timeout()` from
 /// any thread; the executor polls `Check()` at operator boundaries and
-/// inside morsel loops and aborts the query with the corresponding
-/// Status. Fires at most once — the first reason wins, so a cancel
-/// racing an expiring deadline yields exactly one of the two errors.
+/// inside the Step and path-scan loops and aborts the query with the
+/// corresponding Status. Fires at most once — the first reason wins, so
+/// a cancel racing an expiring deadline yields exactly one of the two
+/// errors.
 ///
 /// The live fast path is one relaxed atomic load (plus a steady_clock
 /// read per checkpoint when a deadline is armed).
@@ -90,24 +90,6 @@ class CancelToken {
 /// fire cancellation or timeouts at a deterministic plan position.
 using OpProbe =
     std::function<void(const algebra::Op& op, CancelToken* token)>;
-
-/// Counters for the pipelined (fused fragment) execution path.
-struct PipelineExecStats {
-  int64_t fragments = 0;  ///< fused fragments executed
-  int64_t fused_ops = 0;  ///< operators evaluated inside fused passes
-  int64_t max_chain = 0;  ///< longest executed fragment (member count)
-  /// Fused evaluations per operator kind, indexed by OpKind. An entry
-  /// stays 0 for any kind that never ran under the fused path (the
-  /// operator-coverage test keys off this).
-  std::array<int64_t, algebra::kOpKindCount> by_kind{};
-
-  void Merge(const PipelineExecStats& o) {
-    fragments += o.fragments;
-    fused_ops += o.fused_ops;
-    max_chain = max_chain > o.max_chain ? max_chain : o.max_chain;
-    for (size_t k = 0; k < by_kind.size(); ++k) by_kind[k] += o.by_kind[k];
-  }
-};
 
 /// Per-query runtime state: resolves fragment ids (persistent documents
 /// and fragments constructed by ε/τ during this query) and collects
@@ -181,11 +163,11 @@ class QueryContext {
   }
 
   /// Partitioned-kernel tuning (radix bits, morsel grain, sort run
-  /// length) used for every kernel call and for sizing fused pipeline
-  /// morsels. Every setting is result-neutral — it shifts work between
-  /// partitions/chunks whose merges are order-exact — so overriding it
-  /// per query can never change result bytes. Defaults to the process
-  /// default; stored pre-clamped.
+  /// length) used for every kernel call. Every setting is
+  /// result-neutral — it shifts work between partitions/chunks whose
+  /// merges are order-exact — so overriding it per query can never
+  /// change result bytes. Defaults to the process default; stored
+  /// pre-clamped.
   bat::KernelTuning tuning;
 
   /// Ablation switch (bench E6): evaluate Step operators with per-node
@@ -199,11 +181,9 @@ class QueryContext {
   /// Result bytes are identical either way.
   bool path_summary = false;
 
-  /// Execute annotated pipeline fragments as fused morsel passes
-  /// instead of one materialized BAT per operator. Off by default: the
-  /// executor only honors fragments when the plan was annotated (see
-  /// opt::AnnotatePipelines), which api::Pathfinder does whenever it
-  /// turns this on.
+  /// Compile-only stub: perfbench/src/cold.cc is its only user, and
+  /// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it. Nothing
+  /// reads it.
   bool pipeline = false;
 
   /// Collect a per-operator execution profile (wall time, row counts,
@@ -217,13 +197,11 @@ class QueryContext {
   /// Aggregated staircase join counters for this query.
   accel::StaircaseStats scj_stats;
 
-  /// Fused-pipeline execution counters for this query.
-  PipelineExecStats pipe_stats;
-
   /// Cooperative cancellation/deadline for this query, or nullptr. The
-  /// executor checks it at operator boundaries and per fused morsel;
-  /// when it fires, Execute returns the token's Cancelled/Timeout
-  /// status. Owned externally (typically by a server session).
+  /// executor checks it at operator boundaries and inside the Step and
+  /// path-scan loops; when it fires, Execute returns the token's
+  /// Cancelled/Timeout status. Owned externally (typically by a server
+  /// session).
   CancelToken* cancel_token = nullptr;
 
   /// Token used when the API owner asked for a deadline but supplied no

@@ -46,6 +46,16 @@ const std::unordered_map<std::string, std::pair<int, int>>& Builtins() {
   return *kMap;
 }
 
+/// Most Core nodes that inlining user-defined functions may produce for
+/// one query (counted as normalizer steps inside inlined bodies). A
+/// body is normalized once per call site, so a chain of functions that
+/// each call the previous one twice doubles the Core tree, and the
+/// plan, per function: fourteen levels (879 bytes of query) exhaust a
+/// 3 GB address space in the executor. Twelve levels fit and compile
+/// to about 49,000 operators. XMark Q18, the only XMark query with a
+/// function, inlines 3 nodes.
+constexpr int64_t kMaxInlinedNodes = 1 << 15;
+
 /// Context item / position / last bindings for predicate bodies.
 struct FocusCtx {
   std::string dot_var;   // renamed variable holding the context item
@@ -122,6 +132,11 @@ class Normalizer {
 
   Result<ExprPtr> Norm(const ExprPtr& e) {
     if (!e) return Status::Internal("null expression in normalizer");
+    if (!inlining_.empty() && ++inlined_nodes_ > kMaxInlinedNodes) {
+      return Status::NotSupported(
+          "function inlining expands the query past " +
+          std::to_string(kMaxInlinedNodes) + " Core nodes");
+    }
     switch (e->kind) {
       case ExprKind::kIntLit:
       case ExprKind::kDblLit:
@@ -513,6 +528,7 @@ class Normalizer {
   std::unordered_set<std::string> inlining_;
   std::vector<FocusCtx> focus_;
   int counter_ = 0;
+  int64_t inlined_nodes_ = 0;  // Norm calls inside inlined bodies
 };
 
 }  // namespace

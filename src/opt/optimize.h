@@ -100,6 +100,18 @@ bool JoinOptDefault();
 /// variable, read once. Unset or any value but "0" = on.
 bool PathSumDefault();
 
+/// Compile-only stub: perfbench/src/cold.cc is its only user, and
+/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+struct PipelineStats {
+  int fused_ops = 0;
+};
+
+/// Compile-only stub: perfbench/src/cold.cc is its only user, and
+/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+inline Status AnnotatePipelines(const algebra::OpPtr&, PipelineStats*) {
+  return Status::OK();
+}
+
 }  // namespace pathfinder::opt
 
 #endif  // PATHFINDER_OPT_OPTIMIZE_H_

@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/database.h"
 
 namespace pathfinder {
 namespace {
+
+// local:f<i>($x) calls local:f<i-1> twice, so inlining doubles the
+// Core tree per level: `levels` levels of a few dozen bytes each
+// expand to about 2^levels copies of local:f0's body.
+std::string DoublingChain(int levels) {
+  std::string q = "declare function local:f0($x) { $x + 1 };\n";
+  for (int i = 1; i <= levels; ++i) {
+    const std::string prev = "local:f" + std::to_string(i - 1);
+    q += "declare function local:f" + std::to_string(i) + "($x) { " + prev +
+         "(" + prev + "($x)) };\n";
+  }
+  return q + "local:f" + std::to_string(levels) + "(0)";
+}
 
 class ApiSmokeTest : public ::testing::Test {
  protected:
@@ -65,6 +80,23 @@ TEST_F(ApiSmokeTest, WhereAndConstructor) {
                 "where $b/@year = \"2000\" "
                 "return <hit>{ $b/title/text() }</hit>"),
             "<hit>Data on the Web</hit>");
+}
+
+// Inlining stops at a fixed Core-node budget with a typed error
+// instead of compiling a plan too large to execute.
+TEST_F(ApiSmokeTest, InliningBlowUpIsNotSupported) {
+  EXPECT_EQ(Run(DoublingChain(4)), "16");
+  const std::string q = DoublingChain(14);
+  EXPECT_LT(q.size(), 1000u);
+  Pathfinder pf(&db_);
+  auto r = pf.Run(q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotSupported)
+      << r.status().ToString();
+  // The same Pathfinder keeps answering.
+  auto ok = pf.Run("count(doc(\"books.xml\")//book)");
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*ok->Serialize(), "3");
 }
 
 TEST_F(ApiSmokeTest, OrderBy) {

@@ -290,6 +290,11 @@ const char* kCorpus[] = {
     "$e in //item return <x><y/><y/><y/><y/><y/><y/></x>)//y)",
     "count((for $a in //item, $b in //item, $c in //item, $d in //item, "
     "$e in //item return <x><y/><y/></x>)/y[2]/preceding::y)",
+    // Following from an attribute: its owner's children follow its
+    // attributes in document order, so they come first.
+    "//item[@sku = \"a2\"]/@price/following::node()",
+    "let $t := for $i in (1,2,3) return <a n=\"{ $i }\"><b/><c/></a> "
+    "return $t[2]/@n/following::*",
 };
 
 INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialTest,

@@ -46,7 +46,7 @@ class QueryGen {
   std::string NodePath() {
     // Occasionally stack extra value predicates on a base path: each
     // predicate compiles to its own select (plus attach/fun maps), so
-    // these produce the deep σ→map chains the pipelined executor fuses.
+    // these produce deep σ→map chains.
     if (rng_.Chance(0.3)) return DeepNodePath();
     return Pick({
         "//item",
@@ -332,33 +332,24 @@ TEST_P(RandomQueryTest, EnginesAgreeOnGeneratedQueries) {
     ASSERT_TRUE(bs.ok());
 
     Pathfinder pf(db());
-    // Masks 0-2 toggle compiler knobs (mask 0 runs the process-default
-    // pipeline setting); 3 forces materialized, 4 forces pipelined with
-    // two worker threads — the pipelined-vs-materialized differential
-    // over the whole random dialect. Masks 5-6 re-run representative
-    // configurations with profiling on: collection must never perturb
-    // results, and the profile tree must materialize. Masks 7-9 sweep
-    // the cache/CSE knobs: 7 disables CSE, 8 forces both caches on with
-    // a budget small enough to churn (all masks share this Pathfinder,
-    // so 8 is served against a cache warmed by earlier masks), 9 pins
-    // both caches off. Masks 10-11 pin the join-graph pass off and on
-    // (overriding the PF_JOINOPT process default): its rewrites must be
-    // invisible in every serialized byte.
+    // Masks 0-2 toggle compiler knobs; 3 repeats mask 0 against the
+    // caches it warmed, and 4 runs two worker threads over the whole
+    // random dialect. Masks 5-6 re-run representative configurations
+    // with profiling on (6 with two threads): collection must never
+    // perturb results, and the profile tree must materialize. Masks
+    // 7-9 sweep the cache/CSE knobs: 7 disables CSE, 8 forces both
+    // caches on with a budget small enough to churn (all masks share
+    // this Pathfinder, so 8 is served against a cache warmed by earlier
+    // masks), 9 pins both caches off. Masks 10-11 pin the join-graph
+    // pass off and on (overriding the PF_JOINOPT process default): its
+    // rewrites must be invisible in every serialized byte.
     for (int mask = 0; mask < 12; ++mask) {
       QueryOptions o;
       o.context_doc = "shop.xml";
       o.join_recognition = mask != 1;
       o.optimize = mask != 2;
-      if (mask == 3) o.pipeline = 0;
-      if (mask == 4) {
-        o.pipeline = 1;
-        o.num_threads = 2;
-      }
+      if (mask == 4 || mask == 6) o.num_threads = 2;
       o.profile = mask >= 5 && mask < 7 ? 1 : 0;  // pin ambient PF_PROFILE
-      if (mask == 6) {
-        o.pipeline = 1;
-        o.num_threads = 2;
-      }
       if (mask == 7) o.cse = 0;
       if (mask == 8) {
         o.plan_cache = 1;
@@ -452,14 +443,14 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
   // merge traffic. All must serialize byte-identically to the
   // navigational baseline.
   struct Cfg {
-    int threads, pipeline, radix_bits;
+    int threads, radix_bits;
     int64_t morsel, sort_chunk;
   };
   const Cfg kCfgs[] = {
-      {1, -1, -1, -1, -1},
-      {2, 1, 1, 64, 256},
-      {2, 0, 12, 64, 256},
-      {4, 1, 6, 256, 512},
+      {1, -1, -1, -1},
+      {2, 1, 64, 256},
+      {2, 12, 64, 256},
+      {4, 6, 256, 512},
   };
   baseline::Baseline bl(SkewDb());
   baseline::BaselineOptions bo;
@@ -475,7 +466,6 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
       QueryOptions o;
       o.context_doc = "skew.xml";
       o.num_threads = c.threads;
-      o.pipeline = c.pipeline;
       o.radix_bits = c.radix_bits;
       o.morsel_rows = c.morsel;
       o.sort_chunk_rows = c.sort_chunk;
@@ -599,27 +589,6 @@ TEST_P(UpdateChurnTest, EnginesAgreeAcrossChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateChurnTest,
                          ::testing::Range<uint64_t>(1, 13));
-
-// Multi-predicate paths must compile to fragments the executor fuses
-// as chains of length >= 3 — the generator rules above exist to hit
-// this shape, so pin it down on handcrafted instances.
-TEST(DeepChainFusion, HandcraftedChainsFuse) {
-  Pathfinder pf(ShopDb());
-  QueryOptions o;
-  o.context_doc = "shop.xml";
-  o.pipeline = 1;
-  const char* kDeep[] = {
-      "//item[@price > 2][@price < 50][contains(@sku, \"a\")]",
-      "for $v in //item where $v/@price > 2 and contains($v/@sku, \"t\") "
-      "return $v/@sku",
-  };
-  for (const char* q : kDeep) {
-    auto r = pf.Run(q, o);
-    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
-    EXPECT_GT(r->pipe_stats.fragments, 0) << q;
-    EXPECT_GE(r->pipe_stats.max_chain, 3) << q;
-  }
-}
 
 }  // namespace
 }  // namespace pathfinder

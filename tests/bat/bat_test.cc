@@ -133,11 +133,13 @@ TEST_F(KernelTest, FilterAndGather) {
   Table t;
   t.AddCol(C("a"), IntCol({10, 20, 30, 40}));
   t.AddCol(C("p"), BoolCol({1, 0, 1, 0}));
-  IdxVec idx = FilterIndices(*t.col(1));
-  ASSERT_EQ(idx, (IdxVec{0, 2}));
-  Table f = GatherTable(t, idx);
+  Table f = FilterGather(t, *t.col(1));
   EXPECT_EQ(f.rows(), 2u);
   EXPECT_EQ(f.col(0)->ints(), (std::vector<int64_t>{10, 30}));
+  // The selected rows are exactly rows 0 and 2, gathered.
+  Table g = GatherTable(t, IdxVec{0, 2});
+  EXPECT_EQ(f.col(0)->ints(), g.col(0)->ints());
+  EXPECT_EQ(f.col(1)->bools(), g.col(1)->bools());
 }
 
 TEST_F(KernelTest, HashJoinPreservesLeftMajorOrder) {

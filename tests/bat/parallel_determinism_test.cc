@@ -64,15 +64,21 @@ class ParallelDeterminismTest : public ::testing::Test {
   ThreadPool pool7_{7};
 };
 
-TEST_F(ParallelDeterminismTest, FilterIndices) {
+TEST_F(ParallelDeterminismTest, FilterGather) {
   auto pred = Column::MakeBool(kRows);
+  auto row = Column::MakeInt(kRows);  // each row's index
   Rng rng(11);
   for (size_t i = 0; i < kRows; ++i) {
     pred->bools().push_back(rng.Chance(0.3) ? 1 : 0);
+    row->ints().push_back(static_cast<int64_t>(i));
   }
-  IdxVec serial = FilterIndices(*pred, nullptr);
+  Table t;
+  t.AddCol(C("row"), row);
+  // The filtered row column lists the selected rows' indices.
+  const std::vector<int64_t> serial =
+      FilterGather(t, *pred, nullptr).col(0)->ints();
   for (ThreadPool* tp : Pools()) {
-    EXPECT_EQ(FilterIndices(*pred, tp), serial);
+    EXPECT_EQ(FilterGather(t, *pred, tp).col(0)->ints(), serial);
   }
 }
 

@@ -390,10 +390,16 @@ TEST_F(PartitionedKernelsTest, FilterBranchFreeScatter) {
       pred->bools().push_back(density == 0.5 ? (i & 1) != 0
                                              : rng.Chance(density) ? 1 : 0);
     }
-    IdxVec serial = FilterIndices(*pred, nullptr);
+    // The filtered row column lists the selected rows' indices.
+    std::vector<int64_t> ids(30000);
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
+    Table rows;
+    rows.AddCol(C("row"), IntCol(ids));
+    const std::vector<int64_t> serial =
+        FilterGather(rows, *pred, nullptr).col(0)->ints();
     for (ThreadPool* tp : Pools()) {
       for (const KernelTuning& kt : Tunings()) {
-        EXPECT_EQ(FilterIndices(*pred, tp, kt), serial);
+        EXPECT_EQ(FilterGather(rows, *pred, tp, kt).col(0)->ints(), serial);
       }
     }
     // FilterGather scatters values with the same loop.

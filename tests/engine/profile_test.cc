@@ -48,7 +48,6 @@ void CheckShape(const algebra::OpPtr& op, const engine::OperatorProfile& p,
                 std::unordered_set<const algebra::Op*>* seen) {
   ASSERT_EQ(p.op_id, op->id);
   ASSERT_EQ(p.kind, op->kind);
-  ASSERT_EQ(p.pipe_frag, op->pipe_frag);
   if (!seen->insert(op.get()).second) {
     EXPECT_TRUE(p.shared_ref);
     EXPECT_TRUE(p.children.empty());
@@ -101,7 +100,6 @@ TEST(ProfileTest, ExactRowCountsOnHandComputedQuery) {
   QueryOptions o;
   o.context_doc = "shop.xml";
   o.profile = 1;
-  o.pipeline = 0;     // one materialized BAT per operator
   o.num_threads = 1;  // exact serial paths
   auto r = pf.Run("for $i in //item where $i/@price > 4 return $i", o);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -127,26 +125,18 @@ TEST(ProfileTest, ExactRowCountsOnHandComputedQuery) {
   EXPECT_TRUE(saw_item_step);
 
   for (const auto* n : nodes) {
-    // Fully materialized run: every operator owns a BAT.
-    EXPECT_FALSE(n->fused);
+    // Every operator owns a BAT.
     EXPECT_GE(n->out_rows, 0);
     EXPECT_GE(n->wall_ns, 0);
     if (n->out_rows > 0) {
       EXPECT_GE(n->morsels, 1);
       EXPECT_GT(n->out_bytes, 0);
     }
-    // in_rows is the sum of child output rows whenever all children
-    // materialized.
+    // in_rows is the sum of child output rows.
     if (!n->children.empty()) {
       int64_t sum = 0;
-      bool known = true;
-      for (const auto& c : n->children) {
-        if (c.out_rows < 0) known = false;
-        sum += c.out_rows;
-      }
-      if (known) {
-        EXPECT_EQ(n->in_rows, sum) << n->label;
-      }
+      for (const auto& c : n->children) sum += c.out_rows;
+      EXPECT_EQ(n->in_rows, sum) << n->label;
     }
   }
 }
@@ -180,8 +170,7 @@ TEST(ProfileTest, TreeMatchesExecutedPlanOnXMark) {
   EXPECT_EQ(r->items.size(), static_cast<size_t>(c.items));
 
   // Per-operator times can never exceed the externally observed total
-  // (each operator is timed once; fused interiors and shared refs are
-  // zero).
+  // (each operator is timed once; shared refs are not summed).
   std::vector<const engine::OperatorProfile*> nodes;
   Flatten(*r->profile, &nodes);
   int64_t sum_ns = 0;
@@ -192,38 +181,39 @@ TEST(ProfileTest, TreeMatchesExecutedPlanOnXMark) {
   EXPECT_LE(sum_ns, total_ns);
 }
 
-TEST(ProfileTest, FusedInteriorsAttributeToFragmentTail) {
-  Pathfinder pf(ShopDb());
-  QueryOptions o;
-  o.context_doc = "shop.xml";
-  o.profile = 1;
-  o.pipeline = 1;
-  auto r = pf.Run(
-      "//item[@price > 2][@price < 50][contains(@sku, \"a\")]", o);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_NE(r->profile, nullptr);
-  ASSERT_GT(r->pipe_stats.fragments, 0);
-
-  std::vector<const engine::OperatorProfile*> nodes;
-  Flatten(*r->profile, &nodes);
-  bool saw_fused = false, saw_tail = false;
-  for (const auto* n : nodes) {
-    if (n->shared_ref) continue;
-    if (n->fused) {
-      saw_fused = true;
-      // Interior members never materialize a BAT of their own.
-      EXPECT_EQ(n->out_rows, -1) << n->label;
-      EXPECT_EQ(n->wall_ns, 0) << n->label;
-    } else if (n->pipe_frag >= 0) {
-      saw_tail = true;
+// Every operator materializes its output, so every operator of every
+// XMark plan carries row counts at default options. A shared Pathfinder
+// lets later queries hit subplans cached by earlier ones; a hit reads
+// no input rows.
+TEST(ProfileTest, EveryOperatorCarriesRowCountsOnXMark) {
+  xml::Database db;
+  auto doc = xmark::GenerateXMark(0.002, 1, db.pool());
+  ASSERT_TRUE(doc.ok());
+  db.AddDocument("auction.xml", std::move(*doc));
+  Pathfinder pf(&db);
+  for (const xmark::XMarkQuery& q : xmark::XMarkQueries()) {
+    SCOPED_TRACE("Q" + std::to_string(q.number));
+    QueryOptions o;
+    o.context_doc = "auction.xml";
+    o.profile = 1;
+    auto r = pf.Run(q.text, o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r->profile, nullptr);
+    std::vector<const engine::OperatorProfile*> nodes;
+    Flatten(*r->profile, &nodes);
+    for (const auto* n : nodes) {
+      if (n->shared_ref) continue;
       EXPECT_GE(n->out_rows, 0) << n->label;
-      // A fragment over a 0-row input runs 0 morsels; any output rows
-      // imply at least one.
-      EXPECT_GE(n->morsels, n->out_rows > 0 ? 1 : 0) << n->label;
+      EXPECT_GE(n->in_rows, 0) << n->label;
+      if (n->cached) {
+        EXPECT_EQ(n->in_rows, 0) << n->label;
+      } else if (!n->children.empty()) {
+        int64_t sum = 0;
+        for (const auto& c : n->children) sum += c.out_rows;
+        EXPECT_EQ(n->in_rows, sum) << n->label;
+      }
     }
   }
-  EXPECT_TRUE(saw_fused);
-  EXPECT_TRUE(saw_tail);
 }
 
 TEST(ProfileTest, PathSummaryCountersAreExact) {
@@ -298,8 +288,8 @@ TEST(ProfileTest, RenderingsAreWellFormed) {
 
   std::string text = r->ProfileText();
   ASSERT_FALSE(text.empty());
-  // Every rendered line of the executed plan is annotated: either with
-  // measurements or with the fused marker (shared "^id" refs excepted).
+  // Every rendered line of the executed plan is annotated with
+  // measurements (shared "^id" refs excepted).
   EXPECT_NE(text.find(" rows,"), std::string::npos);
   EXPECT_NE(text.find("morsels"), std::string::npos);
 }

@@ -1,14 +1,12 @@
-// Pipelined-vs-materialized differential harness.
+// Thread-count differential harness.
 //
-// The fused executor (PF_PIPELINE / QueryOptions::pipeline) promises
-// byte-identical serialized results to the op-at-a-time executor at
-// every thread count. This suite locks that down three ways:
+// The executor promises byte-identical serialized results at every
+// worker-pool size. This suite locks that down two ways, each at 1, 2
+// and 7 threads against a first serial run (num_threads = 1, the exact
+// serial code paths; the second serial run checks that two runs agree):
 //
-//   1. Every XMark query, pipeline on vs. off, at 1/2/7 threads.
-//   2. One explicit-axis query per staircase axis, same matrix.
-//   3. Operator coverage: every fusable OpKind that appears in the
-//      optimized XMark plans must actually execute under the fused
-//      path, and no pipeline-breaking kind may ever be fused.
+//   1. Every XMark query.
+//   2. One explicit-axis query per staircase axis.
 
 #include <array>
 #include <cstddef>
@@ -18,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "accel/axis.h"
-#include "algebra/op.h"
 #include "api/pathfinder.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
@@ -26,7 +23,7 @@
 namespace pathfinder {
 namespace {
 
-// Shared XMark instance: small enough for a per-test matrix of six
+// Shared XMark instance: small enough for a per-test matrix of four
 // full runs, large enough that morsel chunking and join fan-out are
 // exercised (a few thousand nodes).
 xml::Database* Db() {
@@ -46,11 +43,10 @@ xml::Database* Db() {
 
 // Runs `query` and serializes; errors fold into the returned string so
 // the comparison below also pins down failure behavior.
-std::string RunConfig(const std::string& query, int pipeline, int threads) {
+std::string RunConfig(const std::string& query, int threads) {
   Pathfinder pf(Db());
   QueryOptions opts;
   opts.context_doc = "auction.xml";
-  opts.pipeline = pipeline;
   opts.num_threads = threads;
   auto r = pf.Run(query, opts);
   if (!r.ok()) return "<error: " + r.status().ToString() + ">";
@@ -60,28 +56,25 @@ std::string RunConfig(const std::string& query, int pipeline, int threads) {
 }
 
 void ExpectAllConfigsIdentical(const std::string& query) {
-  // Baseline: materialized, serial — the exact pre-pipeline code path.
-  const std::string base = RunConfig(query, /*pipeline=*/0, /*threads=*/1);
+  const std::string base = RunConfig(query, /*threads=*/1);
   ASSERT_EQ(base.find("<error"), std::string::npos) << base;
   for (int threads : {1, 2, 7}) {
-    EXPECT_EQ(RunConfig(query, /*pipeline=*/1, threads), base)
-        << "pipelined diverged at threads=" << threads;
-    EXPECT_EQ(RunConfig(query, /*pipeline=*/0, threads), base)
-        << "materialized diverged at threads=" << threads;
+    EXPECT_EQ(RunConfig(query, threads), base)
+        << "diverged at threads=" << threads;
   }
 }
 
 // ---------------------------------------------------------------------------
 // 1. XMark queries.
 
-class XMarkPipelineTest : public ::testing::TestWithParam<int> {};
+class XMarkThreadsTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(XMarkPipelineTest, PipelinedMatchesMaterialized) {
+TEST_P(XMarkThreadsTest, ParallelMatchesSerial) {
   const xmark::XMarkQuery& q = xmark::GetXMarkQuery(GetParam());
   ExpectAllConfigsIdentical(q.text);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllQueries, XMarkPipelineTest,
+INSTANTIATE_TEST_SUITE_P(AllQueries, XMarkThreadsTest,
                          ::testing::Range(1, 21));
 
 // ---------------------------------------------------------------------------
@@ -110,14 +103,14 @@ const AxisCase kAxisCases[] = {
     {accel::Axis::kAttribute, "//item/attribute::id"},
 };
 
-class AxisPipelineTest : public ::testing::TestWithParam<AxisCase> {};
+class AxisThreadsTest : public ::testing::TestWithParam<AxisCase> {};
 
-TEST_P(AxisPipelineTest, PipelinedMatchesMaterialized) {
+TEST_P(AxisThreadsTest, ParallelMatchesSerial) {
   ExpectAllConfigsIdentical(GetParam().query);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllAxes, AxisPipelineTest, ::testing::ValuesIn(kAxisCases),
+    AllAxes, AxisThreadsTest, ::testing::ValuesIn(kAxisCases),
     [](const ::testing::TestParamInfo<AxisCase>& info) {
       std::string n = accel::AxisName(info.param.axis);
       for (char& c : n)
@@ -127,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The table above must stay in sync with the axis enum: one case per
 // staircase axis, no axis forgotten.
-TEST(AxisPipelineTest, CoversEveryAxis) {
+TEST(AxisThreadsTest, CoversEveryAxis) {
   constexpr size_t kAxisCount =
       static_cast<size_t>(accel::Axis::kAttribute) + 1;
   std::array<bool, kAxisCount> covered{};
@@ -136,50 +129,6 @@ TEST(AxisPipelineTest, CoversEveryAxis) {
   for (size_t a = 0; a < kAxisCount; ++a)
     EXPECT_TRUE(covered[a]) << "no differential query for axis "
                             << accel::AxisName(static_cast<accel::Axis>(a));
-}
-
-// ---------------------------------------------------------------------------
-// 3. Operator coverage under the fused path.
-
-TEST(PipelineOperatorCoverage, FusableKindsFireBreakersNever) {
-  Pathfinder pf(Db());
-  std::array<int64_t, algebra::kOpKindCount> fused{};
-  std::array<bool, algebra::kOpKindCount> reachable{};
-  int64_t fragments = 0;
-
-  for (const xmark::XMarkQuery& q : xmark::XMarkQueries()) {
-    QueryOptions opts;
-    opts.context_doc = "auction.xml";
-    opts.pipeline = 1;
-    auto r = pf.Run(q.text, opts);
-    ASSERT_TRUE(r.ok()) << "XMark Q" << q.number << ": "
-                        << r.status().ToString();
-    for (algebra::Op* op : algebra::TopoOrder(r->plan_opt))
-      reachable[static_cast<size_t>(op->kind)] = true;
-    for (size_t k = 0; k < fused.size(); ++k)
-      fused[k] += r->pipe_stats.by_kind[k];
-    fragments += r->pipe_stats.fragments;
-  }
-
-  // The pipelined path must actually run — a silent fallback to
-  // op-at-a-time execution would make every differential test above
-  // vacuous.
-  EXPECT_GT(fragments, 0);
-
-  for (size_t k = 0; k < algebra::kOpKindCount; ++k) {
-    auto kind = static_cast<algebra::OpKind>(k);
-    const char* name = algebra::OpKindName(kind);
-    if (algebra::IsPipelineMapOp(kind) || algebra::IsPipelineJoinOp(kind)) {
-      if (reachable[k]) {
-        EXPECT_GT(fused[k], 0)
-            << name << " appears in optimized XMark plans but never "
-            << "executed under the fused path";
-      }
-    } else {
-      EXPECT_EQ(fused[k], 0)
-          << name << " is a pipeline breaker but was fused";
-    }
-  }
 }
 
 }  // namespace

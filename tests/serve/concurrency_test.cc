@@ -55,6 +55,40 @@ class ServeConcurrencyTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
+  // One client sends `q` three times and must get invalid_query
+  // replies whose message names `cause`, while a second client keeps
+  // getting correct XMark answers and the server still answers a ping.
+  void ExpectRejectedOthersUnharmed(const std::string& q,
+                                    const std::string& cause) {
+    Client bad, other;
+    ASSERT_TRUE(bad.Connect(server_->port()).ok());
+    ASSERT_TRUE(other.Connect(server_->port()).ok());
+    std::thread sender([&] {
+      for (int i = 0; i < 3; ++i) {
+        auto r = bad.Call(
+            Client::QueryFrame("bad" + std::to_string(i), q, "auction.xml"));
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_FALSE(r->Find("ok")->AsBool());
+        EXPECT_EQ(r->Find("error")->str, "invalid_query");
+        EXPECT_NE(r->Find("message")->str.find(cause), std::string::npos)
+            << r->Find("message")->str;
+      }
+    });
+    const auto& queries = xmark::XMarkQueries();
+    for (size_t qi = 0; qi < 4; ++qi) {
+      auto r = other.Call(Client::QueryFrame("q" + std::to_string(qi),
+                                             queries[qi].text, "auction.xml"),
+                          /*timeout_ms=*/120000);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(r->Find("ok")->AsBool());
+      EXPECT_EQ(r->Find("result")->str, expected_[qi]);
+    }
+    sender.join();
+    auto pong = other.Call(Client::PingFrame());
+    ASSERT_TRUE(pong.ok());
+    EXPECT_EQ(pong->Find("op")->str, "pong");
+  }
+
   xml::Database db_;
   std::vector<std::string> expected_;
   std::unique_ptr<Server> server_;
@@ -149,34 +183,23 @@ TEST_F(ServeConcurrencyTest, RegistrationIsVisibleAcrossClients) {
 // error reply; it neither crashes the server nor disturbs a second
 // client, which keeps getting correct answers meanwhile.
 TEST_F(ServeConcurrencyTest, DeeplyNestedQueryIsRejectedOthersUnharmed) {
-  Client deep, other;
-  ASSERT_TRUE(deep.Connect(server_->port()).ok());
-  ASSERT_TRUE(other.Connect(server_->port()).ok());
   std::string q(100000, '(');
   q += "1";
   q.append(100000, ')');
-  std::thread sender([&] {
-    for (int i = 0; i < 3; ++i) {
-      auto r = deep.Call(Client::QueryFrame("deep" + std::to_string(i), q,
-                                            "auction.xml"));
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_FALSE(r->Find("ok")->AsBool());
-      EXPECT_EQ(r->Find("error")->str, "invalid_query");
-    }
-  });
-  const auto& queries = xmark::XMarkQueries();
-  for (size_t qi = 0; qi < 4; ++qi) {
-    auto r = other.Call(Client::QueryFrame("q" + std::to_string(qi),
-                                           queries[qi].text, "auction.xml"),
-                        /*timeout_ms=*/120000);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_TRUE(r->Find("ok")->AsBool());
-    EXPECT_EQ(r->Find("result")->str, expected_[qi]);
+  ExpectRejectedOthersUnharmed(q, "nesting");
+}
+
+// An 879-byte query whose function inlining doubles at each of 14
+// levels gets a typed error reply instead of exhausting memory.
+TEST_F(ServeConcurrencyTest, InliningBlowUpIsRejectedOthersUnharmed) {
+  std::string q = "declare function local:f0($x) { $x + 1 };\n";
+  for (int i = 1; i <= 14; ++i) {
+    const std::string prev = "local:f" + std::to_string(i - 1);
+    q += "declare function local:f" + std::to_string(i) + "($x) { " + prev +
+         "(" + prev + "($x)) };\n";
   }
-  sender.join();
-  auto pong = other.Call(Client::PingFrame());
-  ASSERT_TRUE(pong.ok());
-  EXPECT_EQ(pong->Find("op")->str, "pong");
+  q += "local:f14(0)";
+  ExpectRejectedOthersUnharmed(q, "inlining");
 }
 
 }  // namespace
