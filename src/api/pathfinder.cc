@@ -37,16 +37,15 @@ void IndexProfile(
 
 /// Plan-cache key fingerprint: exactly the options that change the
 /// built plan (context document, join recognition, optimizer, CSE,
-/// join-graph pass, path summaries). Execution-only knobs —
-/// threads, staircase, profiling, the cache switches themselves —
-/// produce identical plans and share entries.
-std::string KeyFingerprint(const QueryOptions& o, bool cse, bool join_opt,
+/// path summaries). Execution-only knobs — threads, staircase,
+/// profiling, the cache switches themselves — produce identical plans
+/// and share entries.
+std::string KeyFingerprint(const QueryOptions& o, bool cse,
                            bool path_summary) {
   std::string f;
   f += o.join_recognition ? 'j' : '-';
   f += o.optimize ? 'o' : '-';
   f += cse ? 'c' : '-';
-  f += join_opt ? 'g' : '-';
   f += path_summary ? 's' : '-';
   f += '|';
   f += std::to_string(o.context_doc.size());
@@ -87,8 +86,6 @@ std::string QueryResult::ProfileText() const {
   head << "# opt: " << opt_stats.ops_before << "->" << opt_stats.ops_after
        << " ops, " << opt_stats.cse_merges << " cse merges, "
        << opt_stats.rounds << " rounds\n";
-  head << "# joinopt: " << opt_stats.selects_pushed << " selects pushed, "
-       << opt_stats.key_distincts_removed << " key distincts removed\n";
   head << "# pathsum: " << opt_stats.structural_answers
        << " chains collapsed, " << scj_stats.structural_answers
        << " structural answers, " << scj_stats.path_partitions_pruned
@@ -141,10 +138,6 @@ std::string QueryResult::ProfileJson() const {
   out += std::to_string(opt_stats.cse_merges);
   out += ", \"rounds\": ";
   out += std::to_string(opt_stats.rounds);
-  out += ", \"selects_pushed\": ";
-  out += std::to_string(opt_stats.selects_pushed);
-  out += ", \"key_distincts_removed\": ";
-  out += std::to_string(opt_stats.key_distincts_removed);
   out += ", \"structural_answers\": ";
   out += std::to_string(opt_stats.structural_answers);
   out += "}, \"pathsum\": {\"chains_collapsed\": ";
@@ -215,12 +208,25 @@ Result<algebra::OpPtr> Pathfinder::CompilePlan(
 Result<QueryResult> Pathfinder::Run(const std::string& query,
                                     const QueryOptions& opts) const {
   QueryResult res;
+  // Cancellation/limit plumbing, armed before the first phase so the
+  // budget covers parsing, compilation and optimization too: a
+  // caller-supplied token is used as is; a timeout without one arms
+  // the context-owned token. It is checked between the phases and at
+  // the executor's cooperative checkpoints.
+  res.ctx = std::make_unique<engine::QueryContext>(db_);
+  engine::CancelToken* token = opts.cancel_token;
+  if (opts.timeout_ms >= 0) {
+    if (token == nullptr) token = &res.ctx->owned_cancel_token;
+    token->SetDeadline(std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(opts.timeout_ms));
+  }
+  res.ctx->cancel_token = token;
+  auto check_token = [token] {
+    return token == nullptr ? Status::OK() : token->Check();
+  };
   bool cse =
       opts.optimize && (opts.cse < 0 ? opt::CseDefault() : opts.cse != 0);
-  bool join_opt =
-      opts.optimize &&
-      (opts.join_opt < 0 ? opt::JoinOptDefault() : opts.join_opt != 0);
-  // Unlike cse/join_opt this is not gated on `optimize`: the staircase
+  // Unlike cse this is not gated on `optimize`: the staircase
   // partition pruning applies to unoptimized plans too; only the
   // kPathScan rewrite needs the optimizer.
   bool path_summary =
@@ -256,15 +262,16 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
   std::string raw_key, core_key;
   engine::PlanEntryPtr entry;
   if (plan_cache) {
-    raw_key = "r:" + KeyFingerprint(opts, cse, join_opt, path_summary) + query;
+    raw_key = "r:" + KeyFingerprint(opts, cse, path_summary) + query;
     entry = cache->LookupPlan(raw_key);
   }
   if (!entry) {
     PF_ASSIGN_OR_RETURN(res.core, Translate(query, opts));
+    PF_RETURN_NOT_OK(check_token());
     if (plan_cache) {
       // Tier 2: a differently spelled query with the same Core shares
       // the entry; remember the raw spelling for next time.
-      core_key = "c:" + KeyFingerprint(opts, cse, join_opt, path_summary) +
+      core_key = "c:" + KeyFingerprint(opts, cse, path_summary) +
                  frontend::CanonicalCoreText(res.core);
       entry = cache->LookupPlan(core_key);
       if (entry) cache->AliasPlan(raw_key, entry);
@@ -282,12 +289,11 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
   } else {
     PF_ASSIGN_OR_RETURN(res.plan,
                         CompilePlan(res.core, opts, &res.compile_stats));
+    PF_RETURN_NOT_OK(check_token());
     if (opts.optimize) {
       opt::OptimizeOptions oopts;
       oopts.cse = cse;
-      oopts.join_opt = join_opt;
       oopts.path_summary = path_summary;
-      oopts.db = db_;
       PF_ASSIGN_OR_RETURN(res.plan_opt,
                           opt::Optimize(res.plan, &res.opt_stats, oopts));
     } else {
@@ -317,8 +323,9 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
       res.plan_opt = entry->plan_opt;
     }
   }
+  // Optimized, or served from the plan cache: nothing has executed yet.
+  PF_RETURN_NOT_OK(check_token());
 
-  res.ctx = std::make_unique<engine::QueryContext>(db_);
   res.ctx->use_staircase = opts.use_staircase;
   res.ctx->path_summary = path_summary;
   res.ctx->profile =
@@ -345,22 +352,10 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
     res.ctx->result_cache = cache;
     res.ctx->cache_generation = cache_generation;
   }
-  {
-    // Cancellation/limit plumbing: a caller-supplied token is used as
-    // is; a timeout without one arms the context-owned token. Both are
-    // polled at the executor's cooperative checkpoints.
-    engine::CancelToken* token = opts.cancel_token;
-    if (opts.timeout_ms >= 0) {
-      if (token == nullptr) token = &res.ctx->owned_cancel_token;
-      token->SetDeadline(std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(opts.timeout_ms));
-    }
-    res.ctx->cancel_token = token;
-    if (opts.mem_limit_bytes >= 0) {
-      res.ctx->mem_limit_bytes = opts.mem_limit_bytes;
-    }
-    res.ctx->op_probe = opts.op_probe;
+  if (opts.mem_limit_bytes >= 0) {
+    res.ctx->mem_limit_bytes = opts.mem_limit_bytes;
   }
+  res.ctx->op_probe = opts.op_probe;
   PF_ASSIGN_OR_RETURN(bat::Table t,
                       engine::Execute(res.plan_opt, res.ctx.get()));
   PF_ASSIGN_OR_RETURN(res.items, runtime::TableToSequence(t));

@@ -42,13 +42,6 @@ struct QueryOptions {
   /// `optimize`. -1 = the process default (PF_CSE env var; on unless
   /// "0"), 0 = off, 1 = on. Results are identical either way.
   int cse = -1;
-  /// Join-graph pass after the peephole passes: removal of distincts
-  /// that the documents' shred-time path-summary fan-outs prove
-  /// redundant, and select pushdown through mapping joins. Only
-  /// meaningful with `optimize`.
-  /// -1 = the process default (PF_JOINOPT env var; on unless "0"),
-  /// 0 = off, 1 = on. Results are byte-identical either way.
-  int join_opt = -1;
   /// Path-summary consumption: collapse purely structural step chains
   /// into summary-answered kPathScan operators (with `optimize`), and
   /// prune staircase-join scans to the matching tag partitions. -1 =
@@ -97,19 +90,23 @@ struct QueryOptions {
   /// Initial sorted-run length and merge-split grain of the parallel
   /// merge sort, clamped to [256, 2^22].
   int64_t sort_chunk_rows = -1;
-  /// Wall-time budget for this query in milliseconds (-1 = none). The
-  /// executor polls a deadline at its cooperative checkpoints (operator
-  /// boundaries, Step and path-scan loops) and aborts with
-  /// StatusCode::kTimeout / ErrorClass::kTimeout once it expires.
+  /// Wall-time budget for this query in milliseconds (-1 = none),
+  /// armed when Run() starts, so parsing, compilation and optimization
+  /// count against it. Run() checks the deadline after translation,
+  /// compilation and optimization, and the executor polls it at its
+  /// cooperative checkpoints (operator boundaries, Step and path-scan
+  /// loops); once it expires the query aborts with StatusCode::kTimeout
+  /// / ErrorClass::kTimeout.
   int64_t timeout_ms = -1;
   /// Budget in bytes for materialized operator outputs and constructed
   /// nodes (-1 = none). Every operator's output is charged. Exceeding
   /// it aborts with StatusCode::kResourceExhausted.
   int64_t mem_limit_bytes = -1;
-  /// Externally owned cancellation token (nullptr = none). Fire
-  /// token->Cancel() from any thread to abort the running query with
-  /// StatusCode::kCancelled; a timeout_ms deadline is armed on this
-  /// token when both are set. Must outlive the Run() call.
+  /// Externally owned cancellation token (nullptr = none), checked
+  /// from the start of Run() like timeout_ms. Fire token->Cancel() from
+  /// any thread to abort the running query with StatusCode::kCancelled;
+  /// a timeout_ms deadline is armed on this token when both are set.
+  /// Must outlive the Run() call.
   engine::CancelToken* cancel_token = nullptr;
   /// Test seam: called at every executor operator checkpoint with the
   /// operator and the query's cancel token (see engine::OpProbe).

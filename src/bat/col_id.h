@@ -76,7 +76,6 @@ class PlanColumns {
     }
   }
 
-  ColId Global(uint32_t local) const { return cols_[local]; }
   size_t size() const { return cols_.size(); }
 
   void Clear() {

@@ -129,10 +129,8 @@ void QueryCache::InvalidateDocsLocked(
   }
   if (structural.empty() && content.empty()) return;
   // Plan entries reference documents by *name*, never by fragment id,
-  // and the optimizer decisions baked into them (key inference, join
-  // order) derive from document structure — so they survive a pure
-  // content move (even unknown-dependency ones: a stale join order is
-  // a performance question, never a correctness one) and drop only on
+  // and no plan decision reads a document's values — so they survive a
+  // pure content move (even unknown-dependency ones) and drop only on
   // structural change.
   if (!structural.empty()) {
     for (auto it = plan_lru_.begin(); it != plan_lru_.end();) {

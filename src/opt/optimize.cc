@@ -8,7 +8,6 @@
 
 #include "algebra/hash.h"
 #include "algebra/schema.h"
-#include "opt/join_graph.h"
 #include "opt/path_rewrite.h"
 
 namespace pathfinder::opt {
@@ -291,24 +290,6 @@ class Optimizer {
         }
       }
     }
-    if (opts_.join_opt) {
-      JoinOptStats js;
-      PF_ASSIGN_OR_RETURN(
-          cur, RemoveKeyDistinctsAndPushSelects(cur, opts_.db, &schemas_, &js));
-      if (stats_) {
-        stats_->selects_pushed = js.selects_pushed;
-        stats_->key_distincts_removed = js.key_distincts_removed;
-      }
-      if (js.selects_pushed > 0 || js.key_distincts_removed > 0) {
-        // Clean up the rewritten regions (fresh rename projections
-        // fuse, unused columns die).
-        for (int round = 0; round < 2; ++round) {
-          changed_ = false;
-          PF_ASSIGN_OR_RETURN(cur, Pass(cur));
-          if (!changed_) break;
-        }
-      }
-    }
     if (opts_.cse) {
       CseMerger cse;
       cur = cse.Run(cur);
@@ -580,9 +561,9 @@ class Optimizer {
   OptimizeStats* stats_;
   OptimizeOptions opts_;
   bool changed_ = false;
-  // One schema memo for the whole call: every round, the cleanups and
-  // the join-graph pass infer each node once. Pass cuts it to the
-  // round's input plan, which pinned_ keeps alive until the next cut.
+  // One schema memo for the whole call: every round and the cleanups
+  // infer each node once. Pass cuts it to the round's input plan,
+  // which pinned_ keeps alive until the next cut.
   alg::SchemaMap schemas_;
   OpPtr pinned_;
   // This round: the input plan's numbering, the columns each of its
@@ -616,14 +597,6 @@ Result<algebra::OpPtr> CseMerge(const algebra::OpPtr& root, int* merges) {
 bool CseDefault() {
   static const bool kOn = [] {
     const char* e = std::getenv("PF_CSE");
-    return e == nullptr || std::string_view(e) != "0";
-  }();
-  return kOn;
-}
-
-bool JoinOptDefault() {
-  static const bool kOn = [] {
-    const char* e = std::getenv("PF_JOINOPT");
     return e == nullptr || std::string_view(e) != "0";
   }();
   return kOn;

@@ -23,10 +23,11 @@ struct OptimizeStats {
   /// CSE (hash-consing) pass.
   int cse_merges = 0;
   int rounds = 0;
-  // Join-graph pass (opt/join_graph.h), zero when join_opt is off.
   /// Always 0: join order is the compiler's. Kept only for readers that
   /// still report it.
   int joins_reordered = 0;
+  /// Compile-only stubs, always 0: perfbench/src/cold.cc is their only
+  /// user, and ROADMAP item 3, step 1 (TracedRun calls Run) deletes them.
   int selects_pushed = 0;
   int key_distincts_removed = 0;
   /// Structural step chains collapsed into kPathScan operators by the
@@ -41,17 +42,15 @@ struct OptimizeOptions {
   /// shared nodes, so the executor's shared-subplan memoization (and
   /// the subplan-result cache) fires once per distinct computation.
   bool cse = true;
-  /// Run the join-graph pass after the peephole fixpoint: key inference
-  /// over the documents' path-summary fan-outs (redundant-distinct
-  /// removal) plus select pushdown through mapping joins. Needs `db`
-  /// for the summaries; with a null db key inference uses structural
-  /// facts only.
-  bool join_opt = false;
   /// Run the path rewrite after the peephole fixpoint: collapse purely
   /// structural step chains rooted at fn:doc into kPathScan operators
   /// the executor answers from the documents' path summaries
   /// (opt/path_rewrite.h).
   bool path_summary = false;
+  /// Compile-only stubs, read by nothing: perfbench/src/cold.cc is their
+  /// only user, and ROADMAP item 3, step 1 (TracedRun calls Run) deletes
+  /// them.
+  bool join_opt = false;
   const xml::Database* db = nullptr;
 };
 
@@ -67,7 +66,8 @@ struct OptimizeOptions {
 ///    duplicate-free and document-ordered per iter — the operator's
 ///    postcondition, paper Sec. 2),
 ///  * ∪ with a statically empty side.
-/// Then (OptimizeOptions::cse) one CSE pass: loop-lifting emits plans
+/// Then (OptimizeOptions::path_summary) the path rewrite, and
+/// (OptimizeOptions::cse) one CSE pass: loop-lifting emits plans
 /// riddled with textually distinct but structurally identical subtrees;
 /// hash-consing merges them so every distinct computation is evaluated
 /// exactly once.
@@ -91,9 +91,9 @@ Result<algebra::OpPtr> CseMerge(const algebra::OpPtr& root,
 /// variable, read once. Unset or any value but "0" = on.
 bool CseDefault();
 
-/// Process-wide default for the join-graph pass: the PF_JOINOPT
-/// environment variable, read once. Unset or any value but "0" = on.
-bool JoinOptDefault();
+/// Compile-only stub: perfbench/src/cold.cc is its only user, and
+/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+inline bool JoinOptDefault() { return false; }
 
 /// Process-wide default for path-summary consumption (the path rewrite
 /// and staircase partition pruning): the PF_PATHSUM environment

@@ -7,34 +7,15 @@
 
 namespace pathfinder::xml {
 
-namespace {
-
-// One open node of the walk: its path (-1 for a malformed non-element
-// row that claims a subtree — the encoding never produces one — so
-// rows below it count toward no fan-out), its pre, and its text
-// children so far.
-struct Frame {
-  int32_t path;
-  Pre pre;
-  uint32_t texts = 0;
-};
-
-}  // namespace
-
 int32_t PathSummary::FindChildPath(int32_t parent, StrId tag,
                                    bool is_attr) const {
-  // Fan-out per path node is small (distinct child labels of one parent
+  // A path node has few children (distinct child labels of one parent
   // label), so a linear probe over the children vector beats a side map.
   for (int32_t c : nodes_[static_cast<size_t>(parent)].children) {
     const PathNode& cn = nodes_[static_cast<size_t>(c)];
     if (cn.tag == tag && cn.is_attr == is_attr) return c;
   }
   return -1;
-}
-
-void PathSummary::RaiseFanOut(int32_t id, uint32_t n) {
-  uint8_t& f = nodes_[static_cast<size_t>(id)].fan_out;
-  f = static_cast<uint8_t>(std::max<uint32_t>(f, std::min<uint32_t>(n, 255)));
 }
 
 void PathSummary::AddRows(const Document& doc, Pre begin, Pre end,
@@ -54,65 +35,49 @@ void PathSummary::AddRows(const Document& doc, Pre begin, Pre end,
     nodes_[static_cast<size_t>(parent)].children.push_back(id);
     return id;
   };
-  // The children of one parent on one path are consecutive among that
-  // path's nodes in document order, so one run per path — the parent
-  // of its latest node and how many nodes it has under that parent so
-  // far — counts every parent's children exactly.
-  struct Run {
-    Pre parent = 0;
-    uint32_t n = 0;
-  };
-  std::vector<Run> runs;
-  auto add = [&](int32_t id, Pre v, const Frame* parent) {
+  auto add = [&](int32_t id, Pre v) {
     size_t i = static_cast<size_t>(id);
     if (i >= pres->size()) pres->resize(i + 1);
     (*pres)[i].push_back(v);
     nodes_[i].count++;
-    if (parent == nullptr) return;
-    if (i >= runs.size()) runs.resize(i + 1);
-    Run& r = runs[i];
-    if (r.n == 0 || r.parent != parent->pre) r = {parent->pre, 0};
-    RaiseFanOut(id, ++r.n);
   };
 
-  // One open frame per ancestor of the current row, popped by level.
-  std::vector<Frame> stack;
+  // The path of each open ancestor of the current row, popped by level.
+  // A malformed non-element row that claims a subtree (the encoding
+  // never produces one) opens a -1 frame: an element below it hangs off
+  // path 0, an attribute below it joins no path.
+  std::vector<int32_t> stack;
   uint16_t base_level = 0;
   if (under_path >= 0) {
-    stack.push_back({under_path, under_pre});
+    stack.push_back(under_path);
     base_level = doc.level(under_pre);
   }
   for (Pre v = begin; v < end; ++v) {
     size_t depth = static_cast<size_t>(doc.level(v) - base_level);
     while (stack.size() > depth) stack.pop_back();
-    Frame* top =
-        stack.empty() || stack.back().path < 0 ? nullptr : &stack.back();
+    const int32_t top = stack.empty() ? -1 : stack.back();
     switch (doc.kind(v)) {
       case NodeKind::kDoc:
         nodes_[0].count++;
-        stack.push_back({0, v});
+        stack.push_back(0);
         continue;
       case NodeKind::kElem: {
         // An element outside any element frame hangs off path 0.
-        int32_t id = child_path(top ? top->path : 0, doc.prop(v), false);
-        add(id, v, top);
-        stack.push_back({id, v});
+        int32_t id = child_path(top >= 0 ? top : 0, doc.prop(v), false);
+        add(id, v);
+        stack.push_back(id);
         continue;
       }
       case NodeKind::kAttr:
-        if (top == nullptr) break;
-        add(child_path(top->path, doc.prop(v), true), v, top);
+        if (top < 0) break;
+        add(child_path(top, doc.prop(v), true), v);
         break;
       case NodeKind::kText:
-        if (top != nullptr) {
-          max_text_children_ = std::max(max_text_children_, ++top->texts);
-        }
-        break;
       case NodeKind::kComment:
       case NodeKind::kPi:
         break;
     }
-    if (doc.size(v) > 0) stack.push_back({-1, v});  // robustness frame
+    if (doc.size(v) > 0) stack.push_back(-1);  // robustness frame
   }
 }
 
@@ -120,12 +85,9 @@ void PathSummary::IndexPaths(size_t from) {
   // Ids only grow, so push_back keeps the by-tag lists sorted.
   for (size_t id = from; id < nodes_.size(); ++id) {
     const PathNode& p = nodes_[id];
-    if (p.is_attr) {
-      attr_by_name_[p.tag].push_back(static_cast<int32_t>(id));
-    } else {
-      elem_by_tag_[p.tag].push_back(static_cast<int32_t>(id));
-      num_element_paths_++;
-    }
+    if (p.is_attr) continue;
+    elem_by_tag_[p.tag].push_back(static_cast<int32_t>(id));
+    num_element_paths_++;
   }
 }
 

@@ -21,11 +21,6 @@ struct PathNode {
   int32_t parent = -1;  // parent path id, -1 for path 0
   uint16_t level = 0;   // tree level of the nodes on this path
   bool is_attr = false;
-  // The most nodes on this path under one parent node: of an element
-  // path, the most such children of one element (or of the document
-  // node); of an attribute path, the most attributes of that name on
-  // one owner. Saturates at 255 (key inference only asks "> 1").
-  uint8_t fan_out = 0;
   uint32_t count = 0;             // nodes covered by this path
   std::vector<int32_t> children;  // child element and attribute paths
   // Path partition: slice [part_begin, part_begin + count) of
@@ -34,28 +29,21 @@ struct PathNode {
   // partitioned).
   size_t part_begin = 0;
 };
-// fan_out fills the padding byte after is_attr, so a path node costs
-// what it did without it.
-static_assert(sizeof(void*) != 8 || sizeof(PathNode) == 48);
 
 /// Shred-time path summary of one document: the tiny trie of distinct
 /// root-to-element/attribute label paths, each annotated with its
-/// cardinality and fan-out, plus the path-partitioned node storage —
+/// cardinality, plus the path-partitioned node storage —
 /// every element/attribute pre of the document appears in exactly one
 /// path's contiguous partition slice, in document order.
 ///
 /// Built once per document before it is published to the store
 /// (Database::AddDocument) and immutable afterwards, so readers share
-/// it without synchronization. Three consumers:
+/// it without synchronization. Two consumers:
 ///  * the structural-path rewrite (opt/path_rewrite.h) answers pure
 ///    step chains by concatenating partition slices,
 ///  * the staircase join (accel/step.cc) prunes name-test scans to the
-///    partitions of the matching tag,
-///  * key inference (opt::MakeStepUniqueness) reads the fan-outs and
-///    the text maximum to prove a `child::C`, `child::text()` or
-///    `attribute::a` step yields at most one node per context node.
-/// Updates keep partitions and counts exact and the fan-outs and text
-/// maximum sound upper bounds (xml/update.h).
+///    partitions of the matching tag.
+/// Updates keep partitions and counts exact (xml/update.h).
 class PathSummary {
  public:
   size_t num_paths() const { return nodes_.size(); }
@@ -81,11 +69,6 @@ class PathSummary {
   const std::vector<int32_t>* ElementPathsByTag(StrId t) const {
     auto it = elem_by_tag_.find(t);
     return it == elem_by_tag_.end() ? nullptr : &it->second;
-  }
-  /// Ids of the attribute paths whose name is `a`.
-  const std::vector<int32_t>* AttrPathsByName(StrId a) const {
-    auto it = attr_by_name_.find(a);
-    return it == attr_by_name_.end() ? nullptr : &it->second;
   }
 
   /// Structural axis/test subset the trie can navigate. (xml/ cannot
@@ -123,10 +106,6 @@ class PathSummary {
   size_t GatherPartitions(const std::vector<int32_t>& paths, Pre lo, Pre hi,
                           std::vector<Pre>* out) const;
 
-  /// The most text-node children of any one element or of the
-  /// document node.
-  uint32_t max_text_children() const { return max_text_children_; }
-
   size_t MemoryBytes() const;
 
  private:
@@ -135,25 +114,19 @@ class PathSummary {
 
   /// The child path of `parent` with the given label; -1 if absent.
   int32_t FindChildPath(int32_t parent, StrId tag, bool is_attr) const;
-  /// Raise path `id`'s fan-out to `n` (saturating at 255).
-  void RaiseFanOut(int32_t id, uint32_t n);
   /// Assign rows [begin, end) of `doc` to their paths (minting missing
-  /// ones), counting them and appending each pre to `pres[path]`, and
-  /// max-merge the fan-outs and text counts they show. With
+  /// ones), counting them and appending each pre to `pres[path]`. With
   /// `under_path` < 0 the rows are a whole document; otherwise they sit
-  /// below the open node `under_pre` on path `under_path`, whose
-  /// children among them are counted too.
+  /// below the open node `under_pre` on path `under_path`.
   void AddRows(const Document& doc, Pre begin, Pre end, int32_t under_path,
                Pre under_pre, std::vector<std::vector<Pre>>* pres);
-  /// Add paths [from, num_paths()) to the by-tag and by-name indexes.
+  /// Add the element paths among [from, num_paths()) to the by-tag index.
   void IndexPaths(size_t from);
 
   std::vector<PathNode> nodes_;
   std::vector<Pre> part_;
   std::unordered_map<StrId, std::vector<int32_t>> elem_by_tag_;
-  std::unordered_map<StrId, std::vector<int32_t>> attr_by_name_;
   size_t num_element_paths_ = 0;
-  uint32_t max_text_children_ = 0;
 };
 
 /// One pass over the pre|size|level encoding (a level-driven stack of

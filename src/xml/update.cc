@@ -98,11 +98,7 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
                                            const Document& base,
                                            const Document& fresh,
                                            const Splice& sp) {
-  // Trie nodes, fan-outs, text maximum and indexes; partitions are
-  // rebuilt below. The fan-outs and the text maximum only ever grow:
-  // removed rows leave them in place (a shrink never invalidates an
-  // upper bound), and inserted rows max-merge the counts of every
-  // parent they touch.
+  // Trie nodes and indexes; partitions are rebuilt below.
   PathSummary s = old;
   const Pre k = static_cast<Pre>(sp.ins_size.size());
   const int64_t delta =
@@ -130,26 +126,8 @@ PathSummary DocumentSplicer::RepairSummary(const PathSummary& old,
 
   const int32_t parent_path = PathOf(s, base, sp.parent);
 
-  // Phase 2: inserted rows join (or create) their paths, and the counts
-  // within the insertion max-merge into the fan-outs.
+  // Phase 2: inserted rows join (or create) their paths.
   s.AddRows(fresh, sp.at, sp.at + k, parent_path, sp.parent, &heads);
-  if (k > 0) {
-    // The insertion parent: recount its direct children (attributes
-    // first, each child's subtree skipped) in the fresh snapshot.
-    std::vector<uint32_t> per_path(s.nodes_.size(), 0);
-    uint32_t texts = 0;
-    Pre end = sp.parent + fresh.size(sp.parent);
-    for (Pre v = sp.parent + 1; v <= end; v += fresh.size(v) + 1) {
-      NodeKind kind = fresh.kind(v);
-      if (kind == NodeKind::kText) ++texts;
-      if (kind != NodeKind::kElem && kind != NodeKind::kAttr) continue;
-      int32_t id = s.FindChildPath(parent_path, fresh.prop(v),
-                                   kind == NodeKind::kAttr);
-      assert(id >= 0 && "child path missing from summary");
-      s.RaiseFanOut(id, ++per_path[static_cast<size_t>(id)]);
-    }
-    s.max_text_children_ = std::max(s.max_text_children_, texts);
-  }
   heads.resize(s.nodes_.size());
   tails.resize(s.nodes_.size());
 

@@ -51,14 +51,9 @@ struct NodeUpdate {
 
 /// A spliced snapshot plus what the splice did — the doc-level update
 /// primitive (no Database involved; the model tests drive it directly).
-/// `doc` carries an incrementally repaired path summary:
-///  * its partitions and counts are maintained *exactly*;
-///  * its per-path fan-outs and text maximum are maintained as sound
-///    upper bounds: inserts max-merge the counts within the insertion
-///    and the recounted children of the insertion parent, deletes keep
-///    the old values. Key inference only ever needs "max <= 1" proofs,
-///    so an upper bound never breaks correctness.
-/// A content-only update shares the base's summary.
+/// `doc` carries an incrementally repaired path summary whose
+/// partitions and counts are maintained *exactly*. A content-only
+/// update shares the base's summary.
 struct SplicedDoc {
   Document doc;
   /// False iff the update changed only the `value` column (pre ranks,

@@ -99,6 +99,40 @@ TEST_F(ApiSmokeTest, InliningBlowUpIsNotSupported) {
   EXPECT_EQ(*ok->Serialize(), "3");
 }
 
+// The budget covers every phase, not only execution: a token
+// cancelled before Run, or a deadline already past when Run starts,
+// ends the query before the executor reaches its first operator.
+TEST_F(ApiSmokeTest, CancelledTokenStopsBeforeExecution) {
+  engine::CancelToken token;
+  token.Cancel();
+  int probed = 0;
+  QueryOptions o;
+  o.cancel_token = &token;
+  o.op_probe = [&probed](const algebra::Op&, engine::CancelToken*) {
+    ++probed;
+  };
+  Pathfinder pf(&db_);
+  auto r = pf.Run("count(doc(\"books.xml\")//book)", o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+      << r.status().ToString();
+  EXPECT_EQ(probed, 0);
+}
+
+TEST_F(ApiSmokeTest, ExpiredDeadlineStopsBeforeExecution) {
+  int probed = 0;
+  QueryOptions o;
+  o.timeout_ms = 0;
+  o.op_probe = [&probed](const algebra::Op&, engine::CancelToken*) {
+    ++probed;
+  };
+  Pathfinder pf(&db_);
+  auto r = pf.Run("count(doc(\"books.xml\")//book)", o);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kTimeout) << r.status().ToString();
+  EXPECT_EQ(probed, 0);
+}
+
 TEST_F(ApiSmokeTest, OrderBy) {
   EXPECT_EQ(Run("for $b in doc(\"books.xml\")//book "
                 "order by $b/price descending "

@@ -217,9 +217,9 @@ class QueryGen {
   }
 
   /// A two-generator FLWOR whose where clause equi-joins the two
-  /// bindings on attribute values — the value-join shape the join-graph
-  /// pass (PF_JOINOPT) isolates, with optional extra conjuncts that
-  /// compile to post-join selects (pushdown fodder).
+  /// bindings on attribute values — the compiler's join recognition
+  /// shape — with optional extra conjuncts that compile to post-join
+  /// selects.
   std::string JoinFlwor() {
     size_t vars_before = vars_.size();
     std::string a = FreshVar();
@@ -340,10 +340,8 @@ TEST_P(RandomQueryTest, EnginesAgreeOnGeneratedQueries) {
     // 7-9 sweep the cache/CSE knobs: 7 disables CSE, 8 forces both
     // caches on with a budget small enough to churn (all masks share
     // this Pathfinder, so 8 is served against a cache warmed by earlier
-    // masks), 9 pins both caches off. Masks 10-11 pin the join-graph
-    // pass off and on (overriding the PF_JOINOPT process default): its
-    // rewrites must be invisible in every serialized byte.
-    for (int mask = 0; mask < 12; ++mask) {
+    // masks), 9 pins both caches off.
+    for (int mask = 0; mask < 10; ++mask) {
       QueryOptions o;
       o.context_doc = "shop.xml";
       o.join_recognition = mask != 1;
@@ -359,10 +357,6 @@ TEST_P(RandomQueryTest, EnginesAgreeOnGeneratedQueries) {
       if (mask == 9) {
         o.plan_cache = 0;
         o.subplan_cache = 0;
-      }
-      if (mask >= 10) {
-        o.join_opt = mask - 10;
-        o.plan_cache = 0;  // force both variants through the optimizer
       }
       auto pr = pf.Run(q, o);
       ASSERT_TRUE(pr.ok()) << pr.status().ToString() << " mask=" << mask;
@@ -489,7 +483,7 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
 
 // Interleave random node updates with generated queries on a private
 // database: the incrementally-maintained structures (path summary
-// partitions and fan-outs, repaired query cache) must stay
+// partitions and counts, repaired query cache) must stay
 // byte-identical to the navigational baseline, which recomputes from
 // the raw columns on every run. The Pathfinder instance persists
 // across rounds so its plan and subplan caches live through every

@@ -291,59 +291,22 @@ TEST_F(OptTest, CseFiresOnRepeatedSubexpressions) {
   EXPECT_EQ(*s_on, *s_off);
 }
 
-// --- Join-graph pass (opt/join_graph.h) ------------------------------------
-
-/// The unoptimized plan of a value join whose existential distinct
-/// d.xml's path-summary fan-outs prove redundant (attribute::k is
-/// unique per owner) — only the join-graph pass can see that.
-OpPtr KeyDistinctJoinPlan(xml::Database* db) {
-  Pathfinder pf(db);
+TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
+  // One reused struct must never leak counts from a previous plan.
+  Pathfinder pf(&db_);
   QueryOptions o;
   o.context_doc = "d.xml";
   o.optimize = false;
-  auto r = pf.Run(
-      "for $a in //x, $b in //y where $b/@ref = $a/@k return $a/text()", o);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return r.ok() ? r->plan : nullptr;
-}
-
-TEST_F(OptTest, StatsBackedKeyInferenceRemovesDistinct) {
-  OpPtr plan = KeyDistinctJoinPlan(&db_);
-  ASSERT_NE(plan, nullptr);
-  OptimizeStats on_stats;
-  OptimizeOptions on;
-  on.join_opt = true;
-  on.db = &db_;
-  auto p = Optimize(plan, &on_stats, on);
-  ASSERT_TRUE(p.ok()) << p.status().ToString();
-  EXPECT_GE(on_stats.key_distincts_removed, 1);
-
-  // Same plan with the pass off: all join counters stay zero.
-  OptimizeStats off_stats;
-  auto p2 = Optimize(plan, &off_stats);
-  ASSERT_TRUE(p2.ok());
-  EXPECT_EQ(off_stats.key_distincts_removed, 0);
-  EXPECT_EQ(off_stats.joins_reordered, 0);
-  EXPECT_EQ(off_stats.selects_pushed, 0);
-}
-
-TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
-  // One reused struct must never leak counts from a previous plan.
-  OpPtr plan = KeyDistinctJoinPlan(&db_);
-  ASSERT_NE(plan, nullptr);
+  auto r = pf.Run("(count(//x), count(//x))", o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   OptimizeStats stats;
-  OptimizeOptions on;
-  on.join_opt = true;
-  on.db = &db_;
-  ASSERT_TRUE(Optimize(plan, &stats, on).ok());
-  EXPECT_GE(stats.key_distincts_removed, 1);
+  ASSERT_TRUE(Optimize(r->plan, &stats).ok());
+  EXPECT_GE(stats.cse_merges, 1);
 
   OpPtr trivial = a::LitTable({C("iter")}, {bat::ColType::kInt},
                               {{Item::Int(1)}});
-  ASSERT_TRUE(Optimize(trivial, &stats, on).ok());
-  EXPECT_EQ(stats.joins_reordered, 0);
-  EXPECT_EQ(stats.selects_pushed, 0);
-  EXPECT_EQ(stats.key_distincts_removed, 0);
+  ASSERT_TRUE(Optimize(trivial, &stats).ok());
+  EXPECT_EQ(stats.cse_merges, 0);
   EXPECT_EQ(stats.ops_before, 1u);
 }
 
@@ -356,8 +319,7 @@ TEST_F(OptTest, StatsResetBetweenOptimizeCalls) {
 struct PinnedStats {
   int query;
   size_t ops_before, ops_after;
-  int cse_merges, distincts_removed, key_distincts_removed, selects_pushed,
-      structural_answers, max_rounds;
+  int cse_merges, distincts_removed, structural_answers, max_rounds;
   const char* digest;
 };
 
@@ -413,35 +375,33 @@ Result<OpPtr> OptimizedXMarkPlan(xml::Database* db, int q,
                       compiler::Compile(core, db, compiler::CompileOptions{}));
   OptimizeOptions oo;
   oo.cse = true;
-  oo.join_opt = true;
   oo.path_summary = true;
-  oo.db = db;
   return Optimize(plan, stats, oo);
 }
 
 constexpr PinnedStats kXMarkStats[] = {
-    // Q, ops_before, ops_after, cse, distincts, key_distincts, pushed,
-    // structural, rounds, plan digest
-    {1, 85, 62, 0, 0, 1, 1, 1, 2, "e0d437f04ec861b8"},
-    {2, 104, 79, 0, 0, 1, 1, 1, 2, "d384b37db177aee8"},
-    {3, 366, 294, 5, 0, 2, 2, 1, 3, "3b8600e6a6e2efc0"},
-    {4, 207, 150, 1, 0, 3, 2, 1, 2, "5fe35f3494563cb2"},
-    {5, 70, 44, 1, 0, 0, 0, 1, 2, "4d85fa763640cbf7"},
-    {6, 40, 26, 0, 0, 0, 0, 1, 2, "7f1d62c840104315"},
-    {7, 76, 60, 2, 0, 0, 0, 0, 2, "6e56d19431c6c013"},
-    {8, 133, 83, 5, 0, 1, 0, 2, 2, "c7ab6af86534afd2"},
-    {9, 206, 119, 9, 0, 2, 0, 3, 2, "6afae796110ed96b"},
-    {10, 330, 221, 23, 0, 0, 0, 2, 2, "0177c7d48d17daa1"},
-    {11, 148, 94, 5, 0, 0, 0, 2, 2, "218c7d0d6f83c050"},
-    {12, 175, 112, 6, 0, 1, 0, 2, 2, "056edbeda7d6f56d"},
-    {13, 75, 50, 1, 0, 0, 0, 1, 2, "92f858b5eca21b56"},
-    {14, 75, 57, 1, 0, 0, 0, 1, 2, "da01a87af26ec60f"},
-    {15, 82, 30, 0, 0, 0, 0, 1, 2, "f6fab9b786bfd823"},
-    {16, 111, 81, 1, 0, 0, 0, 1, 2, "e4cad3167dd05b40"},
-    {17, 78, 56, 1, 0, 0, 0, 1, 2, "35f08414b0131436"},
-    {18, 52, 31, 0, 0, 0, 0, 1, 2, "24e4c753da22892e"},
-    {19, 93, 66, 3, 0, 0, 0, 1, 2, "3f93fb20b567809d"},
-    {20, 360, 252, 20, 0, 5, 4, 4, 3, "5185188f0496fa58"},
+    // Q, ops_before, ops_after, cse, distincts, structural, rounds,
+    // plan digest
+    {1, 85, 59, 0, 0, 1, 2, "16685f5a1f2a2151"},
+    {2, 104, 74, 0, 0, 1, 2, "b9d916d1890d1f07"},
+    {3, 366, 284, 5, 0, 1, 3, "a0e1d61d2df7b538"},
+    {4, 207, 145, 1, 0, 1, 2, "53e93d492140c4d6"},
+    {5, 70, 44, 1, 0, 1, 2, "4d85fa763640cbf7"},
+    {6, 40, 26, 0, 0, 1, 2, "7f1d62c840104315"},
+    {7, 76, 60, 2, 0, 0, 2, "6e56d19431c6c013"},
+    {8, 133, 84, 5, 0, 2, 2, "221bd6211bc5bf6b"},
+    {9, 206, 121, 9, 0, 3, 2, "a7f1643b61ae7397"},
+    {10, 330, 221, 23, 0, 2, 2, "0177c7d48d17daa1"},
+    {11, 148, 94, 5, 0, 2, 2, "218c7d0d6f83c050"},
+    {12, 175, 113, 6, 0, 2, 2, "1b0e4c9e92b1f6c3"},
+    {13, 75, 50, 1, 0, 1, 2, "92f858b5eca21b56"},
+    {14, 75, 57, 1, 0, 1, 2, "da01a87af26ec60f"},
+    {15, 82, 30, 0, 0, 1, 2, "f6fab9b786bfd823"},
+    {16, 111, 81, 1, 0, 1, 2, "e4cad3167dd05b40"},
+    {17, 78, 56, 1, 0, 1, 2, "35f08414b0131436"},
+    {18, 52, 31, 0, 0, 1, 2, "24e4c753da22892e"},
+    {19, 93, 66, 3, 0, 1, 2, "3f93fb20b567809d"},
+    {20, 360, 240, 20, 0, 4, 3, "61ae40c9351689bb"},
 };
 
 TEST(OptXMarkTest, SamePlansAsPinned) {
@@ -457,7 +417,6 @@ TEST(OptXMarkTest, SamePlansAsPinned) {
     // What Run uses when no PF_* variable is set, spelled out so the
     // CI lanes that switch passes off ambiently leave the counts alone.
     o.cse = 1;
-    o.join_opt = 1;
     o.path_summary = 1;
     o.plan_cache = 0;
     o.subplan_cache = 0;
@@ -468,8 +427,6 @@ TEST(OptXMarkTest, SamePlansAsPinned) {
     EXPECT_EQ(s.ops_after, want.ops_after);
     EXPECT_EQ(s.cse_merges, want.cse_merges);
     EXPECT_EQ(s.distincts_removed, want.distincts_removed);
-    EXPECT_EQ(s.key_distincts_removed, want.key_distincts_removed);
-    EXPECT_EQ(s.selects_pushed, want.selects_pushed);
     EXPECT_EQ(s.structural_answers, want.structural_answers);
     EXPECT_LE(s.rounds, want.max_rounds);
     OptimizeStats direct;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "xml/database.h"
 #include "xml/parser.h"
 #include "xml/tree_builder.h"
-#include "xmark/generator.h"
 
 namespace pathfinder::xml {
 namespace {
@@ -126,20 +124,21 @@ TEST(PathSummaryTest, AttributePaths) {
   ASSERT_GE(a, 0);
   ASSERT_GE(b, 0);
   int attr_paths = 0;
+  int id_paths = 0;
   for (int32_t id = 0; id < static_cast<int32_t>(sum.num_paths()); ++id) {
-    if (sum.path(id).is_attr) ++attr_paths;
+    if (!sum.path(id).is_attr) continue;
+    ++attr_paths;
+    if (pool.Get(sum.path(id).tag) == "id") ++id_paths;
   }
   EXPECT_EQ(attr_paths, 3);  // /a/@id, /a/b/@id, /a/b/@x
   // @id occurs on two distinct paths.
+  EXPECT_EQ(id_paths, 2);
   int32_t id_attr = -1;
   for (int32_t c : sum.path(b).children) {
     if (sum.path(c).is_attr && pool.Get(sum.path(c).tag) == "id") id_attr = c;
   }
   ASSERT_GE(id_attr, 0);
   EXPECT_EQ(sum.path(id_attr).count, 2u);
-  const std::vector<int32_t>* by_name = sum.AttrPathsByName(sum.path(id_attr).tag);
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->size(), 2u);
   // Attribute paths are not element paths.
   EXPECT_EQ(sum.num_element_paths(), sum.num_paths() - 1 - attr_paths);
   CheckPartitionInvariants(doc, sum);
@@ -368,142 +367,6 @@ TEST_P(RandomSummaryTest, PartitionInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSummaryTest,
                          ::testing::Range<uint64_t>(1, 17));
-
-// --- Fan-outs -----------------------------------------------------------
-
-// Build the summary of `doc` and check every path's fan-out and the text
-// maximum against a naive count: for every element or document node,
-// count its direct children (attributes first, each child's subtree
-// skipped by its size) per path and its text children.
-PathSummary CheckFanOuts(const Document& doc, const StringPool& pool) {
-  PathSummary sum = BuildPathSummary(doc);
-  CheckPartitionInvariants(doc, sum);
-  std::vector<int32_t> path_of(doc.num_nodes(), -1);
-  for (int32_t id = 1; id < static_cast<int32_t>(sum.num_paths()); ++id) {
-    size_t len;
-    const Pre* part = sum.partition(id, &len);
-    for (size_t i = 0; i < len; ++i) path_of[part[i]] = id;
-  }
-  std::vector<uint32_t> fan_out(sum.num_paths(), 0);
-  uint32_t max_text = 0;
-  for (Pre u = 0; u < doc.num_nodes(); ++u) {
-    if (doc.kind(u) != NodeKind::kDoc && doc.kind(u) != NodeKind::kElem) {
-      continue;
-    }
-    std::map<int32_t, uint32_t> children;
-    uint32_t texts = 0;
-    for (Pre v = u + 1; v <= u + doc.size(u); v += doc.size(v) + 1) {
-      if (doc.kind(v) == NodeKind::kText) ++texts;
-      if (path_of[v] >= 0) ++children[path_of[v]];
-    }
-    for (const auto& [id, n] : children) {
-      fan_out[id] = std::max(fan_out[id], std::min<uint32_t>(n, 255));
-    }
-    max_text = std::max(max_text, texts);
-  }
-  for (int32_t id = 1; id < static_cast<int32_t>(sum.num_paths()); ++id) {
-    EXPECT_EQ(sum.path(id).fan_out, fan_out[id])
-        << "path " << id << " (" << pool.Get(sum.path(id).tag) << ")";
-  }
-  EXPECT_EQ(sum.max_text_children(), max_text);
-  return sum;
-}
-
-TEST(PathSummaryTest, FanOutsMatchNaiveCount) {
-  {
-    SCOPED_TRACE("XMark sf 0.002");
-    StringPool pool;
-    auto doc = xmark::GenerateXMark(0.002, 1, &pool);
-    ASSERT_TRUE(doc.ok());
-    PathSummary sum = CheckFanOuts(*doc, pool);
-    EXPECT_GT(sum.num_paths(), 100u);
-  }
-  for (uint64_t seed = 1; seed <= 16; ++seed) {
-    SCOPED_TRACE("random seed " + std::to_string(seed));
-    StringPool pool;
-    Rng rng(seed);
-    TreeBuilder b(&pool);
-    b.StartElem("root");
-    BuildRandomTree(&rng, &b, 0);
-    b.EndElem();
-    CheckFanOuts(std::move(b).Finish().value(), pool);
-  }
-
-  StringPool pool;
-  auto fan_out = [&](const PathSummary& sum,
-                     const std::vector<std::string>& tags) -> int {
-    int32_t id = FindPath(sum, pool, tags);
-    return id < 0 ? -1 : sum.path(id).fan_out;
-  };
-  {
-    SCOPED_TRACE("two same-tag siblings");
-    PathSummary sum = CheckFanOuts(Parse("<a><b/><b/></a>", &pool), pool);
-    EXPECT_EQ(fan_out(sum, {"a", "b"}), 2);
-  }
-  {
-    SCOPED_TRACE("one tag under two parent paths");
-    PathSummary sum = CheckFanOuts(
-        Parse("<a><b/><c><b/><b/><b/></c><c><b/></c></a>", &pool), pool);
-    EXPECT_EQ(fan_out(sum, {"a", "b"}), 1);
-    EXPECT_EQ(fan_out(sum, {"a", "c", "b"}), 3);
-    EXPECT_EQ(fan_out(sum, {"a", "c"}), 2);
-  }
-  {
-    SCOPED_TRACE("section/section recursion");
-    PathSummary sum = CheckFanOuts(
-        Parse("<doc><section><section/><section/></section><section/>"
-              "</doc>",
-              &pool),
-        pool);
-    EXPECT_EQ(fan_out(sum, {"doc", "section"}), 2);
-    EXPECT_EQ(fan_out(sum, {"doc", "section", "section"}), 2);
-  }
-  {
-    SCOPED_TRACE("one attribute name on many owners");
-    PathSummary sum = CheckFanOuts(
-        Parse("<a><b id=\"1\"/><b id=\"2\"/><b id=\"3\"/></a>", &pool),
-        pool);
-    StrId id = pool.Intern("id");
-    const std::vector<int32_t>* paths = sum.AttrPathsByName(id);
-    ASSERT_NE(paths, nullptr);
-    ASSERT_EQ(paths->size(), 1u);
-    EXPECT_EQ(sum.path(paths->front()).count, 3u);
-    EXPECT_EQ(sum.path(paths->front()).fan_out, 1);
-  }
-  {
-    SCOPED_TRACE("one attribute name twice on one owner");
-    TreeBuilder b(&pool);
-    b.StartElem("a");
-    b.Attr("k", "1");
-    b.Attr("k", "2");
-    b.EndElem();
-    PathSummary sum = CheckFanOuts(std::move(b).Finish().value(), pool);
-    const std::vector<int32_t>* paths =
-        sum.AttrPathsByName(pool.Intern("k"));
-    ASSERT_NE(paths, nullptr);
-    EXPECT_EQ(sum.path(paths->front()).fan_out, 2);
-  }
-  {
-    SCOPED_TRACE("text runs split by comments");
-    PathSummary sum = CheckFanOuts(
-        Parse("<a><p>x<!--c-->y<!--c-->z</p><p>w</p></a>", &pool), pool);
-    EXPECT_EQ(sum.max_text_children(), 3u);
-  }
-  {
-    SCOPED_TRACE("root element under the document node");
-    PathSummary sum = CheckFanOuts(Parse("<a/>", &pool), pool);
-    EXPECT_EQ(fan_out(sum, {"a"}), 1);
-    EXPECT_EQ(sum.max_text_children(), 0u);
-  }
-  {
-    SCOPED_TRACE("fan-out saturates");
-    std::string text = "<a>";
-    for (int i = 0; i < 300; ++i) text += "<b/>";
-    text += "</a>";
-    PathSummary sum = CheckFanOuts(Parse(text, &pool), pool);
-    EXPECT_EQ(fan_out(sum, {"a", "b"}), 255);
-  }
-}
 
 TEST(PathSummaryTest, DatabasePublishesSummary) {
   Database db;

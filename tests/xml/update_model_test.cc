@@ -13,7 +13,7 @@
 //    derived structure are rebuilt by the ordinary shred path.
 // After every mutation the structure columns must be identical; queries
 // (XMark 1-20 plus staircase axis shapes, cycling 1/2/7 worker threads
-// and the PF_PATHSUM / PF_JOINOPT / cache / cache-repair knobs) must
+// and the PF_PATHSUM / cache / cache-repair knobs) must
 // serialize byte-identically on both; each seed ends with the full
 // 20-query XMark sweep.
 
@@ -203,9 +203,9 @@ const char* kAxisShapes[] = {
 
 const int kThreads[] = {1, 2, 7};
 
-// Subject-side knob mask m (0-4): default / no path summary / no join
-// optimizer / caches off / cache repair off (every content-only update
-// evicts instead of repairs). Results must be identical under all.
+// Subject-side knob mask m (0-3): default / no path summary / caches
+// off / cache repair off (every content-only update evicts instead of
+// repairs). Results must be identical under all.
 QueryOptions SubjectOptions(int m, int threads) {
   QueryOptions o;
   o.context_doc = "x.xml";
@@ -215,13 +215,10 @@ QueryOptions SubjectOptions(int m, int threads) {
       o.path_summary = 0;
       break;
     case 2:
-      o.join_opt = 0;
-      break;
-    case 3:
       o.plan_cache = 0;
       o.subplan_cache = 0;
       break;
-    case 4:
+    case 3:
       o.cache_repair = 0;
       break;
     default:
@@ -263,7 +260,7 @@ TEST_P(UpdateModelTest, IncrementalMaintenanceMatchesReShred) {
                           ? kAxisShapes[rng.Below(std::size(kAxisShapes))]
                           : xmark::GetXMarkQuery(1 + qc % 20).text;
       SCOPED_TRACE(q);
-      auto sr = spf.Run(q, SubjectOptions(qc % 5, kThreads[qc % 3]));
+      auto sr = spf.Run(q, SubjectOptions(qc % 4, kThreads[qc % 3]));
       ASSERT_TRUE(sr.ok()) << sr.status().ToString();
       auto ss = sr->Serialize();
       ASSERT_TRUE(ss.ok());
@@ -276,7 +273,7 @@ TEST_P(UpdateModelTest, IncrementalMaintenanceMatchesReShred) {
       ASSERT_TRUE(os.ok());
       ASSERT_TRUE(*ss == *os)
           << "result diverged (" << ss->size() << " vs " << os->size()
-          << " bytes, mask " << qc % 5 << ", threads " << kThreads[qc % 3]
+          << " bytes, mask " << qc % 4 << ", threads " << kThreads[qc % 3]
           << ")";
       ++qc;
       continue;
@@ -361,7 +358,7 @@ TEST_P(UpdateModelTest, IncrementalMaintenanceMatchesReShred) {
   for (int qn = 1; qn <= 20; ++qn) {
     const auto& xq = xmark::GetXMarkQuery(qn);
     SCOPED_TRACE("XMark Q" + std::to_string(qn));
-    auto sr = spf.Run(xq.text, SubjectOptions(qn % 5, kThreads[qn % 3]));
+    auto sr = spf.Run(xq.text, SubjectOptions(qn % 4, kThreads[qn % 3]));
     ASSERT_TRUE(sr.ok()) << sr.status().ToString();
     auto ss = sr->Serialize();
     ASSERT_TRUE(ss.ok());
