@@ -133,6 +133,38 @@ TEST_F(ApiSmokeTest, ExpiredDeadlineStopsBeforeExecution) {
   EXPECT_EQ(probed, 0);
 }
 
+// A plan served from the plan cache skips every compile phase; the
+// token is still checked before the executor starts, and the refused
+// run leaves the cached plan usable.
+TEST_F(ApiSmokeTest, CancelledTokenStopsCachedPlanBeforeExecution) {
+  const std::string q = "count(doc(\"books.xml\")//book)";
+  Pathfinder pf(&db_);
+  QueryOptions o;
+  o.plan_cache = 1;
+  o.cache_budget_bytes = 64 << 20;  // pin against ambient PF_CACHE_MB
+  auto warm = pf.Run(q, o);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+  engine::CancelToken token;
+  token.Cancel();
+  int probed = 0;
+  QueryOptions cancelled = o;
+  cancelled.cancel_token = &token;
+  cancelled.op_probe = [&probed](const algebra::Op&, engine::CancelToken*) {
+    ++probed;
+  };
+  auto r = pf.Run(q, cancelled);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+      << r.status().ToString();
+  EXPECT_EQ(probed, 0);
+
+  auto again = pf.Run(q, o);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_TRUE(again->plan_cache_hit);
+  EXPECT_EQ(*again->Serialize(), "3");
+}
+
 TEST_F(ApiSmokeTest, OrderBy) {
   EXPECT_EQ(Run("for $b in doc(\"books.xml\")//book "
                 "order by $b/price descending "

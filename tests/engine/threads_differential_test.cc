@@ -1,12 +1,14 @@
 // Thread-count differential harness.
 //
 // The executor promises byte-identical serialized results at every
-// worker-pool size. This suite locks that down two ways, each at 1, 2
+// worker-pool size. This suite locks that down three ways, each at 1, 2
 // and 7 threads against a first serial run (num_threads = 1, the exact
 // serial code paths; the second serial run checks that two runs agree):
 //
 //   1. Every XMark query.
 //   2. One explicit-axis query per staircase axis.
+//   3. The join shapes of xmark_test (multi-way, theta, existential and
+//      self joins), whose value joins run on the partitioned kernels.
 
 #include <array>
 #include <cstddef>
@@ -17,6 +19,7 @@
 
 #include "accel/axis.h"
 #include "api/pathfinder.h"
+#include "join_shapes.h"
 #include "xmark/generator.h"
 #include "xmark/queries.h"
 
@@ -130,6 +133,22 @@ TEST(AxisThreadsTest, CoversEveryAxis) {
     EXPECT_TRUE(covered[a]) << "no differential query for axis "
                             << accel::AxisName(static_cast<accel::Axis>(a));
 }
+
+// ---------------------------------------------------------------------------
+// 3. Join shapes.
+
+class JoinShapeThreadsTest
+    : public ::testing::TestWithParam<xmark::JoinCase> {};
+
+TEST_P(JoinShapeThreadsTest, ParallelMatchesSerial) {
+  ExpectAllConfigsIdentical(GetParam().query);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JoinShapeThreadsTest, ::testing::ValuesIn(xmark::kJoinCases),
+    [](const ::testing::TestParamInfo<xmark::JoinCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace pathfinder

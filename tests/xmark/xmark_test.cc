@@ -1,4 +1,3 @@
-#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -6,6 +5,7 @@
 #include "api/pathfinder.h"
 #include "baseline/interp.h"
 #include "xmark/generator.h"
+#include "join_shapes.h"
 #include "xmark/queries.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -141,6 +141,31 @@ void ExpectEnginesAgree(const std::string& query) {
   EXPECT_EQ(pr->items.size(), br->items.size());
 }
 
+/// Run `query` over AuctionDb() with the defaults, then once each with
+/// join recognition, the optimizer and the staircase join switched
+/// off; every run must serialize identically.
+void ExpectAblationsAgree(const std::string& query) {
+  Pathfinder pf(AuctionDb());
+  QueryOptions base;
+  base.context_doc = "auction.xml";
+  auto reference = pf.Run(query, base);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto ref_s = reference->Serialize();
+  ASSERT_TRUE(ref_s.ok());
+
+  for (int mask = 0; mask < 3; ++mask) {
+    QueryOptions o = base;
+    o.join_recognition = mask != 0;
+    o.optimize = mask != 1;
+    o.use_staircase = mask != 2;
+    auto r = pf.Run(query, o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    auto s = r->Serialize();
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(*s, *ref_s) << "mask=" << mask;
+  }
+}
+
 /// The headline correctness result: all 20 XMark queries produce
 /// identical output on the relational engine and the navigational
 /// baseline.
@@ -154,25 +179,8 @@ TEST_P(XMarkDifferentialTest, EnginesAgree) {
 
 TEST_P(XMarkDifferentialTest, OptimizerAndAblationsPreserveResults) {
   const XMarkQuery& q = GetXMarkQuery(GetParam());
-  Pathfinder pf(AuctionDb());
-  QueryOptions base;
-  base.context_doc = "auction.xml";
-  auto reference = pf.Run(q.text, base);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  auto ref_s = reference->Serialize();
-  ASSERT_TRUE(ref_s.ok());
-
-  for (int mask = 0; mask < 3; ++mask) {
-    QueryOptions o = base;
-    o.join_recognition = mask != 0;
-    o.optimize = mask != 1;
-    o.use_staircase = mask != 2;
-    auto r = pf.Run(q.text, o);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    auto s = r->Serialize();
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(*s, *ref_s) << "Q" << q.number << " mask=" << mask;
-  }
+  SCOPED_TRACE("Q" + std::to_string(q.number) + ": " + q.title);
+  ExpectAblationsAgree(q.text);
 }
 
 // Seed/scale robustness: a different document (seed 7, sf 0.001) must
@@ -205,70 +213,30 @@ INSTANTIATE_TEST_SUITE_P(AllTwenty, XMarkDifferentialTest,
                            return "Q" + std::to_string(i.param);
                          });
 
-// Join shapes beyond Q1–Q20: multi-way value joins with secondary
-// literal or numeric filters, a point lookup, a theta join, an
-// existential join and a self-join, each against the baseline.
-struct JoinCase {
-  const char* name;
-  const char* query;
-};
-
-// Print a case by its name. gtest's default printer dumps the two
-// pointers, whose values change with every run, and the test IDs
-// that gtest_discover_tests records would change with them.
-void PrintTo(const JoinCase& c, std::ostream* os) { *os << c.name; }
-
-const JoinCase kJoinCases[] = {
-    {"ThreeWayValueJoinLiteralOnItem",
-     "for $p in /site/people/person "
-     "for $a in /site/closed_auctions/closed_auction "
-     "for $i in /site/regions/namerica/item "
-     "where $a/buyer/@person = $p/@id and $a/itemref/@item = $i/@id "
-     "and $i/payment = \"Creditcard\" "
-     "return <r>{$p/name/text()}</r>"},
-    {"ThreeWayValueJoinLiteralOnPerson",
-     "for $a in /site/closed_auctions/closed_auction "
-     "for $p in /site/people/person "
-     "for $i in /site/regions//item "
-     "where $p/@id = $a/buyer/@person and $i/@id = $a/itemref/@item "
-     "and $p/profile/@income > 80000 "
-     "return <r>{$i/name/text()}</r>"},
-    {"PointLookup",
-     "for $b in /site/people/person where $b/@id = \"person4\" "
-     "return $b/profile/@income"},
-    {"TwoWayJoinWithLiteral",
-     "for $p in /site/people/person "
-     "for $a in /site/closed_auctions/closed_auction "
-     "where $a/buyer/@person = $p/@id and $p/@id = \"person1\" "
-     "return <r>{$a/price/text()}</r>"},
-    {"ThetaJoin",
-     "for $p in /site/people/person "
-     "for $i in /site/open_auctions/open_auction "
-     "where $p/profile/@income > $i/initial return $p/name"},
-    {"LiteralBothSidesOfAnd",
-     "for $i in /site/regions//item "
-     "where $i/payment = \"Creditcard\" and $i/quantity = \"2\" "
-     "return $i/name/text()"},
-    {"ExistentialJoin",
-     "for $p in /site/people/person "
-     "where some $w in /site/people/person/watches/watch/@open_auction "
-     "satisfies $w = $p/@id return $p/name"},
-    {"SelfJoinSameDoc",
-     "for $a in /site/closed_auctions/closed_auction "
-     "for $b in /site/closed_auctions/closed_auction "
-     "where $a/buyer/@person = $b/seller/@person "
-     "return <r>{$a/price/text()}</r>"},
-    {"ThreeWayValueJoinNumericOnItem",
-     "for $p in /site/people/person "
-     "for $a in /site/closed_auctions/closed_auction "
-     "for $i in /site/regions//item "
-     "where $a/buyer/@person = $p/@id and $a/itemref/@item = $i/@id "
-     "and $i/quantity > 1 return <r>{$p/name/text()}</r>"},
-};
-
+// Join shapes beyond Q1–Q20 (join_shapes.h), each against the
+// baseline and under the ablation switches.
 class JoinShapeTest : public ::testing::TestWithParam<JoinCase> {};
 
 TEST_P(JoinShapeTest, EnginesAgree) { ExpectEnginesAgree(GetParam().query); }
+
+TEST_P(JoinShapeTest, OptimizerAndAblationsPreserveResults) {
+  ExpectAblationsAgree(GetParam().query);
+}
+
+// The compiler's join recognition (paper Sec. 1) gives each `for`
+// binding at most one value join: the first where-conjunct comparing
+// an expression over the new variable alone with one over variables
+// already bound, or with a literal. The other conjuncts stay selections.
+TEST_P(JoinShapeTest, CompilerRecognizesJoins) {
+  Pathfinder pf(AuctionDb());
+  QueryOptions o;
+  o.context_doc = "auction.xml";
+  o.join_recognition = true;
+  o.plan_cache = 0;  // compile_stats are only filled by a compilation
+  auto r = pf.Run(GetParam().query, o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->compile_stats.joins_recognized, GetParam().joins);
+}
 
 INSTANTIATE_TEST_SUITE_P(Shapes, JoinShapeTest,
                          ::testing::ValuesIn(kJoinCases),
