@@ -3,10 +3,12 @@
 // of paper Sec. 2 ("very efficiently implementable on any relational
 // DBMS"). Each row times the kernel the executor runs: FilterGather
 // for σ, HashJoinPairsChunked for the ⋈ probe (the pair list, without
-// the GatherPairs that follows), Mark for ϱ, DistinctIndices and
-// GroupAgg.
+// the GatherPairs that follows) on sparse and dense (mapping-join)
+// integer keys and on items, Mark for ϱ, DistinctIndices and GroupAgg.
 
 #include <benchmark/benchmark.h>
+
+#include <utility>
 
 #include "base/rng.h"
 #include "bat/kernel.h"
@@ -48,11 +50,21 @@ void BM_FilterGather(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterGather)->Range(1 << 10, 1 << 20);
 
+// n values drawn from a domain of n, spread a stride apart so that the
+// build keys are too sparse for the positional slot function: the
+// hashed paths (one table below the morsel threshold, radix partitions
+// above it).
+ColumnPtr SparseInts(size_t n, uint64_t seed) {
+  auto c = RandomInts(n, static_cast<int64_t>(n), seed);
+  for (int64_t& k : c->ints()) k *= 1000003;
+  return c;
+}
+
 void BM_HashJoinInt(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   StringPool pool;
-  auto l = RandomInts(n, static_cast<int64_t>(n), 3);
-  auto r = RandomInts(n, static_cast<int64_t>(n), 4);
+  auto l = SparseInts(n, 3);
+  auto r = SparseInts(n, 4);
   JoinPairChunks pc;
   for (auto _ : state) {
     auto st = HashJoinPairsChunked(*l, *r, pool, &pc);
@@ -61,6 +73,32 @@ void BM_HashJoinInt(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_HashJoinInt)->Range(1 << 10, 1 << 19);
+
+void BM_HashJoinDenseInt(benchmark::State& state) {
+  // The mapping-join shape of loop-lifted plans: probe iters 1..n in
+  // order against a shuffled 1..n build side. The build keys span n
+  // values, so the join is positional (slot = key - 1), and every probe
+  // row matches exactly once.
+  size_t n = static_cast<size_t>(state.range(0));
+  StringPool pool;
+  auto l = Column::MakeInt(n);
+  for (size_t i = 0; i < n; ++i) {
+    l->ints().push_back(static_cast<int64_t>(i) + 1);
+  }
+  auto r = Column::MakeInt(n);
+  r->ints() = l->ints();
+  Rng rng(9);
+  for (size_t i = n; i > 1; --i) {
+    std::swap(r->ints()[i - 1], r->ints()[rng.Below(i)]);
+  }
+  JoinPairChunks pc;
+  for (auto _ : state) {
+    auto st = HashJoinPairsChunked(*l, *r, pool, &pc);
+    benchmark::DoNotOptimize(st);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_HashJoinDenseInt)->Range(1 << 10, 1 << 19);
 
 void BM_HashJoinItems(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

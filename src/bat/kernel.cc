@@ -337,16 +337,123 @@ Item CanonicalJoinKey(const Item& it, const StringPool& pool) {
   }
 }
 
-// Slot/chain sentinels of the radix join's per-partition tables.
-constexpr uint32_t kEmptySlot = 0xffffffffu;
+// Ends a chain, and marks an empty slot, in the join's chained tables.
 constexpr uint32_t kChainEnd = 0xffffffffu;
 
-// Shared skeleton of the typed hash-join branches, emitting pairs
-// grouped by probe-side chunk. Below the morsel threshold a plain
-// serial map join runs; above it the radix-partitioned join runs at
-// EVERY thread count (tp == nullptr executes the same morsels inline),
-// so the path choice — like the chunk boundaries — is a function of
-// the input sizes only. Three phases, none sharing a mutable
+// The equi-join's one table: build rows chained per key. head[s] is the
+// first local row of slot s's key, next[u] the local row after u with
+// the same key; local row u stands for build row row(u). Rows are
+// inserted in descending order and each is prepended, so every chain
+// lists its key's rows ascending (the serial insertion order) without
+// a tail array. Three slot functions fill it, chosen by the input
+// alone: key - min (PositionalJoin: one key per slot, so no hash and no
+// probing), and the mixed key hash with linear probing, over one table
+// below the morsel threshold or one table per radix partition above it
+// (HashJoinTyped).
+struct ChainTable {
+  std::vector<uint32_t> head;
+  std::vector<uint32_t> next;
+  uint32_t mask = 0;  // hashed slots: head.size() - 1
+};
+
+// Chains the `cnt` local rows of a hashed table; slot(u) is the hash
+// bits that seed local row u's slot.
+template <typename RowFn, typename SlotFn, typename RKeyFn>
+void BuildHashed(size_t cnt, const RowFn& row, const SlotFn& slot,
+                 const RKeyFn& rkey, ChainTable* t) {
+  if (cnt == 0) return;  // head stays empty: every probe misses
+  size_t cap = 16;
+  while (cap < cnt * 2) cap <<= 1;
+  t->mask = static_cast<uint32_t>(cap - 1);
+  t->head.assign(cap, kChainEnd);
+  t->next.resize(cnt);
+  for (size_t u = cnt; u-- > 0;) {
+    const auto k = rkey(row(u));
+    for (uint32_t s = slot(u) & t->mask;; s = (s + 1) & t->mask) {
+      const uint32_t h = t->head[s];
+      if (h == kChainEnd || rkey(row(h)) == k) {
+        t->next[u] = h;
+        t->head[s] = static_cast<uint32_t>(u);
+        break;
+      }
+    }
+  }
+}
+
+// Calls emit(j) for every build row j of a hashed table whose key
+// equals k, ascending; `slot` seeds the probe as in BuildHashed.
+template <typename Key, typename RowFn, typename RKeyFn, typename Emit>
+void ProbeHashed(const ChainTable& t, uint32_t slot, const Key& k,
+                 const RowFn& row, const RKeyFn& rkey, const Emit& emit) {
+  if (t.head.empty()) return;
+  for (uint32_t s = slot & t.mask;; s = (s + 1) & t.mask) {
+    const uint32_t h = t.head[s];
+    if (h == kChainEnd) return;
+    if (rkey(row(h)) == k) {
+      for (uint32_t u = h; u != kChainEnd; u = t.next[u]) emit(row(u));
+      return;
+    }
+  }
+}
+
+// The probe phase every slot function shares: one pair chunk per morsel
+// of the left side, so chunk-ordered concatenation is the left-major
+// pair order. match(i, emit) calls emit(j) for each build row j that
+// matches left row i, ascending.
+template <typename Match>
+void ProbeMorsels(size_t nl, size_t morsel, ThreadPool* tp,
+                  JoinPairChunks* out, const Match& match) {
+  const size_t chunks = ThreadPool::NumChunks(nl, morsel);
+  out->li.resize(chunks);
+  out->ri.resize(chunks);
+  ParallelFor(tp, nl, morsel, [&](size_t c, size_t lo, size_t hi) {
+    IdxVec& lv = out->li[c];
+    IdxVec& rv = out->ri[c];
+    for (size_t i = lo; i < hi; ++i) {
+      match(i, [&](RowIdx j) {
+        lv.push_back(static_cast<RowIdx>(i));
+        rv.push_back(j);
+      });
+    }
+  });
+}
+
+// Positional join on INT keys (MonetDB's join on dense surrogates, the
+// loop-lifted plans' iter = iter mapping joins): when the build keys
+// span at most 2 * nr + 64 values, slot = key - min. The span is taken
+// in unsigned arithmetic, so no key near INT64_MIN/MAX overflows; a
+// probe key outside [min, max] wraps to a slot past the span. False
+// (nothing emitted) when the build side is empty or its keys are
+// spread wider.
+bool PositionalJoin(const std::vector<int64_t>& lv,
+                    const std::vector<int64_t>& rv, size_t morsel,
+                    ThreadPool* tp, JoinPairChunks* out) {
+  if (rv.empty()) return false;
+  const auto [mn, mx] = std::minmax_element(rv.begin(), rv.end());
+  const uint64_t base = static_cast<uint64_t>(*mn);
+  const uint64_t span = static_cast<uint64_t>(*mx) - base;
+  if (span >= 2 * static_cast<uint64_t>(rv.size()) + 64) return false;
+  ChainTable t;
+  t.head.assign(span + 1, kChainEnd);
+  t.next.resize(rv.size());
+  for (size_t j = rv.size(); j-- > 0;) {
+    const uint64_t s = static_cast<uint64_t>(rv[j]) - base;
+    t.next[j] = t.head[s];
+    t.head[s] = static_cast<uint32_t>(j);
+  }
+  ProbeMorsels(lv.size(), morsel, tp, out, [&](size_t i, const auto& emit) {
+    const uint64_t s = static_cast<uint64_t>(lv[i]) - base;
+    if (s > span) return;
+    for (uint32_t j = t.head[s]; j != kChainEnd; j = t.next[j]) emit(j);
+  });
+  return true;
+}
+
+// The hashed slot functions. Below the morsel threshold one table is
+// chained over all build rows. Above it the radix-partitioned join runs
+// at EVERY thread count (tp == nullptr executes the same morsels
+// inline), so the path choice, like the chunk boundaries, is a function
+// of the input sizes only. Three phases, none sharing a mutable
 // structure:
 //   partition: each build-side morsel histograms rows by the top
 //              radix_bits of the remixed key hash; a partition-major
@@ -354,40 +461,30 @@ constexpr uint32_t kChainEnd = 0xffffffffu;
 //              turns the counts into disjoint scatter cursors, so each
 //              partition's row list comes out contiguous and in
 //              ascending global row order;
-//   build:     one task per partition builds a private linear-probe
-//              table over its rows: a slot holds the head/tail of an
-//              insertion-ordered chain per key, so every key's row
-//              list is ascending = the serial build order. The slot
-//              index comes from hash bits disjoint from the partition
-//              bits;
+//   build:     one task per partition chains its rows into a private
+//              table; the slot index comes from hash bits disjoint from
+//              the partition bits;
 //   probe:     each probe-side morsel walks its rows' chains and emits
-//              pairs into its own chunk; chunk-ordered concatenation
-//              reproduces the serial left-major pair order exactly.
+//              pairs into its own chunk.
 template <typename Key, typename Hash, typename LKeyFn, typename RKeyFn>
 void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
                    const RKeyFn& rkey, JoinPairChunks* out, ThreadPool* tp,
                    const KernelTuning& kt) {
   Hash hasher;
   const size_t morsel = kt.morsel_rows;
+  // Bits 32..63 of the remixed hash seed the slot index.
+  auto slot_of = [&](const Key& k) {
+    return static_cast<uint32_t>(MixHash(hasher(k)) >> 32);
+  };
   if (nl < morsel && nr < morsel) {
-    using Map = std::unordered_map<Key, IdxVec, Hash>;
-    out->li.resize(1);
-    out->ri.resize(1);
-    IdxVec& lv = out->li[0];
-    IdxVec& rv = out->ri[0];
-    Map ht;
-    ht.reserve(nr * 2);
-    for (size_t j = 0; j < nr; ++j) {
-      ht[rkey(j)].push_back(static_cast<RowIdx>(j));
-    }
-    for (size_t i = 0; i < nl; ++i) {
-      auto it = ht.find(lkey(i));
-      if (it == ht.end()) continue;
-      for (RowIdx j : it->second) {
-        lv.push_back(static_cast<RowIdx>(i));
-        rv.push_back(j);
-      }
-    }
+    auto row = [](size_t u) { return static_cast<RowIdx>(u); };
+    ChainTable t;
+    BuildHashed(
+        nr, row, [&](size_t u) { return slot_of(rkey(u)); }, rkey, &t);
+    ProbeMorsels(nl, morsel, tp, out, [&](size_t i, const auto& emit) {
+      const Key k = lkey(i);
+      ProbeHashed(t, slot_of(k), k, row, rkey, emit);
+    });
     return;
   }
   const int bits = kt.radix_bits;
@@ -433,72 +530,23 @@ void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
   });
 
   // Build phase: per-partition private tables, flat arrays only.
-  struct PartTable {
-    std::vector<uint32_t> head;  // slot -> first local row of its key
-    std::vector<uint32_t> tail;  // slot -> last local row of its key
-    std::vector<uint32_t> next;  // local row -> next row of same key
-    uint32_t mask = 0;
-  };
-  std::vector<PartTable> tables(nparts);
+  std::vector<ChainTable> tables(nparts);
   ParallelFor(tp, nparts, 1, [&](size_t p, size_t, size_t) {
-    size_t cnt = pstart[p + 1] - pstart[p];
-    if (cnt == 0) return;
-    size_t cap = 16;
-    while (cap < cnt * 2) cap <<= 1;
-    PartTable& pt = tables[p];
-    pt.mask = static_cast<uint32_t>(cap - 1);
-    pt.head.assign(cap, kEmptySlot);
-    pt.tail.assign(cap, 0);
-    pt.next.assign(cnt, kChainEnd);
     const RowIdx* rows = part_rows.data() + pstart[p];
-    for (uint32_t t = 0; t < cnt; ++t) {
-      RowIdx j = rows[t];
-      uint32_t s = slot_hash[j] & pt.mask;
-      for (;;) {
-        uint32_t h = pt.head[s];
-        if (h == kEmptySlot) {
-          pt.head[s] = t;
-          pt.tail[s] = t;
-          break;
-        }
-        if (rkey(rows[h]) == rkey(j)) {
-          pt.next[pt.tail[s]] = t;
-          pt.tail[s] = t;
-          break;
-        }
-        s = (s + 1) & pt.mask;
-      }
-    }
+    BuildHashed(
+        pstart[p + 1] - pstart[p], [rows](size_t u) { return rows[u]; },
+        [&](size_t u) { return slot_hash[rows[u]]; }, rkey, &tables[p]);
   });
 
   // Probe phase.
-  size_t pchunks = ThreadPool::NumChunks(nl, morsel);
-  out->li.resize(pchunks);
-  out->ri.resize(pchunks);
-  ParallelFor(tp, nl, morsel, [&](size_t c, size_t lo, size_t hi) {
-    IdxVec& lv = out->li[c];
-    IdxVec& rv = out->ri[c];
-    for (size_t i = lo; i < hi; ++i) {
-      Key k = lkey(i);
-      uint64_t x = MixHash(hasher(k));
-      size_t p = static_cast<size_t>(x >> (64 - bits));
-      const PartTable& pt = tables[p];
-      if (pt.head.empty()) continue;
-      const RowIdx* rows = part_rows.data() + pstart[p];
-      uint32_t s = static_cast<uint32_t>(x >> 32) & pt.mask;
-      for (;;) {
-        uint32_t h = pt.head[s];
-        if (h == kEmptySlot) break;
-        if (rkey(rows[h]) == k) {
-          for (uint32_t t = h; t != kChainEnd; t = pt.next[t]) {
-            lv.push_back(static_cast<RowIdx>(i));
-            rv.push_back(rows[t]);
-          }
-          break;
-        }
-        s = (s + 1) & pt.mask;
-      }
-    }
+  ProbeMorsels(nl, morsel, tp, out, [&](size_t i, const auto& emit) {
+    const Key k = lkey(i);
+    const uint64_t x = MixHash(hasher(k));
+    const size_t p = static_cast<size_t>(x >> (64 - bits));
+    const RowIdx* rows = part_rows.data() + pstart[p];
+    ProbeHashed(
+        tables[p], static_cast<uint32_t>(x >> 32), k,
+        [rows](uint32_t u) { return rows[u]; }, rkey, emit);
   });
 }
 
@@ -525,6 +573,9 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
     case ColType::kInt: {
       const auto& lv = l.ints();
       const auto& rv = r.ints();
+      if (PositionalJoin(lv, rv, ktc.morsel_rows, tp, out)) {
+        return Status::OK();
+      }
       HashJoinTyped<int64_t, std::hash<int64_t>>(
           lv.size(), rv.size(), [&](size_t i) { return lv[i]; },
           [&](size_t j) { return rv[j]; }, out, tp, ktc);
@@ -687,6 +738,18 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
 Table GatherPairs(const Table& l, const Table& r, const JoinPairChunks& pc,
                   ThreadPool* tp) {
   const std::vector<size_t> offs = ChunkOffsets(pc.li);
+  // A side whose concatenated indices are exactly 0..rows-1 (every row
+  // matched once, in order: the 1:1 mapping join) keeps its columns:
+  // columns are immutable once built, so the joined table shares them.
+  auto identity = [&](const Table& t, const std::vector<IdxVec>& idx) {
+    if (offs.back() != t.rows()) return false;
+    for (size_t k = 0; k < idx.size(); ++k) {
+      for (size_t m = 0; m < idx[k].size(); ++m) {
+        if (idx[k][m] != offs[k] + m) return false;
+      }
+    }
+    return true;
+  };
   // One task per chunk: chunk pair counts vary, so row-range chunking
   // would misalign with `offs`.
   auto gather = [&](const Column& c, const std::vector<IdxVec>& idx) {
@@ -704,12 +767,14 @@ Table GatherPairs(const Table& l, const Table& r, const JoinPairChunks& pc,
     return out;
   };
   Table out;
-  for (size_t i = 0; i < l.num_cols(); ++i) {
-    out.AddCol(l.name(i), gather(*l.col(i), pc.li));
-  }
-  for (size_t i = 0; i < r.num_cols(); ++i) {
-    out.AddCol(r.name(i), gather(*r.col(i), pc.ri));
-  }
+  auto add_side = [&](const Table& t, const std::vector<IdxVec>& idx) {
+    const bool share = identity(t, idx);
+    for (size_t i = 0; i < t.num_cols(); ++i) {
+      out.AddCol(t.name(i), share ? t.col(i) : gather(*t.col(i), idx));
+    }
+  };
+  add_side(l, pc.li);
+  add_side(r, pc.ri);
   return out;
 }
 

@@ -70,17 +70,21 @@ struct JoinPairChunks {
 /// Hash equi-join on one key column per side. Emits matching row pairs:
 /// for each left row in order, all matching right rows in right order
 /// (so the left order is the major result order, as the loop-lifting
-/// compilation relies on). Key columns must have identical type, one of
-/// INT, STR, ITEM.
+/// compilation relies on), in one chunk per morsel of the left side.
+/// Key columns must have identical type, one of INT, STR, ITEM.
 /// `pool` is used to canonicalize ITEM keys (untyped atomics join under
 /// their typed interpretation, integers under their double value).
-/// Above the morsel threshold both sides go through the radix-
-/// partitioned path (even serially): the build side is scattered into
-/// 2^radix_bits partitions by key-hash radix, one private flat hash
-/// table is built per partition (insertion-ordered chains, so every
-/// key's row list is ascending), and probe-side morsels emit pairs
-/// partition-locally; chunk-ordered concatenation reproduces the exact
-/// serial left-major pair order.
+/// The right (build) side is chained per key into one flat table,
+/// head[] per slot and next[] per row; the input alone picks the slot
+/// function. INT build keys spanning at most 2 * rows + 64 values (the
+/// dense iter surrogates of the mapping joins) take slot = key - min: a
+/// positional join, no hash and no probing. Otherwise, below the
+/// morsel threshold on both sides, one table hashes all build rows.
+/// Above it both sides go through the radix-partitioned path (even
+/// serially): the build side is scattered into 2^radix_bits partitions
+/// by key-hash radix, one private table is chained per partition, and
+/// probe-side morsels emit pairs partition-locally. Every path chains a
+/// key's rows ascending, so the pair order is the same on all of them.
 Status HashJoinPairsChunked(const Column& l, const Column& r,
                             const StringPool& pool, JoinPairChunks* out,
                             ThreadPool* tp = nullptr,
@@ -97,7 +101,10 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
 /// The joined table of a pair list: every column of `l` gathered at
 /// the left rows, then every column of `r` at the right rows, names
 /// preserved. Each chunk writes its own output slice, so the global
-/// pair vectors are never materialized.
+/// pair vectors are never materialized. A side whose concatenated
+/// indices are exactly 0..rows-1 (the 1:1 mapping join) is not
+/// gathered: the joined table shares its ColumnPtrs, which are never
+/// mutated once built.
 Table GatherPairs(const Table& l, const Table& r, const JoinPairChunks& pc,
                   ThreadPool* tp = nullptr);
 

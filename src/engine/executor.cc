@@ -517,6 +517,19 @@ class Exec {
       }
     }
     std::vector<int64_t> eval_ns(costed.size(), 0);
+    // Each intermediate is released after its last consumer has run:
+    // `uses` counts a node's parents among the evaluated nodes (the
+    // interior of a subtree served by a cache hit is never reached
+    // through it). The root has no consumer, and each publish
+    // candidate holds one more use, so both stay until InsertSubplan
+    // has read them.
+    std::vector<uint32_t> uses(n, 0);
+    for (uint32_t i : order) {
+      for (const auto& c : plan_.nodes[i]->children) {
+        uses[plan_.IndexOf(c.get())]++;
+      }
+    }
+    for (const alg::OpPtr* opp : publish) uses[plan_.IndexOf(opp->get())]++;
     for (uint32_t i : order) {
       Op* op = plan_.nodes[i];
       // Checkpoint: probe first (it may fire the token), then the
@@ -538,6 +551,10 @@ class Exec {
       }
       PF_RETURN_NOT_OK(Charge(static_cast<int64_t>(t.ByteSize())));
       memo_[i] = std::move(t);
+      for (const auto& c : op->children) {
+        const size_t k = plan_.IndexOf(c.get());
+        if (--uses[k] == 0) memo_[k] = Table{};
+      }
     }
     if (cache) {
       // Nodes already summed for candidate k carry seen == k + 1.
@@ -1187,7 +1204,7 @@ class Exec {
 
   QueryContext* ctx_;
   alg::PlanNumbering plan_;
-  std::vector<Table> memo_;          // by node number
+  std::vector<Table> memo_;  // by node number; dropped after last use
   std::vector<OpProfileRec> recs_;   // by node number; profiling only
   int64_t mem_charged_ = 0;   // materialized bytes vs ctx mem budget
 };

@@ -212,8 +212,9 @@ class QueryContext {
   /// nodes (bytes; 0 = off). The executor charges each materialized
   /// table's byte size, and each constructed tree's encoding bytes as
   /// the tree is appended, and aborts with ResourceExhausted once the
-  /// sum exceeds the budget — an approximation of peak usage (memoized
-  /// tables and fragments live for the query).
+  /// sum exceeds the budget. The charge is cumulative: the executor
+  /// releases each table after its last consumer but credits nothing
+  /// back.
   int64_t mem_limit_bytes = 0;
 
   /// Executor checkpoint probe (tests); empty = no calls.

@@ -192,6 +192,68 @@ TEST_F(KernelTest, ThetaJoinStringFallback) {
   EXPECT_EQ(li.size(), 1u);
 }
 
+TEST_F(KernelTest, HashJoinDenseKeysArePositional) {
+  // Build keys 3..6 (duplicated 4, gap at 5) span 4 values: slot =
+  // key - 3. Probe keys outside the span, 2 and 7, and INT64_MIN miss.
+  IdxVec li, ri;
+  ASSERT_TRUE(HashJoinFlat(*IntCol({4, 2, 6, 7, 3, INT64_MIN}),
+                           *IntCol({6, 4, 3, 4}), pool_, &li, &ri)
+                  .ok());
+  EXPECT_EQ(li, (IdxVec{0, 0, 2, 4}));
+  EXPECT_EQ(ri, (IdxVec{1, 3, 0, 2}));
+}
+
+// A table of one INT column, `name`.
+Table OneCol(std::string_view name, std::vector<int64_t> v) {
+  Table t;
+  t.AddCol(C(name), IntCol(std::move(v)));
+  return t;
+}
+
+TEST_F(KernelTest, GatherPairsSharesAnIdentitySide) {
+  Table l = OneCol("a", {10, 20, 30});
+  Table r = OneCol("b", {7, 8, 9});
+  // Left indices 0..2 across two chunks (the 1:1 mapping join): the
+  // left column is handed through, the permuted right one is gathered.
+  JoinPairChunks pc;
+  pc.li = {{0, 1}, {2}};
+  pc.ri = {{2, 0}, {1}};
+  Table t = GatherPairs(l, r, pc);
+  EXPECT_EQ(t.col(0), l.col(0));
+  EXPECT_NE(t.col(1), r.col(0));
+  EXPECT_EQ(t.col(1)->ints(), (std::vector<int64_t>{9, 7, 8}));
+  // The mirror image: the right side is the identity.
+  std::swap(pc.li, pc.ri);
+  t = GatherPairs(l, r, pc);
+  EXPECT_NE(t.col(0), l.col(0));
+  EXPECT_EQ(t.col(0)->ints(), (std::vector<int64_t>{30, 10, 20}));
+  EXPECT_EQ(t.col(1), r.col(0));
+}
+
+TEST_F(KernelTest, GatherPairsCopiesUnmatchedAndRepeatedRows) {
+  Table l = OneCol("a", {10, 20, 30});
+  Table r = OneCol("b", {7, 8, 9});
+  struct Case {
+    std::vector<IdxVec> idx;
+    std::vector<int64_t> l_out, r_out;
+  };
+  const std::vector<Case> cases = {
+      {{{0, 2}}, {10, 30}, {7, 9}},                  // row 1 unmatched
+      {{{0, 1}, {1, 2}}, {10, 20, 20, 30}, {7, 8, 8, 9}},  // row 1 twice
+      {{{0, 1}, {0}}, {10, 20, 10}, {7, 8, 7}},      // a restart, 3 pairs
+  };
+  for (const Case& c : cases) {
+    JoinPairChunks pc;
+    pc.li = c.idx;
+    pc.ri = c.idx;
+    Table t = GatherPairs(l, r, pc);
+    EXPECT_NE(t.col(0), l.col(0));
+    EXPECT_NE(t.col(1), r.col(0));
+    EXPECT_EQ(t.col(0)->ints(), c.l_out);
+    EXPECT_EQ(t.col(1)->ints(), c.r_out);
+  }
+}
+
 TEST_F(KernelTest, SortPermStableAndOrdered) {
   Table t;
   t.AddCol(C("k"), IntCol({3, 1, 3, 2}));

@@ -164,6 +164,59 @@ TEST_F(ParallelDeterminismTest, HashJoinStrAndItemKeys) {
   }
 }
 
+TEST_F(ParallelDeterminismTest, MappingJoinSharesTheProbeSide) {
+  // The loop-lifted mapping join: probe iters 1..n in order against a
+  // shuffled 1..n build side. Every probe row matches once, in order,
+  // so at every pool size the joined table shares the probe side's
+  // columns and gathers the build side's to the same bytes.
+  std::vector<int64_t> iters(kRows);
+  for (size_t i = 0; i < kRows; ++i) iters[i] = static_cast<int64_t>(i) + 1;
+  auto probe = Column::MakeInt(kRows);
+  probe->ints() = iters;
+  Rng rng(45);
+  for (size_t i = kRows; i > 1; --i) {
+    std::swap(iters[i - 1], iters[rng.Below(i)]);
+  }
+  auto build = Column::MakeInt(kRows);
+  build->ints() = iters;
+  Table l, r;
+  l.AddCol(C("iter"), probe);
+  l.AddCol(C("item"), RandItems(kRows, 46));
+  r.AddCol(C("iter1"), build);
+  r.AddCol(C("pos"), RandInts(kRows, 0, 9, 47));
+  auto join = [&](const Column& build_keys, ThreadPool* tp) {
+    JoinPairChunks pc;
+    EXPECT_TRUE(
+        HashJoinPairsChunked(*probe, build_keys, pool_, &pc, tp).ok());
+    return GatherPairs(l, r, pc, tp);
+  };
+  Table serial = join(*build, nullptr);
+  ASSERT_EQ(serial.rows(), kRows);
+  EXPECT_EQ(serial.col(2)->ints(), probe->ints());
+  for (ThreadPool* tp : Pools()) {
+    Table par = join(*build, tp);
+    EXPECT_EQ(par.col(0), l.col(0));
+    EXPECT_EQ(par.col(1), l.col(1));
+    EXPECT_EQ(par.col(2)->ints(), serial.col(2)->ints());
+    EXPECT_EQ(par.col(3)->ints(), serial.col(3)->ints());
+  }
+  // Build row 0 takes row 1's key: that key's probe row matches twice
+  // and row 0's old key's probe row not at all. The pair count is still
+  // n, but the probe side is no longer 0..n-1, so it is gathered.
+  Column twice = *build;
+  twice.ints()[0] = twice.ints()[1];
+  Table dup = join(twice, nullptr);
+  ASSERT_EQ(dup.rows(), kRows);
+  EXPECT_NE(dup.col(0), l.col(0));
+  for (ThreadPool* tp : Pools()) {
+    Table par = join(twice, tp);
+    EXPECT_NE(par.col(0), l.col(0));
+    EXPECT_EQ(par.col(0)->ints(), dup.col(0)->ints());
+    EXPECT_EQ(par.col(1)->items(), dup.col(1)->items());
+    EXPECT_EQ(par.col(3)->ints(), dup.col(3)->ints());
+  }
+}
+
 TEST_F(ParallelDeterminismTest, ThetaJoinNumericAndItemFallback) {
   ColumnPtr l = RandInts(2000, 0, 5000, 41);
   ColumnPtr r = RandInts(1500, 0, 5000, 42);

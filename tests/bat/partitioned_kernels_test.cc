@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,47 @@ class PartitionedKernelsTest : public ::testing::Test {
     }
   }
 
+  // The nested-loop pairs, from every path: no pool and each pool
+  // size, under every tuning (radix_bits and morsel_rows move the
+  // radix path's partitions and the hashed/radix threshold).
+  void ExpectJoinMatchesNaive(const Column& l, const Column& r) {
+    IdxVec nl, nr;
+    NaiveIntJoin(l, r, &nl, &nr);
+    std::vector<ThreadPool*> pools = Pools();
+    pools.insert(pools.begin(), nullptr);
+    for (ThreadPool* tp : pools) {
+      for (const KernelTuning& kt : Tunings()) {
+        IdxVec pl, pr;
+        ASSERT_TRUE(HashJoinFlat(l, r, pool_, &pl, &pr, tp, kt).ok());
+        EXPECT_EQ(pl, nl) << "threads "
+                          << (tp == nullptr ? 0 : tp->num_threads())
+                          << " radix_bits " << kt.radix_bits << " morsel "
+                          << kt.morsel_rows;
+        EXPECT_EQ(pr, nr);
+      }
+    }
+  }
+
+  // 0..n-1 shifted by `base`, in an Rng-shuffled order.
+  ColumnPtr ShuffledRange(size_t n, int64_t base, uint64_t seed) {
+    std::vector<int64_t> v(n);
+    for (size_t i = 0; i < n; ++i) v[i] = base + static_cast<int64_t>(i);
+    Rng rng(seed);
+    for (size_t i = n; i > 1; --i) std::swap(v[i - 1], v[rng.Below(i)]);
+    return IntCol(v);
+  }
+
+  // n keys drawn from `distinct` values spaced a million apart: far
+  // too sparse for the positional path, so the hashed paths run.
+  ColumnPtr SparseInts(size_t n, int64_t distinct, uint64_t seed) {
+    auto c = Column::MakeInt(n);
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      c->ints().push_back(rng.Range(0, distinct - 1) * 1000003);
+    }
+    return c;
+  }
+
   StringPool pool_;
   ThreadPool pool1_{1};
   ThreadPool pool2_{2};
@@ -217,6 +259,103 @@ TEST_F(PartitionedKernelsTest, RadixJoinStrAndItemKeys) {
   ASSERT_TRUE(HashJoinFlat(*li, *ri, pool_, &sl, &sr, nullptr).ok());
   EXPECT_GT(sl.size(), 0u);
   ExpectJoinMatchesSerial(*li, *ri);
+}
+
+// INT build keys spanning at most 2 * rows + 64 values take the
+// positional slot function (slot = key - min). Probe keys below, inside
+// and above the span, with unique, duplicated, gapped and negative
+// build keys, must give the nested-loop pairs.
+TEST_F(PartitionedKernelsTest, PositionalJoinDenseKeysMatchNaive) {
+  {
+    SCOPED_TRACE("unique: a shuffled 1..n, the mapping-join shape");
+    ColumnPtr r = ShuffledRange(6000, 1, 51);
+    ColumnPtr l = RandInts(9000, -3, 6003, 52);
+    ExpectJoinMatchesNaive(*l, *r);
+    ExpectJoinMatchesNaive(*ShuffledRange(6000, 1, 53), *r);
+  }
+  {
+    SCOPED_TRACE("duplicated");
+    ExpectJoinMatchesNaive(*RandInts(7000, -5, 1205, 54),
+                           *RandInts(5000, 0, 1200, 55));
+  }
+  {
+    SCOPED_TRACE("gapped: even keys only");
+    ColumnPtr r = ShuffledRange(3000, 0, 56);
+    for (int64_t& k : r->ints()) k *= 2;
+    ExpectJoinMatchesNaive(*RandInts(5000, -2, 6001, 57), *r);
+  }
+  {
+    SCOPED_TRACE("negative");
+    ExpectJoinMatchesNaive(*RandInts(5000, -2100, 100, 58),
+                           *RandInts(3000, -2000, -1, 59));
+  }
+  {
+    SCOPED_TRACE("span 2n+63 (positional) and 2n+64 (hashed)");
+    for (int64_t top : {2 * 500 + 63, 2 * 500 + 64}) {
+      ColumnPtr r = RandInts(500, 1, top - 1, 60);
+      r->ints()[0] = 0;
+      r->ints()[499] = top;
+      ExpectJoinMatchesNaive(*RandInts(800, -1, top + 1, 61), *r);
+    }
+  }
+}
+
+// A build column holding INT64_MIN and INT64_MAX spans every value: its
+// span must not overflow (UBSan) and must send it to the hashed paths.
+// Dense build keys next to either extreme stay positional, and probe
+// keys at the opposite extreme must wrap to a miss.
+TEST_F(PartitionedKernelsTest, JoinKeysAtInt64Extremes) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> probe = {kMax, 0,       kMin,     7,
+                                      -1,   kMin + 1, kMax - 1, kMax};
+  ExpectJoinMatchesNaive(*IntCol(probe),
+                         *IntCol({kMin, kMax, 0, -1, kMax, 5, kMin}));
+  ExpectJoinMatchesNaive(*IntCol(probe),
+                         *IntCol({kMax - 2, kMax, kMax - 1, kMax}));
+  ExpectJoinMatchesNaive(*IntCol(probe),
+                         *IntCol({kMin + 1, kMin, kMin + 2, kMin}));
+  // Past the morsel threshold: the radix path, extremes included.
+  ColumnPtr r = SparseInts(6000, 3000, 62);
+  ColumnPtr l = SparseInts(7000, 3000, 63);
+  for (size_t i = 0; i < 40; ++i) {
+    r->ints()[i * 150] = i % 2 ? kMax : kMin;
+    l->ints()[i * 170] = i % 3 ? kMin : kMax;
+  }
+  ExpectJoinMatchesNaive(*l, *r);
+}
+
+TEST_F(PartitionedKernelsTest, JoinEmptyAndOneRowSides) {
+  const std::vector<std::vector<int64_t>> sides = {
+      {}, {5}, {int64_t{1} << 40}, {5, 9, 5}};
+  for (const auto& l : sides) {
+    for (const auto& r : sides) {
+      ExpectJoinMatchesNaive(*IntCol(l), *IntCol(r));
+    }
+  }
+  // One row against a side past the morsel threshold, dense and sparse.
+  for (ColumnPtr big : {RandInts(5000, 0, 99, 64), SparseInts(5000, 99, 65)}) {
+    for (const ColumnPtr& one : {IntCol({big->ints()[17]}), IntCol({-1})}) {
+      ExpectJoinMatchesNaive(*one, *big);
+      ExpectJoinMatchesNaive(*big, *one);
+    }
+  }
+}
+
+// Both sides under the morsel threshold take the one hashed table;
+// either side at or over it takes the radix partitions. Dense keys take
+// the positional path at every size.
+TEST_F(PartitionedKernelsTest, JoinSidesAroundMorselThreshold) {
+  const size_t m = KernelTuning().morsel_rows;
+  for (size_t nl : {m - 1, m, m + 1}) {
+    for (size_t nr : {m - 1, m + 1}) {
+      SCOPED_TRACE(std::to_string(nl) + " x " + std::to_string(nr));
+      ExpectJoinMatchesNaive(*SparseInts(nl, 1500, 66 + nl),
+                             *SparseInts(nr, 1500, 67 + nr));
+      ExpectJoinMatchesNaive(*RandInts(nl, 0, 1500, 68 + nl),
+                             *RandInts(nr, 0, 1500, 69 + nr));
+    }
+  }
 }
 
 TEST_F(PartitionedKernelsTest, MergeSortMatchesSerialStableSort) {

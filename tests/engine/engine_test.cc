@@ -2,6 +2,7 @@
 
 #include "algebra/op.h"
 #include "api/pathfinder.h"
+#include "engine/cache.h"
 #include "engine/executor.h"
 #include "engine/node_build.h"
 #include "xml/serializer.h"
@@ -222,6 +223,119 @@ TEST_F(EngineTest, SharedSubplanEvaluatedOnce) {
   OpPtr ord1 = alg::Attach(ipi, C("ord"), ColType::kInt, Item::Int(1));
   Run(alg::DisjointUnion(ord0, ord1));
   EXPECT_EQ(ctx_->num_constructed(), 1u);
+}
+
+// --- releasing intermediates ----------------------------------------------
+
+TEST_F(EngineTest, NodeReadByTwoDistantParentsLivesUntilTheLast) {
+  // `x` feeds the first link of an 18-operator chain and, last in the
+  // post-order, the join's right input: its table must outlive the
+  // chain although the chain's first link is long done with it.
+  OpPtr x = Lit({{Item::Int(1), Item::Int(1), Item::Int(10)},
+                 {Item::Int(2), Item::Int(1), Item::Int(20)},
+                 {Item::Int(3), Item::Int(1), Item::Int(30)}});
+  OpPtr chain = x;
+  for (int k = 0; k < 6; ++k) {
+    OpPtr one = alg::Attach(chain, C("one"), ColType::kItem, Item::Int(1));
+    OpPtr sum = alg::MapFun2(one, alg::Fun2::kAdd, C("item"), C("one"),
+                             C("sum"));
+    chain = alg::Project(sum, {{C("iter"), C("iter")},
+                               {C("pos"), C("pos")},
+                               {C("item"), C("sum")}});
+  }
+  OpPtr right =
+      alg::Project(x, {{C("iter1"), C("iter")}, {C("item1"), C("item")}});
+  bat::Table t = Run(alg::EquiJoin(chain, right, C("iter"), C("iter1")));
+  ASSERT_EQ(t.rows(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const int64_t v = 10 * static_cast<int64_t>(i + 1);
+    EXPECT_EQ(t.GetCol(C("iter1")).value()->ints()[i],
+              static_cast<int64_t>(i + 1));
+    EXPECT_EQ(t.GetCol(C("item")).value()->items()[i].AsInt(), v + 6);
+    EXPECT_EQ(t.GetCol(C("item1")).value()->items()[i].AsInt(), v);
+  }
+}
+
+class EngineCacheTest : public EngineTest {
+ protected:
+  // Runs a freshly built `plan` against cache_, wired as Pathfinder::Run
+  // wires a query: sync, annotate the candidates, execute.
+  Result<bat::Table> RunCached(const OpPtr& plan, QueryContext* ctx) {
+    xml::Database::DocVersions v = db_.Versions();
+    cache_.BeginQuery(v.generation, v.docs, /*repair=*/true);
+    AnnotateCacheCandidates(plan, *db_.pool());
+    ctx->result_cache = &cache_;
+    ctx->cache_generation = v.generation;
+    return Execute(plan, ctx);
+  }
+
+  OpPtr Doc() {
+    return alg::DocRoot(Lit({{Item::Int(1), Item::Int(1), Str("t.xml")}}));
+  }
+  OpPtr Descendants(OpPtr in, const char* name) {
+    return alg::Step(std::move(in), accel::Axis::kDescendant,
+                     accel::NodeTest::Name(Id(name)));
+  }
+
+  // The rows of `plan` without a cache.
+  std::vector<Item> Uncached(const OpPtr& plan) {
+    QueryContext ctx(&db_);
+    auto t = Execute(plan, &ctx);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return t.ok() ? t->GetCol(C("item")).value()->items()
+                  : std::vector<Item>{};
+  }
+
+  void SetUp() override {
+    EngineTest::SetUp();
+    cache_.SetMinCostUs(0);  // admit every candidate
+  }
+
+  QueryCache cache_{size_t{1} << 20};
+};
+
+TEST_F(EngineCacheTest, ChildSharedWithACacheHitSubtree) {
+  QueryContext first(&db_);
+  ASSERT_TRUE(RunCached(Descendants(Doc(), "a"), &first).ok());
+  ASSERT_EQ(first.subplan_cache_admitted, 1);
+  // descendant::a is served from the cache, so the DocRoot below it is
+  // evaluated for descendant::b alone: one evaluated consumer, though
+  // two parents in the plan.
+  auto plan = [&] {
+    OpPtr doc = Doc();
+    return alg::DisjointUnion(Descendants(doc, "a"), Descendants(doc, "b"));
+  };
+  QueryContext second(&db_);
+  auto t = RunCached(plan(), &second);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(second.subplan_cache_hits, 1);
+  ASSERT_EQ(t->rows(), 3u);
+  EXPECT_EQ(t->GetCol(C("item")).value()->items(), Uncached(plan()));
+}
+
+TEST_F(EngineCacheTest, PublishCandidateOutlivesItsLastConsumer) {
+  // descendant::a's only consumer runs early, but the candidate's table
+  // must still be whole when it is published after the whole plan ran.
+  auto a_items = [&](const char* as) {
+    return alg::Project(Descendants(Doc(), "a"),
+                        {{C("iter"), C("iter")}, {C(as), C("item")}});
+  };
+  OpPtr first_plan = alg::DisjointUnion(
+      alg::Project(a_items("item"), {{C("iter"), C("iter")},
+                                     {C("item"), C("item")}}),
+      Descendants(Doc(), "b"));
+  QueryContext first(&db_);
+  ASSERT_TRUE(RunCached(first_plan, &first).ok());
+  EXPECT_EQ(first.subplan_cache_admitted, 3);  // root, both steps
+  // A new plan over the same step: it misses at its root and is served
+  // descendant::a from the cache.
+  QueryContext second(&db_);
+  auto t = RunCached(a_items("a"), &second);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(second.subplan_cache_hits, 1);
+  ASSERT_EQ(t->rows(), 2u);
+  EXPECT_EQ(t->GetCol(C("a")).value()->items(),
+            Uncached(Descendants(Doc(), "a")));
 }
 
 // --- node_build ----------------------------------------------------------
