@@ -59,8 +59,39 @@ struct NodeTest {
 /// Does node v of doc satisfy the test in the context of `axis`?
 /// (On the attribute axis a name test matches attribute names; on all
 /// other axes it matches element tags, and attributes never match.)
-bool MatchesTest(const xml::Document& doc, xml::Pre v, Axis axis,
-                 const NodeTest& test);
+/// Inline: the staircase scans call it once per encoding row.
+inline bool MatchesTest(const xml::Document& doc, xml::Pre v, Axis axis,
+                        const NodeTest& test) {
+  xml::NodeKind k = doc.kind(v);
+  if (axis == Axis::kAttribute) {
+    if (k != xml::NodeKind::kAttr) return false;
+    switch (test.kind) {
+      case NodeTest::Kind::kAnyKind:
+      case NodeTest::Kind::kElement:  // attribute::* selects attributes
+        return true;
+      case NodeTest::Kind::kName:
+        return doc.prop(v) == test.name;
+      default:
+        return false;
+    }
+  }
+  if (k == xml::NodeKind::kAttr) return false;
+  switch (test.kind) {
+    case NodeTest::Kind::kAnyKind:
+      return true;
+    case NodeTest::Kind::kElement:
+      return k == xml::NodeKind::kElem;
+    case NodeTest::Kind::kText:
+      return k == xml::NodeKind::kText;
+    case NodeTest::Kind::kComment:
+      return k == xml::NodeKind::kComment;
+    case NodeTest::Kind::kPi:
+      return k == xml::NodeKind::kPi;
+    case NodeTest::Kind::kName:
+      return k == xml::NodeKind::kElem && doc.prop(v) == test.name;
+  }
+  return false;
+}
 
 }  // namespace pathfinder::accel
 

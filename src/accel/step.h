@@ -1,6 +1,8 @@
 #ifndef PATHFINDER_ACCEL_STEP_H_
 #define PATHFINDER_ACCEL_STEP_H_
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "accel/axis.h"
@@ -31,8 +33,8 @@ struct StaircaseStats {
   size_t results = 0;
   /// Path-summary consumption (PF_PATHSUM). `path_partitions_pruned`
   /// counts summary path partitions a name-test scan never fanned out
-  /// to (the non-matching element paths, once per pruned staircase
-  /// call); `structural_answers` counts step evaluations answered
+  /// to (the non-matching element paths, once per run of a region
+  /// axis); `structural_answers` counts step evaluations answered
   /// entirely from the summary's partitions (kPathScan groups) without
   /// touching the encoding. Both are computed in the serial planning
   /// phase, so they are identical at every thread count.
@@ -41,8 +43,8 @@ struct StaircaseStats {
 
   void Reset() { *this = StaircaseStats{}; }
 
-  /// Accumulate counters from another evaluation (used to fold
-  /// per-group stats back together when Step groups run in parallel).
+  /// Accumulate counters from another evaluation (per-chunk counters
+  /// fold back together in chunk order).
   void Merge(const StaircaseStats& o) {
     contexts_in += o.contexts_in;
     contexts_pruned += o.contexts_pruned;
@@ -53,49 +55,100 @@ struct StaircaseStats {
   }
 };
 
-/// Staircase join (paper [7], Sec. 2 "XPath axes"): evaluate one axis
-/// step for a whole *sequence* of context nodes in a single pass.
+/// A node of a Step's context or result relation: (fragment << 32) |
+/// pre, the payload of a node item, so ascending refs are ascending
+/// (fragment, document order).
+using NodeRef = uint64_t;
+
+inline NodeRef MakeRef(uint32_t frag, xml::Pre pre) {
+  return (static_cast<NodeRef>(frag) << 32) | pre;
+}
+inline uint32_t RefFrag(NodeRef r) { return static_cast<uint32_t>(r >> 32); }
+inline xml::Pre RefPre(NodeRef r) { return static_cast<xml::Pre>(r); }
+
+/// A loop-lifted node relation: row k is (iter[k], node[k]).
+struct IterNodes {
+  std::vector<int64_t> iter;
+  std::vector<NodeRef> node;
+
+  size_t size() const { return iter.size(); }
+  bool empty() const { return iter.empty(); }
+  void Add(int64_t it, NodeRef n) {
+    iter.push_back(it);
+    node.push_back(n);
+  }
+};
+
+/// What the join reads of one fragment: its encoding and, when the
+/// join may consume it, its path summary (else null).
+struct Fragment {
+  const xml::Document* doc = nullptr;
+  const xml::PathSummary* summary = nullptr;
+};
+
+/// Resolves a fragment id. The join calls it once per fragment change
+/// along the relation, possibly from several threads at once.
+using FragmentFn = std::function<Fragment(uint32_t frag)>;
+
+/// Polled once per chunk; true skips the chunk, its rows and counters.
+using StopFn = std::function<bool()>;
+
+/// Loop-lifted staircase join (paper [7], Sec. 2 "XPath axes"):
+/// evaluate one axis step for every iteration of a Step in one pass.
 ///
-/// `contexts` must be duplicate-free and sorted by pre (document order);
-/// the result is duplicate-free and in document order — i.e. the
-/// operator has the fs:distinct-doc-order postcondition built in, which
+/// `contexts` must be sorted by (iter, node) and duplicate-free per
+/// iteration. A *run* is a maximal stretch of contexts with one iter
+/// and one fragment; for following and preceding in a constructed
+/// forest it also ends at a tree boundary, as those are the only axes
+/// that could leave a context's tree. Each run is joined as one
+/// context sequence, and its results are appended to `out` as (iter,
+/// node) rows: duplicate-free per iteration and in (iter, document
+/// order) — the fs:distinct-doc-order postcondition is built in, which
 /// is why the compiler can drop explicit sort/dedup steps after it.
 ///
-/// `root` bounds following and preceding to one tree, as in NaiveStep:
-/// for those two axes every context must lie in the tree whose
-/// document node is `root` (0 for a stored document). The other axes
-/// stay inside their contexts' trees on their own and ignore it.
-///
-/// Tree-awareness exploited:
+/// Tree-awareness exploited per run:
 ///  * pruning: context nodes covered by another context are dropped
 ///    before scanning (descendant/ancestor/self variants),
 ///  * partitioning: the remaining contexts partition the pre axis, so
 ///    each encoding row is inspected at most once,
 ///  * skipping: subtrees that cannot contain results are jumped over
 ///    via the size column.
+/// With a path summary (Fragment::summary) the name-test variants of
+/// the region axes — descendant, descendant-or-self, following,
+/// preceding — read the candidate set from the tag's path partitions
+/// instead of scanning the encoding; results and their order are the
+/// same, only `nodes_scanned` drops to the candidate count and
+/// `path_partitions_pruned` reports the partitions skipped.
 ///
-/// With a ThreadPool the scan phase runs morsel-parallel: the
-/// partitioning property above means the pruned contexts' scan ranges
-/// are disjoint and ascending, so range chunks can be evaluated
-/// independently and concatenated in chunk order without any re-sort —
-/// results and stats are identical to the serial evaluation at every
-/// thread count. Pruning itself stays serial (it is a linear pass over
-/// the context sequence, tiny next to the scans).
-/// With `summary` (the document's path summary, see xml/path_summary.h)
-/// the name-test variants of the region-scanning axes — descendant,
-/// descendant-or-self, following, preceding — skip the encoding scan
-/// entirely: the candidate set is read from the tag's path partitions
-/// (binary-searched to the scan range and merged in document order), so
-/// only rows that can match are ever touched. Results and their order
-/// are identical with and without a summary; only `nodes_scanned`
-/// drops to the candidate count and `path_partitions_pruned` reports
-/// the partitions skipped.
-void StaircaseJoin(const xml::Document& doc, xml::Pre root,
+/// Work is cut into chunks by input size alone: the local axes (self,
+/// attribute, child, parent, siblings, ancestor) by contexts, the
+/// region axes by the flat row space of all runs' surviving scan
+/// ranges (after a serial pruning pass), so a single `//x` root
+/// context still splits. Chunks run on `tp` when given and concatenate
+/// in chunk order; where one iteration's results interleave (child,
+/// parent, siblings, ancestor) its slice is sorted, and deduplicated
+/// where several contexts can reach one node. Results and stats are
+/// identical at every thread count, and identical to joining each run
+/// on its own.
+void StaircaseJoin(const IterNodes& contexts, const FragmentFn& frags,
+                   Axis axis, const NodeTest& test, IterNodes* out,
+                   StaircaseStats* stats = nullptr, ThreadPool* tp = nullptr,
+                   const StopFn& stop = {});
+
+/// The join for one context sequence: one iteration over `doc`.
+/// `contexts` must be duplicate-free and in document order; results
+/// are appended to `out` in document order.
+void StaircaseJoin(const xml::Document& doc,
                    const std::vector<xml::Pre>& contexts, Axis axis,
                    const NodeTest& test, std::vector<xml::Pre>* out,
-                   StaircaseStats* stats = nullptr,
-                   ThreadPool* tp = nullptr,
+                   StaircaseStats* stats = nullptr, ThreadPool* tp = nullptr,
                    const xml::PathSummary* summary = nullptr);
+
+/// The staircase ablation (QueryContext::use_staircase = false): a
+/// NaiveStep per context, then each iteration's results sorted and
+/// deduplicated. Same input contract and output as StaircaseJoin.
+void NaiveJoin(const IterNodes& contexts, const FragmentFn& frags,
+               Axis axis, const NodeTest& test, IterNodes* out);
 
 }  // namespace pathfinder::accel
 

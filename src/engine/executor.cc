@@ -596,8 +596,9 @@ class Exec {
   }
 
   /// Cooperative cancellation checkpoint: OK while the query may keep
-  /// running. Called between operators, after a Step's scans and per
-  /// path-scan group, so long scans abort mid-operator too.
+  /// running. Called between operators, after a Step's join (whose
+  /// chunks poll the token too) and per summary-answered path-scan
+  /// run, so long scans abort mid-operator too.
   Status TokenCheck() {
     if (ctx_->cancel_token != nullptr) {
       PF_RETURN_NOT_OK(ctx_->cancel_token->Check());
@@ -776,105 +777,76 @@ class Exec {
     return Status::Internal("unhandled operator in executor");
   }
 
-  // One (iter, fragment) context group of a Step: a slice of the
-  // deduplicated context-pre vector built by GroupContexts. `root` is
-  // the document node of the contexts' tree where the group was split
-  // at tree boundaries, else 0.
-  struct StepGroup {
-    int64_t iter = 0;
-    uint32_t frag = 0;
-    xml::Pre root = 0;
-    size_t ctx_begin = 0, ctx_end = 0;
-  };
-
-  // Groups a Step's (iter, item) input by context: rows ordered by
-  // (iter, item.raw), one group per (iter, fragment) run, consecutive
-  // duplicate context nodes dropped. Rows that tie under this order are
-  // bit-identical, so any tie order yields the same groups. With
-  // `split_trees`, a run in a constructed forest splits further at tree
-  // boundaries, so following and preceding scan only their own tree;
-  // the groups stay in document order.
-  Status GroupContexts(const Table& in, std::vector<StepGroup>* groups,
-                       std::vector<xml::Pre>* ctxs, bool split_trees) {
+  // A Step's context relation: the (iter, item) rows sorted by (iter,
+  // item.raw), so by (iter, fragment, pre), with each iteration's
+  // repeated nodes dropped. Rows that tie under this order are
+  // bit-identical, so any tie order yields the same relation.
+  Result<accel::IterNodes> StepContexts(const Table& in) {
     PF_ASSIGN_OR_RETURN(ColumnPtr iter_c, in.GetCol(bat::kIter));
     PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
     const auto& items = item_c->items();
-    const size_t n = in.rows();
     PF_ASSIGN_OR_RETURN(
         IdxVec perm,
         bat::StableSortRows(
-            n,
+            in.rows(),
             [&](RowIdx a, RowIdx b) -> Result<int> {
               if (iters[a] != iters[b]) return iters[a] < iters[b] ? -1 : 1;
               return (items[a].raw > items[b].raw) -
                      (items[a].raw < items[b].raw);
             },
             tp(), kt()));
-    size_t i = 0;
-    while (i < n) {
-      int64_t iter = iters[perm[i]];
-      size_t j = i;
-      while (j < n && iters[perm[j]] == iter) ++j;
-      // Per fragment within [i, j).
-      size_t k = i;
-      while (k < j) {
-        const Item& first = items[perm[k]];
-        if (!first.IsNode()) {
-          return Status::TypeError("path step applied to an atomic value");
-        }
-        uint32_t frag = first.NodeFrag();
-        const xml::Document* forest =
-            split_trees && !ctx_->doc(frag).tree_roots().empty()
-                ? &ctx_->doc(frag)
-                : nullptr;
-        xml::Pre root = forest ? forest->TreeRoot(first.NodePre()) : 0;
-        size_t begin = ctxs->size();
-        size_t m = k;
-        while (m < j && items[perm[m]].NodeFrag() == frag) {
-          xml::Pre p = items[perm[m]].NodePre();
-          if (forest && forest->TreeRoot(p) != root) {
-            groups->push_back({iter, frag, root, begin, ctxs->size()});
-            root = forest->TreeRoot(p);
-            begin = ctxs->size();
-          }
-          if (ctxs->size() == begin || ctxs->back() != p) ctxs->push_back(p);
-          ++m;
-        }
-        groups->push_back({iter, frag, root, begin, ctxs->size()});
-        k = m;
+    accel::IterNodes ctxs;
+    ctxs.iter.reserve(perm.size());
+    ctxs.node.reserve(perm.size());
+    for (RowIdx r : perm) {
+      const Item& it = items[r];
+      if (!it.IsNode()) {
+        return Status::TypeError("path step applied to an atomic value");
       }
-      i = j;
+      if (!ctxs.empty() && ctxs.iter.back() == iters[r] &&
+          ctxs.node.back() == it.raw) {
+        continue;
+      }
+      ctxs.Add(iters[r], it.raw);
     }
-    return Status::OK();
+    return ctxs;
   }
 
-  // The (iter, item) output of a Step: each group's result nodes under
-  // its iter, groups in order, every group scattered into its exact
-  // output slice.
-  Table StepOutput(const std::vector<StepGroup>& groups,
-                   const std::vector<std::vector<xml::Pre>>& gres) {
-    std::vector<size_t> off(groups.size() + 1, 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      off[g + 1] = off[g] + gres[g].size();
-    }
-    auto out_iter = Column::MakeInt(off.back());
-    auto out_item = Column::MakeItem(off.back());
-    out_iter->ints().resize(off.back());
-    out_item->items().resize(off.back());
-    ParallelFor(tp(), groups.size(), 1, [&](size_t, size_t lo, size_t hi) {
-      for (size_t g = lo; g < hi; ++g) {
-        const xml::Document& doc = ctx_->doc(groups[g].frag);
-        size_t o = off[g];
-        for (xml::Pre r : gres[g]) {
-          out_iter->ints()[o] = groups[g].iter;
-          out_item->items()[o] = doc.kind(r) == xml::NodeKind::kAttr
-                                     ? Item::Attr(groups[g].frag, r)
-                                     : Item::Node(groups[g].frag, r);
-          ++o;
-        }
+  // The staircase join's view of the query's fragments.
+  accel::FragmentFn Fragments() const {
+    return [ctx = ctx_](uint32_t f) {
+      const xml::Document& d = ctx->doc(f);
+      return accel::Fragment{&d, ctx->path_summary ? d.summary() : nullptr};
+    };
+  }
+
+  // Cancellation inside the step kernel: polled once per chunk (which
+  // also fires an expired deadline). A fired token skips the remaining
+  // chunks; the caller's TokenCheck turns it into the error.
+  accel::StopFn StopPoll() const {
+    return [token = ctx_->cancel_token] {
+      return token != nullptr && !token->Check().ok();
+    };
+  }
+
+  // The (iter, item) table of a Step's result relation.
+  Table StepTable(accel::IterNodes rows) {
+    auto out_iter = Column::MakeInt();
+    auto out_item = Column::MakeItem(rows.size());
+    std::vector<Item>& items = out_item->items();
+    const xml::Document* doc = nullptr;
+    uint32_t frag = 0;
+    for (accel::NodeRef r : rows.node) {
+      if (doc == nullptr || accel::RefFrag(r) != frag) {
+        frag = accel::RefFrag(r);
+        doc = &ctx_->doc(frag);
       }
-    });
+      items.push_back(Item{doc->IsAttr(accel::RefPre(r)) ? ItemKind::kAttr
+                                                         : ItemKind::kNode,
+                           r});
+    }
+    out_iter->ints() = std::move(rows.iter);
     Table t;
     t.AddCol(bat::kIter, std::move(out_iter));
     t.AddCol(bat::kItem, std::move(out_item));
@@ -882,66 +854,16 @@ class Exec {
   }
 
   Result<Table> EvalStep(const Op& op) {
-    std::vector<StepGroup> groups;
-    std::vector<xml::Pre> ctxs;
-    // Following and preceding are the only axes that could leave a
-    // context's tree.
-    const bool split_trees = op.axis == accel::Axis::kFollowing ||
-                             op.axis == accel::Axis::kPreceding;
-    PF_RETURN_NOT_OK(
-        GroupContexts(Child(op, 0), &groups, &ctxs, split_trees));
-    ThreadPool* pool = tp();
-
-    auto eval_group = [&](const StepGroup& g, std::vector<xml::Pre>* results,
-                          accel::StaircaseStats* stats, ThreadPool* inner) {
-      // Cancellation granularity inside the step kernel: one poll per
-      // (iter, fragment) group. A fired token skips the remaining
-      // groups' work; the caller below turns it into the error.
-      if (ctx_->cancel_token != nullptr && ctx_->cancel_token->fired()) {
-        return;
-      }
-      const xml::Document& doc = ctx_->doc(g.frag);
-      std::vector<xml::Pre> contexts(ctxs.begin() + g.ctx_begin,
-                                     ctxs.begin() + g.ctx_end);
-      if (ctx_->use_staircase) {
-        accel::StaircaseJoin(doc, g.root, contexts, op.axis, op.test,
-                             results, stats, inner,
-                             ctx_->path_summary ? doc.summary() : nullptr);
-      } else {
-        // Ablation baseline: per-context naive region selection, then
-        // an explicit sort + duplicate elimination.
-        for (xml::Pre c : contexts) {
-          accel::NaiveStep(doc, g.root, c, op.axis, op.test, results);
-        }
-        std::sort(results->begin(), results->end());
-        results->erase(std::unique(results->begin(), results->end()),
-                       results->end());
-      }
-    };
-
-    // Evaluate the groups. A lone group (the common single-document
-    // case) keeps the pool for the staircase join's own morsel-parallel
-    // scan; with many groups the groups themselves are the morsels (the
-    // nested join call then runs inline) and per-group stats are folded
-    // back in group order, matching the serial accumulation.
-    std::vector<std::vector<xml::Pre>> gres(groups.size());
-    if (groups.size() <= 1) {
-      if (!groups.empty()) {
-        eval_group(groups[0], &gres[0], &ctx_->scj_stats, pool);
-      }
+    PF_ASSIGN_OR_RETURN(accel::IterNodes ctxs, StepContexts(Child(op, 0)));
+    accel::IterNodes res;
+    if (ctx_->use_staircase) {
+      accel::StaircaseJoin(ctxs, Fragments(), op.axis, op.test, &res,
+                           &ctx_->scj_stats, tp(), StopPoll());
     } else {
-      std::vector<accel::StaircaseStats> gstats(groups.size());
-      ParallelFor(pool, groups.size(), 1,
-                  [&](size_t, size_t lo, size_t hi) {
-                    for (size_t g = lo; g < hi; ++g) {
-                      eval_group(groups[g], &gres[g], &gstats[g], pool);
-                    }
-                  });
-      for (const auto& s : gstats) ctx_->scj_stats.Merge(s);
+      accel::NaiveJoin(ctxs, Fragments(), op.axis, op.test, &res);
     }
     PF_RETURN_NOT_OK(TokenCheck());
-
-    return StepOutput(groups, gres);
+    return StepTable(std::move(res));
   }
 
   static xml::PathSummary::StepAxis ToSumAxis(accel::Axis a) {
@@ -972,58 +894,56 @@ class Exec {
 
   /// Evaluate a collapsed structural chain (opt/path_rewrite.h). The
   /// child is the chain's fn:doc access, so each input row is a
-  /// document root; when the document carries a path summary the whole
-  /// chain is resolved on summary paths and the result is read from
-  /// the tag partitions without touching the encoding
-  /// (StaircaseStats::structural_answers). Fragments without a summary
-  /// — or unexpected non-root contexts — fall back to one staircase
-  /// join per chain step: same results, same order.
+  /// document root; when every document carries a path summary the
+  /// whole chain is resolved on summary paths and each root's result
+  /// is read from the tag partitions without touching the encoding
+  /// (StaircaseStats::structural_answers). Otherwise — fragments
+  /// without a summary, or unexpected non-root contexts — one
+  /// staircase join per chain step: same results, same order.
   Result<Table> EvalPathScan(const Op& op) {
-    // Inputs are document roots (a handful of rows per query), so the
-    // per-group evaluation runs serially; stats accumulate in group
-    // order at every thread count.
-    std::vector<StepGroup> groups;
-    std::vector<xml::Pre> ctxs;
-    PF_RETURN_NOT_OK(GroupContexts(Child(op, 0), &groups, &ctxs,
-                                   /*split_trees=*/false));
-    std::vector<std::vector<xml::Pre>> gres(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      PF_RETURN_NOT_OK(TokenCheck());
-      const StepGroup& grp = groups[g];
-      const xml::Document& doc = ctx_->doc(grp.frag);
-      const xml::PathSummary* sum =
-          ctx_->path_summary ? doc.summary() : nullptr;
-      std::vector<xml::Pre> contexts(ctxs.begin() + grp.ctx_begin,
-                                     ctxs.begin() + grp.ctx_end);
-      bool root_ctx = contexts.size() == 1 && contexts[0] == 0;
-      if (sum != nullptr && root_ctx && doc.num_nodes() > 0) {
-        std::vector<int32_t> paths = {0};
-        std::vector<int32_t> next;
+    PF_ASSIGN_OR_RETURN(accel::IterNodes cur, StepContexts(Child(op, 0)));
+    bool summarized = ctx_->path_summary;
+    for (size_t k = 0; summarized && k < cur.size(); ++k) {
+      summarized = accel::RefPre(cur.node[k]) == 0 &&
+                   ctx_->doc(accel::RefFrag(cur.node[k])).summary() != nullptr;
+    }
+    if (summarized) {
+      // One context per (iter, fragment): the repeated roots of an
+      // iteration were dropped.
+      accel::IterNodes res;
+      std::vector<int32_t> paths, next;
+      std::vector<xml::Pre> pres;
+      for (size_t k = 0; k < cur.size(); ++k) {
+        PF_RETURN_NOT_OK(TokenCheck());
+        const uint32_t frag = accel::RefFrag(cur.node[k]);
+        const xml::Document& doc = ctx_->doc(frag);
+        const xml::PathSummary* sum = doc.summary();
+        paths = {0};
         for (const alg::PathStep& s : op.path) {
           sum->ResolveStep(ToSumAxis(s.axis), ToSumTest(s.test.kind),
                            s.test.name, paths, &next);
           paths.swap(next);
           if (paths.empty()) break;
         }
-        sum->GatherPartitions(paths, 0, doc.num_nodes() - 1, &gres[g]);
+        pres.clear();
+        sum->GatherPartitions(paths, 0, doc.num_nodes() - 1, &pres);
+        res.iter.resize(res.size() + pres.size(), cur.iter[k]);
+        for (xml::Pre p : pres) res.node.push_back(accel::MakeRef(frag, p));
         ctx_->scj_stats.structural_answers += 1;
         ctx_->scj_stats.contexts_in += 1;
-        ctx_->scj_stats.results += gres[g].size();
-      } else {
-        std::vector<xml::Pre> cur = std::move(contexts);
-        std::vector<xml::Pre> nxt;
-        for (const alg::PathStep& s : op.path) {
-          nxt.clear();
-          accel::StaircaseJoin(doc, grp.root, cur, s.axis, s.test, &nxt,
-                               &ctx_->scj_stats, tp(), sum);
-          cur.swap(nxt);
-          if (cur.empty()) break;
-        }
-        gres[g] = std::move(cur);
+        ctx_->scj_stats.results += pres.size();
       }
+      return StepTable(std::move(res));
     }
-
-    return StepOutput(groups, gres);
+    for (const alg::PathStep& s : op.path) {
+      if (cur.empty()) break;
+      accel::IterNodes nxt;
+      accel::StaircaseJoin(cur, Fragments(), s.axis, s.test, &nxt,
+                           &ctx_->scj_stats, tp(), StopPoll());
+      PF_RETURN_NOT_OK(TokenCheck());
+      cur = std::move(nxt);
+    }
+    return StepTable(std::move(cur));
   }
 
   // The items of an (iter, pos, item) table sorted by (iter, pos), and

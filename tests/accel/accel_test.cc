@@ -112,7 +112,7 @@ TEST_F(FixtureDoc, StaircasePruningCountsDescendant) {
   // Contexts {b(2), c(4)}: c is inside b's subtree and must be pruned.
   StaircaseStats stats;
   std::vector<Pre> out;
-  StaircaseJoin(*doc_, 0, {2, 4}, Axis::kDescendant, NodeTest::AnyKind(),
+  StaircaseJoin(*doc_, {2, 4}, Axis::kDescendant, NodeTest::AnyKind(),
                 &out, &stats);
   EXPECT_EQ(stats.contexts_pruned, 1u);
   // Attributes are not on the descendant axis.
@@ -122,7 +122,7 @@ TEST_F(FixtureDoc, StaircasePruningCountsDescendant) {
 TEST_F(FixtureDoc, StaircaseFollowingSingleScan) {
   StaircaseStats stats;
   std::vector<Pre> out;
-  StaircaseJoin(*doc_, 0, {2, 7}, Axis::kFollowing, NodeTest::Element(),
+  StaircaseJoin(*doc_, {2, 7}, Axis::kFollowing, NodeTest::Element(),
                 &out, &stats);
   // union of following sets == following of the earliest-ending context
   EXPECT_EQ(out, (std::vector<Pre>{7, 9, 10}));
@@ -198,7 +198,7 @@ TEST_P(StepEquivalenceTest, ThreeWayAgreement) {
     if (contexts.empty()) contexts.push_back(0);
 
     std::vector<Pre> staircase;
-    StaircaseJoin(doc, 0, contexts, param.axis, test, &staircase);
+    StaircaseJoin(doc, contexts, param.axis, test, &staircase);
 
     std::vector<Pre> naive;
     for (Pre c : contexts) NaiveStep(doc, 0, c, param.axis, test, &naive);
@@ -295,7 +295,7 @@ TEST(ForestStepTest, StaircaseEqualsPerTreeNaiveStep) {
           if (contexts.empty()) contexts.push_back(root + 1);
 
           std::vector<Pre> staircase;
-          StaircaseJoin(forest, root, contexts, axis, test, &staircase);
+          StaircaseJoin(forest, contexts, axis, test, &staircase);
 
           std::vector<Pre> naive;
           for (Pre c : contexts) NaiveStep(forest, root, c, axis, test, &naive);
@@ -305,7 +305,7 @@ TEST(ForestStepTest, StaircaseEqualsPerTreeNaiveStep) {
           std::vector<Pre> shifted;
           std::vector<Pre> single_ctx;
           for (Pre c : contexts) single_ctx.push_back(c - root);
-          StaircaseJoin(single, 0, single_ctx, axis, test, &shifted);
+          StaircaseJoin(single, single_ctx, axis, test, &shifted);
           for (Pre& r : shifted) r += root;
 
           EXPECT_EQ(staircase, naive)

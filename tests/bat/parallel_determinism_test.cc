@@ -117,9 +117,14 @@ TEST_F(ParallelDeterminismTest, GatherAllColumnTypes) {
 
 TEST_F(ParallelDeterminismTest, HashJoinIntKeysLeftMajorOrder) {
   // Skewed duplicate keys: per-key right row lists have many entries,
-  // so any build-order slip would reorder pairs.
+  // so any build-order slip would reorder pairs. The keys are spread
+  // (times a large odd stride) past the positional slot function's
+  // 2 * rows + 64 span, so the hashed chains are the ones checked.
   ColumnPtr l = RandInts(20000, 0, 200, 21);
   ColumnPtr r = RandInts(15000, 0, 200, 22);
+  for (ColumnPtr c : {l, r}) {
+    for (int64_t& k : c->ints()) k *= 1000003;
+  }
   IdxVec sl, sr;
   ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
   // Left-major order: left indices non-decreasing, right rows ascending

@@ -62,6 +62,15 @@ class PartitionedKernelsTest : public ::testing::Test {
     return c;
   }
 
+  // Multiplies every key by a large odd stride: duplicates and skew
+  // stay, but the keys span far more than 2 * rows + 64 values, so a
+  // build side of them takes the hashed (radix above the morsel
+  // threshold) slot function instead of the positional one.
+  static ColumnPtr Spread(ColumnPtr c) {
+    for (int64_t& k : c->ints()) k *= 1000003;
+    return c;
+  }
+
   ColumnPtr ZipfInts(size_t n, uint64_t universe, double s, uint64_t seed) {
     auto c = Column::MakeInt(n);
     Rng rng(seed);
@@ -173,8 +182,8 @@ TEST_F(PartitionedKernelsTest, RadixJoinMatchesNaiveReference) {
   // Sizes past the morsel threshold, so even the tp == nullptr call
   // below exercises the radix partition/build/probe phases — the
   // nested loop checks them against first principles.
-  ColumnPtr l = RandInts(9000, 0, 400, 11);
-  ColumnPtr r = RandInts(5000, 0, 400, 12);
+  ColumnPtr l = Spread(RandInts(9000, 0, 400, 11));
+  ColumnPtr r = Spread(RandInts(5000, 0, 400, 12));
   IdxVec nl_, nr_;
   NaiveIntJoin(*l, *r, &nl_, &nr_);
   ASSERT_GT(nl_.size(), 0u);
@@ -200,13 +209,19 @@ TEST_F(PartitionedKernelsTest, RadixJoinEmptyInputs) {
 }
 
 TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
-  // Every build row lands in ONE partition, ONE slot, ONE chain; each
-  // probe hit replays the entire chain, whose order must be the
-  // ascending build-row order. Sizes keep the pair count (n*m) sane
-  // while still engaging the radix path on one side.
+  // Every build row but one far outlier (which keeps the keys' span
+  // past the positional slot function) lands in ONE partition, ONE
+  // slot, ONE chain; each probe hit replays the entire chain, whose
+  // order must be the ascending build-row order. Sizes keep the pair
+  // count (n*m) sane while still engaging the radix path on one side.
+  auto with_outlier = [this](size_t n) {
+    std::vector<int64_t> keys(n, 7);
+    keys.push_back(int64_t{7} << 40);
+    return IntCol(keys);
+  };
   {
     ColumnPtr l = IntCol(std::vector<int64_t>(8192, 7));
-    ColumnPtr r = IntCol(std::vector<int64_t>(64, 7));
+    ColumnPtr r = with_outlier(64);
     IdxVec sl, sr;
     ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     ASSERT_EQ(sl.size(), 8192u * 64u);
@@ -220,7 +235,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
   {
     // Large build side: one 8192-row chain probed by 64 rows.
     ColumnPtr l = IntCol(std::vector<int64_t>(64, 7));
-    ColumnPtr r = IntCol(std::vector<int64_t>(8192, 7));
+    ColumnPtr r = with_outlier(8192);
     IdxVec sl, sr;
     ASSERT_TRUE(HashJoinFlat(*l, *r, pool_, &sl, &sr, nullptr).ok());
     ASSERT_EQ(sl.size(), 64u * 8192u);
@@ -235,8 +250,8 @@ TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
 TEST_F(PartitionedKernelsTest, RadixJoinZipfSkew) {
   // Zipf keys: the hottest key (and with radix_bits=1 the hottest
   // partition) dominates — the imbalance path must stay byte-exact.
-  ColumnPtr l = ZipfInts(9000, 2000, 1.1, 31);
-  ColumnPtr r = ZipfInts(5000, 2000, 1.1, 32);
+  ColumnPtr l = Spread(ZipfInts(9000, 2000, 1.1, 31));
+  ColumnPtr r = Spread(ZipfInts(5000, 2000, 1.1, 32));
   ExpectJoinMatchesSerial(*l, *r);
 }
 

@@ -9,6 +9,10 @@
 //   2. One explicit-axis query per staircase axis.
 //   3. The join shapes of xmark_test (multi-way, theta, existential and
 //      self joins), whose value joins run on the partitioned kernels.
+//   4. XMark Q10, Q19 and Q20 at sf 0.05, whose child Steps take 1,849,
+//      1,088 and 1,275 contexts: more than one 1,024-context chunk of
+//      the staircase join, so the pool runs them chunk-parallel. At
+//      sf 0.002 and 0.02 every Step of a real plan fits in one chunk.
 
 #include <array>
 #include <cstddef>
@@ -44,10 +48,27 @@ xml::Database* Db() {
   return db;
 }
 
+// The sf 0.05 instance of part 4.
+xml::Database* LargeDb() {
+  static xml::Database* db = [] {
+    auto* d = new xml::Database();
+    auto doc = xmark::GenerateXMark(0.05, 42, d->pool());
+    if (!doc.ok()) {
+      ADD_FAILURE() << "XMark generation failed: "
+                    << doc.status().ToString();
+      return d;
+    }
+    d->AddDocument("auction.xml", std::move(*doc));
+    return d;
+  }();
+  return db;
+}
+
 // Runs `query` and serializes; errors fold into the returned string so
 // the comparison below also pins down failure behavior.
-std::string RunConfig(const std::string& query, int threads) {
-  Pathfinder pf(Db());
+std::string RunConfig(const std::string& query, int threads,
+                      xml::Database* db = Db()) {
+  Pathfinder pf(db);
   QueryOptions opts;
   opts.context_doc = "auction.xml";
   opts.num_threads = threads;
@@ -58,11 +79,12 @@ std::string RunConfig(const std::string& query, int threads) {
   return *s;
 }
 
-void ExpectAllConfigsIdentical(const std::string& query) {
-  const std::string base = RunConfig(query, /*threads=*/1);
+void ExpectAllConfigsIdentical(const std::string& query,
+                               xml::Database* db = Db()) {
+  const std::string base = RunConfig(query, /*threads=*/1, db);
   ASSERT_EQ(base.find("<error"), std::string::npos) << base;
   for (int threads : {1, 2, 7}) {
-    EXPECT_EQ(RunConfig(query, threads), base)
+    EXPECT_EQ(RunConfig(query, threads, db), base)
         << "diverged at threads=" << threads;
   }
 }
@@ -79,6 +101,19 @@ TEST_P(XMarkThreadsTest, ParallelMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, XMarkThreadsTest,
                          ::testing::Range(1, 21));
+
+// ---------------------------------------------------------------------------
+// 4. Chunked Steps on real plans.
+
+class XMarkChunkedStepsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(XMarkChunkedStepsTest, ParallelMatchesSerial) {
+  const xmark::XMarkQuery& q = xmark::GetXMarkQuery(GetParam());
+  ExpectAllConfigsIdentical(q.text, LargeDb());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sf005, XMarkChunkedStepsTest,
+                         ::testing::Values(10, 19, 20));
 
 // ---------------------------------------------------------------------------
 // 2. Staircase axes.
