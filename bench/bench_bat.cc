@@ -4,7 +4,8 @@
 // DBMS"). Each row times the kernel the executor runs: FilterGather
 // for σ, HashJoinPairsChunked for the ⋈ probe (the pair list, without
 // the GatherPairs that follows) on sparse and dense (mapping-join)
-// integer keys and on items, Mark for ϱ, DistinctIndices and GroupAgg.
+// integer keys and on items, Mark for ϱ, SortPerm for the sorts of
+// sequence constructors and order by, DistinctIndices and GroupAgg.
 
 #include <benchmark/benchmark.h>
 
@@ -130,23 +131,78 @@ void BM_MarkPartitioned(benchmark::State& state) {
 BENCHMARK(BM_MarkPartitioned)->Range(1 << 10, 1 << 18);
 
 void BM_MarkPresorted(benchmark::State& state) {
-  // The sorted fast path the staircase join output hits.
+  // The ϱ after a Step, (iter | item): per iter, node items in document
+  // order, 16 per iter. The rows arrive in key order, so Mark numbers
+  // them in its run-detection pass.
   size_t n = static_cast<size_t>(state.range(0));
   StringPool pool;
   Table t;
-  auto c = Column::MakeInt(n);
+  auto iter = Column::MakeInt(n);
+  auto item = Column::MakeItem(n);
   for (size_t i = 0; i < n; ++i) {
-    c->ints().push_back(static_cast<int64_t>(i / 16));
+    iter->ints().push_back(static_cast<int64_t>(i / 16));
+    item->items().push_back(Item::Node(0, static_cast<uint32_t>(i * 3)));
   }
-  const std::vector<ColId> part = {InternCol("part")};
-  t.AddCol(part[0], std::move(c));
+  const std::vector<ColId> part = {InternCol("iter")},
+                           order = {InternCol("item")};
+  t.AddCol(part[0], std::move(iter));
+  t.AddCol(order[0], std::move(item));
   for (auto _ : state) {
-    auto col = Mark(t, part, {}, pool);
+    auto col = Mark(t, part, order, pool);
     benchmark::DoNotOptimize(col);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_MarkPresorted)->Range(1 << 10, 1 << 18);
+
+void BM_SortPermRuns(benchmark::State& state) {
+  // A sequence constructor's union: range(1) runs, each sorted by
+  // (iter, pos) and carrying its branch number in ord, sorted by
+  // (iter, ord, pos) as its ϱ and the element constructor sort it.
+  size_t n = static_cast<size_t>(state.range(0));
+  const size_t runs = static_cast<size_t>(state.range(1));
+  StringPool pool;
+  Table t;
+  auto iter = Column::MakeInt(n);
+  auto ord = Column::MakeInt(n);
+  auto pos = Column::MakeInt(n);
+  for (size_t r = 0; r < runs; ++r) {
+    const size_t len = n / runs + (r < n % runs ? 1 : 0);
+    for (size_t i = 0; i < len; ++i) {
+      iter->ints().push_back(static_cast<int64_t>(i / 4));
+      ord->ints().push_back(static_cast<int64_t>(r));
+      pos->ints().push_back(static_cast<int64_t>(i % 4) + 1);
+    }
+  }
+  const std::vector<ColId> keys = {InternCol("iter"), InternCol("ord"),
+                                   InternCol("pos")};
+  t.AddCol(keys[0], std::move(iter));
+  t.AddCol(keys[1], std::move(ord));
+  t.AddCol(keys[2], std::move(pos));
+  for (auto _ : state) {
+    auto perm = SortPerm(t, keys, pool);
+    benchmark::DoNotOptimize(perm);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_SortPermRuns)->ArgsProduct({{1 << 10, 1 << 13, 1 << 16, 1 << 18},
+                                         {2, 4}});
+
+void BM_SortPermRandom(benchmark::State& state) {
+  // An order by over unordered keys: random INT keys from a domain of
+  // n / 2, so ties occur.
+  size_t n = static_cast<size_t>(state.range(0));
+  StringPool pool;
+  Table t;
+  const std::vector<ColId> key = {InternCol("key")};
+  t.AddCol(key[0], RandomInts(n, static_cast<int64_t>(n / 2), 12));
+  for (auto _ : state) {
+    auto perm = SortPerm(t, key, pool);
+    benchmark::DoNotOptimize(perm);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_SortPermRandom)->Range(1 << 10, 1 << 18);
 
 void BM_DistinctInts(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

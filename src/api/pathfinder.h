@@ -87,8 +87,8 @@ struct QueryOptions {
   /// Morsel grain (rows) for filters and joins, clamped to
   /// [64, 2^20].
   int64_t morsel_rows = -1;
-  /// Initial sorted-run length and merge-split grain of the parallel
-  /// merge sort, clamped to [256, 2^22].
+  /// The row sort's grain (run-detection morsel, chunk-sort length,
+  /// merge segment), clamped to [256, 2^22].
   int64_t sort_chunk_rows = -1;
   /// Wall-time budget for this query in milliseconds (-1 = none),
   /// armed when Run() starts, so parsing, compilation and optimization

@@ -143,11 +143,13 @@ int ItemOrder(const Item& a, const Item& b, const StringPool& pool) {
     case 0: {  // bool
       return static_cast<int>(a.AsBool()) - static_cast<int>(b.AsBool());
     }
-    case 1: {  // number
+    case 1: {  // number; NaN first, so the order stays a strict weak one
       double da = a.kind == ItemKind::kInt ? static_cast<double>(a.AsInt())
                                            : a.AsDbl();
       double db = b.kind == ItemKind::kInt ? static_cast<double>(b.AsInt())
                                            : b.AsDbl();
+      const bool nan_a = std::isnan(da), nan_b = std::isnan(db);
+      if (nan_a || nan_b) return static_cast<int>(nan_b) - nan_a;
       if (da < db) return -1;
       if (da > db) return 1;
       return 0;

@@ -27,7 +27,9 @@ Result<bool> ItemToBool(const Item& it, const StringPool& pool);
 
 /// Total order used for sorting (order by, document order, distinct):
 /// kind classes rank bool < number < string < node; numbers compare by
-/// double value, strings lexicographically, nodes by (fragment, pre).
+/// double value with NaN before every other number (XQuery's `empty
+/// least` place for NaN; NaNs tie), strings lexicographically, nodes by
+/// (fragment, pre). A strict weak order, as the sorts require.
 /// Returns <0, 0, >0.
 int ItemOrder(const Item& a, const Item& b, const StringPool& pool);
 

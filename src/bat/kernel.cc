@@ -1,8 +1,11 @@
 #include "bat/kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
+#include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "bat/item_ops.h"
@@ -171,47 +174,175 @@ Result<std::vector<const Column*>> ResolveCols(
   return cols;
 }
 
-// Three-way comparison of two rows under the given key columns; ties at
-// all keys return 0 (stable sort then preserves input order). `desc`
-// (parallel to cols, optional) flips individual keys.
-int CompareRows(const std::vector<const Column*>& cols, size_t ra, size_t rb,
-                const StringPool& pool, const std::vector<uint8_t>& desc = {}) {
-  size_t ki = 0;
-  for (const Column* c : cols) {
-    int flip = (ki < desc.size() && desc[ki]) ? -1 : 1;
-    ++ki;
-    switch (c->type()) {
-      case ColType::kInt: {
-        int64_t a = c->ints()[ra], b = c->ints()[rb];
-        if (a != b) return (a < b ? -1 : 1) * flip;
-        break;
-      }
-      case ColType::kDbl: {
-        double a = c->dbls()[ra], b = c->dbls()[rb];
-        if (a != b) return (a < b ? -1 : 1) * flip;
-        break;
-      }
-      case ColType::kStr: {
-        StrId a = c->strs()[ra], b = c->strs()[rb];
-        if (a != b) {
-          int cmp = pool.Get(a).compare(pool.Get(b));
-          if (cmp != 0) return (cmp < 0 ? -1 : 1) * flip;
-        }
-        break;
-      }
-      case ColType::kBool: {
-        int a = c->bools()[ra], b = c->bools()[rb];
-        if (a != b) return (a < b ? -1 : 1) * flip;
-        break;
-      }
-      case ColType::kItem: {
-        int cmp = ItemOrder(c->items()[ra], c->items()[rb], pool);
-        if (cmp != 0) return cmp * flip;
-        break;
-      }
+// Typed three-way compares of two cells, one overload per column
+// payload type. DBL puts NaN first, as ItemOrder does; STR compares the
+// pooled strings; ITEM is ItemOrder, with its node case inline.
+inline int Cmp3(int64_t a, int64_t b, const StringPool&) {
+  return (a > b) - (a < b);
+}
+inline int Cmp3(double a, double b, const StringPool&) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return static_cast<int>(std::isnan(b)) - std::isnan(a);
+  }
+  return (a > b) - (a < b);
+}
+inline int Cmp3(StrId a, StrId b, const StringPool& pool) {
+  if (a == b) return 0;
+  const int c = pool.Get(a).compare(pool.Get(b));
+  return (c > 0) - (c < 0);
+}
+inline int Cmp3(uint8_t a, uint8_t b, const StringPool&) {
+  return (a > b) - (a < b);
+}
+inline int Cmp3(const Item& a, const Item& b, const StringPool& pool) {
+  if (a.IsNode() && b.IsNode()) return (a.raw > b.raw) - (a.raw < b.raw);
+  return ItemOrder(a, b, pool);
+}
+
+// A sort key resolved once: its column and direction.
+struct SortKey {
+  const Column* col;
+  bool desc;
+};
+
+Result<std::vector<SortKey>> ResolveKeys(const Table& t,
+                                         const std::vector<ColId>& names,
+                                         const std::vector<uint8_t>& desc) {
+  PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, names));
+  std::vector<SortKey> keys;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    keys.push_back({cols[k], k < desc.size() && desc[k] != 0});
+  }
+  return keys;
+}
+
+// Three-way comparison of rows a and b under the first `nkeys` keys;
+// 0 when they tie on all of them.
+inline int CompareKeys(const std::vector<SortKey>& keys, size_t nkeys,
+                       size_t a, size_t b, const StringPool& pool) {
+  for (size_t k = 0; k < nkeys; ++k) {
+    const Column& col = *keys[k].col;
+    int c;
+    if (col.type() == ColType::kInt) {
+      const int64_t* v = col.ints().data();
+      c = (v[a] > v[b]) - (v[a] < v[b]);
+    } else {
+      c = Column::Visit(
+          col.type(), [&](const auto& v) { return Cmp3(v[a], v[b], pool); },
+          col);
     }
+    if (c != 0) return keys[k].desc ? -c : c;
   }
   return 0;
+}
+
+// The strict row order of keys that are all INT (iter, ord, pos, and
+// the ranks an order by sorts on), unrolled over N keys.
+template <size_t N>
+struct IntKeysLess {
+  explicit IntKeysLess(const std::vector<SortKey>& keys) {
+    for (size_t k = 0; k < N; ++k) {
+      v[k] = keys[k].col->ints().data();
+      desc[k] = keys[k].desc;
+    }
+  }
+
+  bool operator()(RowIdx a, RowIdx b) const {
+    for (size_t k = 0; k < N; ++k) {
+      const int64_t x = v[k][a], y = v[k][b];
+      if (x != y) return (x < y) != desc[k];
+    }
+    return false;
+  }
+
+  std::array<const int64_t*, N> v;
+  std::array<bool, N> desc;
+};
+
+// MergeRuns under the strict row order of `keys`: one to three INT keys
+// compare unrolled, any other key list key by key.
+IdxVec MergeKeyRuns(const std::vector<uint8_t>& flags,
+                    const std::vector<SortKey>& keys, const StringPool& pool,
+                    ThreadPool* tp, const KernelTuning& kt) {
+  auto merge = [&](const auto& less) {
+    return sort_internal::MergeRuns(flags, less, tp, kt);
+  };
+  const bool all_int =
+      std::all_of(keys.begin(), keys.end(), [](const SortKey& k) {
+        return k.col->type() == ColType::kInt;
+      });
+  if (all_int && keys.size() == 1) return merge(IntKeysLess<1>(keys));
+  if (all_int && keys.size() == 2) return merge(IntKeysLess<2>(keys));
+  if (all_int && keys.size() == 3) return merge(IntKeysLess<3>(keys));
+  return merge([&](RowIdx a, RowIdx b) {
+    return CompareKeys(keys, keys.size(), a, b, pool) < 0;
+  });
+}
+
+// Pair flags of the typed run detection, beside sort_internal::kRunStart:
+// kInOrder when row i - 1 sorts strictly before row i, and kNewPart
+// when the partition keys alone tell the two rows apart.
+constexpr uint8_t kInOrder = 2;
+constexpr uint8_t kNewPart = 4;
+constexpr uint8_t kDecided = sort_internal::kRunStart | kInOrder;
+
+// Decides by one key column `v` the pairs (i - 1, i), i in [lo, hi),
+// that the earlier keys tied on; returns how many of them descend. The
+// first key writes every pair's flags. The last partition key
+// (kPartEnd) also flags the partition boundaries and, given `num`,
+// numbers the rows from them: num[i] counts from the morsel's last
+// boundary at or before i, or from lo.
+template <bool kFirst, bool kPartEnd, typename V>
+size_t DecidePairs(const V& v, bool desc, size_t lo, size_t hi,
+                   const StringPool& pool, uint8_t* fl, int64_t* num) {
+  const int flip = desc ? -1 : 1;
+  size_t descents = 0;
+  int64_t count = 0;
+  for (size_t i = lo; i < hi; ++i) {
+    uint8_t f = kFirst ? 0 : fl[i];
+    if (i > 0 && !(f & kDecided)) {
+      const int c = Cmp3(v[i - 1], v[i], pool) * flip;
+      f = c > 0 ? sort_internal::kRunStart : (c < 0 ? kInOrder : 0);
+      descents += f & sort_internal::kRunStart;
+    }
+    if constexpr (kPartEnd) {
+      if (i == 0 || (f & kDecided)) {
+        f |= kNewPart;
+        count = 0;
+      }
+      if (num != nullptr) num[i] = ++count;
+    }
+    fl[i] = f;
+  }
+  return descents;
+}
+
+// Flags the pairs of rows [lo, hi) one key column at a time, each key
+// deciding only the pairs its predecessors tied on (DecidePairs), and
+// returns the descents. The first `nparts` keys are the partition keys.
+size_t ClassifyPairs(const std::vector<SortKey>& keys, size_t nparts,
+                     size_t lo, size_t hi, const StringPool& pool,
+                     uint8_t* fl, int64_t* num) {
+  size_t descents = 0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const bool first = k == 0, part_end = k + 1 == nparts;
+    const bool desc = keys[k].desc;
+    Column::Visit(
+        keys[k].col->type(),
+        [&](const auto& v) {
+          descents +=
+              first ? (part_end ? DecidePairs<true, true>(v, desc, lo, hi,
+                                                          pool, fl, num)
+                                : DecidePairs<true, false>(v, desc, lo, hi,
+                                                           pool, fl, num))
+                    : (part_end ? DecidePairs<false, true>(v, desc, lo, hi,
+                                                           pool, fl, num)
+                                : DecidePairs<false, false>(v, desc, lo, hi,
+                                                            pool, fl, num));
+        },
+        *keys[k].col);
+  }
+  return descents;
 }
 
 // Row-order compaction by a 0/1 mark per row — the one filter loop
@@ -283,9 +414,13 @@ ColumnPtr Gather(const Column& c, const IdxVec& idx, ThreadPool* tp) {
 }  // namespace
 
 Table GatherTable(const Table& t, const IdxVec& idx, ThreadPool* tp) {
+  // Selecting every row in order (a sort of ordered rows, a δ that
+  // drops nothing) shares the columns, by GatherPairs' rule.
+  bool identity = idx.size() == t.rows();
+  for (size_t i = 0; identity && i < idx.size(); ++i) identity = idx[i] == i;
   Table out;
   for (size_t i = 0; i < t.num_cols(); ++i) {
-    out.AddCol(t.name(i), Gather(*t.col(i), idx, tp));
+    out.AddCol(t.name(i), identity ? t.col(i) : Gather(*t.col(i), idx, tp));
   }
   return out;
 }
@@ -782,13 +917,13 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc, ThreadPool* tp,
                         const KernelTuning& kt) {
-  PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
-  return StableSortRows(
-      t.rows(),
-      [&](RowIdx a, RowIdx b) -> Result<int> {
-        return CompareRows(cols, a, b, pool, desc);
-      },
-      tp, kt);
+  PF_ASSIGN_OR_RETURN(std::vector<SortKey> sk, ResolveKeys(t, keys, desc));
+  std::vector<uint8_t> flags(t.rows());
+  ParallelFor(tp, t.rows(), kt.Clamped().sort_chunk_rows,
+              [&](size_t, size_t lo, size_t hi) {
+                ClassifyPairs(sk, 0, lo, hi, pool, flags.data(), nullptr);
+              });
+  return MergeKeyRuns(flags, sk, pool, tp, kt);
 }
 
 Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
@@ -847,28 +982,58 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
   std::vector<ColId> sort_keys = part;
   sort_keys.insert(sort_keys.end(), order.begin(), order.end());
   std::vector<uint8_t> desc(part.size(), 0);
-  if (!order_desc.empty()) {
-    desc.insert(desc.end(), order_desc.begin(), order_desc.end());
-  } else {
-    desc.insert(desc.end(), order.size(), 0);
+  desc.insert(desc.end(), order_desc.begin(), order_desc.end());
+  PF_ASSIGN_OR_RETURN(std::vector<SortKey> sk,
+                      ResolveKeys(t, sort_keys, desc));
+  // Empty `part` means one global partition. (ResolveKeys expands an
+  // empty key list to all columns — the Distinct convention — so with
+  // no keys at all the rows are ordered by every column.)
+  const size_t nparts = part.size();
+  const size_t n = t.rows();
+  const size_t grain = kt.Clamped().sort_chunk_rows;
+  const size_t chunks = ThreadPool::NumChunks(n, grain);
+  auto out = Column::MakeInt();
+  out->ints().resize(n);
+  int64_t* num = out->ints().data();
+  std::vector<uint8_t> flags(n);
+  // Each morsel classifies its pairs and numbers its rows as if they
+  // were in order, restarting at its partition boundaries.
+  std::vector<size_t> descents(chunks);
+  ParallelFor(tp, n, grain, [&](size_t c, size_t lo, size_t hi) {
+    descents[c] =
+        ClassifyPairs(sk, nparts, lo, hi, pool, flags.data(), num);
+    if (nparts == 0) {
+      std::iota(num + lo, num + hi, static_cast<int64_t>(lo) + 1);
+    }
+  });
+  if (std::all_of(descents.begin(), descents.end(),
+                  [](size_t d) { return d == 0; })) {
+    // In order: the rows before a morsel's first boundary continue the
+    // count the morsel before it ended with.
+    if (nparts > 0) {
+      std::vector<int64_t> carry(chunks, 0);
+      for (size_t c = 1; c < chunks; ++c) {
+        const size_t plo = (c - 1) * grain, lo = c * grain;
+        const bool restarted = (flags[plo] & kNewPart) ||
+                               num[lo - 1] < static_cast<int64_t>(lo - plo);
+        carry[c] = num[lo - 1] + (restarted ? 0 : carry[c - 1]);
+      }
+      ParallelFor(tp, n, grain, [&](size_t c, size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi && !(flags[i] & kNewPart); ++i) {
+          num[i] += carry[c];
+        }
+      });
+    }
+    return out;
   }
-  PF_ASSIGN_OR_RETURN(IdxVec perm,
-                      SortPerm(t, sort_keys, pool, desc, tp, kt));
-  // Empty `part` means one global partition. (ResolveCols expands an
-  // empty list to all columns — the Distinct convention, not ours.)
-  std::vector<const Column*> pcols;
-  if (!part.empty()) {
-    PF_ASSIGN_OR_RETURN(pcols, ResolveCols(t, part));
-  }
-  auto out = Column::MakeInt(t.rows());
-  out->ints().assign(t.rows(), 0);
-  int64_t counter = 0;
-  for (size_t k = 0; k < perm.size(); ++k) {
-    bool new_part = k == 0 || (!pcols.empty() &&
-                               CompareRows(pcols, perm[k - 1], perm[k],
-                                           pool) != 0);
-    if (new_part) counter = 0;
-    out->ints()[perm[k]] = ++counter;
+  const IdxVec perm = MergeKeyRuns(flags, sk, pool, tp, kt);
+  int64_t count = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (k == 0 ||
+        CompareKeys(sk, nparts, perm[k - 1], perm[k], pool) != 0) {
+      count = 0;
+    }
+    num[perm[k]] = ++count;
   }
   return out;
 }

@@ -2,7 +2,6 @@
 #define PATHFINDER_BAT_KERNEL_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -22,8 +21,8 @@ enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 /// Tuning for the partitioned parallel kernels. The member defaults are
 /// the process default; QueryOptions can override per query. Every
 /// setting is RESULT-NEUTRAL: the radix join emits the exact serial
-/// pair order at any partition count, the merge sort reproduces
-/// std::stable_sort at any run length, and GroupAgg's floating-point
+/// pair order at any partition count, the row sort reproduces
+/// std::stable_sort at any grain, and GroupAgg's floating-point
 /// association is pinned to a fixed internal grain — so the bytes
 /// never depend on the tuning, only the speed does.
 struct KernelTuning {
@@ -33,8 +32,10 @@ struct KernelTuning {
   /// Morsel grain (rows) for filters and joins (clamped to
   /// [64, 1<<20]).
   uint32_t morsel_rows = 4096;
-  /// Initial sorted-run length and merge-split grain for SortPerm
-  /// (clamped to [256, 1<<22]).
+  /// The row sort's grain (clamped to [256, 1<<22]): the morsel of its
+  /// run detection (and of Mark's numbering), the chunk a run of short
+  /// runs is stable-sorted within, and the output segment every merge
+  /// is split into.
   uint32_t sort_chunk_rows = 8192;
 
   /// Clamped copy of *this (what the kernels actually use).
@@ -43,13 +44,15 @@ struct KernelTuning {
 
 // Every bulk operator takes an optional ThreadPool. nullptr (the
 // default) runs the same morsels inline on the calling thread; only
-// StableSortRows (so SortPerm), DistinctIndices and DifferenceIndices
-// switch to a cheaper serial algorithm without a pool. A pool
+// DistinctIndices and DifferenceIndices switch to a cheaper serial
+// algorithm without a pool. A pool
 // evaluates row morsels in parallel with deterministic, ordered merges
 // — the result is byte-identical at every thread count (see DESIGN.md
 // "Parallel execution" for the invariants each operator maintains).
 
-/// Gather every column of `t` — i.e., select the given rows.
+/// Gather every column of `t` — i.e., select the given rows. An `idx`
+/// of exactly 0..rows-1 selects nothing new: the result shares t's
+/// ColumnPtrs, by GatherPairs' rule.
 Table GatherTable(const Table& t, const IdxVec& idx,
                   ThreadPool* tp = nullptr);
 
@@ -108,27 +111,31 @@ Status ThetaJoinPairsChunked(const Column& l, const Column& r, CmpOp op,
 Table GatherPairs(const Table& l, const Table& r, const JoinPairChunks& pc,
                   ThreadPool* tp = nullptr);
 
-/// Stable sort of rows 0..n-1 under `cmp(a, b) -> Result<int>`, a
-/// three-way comparator (negative when row a sorts before row b, 0 on a
-/// tie); returns the permutation. The kernels' one row sort: a linear
-/// pre-check returns the identity when the rows are already in order.
-/// Otherwise, without a pool or below two runs, one std::stable_sort;
-/// with a pool a parallel merge sort: runs of sort_chunk_rows are
-/// stable-sorted concurrently, then every merge level splits each
-/// pairwise merge into independent output segments via merge-path
-/// binary search, so the final level parallelizes too. Ties take the
-/// lower-run element, which reproduces std::stable_sort exactly. The
-/// first comparator error is returned, and no merge runs on the
-/// meaningless split points an error leaves.
+/// Stable sort of rows 0..n-1 under `cmp(a, b) -> int`, a three-way
+/// comparator (negative when row a sorts before row b, 0 on a tie) that
+/// must be a strict weak order: the merge-path splits assume it, as
+/// std::stable_sort does. Returns the permutation. The kernels' one
+/// row sort. One pass over adjacent row pairs finds the run starts, the
+/// rows that sort before their predecessor: input already in order
+/// costs that pass alone, and k presorted runs cost k - 1 stable
+/// merges. A chunk of sort_chunk_rows rows whose runs average under 32
+/// rows (an `order by` over unordered keys) is first stable-sorted
+/// whole and becomes one run, as TimSort extends short runs. The runs
+/// are merged pairwise, level by level; each merge is split into output
+/// segments of sort_chunk_rows rows by merge-path search, so with a
+/// pool the merges and their segments run in parallel. Ties take the
+/// left run's row, which reproduces std::stable_sort exactly: the
+/// permutation is unique, the same at every thread count and grain.
 template <typename Cmp>
-Result<IdxVec> StableSortRows(size_t n, const Cmp& cmp,
-                              ThreadPool* tp = nullptr,
-                              const KernelTuning& kt = KernelTuning());
+IdxVec StableSortRows(size_t n, const Cmp& cmp, ThreadPool* tp = nullptr,
+                      const KernelTuning& kt = KernelTuning());
 
-/// Stable sort permutation by key columns (lexicographic): StableSortRows
-/// under the row comparison of the keys. `pool` is needed to order
-/// STR/ITEM keys. `desc` (optional, parallel to `keys`) flips the
-/// direction of individual keys.
+/// Stable sort permutation by key columns (lexicographic; empty `keys`
+/// means all columns), sorted as StableSortRows does. The keys are
+/// resolved once into typed compares: INT, DBL and BOOL by value, STR
+/// through `pool`, ITEM by ItemOrder; the run detection classifies the
+/// row pairs one key column at a time. `desc` (optional, parallel to
+/// `keys`) flips the direction of individual keys.
 Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const StringPool& pool,
                         const std::vector<uint8_t>& desc = {},
@@ -145,6 +152,11 @@ Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
 /// Row numbering (the paper's % operator / MonetDB mark): a new INT
 /// column counting 1,2,... per `part` partition in `order`-key order
 /// (stable w.r.t. existing row order). Result is aligned with t's rows.
+/// The run detection of SortPerm over (part, order) also finds the
+/// partition boundaries: rows already in that order, as most plans
+/// deliver them, are numbered from the boundaries in the same
+/// morsel-parallel pass, with no permutation. Otherwise the rows are
+/// sorted as SortPerm sorts them and numbered in sorted order.
 Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
                        const std::vector<ColId>& order,
                        const StringPool& pool,
@@ -188,6 +200,15 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
 
 namespace sort_internal {
 
+// Pair flags, one byte per row: flags[i] (i >= 1) describes the row
+// pair (i - 1, i). kRunStart marks a descent, row i sorting strictly
+// before row i - 1, so a presorted run starts at row i. flags[0] is 0.
+// The typed run detection of SortPerm and Mark keeps further bits.
+constexpr uint8_t kRunStart = 1;
+
+// Runs shorter than this on average make their chunk a chunk sort.
+constexpr size_t kMinRunRows = 32;
+
 // Merge-path split: the number of A elements among the first `diag`
 // outputs of a stable merge of A (na elements) and B (nb elements)
 // under `less`, with ties taken from A — exactly std::merge's rule.
@@ -210,66 +231,49 @@ size_t MergeSplit(const RowIdx* a, size_t na, const RowIdx* b, size_t nb,
   return lo;
 }
 
-}  // namespace sort_internal
-
-template <typename Cmp>
-Result<IdxVec> StableSortRows(size_t n, const Cmp& cmp, ThreadPool* tp,
-                              const KernelTuning& kt) {
-  const size_t run = kt.Clamped().sort_chunk_rows;
+// The stable sort permutation of rows 0..flags.size()-1 under the strict
+// order `less`, given the run starts in `flags` (see StableSortRows).
+template <typename Less>
+IdxVec MergeRuns(const std::vector<uint8_t>& flags, const Less& less,
+                 ThreadPool* tp, const KernelTuning& kt) {
+  const size_t n = flags.size();
+  const size_t grain = kt.Clamped().sort_chunk_rows;
   IdxVec perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<RowIdx>(i);
-  // Operator outputs are frequently already in order (the staircase
-  // join emits document order per iter, unions of ordered inputs stay
-  // grouped), so one linear pre-check saves the O(n log n) sort. Each
-  // morsel tests its adjacent pairs, including the pair straddling the
-  // next morsel's boundary.
-  std::atomic<bool> sorted{true};
-  PF_RETURN_NOT_OK(ParallelForStatus(
-      tp, n > 0 ? n - 1 : 0, run,
-      [&](size_t, size_t lo, size_t hi) -> Status {
-        if (!sorted.load(std::memory_order_relaxed)) return Status::OK();
-        for (size_t i = lo; i < hi; ++i) {
-          PF_ASSIGN_OR_RETURN(int c, cmp(static_cast<RowIdx>(i),
-                                         static_cast<RowIdx>(i + 1)));
-          if (c > 0) {
-            sorted.store(false, std::memory_order_relaxed);
-            break;
-          }
-        }
-        return Status::OK();
-      }));
-  if (sorted.load(std::memory_order_relaxed)) return perm;
-  // The strict order the sort and the merges use: a comparator error
-  // is kept in *st (the first one) and orders the pair as a tie.
-  auto less_into = [&cmp](Status* st) {
-    return [&cmp, st](RowIdx a, RowIdx b) {
-      Result<int> c = cmp(a, b);
-      if (!c.ok()) {
-        if (st->ok()) *st = c.status();
-        return false;
-      }
-      return *c < 0;
-    };
+  if (n == 0) return perm;
+  // Per chunk: its run starts, or one chunk sort when its runs are
+  // short. A sorted chunk is one run, cut at both chunk boundaries.
+  const size_t chunks = ThreadPool::NumChunks(n, grain);
+  std::vector<IdxVec> starts(chunks);
+  std::vector<uint8_t> sorted(chunks, 0);
+  ParallelFor(tp, n, grain, [&](size_t c, size_t lo, size_t hi) {
+    IdxVec& s = starts[c];
+    for (size_t i = lo; i < hi; ++i) {
+      if (flags[i] & kRunStart) s.push_back(static_cast<RowIdx>(i));
+    }
+    const size_t inner = s.size() - (!s.empty() && s[0] == lo ? 1 : 0);
+    if (inner > 0 && hi - lo < kMinRunRows * (inner + 1)) {
+      std::stable_sort(perm.begin() + static_cast<ptrdiff_t>(lo),
+                       perm.begin() + static_cast<ptrdiff_t>(hi), less);
+      sorted[c] = 1;
+    }
+  });
+  std::vector<size_t> bounds = {0};  // run starts, then n
+  auto cut = [&bounds](size_t i) {
+    if (i > bounds.back()) bounds.push_back(i);
   };
-  if (tp == nullptr || n < 2 * run) {
-    Status st;
-    std::stable_sort(perm.begin(), perm.end(), less_into(&st));
-    PF_RETURN_NOT_OK(st);
-    return perm;
+  for (size_t c = 0; c < chunks; ++c) {
+    if (sorted[c] || (c > 0 && sorted[c - 1])) cut(c * grain);
+    if (!sorted[c]) {
+      for (RowIdx i : starts[c]) cut(i);
+    }
   }
-  // Phase 1: stable-sort fixed-size runs concurrently.
-  PF_RETURN_NOT_OK(ParallelForStatus(
-      tp, n, run, [&](size_t, size_t lo, size_t hi) -> Status {
-        Status st;
-        std::stable_sort(perm.begin() + static_cast<ptrdiff_t>(lo),
-                         perm.begin() + static_cast<ptrdiff_t>(hi),
-                         less_into(&st));
-        return st;
-      }));
-  // Phase 2: merge adjacent runs level by level, every pairwise merge
-  // split into independent output segments of `run` rows. std::merge
-  // takes the left (= lower-run) element on ties and MergeSplit uses
-  // the same rule, so the permutation is exactly the serial one.
+  bounds.push_back(n);
+  if (bounds.size() == 2) return perm;
+  // Merge runs 2j and 2j + 1 at every level (an odd last run is copied
+  // through), each merge split into output segments of `grain` rows.
+  // std::merge takes the left element on ties and MergeSplit uses the
+  // same rule, so every piece is exactly its slice of the merge.
   IdxVec buf(n);
   IdxVec* src = &perm;
   IdxVec* dst = &buf;
@@ -278,42 +282,60 @@ Result<IdxVec> StableSortRows(size_t n, const Cmp& cmp, ThreadPool* tp,
     size_t out_lo, out_hi;  // output segment within [a, b)
   };
   std::vector<Seg> segs;
-  for (size_t width = run; width < n; width *= 2) {
+  std::vector<size_t> next;
+  while (bounds.size() > 2) {
     segs.clear();
-    for (size_t a = 0; a < n; a += 2 * width) {
-      size_t mid = std::min(n, a + width);
-      size_t b = std::min(n, a + 2 * width);
-      for (size_t lo = a; lo < b; lo += run) {
-        segs.push_back({a, mid, b, lo, std::min(b, lo + run)});
+    next.clear();
+    const size_t runs = bounds.size() - 1;
+    for (size_t j = 0; j < runs; j += 2) {
+      const size_t a = bounds[j];
+      const size_t mid = bounds[j + 1];
+      const size_t b = j + 1 < runs ? bounds[j + 2] : mid;
+      next.push_back(a);
+      for (size_t lo = a; lo < b; lo += grain) {
+        segs.push_back({a, mid, b, lo, std::min(b, lo + grain)});
       }
     }
-    PF_RETURN_NOT_OK(ParallelForStatus(
-        tp, segs.size(), 1, [&](size_t si, size_t, size_t) -> Status {
-          const Seg& sg = segs[si];
-          Status st;
-          auto less = less_into(&st);
-          const RowIdx* av = src->data() + sg.a;
-          size_t na = sg.mid - sg.a;
-          const RowIdx* bv = src->data() + sg.mid;
-          size_t nb = sg.b - sg.mid;
-          size_t i0 = sort_internal::MergeSplit(av, na, bv, nb,
-                                                sg.out_lo - sg.a, less);
-          size_t i1 = sort_internal::MergeSplit(av, na, bv, nb,
-                                                sg.out_hi - sg.a, less);
-          // A comparator error makes the split points meaningless (and
-          // possibly inverted): stop before handing them to std::merge.
-          PF_RETURN_NOT_OK(st);
-          size_t j0 = (sg.out_lo - sg.a) - i0;
-          size_t j1 = (sg.out_hi - sg.a) - i1;
-          std::merge(av + i0, av + i1, bv + j0, bv + j1,
-                     dst->begin() + static_cast<ptrdiff_t>(sg.out_lo),
-                     less);
-          return st;
-        }));
+    next.push_back(n);
+    ParallelFor(tp, segs.size(), 1, [&](size_t si, size_t, size_t) {
+      const Seg& sg = segs[si];
+      const RowIdx* av = src->data() + sg.a;
+      const size_t na = sg.mid - sg.a;
+      const RowIdx* bv = src->data() + sg.mid;
+      const size_t nb = sg.b - sg.mid;
+      const size_t i0 =
+          MergeSplit(av, na, bv, nb, sg.out_lo - sg.a, less);
+      const size_t i1 =
+          MergeSplit(av, na, bv, nb, sg.out_hi - sg.a, less);
+      std::merge(av + i0, av + i1, bv + (sg.out_lo - sg.a - i0),
+                 bv + (sg.out_hi - sg.a - i1),
+                 dst->begin() + static_cast<ptrdiff_t>(sg.out_lo), less);
+    });
+    bounds.swap(next);
     std::swap(src, dst);
   }
   if (src != &perm) perm = std::move(*src);
   return perm;
+}
+
+}  // namespace sort_internal
+
+template <typename Cmp>
+IdxVec StableSortRows(size_t n, const Cmp& cmp, ThreadPool* tp,
+                      const KernelTuning& kt) {
+  std::vector<uint8_t> flags(n, 0);
+  ParallelFor(tp, n, kt.Clamped().sort_chunk_rows,
+              [&](size_t, size_t lo, size_t hi) {
+                for (size_t i = std::max<size_t>(lo, 1); i < hi; ++i) {
+                  if (cmp(static_cast<RowIdx>(i - 1),
+                          static_cast<RowIdx>(i)) > 0) {
+                    flags[i] = sort_internal::kRunStart;
+                  }
+                }
+              });
+  return sort_internal::MergeRuns(
+      flags, [&cmp](RowIdx a, RowIdx b) { return cmp(a, b) < 0; }, tp,
+      kt);
 }
 
 }  // namespace pathfinder::bat

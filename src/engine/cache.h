@@ -74,7 +74,7 @@ struct PlanCacheEntry {
   compiler::CompileStats compile_stats;
   opt::OptimizeStats opt_stats;
   /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-  /// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it. Nothing
+  /// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it. Nothing
   /// reads it.
   opt::PipelineStats pipeline_stats;
   size_t bytes = 0;

@@ -786,16 +786,14 @@ class Exec {
     PF_ASSIGN_OR_RETURN(ColumnPtr item_c, in.GetCol(bat::kItem));
     const auto& iters = iter_c->ints();
     const auto& items = item_c->items();
-    PF_ASSIGN_OR_RETURN(
-        IdxVec perm,
-        bat::StableSortRows(
-            in.rows(),
-            [&](RowIdx a, RowIdx b) -> Result<int> {
-              if (iters[a] != iters[b]) return iters[a] < iters[b] ? -1 : 1;
-              return (items[a].raw > items[b].raw) -
-                     (items[a].raw < items[b].raw);
-            },
-            tp(), kt()));
+    const IdxVec perm = bat::StableSortRows(
+        in.rows(),
+        [&](RowIdx a, RowIdx b) {
+          if (iters[a] != iters[b]) return iters[a] < iters[b] ? -1 : 1;
+          return (items[a].raw > items[b].raw) -
+                 (items[a].raw < items[b].raw);
+        },
+        tp(), kt());
     accel::IterNodes ctxs;
     ctxs.iter.reserve(perm.size());
     ctxs.node.reserve(perm.size());

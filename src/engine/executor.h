@@ -17,7 +17,7 @@ namespace pathfinder::engine {
 Result<bat::Table> Execute(const algebra::OpPtr& root, QueryContext* ctx);
 
 /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+/// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it.
 inline bool PipelineDefault() { return false; }
 
 }  // namespace pathfinder::engine

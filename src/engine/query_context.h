@@ -162,8 +162,8 @@ class QueryContext {
     }
   }
 
-  /// Partitioned-kernel tuning (radix bits, morsel grain, sort run
-  /// length) used for every kernel call. Every setting is
+  /// Partitioned-kernel tuning (radix bits, morsel grain, sort grain)
+  /// used for every kernel call. Every setting is
   /// result-neutral — it shifts work between partitions/chunks whose
   /// merges are order-exact — so overriding it per query can never
   /// change result bytes. Defaults to the process default; stored
@@ -182,7 +182,7 @@ class QueryContext {
   bool path_summary = false;
 
   /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-  /// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it. Nothing
+  /// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it. Nothing
   /// reads it.
   bool pipeline = false;
 

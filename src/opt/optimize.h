@@ -27,7 +27,7 @@ struct OptimizeStats {
   /// still report it.
   int joins_reordered = 0;
   /// Compile-only stubs, always 0: perfbench/src/cold.cc is their only
-  /// user, and ROADMAP item 3, step 1 (TracedRun calls Run) deletes them.
+  /// user, and ROADMAP item 4, step 1 (TracedRun calls Run) deletes them.
   int selects_pushed = 0;
   int key_distincts_removed = 0;
   /// Structural step chains collapsed into kPathScan operators by the
@@ -48,7 +48,7 @@ struct OptimizeOptions {
   /// (opt/path_rewrite.h).
   bool path_summary = false;
   /// Compile-only stubs, read by nothing: perfbench/src/cold.cc is their
-  /// only user, and ROADMAP item 3, step 1 (TracedRun calls Run) deletes
+  /// only user, and ROADMAP item 4, step 1 (TracedRun calls Run) deletes
   /// them.
   bool join_opt = false;
   const xml::Database* db = nullptr;
@@ -92,7 +92,7 @@ Result<algebra::OpPtr> CseMerge(const algebra::OpPtr& root,
 bool CseDefault();
 
 /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+/// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it.
 inline bool JoinOptDefault() { return false; }
 
 /// Process-wide default for path-summary consumption (the path rewrite
@@ -101,13 +101,13 @@ inline bool JoinOptDefault() { return false; }
 bool PathSumDefault();
 
 /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+/// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it.
 struct PipelineStats {
   int fused_ops = 0;
 };
 
 /// Compile-only stub: perfbench/src/cold.cc is its only user, and
-/// ROADMAP item 3, step 1 (TracedRun calls Run) deletes it.
+/// ROADMAP item 4, step 1 (TracedRun calls Run) deletes it.
 inline Status AnnotatePipelines(const algebra::OpPtr&, PipelineStats*) {
   return Status::OK();
 }

@@ -10,17 +10,30 @@ Result<std::vector<Item>> TableToSequence(const bat::Table& t) {
   return std::vector<Item>(item->items());
 }
 
-Result<std::string> SerializeItem(const engine::QueryContext& ctx,
-                                  const Item& item) {
+namespace {
+
+Status AppendItem(const engine::QueryContext& ctx, const Item& item,
+                  std::string* out) {
   if (item.IsNode()) {
-    const xml::Document& d = ctx.doc(item.NodeFrag());
-    return xml::SerializeSubtree(d, item.NodePre(), ctx.pool());
+    xml::AppendSubtree(ctx.doc(item.NodeFrag()), item.NodePre(), ctx.pool(),
+                       out);
+    return Status::OK();
   }
   // Atomics: lexical form. ItemToString interns, so we need a mutable
   // pool; go through the non-const context the engine owns.
   auto* mctx = const_cast<engine::QueryContext*>(&ctx);
   PF_ASSIGN_OR_RETURN(StrId s, bat::ItemToString(item, mctx->pool()));
-  return std::string(ctx.pool().Get(s));
+  *out += ctx.pool().Get(s);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> SerializeItem(const engine::QueryContext& ctx,
+                                  const Item& item) {
+  std::string out;
+  PF_RETURN_NOT_OK(AppendItem(ctx, item, &out));
+  return out;
 }
 
 Result<std::string> SerializeSequence(const engine::QueryContext& ctx,
@@ -30,8 +43,7 @@ Result<std::string> SerializeSequence(const engine::QueryContext& ctx,
   for (const Item& it : items) {
     bool atomic = !it.IsNode();
     if (atomic && prev_atomic) out += ' ';
-    PF_ASSIGN_OR_RETURN(std::string s, SerializeItem(ctx, it));
-    out += s;
+    PF_RETURN_NOT_OK(AppendItem(ctx, it, &out));
     prev_atomic = atomic;
   }
   return out;

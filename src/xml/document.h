@@ -63,9 +63,11 @@ class Document {
 
   bool IsAttr(Pre v) const { return kind(v) == NodeKind::kAttr; }
 
-  /// Parent of v, or false for a document node. O(distance to previous
-  /// sibling chain) backwards scan; the relational engine never calls
-  /// this on hot paths (it uses the ancestor region instead).
+  /// Parent of v, or false for a document node. A backwards scan to the
+  /// first row of a lower level, so it costs the distance to the
+  /// parent: every preceding sibling's subtree. The staircase join
+  /// calls it once per context for the parent and sibling axes and once
+  /// per climbed level for ancestor; ROADMAP item 3 bounds it.
   bool Parent(Pre v, Pre* parent) const;
 
   /// The document node of v's tree: 0 unless the document is a forest,

@@ -2,52 +2,37 @@
 
 namespace pathfinder::xml {
 
-std::string EscapeText(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+namespace {
 
-std::string EscapeAttr(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+// Appends `s` with & < > escaped, and " too in an attribute value. The
+// runs between special characters are copied in one piece.
+void AppendEscaped(std::string_view s, bool attr, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view rep;
+    switch (s[i]) {
       case '&':
-        out += "&amp;";
+        rep = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        rep = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        rep = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        if (!attr) continue;
+        rep = "&quot;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(s.data() + run, i - run);
+    *out += rep;
+    run = i + 1;
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
-
-namespace {
 
 void SerializeRange(const Document& doc, Pre begin, Pre end_inclusive,
                     const StringPool& pool, std::string* out) {
@@ -75,7 +60,7 @@ void SerializeRange(const Document& doc, Pre begin, Pre end_inclusive,
           *out += " ";
           *out += pool.Get(doc.prop(a));
           *out += "=\"";
-          *out += EscapeAttr(pool.Get(doc.value(a)));
+          AppendEscaped(pool.Get(doc.value(a)), /*attr=*/true, out);
           *out += "\"";
           ++a;
         }
@@ -92,7 +77,7 @@ void SerializeRange(const Document& doc, Pre begin, Pre end_inclusive,
       case NodeKind::kAttr:
         break;  // rendered with its owner element
       case NodeKind::kText:
-        *out += EscapeText(pool.Get(doc.value(v)));
+        AppendEscaped(pool.Get(doc.value(v)), /*attr=*/false, out);
         break;
       case NodeKind::kComment:
         *out += "<!--";
@@ -118,18 +103,23 @@ void SerializeRange(const Document& doc, Pre begin, Pre end_inclusive,
 
 }  // namespace
 
+void AppendSubtree(const Document& doc, Pre v, const StringPool& pool,
+                   std::string* out) {
+  if (doc.kind(v) == NodeKind::kAttr) {
+    // Lone attributes serialize as name="value" (diagnostic form).
+    *out += pool.Get(doc.prop(v));
+    *out += "=\"";
+    AppendEscaped(pool.Get(doc.value(v)), /*attr=*/true, out);
+    *out += "\"";
+    return;
+  }
+  SerializeRange(doc, v, v + doc.size(v), pool, out);
+}
+
 std::string SerializeSubtree(const Document& doc, Pre v,
                              const StringPool& pool) {
   std::string out;
-  if (doc.kind(v) == NodeKind::kAttr) {
-    // Lone attributes serialize as name="value" (diagnostic form).
-    out += pool.Get(doc.prop(v));
-    out += "=\"";
-    out += EscapeAttr(pool.Get(doc.value(v)));
-    out += "\"";
-    return out;
-  }
-  SerializeRange(doc, v, v + doc.size(v), pool, &out);
+  AppendSubtree(doc, v, pool, &out);
   return out;
 }
 

@@ -16,13 +16,13 @@ namespace pathfinder::xml {
 std::string SerializeSubtree(const Document& doc, Pre v,
                              const StringPool& pool);
 
+/// SerializeSubtree appending to *out: text and attribute values are
+/// escaped (& < >, and " in attribute values) straight into it.
+void AppendSubtree(const Document& doc, Pre v, const StringPool& pool,
+                   std::string* out);
+
 /// Serialize a whole document (children of the doc node).
 std::string SerializeDocument(const Document& doc, const StringPool& pool);
-
-/// Escape character data (& < >) for serialization.
-std::string EscapeText(std::string_view s);
-/// Escape an attribute value (& < > ").
-std::string EscapeAttr(std::string_view s);
 
 }  // namespace pathfinder::xml
 

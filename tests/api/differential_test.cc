@@ -109,6 +109,11 @@ const char* kCorpus[] = {
     "for $x in (1,2) let $y := $x + 1 where $y = 2 return ($x, $y)",
     "for $x in (3,1,2) order by $x return $x",
     "for $x in (3,1,2) order by $x descending return $x",
+    // NaN keys (number() of non-numbers) sort first, stably.
+    "for $x in (\"2\", \"a\", \"1\", \"b\", \"3\") "
+    "order by number($x) return $x",
+    "for $x in (\"2\", \"a\", \"1\", \"b\", \"3\") "
+    "order by number($x) descending return $x",
     "for $x in (1,2), $y in (1,2) order by $y, $x descending "
     "return 10 * $x + $y",
     "for $x in () return 99",

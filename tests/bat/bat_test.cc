@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bat/item_ops.h"
 #include "bat/kernel.h"
 #include "bat/table.h"
@@ -120,6 +122,17 @@ TEST_F(ItemOpsTest, ItemOrderRanksKindClasses) {
   EXPECT_LT(ItemOrder(Item::Int(999), S("a"), pool_), 0);
   EXPECT_LT(ItemOrder(S("zzz"), Item::Node(0, 0), pool_), 0);
   EXPECT_EQ(ItemOrder(Item::Int(3), Item::Dbl(3.0), pool_), 0);
+}
+
+TEST_F(ItemOpsTest, ItemOrderPutsNaNFirstAmongNumbers) {
+  // A strict weak order: NaN ties NaN and sorts before every number, so
+  // sorts and merges over NaN keys stay well defined.
+  const Item nan = Item::Dbl(std::nan(""));
+  EXPECT_EQ(ItemOrder(nan, Item::Dbl(std::nan("")), pool_), 0);
+  EXPECT_LT(ItemOrder(nan, Item::Int(-5), pool_), 0);
+  EXPECT_GT(ItemOrder(Item::Dbl(-1e308), nan, pool_), 0);
+  EXPECT_LT(ItemOrder(Item::Bool(true), nan, pool_), 0);
+  EXPECT_LT(ItemOrder(nan, S("a"), pool_), 0);
 }
 
 // --- kernel ------------------------------------------------------------
@@ -251,6 +264,29 @@ TEST_F(KernelTest, GatherPairsCopiesUnmatchedAndRepeatedRows) {
     EXPECT_NE(t.col(1), r.col(0));
     EXPECT_EQ(t.col(0)->ints(), c.l_out);
     EXPECT_EQ(t.col(1)->ints(), c.r_out);
+  }
+}
+
+TEST_F(KernelTest, GatherTableSharesOnlyTheIdentity) {
+  Table t;
+  t.AddCol(C("a"), IntCol({10, 20, 30}));
+  t.AddCol(C("p"), BoolCol({1, 0, 1}));
+  // Every row, in order: the columns are handed through.
+  Table same = GatherTable(t, IdxVec{0, 1, 2});
+  EXPECT_EQ(same.col(0), t.col(0));
+  EXPECT_EQ(same.col(1), t.col(1));
+  EXPECT_EQ(same.names(), t.names());
+  // A permutation, a strict subset and a repeated row are copies.
+  for (const IdxVec& idx : {IdxVec{1, 0, 2}, IdxVec{0, 1}, IdxVec{0, 1, 2, 2},
+                            IdxVec{}}) {
+    Table g = GatherTable(t, idx);
+    EXPECT_NE(g.col(0), t.col(0));
+    EXPECT_NE(g.col(1), t.col(1));
+    ASSERT_EQ(g.rows(), idx.size());
+    for (size_t k = 0; k < idx.size(); ++k) {
+      EXPECT_EQ(g.col(0)->ints()[k], t.col(0)->ints()[idx[k]]);
+      EXPECT_EQ(g.col(1)->bools()[k], t.col(1)->bools()[idx[k]]);
+    }
   }
 }
 

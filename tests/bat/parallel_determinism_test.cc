@@ -15,6 +15,7 @@
 #include "bat/kernel.h"
 #include "bat/table.h"
 #include "join_pairs.h"
+#include "sort_reference.h"
 
 namespace pathfinder::bat {
 namespace {
@@ -299,6 +300,17 @@ TEST_F(ParallelDeterminismTest, MarkStability) {
     ASSERT_TRUE(par.ok());
     EXPECT_EQ((*par)->ints(), (*serial)->ints());
   }
+}
+
+TEST_F(ParallelDeterminismTest, SortAndMarkMatchReference) {
+  // The run detection, the linear numbering of ordered rows and the
+  // merges of presorted runs, serial and at 2 and 7 threads, at the
+  // default grain and at the smallest one (many chunks, split merges).
+  std::vector<KernelTuning> tunings(2);
+  tunings[1].sort_chunk_rows = 256;
+  std::vector<ThreadPool*> pools = Pools();
+  pools.insert(pools.begin(), nullptr);
+  ExpectSortsMatchReference(SortCases(&pool_), pools, tunings, pool_);
 }
 
 TEST_F(ParallelDeterminismTest, GroupAggAllKindsBitExact) {

@@ -1,12 +1,13 @@
 // Byte-identity and correctness suite for the partitioned parallel
-// kernels: the radix hash join, the merge-path parallel sort and the
+// kernels: the radix hash join, the run-merging row sort and the
 // partitioned GroupAgg combine must be invisible implementation
 // details — every (thread count × tuning) combination has to produce
 // the serial reference bytes, including the awkward inputs: empty
 // sides, all-duplicate keys (one chain holds every build row) and
 // Zipf/single-partition skew (one partition holds almost everything).
 // The int-key join is additionally anchored against a naive
-// nested-loop reference, so the serial path itself is checked against
+// nested-loop reference, and SortPerm and Mark against std::stable_sort
+// (sort_reference.h), so the serial path itself is checked against
 // first principles, not just against yesterday's serial path.
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "bat/kernel.h"
 #include "bat/table.h"
 #include "join_pairs.h"
+#include "sort_reference.h"
 
 namespace pathfinder::bat {
 namespace {
@@ -400,8 +402,9 @@ TEST_F(PartitionedKernelsTest, MergeSortMatchesSerialStableSort) {
 }
 
 TEST_F(PartitionedKernelsTest, MergeSortSkewAndPhases) {
-  // Reverse-sorted input with heavy duplication: every merge moves
-  // every element, and the sorted pre-check can never short-circuit.
+  // Reverse-sorted input with heavy duplication: runs of 100 tied rows,
+  // each starting below its predecessor, so every chunk holds several
+  // runs and every merge moves every element.
   Table t;
   auto c = Column::MakeInt(50000);
   for (size_t i = 0; i < 50000; ++i) {
@@ -421,22 +424,27 @@ TEST_F(PartitionedKernelsTest, SharedSortMatchesStdStableSort) {
   // The one sort routine under a comparator of its caller's choosing,
   // against std::stable_sort: random keys with long tie runs (the tie
   // rule decides the permutation), all-equal, sorted and reverse
-  // inputs, at every pool size and at the shortest and the default run
-  // length. 40,000 rows reach the parallel merge at both.
+  // inputs, and presorted runs of 512 rows (every run start on a chunk
+  // boundary at both grains) and of 700 rows (off them), at every pool
+  // size and at the shortest and the default grain. 40,000 rows span
+  // several chunks at both.
   constexpr size_t kN = 40000;
   Rng rng(101);
   std::vector<std::pair<const char*, std::vector<int64_t>>> inputs = {
-      {"random", {}}, {"all-equal", {}}, {"sorted", {}}, {"reverse", {}}};
+      {"random", {}},  {"all-equal", {}}, {"sorted", {}},
+      {"reverse", {}}, {"runs-512", {}},  {"runs-700", {}}};
   for (size_t i = 0; i < kN; ++i) {
     inputs[0].second.push_back(rng.Range(0, 30));
     inputs[1].second.push_back(5);
     inputs[2].second.push_back(static_cast<int64_t>(i / 7));
     inputs[3].second.push_back(static_cast<int64_t>((kN - i) / 100));
+    inputs[4].second.push_back(static_cast<int64_t>(i % 512 / 3));
+    inputs[5].second.push_back(static_cast<int64_t>(i % 700 / 3));
   }
   std::vector<KernelTuning> runs(2);
   runs[0].sort_chunk_rows = 256;
   for (const auto& [name, k] : inputs) {
-    auto cmp = [&k = k](RowIdx a, RowIdx b) -> Result<int> {
+    auto cmp = [&k = k](RowIdx a, RowIdx b) {
       return (k[a] > k[b]) - (k[a] < k[b]);
     };
     IdxVec want(kN);
@@ -447,33 +455,31 @@ TEST_F(PartitionedKernelsTest, SharedSortMatchesStdStableSort) {
     pools.push_back(nullptr);
     for (ThreadPool* tp : pools) {
       for (const KernelTuning& kt : runs) {
-        auto got = StableSortRows(kN, cmp, tp, kt);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(*got, want) << name << " run=" << kt.sort_chunk_rows
-                              << " threads="
-                              << (tp ? tp->num_threads() : 0);
+        EXPECT_EQ(StableSortRows(kN, cmp, tp, kt), want)
+            << name << " run=" << kt.sort_chunk_rows
+            << " threads=" << (tp ? tp->num_threads() : 0);
       }
     }
   }
 }
 
-TEST_F(PartitionedKernelsTest, SharedSortReturnsComparatorError) {
-  // Reverse input fails the sorted pre-check at its first pair, so the
-  // error comes from the run sort or the merges.
-  constexpr size_t kN = 20000;
-  auto cmp = [](RowIdx a, RowIdx b) -> Result<int> {
-    if (a == 9000 || b == 9000) return Status::TypeError("incomparable");
-    return (a < b) - (a > b);
-  };
-  KernelTuning kt;
-  kt.sort_chunk_rows = 256;
-  std::vector<ThreadPool*> pools = Pools();
-  pools.push_back(nullptr);
-  for (ThreadPool* tp : pools) {
-    auto got = StableSortRows(kN, cmp, tp, kt);
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kTypeError);
-  }
+TEST_F(PartitionedKernelsTest, SortAndMarkMatchReference) {
+  // SortPerm and Mark against std::stable_sort under the per-key type
+  // switch they replaced, on the plan shapes and edge cases of
+  // SortCases plus inputs past the default grain: one run numbered
+  // across chunks, and two runs whose second starts on a chunk
+  // boundary. Grains of 256 and 300 rows put the run starts at 256-row
+  // multiples on and off chunk boundaries.
+  std::vector<SortCase> cases = SortCases(&pool_);
+  const ColId iter = C("iter"), ord = C("ord"), pos = C("pos");
+  cases.push_back({"1-run-large", UnionRuns({20000}, 21), {iter}, {}, {}});
+  cases.push_back(
+      {"2-runs-large", UnionRuns({8192, 12000}, 22), {iter}, {ord, pos}, {}});
+  std::vector<KernelTuning> tunings(3);
+  tunings[0].sort_chunk_rows = 256;
+  tunings[1].sort_chunk_rows = 300;
+  ExpectSortsMatchReference(cases, {nullptr, &pool2_, &pool7_}, tunings,
+                            pool_);
 }
 
 TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {

@@ -42,6 +42,17 @@ TEST_F(SerializeTest, NoSpaceAroundNodes) {
   EXPECT_EQ(*SerializeSequence(*ctx_, items), "1<b/>2");
 }
 
+TEST_F(SerializeTest, SpacesOnlyBetweenAdjacentAtomics) {
+  // <a k="v">hi</a> is node 2, <b/> node 5, the attribute k="v" 3.
+  std::vector<Item> items = {Item::Node(0, 2), Item::Int(1),
+                             Str("x"),         Item::Node(0, 5),
+                             Item::Node(0, 5), Str(""),
+                             Item::Int(2),     Item::Attr(0, 3),
+                             Item::Int(3)};
+  EXPECT_EQ(*SerializeSequence(*ctx_, items),
+            "<a k=\"v\">hi</a>1 x<b/><b/> 2k=\"v\"3");
+}
+
 TEST_F(SerializeTest, AttributeItemsUseDiagnosticForm) {
   std::vector<Item> items = {Item::Attr(0, 3)};  // k="v"
   EXPECT_EQ(*SerializeSequence(*ctx_, items), "k=\"v\"");

@@ -389,6 +389,40 @@ TEST(SerializerTest, EscapesSpecials) {
             "1 &lt; 2 &amp; 3 &gt; 2</a>");
 }
 
+TEST(SerializerTest, EscapesAtRunEdges) {
+  // Special characters first, last and doubled; `"` is escaped only in
+  // attribute values; empty values stay empty.
+  StringPool pool;
+  TreeBuilder b(&pool);
+  b.StartElem("a");
+  b.Attr("q", "\"x\"");
+  b.Attr("e", "");
+  b.Attr("r", "&&<>");
+  b.Text("&first \"q\" last>");
+  b.EndElem();
+  b.StartElem("b");
+  b.Text("<>");
+  b.EndElem();
+  b.StartElem("c");
+  b.Attr("k", "plain");
+  b.Text("&&");
+  b.EndElem();
+  auto doc = std::move(b).Finish().value();
+  EXPECT_EQ(SerializeDocument(doc, pool),
+            "<a q=\"&quot;x&quot;\" e=\"\" r=\"&amp;&amp;&lt;&gt;\">"
+            "&amp;first \"q\" last&gt;</a><b>&lt;&gt;</b>"
+            "<c k=\"plain\">&amp;&amp;</c>");
+}
+
+TEST(SerializerTest, AppendSubtreeAppends) {
+  StringPool pool;
+  auto doc = ParseXml("<a k=\"&lt;\"><b>x&amp;</b></a>", &pool).value();
+  std::string out = "prefix:";
+  AppendSubtree(doc, 3, pool, &out);
+  AppendSubtree(doc, 2, pool, &out);
+  EXPECT_EQ(out, "prefix:<b>x&amp;</b>k=\"&lt;\"");
+}
+
 TEST(SerializerTest, SerializeSubtree) {
   StringPool pool;
   auto doc = ParseXml("<a><b>x</b><c>y</c></a>", &pool).value();
