@@ -53,8 +53,7 @@ BENCHMARK(BM_FilterGather)->Range(1 << 10, 1 << 20);
 
 // n values drawn from a domain of n, spread a stride apart so that the
 // build keys are too sparse for the positional slot function: the
-// hashed paths (one table below the morsel threshold, radix partitions
-// above it).
+// hashed path, one chained table over all build rows at every size.
 ColumnPtr SparseInts(size_t n, uint64_t seed) {
   auto c = RandomInts(n, static_cast<int64_t>(n), seed);
   for (int64_t& k : c->ints()) k *= 1000003;

@@ -334,10 +334,9 @@ Result<QueryResult> Pathfinder::Run(const std::string& query,
   {
     // Kernel tuning: -1 keeps the process default per field;
     // overrides are clamped once here so every kernel sees consistent
-    // values. All three are result-neutral (and execution-only: they
-    // are deliberately NOT part of the plan-cache key).
+    // values. Both are result-neutral (and execution-only: they are
+    // deliberately NOT part of the plan-cache key).
     bat::KernelTuning kt = res.ctx->tuning;
-    if (opts.radix_bits >= 0) kt.radix_bits = opts.radix_bits;
     if (opts.morsel_rows >= 0) {
       kt.morsel_rows = static_cast<uint32_t>(
           std::min<int64_t>(opts.morsel_rows, int64_t{1} << 30));

@@ -76,14 +76,10 @@ struct QueryOptions {
   /// -1 = leave as is (process default: PF_CACHE_MIN_COST_US, unset =
   /// 100); 0 = admit every candidate.
   int64_t cache_min_cost_us = -1;
-  /// Partitioned-kernel tuning. All three are RESULT-NEUTRAL speed
-  /// knobs: partition counts and morsel grains only shift work between
-  /// chunks whose merges are order-exact, so result bytes never depend
-  /// on them. -1 = the process default (bat::KernelTuning's member
-  /// defaults).
-  /// log2 of the radix-join / group-agg partition count, clamped to
-  /// [1, 12].
-  int radix_bits = -1;
+  /// Kernel grains. Both are RESULT-NEUTRAL speed knobs: they only
+  /// shift work between chunks whose merges are order-exact, so result
+  /// bytes never depend on them. -1 = the process default
+  /// (bat::KernelTuning's member defaults).
   /// Morsel grain (rows) for filters and joins, clamped to
   /// [64, 2^20].
   int64_t morsel_rows = -1;

@@ -11,6 +11,25 @@ namespace {
 // from such a thread runs inline instead of blocking on the pool.
 thread_local bool tls_in_worker = false;
 
+// Runs every chunk in order on the calling thread. Every chunk runs even
+// if an earlier one threw, and the lowest-index exception is rethrown
+// afterwards: the pool's semantics, so callers observe identical
+// behavior either way.
+void RunSerial(size_t n, size_t grain, const ThreadPool::ChunkFn& fn) {
+  std::exception_ptr first_err;
+  const size_t chunks = ThreadPool::NumChunks(n, grain);
+  for (size_t c = 0; c < chunks; ++c) {
+    size_t lo = c * grain;
+    size_t hi = std::min(n, lo + grain);
+    try {
+      fn(c, lo, hi);
+    } catch (...) {
+      if (!first_err) first_err = std::current_exception();
+    }
+  }
+  if (first_err) std::rethrow_exception(first_err);
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
@@ -63,29 +82,12 @@ void ThreadPool::RunChunks(Job* job) {
   tls_in_worker = was_worker;
 }
 
-void ThreadPool::RunSerial(size_t n, size_t grain, size_t chunks,
-                           const ChunkFn& fn) {
-  // Same all-chunks-run + lowest-index-exception semantics as the pool
-  // path, so callers observe identical behavior either way.
-  std::exception_ptr first_err;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t lo = c * grain;
-    size_t hi = std::min(n, lo + grain);
-    try {
-      fn(c, lo, hi);
-    } catch (...) {
-      if (!first_err) first_err = std::current_exception();
-    }
-  }
-  if (first_err) std::rethrow_exception(first_err);
-}
-
 void ThreadPool::ParallelFor(size_t n, size_t grain, const ChunkFn& fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   size_t chunks = NumChunks(n, grain);
   if (num_threads_ == 1 || chunks == 1 || tls_in_worker) {
-    RunSerial(n, grain, chunks, fn);
+    RunSerial(n, grain, fn);
     return;
   }
   std::lock_guard<std::mutex> submit(submit_mu_);
@@ -111,16 +113,6 @@ void ThreadPool::ParallelFor(size_t n, size_t grain, const ChunkFn& fn) {
   }
 }
 
-Status ThreadPool::ParallelForStatus(size_t n, size_t grain,
-                                     const ChunkStatusFn& fn) {
-  std::vector<Status> sts(NumChunks(n, grain));
-  ParallelFor(n, grain, [&](size_t c, size_t lo, size_t hi) {
-    sts[c] = fn(c, lo, hi);
-  });
-  for (Status& s : sts) PF_RETURN_NOT_OK(s);
-  return Status::OK();
-}
-
 int ThreadPool::DefaultNumThreads() {
   if (const char* env = std::getenv("PF_THREADS")) {
     char* end = nullptr;
@@ -144,20 +136,7 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
     pool->ParallelFor(n, grain, fn);
     return;
   }
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  std::exception_ptr first_err;
-  size_t chunks = ThreadPool::NumChunks(n, grain);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t lo = c * grain;
-    size_t hi = std::min(n, lo + grain);
-    try {
-      fn(c, lo, hi);
-    } catch (...) {
-      if (!first_err) first_err = std::current_exception();
-    }
-  }
-  if (first_err) std::rethrow_exception(first_err);
+  RunSerial(n, grain == 0 ? 1 : grain, fn);
 }
 
 Status ParallelForStatus(ThreadPool* pool, size_t n, size_t grain,

@@ -51,10 +51,6 @@ class ThreadPool {
   /// chunk structure — instead of deadlocking on the pool.
   void ParallelFor(size_t n, size_t grain, const ChunkFn& fn);
 
-  /// Status-returning variant: runs every chunk and returns the non-OK
-  /// status of the lowest chunk index (or OK).
-  Status ParallelForStatus(size_t n, size_t grain, const ChunkStatusFn& fn);
-
   /// Number of chunks ParallelFor uses for a range of n rows.
   static size_t NumChunks(size_t n, size_t grain) {
     if (grain == 0) grain = 1;
@@ -85,8 +81,6 @@ class ThreadPool {
 
   void WorkerLoop();
   void RunChunks(Job* job);
-  static void RunSerial(size_t n, size_t grain, size_t chunks,
-                        const ChunkFn& fn);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -106,6 +100,8 @@ class ThreadPool {
 /// the computation is identical at every thread count including 1.
 void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                  const ThreadPool::ChunkFn& fn);
+/// Status-returning variant: runs every chunk and returns the non-OK
+/// status of the lowest chunk index (or OK).
 Status ParallelForStatus(ThreadPool* pool, size_t n, size_t grain,
                          const ThreadPool::ChunkStatusFn& fn);
 

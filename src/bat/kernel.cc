@@ -15,7 +15,7 @@ namespace pathfinder::bat {
 namespace {
 
 // Morsel sizing for the operators that are NOT tuning-aware (gather,
-// theta join, distinct/difference). Fixed constants — NEVER derived
+// theta join, grouped aggregation). Fixed constants — NEVER derived
 // from the thread count — so chunk boundaries, and with them every
 // chunk-indexed merge, are identical at every pool size (see
 // ThreadPool's determinism contract). The tuning-aware kernels obey
@@ -25,25 +25,16 @@ constexpr size_t kMorselRows = 4096;
 constexpr size_t kThetaPairsPerMorsel = size_t{1} << 16;
 constexpr size_t kGroupAggParRows = 8192;
 
-// Distinct/difference hash partitions (power of two), chosen by the
-// top bits of a row's key hash (see HashKeys).
-constexpr size_t kJoinPartitions = 32;
-
 // Fibonacci remix: one multiply spreads entropy into the top bits,
-// which the radix partitioning reads.
+// which seed the equi-join's slot index.
 inline uint64_t MixHash(size_t h) {
   return static_cast<uint64_t>(h) * 0x9E3779B97F4A7C15ull;
-}
-
-inline size_t PartitionOf(uint64_t key_hash) {
-  return static_cast<size_t>(key_hash >> 59);  // top log2(32) bits
 }
 
 }  // namespace
 
 KernelTuning KernelTuning::Clamped() const {
   KernelTuning kt = *this;
-  kt.radix_bits = std::clamp(kt.radix_bits, 1, 12);
   kt.morsel_rows =
       std::clamp<uint32_t>(kt.morsel_rows, 64, uint32_t{1} << 20);
   kt.sort_chunk_rows =
@@ -93,14 +84,14 @@ bool SameKey(const std::vector<const Column*>& a, size_t ra,
   return true;
 }
 
-// Key hashes of rows [lo, hi) into h[lo, hi), one column at a time; each
-// cell image is folded in through the splitmix64 finalizer, so the low
-// bits (RowSet slots) and the top bits (PartitionOf) are both mixed.
-void HashKeys(const std::vector<const Column*>& cols, size_t lo, size_t hi,
-              uint64_t* h) {
-  std::fill(h + lo, h + hi, uint64_t{0});
+// Key hashes of rows [0, n), one column at a time; each cell image is
+// folded in through the splitmix64 finalizer, so the low bits (RowSet
+// slots) and the upper half (RowSet's stored tags) are both mixed.
+std::vector<uint64_t> HashKeys(const std::vector<const Column*>& cols,
+                               size_t n) {
+  std::vector<uint64_t> h(n, 0);
   for (const Column* c : cols) {
-    for (size_t r = lo; r < hi; ++r) {
+    for (size_t r = 0; r < n; ++r) {
       CellImage img = ImageOf(*c, r);
       uint64_t x = (h[r] + img.tag * 0x9E3779B97F4A7C15ull) ^ img.bits;
       x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -108,6 +99,7 @@ void HashKeys(const std::vector<const Column*>& cols, size_t lo, size_t hi,
       h[r] = x ^ (x >> 31);
     }
   }
+  return h;
 }
 
 // Flat open-addressing set of row indices, keyed by the rows' key
@@ -345,11 +337,11 @@ size_t ClassifyPairs(const std::vector<SortKey>& keys, size_t nparts,
   return descents;
 }
 
-// Row-order compaction by a 0/1 mark per row — the one filter loop
-// behind σ, distinct and difference. MarkOffsets counts each morsel's
-// marks and turns the counts into exclusive output offsets;
-// ScatterMarked then lets every morsel write its marked rows into its
-// own output slice: row order preserved, no inter-chunk contention.
+// Row-order compaction by a 0/1 mark per row — σ's filter loop.
+// MarkOffsets counts each morsel's marks and turns the counts into
+// exclusive output offsets; ScatterMarked then lets every morsel write
+// its marked rows into its own output slice: row order preserved, no
+// inter-chunk contention.
 // The scatter writes every candidate at the cursor and advances only on
 // a mark (misses are overwritten by the next candidate): no per-element
 // branch, contiguous writes, so both passes vectorize, and the mark
@@ -382,15 +374,6 @@ void ScatterMarked(const std::vector<uint8_t>& marks,
       w += marks[i] ? 1 : 0;
     }
   });
-}
-
-// Indices of the marked rows, in row order.
-IdxVec MarkedRows(const std::vector<uint8_t>& marks, size_t morsel,
-                  ThreadPool* tp) {
-  IdxVec out;
-  ScatterMarked(marks, MarkOffsets(marks, morsel, tp), morsel, tp, &out,
-                [](size_t i) { return static_cast<RowIdx>(i); });
-  return out;
 }
 
 // Positional fetch: result[i] = c[idx[i]]  (MonetDB leftfetchjoin).
@@ -476,60 +459,18 @@ Item CanonicalJoinKey(const Item& it, const StringPool& pool) {
 constexpr uint32_t kChainEnd = 0xffffffffu;
 
 // The equi-join's one table: build rows chained per key. head[s] is the
-// first local row of slot s's key, next[u] the local row after u with
-// the same key; local row u stands for build row row(u). Rows are
-// inserted in descending order and each is prepended, so every chain
-// lists its key's rows ascending (the serial insertion order) without
-// a tail array. Three slot functions fill it, chosen by the input
-// alone: key - min (PositionalJoin: one key per slot, so no hash and no
-// probing), and the mixed key hash with linear probing, over one table
-// below the morsel threshold or one table per radix partition above it
-// (HashJoinTyped).
+// first build row of slot s's key, next[j] the build row after j with
+// the same key. Rows are inserted in descending order and each is
+// prepended, so every chain lists its key's rows ascending (the serial
+// insertion order) without a tail array. Two slot functions fill it,
+// chosen by the input alone: key - min (PositionalJoin: one key per
+// slot, so no hash and no probing), and the mixed key hash with linear
+// probing (HashJoinTyped).
 struct ChainTable {
   std::vector<uint32_t> head;
   std::vector<uint32_t> next;
   uint32_t mask = 0;  // hashed slots: head.size() - 1
 };
-
-// Chains the `cnt` local rows of a hashed table; slot(u) is the hash
-// bits that seed local row u's slot.
-template <typename RowFn, typename SlotFn, typename RKeyFn>
-void BuildHashed(size_t cnt, const RowFn& row, const SlotFn& slot,
-                 const RKeyFn& rkey, ChainTable* t) {
-  if (cnt == 0) return;  // head stays empty: every probe misses
-  size_t cap = 16;
-  while (cap < cnt * 2) cap <<= 1;
-  t->mask = static_cast<uint32_t>(cap - 1);
-  t->head.assign(cap, kChainEnd);
-  t->next.resize(cnt);
-  for (size_t u = cnt; u-- > 0;) {
-    const auto k = rkey(row(u));
-    for (uint32_t s = slot(u) & t->mask;; s = (s + 1) & t->mask) {
-      const uint32_t h = t->head[s];
-      if (h == kChainEnd || rkey(row(h)) == k) {
-        t->next[u] = h;
-        t->head[s] = static_cast<uint32_t>(u);
-        break;
-      }
-    }
-  }
-}
-
-// Calls emit(j) for every build row j of a hashed table whose key
-// equals k, ascending; `slot` seeds the probe as in BuildHashed.
-template <typename Key, typename RowFn, typename RKeyFn, typename Emit>
-void ProbeHashed(const ChainTable& t, uint32_t slot, const Key& k,
-                 const RowFn& row, const RKeyFn& rkey, const Emit& emit) {
-  if (t.head.empty()) return;
-  for (uint32_t s = slot & t.mask;; s = (s + 1) & t.mask) {
-    const uint32_t h = t.head[s];
-    if (h == kChainEnd) return;
-    if (rkey(row(h)) == k) {
-      for (uint32_t u = h; u != kChainEnd; u = t.next[u]) emit(row(u));
-      return;
-    }
-  }
-}
 
 // The probe phase every slot function shares: one pair chunk per morsel
 // of the left side, so chunk-ordered concatenation is the left-major
@@ -584,104 +525,45 @@ bool PositionalJoin(const std::vector<int64_t>& lv,
   return true;
 }
 
-// The hashed slot functions. Below the morsel threshold one table is
-// chained over all build rows. Above it the radix-partitioned join runs
-// at EVERY thread count (tp == nullptr executes the same morsels
-// inline), so the path choice, like the chunk boundaries, is a function
-// of the input sizes only. Three phases, none sharing a mutable
-// structure:
-//   partition: each build-side morsel histograms rows by the top
-//              radix_bits of the remixed key hash; a partition-major
-//              exclusive prefix (chunk order within each partition)
-//              turns the counts into disjoint scatter cursors, so each
-//              partition's row list comes out contiguous and in
-//              ascending global row order;
-//   build:     one task per partition chains its rows into a private
-//              table; the slot index comes from hash bits disjoint from
-//              the partition bits;
-//   probe:     each probe-side morsel walks its rows' chains and emits
-//              pairs into its own chunk.
+// The hashed slot function, the same at every size and thread count:
+// one table chains all build rows, its slot seeded by bits 32..63 of the
+// remixed key hash, at a load factor of at most 1/2; each probe-side
+// morsel walks its rows' chains into its own pair chunk.
 template <typename Key, typename Hash, typename LKeyFn, typename RKeyFn>
 void HashJoinTyped(size_t nl, size_t nr, const LKeyFn& lkey,
-                   const RKeyFn& rkey, JoinPairChunks* out, ThreadPool* tp,
-                   const KernelTuning& kt) {
+                   const RKeyFn& rkey, size_t morsel, ThreadPool* tp,
+                   JoinPairChunks* out) {
   Hash hasher;
-  const size_t morsel = kt.morsel_rows;
-  // Bits 32..63 of the remixed hash seed the slot index.
   auto slot_of = [&](const Key& k) {
     return static_cast<uint32_t>(MixHash(hasher(k)) >> 32);
   };
-  if (nl < morsel && nr < morsel) {
-    auto row = [](size_t u) { return static_cast<RowIdx>(u); };
-    ChainTable t;
-    BuildHashed(
-        nr, row, [&](size_t u) { return slot_of(rkey(u)); }, rkey, &t);
-    ProbeMorsels(nl, morsel, tp, out, [&](size_t i, const auto& emit) {
-      const Key k = lkey(i);
-      ProbeHashed(t, slot_of(k), k, row, rkey, emit);
-    });
-    return;
-  }
-  const int bits = kt.radix_bits;
-  const size_t nparts = size_t{1} << bits;
-
-  // Partition phase. The remixed hash is computed once per build row:
-  // the top `bits` select the partition, bits 32..63 (disjoint from
-  // the partition bits for any realistic per-partition capacity) seed
-  // the slot index later.
-  size_t bchunks = ThreadPool::NumChunks(nr, morsel);
-  std::vector<uint16_t> pid(nr);
-  std::vector<uint32_t> slot_hash(nr);
-  std::vector<size_t> hist(bchunks * nparts, 0);
-  ParallelFor(tp, nr, morsel, [&](size_t c, size_t lo, size_t hi) {
-    size_t* h = &hist[c * nparts];
-    for (size_t j = lo; j < hi; ++j) {
-      uint64_t x = MixHash(hasher(rkey(j)));
-      uint16_t p = static_cast<uint16_t>(x >> (64 - bits));
-      pid[j] = p;
-      slot_hash[j] = static_cast<uint32_t>(x >> 32);
-      ++h[p];
-    }
-  });
-  std::vector<size_t> pstart(nparts + 1, 0);
-  {
-    size_t run = 0;
-    for (size_t p = 0; p < nparts; ++p) {
-      pstart[p] = run;
-      for (size_t c = 0; c < bchunks; ++c) {
-        size_t cnt = hist[c * nparts + p];
-        hist[c * nparts + p] = run;  // becomes the (c, p) scatter cursor
-        run += cnt;
+  ChainTable t;
+  size_t cap = 16;
+  while (cap < nr * 2) cap <<= 1;
+  t.mask = static_cast<uint32_t>(cap - 1);
+  t.head.assign(cap, kChainEnd);
+  t.next.resize(nr);
+  for (size_t j = nr; j-- > 0;) {
+    const Key k = rkey(j);
+    for (uint32_t s = slot_of(k) & t.mask;; s = (s + 1) & t.mask) {
+      const uint32_t h = t.head[s];
+      if (h == kChainEnd || rkey(h) == k) {
+        t.next[j] = h;
+        t.head[s] = static_cast<uint32_t>(j);
+        break;
       }
     }
-    pstart[nparts] = run;
   }
-  std::vector<RowIdx> part_rows(nr);
-  ParallelFor(tp, nr, morsel, [&](size_t c, size_t lo, size_t hi) {
-    size_t* cur = &hist[c * nparts];
-    for (size_t j = lo; j < hi; ++j) {
-      part_rows[cur[pid[j]]++] = static_cast<RowIdx>(j);
-    }
-  });
-
-  // Build phase: per-partition private tables, flat arrays only.
-  std::vector<ChainTable> tables(nparts);
-  ParallelFor(tp, nparts, 1, [&](size_t p, size_t, size_t) {
-    const RowIdx* rows = part_rows.data() + pstart[p];
-    BuildHashed(
-        pstart[p + 1] - pstart[p], [rows](size_t u) { return rows[u]; },
-        [&](size_t u) { return slot_hash[rows[u]]; }, rkey, &tables[p]);
-  });
-
-  // Probe phase.
   ProbeMorsels(nl, morsel, tp, out, [&](size_t i, const auto& emit) {
     const Key k = lkey(i);
-    const uint64_t x = MixHash(hasher(k));
-    const size_t p = static_cast<size_t>(x >> (64 - bits));
-    const RowIdx* rows = part_rows.data() + pstart[p];
-    ProbeHashed(
-        tables[p], static_cast<uint32_t>(x >> 32), k,
-        [rows](uint32_t u) { return rows[u]; }, rkey, emit);
+    for (uint32_t s = slot_of(k) & t.mask;; s = (s + 1) & t.mask) {
+      const uint32_t h = t.head[s];
+      if (h == kChainEnd) return;
+      if (rkey(h) == k) {
+        for (uint32_t j = h; j != kChainEnd; j = t.next[j]) emit(j);
+        return;
+      }
+    }
   });
 }
 
@@ -713,7 +595,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
       }
       HashJoinTyped<int64_t, std::hash<int64_t>>(
           lv.size(), rv.size(), [&](size_t i) { return lv[i]; },
-          [&](size_t j) { return rv[j]; }, out, tp, ktc);
+          [&](size_t j) { return rv[j]; }, ktc.morsel_rows, tp, out);
       return Status::OK();
     }
     case ColType::kStr: {
@@ -721,7 +603,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
       const auto& rv = r.strs();
       HashJoinTyped<StrId, std::hash<StrId>>(
           lv.size(), rv.size(), [&](size_t i) { return lv[i]; },
-          [&](size_t j) { return rv[j]; }, out, tp, ktc);
+          [&](size_t j) { return rv[j]; }, ktc.morsel_rows, tp, out);
       return Status::OK();
     }
     case ColType::kItem: {
@@ -746,7 +628,7 @@ Status HashJoinPairsChunked(const Column& l, const Column& r,
                   });
       HashJoinTyped<Item, ItemHash>(
           lc.size(), rc.size(), [&](size_t i) { return lc[i]; },
-          [&](size_t j) { return rc[j]; }, out, tp, ktc);
+          [&](size_t j) { return rc[j]; }, ktc.morsel_rows, tp, out);
       return Status::OK();
     }
     default:
@@ -926,52 +808,20 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
   return MergeKeyRuns(flags, sk, pool, tp, kt);
 }
 
-Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
-                               ThreadPool* tp) {
+Result<IdxVec> DistinctIndices(const Table& t,
+                               const std::vector<ColId>& keys) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> cols, ResolveCols(t, keys));
-  size_t n = t.rows();
-  std::vector<uint64_t> hashes(n);
-  if (tp == nullptr || n < 2 * kMorselRows) {
-    HashKeys(cols, 0, n, hashes.data());
-    RowSet seen(n);
-    IdxVec out;
-    for (size_t r = 0; r < n; ++r) {
-      auto same = [&](RowIdx s) { return SameKey(cols, r, cols, s); };
-      if (seen.Insert(static_cast<RowIdx>(r), hashes[r], same)) {
-        out.push_back(static_cast<RowIdx>(r));
-      }
+  const size_t n = t.rows();
+  const std::vector<uint64_t> hashes = HashKeys(cols, n);
+  RowSet seen(n);
+  IdxVec out;
+  for (size_t r = 0; r < n; ++r) {
+    auto same = [&](RowIdx s) { return SameKey(cols, r, cols, s); };
+    if (seen.Insert(static_cast<RowIdx>(r), hashes[r], same)) {
+      out.push_back(static_cast<RowIdx>(r));
     }
-    return out;
   }
-  // Parallel first-occurrence marking. Rows are hash-partitioned per
-  // morsel; each partition then scans its rows visiting morsels in
-  // chunk order — within a partition rows therefore arrive in ascending
-  // global row order, so the per-partition set marks exactly the rows
-  // the serial scan would keep. Distinct partitions never share a row,
-  // so the byte-per-row marks vector is written race-free.
-  size_t chunks = ThreadPool::NumChunks(n, kMorselRows);
-  std::vector<std::vector<IdxVec>> buckets(
-      chunks, std::vector<IdxVec>(kJoinPartitions));
-  ParallelFor(tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
-    HashKeys(cols, lo, hi, hashes.data());
-    auto& bk = buckets[c];
-    for (size_t r = lo; r < hi; ++r) {
-      bk[PartitionOf(hashes[r])].push_back(static_cast<RowIdx>(r));
-    }
-  });
-  std::vector<uint8_t> first(n, 0);
-  ParallelFor(tp, kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
-    size_t rows = 0;
-    for (size_t c = 0; c < chunks; ++c) rows += buckets[c][p].size();
-    RowSet seen(rows);
-    for (size_t c = 0; c < chunks; ++c) {
-      for (RowIdx r : buckets[c][p]) {
-        auto same = [&](RowIdx s) { return SameKey(cols, r, cols, s); };
-        if (seen.Insert(r, hashes[r], same)) first[r] = 1;
-      }
-    }
-  });
-  return MarkedRows(first, kMorselRows, tp);
+  return out;
 }
 
 Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
@@ -1039,12 +889,11 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
 }
 
 Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
-                                 const std::vector<ColId>& keys,
-                                 ThreadPool* tp) {
+                                 const std::vector<ColId>& keys) {
   PF_ASSIGN_OR_RETURN(std::vector<const Column*> acols,
                       ResolveCols(a, keys));
-  size_t na = a.rows();
-  size_t nb = b.rows();
+  const size_t na = a.rows();
+  const size_t nb = b.rows();
   auto all_of_a = [na] {
     IdxVec out(na);
     for (size_t r = 0; r < na; ++r) out[r] = static_cast<RowIdx>(r);
@@ -1057,61 +906,21 @@ Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
                       ResolveCols(b, keys));
   // Key tuples of different widths never match.
   if (bcols.size() != acols.size()) return all_of_a();
-  std::vector<uint64_t> ahashes(na);
-  std::vector<uint64_t> bhashes(nb);
-  auto in_b = [&](size_t r, const RowSet& set) {
-    auto same = [&](RowIdx s) { return SameKey(acols, r, bcols, s); };
-    return set.Contains(ahashes[r], same);
-  };
-  if (tp == nullptr || (na < 2 * kMorselRows && nb < 2 * kMorselRows)) {
-    HashKeys(bcols, 0, nb, bhashes.data());
-    RowSet present(nb);
-    for (size_t r = 0; r < nb; ++r) {
-      auto same = [&](RowIdx s) { return SameKey(bcols, r, bcols, s); };
-      present.Insert(static_cast<RowIdx>(r), bhashes[r], same);
-    }
-    HashKeys(acols, 0, na, ahashes.data());
-    IdxVec out;
-    for (size_t r = 0; r < na; ++r) {
-      if (!in_b(r, present)) out.push_back(static_cast<RowIdx>(r));
-    }
-    return out;
+  const std::vector<uint64_t> bhashes = HashKeys(bcols, nb);
+  RowSet present(nb);
+  for (size_t r = 0; r < nb; ++r) {
+    auto same = [&](RowIdx s) { return SameKey(bcols, r, bcols, s); };
+    present.Insert(static_cast<RowIdx>(r), bhashes[r], same);
   }
-  // Parallel anti-semijoin: build hash-partitioned key sets from b
-  // (set membership is order-free, so partition builds need no chunk
-  // discipline), then probe a's morsels independently and collect the
-  // kept rows with the two-pass prefix pattern — output order is a's
-  // row order, identical to the serial scan.
-  size_t bchunks = ThreadPool::NumChunks(nb, kMorselRows);
-  std::vector<std::vector<IdxVec>> buckets(
-      bchunks, std::vector<IdxVec>(kJoinPartitions));
-  ParallelFor(tp, nb, kMorselRows, [&](size_t c, size_t lo, size_t hi) {
-    HashKeys(bcols, lo, hi, bhashes.data());
-    auto& bk = buckets[c];
-    for (size_t r = lo; r < hi; ++r) {
-      bk[PartitionOf(bhashes[r])].push_back(static_cast<RowIdx>(r));
+  const std::vector<uint64_t> ahashes = HashKeys(acols, na);
+  IdxVec out;
+  for (size_t r = 0; r < na; ++r) {
+    auto same = [&](RowIdx s) { return SameKey(acols, r, bcols, s); };
+    if (!present.Contains(ahashes[r], same)) {
+      out.push_back(static_cast<RowIdx>(r));
     }
-  });
-  std::vector<RowSet> parts(kJoinPartitions, RowSet(0));
-  ParallelFor(tp, kJoinPartitions, 1, [&](size_t p, size_t, size_t) {
-    size_t rows = 0;
-    for (size_t c = 0; c < bchunks; ++c) rows += buckets[c][p].size();
-    parts[p] = RowSet(rows);
-    for (size_t c = 0; c < bchunks; ++c) {
-      for (RowIdx r : buckets[c][p]) {
-        auto same = [&](RowIdx s) { return SameKey(bcols, r, bcols, s); };
-        parts[p].Insert(r, bhashes[r], same);
-      }
-    }
-  });
-  std::vector<uint8_t> keep(na, 0);
-  ParallelFor(tp, na, kMorselRows, [&](size_t, size_t lo, size_t hi) {
-    HashKeys(acols, lo, hi, ahashes.data());
-    for (size_t r = lo; r < hi; ++r) {
-      keep[r] = in_b(r, parts[PartitionOf(ahashes[r])]) ? 0 : 1;
-    }
-  });
-  return MarkedRows(keep, kMorselRows, tp);
+  }
+  return out;
 }
 
 Result<Table> UnionAll(const Table& a, const Table& b) {
@@ -1138,8 +947,7 @@ Result<Table> UnionAll(const Table& a, const Table& b) {
 
 Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
                        AggKind kind, const StringPool& pool, ColId out_group,
-                       ColId out_val, ThreadPool* tp,
-                       const KernelTuning& kt) {
+                       ColId out_val, ThreadPool* tp) {
   PF_ASSIGN_OR_RETURN(ColumnPtr gcol, t.GetCol(group_col));
   if (gcol->type() != ColType::kInt) {
     return Status::Internal("group column must be int");
@@ -1162,8 +970,43 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
     bool has_extreme = false;
   };
 
+  // Accumulators per group, in first-appearance order.
+  struct Groups {
+    std::unordered_map<int64_t, uint32_t> index;
+    std::vector<int64_t> keys;
+    std::vector<Acc> accs;
+
+    // Group g's accumulator, and whether g was new.
+    std::pair<Acc*, bool> Find(int64_t g) {
+      auto [it, inserted] =
+          index.try_emplace(g, static_cast<uint32_t>(keys.size()));
+      if (inserted) {
+        keys.push_back(g);
+        accs.emplace_back();
+      }
+      return {&accs[it->second], inserted};
+    }
+  };
+
   const auto& groups = gcol->ints();
-  size_t n = t.rows();
+  const size_t n = t.rows();
+
+  // Folds v into a's extreme. The comparison is strict, so on ties the
+  // item seen first stays: in row order within a morsel, and in chunk
+  // order when the partials are combined.
+  auto fold_extreme = [&](Acc* a, const Item& v) -> Status {
+    if (!a->has_extreme) {
+      a->extreme = v;
+      a->has_extreme = true;
+      return Status::OK();
+    }
+    PF_ASSIGN_OR_RETURN(int cmp, ItemCompareValue(v, a->extreme, pool));
+    if ((kind == AggKind::kMax && cmp > 0) ||
+        (kind == AggKind::kMin && cmp < 0)) {
+      a->extreme = v;
+    }
+    return Status::OK();
+  };
 
   auto accumulate = [&](Acc* a, size_t r) -> Status {
     a->count++;
@@ -1184,151 +1027,54 @@ Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
         break;
       }
       case AggKind::kMax:
-      case AggKind::kMin: {
-        if (!a->has_extreme) {
-          a->extreme = v;
-          a->has_extreme = true;
-        } else {
-          PF_ASSIGN_OR_RETURN(int cmp,
-                              ItemCompareValue(v, a->extreme, pool));
-          if ((kind == AggKind::kMax && cmp > 0) ||
-              (kind == AggKind::kMin && cmp < 0)) {
-            a->extreme = v;
-          }
-        }
-        break;
-      }
+      case AggKind::kMin:
+        return fold_extreme(a, v);
     }
     return Status::OK();
   };
 
-  std::vector<int64_t> group_order;
-  std::unordered_map<int64_t, Acc> accs;
-
-  if (n < kGroupAggParRows) {
-    accs.reserve(n * 2);
-    for (size_t r = 0; r < n; ++r) {
-      auto [it, inserted] = accs.try_emplace(groups[r]);
-      if (inserted) group_order.push_back(groups[r]);
-      PF_RETURN_NOT_OK(accumulate(&it->second, r));
-    }
-  } else {
-    // Morsel-wise partial aggregation. The algorithm switch above and
-    // the morsel split both depend on the row count ONLY — the grain is
-    // deliberately the FIXED kMorselRows, never the tuning — so the FP
-    // sum association, and therefore the result bytes, are the same at
-    // every thread count AND every tuning (tp == nullptr runs the same
-    // morsels inline).
-    struct Partial {
-      std::vector<int64_t> order;
-      std::unordered_map<int64_t, Acc> accs;
-    };
-    size_t chunks = ThreadPool::NumChunks(n, kMorselRows);
-    std::vector<Partial> parts(chunks);
-    PF_RETURN_NOT_OK(ParallelForStatus(
-        tp, n, kMorselRows, [&](size_t c, size_t lo, size_t hi) -> Status {
-          Partial& p = parts[c];
-          for (size_t r = lo; r < hi; ++r) {
-            auto [it, inserted] = p.accs.try_emplace(groups[r]);
-            if (inserted) p.order.push_back(groups[r]);
-            PF_RETURN_NOT_OK(accumulate(&it->second, r));
-          }
-          return Status::OK();
-        }));
-    // Partitioned combine: groups are radix-partitioned across
-    // 2^radix_bits private merge maps, so no shared map is built.
-    // Each chunk's group list is bucketed by partition first (storing
-    // positions, so per-partition scans still see ascending chunk
-    // positions); each partition then folds its groups' partials
-    // visiting chunks in ascending order — per group that is exactly
-    // the chunk-order fold the serial merge performed, so the FP
-    // association is unchanged. The first (chunk, pos) sighting of
-    // each group is recorded, and sorting those keys rebuilds the
-    // global first-appearance group order: every group's first
-    // sighting is unique, and (chunk, pos) ascending is precisely
-    // "first appearance over the concatenated morsels".
-    const int bits = kt.Clamped().radix_bits;
-    const size_t nparts = size_t{1} << bits;
-    std::vector<std::vector<uint32_t>> pbuckets(chunks * nparts);
-    ParallelFor(tp, chunks, 1, [&](size_t c, size_t, size_t) {
-      const auto& order = parts[c].order;
-      for (size_t pos = 0; pos < order.size(); ++pos) {
-        size_t p = static_cast<size_t>(
-            MixHash(static_cast<size_t>(order[pos])) >> (64 - bits));
-        pbuckets[c * nparts + p].push_back(static_cast<uint32_t>(pos));
+  // One fold below kGroupAggParRows rows. Above it, one partial per
+  // morsel of the FIXED kMorselRows grain, never the tuning. Both the
+  // switch and the split depend on the row count ONLY, so the FP sum
+  // association, and therefore the result bytes, are the same at every
+  // thread count (tp == nullptr runs the same morsels inline).
+  const size_t grain = n < kGroupAggParRows ? n : kMorselRows;
+  std::vector<Groups> parts(ThreadPool::NumChunks(n, grain));
+  if (parts.size() == 1) parts[0].index.reserve(n * 2);
+  PF_RETURN_NOT_OK(ParallelForStatus(
+      tp, n, grain, [&](size_t c, size_t lo, size_t hi) -> Status {
+        Groups& p = parts[c];
+        for (size_t r = lo; r < hi; ++r) {
+          PF_RETURN_NOT_OK(accumulate(p.Find(groups[r]).first, r));
+        }
+        return Status::OK();
+      }));
+  // Combine the partials in chunk order: each group enters at its first
+  // sighting, so the group order is first appearance over the rows, and
+  // each group folds its partials in chunk order.
+  Groups all;
+  if (!parts.empty()) all = std::move(parts[0]);
+  for (size_t c = 1; c < parts.size(); ++c) {
+    const Groups& p = parts[c];
+    for (size_t k = 0; k < p.keys.size(); ++k) {
+      const Acc& src = p.accs[k];
+      auto [dst, inserted] = all.Find(p.keys[k]);
+      if (inserted) {
+        *dst = src;
+        continue;
       }
-    });
-    struct First {
-      uint32_t chunk;
-      uint32_t pos;
-      int64_t g;
-    };
-    std::vector<std::unordered_map<int64_t, Acc>> pmerged(nparts);
-    std::vector<std::vector<First>> pfirsts(nparts);
-    PF_RETURN_NOT_OK(ParallelForStatus(
-        tp, nparts, 1, [&](size_t p, size_t, size_t) -> Status {
-          auto& merged = pmerged[p];
-          auto& firsts = pfirsts[p];
-          for (size_t c = 0; c < chunks; ++c) {
-            for (uint32_t pos : pbuckets[c * nparts + p]) {
-              int64_t g = parts[c].order[pos];
-              const Acc& src = parts[c].accs.at(g);
-              auto [it, inserted] = merged.try_emplace(g);
-              Acc& dst = it->second;
-              if (inserted) {
-                dst = src;
-                firsts.push_back({static_cast<uint32_t>(c), pos, g});
-                continue;
-              }
-              dst.count += src.count;
-              dst.dsum += src.dsum;
-              dst.isum += src.isum;
-              dst.all_int = dst.all_int && src.all_int;
-              if (src.has_extreme) {
-                if (!dst.has_extreme) {
-                  dst.extreme = src.extreme;
-                  dst.has_extreme = true;
-                } else {
-                  PF_ASSIGN_OR_RETURN(
-                      int cmp,
-                      ItemCompareValue(src.extreme, dst.extreme, pool));
-                  // Strict comparison: on ties the earlier morsel's
-                  // item stays, matching the serial first-wins rule.
-                  if ((kind == AggKind::kMax && cmp > 0) ||
-                      (kind == AggKind::kMin && cmp < 0)) {
-                    dst.extreme = src.extreme;
-                  }
-                }
-              }
-            }
-          }
-          return Status::OK();
-        }));
-    size_t ngroups = 0;
-    for (const auto& f : pfirsts) ngroups += f.size();
-    std::vector<First> firsts;
-    firsts.reserve(ngroups);
-    for (auto& f : pfirsts) {
-      firsts.insert(firsts.end(), f.begin(), f.end());
+      dst->count += src.count;
+      dst->dsum += src.dsum;
+      dst->isum += src.isum;
+      dst->all_int = dst->all_int && src.all_int;
+      if (src.has_extreme) PF_RETURN_NOT_OK(fold_extreme(dst, src.extreme));
     }
-    std::sort(firsts.begin(), firsts.end(),
-              [](const First& a, const First& b) {
-                return a.chunk != b.chunk ? a.chunk < b.chunk
-                                          : a.pos < b.pos;
-              });
-    group_order.reserve(ngroups);
-    for (const First& f : firsts) group_order.push_back(f.g);
-    // The partition maps are disjoint, so moving their nodes into the
-    // output map never collides.
-    accs.reserve(ngroups * 2);
-    for (auto& m : pmerged) accs.merge(m);
   }
 
-  auto out_g = Column::MakeInt(group_order.size());
-  auto out_v = Column::MakeItem(group_order.size());
-  for (int64_t g : group_order) {
-    const Acc& a = accs[g];
-    out_g->ints().push_back(g);
+  auto out_v = Column::MakeItem(all.keys.size());
+  auto out_g = Column::MakeInt();
+  out_g->ints() = std::move(all.keys);
+  for (const Acc& a : all.accs) {
     switch (kind) {
       case AggKind::kCount:
         out_v->items().push_back(Item::Int(a.count));

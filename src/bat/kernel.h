@@ -18,17 +18,14 @@ using IdxVec = std::vector<RowIdx>;
 /// Comparison operators used by selections and theta joins.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// Tuning for the partitioned parallel kernels. The member defaults are
+/// The grains of the morsel-parallel kernels. The member defaults are
 /// the process default; QueryOptions can override per query. Every
-/// setting is RESULT-NEUTRAL: the radix join emits the exact serial
-/// pair order at any partition count, the row sort reproduces
-/// std::stable_sort at any grain, and GroupAgg's floating-point
-/// association is pinned to a fixed internal grain — so the bytes
-/// never depend on the tuning, only the speed does.
+/// setting is RESULT-NEUTRAL: the join's pair chunks concatenate to the
+/// same left-major pair order at any morsel size, the row sort
+/// reproduces std::stable_sort at any grain, and GroupAgg's
+/// floating-point association is pinned to a fixed internal grain — so
+/// the bytes never depend on the tuning, only the speed does.
 struct KernelTuning {
-  /// log2 of the join/aggregation partition count (clamped to [1, 12];
-  /// 2^bits private hash tables are built per join).
-  int radix_bits = 6;
   /// Morsel grain (rows) for filters and joins (clamped to
   /// [64, 1<<20]).
   uint32_t morsel_rows = 4096;
@@ -42,13 +39,13 @@ struct KernelTuning {
   KernelTuning Clamped() const;
 };
 
-// Every bulk operator takes an optional ThreadPool. nullptr (the
-// default) runs the same morsels inline on the calling thread; only
-// DistinctIndices and DifferenceIndices switch to a cheaper serial
-// algorithm without a pool. A pool
-// evaluates row morsels in parallel with deterministic, ordered merges
-// — the result is byte-identical at every thread count (see DESIGN.md
+// Every morsel-parallel operator takes an optional ThreadPool. nullptr
+// (the default) runs the same morsels inline on the calling thread; a
+// pool evaluates them in parallel with deterministic, ordered merges —
+// one algorithm, byte-identical at every thread count (see DESIGN.md
 // "Parallel execution" for the invariants each operator maintains).
+// DistinctIndices, DifferenceIndices and UnionAll are one serial scan
+// and take no pool.
 
 /// Gather every column of `t` — i.e., select the given rows. An `idx`
 /// of exactly 0..rows-1 selects nothing new: the result shares t's
@@ -81,13 +78,10 @@ struct JoinPairChunks {
 /// head[] per slot and next[] per row; the input alone picks the slot
 /// function. INT build keys spanning at most 2 * rows + 64 values (the
 /// dense iter surrogates of the mapping joins) take slot = key - min: a
-/// positional join, no hash and no probing. Otherwise, below the
-/// morsel threshold on both sides, one table hashes all build rows.
-/// Above it both sides go through the radix-partitioned path (even
-/// serially): the build side is scattered into 2^radix_bits partitions
-/// by key-hash radix, one private table is chained per partition, and
-/// probe-side morsels emit pairs partition-locally. Every path chains a
-/// key's rows ascending, so the pair order is the same on all of them.
+/// positional join, no hash and no probing. Every other build side is
+/// hashed into one table with linear probing, at every size and thread
+/// count. Both chain a key's rows ascending, so the pair order is the
+/// same on either; the probe-side morsels run on the pool.
 Status HashJoinPairsChunked(const Column& l, const Column& r,
                             const StringPool& pool, JoinPairChunks* out,
                             ThreadPool* tp = nullptr,
@@ -143,11 +137,10 @@ Result<IdxVec> SortPerm(const Table& t, const std::vector<ColId>& keys,
                         const KernelTuning& kt = KernelTuning());
 
 /// First-occurrence row indices per distinct key tuple, in row order.
-/// Empty `keys` means all columns. Parallel evaluation hash-partitions
-/// the rows per morsel; each partition keeps its rows in ascending row
-/// order, so first-occurrence winners match the serial scan exactly.
-Result<IdxVec> DistinctIndices(const Table& t, const std::vector<ColId>& keys,
-                               ThreadPool* tp = nullptr);
+/// Empty `keys` means all columns. One serial scan inserts every row's
+/// key into a flat hash set.
+Result<IdxVec> DistinctIndices(const Table& t,
+                               const std::vector<ColId>& keys);
 
 /// Row numbering (the paper's % operator / MonetDB mark): a new INT
 /// column counting 1,2,... per `part` partition in `order`-key order
@@ -164,13 +157,12 @@ Result<ColumnPtr> Mark(const Table& t, const std::vector<ColId>& part,
                        ThreadPool* tp = nullptr,
                        const KernelTuning& kt = KernelTuning());
 
-/// Rows of `a` whose key tuple does not appear in `b` (paper's \).
-/// An empty `b` short-circuits to the identity index vector. Parallel
-/// evaluation builds the probe sets hash-partitioned from b and probes
-/// a's morsels independently; the kept-row order is a's row order.
+/// Rows of `a` whose key tuple does not appear in `b` (paper's \), in
+/// a's row order. An empty `b` short-circuits to the identity index
+/// vector. One serial scan builds a flat hash set of b's keys, and a
+/// second probes it with a's rows.
 Result<IdxVec> DifferenceIndices(const Table& a, const Table& b,
-                                 const std::vector<ColId>& keys,
-                                 ThreadPool* tp = nullptr);
+                                 const std::vector<ColId>& keys);
 
 /// Append b's rows under a's schema (paper's disjoint union; the caller
 /// guarantees disjointness). b must contain every column of a, matched
@@ -187,16 +179,12 @@ enum class AggKind { kCount, kSum, kAvg, kMax, kMin };
 /// Above a fixed row threshold the aggregation runs morsel-wise
 /// (thread-local partials over a FIXED internal grain, so
 /// floating-point sums are associated identically at every thread
-/// count and tuning) and the partials are combined in parallel: groups
-/// are radix-partitioned across 2^radix_bits private combine maps,
-/// each partition folds its groups' partials in chunk order, and the
-/// global first-appearance group order is rebuilt from recorded
-/// (chunk, position) keys — no shared map is ever built.
+/// count), and one pass folds the partials in chunk order: a group
+/// enters the output at its first sighting, and each group adds its
+/// partials chunk by chunk.
 Result<Table> GroupAgg(const Table& t, ColId group_col, ColId val_col,
                        AggKind kind, const StringPool& pool, ColId out_group,
-                       ColId out_val,
-                       ThreadPool* tp = nullptr,
-                       const KernelTuning& kt = KernelTuning());
+                       ColId out_val, ThreadPool* tp = nullptr);
 
 namespace sort_internal {
 

@@ -657,14 +657,14 @@ class Exec {
       case OpKind::kDisjointUnion:
         return bat::UnionAll(Child(op, 0), Child(op, 1));
       case OpKind::kDifference: {
-        PF_ASSIGN_OR_RETURN(IdxVec idx,
-                            bat::DifferenceIndices(Child(op, 0), Child(op, 1),
-                                                   op.keys, tp()));
+        PF_ASSIGN_OR_RETURN(
+            IdxVec idx,
+            bat::DifferenceIndices(Child(op, 0), Child(op, 1), op.keys));
         return bat::GatherTable(Child(op, 0), idx, tp());
       }
       case OpKind::kDistinct: {
-        PF_ASSIGN_OR_RETURN(
-            IdxVec idx, bat::DistinctIndices(Child(op, 0), op.keys, tp()));
+        PF_ASSIGN_OR_RETURN(IdxVec idx,
+                            bat::DistinctIndices(Child(op, 0), op.keys));
         return bat::GatherTable(Child(op, 0), idx, tp());
       }
       case OpKind::kEquiJoin:
@@ -765,7 +765,7 @@ class Exec {
       }
       case OpKind::kAggr:
         return bat::GroupAgg(Child(op, 0), op.col, op.col2, op.agg,
-                             *ctx_->pool(), op.col, op.out, tp(), kt());
+                             *ctx_->pool(), op.col, op.out, tp());
       case OpKind::kSerialize: {
         const Table& in = Child(op, 0);
         PF_ASSIGN_OR_RETURN(

@@ -162,12 +162,11 @@ class QueryContext {
     }
   }
 
-  /// Partitioned-kernel tuning (radix bits, morsel grain, sort grain)
-  /// used for every kernel call. Every setting is
-  /// result-neutral — it shifts work between partitions/chunks whose
-  /// merges are order-exact — so overriding it per query can never
-  /// change result bytes. Defaults to the process default; stored
-  /// pre-clamped.
+  /// Kernel tuning (morsel grain, sort grain) used for every kernel
+  /// call. Every setting is result-neutral — it shifts work between
+  /// chunks whose merges are order-exact — so overriding it per query
+  /// can never change result bytes. Defaults to the process default;
+  /// stored pre-clamped.
   bat::KernelTuning tuning;
 
   /// Ablation switch (bench E6): evaluate Step operators with per-node

@@ -149,6 +149,14 @@ struct Expr {
   std::vector<TypeCase> cases;
 
   int line = 0;
+  /// Nesting levels below this node, as the parser counts them: 0 for a
+  /// leaf, else one more than its tallest part, plus one per predicate
+  /// and per for/let clause after the first (later passes nest each of
+  /// those around what precedes it). Set by the parser, which rejects a
+  /// tree taller than its nesting limit, so every recursive pass over a
+  /// parsed query stays within a thread's stack; nodes built after
+  /// parsing leave it 0.
+  uint32_t height = 0;
 };
 
 ExprPtr MakeExpr(ExprKind kind, std::vector<ExprPtr> children = {});

@@ -16,16 +16,25 @@ std::string CanonicalFunName(const std::string& name) {
   return name;
 }
 
-/// Deepest nesting the parser accepts: the number of enclosing
-/// ParseExprSingle / signed ParseUnary / ParseDirectElemAt frames open
-/// when one of them is entered. Each level costs a few stack frames (a
-/// parenthesized one six: ParseExprSingle, ParseBinary, ParsePath,
-/// ParseStepExpr, ParsePrimary, ParseExpr), so an unbounded query (a
-/// few KB of '(') would overflow the stack. With GCC 12, 1,000 levels
-/// of the deepest-framed shape take under 2 MiB in a Release build and
-/// 5.3 MiB in a Debug+TSan build, so they fit the default 8 MiB thread
-/// stack.
-constexpr int kMaxNestingDepth = 1000;
+/// Deepest nesting the parser accepts, counted two ways. (1) The
+/// parser's own recursion: the number of enclosing ParseExprSingle /
+/// signed ParseUnary / ParseDirectElemAt frames open when one of them
+/// is entered. Each level costs a few stack frames (a parenthesized one
+/// six: ParseExprSingle, ParseBinary, ParsePath, ParseStepExpr,
+/// ParsePrimary, ParseExpr), so an unbounded query (a few KB of '(')
+/// would overflow the stack. (2) The height of the tree it builds
+/// (Expr::height). The loops over binary operators, path steps and
+/// predicates nest without recursing, but every pass after the parser
+/// recurses once per level, down to the recursive destruction of the
+/// tree; Seal rejects a node as soon as it would pass the limit.
+/// The limit is set by a Debug+TSan build (GCC 12) running a query
+/// through Run on an 8 MiB thread: a chain of unions overflows the
+/// stack from 457 levels (about 18 KiB per level across the passes),
+/// nested count() calls from 514, and nested element constructors and
+/// predicate chains exceed the sanitizer's 65,536-frame stack traces
+/// from 585 and 584. 256 levels keep the worst under 60% of that; a
+/// Release build runs every such shape at 1,000 levels.
+constexpr int kMaxNestingDepth = 256;
 
 /// Binary operator precedence, loosest first.
 enum Prec : uint8_t {
@@ -142,6 +151,29 @@ class Parser {
     return e;
   }
 
+  /// Sets e's height (Expr::height) once all its parts are in place;
+  /// kNotSupported past kMaxNestingDepth. Every node with parts is
+  /// sealed as it is completed, so no taller tree is ever built.
+  Status Seal(Expr* e) const {
+    uint32_t h = 0;
+    auto part = [&h](const ExprPtr& p) {
+      if (p) h = std::max(h, p->height + 1);
+    };
+    for (const ExprPtr& c : e->children) part(c);
+    for (const ExprPtr& p : e->preds) part(p);
+    part(e->where);
+    for (const ForLetClause& c : e->clauses) part(c.expr);
+    for (const OrderKey& k : e->order_keys) part(k.key);
+    for (const TypeCase& c : e->cases) part(c.body);
+    h += static_cast<uint32_t>(e->preds.size());
+    if (!e->clauses.empty()) {
+      h += static_cast<uint32_t>(e->clauses.size() - 1);
+    }
+    e->height = h;
+    return h > static_cast<uint32_t>(kMaxNestingDepth) ? TooDeep()
+                                                        : Status::OK();
+  }
+
   // --- prolog ----------------------------------------------------------
 
   Result<Function> ParseFunctionDecl() {
@@ -203,6 +235,7 @@ class Parser {
       PF_ASSIGN_OR_RETURN(ExprPtr next, ParseExprSingle());
       seq->children.push_back(next);
     }
+    PF_RETURN_NOT_OK(Seal(seq.get()));
     return seq;
   }
 
@@ -321,6 +354,7 @@ class Parser {
     PF_RETURN_NOT_OK(ExpectKw("return"));
     PF_ASSIGN_OR_RETURN(ExprPtr ret, ParseExprSingle());
     flwor->children.push_back(ret);
+    PF_RETURN_NOT_OK(Seal(flwor.get()));
     return flwor;
   }
 
@@ -333,7 +367,9 @@ class Parser {
     PF_ASSIGN_OR_RETURN(ExprPtr then_e, ParseExprSingle());
     PF_RETURN_NOT_OK(ExpectKw("else"));
     PF_ASSIGN_OR_RETURN(ExprPtr else_e, ParseExprSingle());
-    return New(ExprKind::kIf, {cond, then_e, else_e});
+    ExprPtr e = New(ExprKind::kIf, {cond, then_e, else_e});
+    PF_RETURN_NOT_OK(Seal(e.get()));
+    return e;
   }
 
   Result<ExprPtr> ParseTypeswitch() {
@@ -365,6 +401,7 @@ class Parser {
     if (!saw_default) {
       return lex_.Error("typeswitch requires a default clause");
     }
+    PF_RETURN_NOT_OK(Seal(ts.get()));
     return ts;
   }
 
@@ -422,6 +459,7 @@ class Parser {
     PF_RETURN_NOT_OK(ExpectKw("satisfies"));
     PF_ASSIGN_OR_RETURN(ExprPtr pred, ParseExprSingle());
     q->children = {domain, pred};
+    PF_RETURN_NOT_OK(Seal(q.get()));
     return q;
   }
 
@@ -470,6 +508,7 @@ class Parser {
         if (p.op->prec == kCmpPrec) comparing = false;
         ExprPtr e = New(ExprKind::kBinOp, {std::move(p.lhs), rhs});
         e->op = p.op->op;
+        PF_RETURN_NOT_OK(Seal(e.get()));
         rhs = std::move(e);
       }
       if (op == nullptr) return rhs;
@@ -493,7 +532,9 @@ class Parser {
     PF_ASSIGN_OR_RETURN(ExprPtr operand,
                         IsSign() ? ParseUnary() : ParseBinary(kUnionPrec));
     if (!minus) return operand;
-    return New(ExprKind::kUnaryMinus, {operand});
+    ExprPtr e = New(ExprKind::kUnaryMinus, {operand});
+    PF_RETURN_NOT_OK(Seal(e.get()));
+    return e;
   }
 
   // --- paths -----------------------------------------------------------
@@ -511,6 +552,7 @@ class Parser {
       ExprPtr ds = New(ExprKind::kAxisStep, {root});
       ds->axis = accel::Axis::kDescendantOrSelf;
       ds->test.kind = StepTest::Kind::kAnyKind;
+      PF_RETURN_NOT_OK(Seal(ds.get()));
       PF_ASSIGN_OR_RETURN(ctx, ParseStepExpr(ds));
     } else {
       PF_ASSIGN_OR_RETURN(ctx, ParseStepExpr(nullptr));
@@ -524,6 +566,7 @@ class Parser {
         ExprPtr ds = New(ExprKind::kAxisStep, {ctx});
         ds->axis = accel::Axis::kDescendantOrSelf;
         ds->test.kind = StepTest::Kind::kAnyKind;
+        PF_RETURN_NOT_OK(Seal(ds.get()));
         PF_ASSIGN_OR_RETURN(ctx, ParseStepExpr(ds));
       } else {
         return ctx;
@@ -685,6 +728,7 @@ class Parser {
       PF_RETURN_NOT_OK(Expect(Tok::kRBracket, "']'"));
       e->preds.push_back(pred);
     }
+    PF_RETURN_NOT_OK(Seal(e.get()));
     return e;
   }
 
@@ -778,6 +822,7 @@ class Parser {
       }
     }
     PF_RETURN_NOT_OK(Expect(Tok::kRParen, "')'"));
+    PF_RETURN_NOT_OK(Seal(e.get()));
     return e;
   }
 
@@ -800,6 +845,7 @@ class Parser {
       e->children.push_back(content);
     }
     PF_RETURN_NOT_OK(Expect(Tok::kRBrace, "'}'"));
+    PF_RETURN_NOT_OK(Seal(e.get()));
     return e;
   }
 
@@ -808,7 +854,9 @@ class Parser {
     PF_RETURN_NOT_OK(Expect(Tok::kLBrace, "'{'"));
     PF_ASSIGN_OR_RETURN(ExprPtr content, ParseExpr());
     PF_RETURN_NOT_OK(Expect(Tok::kRBrace, "'}'"));
-    return New(ExprKind::kTextConstr, {content});
+    ExprPtr e = New(ExprKind::kTextConstr, {content});
+    PF_RETURN_NOT_OK(Seal(e.get()));
+    return e;
   }
 
   // --- direct constructors (raw scanning) -------------------------------
@@ -929,6 +977,7 @@ class Parser {
         ++*p;
       }
       PF_RETURN_NOT_OK(flush_lit());
+      PF_RETURN_NOT_OK(Seal(attr.get()));
       elem->children.push_back(attr);
     }
 
@@ -937,6 +986,7 @@ class Parser {
         return lex_.Error("expected '/>'");
       }
       *p += 2;
+      PF_RETURN_NOT_OK(Seal(elem.get()));
       return elem;
     }
     if (lex_.RawPeek(*p) != '>') return lex_.Error("expected '>'");
@@ -998,6 +1048,7 @@ class Parser {
           RawSkipWs(p);
           if (lex_.RawPeek(*p) != '>') return lex_.Error("expected '>'");
           ++*p;
+          PF_RETURN_NOT_OK(Seal(elem.get()));
           return elem;
         }
         if (lex_.RawSlice(*p, std::min(*p + 4, lex_.InputSize())) ==

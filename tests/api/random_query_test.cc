@@ -376,15 +376,14 @@ TEST_P(RandomQueryTest, EnginesAgreeOnGeneratedQueries) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,
                          ::testing::Range<uint64_t>(1, 46));
 
-// Zipf-skewed fixture for the partitioned kernels: item skus and order
-// refs are drawn from Zipf laws, so one join key (and with radix_bits
-// forced to 1, one radix partition) carries a large fraction of all
-// rows, and one dept holds most items so one combine partition does
-// nearly all GroupAgg work. The doc is sized past the kernels'
-// parallel thresholds (9000 items) so that, with the tuning knobs
-// forced small, the partition-imbalance paths actually run — this
-// suite is in the TSan CI lane precisely so those paths execute under
-// the race detector.
+// Zipf-skewed fixture for the morsel-parallel kernels: item skus and
+// order refs are drawn from Zipf laws, so one join key's chain carries
+// a large fraction of all rows, and one dept holds most items, so one
+// group dominates GroupAgg's partials. The doc is sized past the
+// kernels' parallel thresholds (9000 items) so that, with the grains
+// forced small, the skewed probe morsels and aggregation partials
+// actually run in parallel — this suite is in the TSan CI lane
+// precisely so those paths execute under the race detector.
 xml::Database* SkewDb() {
   static xml::Database* db = [] {
     auto* d = new xml::Database();
@@ -415,14 +414,14 @@ xml::Database* SkewDb() {
   return db;
 }
 
-TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
-  // The queries drive each partitioned kernel through the skewed data:
-  // an equi-join on the Zipf sku key, a grouped sum whose hot dept
-  // dominates one combine partition, a sort of the hot dept (long tie
-  // runs from the Zipf prices), and a skew-selectivity filter.
+TEST(ZipfSkew, HotKeysByteIdentical) {
+  // The queries drive each morsel-parallel kernel through the skewed
+  // data: an equi-join on the Zipf sku key, a grouped sum whose hot
+  // dept dominates the partials, a sort of the hot dept (long tie runs
+  // from the Zipf prices), and a skew-selectivity filter.
   const char* kQueries[] = {
       // where-clause form so join recognition fires: the engine runs a
-      // radix hash join on the Zipf sku key (the baseline stays a
+      // hash join on the Zipf sku key (the baseline stays a
       // navigational nested loop, which bounds the order count above).
       "sum(for $o in //order return count(for $i in //item "
       "where $i/@sku = $o/@ref return $i))",
@@ -431,20 +430,17 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
       "return string($i/@sku)",
       "count(//item[@price > 3])",
   };
-  // Tuning sweeps: radix_bits=1 funnels the hot key's partition-mate
-  // keys into one of TWO partitions; radix_bits=12 leaves most of 4096
-  // partitions empty; tiny morsel/run grains maximize cross-chunk
-  // merge traffic. All must serialize byte-identically to the
-  // navigational baseline.
+  // Grain sweeps: tiny morsel/run grains maximize cross-chunk merge
+  // traffic. All must serialize byte-identically to the navigational
+  // baseline.
   struct Cfg {
-    int threads, radix_bits;
+    int threads;
     int64_t morsel, sort_chunk;
   };
   const Cfg kCfgs[] = {
-      {1, -1, -1, -1},
-      {2, 1, 64, 256},
-      {2, 12, 64, 256},
-      {4, 6, 256, 512},
+      {1, -1, -1},
+      {2, 64, 256},
+      {4, 256, 512},
   };
   baseline::Baseline bl(SkewDb());
   baseline::BaselineOptions bo;
@@ -460,12 +456,11 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
       QueryOptions o;
       o.context_doc = "skew.xml";
       o.num_threads = c.threads;
-      o.radix_bits = c.radix_bits;
       o.morsel_rows = c.morsel;
       o.sort_chunk_rows = c.sort_chunk;
       o.profile = 0;
-      // Caches off: every config must actually execute the partitioned
-      // kernels, not replay the first config's cached result.
+      // Caches off: every config must actually execute the kernels,
+      // not replay the first config's cached result.
       o.plan_cache = 0;
       o.subplan_cache = 0;
       auto pr = pf.Run(q, o);
@@ -474,7 +469,7 @@ TEST(ZipfSkew, PartitionImbalanceByteIdentical) {
       auto ps = pr->Serialize();
       ASSERT_TRUE(ps.ok());
       ASSERT_EQ(*ps, *bs) << "threads=" << c.threads
-                          << " radix_bits=" << c.radix_bits;
+                          << " morsel=" << c.morsel;
     }
   }
 }

@@ -92,12 +92,12 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
 
 TEST(ThreadPoolTest, ParallelForStatusReturnsLowestIndexError) {
   ThreadPool pool(3);
-  Status st = pool.ParallelForStatus(10, 1, [&](size_t c, size_t,
-                                                size_t) -> Status {
-    if (c == 2) return Status::Internal("err2");
-    if (c == 7) return Status::Internal("err7");
-    return Status::OK();
-  });
+  Status st = ParallelForStatus(&pool, 10, 1,
+                                [&](size_t c, size_t, size_t) -> Status {
+                                  if (c == 2) return Status::Internal("err2");
+                                  if (c == 7) return Status::Internal("err7");
+                                  return Status::OK();
+                                });
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("err2"), std::string::npos);
 

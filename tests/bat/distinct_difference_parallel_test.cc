@@ -1,18 +1,18 @@
-// Byte-identity of the parallel DistinctIndices / DifferenceIndices
-// code paths across thread counts, and semantic agreement with a naive
-// quadratic reference that spells out representation equality (doubles
+// DistinctIndices / DifferenceIndices, one serial hash scan each,
+// against references that spell out representation equality (doubles
 // by bit pattern, items by kind+raw, cells of different column types
-// never equal). Large inputs are sized past the parallel-engagement
-// threshold with heavy duplicate skew so the hash-partitioned
-// first-occurrence merge actually decides winners; the edge-case
-// tables stay below it, which is the path the serial engine runs.
+// never equal): a naive quadratic scan for the small and edge-case
+// tables, and a std::set of key tuples for 50,000-row inputs with
+// heavy duplicate skew, where most rows hit a stored key.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -71,6 +71,64 @@ std::vector<const Column*> Cols(const Table& t,
   return cols;
 }
 
+// One row's key tuple under representation equality: per cell, its
+// column type (an item's kind) and its 64 payload bits.
+using KeyTuple = std::vector<std::pair<int, uint64_t>>;
+
+KeyTuple KeyOf(const std::vector<const Column*>& cols, size_t r) {
+  KeyTuple k;
+  for (const Column* c : cols) {
+    switch (c->type()) {
+      case ColType::kInt:
+        k.emplace_back(0, static_cast<uint64_t>(c->ints()[r]));
+        break;
+      case ColType::kDbl:
+        k.emplace_back(1, std::bit_cast<uint64_t>(c->dbls()[r]));
+        break;
+      case ColType::kStr:
+        k.emplace_back(2, c->strs()[r]);
+        break;
+      case ColType::kBool:
+        k.emplace_back(3, c->bools()[r]);
+        break;
+      case ColType::kItem:
+        k.emplace_back(4 + static_cast<int>(c->items()[r].kind),
+                       c->items()[r].raw);
+        break;
+    }
+  }
+  return k;
+}
+
+// First occurrences by a std::set of key tuples.
+IdxVec SetDistinct(const Table& t, const std::vector<ColId>& keys) {
+  std::vector<const Column*> cols = Cols(t, keys);
+  std::set<KeyTuple> seen;
+  IdxVec out;
+  for (size_t r = 0; r < t.rows(); ++r) {
+    if (seen.insert(KeyOf(cols, r)).second) {
+      out.push_back(static_cast<RowIdx>(r));
+    }
+  }
+  return out;
+}
+
+// Rows of `a` whose key tuple is not in the std::set of b's.
+IdxVec SetDifference(const Table& a, const Table& b,
+                     const std::vector<ColId>& keys) {
+  std::vector<const Column*> acols = Cols(a, keys);
+  std::vector<const Column*> bcols = Cols(b, keys);
+  std::set<KeyTuple> present;
+  for (size_t s = 0; s < b.rows(); ++s) present.insert(KeyOf(bcols, s));
+  IdxVec out;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    if (present.count(KeyOf(acols, r)) == 0) {
+      out.push_back(static_cast<RowIdx>(r));
+    }
+  }
+  return out;
+}
+
 // O(n^2) first-occurrence reference.
 IdxVec NaiveDistinct(const Table& t, const std::vector<ColId>& keys) {
   std::vector<const Column*> cols = Cols(t, keys);
@@ -109,16 +167,6 @@ IdxVec NaiveDifference(const Table& a, const Table& b,
 
 class DistinctDifferenceParallelTest : public ::testing::Test {
  protected:
-  std::vector<ThreadPool*> Pools() {
-    return {&pool1_, &pool2_, &pool4_, &pool7_};
-  }
-
-  // Every pool plus nullptr (the serial path the engine runs at
-  // PF_THREADS=1).
-  std::vector<ThreadPool*> PoolsAndSerial() {
-    return {nullptr, &pool1_, &pool2_, &pool4_, &pool7_};
-  }
-
   // Rows cycling through values that only representation equality
   // tells apart: +0.0 and -0.0, NaNs with two payloads, and items of
   // different kinds over the same raw bits (int 5, string id 5,
@@ -185,10 +233,6 @@ class DistinctDifferenceParallelTest : public ::testing::Test {
   }
 
   StringPool pool_;
-  ThreadPool pool1_{1};
-  ThreadPool pool2_{2};
-  ThreadPool pool4_{4};
-  ThreadPool pool7_{7};
 };
 
 TEST_F(DistinctDifferenceParallelTest, DistinctMatchesNaiveReference) {
@@ -198,19 +242,13 @@ TEST_F(DistinctDifferenceParallelTest, DistinctMatchesNaiveReference) {
   for (const std::vector<ColId>& keys :
        {std::vector<ColId>{}, InternCols({"k"}), InternCols({"k", "v"}),
         InternCols({"d"})}) {
-    IdxVec expect = NaiveDistinct(t, keys);
-    auto serial = DistinctIndices(t, keys, nullptr);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(*serial, expect);
-    for (ThreadPool* tp : Pools()) {
-      auto par = DistinctIndices(t, keys, tp);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(*par, expect);
-    }
+    auto r = DistinctIndices(t, keys);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, NaiveDistinct(t, keys));
   }
 }
 
-TEST_F(DistinctDifferenceParallelTest, SerialSizeEdgeCasesMatchNaive) {
+TEST_F(DistinctDifferenceParallelTest, EdgeCasesMatchNaive) {
   const std::vector<std::vector<ColId>> key_sets = {
       InternCols({"d"}),      InternCols({"v"}),
       InternCols({"k"}),      InternCols({"d", "v"}),
@@ -220,23 +258,21 @@ TEST_F(DistinctDifferenceParallelTest, SerialSizeEdgeCasesMatchNaive) {
     Table t = EdgeTable(n, 0);
     Table b = EdgeTable(n / 3, 11);
     for (const auto& keys : key_sets) {
-      IdxVec distinct = NaiveDistinct(t, keys);
-      IdxVec difference = NaiveDifference(t, b, keys);
-      for (ThreadPool* tp : PoolsAndSerial()) {
-        auto d = DistinctIndices(t, keys, tp);
-        ASSERT_TRUE(d.ok());
-        EXPECT_EQ(*d, distinct) << "n=" << n << " keys=" << keys.size();
-        auto f = DifferenceIndices(t, b, keys, tp);
-        ASSERT_TRUE(f.ok());
-        EXPECT_EQ(*f, difference) << "n=" << n << " keys=" << keys.size();
-      }
+      auto d = DistinctIndices(t, keys);
+      ASSERT_TRUE(d.ok());
+      EXPECT_EQ(*d, NaiveDistinct(t, keys))
+          << "n=" << n << " keys=" << keys.size();
+      auto f = DifferenceIndices(t, b, keys);
+      ASSERT_TRUE(f.ok());
+      EXPECT_EQ(*f, NaiveDifference(t, b, keys))
+          << "n=" << n << " keys=" << keys.size();
     }
   }
   // The edge values really are told apart: 40 rows cycle through all
   // 5 doubles and all 8 items.
   Table t = EdgeTable(40, 0);
-  EXPECT_EQ(DistinctIndices(t, InternCols({"d"}), nullptr)->size(), 5u);
-  EXPECT_EQ(DistinctIndices(t, InternCols({"v"}), nullptr)->size(), 8u);
+  EXPECT_EQ(DistinctIndices(t, InternCols({"d"}))->size(), 5u);
+  EXPECT_EQ(DistinctIndices(t, InternCols({"v"}))->size(), 8u);
 }
 
 TEST_F(DistinctDifferenceParallelTest, DifferenceIntColumnAgainstItemColumn) {
@@ -252,56 +288,42 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceIntColumnAgainstItemColumn) {
   b.AddCol(C("x"), std::move(bi));
   IdxVec all = {0, 1, 2};
   EXPECT_EQ(NaiveDifference(a, b, InternCols({"x"})), all);
-  for (ThreadPool* tp : PoolsAndSerial()) {
-    auto r = DifferenceIndices(a, b, InternCols({"x"}), tp);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, all);
-  }
+  auto r = DifferenceIndices(a, b, InternCols({"x"}));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, all);
 }
 
-TEST_F(DistinctDifferenceParallelTest, SerialSizeEmptyInputs) {
+TEST_F(DistinctDifferenceParallelTest, EmptyInputs) {
   Table empty = EdgeTable(0, 0);
   Table some = EdgeTable(30, 0);
   IdxVec all(some.rows());
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<RowIdx>(i);
-  for (ThreadPool* tp : PoolsAndSerial()) {
-    for (const std::vector<ColId>& keys :
-         {InternCols({"k"}), InternCols({"d", "v"}), {}}) {
-      EXPECT_TRUE(DistinctIndices(empty, keys, tp)->empty());
-      EXPECT_TRUE(DifferenceIndices(empty, some, keys, tp)->empty());
-      EXPECT_TRUE(DifferenceIndices(empty, empty, keys, tp)->empty());
-      EXPECT_EQ(*DifferenceIndices(some, empty, keys, tp), all);
-    }
+  for (const std::vector<ColId>& keys :
+       {InternCols({"k"}), InternCols({"d", "v"}), {}}) {
+    EXPECT_TRUE(DistinctIndices(empty, keys)->empty());
+    EXPECT_TRUE(DifferenceIndices(empty, some, keys)->empty());
+    EXPECT_TRUE(DifferenceIndices(empty, empty, keys)->empty());
+    EXPECT_EQ(*DifferenceIndices(some, empty, keys), all);
   }
 }
 
-TEST_F(DistinctDifferenceParallelTest, DistinctParallelMatchesSerialLarge) {
-  // Past the 2*kMorselRows engagement threshold; dense duplicates mean
-  // the partition-ordered first-occurrence merge decides every winner.
+TEST_F(DistinctDifferenceParallelTest, DistinctLargeMatchesSetReference) {
+  // 50,000 skewed rows whose dense duplicates make most rows hit a
+  // stored key, so the first-occurrence rule decides every winner.
   Table t = RandTable(50000, 3000, 202);
   for (const std::vector<ColId>& keys :
        {std::vector<ColId>{}, InternCols({"k"}), InternCols({"v", "d"})}) {
-    auto serial = DistinctIndices(t, keys, nullptr);
-    ASSERT_TRUE(serial.ok());
-    // First-occurrence sanity: strictly ascending row indices.
-    for (size_t i = 1; i < serial->size(); ++i) {
-      ASSERT_LT((*serial)[i - 1], (*serial)[i]);
-    }
-    for (ThreadPool* tp : Pools()) {
-      auto par = DistinctIndices(t, keys, tp);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(*par, *serial);
-    }
+    auto r = DistinctIndices(t, keys);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, SetDistinct(t, keys));
   }
 }
 
 TEST_F(DistinctDifferenceParallelTest, DistinctEmptyInput) {
   Table t = RandTable(0, 10, 7);
-  for (ThreadPool* tp : Pools()) {
-    auto r = DistinctIndices(t, InternCols({"k"}), tp);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->empty());
-  }
+  auto r = DistinctIndices(t, InternCols({"k"}));
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->empty());
 }
 
 TEST_F(DistinctDifferenceParallelTest, DifferenceMatchesNaiveReference) {
@@ -309,46 +331,36 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceMatchesNaiveReference) {
   Table b = RandTable(1500, 60, 304);
   for (const std::vector<ColId>& keys :
        {std::vector<ColId>{}, InternCols({"k"}), InternCols({"k", "v"})}) {
-    IdxVec expect = NaiveDifference(a, b, keys);
-    auto serial = DifferenceIndices(a, b, keys, nullptr);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(*serial, expect);
-    for (ThreadPool* tp : Pools()) {
-      auto par = DifferenceIndices(a, b, keys, tp);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(*par, expect);
-    }
+    auto r = DifferenceIndices(a, b, keys);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, NaiveDifference(a, b, keys));
   }
 }
 
-TEST_F(DistinctDifferenceParallelTest, DifferenceParallelMatchesSerialLarge) {
+TEST_F(DistinctDifferenceParallelTest, DifferenceLargeMatchesSetReference) {
+  // 50,000 skewed rows against 30,000 over the same key domains, so
+  // most probes hit a stored key.
   Table a = RandTable(50000, 4000, 405);
   Table b = RandTable(30000, 4000, 406);
   for (const std::vector<ColId>& keys :
        {std::vector<ColId>{}, InternCols({"k"}), InternCols({"v", "d"})}) {
-    auto serial = DifferenceIndices(a, b, keys, nullptr);
-    ASSERT_TRUE(serial.ok());
-    for (ThreadPool* tp : Pools()) {
-      auto par = DifferenceIndices(a, b, keys, tp);
-      ASSERT_TRUE(par.ok());
-      EXPECT_EQ(*par, *serial);
-    }
+    auto r = DifferenceIndices(a, b, keys);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, SetDifference(a, b, keys));
   }
 }
 
 TEST_F(DistinctDifferenceParallelTest, DifferenceEmptyA) {
   Table a = RandTable(0, 10, 1);
   Table b = RandTable(100, 10, 2);
-  for (ThreadPool* tp : Pools()) {
-    auto r = DifferenceIndices(a, b, InternCols({"k"}), tp);
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r->empty());
-  }
+  auto r = DifferenceIndices(a, b, InternCols({"k"}));
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->empty());
 }
 
 // Regression: an empty subtrahend must short-circuit to the identity
-// index vector — every row of `a` survives, at any thread count, and
-// past the parallel threshold too.
+// index vector — every row of `a` survives, on 20,000 rows, whatever
+// the keys.
 TEST_F(DistinctDifferenceParallelTest, DifferenceEmptyBIsIdentity) {
   Table a = RandTable(20000, 50, 3);
   Table b = RandTable(0, 50, 4);
@@ -356,13 +368,10 @@ TEST_F(DistinctDifferenceParallelTest, DifferenceEmptyBIsIdentity) {
   for (size_t i = 0; i < expect.size(); ++i) {
     expect[i] = static_cast<RowIdx>(i);
   }
-  auto serial = DifferenceIndices(a, b, InternCols({"k"}), nullptr);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(*serial, expect);
-  for (ThreadPool* tp : Pools()) {
-    auto par = DifferenceIndices(a, b, {}, tp);
-    ASSERT_TRUE(par.ok());
-    EXPECT_EQ(*par, expect);
+  for (const std::vector<ColId>& keys : {InternCols({"k"}), {}}) {
+    auto r = DifferenceIndices(a, b, keys);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, expect);
   }
 }
 

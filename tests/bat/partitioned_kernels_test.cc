@@ -1,19 +1,22 @@
-// Byte-identity and correctness suite for the partitioned parallel
-// kernels: the radix hash join, the run-merging row sort and the
-// partitioned GroupAgg combine must be invisible implementation
-// details — every (thread count × tuning) combination has to produce
-// the serial reference bytes, including the awkward inputs: empty
-// sides, all-duplicate keys (one chain holds every build row) and
-// Zipf/single-partition skew (one partition holds almost everything).
-// The int-key join is additionally anchored against a naive
-// nested-loop reference, and SortPerm and Mark against std::stable_sort
-// (sort_reference.h), so the serial path itself is checked against
-// first principles, not just against yesterday's serial path.
+// Byte-identity and correctness suite for the morsel-parallel kernels:
+// the chained hash join, the run-merging row sort and GroupAgg's
+// chunk-order combine of its morsel partials — every (thread count ×
+// tuning) combination has to produce the serial reference bytes,
+// including the awkward inputs: empty sides, all-duplicate keys (one
+// chain holds every build row) and Zipf skew (one key or group holds
+// almost everything). The int-key join is additionally anchored
+// against a naive nested-loop reference, SortPerm and Mark against
+// std::stable_sort (sort_reference.h), and GroupAgg against a
+// test-local fold in its documented association, so the serial path
+// itself is checked against first principles, not just against
+// yesterday's serial path.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,16 +41,13 @@ class PartitionedKernelsTest : public ::testing::Test {
   }
 
   // Tunings swept on top of the thread counts. All must be
-  // result-neutral: radix_bits=1 forces two fat partitions (skew
-  // path), 12 forces 4096 mostly-empty ones, morsel_rows=64 maximizes
-  // chunk-merge traffic, sort_chunk_rows=256 maximizes merge levels.
+  // result-neutral: morsel_rows=64 maximizes chunk-merge traffic,
+  // sort_chunk_rows=256 maximizes merge levels.
   std::vector<KernelTuning> Tunings() {
-    std::vector<KernelTuning> ts(4);
-    ts[1].radix_bits = 1;
-    ts[2].radix_bits = 12;
-    ts[2].morsel_rows = 64;
-    ts[3].morsel_rows = 256;
-    ts[3].sort_chunk_rows = 256;
+    std::vector<KernelTuning> ts(3);
+    ts[1].morsel_rows = 64;
+    ts[2].morsel_rows = 256;
+    ts[2].sort_chunk_rows = 256;
     return ts;
   }
 
@@ -66,8 +66,8 @@ class PartitionedKernelsTest : public ::testing::Test {
 
   // Multiplies every key by a large odd stride: duplicates and skew
   // stay, but the keys span far more than 2 * rows + 64 values, so a
-  // build side of them takes the hashed (radix above the morsel
-  // threshold) slot function instead of the positional one.
+  // build side of them takes the hashed slot function instead of the
+  // positional one.
   static ColumnPtr Spread(ColumnPtr c) {
     for (int64_t& k : c->ints()) k *= 1000003;
     return c;
@@ -132,9 +132,8 @@ class PartitionedKernelsTest : public ::testing::Test {
     }
   }
 
-  // The nested-loop pairs, from every path: no pool and each pool
-  // size, under every tuning (radix_bits and morsel_rows move the
-  // radix path's partitions and the hashed/radix threshold).
+  // The nested-loop pairs, from no pool and each pool size, under every
+  // tuning (morsel_rows moves the probe's chunk boundaries).
   void ExpectJoinMatchesNaive(const Column& l, const Column& r) {
     IdxVec nl, nr;
     NaiveIntJoin(l, r, &nl, &nr);
@@ -146,8 +145,7 @@ class PartitionedKernelsTest : public ::testing::Test {
         ASSERT_TRUE(HashJoinFlat(l, r, pool_, &pl, &pr, tp, kt).ok());
         EXPECT_EQ(pl, nl) << "threads "
                           << (tp == nullptr ? 0 : tp->num_threads())
-                          << " radix_bits " << kt.radix_bits << " morsel "
-                          << kt.morsel_rows;
+                          << " morsel " << kt.morsel_rows;
         EXPECT_EQ(pr, nr);
       }
     }
@@ -163,7 +161,7 @@ class PartitionedKernelsTest : public ::testing::Test {
   }
 
   // n keys drawn from `distinct` values spaced a million apart: far
-  // too sparse for the positional path, so the hashed paths run.
+  // too sparse for the positional path, so the hashed path runs.
   ColumnPtr SparseInts(size_t n, int64_t distinct, uint64_t seed) {
     auto c = Column::MakeInt(n);
     Rng rng(seed);
@@ -180,10 +178,10 @@ class PartitionedKernelsTest : public ::testing::Test {
   ThreadPool pool7_{7};
 };
 
-TEST_F(PartitionedKernelsTest, RadixJoinMatchesNaiveReference) {
-  // Sizes past the morsel threshold, so even the tp == nullptr call
-  // below exercises the radix partition/build/probe phases — the
-  // nested loop checks them against first principles.
+TEST_F(PartitionedKernelsTest, HashedJoinMatchesNaiveReference) {
+  // Sparse keys on sides of several morsels each: one hashed table
+  // chains every build row, and the nested loop checks its pairs
+  // against first principles.
   ColumnPtr l = Spread(RandInts(9000, 0, 400, 11));
   ColumnPtr r = Spread(RandInts(5000, 0, 400, 12));
   IdxVec nl_, nr_;
@@ -196,7 +194,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinMatchesNaiveReference) {
   ExpectJoinMatchesSerial(*l, *r);
 }
 
-TEST_F(PartitionedKernelsTest, RadixJoinEmptyInputs) {
+TEST_F(PartitionedKernelsTest, HashedJoinEmptyInputs) {
   ColumnPtr big = RandInts(20000, 0, 100, 21);
   ColumnPtr empty = IntCol({});
   for (auto [l, r] : {std::pair<Column*, Column*>{big.get(), empty.get()},
@@ -210,12 +208,13 @@ TEST_F(PartitionedKernelsTest, RadixJoinEmptyInputs) {
   }
 }
 
-TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
+TEST_F(PartitionedKernelsTest, HashedJoinAllDuplicateKeys) {
   // Every build row but one far outlier (which keeps the keys' span
-  // past the positional slot function) lands in ONE partition, ONE
-  // slot, ONE chain; each probe hit replays the entire chain, whose
-  // order must be the ascending build-row order. Sizes keep the pair
-  // count (n*m) sane while still engaging the radix path on one side.
+  // past the positional slot function) lands in ONE slot, ONE chain;
+  // each probe hit replays the entire chain, whose order must be the
+  // ascending build-row order: the nested loop's pairs, spelled out.
+  // Sizes keep the pair count (n*m) sane while one side spans two
+  // morsels.
   auto with_outlier = [this](size_t n) {
     std::vector<int64_t> keys(n, 7);
     keys.push_back(int64_t{7} << 40);
@@ -249,15 +248,15 @@ TEST_F(PartitionedKernelsTest, RadixJoinAllDuplicateKeys) {
   }
 }
 
-TEST_F(PartitionedKernelsTest, RadixJoinZipfSkew) {
-  // Zipf keys: the hottest key (and with radix_bits=1 the hottest
-  // partition) dominates — the imbalance path must stay byte-exact.
+TEST_F(PartitionedKernelsTest, HashedJoinZipfSkewMatchesNaive) {
+  // Zipf keys: the hottest key's chain dominates the table and its
+  // probes dominate some morsels; the pairs must stay the nested loop's.
   ColumnPtr l = Spread(ZipfInts(9000, 2000, 1.1, 31));
   ColumnPtr r = Spread(ZipfInts(5000, 2000, 1.1, 32));
-  ExpectJoinMatchesSerial(*l, *r);
+  ExpectJoinMatchesNaive(*l, *r);
 }
 
-TEST_F(PartitionedKernelsTest, RadixJoinStrAndItemKeys) {
+TEST_F(PartitionedKernelsTest, HashedJoinStrAndItemKeys) {
   auto ls = Column::MakeStr(20000);
   auto rs = Column::MakeStr(9000);
   Rng rng(41);
@@ -271,7 +270,7 @@ TEST_F(PartitionedKernelsTest, RadixJoinStrAndItemKeys) {
   ColumnPtr li = RandItems(20000, 42);
   ColumnPtr ri = RandItems(9000, 43);
   // Item keys canonicalize before hashing (ints join doubles, untyped
-  // atomics their parsed value) — the radix path must preserve that.
+  // atomics their parsed value) — at every pool size and grain.
   IdxVec sl, sr;
   ASSERT_TRUE(HashJoinFlat(*li, *ri, pool_, &sl, &sr, nullptr).ok());
   EXPECT_GT(sl.size(), 0u);
@@ -332,7 +331,7 @@ TEST_F(PartitionedKernelsTest, JoinKeysAtInt64Extremes) {
                          *IntCol({kMax - 2, kMax, kMax - 1, kMax}));
   ExpectJoinMatchesNaive(*IntCol(probe),
                          *IntCol({kMin + 1, kMin, kMin + 2, kMin}));
-  // Past the morsel threshold: the radix path, extremes included.
+  // Sides of several morsels: the hashed path, extremes included.
   ColumnPtr r = SparseInts(6000, 3000, 62);
   ColumnPtr l = SparseInts(7000, 3000, 63);
   for (size_t i = 0; i < 40; ++i) {
@@ -359,9 +358,9 @@ TEST_F(PartitionedKernelsTest, JoinEmptyAndOneRowSides) {
   }
 }
 
-// Both sides under the morsel threshold take the one hashed table;
-// either side at or over it takes the radix partitions. Dense keys take
-// the positional path at every size.
+// Sides on either side of one morsel: one probe chunk or two, over the
+// one hashed table for sparse keys and the positional path for dense
+// ones.
 TEST_F(PartitionedKernelsTest, JoinSidesAroundMorselThreshold) {
   const size_t m = KernelTuning().morsel_rows;
   for (size_t nl : {m - 1, m, m + 1}) {
@@ -482,11 +481,11 @@ TEST_F(PartitionedKernelsTest, SortAndMarkMatchReference) {
                             pool_);
 }
 
-TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
-  // Zipf groups: one combine partition carries nearly all groups (and
-  // the hottest group nearly all rows). Doubles in the mix pin the FP
+TEST_F(PartitionedKernelsTest, GroupAggCombineBitExact) {
+  // Zipf groups: the hottest group holds nearly all rows and shows up
+  // in every morsel partial. Doubles in the mix pin the FP
   // association: values must match by representation at every thread
-  // count and tuning.
+  // count.
   Table t;
   t.AddCol(C("g"), ZipfInts(40000, 500, 1.2, 71));
   auto vals = Column::MakeItem(40000);
@@ -505,19 +504,16 @@ TEST_F(PartitionedKernelsTest, GroupAggPartitionedCombineBitExact) {
         GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), nullptr);
     ASSERT_TRUE(serial.ok());
     for (ThreadPool* tp : Pools()) {
-      for (const KernelTuning& kt : Tunings()) {
-        auto par =
-            GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), tp, kt);
-        ASSERT_TRUE(par.ok());
-        EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
-        EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
-      }
+      auto par = GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"), tp);
+      ASSERT_TRUE(par.ok());
+      EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
+      EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
     }
   }
 }
 
 TEST_F(PartitionedKernelsTest, GroupAggSingleGroupAndPhases) {
-  // Every row in one group = one partition does all combine work.
+  // Every row in one group: every partial folds into the same one.
   Table t;
   t.AddCol(C("g"), IntCol(std::vector<int64_t>(30000, 42)));
   auto vals = Column::MakeItem(30000);
@@ -536,6 +532,142 @@ TEST_F(PartitionedKernelsTest, GroupAggSingleGroupAndPhases) {
     ASSERT_TRUE(par.ok());
     EXPECT_EQ(par->col(0)->ints(), serial->col(0)->ints());
     EXPECT_EQ(par->col(1)->items(), serial->col(1)->items());
+  }
+}
+
+// GroupAgg against a test-local fold in its documented association:
+// below 8,192 rows one fold over the rows; from 8,192 rows on, one
+// partial per 4,096-row chunk, the partials folded in chunk order.
+// Groups come in first-appearance order, and max/min keep the first of
+// tied items (Int(7) ties Dbl(7.0)). The doubles span twenty orders of
+// magnitude, so a sum associated any other way differs in its bits.
+TEST_F(PartitionedKernelsTest, GroupAggMatchesChunkedFoldReference) {
+  struct Ref {
+    int64_t count = 0;
+    double dsum = 0;
+    int64_t isum = 0;
+    bool all_int = true;
+    Item extreme{};
+  };
+  auto num = [](const Item& x) {
+    return x.kind == ItemKind::kInt ? static_cast<double>(x.AsInt())
+                                    : x.AsDbl();
+  };
+  // Groups in first-appearance order and their folds, over partials of
+  // `grain` rows. The extreme is replaced only by a strictly greater
+  // (smaller) value, so the first of tied items stays.
+  auto reference = [&num](const std::vector<int64_t>& g,
+                          const std::vector<Item>& v, size_t grain,
+                          bool max) {
+    auto beats = [&](const Item& x, const Item& y) {
+      return max ? num(x) > num(y) : num(x) < num(y);
+    };
+    std::vector<int64_t> order;
+    std::map<int64_t, Ref> total;
+    for (size_t lo = 0; lo < g.size(); lo += grain) {
+      std::vector<int64_t> chunk_order;
+      std::map<int64_t, Ref> part;
+      for (size_t r = lo; r < std::min(g.size(), lo + grain); ++r) {
+        auto [it, fresh] = part.try_emplace(g[r]);
+        Ref& a = it->second;
+        if (fresh) {
+          chunk_order.push_back(g[r]);
+          a.extreme = v[r];
+        }
+        if (beats(v[r], a.extreme)) a.extreme = v[r];
+        ++a.count;
+        a.dsum += num(v[r]);
+        if (v[r].kind == ItemKind::kInt) {
+          a.isum += v[r].AsInt();
+        } else {
+          a.all_int = false;
+        }
+      }
+      for (int64_t k : chunk_order) {
+        const Ref& p = part[k];
+        auto [it, fresh] = total.try_emplace(k, p);
+        if (fresh) {
+          order.push_back(k);
+          continue;
+        }
+        Ref& a = it->second;
+        if (beats(p.extreme, a.extreme)) a.extreme = p.extreme;
+        a.count += p.count;
+        a.dsum += p.dsum;
+        a.isum += p.isum;
+        a.all_int = a.all_int && p.all_int;
+      }
+    }
+    return std::make_pair(order, total);
+  };
+  for (size_t n : {size_t{8191}, size_t{8192}, size_t{30001}}) {
+    SCOPED_TRACE("rows " + std::to_string(n));
+    Table t;
+    ColumnPtr gc = ZipfInts(n, 300, 1.1, 301 + n);
+    for (int64_t& k : gc->ints()) k = k * 7919 - 1000000;
+    t.AddCol(C("g"), gc);
+    auto vc = Column::MakeItem(n);
+    Rng rng(302 + n);
+    for (size_t i = 0; i < n; ++i) {
+      switch (rng.Below(4)) {
+        case 0:
+          vc->items().push_back(Item::Int(7));
+          break;
+        case 1:
+          vc->items().push_back(Item::Dbl(7.0));
+          break;
+        case 2:
+          vc->items().push_back(Item::Int(rng.Range(-1000, 1000)));
+          break;
+        default:
+          vc->items().push_back(Item::Dbl(
+              (rng.Chance(0.5) ? -1.0 : 1.0) * rng.NextDouble() *
+              std::pow(10.0, static_cast<double>(rng.Range(-6, 14)))));
+          break;
+      }
+    }
+    t.AddCol(C("v"), vc);
+    const auto& g = gc->ints();
+    const auto& v = vc->items();
+    const size_t grain = n < 8192 ? n : 4096;
+    const auto [order, maxes] = reference(g, v, grain, true);
+    const auto [order2, mins] = reference(g, v, grain, false);
+    ASSERT_EQ(order, order2);
+    std::vector<Item> count, sum, avg, mx, mn;
+    for (int64_t k : order) {
+      const Ref& a = maxes.at(k);
+      count.push_back(Item::Int(a.count));
+      sum.push_back(a.all_int ? Item::Int(a.isum) : Item::Dbl(a.dsum));
+      avg.push_back(Item::Dbl(a.dsum / static_cast<double>(a.count)));
+      mx.push_back(a.extreme);
+      mn.push_back(mins.at(k).extreme);
+    }
+    if (n >= 8192) {
+      // The reference is discriminating: folding all rows in one pass
+      // gives other bits for some group's sum.
+      const auto [o1, one_fold] = reference(g, v, n, true);
+      bool differs = false;
+      for (int64_t k : order) {
+        differs = differs || one_fold.at(k).dsum != maxes.at(k).dsum;
+      }
+      EXPECT_TRUE(differs);
+    }
+    const std::pair<AggKind, const std::vector<Item>*> kinds[] = {
+        {AggKind::kCount, &count}, {AggKind::kSum, &sum},
+        {AggKind::kAvg, &avg},     {AggKind::kMax, &mx},
+        {AggKind::kMin, &mn}};
+    for (ThreadPool* tp : {static_cast<ThreadPool*>(nullptr), &pool2_,
+                           &pool7_}) {
+      for (const auto& [kind, want] : kinds) {
+        auto r = GroupAgg(t, C("g"), C("v"), kind, pool_, C("g"), C("out"),
+                          tp);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r->col(0)->ints(), order);
+        EXPECT_EQ(r->col(1)->items(), *want)
+            << "kind " << static_cast<int>(kind) << " threads "
+            << (tp == nullptr ? 0 : tp->num_threads());
+      }
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 //   1. Every XMark query.
 //   2. One explicit-axis query per staircase axis.
 //   3. The join shapes of xmark_test (multi-way, theta, existential and
-//      self joins), whose value joins run on the partitioned kernels.
+//      self joins), whose value joins run on the morsel-parallel kernels.
 //   4. XMark Q10, Q19 and Q20 at sf 0.05, whose child Steps take 1,849,
 //      1,088 and 1,275 contexts: more than one 1,024-context chunk of
 //      the staircase join, so the pool runs them chunk-parallel. At

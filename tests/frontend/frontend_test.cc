@@ -423,15 +423,18 @@ std::string Nested(const std::string& open, const std::string& inner,
   return q;
 }
 
-TEST(ParserDepthTest, ThousandLevelsParseOneMoreIsRejected) {
+// The parser's nesting limit (parser.cc, kMaxNestingDepth).
+constexpr int kLimit = 256;
+
+TEST(ParserDepthTest, LimitLevelsParseOneMoreIsRejected) {
   struct Shape {
     const char *open, *inner, *close;
   };
   for (const Shape& s : {Shape{"(", "1", ")"}, Shape{"-", "1", ""},
                          Shape{"<a>", "", "</a>"}}) {
     SCOPED_TRACE(s.open);
-    EXPECT_TRUE(ParseQuery(Nested(s.open, s.inner, s.close, 1000)).ok());
-    auto deep = ParseQuery(Nested(s.open, s.inner, s.close, 1001));
+    EXPECT_TRUE(ParseQuery(Nested(s.open, s.inner, s.close, kLimit)).ok());
+    auto deep = ParseQuery(Nested(s.open, s.inner, s.close, kLimit + 1));
     ASSERT_FALSE(deep.ok());
     EXPECT_EQ(deep.status().code(), StatusCode::kNotSupported);
   }
